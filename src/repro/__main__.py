@@ -14,7 +14,6 @@ Usage::
     python -m repro chaos --csv out.csv # three-level fault-storm sweep
     python -m repro health moderate     # SLO verdicts + incident bundles
     python -m repro fabric --tenants 8  # multi-tenant fleet fabric run
-    python -m repro sched --solver auto # scheduler portfolio gap sweep
     python -m repro all                 # everything (slow)
 
 Every subcommand gets its own parser assembled from shared option
@@ -591,58 +590,6 @@ def _fabric(args) -> None:
         print(f"\nhealth report written to {path}")
 
 
-def _sched(args) -> None:
-    from repro.eval.scheduler_sweep import (
-        GATE_MAX_GAP,
-        GATE_MIN_SPEEDUP,
-        GATE_NODE_FLOOR,
-        REPAIR_GATE_MIN_SPEEDUP,
-        SWEEP_NODE_COUNTS,
-        SWEEP_SOLVERS,
-        gap_sweep,
-        repair_speedup,
-    )
-    from repro.telemetry import Telemetry, write_metrics_csv
-
-    telemetry = Telemetry()
-    solvers = (args.solver,) if args.solver else SWEEP_SOLVERS
-    node_counts = tuple(
-        n for n in SWEEP_NODE_COUNTS if n <= args.nodes
-    ) or (args.nodes,)
-    points = gap_sweep(node_counts=node_counts, solvers=solvers,
-                       power_mw=args.power, seed=args.seed,
-                       repeats=args.repeats, telemetry=telemetry)
-    print(f"-- scheduler portfolio vs exact ILP, fleets to "
-          f"{max(node_counts)} nodes (seed {args.seed}, "
-          f"best of {args.repeats} runs)\n")
-    print(f"  {'workload':10s} {'nodes':>6s} {'solver':>7s} {'gap':>7s} "
-          f"{'solve ms':>9s} {'ilp ms':>8s} {'speedup':>8s}  gates")
-    for p in points:
-        verdict = "ok" if p.meets_gates() else "MISS"
-        print(f"  {p.workload:10s} {p.n_nodes:6d} {p.solver:>7s} "
-              f"{p.gap:7.2%} {p.solve_ms:9.3f} {p.ilp_ms:8.3f} "
-              f"{p.speedup:7.1f}x  {verdict}")
-    repair = repair_speedup(n_nodes=min(64, max(2, args.nodes)),
-                            seed=args.seed, repeats=args.repeats,
-                            telemetry=telemetry)
-    verdict = "ok" if repair.meets_gates() else "MISS"
-    print(f"\n  failover repair at {repair.n_nodes} nodes: "
-          f"{repair.repair_ms:.3f} ms vs {repair.ilp_ms:.3f} ms ILP "
-          f"({repair.speedup:.1f}x, gate >= "
-          f"{REPAIR_GATE_MIN_SPEEDUP:.0f}x)  {verdict}")
-    gated = [p for p in points if p.solver in ("auto", "flow")
-             and p.n_nodes >= GATE_NODE_FLOOR]
-    healthy = (all(p.meets_gates() for p in gated)
-               and all(p.gap <= GATE_MAX_GAP for p in points if p.feasible)
-               and repair.meets_gates())
-    print(f"\n  portfolio gates (gap <= {GATE_MAX_GAP:.0%}, >= "
-          f"{GATE_MIN_SPEEDUP:.0f}x at {GATE_NODE_FLOOR}+ nodes): "
-          f"{'PASS' if healthy else 'FAIL'}")
-    if args.csv:
-        path = write_metrics_csv(telemetry.registry, args.csv)
-        print(f"\nmetrics CSV written to {path}")
-
-
 def _export(args) -> None:
     from repro.eval.export import export_all
 
@@ -827,19 +774,6 @@ def _opt_fabric(parser: argparse.ArgumentParser) -> None:
                         help="requests offered per tenant")
 
 
-def _opt_sched(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--solver", default=None,
-                        choices=("ilp", "greedy", "flow", "auto"),
-                        help="sweep one portfolio member only "
-                             "(default: greedy, flow, and auto)")
-    parser.add_argument("--nodes", type=_positive_int, default=1024,
-                        help="largest fleet size on the sweep axis")
-    parser.add_argument("--power", type=_positive_float, default=15.0,
-                        help="per-node power budget (mW)")
-    parser.add_argument("--repeats", type=_positive_int, default=3,
-                        help="timed runs per cell (best-of)")
-
-
 def _opt_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="results",
                         help="output directory")
@@ -881,8 +815,6 @@ _COMMANDS: dict[str, _Command] = {
                            _FIG_OPTIONS),
     "sec62": _Command(_sec62, "local task throughput", _FIG_OPTIONS),
     "sec63": _Command(_sec63, "application scalars", _FIG_OPTIONS),
-    "sched": _Command(_sched, "scheduler portfolio gap/solve-time sweep",
-                      (_opt_sched, _opt_seed, _opt_csv)),
     "export": _Command(_export, "write every table/figure to disk",
                        (_opt_out,)),
     "trace": _Command(_trace, "run a scenario under telemetry",
@@ -909,7 +841,7 @@ _COMMANDS: dict[str, _Command] = {
 #: commands `all` runs (the quick, print-only figure/table family)
 _ALL_EXCLUDES = frozenset({
     "fig15a", "fig15b", "export", "trace", "recover", "query", "serve",
-    "chaos", "health", "fabric", "sched",
+    "chaos", "health", "fabric",
 })
 
 

@@ -100,8 +100,6 @@ from repro.recovery import (
 )
 from repro.scheduler.constraints import ConstraintSystem, build_constraints
 from repro.scheduler.ilp import (
-    AUTO_ILP_MAX_NODES,
-    SOLVERS,
     Flow,
     FlowAllocation,
     Schedule,
@@ -270,16 +268,13 @@ __all__ = [
     "run_isolation_gate",
     "tenant_name",
     "tenant_slos",
-    # scheduler portfolio (PR 10)
-    "AUTO_ILP_MAX_NODES",
+    # scheduler
     "ConstraintSystem",
     "Flow",
     "FlowAllocation",
-    "SOLVERS",
     "Schedule",
     "SchedulerProblem",
     "build_constraints",
-    "solve_schedule",
     # telemetry
     "NULL_TELEMETRY",
     "Telemetry",
@@ -317,50 +312,6 @@ def build_system(
         telemetry=telemetry,
         **overrides,
     )
-
-
-def solve_schedule(
-    flows: list[Flow],
-    n_nodes: int,
-    *,
-    power_budget_mw: float | None = None,
-    solver: str = "auto",
-    seed: int = 0,
-    telemetry: TelemetryLike = NULL_TELEMETRY,
-) -> Schedule:
-    """Solve one electrode-allocation instance with the solver portfolio.
-
-    Args:
-        flows: the schedulable flows (task model + priority weight each).
-        n_nodes: fleet size the schedule spans.
-        power_budget_mw: per-node power budget; defaults to the paper's
-            node cap.
-        solver: ``"ilp"`` (exact LP), ``"greedy"`` (seeded
-            water-filling), ``"flow"`` (min-cost-flow), or ``"auto"``
-            (exact below :data:`~repro.scheduler.ilp.AUTO_ILP_MAX_NODES`
-            nodes, first verified heuristic at fleet scale).  Heuristic
-            solutions are always post-hoc verified against the exact
-            constraint rows.
-        seed: heuristic ordering seed (byte-identical per seed).
-        telemetry: books ``scheduler.solves`` and the
-            ``scheduler.ilp_solve_ms`` / ``scheduler.heuristic_solve_ms``
-            wall-clock histograms.
-
-    Returns:
-        The :class:`~repro.scheduler.ilp.Schedule`.
-    """
-    from repro.units import NODE_POWER_CAP_MW
-
-    return SchedulerProblem(
-        n_nodes=n_nodes,
-        flows=flows,
-        power_budget_mw=(
-            NODE_POWER_CAP_MW if power_budget_mw is None else power_budget_mw
-        ),
-        solver=solver,
-        seed=seed,
-        telemetry=telemetry,
-    ).solve()
 
 
 def run_query(

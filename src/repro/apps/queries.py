@@ -18,7 +18,6 @@ hash checks ride the CCHECK PE.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -466,9 +465,8 @@ class QueryEngine:
     ) -> DistributedQueryResult:
         """Run a query over window indexes ``[start, stop)`` on all nodes.
 
-        The single query entry point (the former ``execute`` /
-        ``execute_resilient`` split collapsed): nodes listed in
-        ``dead_nodes`` are skipped outright; a node whose scan errors
+        The single query entry point: nodes listed in ``dead_nodes``
+        are skipped outright; a node whose scan errors
         mid-flight (rotted metadata, storage faults) is added to
         ``failed_nodes`` and the query proceeds — partial answers beat
         lost sessions for interactive use.  Query-spec errors (bad kind,
@@ -519,44 +517,6 @@ class QueryEngine:
                 tel.inc("query.degraded")
             tel.set_gauge("query.coverage", result.coverage, kind=spec.kind)
         return result
-
-    # -- deprecated pre-`run` entry points ---------------------------------------------
-
-    def execute(
-        self,
-        spec: QuerySpec,
-        window_range: tuple[int, int],
-        template: np.ndarray | None = None,
-    ) -> list[QueryResultRow]:
-        """Deprecated: use :meth:`run` (this returns ``run(...).rows``)."""
-        warnings.warn(
-            "QueryEngine.execute is deprecated; use QueryEngine.run",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(spec, window_range, template=template).rows
-
-    def execute_resilient(
-        self,
-        spec: QuerySpec,
-        window_range: tuple[int, int],
-        template: np.ndarray | None = None,
-        dead_nodes: set[int] | None = None,
-        node_traces: dict[int, TraceContext | None] | None = None,
-    ) -> DistributedQueryResult:
-        """Deprecated: use :meth:`run` (same semantics, keyword-only)."""
-        warnings.warn(
-            "QueryEngine.execute_resilient is deprecated; use QueryEngine.run",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(
-            spec,
-            window_range,
-            template=template,
-            dead_nodes=dead_nodes,
-            node_traces=node_traces,
-        )
 
 
 def _group_by_length(

@@ -48,10 +48,6 @@ class ScaloSystem:
     #: when set, hash/query dissemination runs over a stop-and-wait
     #: :class:`~repro.network.arq.ReliableLink` instead of fire-and-forget
     arq: ARQConfig | None = None
-    #: default scheduler policy for :meth:`reschedule`
-    #: ("ilp" | "greedy" | "flow" | "auto" — see
-    #: :data:`~repro.scheduler.ilp.SOLVERS`)
-    scheduler_solver: str = "ilp"
     #: injectable observability handle, threaded through the network,
     #: every node's storage controller, and the query/scheduler paths
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
@@ -218,20 +214,19 @@ class ScaloSystem:
             tel.inc("recovery.nodes_recovered")
         return RecoveryReport(node_id, replay, scrub, resync_report)
 
-    def scheduler_problem(
-        self,
-        flows,
-        power_budget_mw: float | None = None,
-        solver: str | None = None,
-    ):
-        """Build a scheduling instance over the surviving nodes only.
+    def reschedule(self, flows, power_budget_mw: float | None = None):
+        """Re-solve the schedule over the surviving nodes only.
 
         A dead node contributes neither PEs nor radio slots, so the
-        problem is posed at the reduced node count.  ``solver`` defaults
-        to the system-wide :attr:`scheduler_solver` policy.
+        problem is posed at the reduced node count.  Throughput
+        degrades, the session survives.
+
+        Returns:
+            The new :class:`~repro.scheduler.ilp.Schedule`.
 
         Raises:
-            SchedulingError: when no nodes survive.
+            SchedulingError: when no nodes survive or the reduced problem
+                is infeasible.
         """
         from repro.errors import SchedulingError
         from repro.scheduler.ilp import SchedulerProblem
@@ -246,34 +241,7 @@ class ScaloSystem:
                 self.power_cap_mw if power_budget_mw is None else power_budget_mw
             ),
             tdma=self.tdma,
-            solver=self.scheduler_solver if solver is None else solver,
-            seed=self.seed,
             telemetry=self.telemetry,
-        )
-
-    def reschedule(
-        self,
-        flows,
-        power_budget_mw: float | None = None,
-        solver: str | None = None,
-    ):
-        """Re-solve the schedule over the surviving nodes only.
-
-        Throughput degrades, the session survives.  ``solver`` overrides
-        the system's :attr:`scheduler_solver` policy for this call; the
-        attached :class:`~repro.recovery.failover.FailoverManager` does
-        not come through here on failover — it repairs its warm min-cost
-        -flow solution incrementally instead of re-solving from scratch.
-
-        Returns:
-            The new :class:`~repro.scheduler.ilp.Schedule`.
-
-        Raises:
-            SchedulingError: when no nodes survive or the reduced problem
-                is infeasible.
-        """
-        return self.scheduler_problem(
-            flows, power_budget_mw=power_budget_mw, solver=solver
         ).solve()
 
     # -- placement / maintenance ------------------------------------------------------
@@ -289,7 +257,7 @@ class ScaloSystem:
     def default_tdma_schedule(self, slots_per_node: int = 1) -> TDMASchedule:
         return TDMASchedule.round_robin(self.tdma, self.n_nodes, slots_per_node)
 
-    def attach_failover(self, health=None, flows=None, views=None):
+    def attach_failover(self, health=None, views=None):
         """Enable coordinator failover for the centralised stages.
 
         Returns the attached
@@ -303,9 +271,7 @@ class ScaloSystem:
         """
         from repro.recovery.failover import FailoverManager
 
-        self.failover = FailoverManager(
-            self, health=health, views=views, flows=list(flows or [])
-        )
+        self.failover = FailoverManager(self, health=health, views=views)
         return self.failover
 
     # -- messaging ---------------------------------------------------------------------

@@ -36,7 +36,6 @@ def seizure_propagation_schedule(
     weights: tuple[float, float, float] = (1, 1, 1),
     power_mw: float = NODE_POWER_CAP_MW,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    solver: str = "ilp",
 ):
     """Solve the three-flow seizure-propagation allocation."""
     flows = [
@@ -49,19 +48,18 @@ def seizure_propagation_schedule(
     ]
     return SchedulerProblem(n_nodes=n_nodes, flows=flows,
                             power_budget_mw=power_mw,
-                            telemetry=telemetry, solver=solver).solve()
+                            telemetry=telemetry).solve()
 
 
-def fig9a(node_counts=FIG9_NODE_COUNTS, power_mw: float = NODE_POWER_CAP_MW,
-          solver: str = "ilp") -> dict[str, dict[int, float]]:
+def fig9a(node_counts=FIG9_NODE_COUNTS, power_mw: float = NODE_POWER_CAP_MW
+          ) -> dict[str, dict[int, float]]:
     """Fig. 9a: weighted seizure-propagation throughput per weight triple."""
     out: dict[str, dict[int, float]] = {}
     for weights in FIG9A_WEIGHTS:
         label = ":".join(str(int(w)) for w in weights)
         series = {}
         for n in node_counts:
-            schedule = seizure_propagation_schedule(n, weights, power_mw,
-                                                    solver=solver)
+            schedule = seizure_propagation_schedule(n, weights, power_mw)
             series[n] = schedule.weighted_mbps()
         out[label] = series
     return out

@@ -35,7 +35,7 @@ def fig8a(n_nodes: int = 11, power_mw: float = 15.0
 
 def _sweep(task_factory, tdma: TDMAConfig | None = None,
            node_counts=NODE_COUNTS, power_limits=POWER_LIMITS_MW,
-           telemetry: TelemetryLike = NULL_TELEMETRY, solver: str = "ilp"
+           telemetry: TelemetryLike = NULL_TELEMETRY
            ) -> dict[float, dict[int, float]]:
     """power -> nodes -> Mbps for one task."""
     surface: dict[float, dict[int, float]] = {}
@@ -44,45 +44,44 @@ def _sweep(task_factory, tdma: TDMAConfig | None = None,
         for n in node_counts:
             task = task_factory()
             row[n] = max_throughput_mbps(task, n, power, tdma=tdma,
-                                         telemetry=telemetry, solver=solver)
+                                         telemetry=telemetry)
         surface[power] = row
     return surface
 
 
 def fig8b(tdma: TDMAConfig | None = None, node_counts=NODE_COUNTS,
           power_limits=POWER_LIMITS_MW,
-          telemetry: TelemetryLike = NULL_TELEMETRY, solver: str = "ilp"
+          telemetry: TelemetryLike = NULL_TELEMETRY
           ) -> dict[str, dict[float, dict[int, float]]]:
     """Fig. 8b: the four signal-similarity surfaces."""
     return {
         "DTW All-All": _sweep(lambda: dtw_similarity_task("all_all"), tdma,
-                              node_counts, power_limits, telemetry, solver),
+                              node_counts, power_limits, telemetry),
         "DTW One-All": _sweep(lambda: dtw_similarity_task("one_all"), tdma,
-                              node_counts, power_limits, telemetry, solver),
+                              node_counts, power_limits, telemetry),
         "Hash All-All": _sweep(lambda: hash_similarity_task("all_all"), tdma,
-                               node_counts, power_limits, telemetry, solver),
+                               node_counts, power_limits, telemetry),
         "Hash One-All": _sweep(lambda: hash_similarity_task("one_all"), tdma,
-                               node_counts, power_limits, telemetry, solver),
+                               node_counts, power_limits, telemetry),
     }
 
 
 def fig8c(node_counts=NODE_COUNTS, power_limits=POWER_LIMITS_MW,
-          telemetry: TelemetryLike = NULL_TELEMETRY, solver: str = "ilp"
+          telemetry: TelemetryLike = NULL_TELEMETRY
           ) -> dict[str, dict[float, dict[int, float]]]:
     """Fig. 8c: the three movement-intent surfaces."""
     return {
         "MI SVM": _sweep(mi_svm_task, None, node_counts, power_limits,
-                         telemetry, solver),
+                         telemetry),
         "MI NN": _sweep(mi_nn_task, None, node_counts, power_limits,
-                        telemetry, solver),
+                        telemetry),
         "MI KF": _sweep(mi_kf_task, None, node_counts, power_limits,
-                        telemetry, solver),
+                        telemetry),
     }
 
 
 def sec62_local_tasks(power_limits=(15.0, 12.0, 9.0, 6.0),
-                      telemetry: TelemetryLike = NULL_TELEMETRY,
-                      solver: str = "ilp"
+                      telemetry: TelemetryLike = NULL_TELEMETRY
                       ) -> dict[str, dict[float, float]]:
     """§6.2 scalars: per-node detection / sorting throughput vs power.
 
@@ -93,9 +92,9 @@ def sec62_local_tasks(power_limits=(15.0, 12.0, 9.0, 6.0),
                                           "spike_sorting": {}}
     for p in power_limits:
         out["seizure_detection"][p] = max_throughput_mbps(
-            seizure_detection_task(), 1, p, telemetry=telemetry, solver=solver
+            seizure_detection_task(), 1, p, telemetry=telemetry
         )
         out["spike_sorting"][p] = max_throughput_mbps(
-            spike_sorting_task(), 1, p, telemetry=telemetry, solver=solver
+            spike_sorting_task(), 1, p, telemetry=telemetry
         )
     return out

@@ -89,9 +89,6 @@ class FailoverManager:
     #: per-node views; attaching these switches on quorum gating,
     #: epochs, and fencing — the partition-safe mode
     views: "FleetBelief | None" = None
-    #: when given, a failover re-schedules over the survivors via
-    #: incremental min-cost-flow repair (see :meth:`_repair_schedule`)
-    flows: list = field(default_factory=list)
     journal: WriteAheadJournal = field(default_factory=WriteAheadJournal)
     history: list[FailoverEvent] = field(default_factory=list)
     #: ring bounds — chaos runs step every round for thousands of rounds
@@ -110,10 +107,6 @@ class FailoverManager:
             )
         self.coordinator: int | None = None
         self.epoch = 0
-        self.last_schedule = None
-        #: warm min-cost-flow state for incremental schedule repair —
-        #: seeded on the first failover, then repaired per event
-        self._repairer = None
         #: accepted checkpoint writes as (round, coordinator, epoch) —
         #: the evidence trail the split-brain chaos gate audits
         self.claim_log: list[tuple[int, int, int]] = []
@@ -276,13 +269,6 @@ class FailoverManager:
             if payload is not None:
                 _, _, restored_seq = _CKPT.unpack(payload)
                 self.system._query_seq = restored_seq
-            if self.flows:
-                from repro.errors import SchedulingError
-
-                try:
-                    self.last_schedule = self._repair_schedule()
-                except SchedulingError:
-                    self.last_schedule = None
         tel.inc("recovery.failovers")
         tel.set_gauge("recovery.epoch", self.epoch)
         tel.instant("failover-handover", old=old, new=new, epoch=self.epoch)
@@ -321,53 +307,6 @@ class FailoverManager:
                 restored_seq=event.restored_query_seq, epoch=self.epoch,
             )
         return event
-
-    def _repair_schedule(self):
-        """Re-schedule the flows over the survivors, incrementally.
-
-        A failover used to pay a full from-scratch LP solve here — the
-        repo's one wall-clock hot spot, re-run on every handover.  Now
-        the manager keeps a warm
-        :class:`~repro.scheduler.flowsched.MinCostFlowScheduler`
-        solution and *repairs* it against the constraint rows rebuilt at
-        the surviving node count (Firmament-style incremental
-        scheduling): clip onto the new caps, drain any over-subscribed
-        budget, re-augment the slack.  The repaired allocation is
-        post-hoc verified against the exact rows; if verification ever
-        fails, the manager falls back to a full
-        :meth:`~repro.core.system.ScaloSystem.reschedule` (counted as
-        ``scheduler.repair_fallbacks``) rather than install an
-        infeasible schedule.
-
-        Raises:
-            SchedulingError: when no nodes survive or even zero
-                electrodes violate a constraint.
-        """
-        from repro.scheduler.flowsched import MinCostFlowScheduler
-
-        tel = self.system.telemetry
-        problem = self.system.scheduler_problem(self.flows)
-        with tel.time("scheduler.repair_solve_ms"), tel.span(
-            "schedule-repair", n_nodes=problem.n_nodes
-        ):
-            cs = problem.constraints()
-            if self._repairer is None:
-                self._repairer = MinCostFlowScheduler(
-                    cs, seed=self.system.seed
-                )
-                electrodes = self._repairer.solve()
-            else:
-                electrodes = self._repairer.repair(cs)
-            if cs.verify(electrodes):
-                tel.inc("scheduler.repair_fallbacks")
-                schedule = problem.solve()
-                self._repairer.cs = cs
-                self._repairer.electrodes = _schedule_electrodes(
-                    cs, schedule
-                )
-                return schedule
-        tel.inc("scheduler.repairs")
-        return cs.schedule(electrodes)
 
     def _stepdown(self) -> None:
         """No claimant anywhere: the coordinator yields rather than
@@ -449,14 +388,3 @@ class FailoverManager:
         if len(self.log) > self.max_log:
             del self.log[: len(self.log) - self.max_log]
 
-
-def _schedule_electrodes(cs, schedule):
-    """Recover the decision vector from a materialised schedule."""
-    import numpy as np
-
-    return np.array(
-        [
-            alloc.aggregate_electrodes / row.count
-            for row, alloc in zip(cs.rows, schedule.allocations)
-        ]
-    )

@@ -13,11 +13,7 @@ from repro.scheduler.constraints import (
     build_constraints,
 )
 from repro.scheduler.dataflow import OPERATOR_PES, DataflowGraph, Operator
-from repro.scheduler.flowsched import MinCostFlowScheduler
-from repro.scheduler.heuristics import solve_greedy
 from repro.scheduler.ilp import (
-    AUTO_ILP_MAX_NODES,
-    SOLVERS,
     Flow,
     FlowAllocation,
     Schedule,
@@ -45,17 +41,13 @@ from repro.scheduler.schedule import (
 )
 
 __all__ = [
-    "AUTO_ILP_MAX_NODES",
     "ConstraintSystem",
     "FlowRow",
-    "MinCostFlowScheduler",
     "NETWORK_UTILISATION_CAP",
-    "SOLVERS",
     "ThroughputBreakdown",
     "analytic_electrodes",
     "analytic_throughput_mbps",
     "build_constraints",
-    "solve_greedy",
     "emit_all_nodes",
     "emit_config_program",
     "OPERATOR_PES",

@@ -1,17 +1,13 @@
-"""Exact constraint rows shared by every solver in the portfolio.
+"""Exact constraint rows of one scheduling instance.
 
-The LP, the greedy water-filler, and the min-cost-flow scheduler must
-all agree on what *feasible* means, or a fast heuristic could return a
-schedule the fleet cannot actually run.  This module builds the one
-authoritative :class:`ConstraintSystem` for a scheduling instance — the
-per-flow electrode caps, the exact (quadratic) power row, the per-flow
-latency rows, the shared-medium utilisation row, and the NVM-bandwidth
-row — and owns:
+This module builds the one authoritative :class:`ConstraintSystem` the
+LP (:mod:`repro.scheduler.ilp`) solves — the per-flow electrode caps,
+the exact (quadratic) power row, the per-flow latency rows, the
+shared-medium utilisation row, and the NVM-bandwidth row — and owns:
 
-* **post-hoc verification** (:meth:`ConstraintSystem.verify`): every
-  heuristic solution is checked against these rows before it is
-  returned, so the portfolio can never silently ship an infeasible
-  schedule;
+* **verification** (:meth:`ConstraintSystem.verify`): checks a solution
+  against the exact rows (the LP convexifies quadratic power, so this
+  is an independent oracle the tests apply to the LP's output);
 * **schedule materialisation** (:meth:`ConstraintSystem.schedule`): the
   single place allocations and the reported ``network_utilisation`` are
   derived, so the report is the utilisation constraint's left-hand side
@@ -37,7 +33,6 @@ allocated electrodes, because the constraint charges it conservatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -82,7 +77,6 @@ class FlowRow:
     """One flow's exact coefficients in every constraint it appears in."""
 
     flow: "Flow"
-    index: int
     #: final upper bound on the decision variable (electrodes; total for
     #: centralised flows, per-node otherwise)
     cap: float
@@ -111,17 +105,8 @@ class FlowRow:
     nvm_per_ms: float
 
     @property
-    def weight(self) -> float:
-        return self.flow.weight
-
-    @property
     def task(self) -> TaskModel:
         return self.flow.task
-
-    @property
-    def objective_density(self) -> float:
-        """Objective gain per allocated electrode unit."""
-        return self.flow.weight * self.count
 
     def dynamic_mw(self, electrodes: float) -> float:
         """Exact dynamic power on the binding node (mW)."""
@@ -129,17 +114,6 @@ class FlowRow:
         linear = task.dyn_uw_per_electrode * self.linear_share * electrodes
         quad = task.pairwise_uw * electrodes * electrodes / PAIR_NORM
         return (linear + quad) / 1e3
-
-    def electrodes_for_power(self, dyn_budget_mw: float) -> float:
-        """Invert :meth:`dynamic_mw` (closed form, quadratic)."""
-        if dyn_budget_mw <= 0:
-            return 0.0
-        budget_uw = dyn_budget_mw * 1e3
-        a = self.task.pairwise_uw / PAIR_NORM
-        b = self.task.dyn_uw_per_electrode * self.linear_share
-        if a == 0:
-            return budget_uw / b if b > 0 else float("inf")
-        return (-b + (b * b + 4 * a * budget_uw) ** 0.5) / (2 * a)
 
     def airtime_ms(self, electrodes: float) -> float:
         """Airtime per period, as reported on the allocation.
@@ -159,16 +133,6 @@ class FlowRow:
         if not self.shares_medium or self.cap <= 0.0:
             return 0.0
         return self.airtime_ms(electrodes) / self.task.period_ms
-
-    @property
-    def latency_cap(self) -> float:
-        """Max electrodes the latency row admits (inf = no row)."""
-        if self.latency_rhs_ms is None:
-            return float("inf")
-        denom = self.mult * self.airtime_slope_ms
-        if denom <= 0:
-            return float("inf")
-        return self.latency_rhs_ms / denom
 
 
 @dataclass(frozen=True)
@@ -190,51 +154,7 @@ class ConstraintSystem:
     medium_saturated: bool
     nvm_budget_bytes_per_ms: float
 
-    # -- cached coefficient arrays (hot-path fuel for the heuristics) -------------
-
-    @cached_property
-    def densities(self) -> np.ndarray:
-        """Objective density per row (``weight * count``)."""
-        return np.array([row.objective_density for row in self.rows])
-
-    @cached_property
-    def lin_mw(self) -> np.ndarray:
-        """Linear dynamic power per electrode per row (mW)."""
-        return np.array(
-            [
-                row.task.dyn_uw_per_electrode * row.linear_share / 1e3
-                for row in self.rows
-            ]
-        )
-
-    @cached_property
-    def quad_mw(self) -> np.ndarray:
-        """Quadratic dynamic power coefficient per row (mW per e^2)."""
-        return np.array(
-            [
-                row.task.pairwise_uw / (1e3 * PAIR_NORM)
-                for row in self.rows
-            ]
-        )
-
-    @cached_property
-    def util_slopes(self) -> np.ndarray:
-        return np.array([row.util_slope_per_ms for row in self.rows])
-
-    @cached_property
-    def nvm_rates(self) -> np.ndarray:
-        return np.array([row.nvm_per_ms for row in self.rows])
-
     # -- evaluation ---------------------------------------------------------------
-
-    def objective(self, electrodes: Sequence[float]) -> float:
-        """Priority-weighted aggregate electrodes (the LP objective)."""
-        return float(
-            sum(
-                row.objective_density * e
-                for row, e in zip(self.rows, electrodes)
-            )
-        )
 
     def node_power_mw(self, electrodes: Sequence[float]) -> float:
         """Exact binding-node power (static + quadratic dynamic)."""
@@ -261,9 +181,8 @@ class ConstraintSystem:
     ) -> tuple[str, ...]:
         """Check a solution against every exact row; return violations.
 
-        An empty tuple means feasible.  Every heuristic in the portfolio
-        calls this before returning, and the property tests call it on
-        the ILP's own output.
+        An empty tuple means feasible.  The property tests call it on the
+        LP's own output as an independent oracle.
         """
         violations: list[str] = []
         for row, e in zip(self.rows, electrodes):
@@ -454,7 +373,6 @@ def build_constraints(
     rows = tuple(
         FlowRow(
             flow=flow,
-            index=i,
             cap=caps[i],
             power_grid_cap=power_grid_caps[i],
             count=1.0 if flow.task.centralised else float(n_nodes),

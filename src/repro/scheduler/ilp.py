@@ -1,4 +1,4 @@
-"""The scheduler: optimal and heuristic electrode allocation across flows.
+"""The scheduler: optimal electrode allocation across flows.
 
 Mirrors the paper's §3.5 formulation: each application stage is a *flow*;
 the objective maximises the priority-weighted number of electrode signals
@@ -7,25 +7,13 @@ NVM-bandwidth constraints.  SCALO's deterministic components make every
 coefficient exact.
 
 The exact constraint rows live in :mod:`repro.scheduler.constraints`; the
-LP here is one *solver* in a portfolio (see :attr:`SchedulerProblem.solver`):
-
-* ``"ilp"`` — the exact LP below (HiGHS via :func:`scipy.optimize.linprog`).
-  Quadratic (pairwise) power terms are handled with the lambda-formulation
-  of piecewise-linear convexification: because the power curve is convex
-  and appears on the small side of a "<= budget" constraint, the LP
-  relaxation is exact at breakpoints and conservative between them — no
-  integer variables needed.  (The paper's artifact uses GLPK; same
-  problem, different backend.)
-* ``"greedy"`` — seeded water-filling over the same rows
-  (:mod:`repro.scheduler.heuristics`).
-* ``"flow"`` — min-cost-flow with an Octopus-style cost model supporting
-  incremental repair (:mod:`repro.scheduler.flowsched`).
-* ``"auto"`` — the LP at small node counts, the first verified heuristic
-  (greedy, then flow) at fleet scale, with an LP fallback if no
-  heuristic verifies.
-
-Every heuristic solution is post-hoc verified against the exact rows
-(:meth:`ConstraintSystem.verify`) before it is returned.
+LP here solves them with HiGHS via :func:`scipy.optimize.linprog`.
+Quadratic (pairwise) power terms are handled with the lambda-formulation
+of piecewise-linear convexification: because the power curve is convex
+and appears on the small side of a "<= budget" constraint, the LP
+relaxation is exact at breakpoints and conservative between them — no
+integer variables needed.  (The paper's artifact uses GLPK; same
+problem, different backend.)
 """
 
 from __future__ import annotations
@@ -53,20 +41,10 @@ __all__ = [
     "SchedulerProblem",
     "max_throughput_mbps",
     "NETWORK_UTILISATION_CAP",
-    "SOLVERS",
-    "AUTO_ILP_MAX_NODES",
 ]
 
 #: Breakpoints used to convexify quadratic power terms.
 N_BREAKPOINTS = 33
-
-#: Valid values of :attr:`SchedulerProblem.solver`.
-SOLVERS = ("ilp", "greedy", "flow", "auto")
-
-#: Below this node count ``solver="auto"`` keeps the exact LP: the LP's
-#: size is independent of the fleet, so at small scale the ~ms solve is
-#: cheap and optimality is free.  At and above it, the heuristics win.
-AUTO_ILP_MAX_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -150,14 +128,8 @@ class SchedulerProblem:
     round_overhead_ms: float = 0.0
     #: hard upper bound used when a flow has no electrode cap
     unbounded_cap: float = 4096.0
-    #: which portfolio member solves this instance (see :data:`SOLVERS`)
-    solver: str = "ilp"
-    #: seed for the heuristics' randomised candidate orderings — part of
-    #: the repo-wide byte-identical-per-seed determinism contract
-    seed: int = 0
     #: observability handle: books ``scheduler.solves`` plus the
-    #: wall-clock ``scheduler.ilp_solve_ms`` / ``scheduler.heuristic_solve_ms``
-    #: histograms around the chosen solver
+    #: wall-clock ``scheduler.ilp_solve_ms`` histogram around the LP
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
@@ -167,15 +139,11 @@ class SchedulerProblem:
             raise SchedulingError("need at least one flow")
         if self.power_budget_mw <= 0:
             raise SchedulingError("power budget must be positive")
-        if self.solver not in SOLVERS:
-            raise SchedulingError(
-                f"unknown solver {self.solver!r}; expected one of {SOLVERS}"
-            )
 
     # -- constraint rows ----------------------------------------------------------
 
     def constraints(self) -> ConstraintSystem:
-        """The exact feasible region every portfolio member solves."""
+        """The exact feasible region the LP solves."""
         return build_constraints(
             n_nodes=self.n_nodes,
             flows=self.flows,
@@ -193,33 +161,11 @@ class SchedulerProblem:
 
         Raises:
             SchedulingError: when even zero electrodes violate a
-                constraint (static power over budget), the LP fails, or
-                an explicitly requested heuristic produces a solution
-                that fails post-hoc verification.
+                constraint (static power over budget) or the LP fails.
         """
         cs = self.constraints()
+        electrodes = self._solve_ilp(cs)
         tel = self.telemetry
-
-        solver = self.solver
-        if solver == "auto":
-            solver = (
-                "ilp" if self.n_nodes < AUTO_ILP_MAX_NODES else "portfolio"
-            )
-
-        if solver == "ilp":
-            electrodes = self._solve_ilp(cs)
-        elif solver == "portfolio":
-            electrodes = self._solve_portfolio(cs)
-        else:
-            electrodes = self._solve_heuristic(cs, solver)
-            violations = cs.verify(electrodes)
-            if violations:
-                tel.inc("scheduler.verify_failures")
-                raise SchedulingError(
-                    f"{solver} solution failed verification: "
-                    + "; ".join(violations)
-                )
-
         tel.inc("scheduler.solves")
         schedule = cs.schedule(electrodes)
         if tel.enabled:
@@ -241,38 +187,6 @@ class SchedulerProblem:
                     nodes=self.n_nodes,
                 )
         return schedule
-
-    def _solve_heuristic(
-        self, cs: ConstraintSystem, solver: str
-    ) -> np.ndarray:
-        """Run one heuristic under the heuristic wall-clock histogram."""
-        from repro.scheduler.flowsched import MinCostFlowScheduler
-        from repro.scheduler.heuristics import solve_greedy
-
-        tel = self.telemetry
-        with tel.time("scheduler.heuristic_solve_ms"), tel.span(
-            f"{solver}-solve", n_nodes=self.n_nodes, n_flows=len(self.flows)
-        ):
-            if solver == "greedy":
-                return solve_greedy(cs, seed=self.seed)
-            return MinCostFlowScheduler(cs, seed=self.seed).solve()
-
-    def _solve_portfolio(self, cs: ConstraintSystem) -> np.ndarray:
-        """``auto`` at fleet scale: first verified heuristic wins.
-
-        The min-cost-flow solver goes first (sub-2 % gap on the paper's
-        workloads at the least wall-clock of the portfolio); greedy
-        water-filling is the second line, and the exact LP is the final
-        fallback so an infeasible schedule can never ship.
-        """
-        tel = self.telemetry
-        for name in ("flow", "greedy"):
-            electrodes = self._solve_heuristic(cs, name)
-            if not cs.verify(electrodes):
-                return electrodes
-            tel.inc("scheduler.verify_failures")
-        tel.inc("scheduler.auto_ilp_fallbacks")
-        return self._solve_ilp(cs)
 
     def _solve_ilp(self, cs: ConstraintSystem) -> np.ndarray:
         """The exact LP over the shared constraint rows."""
@@ -398,7 +312,6 @@ def max_throughput_mbps(
     electrode_cap: float | None = None,
     tdma: TDMAConfig | None = None,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    solver: str = "ilp",
 ) -> float:
     """Single-flow convenience: the paper's "maximum aggregate throughput"."""
     problem = SchedulerProblem(
@@ -406,7 +319,6 @@ def max_throughput_mbps(
         flows=[Flow(task, electrode_cap=electrode_cap)],
         power_budget_mw=power_budget_mw,
         tdma=tdma if tdma is not None else TDMAConfig(),
-        solver=solver,
         telemetry=telemetry,
     )
     return problem.solve().aggregate_mbps

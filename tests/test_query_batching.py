@@ -327,46 +327,3 @@ class TestEngineEquivalence:
                        dead_nodes={1})
         )
 
-
-class TestDeprecatedShims:
-    def test_execute_warns_and_matches_run(self):
-        engine, template = _fleet()
-        expected = engine.run(
-            QuerySpec("q2", 16.0), (0, 10), template=template
-        )
-        with pytest.warns(DeprecationWarning, match="QueryEngine.run"):
-            rows = engine.execute(
-                QuerySpec("q2", 16.0), (0, 10), template=template
-            )
-        assert [
-            (r.node, r.electrode, r.window_index, r.samples.tobytes())
-            for r in rows
-        ] == _row_keys(expected)
-
-    def test_execute_resilient_warns_and_matches_run(self):
-        engine, template = _fleet()
-        expected = engine.run(
-            QuerySpec("q2", 16.0), (0, 10), template=template,
-            dead_nodes={2},
-        )
-        with pytest.warns(DeprecationWarning, match="QueryEngine.run"):
-            result = engine.execute_resilient(
-                QuerySpec("q2", 16.0), (0, 10), template=template,
-                dead_nodes={2},
-            )
-        assert _row_keys(result) == _row_keys(expected)
-        assert result.failed_nodes == expected.failed_nodes
-        assert result.queried_nodes == expected.queried_nodes
-
-    def test_execute_warning_points_at_caller(self):
-        """stacklevel=2: the warning names this file, not queries.py."""
-        engine, _ = _fleet()
-        with pytest.warns(DeprecationWarning) as record:
-            engine.execute(QuerySpec("q3", 16.0), (0, 10))
-        assert record[0].filename == __file__
-
-    def test_execute_resilient_warning_points_at_caller(self):
-        engine, _ = _fleet()
-        with pytest.warns(DeprecationWarning) as record:
-            engine.execute_resilient(QuerySpec("q3", 16.0), (0, 10))
-        assert record[0].filename == __file__

@@ -1,12 +1,13 @@
 """Tests for the LP scheduler and its closed-form analytical twin."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
 from repro.scheduler.analytical import analytic_electrodes, analytic_throughput_mbps
+from repro.scheduler.constraints import NETWORK_UTILISATION_CAP
 from repro.scheduler.ilp import Flow, SchedulerProblem, max_throughput_mbps
 from repro.scheduler.model import (
-    TaskModel,
     dtw_similarity_task,
     hash_similarity_task,
     mi_kf_task,
@@ -15,6 +16,8 @@ from repro.scheduler.model import (
     seizure_detection_task,
     spike_sorting_task,
 )
+from repro.telemetry import Telemetry
+from repro.units import ELECTRODES_PER_NODE
 
 ALL_TASKS = (
     seizure_detection_task,
@@ -214,8 +217,6 @@ class TestSolutionNonNegativity:
 
 class TestSchedulerTelemetry:
     def test_max_throughput_books_solve_metrics(self):
-        from repro.telemetry import Telemetry
-
         tel = Telemetry()
         max_throughput_mbps(seizure_detection_task(), 4, 15.0, telemetry=tel)
         reg = tel.registry
@@ -225,7 +226,6 @@ class TestSchedulerTelemetry:
 
     def test_sweep_books_one_solve_per_cell(self):
         from repro.eval.throughput import fig8b
-        from repro.telemetry import Telemetry
 
         tel = Telemetry()
         fig8b(node_counts=(1, 2), power_limits=(15.0,), telemetry=tel)
@@ -236,3 +236,114 @@ class TestSchedulerTelemetry:
         # no telemetry argument: nothing to assert beyond "doesn't blow up",
         # which is exactly the NULL_TELEMETRY contract
         assert max_throughput_mbps(seizure_detection_task(), 2, 15.0) > 0
+
+
+def _fig9_flows():
+    return [
+        Flow(seizure_detection_task(), weight=3.0,
+             electrode_cap=ELECTRODES_PER_NODE),
+        Flow(hash_similarity_task("all_all", net_budget_ms=1.0),
+             weight=1.0, electrode_cap=ELECTRODES_PER_NODE),
+        Flow(dtw_similarity_task("one_all", net_budget_ms=4.0),
+             weight=1.0, electrode_cap=ELECTRODES_PER_NODE),
+    ]
+
+
+def _electrodes(schedule):
+    """Recover the decision vector from a materialised schedule."""
+    return np.array(
+        [
+            a.aggregate_electrodes / (1.0 if a.flow.task.centralised
+                                      else schedule.n_nodes)
+            for a in schedule.allocations
+        ]
+    )
+
+
+class TestUtilisationReporting:
+    """The report must be the constraint's LHS (reporting bugfix #1)."""
+
+    def test_zero_cap_flow_books_no_phantom_airtime(self):
+        # dtw all_all at 64 nodes: 64 fixed bursts alone overrun a 1 ms
+        # latency budget, so the flow's cap collapses to zero.  The old
+        # report still charged mult * fixed airtime for it and printed
+        # utilisation >> the 0.95 cap.
+        flows = [
+            Flow(seizure_detection_task(), weight=1.0,
+                 electrode_cap=ELECTRODES_PER_NODE),
+            Flow(dtw_similarity_task("all_all", net_budget_ms=1.0),
+                 weight=1.0, electrode_cap=ELECTRODES_PER_NODE),
+        ]
+        problem = SchedulerProblem(n_nodes=64, flows=flows)
+        cs = problem.constraints()
+        dtw_row = cs.rows[1]
+        assert dtw_row.cap == 0.0
+        schedule = problem.solve()
+        dtw_alloc = schedule.allocations[1]
+        assert dtw_alloc.aggregate_electrodes == pytest.approx(0.0, abs=1e-9)
+        assert dtw_alloc.airtime_ms_per_period == 0.0
+        assert (schedule.network_utilisation
+                <= NETWORK_UTILISATION_CAP + 1e-9)
+
+    def test_report_equals_constraint_lhs(self):
+        problem = SchedulerProblem(n_nodes=64, flows=_fig9_flows())
+        schedule = problem.solve()
+        cs = problem.constraints()
+        assert schedule.network_utilisation == pytest.approx(
+            cs.utilisation(_electrodes(schedule))
+        )
+
+    def test_capped_sharing_flow_still_charges_fixed_burst(self):
+        # The conservative charge is intentional: a sharing flow that
+        # *can* run occupies its fixed burst even at zero electrodes.
+        flows = [Flow(hash_similarity_task("one_all", net_budget_ms=2.0),
+                      weight=1.0, electrode_cap=ELECTRODES_PER_NODE)]
+        cs = SchedulerProblem(n_nodes=8, flows=flows).constraints()
+        row = cs.rows[0]
+        assert row.cap > 0
+        assert row.utilisation(0.0) > 0.0
+
+
+class TestMediumSaturation:
+    """Explicit degrade instead of a silent RHS clamp (bugfix #2)."""
+
+    def _flows(self):
+        return [
+            Flow(seizure_detection_task(), weight=1.0,
+                 electrode_cap=ELECTRODES_PER_NODE),
+            Flow(hash_similarity_task("one_all", net_budget_ms=1e6),
+                 weight=1.0, electrode_cap=ELECTRODES_PER_NODE),
+        ]
+
+    def test_saturated_medium_degrades_explicitly(self):
+        telemetry = Telemetry()
+        # A 1000 ms per-round beacon overhead makes the fixed burst
+        # alone overrun the utilisation cap while the (huge) latency
+        # budget keeps the flow capped in — the silent-clamp cell.
+        problem = SchedulerProblem(n_nodes=4, flows=self._flows(),
+                                   round_overhead_ms=1000.0,
+                                   telemetry=telemetry)
+        cs = problem.constraints()
+        assert cs.medium_saturated
+        assert cs.rows[1].cap == 0.0  # sharing flow degraded to zero
+        assert cs.rows[0].cap > 0.0  # local analytics unaffected
+        assert cs.fixed_util == 0.0
+        schedule = problem.solve()
+        assert telemetry.registry.counter("scheduler.medium_saturated") >= 1
+        assert schedule.allocations[1].aggregate_electrodes == pytest.approx(
+            0.0, abs=1e-9
+        )
+        assert schedule.allocations[0].aggregate_electrodes > 0
+        assert (schedule.network_utilisation
+                <= NETWORK_UTILISATION_CAP + 1e-9)
+
+    def test_unsaturated_medium_books_nothing(self):
+        telemetry = Telemetry()
+        problem = SchedulerProblem(n_nodes=4, flows=self._flows(),
+                                   telemetry=telemetry)
+        cs = problem.constraints()
+        assert not cs.medium_saturated
+        assert cs.fixed_util > 0.0
+        schedule = problem.solve()
+        assert telemetry.registry.counter("scheduler.medium_saturated") == 0
+        assert schedule.allocations[1].aggregate_electrodes > 0
