@@ -78,7 +78,6 @@ from repro.fabric import (
     TenantStats,
     fabric_session,
     generate_tenant_arrivals,
-    run_fabric_load,
     run_isolation_gate,
     tenant_name,
     tenant_slos,
@@ -130,7 +129,6 @@ from repro.serving import (
     TokenBucket,
     final_responses,
     generate_arrivals,
-    per_client_responses,
     percentile,
     run_open_loop,
     serve_session,
@@ -190,7 +188,6 @@ __all__ = [
     "TokenBucket",
     "final_responses",
     "generate_arrivals",
-    "per_client_responses",
     "percentile",
     "run_open_loop",
     "summarise",
@@ -264,7 +261,6 @@ __all__ = [
     "ShardMap",
     "TenantStats",
     "generate_tenant_arrivals",
-    "run_fabric_load",
     "run_isolation_gate",
     "tenant_name",
     "tenant_slos",

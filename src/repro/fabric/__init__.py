@@ -32,7 +32,6 @@ from repro.fabric.loadgen import (
     TenantStats,
     fabric_session,
     generate_tenant_arrivals,
-    run_fabric_load,
     tenant_name,
 )
 from repro.fabric.shardmap import ShardMap
@@ -55,7 +54,6 @@ __all__ = [
     "choose_pair",
     "fabric_session",
     "generate_tenant_arrivals",
-    "run_fabric_load",
     "run_isolation_gate",
     "tenant_name",
     "tenant_slos",

@@ -35,14 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
-from repro.core.system import ScaloSystem
+from repro.apps.queries import QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
 from repro.fabric.shardmap import ShardMap
-from repro.serving.loadgen import final_responses
-from repro.serving.server import QueryResponse, QueryServer, ServerConfig
+from repro.serving.loadgen import Fleet, build_fleet, final_responses
+from repro.serving.server import QueryResponse, ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
-from repro.units import WINDOW_SAMPLES
 
 #: the reserved client name population scatters run under (never a tenant)
 POPULATION_CLIENT = "_population"
@@ -94,23 +92,23 @@ class FabricConfig:
             partition_results_by_client=True,
         )
 
+    def shard_map(self) -> ShardMap:
+        """The initial tenant → fleet ring over fleets ``0..n_fleets-1``."""
+        return ShardMap(
+            fleet_ids=tuple(range(self.n_fleets)),
+            vnodes=self.vnodes,
+            seed=self.seed,
+        )
+
 
 @dataclass
-class FleetShard:
-    """One fleet: an independent system + engine + server, seeded apart."""
+class FleetShard(Fleet):
+    """One fabric fleet: a :class:`~repro.serving.loadgen.Fleet` plus
+    its id and the fabric's harvest cursor."""
 
     fleet_id: int
-    system: ScaloSystem
-    engine: QueryEngine
-    server: QueryServer
-    templates: list[np.ndarray]
-    window_range: tuple[int, int]
     #: responses already folded into fabric counters (harvest cursor)
     harvested: int = 0
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.system.nodes)
 
 
 def build_fleet_shard(
@@ -118,61 +116,23 @@ def build_fleet_shard(
     config: FabricConfig,
     telemetry: TelemetryLike = NULL_TELEMETRY,
 ) -> FleetShard:
-    """Build one fleet exactly the way ``serve_session`` builds its own.
+    """Build one fleet with the serving layer's own fleet builder.
 
     The fleet seed is ``config.seed + fleet_id``, so fleet 0 of a fabric
     is *the same fleet* (same signals, templates, engine state) as a
     directly-built system at ``config.seed`` — the anchor for the
     1-tenant byte-identity property in the test suite.
     """
-    seed = config.seed + fleet_id
-    system = ScaloSystem(
+    fleet = build_fleet(
         n_nodes=config.nodes_per_fleet,
-        electrodes_per_node=config.electrodes,
-        seed=seed,
+        electrodes=config.electrodes,
+        n_windows=config.n_windows,
+        seed=config.seed + fleet_id,
+        n_templates=config.n_templates,
+        server_config=config.resolved_server_config(),
         telemetry=telemetry,
     )
-    rng = np.random.default_rng(seed)
-    templates: list[np.ndarray] = []
-    for _ in range(config.n_windows):
-        windows = (
-            rng.standard_normal(
-                (config.nodes_per_fleet, config.electrodes, WINDOW_SAMPLES)
-            ).cumsum(axis=2)
-            * 300
-        ).round()
-        system.ingest(windows)
-        if len(templates) < config.n_templates:
-            templates.append(windows[0, 0].astype(float))
-    while len(templates) < config.n_templates:
-        templates.append(templates[-1])
-    flags = {
-        node: {0, config.n_windows - 1}
-        for node in range(config.nodes_per_fleet)
-    }
-    engine = QueryEngine(
-        controllers=[node.storage for node in system.nodes],
-        lsh=system.lsh,
-        seizure_flags=flags,
-        telemetry=telemetry,
-    )
-    server = QueryServer(
-        engine,
-        config=config.resolved_server_config(),
-        cost_model=QueryCostModel(
-            n_nodes=config.nodes_per_fleet,
-            electrodes_per_node=config.electrodes,
-        ),
-        telemetry=telemetry,
-    )
-    return FleetShard(
-        fleet_id=fleet_id,
-        system=system,
-        engine=engine,
-        server=server,
-        templates=templates,
-        window_range=(0, config.n_windows),
-    )
+    return FleetShard(**vars(fleet), fleet_id=fleet_id)
 
 
 @dataclass(frozen=True)
@@ -253,11 +213,7 @@ class FleetFabric:
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
-        self.shard_map = ShardMap(
-            fleet_ids=tuple(range(self.config.n_fleets)),
-            vnodes=self.config.vnodes,
-            seed=self.config.seed,
-        )
+        self.shard_map = self.config.shard_map()
         self.shards: dict[int, FleetShard] = {
             fleet_id: build_fleet_shard(fleet_id, self.config, self.telemetry)
             for fleet_id in range(self.config.n_fleets)

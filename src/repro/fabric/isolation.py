@@ -21,16 +21,11 @@ admission quota, token bucket, and partitioned LRU have to earn it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
-from repro.fabric.fabric import FabricConfig, FleetFabric
-from repro.fabric.loadgen import (
-    FabricLoadConfig,
-    FabricReport,
-    generate_tenant_arrivals,
-    run_fabric_load,
-)
+from repro.fabric.fabric import FabricConfig
+from repro.fabric.loadgen import FabricLoadConfig, FabricReport, fabric_session
 from repro.serving.server import ServerConfig
 
 
@@ -148,30 +143,16 @@ def choose_pair(
     config: FabricConfig, load: FabricLoadConfig
 ) -> tuple[str, str, int]:
     """The deterministic (noisy, victim, fleet) pick: first shared fleet."""
-    fabric = FleetFabric(config=config)
+    shard_map = config.shard_map()
     by_fleet: dict[int, list[str]] = {}
     for tenant in load.tenants:
-        by_fleet.setdefault(fabric.fleet_for(tenant), []).append(tenant)
+        by_fleet.setdefault(shard_map.owner(tenant), []).append(tenant)
     for fleet_id in sorted(by_fleet):
         tenants = by_fleet[fleet_id]
         if len(tenants) >= 2:
             return tenants[0], tenants[1], fleet_id
     raise ConfigurationError(
         "no two tenants share a fleet; add tenants or remove fleets"
-    )
-
-
-def _run(
-    config: FabricConfig,
-    load: FabricLoadConfig,
-) -> FabricReport:
-    fabric = FleetFabric(config=config)
-    arrivals = generate_tenant_arrivals(load)
-    return run_fabric_load(
-        fabric,
-        arrivals,
-        deadline_ms=load.deadline_ms,
-        min_coverage=load.min_coverage,
     )
 
 
@@ -183,22 +164,16 @@ def run_isolation_gate(
     load = config.resolved_load()
     noisy_tenant, victim, fleet_id = choose_pair(config.fabric, load)
 
-    baseline = _run(config.fabric, load)
-    noisy_load = FabricLoadConfig(
-        n_tenants=load.n_tenants,
-        requests_per_tenant=load.requests_per_tenant,
-        offered_qps=load.offered_qps,
-        seed=load.seed,
-        deadline_ms=load.deadline_ms,
-        kind_weights=load.kind_weights,
-        n_templates=load.n_templates,
-        time_range_ms=load.time_range_ms,
-        match_fraction=load.match_fraction,
-        min_coverage=load.min_coverage,
-        rate_multipliers={noisy_tenant: config.noise_multiplier},
+    noisy_load = replace(
+        load,
+        rate_multipliers={
+            **load.rate_multipliers,
+            noisy_tenant: config.noise_multiplier,
+        },
     )
-    noisy = _run(config.fabric, noisy_load)
-    repeat = _run(config.fabric, noisy_load)
+    _, baseline = fabric_session(config=config.fabric, load=load)
+    _, noisy = fabric_session(config=config.fabric, load=noisy_load)
+    _, repeat = fabric_session(config=config.fabric, load=noisy_load)
 
     return IsolationResult(
         noisy_tenant=noisy_tenant,

@@ -9,23 +9,29 @@ victim's latency distribution between a baseline run and a noisy-
 neighbour run is attributable to the noisy tenant alone, not to RNG
 coupling.
 
-Per-tenant streams merge into one global time-ordered offer sequence
-(ties break on tenant name then sequence number, so the merge is total
-and deterministic), drive the fabric open-loop, and fold into a
+Each stream is one :class:`~repro.serving.loadgen.LoadGenConfig` drawn
+by :func:`~repro.serving.loadgen.generate_arrivals` with the client
+fixed to the tenant.  The streams merge in ``(time, tenant)`` order —
+total and deterministic — drive the fabric through the serving layer's
+:func:`~repro.serving.loadgen.run_open_loop`, and fold into a
 :class:`FabricReport` with per-tenant latency/shed/eviction accounting.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.queries import QuerySpec
-from repro.errors import ConfigurationError, QueryRejected
+from repro.errors import ConfigurationError
 from repro.fabric.fabric import FabricConfig, FleetFabric
-from repro.serving.loadgen import Arrival, percentile
+from repro.serving.loadgen import (
+    Arrival,
+    LoadGenConfig,
+    generate_arrivals,
+    percentile,
+    run_open_loop,
+)
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 
 
@@ -58,56 +64,46 @@ class FabricLoadConfig:
             raise ConfigurationError("need at least one tenant")
         if self.requests_per_tenant < 1:
             raise ConfigurationError("need at least one request per tenant")
-        if self.offered_qps <= 0:
-            raise ConfigurationError("offered load must be positive")
-        if self.deadline_ms <= 0:
-            raise ConfigurationError("deadline must be positive")
-        if self.n_templates < 1:
-            raise ConfigurationError("need at least one template")
-        if not 0 <= self.min_coverage <= 1:
-            raise ConfigurationError("coverage SLA must be in [0, 1]")
         for tenant, multiplier in self.rate_multipliers.items():
             if multiplier <= 0:
                 raise ConfigurationError(
                     f"rate multiplier for {tenant!r} must be positive"
                 )
+        self.tenant_load(0)  # the per-stream checks live on LoadGenConfig
 
     @property
     def tenants(self) -> tuple[str, ...]:
         return tuple(tenant_name(i) for i in range(self.n_tenants))
+
+    def tenant_load(self, index: int) -> LoadGenConfig:
+        """Tenant ``index``'s own open-loop stream, multiplier applied."""
+        multiplier = self.rate_multipliers.get(tenant_name(index), 1.0)
+        return LoadGenConfig(
+            n_requests=max(1, round(self.requests_per_tenant * multiplier)),
+            offered_qps=self.offered_qps * multiplier,
+            seed=self.seed,
+            n_clients=1,
+            deadline_ms=self.deadline_ms,
+            kind_weights=self.kind_weights,
+            n_templates=self.n_templates,
+            time_range_ms=self.time_range_ms,
+            match_fraction=self.match_fraction,
+            min_coverage=self.min_coverage,
+        )
 
 
 def generate_tenant_arrivals(
     config: FabricLoadConfig,
 ) -> dict[str, list[Arrival]]:
     """Draw every tenant's arrival timeline from its own RNG stream."""
-    weights = np.asarray(config.kind_weights, dtype=float)
-    weights = weights / weights.sum()
-    arrivals: dict[str, list[Arrival]] = {}
-    for index in range(config.n_tenants):
-        tenant = tenant_name(index)
-        multiplier = config.rate_multipliers.get(tenant, 1.0)
-        rng = np.random.default_rng((config.seed, index))
-        n_requests = max(1, round(config.requests_per_tenant * multiplier))
-        qps = config.offered_qps * multiplier
-        stream: list[Arrival] = []
-        t = 0.0
-        for _ in range(n_requests):
-            t += float(rng.exponential(1e3 / qps))
-            kind = ("q1", "q2", "q3")[int(rng.choice(3, p=weights))]
-            template_index = (
-                int(rng.integers(config.n_templates)) if kind == "q2" else None
-            )
-            spec = QuerySpec(
-                kind=kind,
-                time_range_ms=config.time_range_ms,
-                match_fraction=(
-                    1.0 if kind == "q3" else config.match_fraction
-                ),
-            )
-            stream.append(Arrival(t, tenant, spec, template_index))
-        arrivals[tenant] = stream
-    return arrivals
+    return {
+        tenant: generate_arrivals(
+            config.tenant_load(index),
+            rng=np.random.default_rng((config.seed, index)),
+            client=tenant,
+        )
+        for index, tenant in enumerate(config.tenants)
+    }
 
 
 @dataclass
@@ -163,103 +159,6 @@ class FabricReport:
         )
 
 
-def run_fabric_load(
-    fabric: FleetFabric,
-    arrivals_by_tenant: dict[str, list[Arrival]],
-    *,
-    deadline_ms: float = 250.0,
-    min_coverage: float = 0.0,
-    on_advance=None,
-) -> FabricReport:
-    """Drive merged tenant timelines through a fabric, open-loop.
-
-    Offers pop in global ``(time, tenant, sequence)`` order, so each
-    fleet server sees monotonic per-client arrival stamps no matter how
-    tenants interleave.  ``on_advance(t_ms)`` runs before every offer
-    (the health engine's sampling hook).  Shed offers are counted, not
-    retried — the fabric's availability numbers are honest open-loop
-    measurements.
-    """
-    heap: list[tuple[float, str, int]] = []
-    for tenant, stream in arrivals_by_tenant.items():
-        for seq, arrival in enumerate(stream):
-            heapq.heappush(heap, (arrival.at_ms, tenant, seq))
-
-    offered: dict[str, int] = {t: 0 for t in arrivals_by_tenant}
-    shed: dict[str, int] = {t: 0 for t in arrivals_by_tenant}
-    shed_reasons: dict[str, dict[str, int]] = {
-        t: {} for t in arrivals_by_tenant
-    }
-    last_t = 0.0
-    while heap:
-        at, tenant, seq = heapq.heappop(heap)
-        last_t = at
-        if on_advance is not None:
-            on_advance(at)
-        fabric.run_until(at)
-        arrival = arrivals_by_tenant[tenant][seq]
-        shard = fabric.shard_for(tenant)
-        template = (
-            shard.templates[arrival.template_index % len(shard.templates)]
-            if arrival.template_index is not None
-            else None
-        )
-        offered[tenant] += 1
-        try:
-            fabric.submit(
-                tenant,
-                arrival.spec,
-                template=template,
-                deadline_ms=deadline_ms,
-                arrival_ms=at,
-                min_coverage=min_coverage,
-            )
-        except QueryRejected as exc:
-            shed[tenant] += 1
-            reasons = shed_reasons[tenant]
-            reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
-    if on_advance is not None and offered:
-        on_advance(last_t)
-    fabric.drain()
-
-    tenants: dict[str, TenantStats] = {}
-    all_latencies: list[float] = []
-    for tenant in sorted(arrivals_by_tenant):
-        fleet_id = fabric.fleet_for(tenant)
-        responses = fabric.tenant_responses(tenant)
-        latencies = [r.latency_ms for r in responses]
-        all_latencies.extend(latencies)
-        evicted = fabric.shards[fleet_id].server.stats.results_evicted_by_client
-        tenants[tenant] = TenantStats(
-            tenant=tenant,
-            fleet_id=fleet_id,
-            offered=offered[tenant],
-            completed=len(responses),
-            shed=shed[tenant],
-            shed_by_reason=dict(sorted(shed_reasons[tenant].items())),
-            deadline_misses=sum(r.deadline_missed for r in responses),
-            mean_latency_ms=float(np.mean(latencies)) if latencies else 0.0,
-            p50_latency_ms=percentile(latencies, 50.0),
-            p99_latency_ms=percentile(latencies, 99.0),
-            results_evicted=evicted.get(tenant, 0),
-        )
-    return FabricReport(
-        n_fleets=len(fabric.fleet_ids),
-        n_tenants=len(tenants),
-        offered=sum(offered.values()),
-        completed=sum(s.completed for s in tenants.values()),
-        shed=sum(shed.values()),
-        deadline_misses=sum(s.deadline_misses for s in tenants.values()),
-        mean_latency_ms=(
-            float(np.mean(all_latencies)) if all_latencies else 0.0
-        ),
-        p99_latency_ms=percentile(all_latencies, 99.0),
-        tenants=tenants,
-        routing={t: s.fleet_id for t, s in tenants.items()},
-        fleet_logs=fabric.response_logs(),
-    )
-
-
 def fabric_session(
     *,
     config: FabricConfig | None = None,
@@ -275,28 +174,64 @@ def fabric_session(
     registry at each offer, so the per-tenant ``fabric.{tenant}.*``
     SLOs (see :func:`repro.fabric.slos.tenant_slos`) burn as the run
     progresses.  Observational only — fleet response logs are
-    byte-identical with or without it.
+    byte-identical with or without it.  Shed offers are counted, not
+    retried, so availability is an honest open-loop measurement.
     """
     config = config if config is not None else FabricConfig()
     load = load if load is not None else FabricLoadConfig(seed=config.seed)
     fabric = FleetFabric(config=config, telemetry=telemetry)
-
-    on_advance = None
     if health is not None and health.enabled:
         for shard in fabric.shards.values():
             health.attach_server(shard.server)
 
-        def on_advance(t_ms: float) -> None:
-            health.observe_to(t_ms)
-
     arrivals = generate_tenant_arrivals(load)
-    report = run_fabric_load(
+    _, shed, _ = run_open_loop(
         fabric,
-        arrivals,
+        sorted(
+            (a for stream in arrivals.values() for a in stream),
+            key=lambda a: (a.at_ms, a.client),
+        ),
+        lambda tenant: fabric.shard_for(tenant).templates,
         deadline_ms=load.deadline_ms,
         min_coverage=load.min_coverage,
-        on_advance=on_advance,
+        health=health,
     )
-    if health is not None:
-        health.finalize(fabric.now_ms)
-    return fabric, report
+
+    tenants: dict[str, TenantStats] = {}
+    all_latencies: list[float] = []
+    for tenant in sorted(arrivals):
+        shard = fabric.shard_for(tenant)
+        responses = fabric.tenant_responses(tenant)
+        latencies = [r.latency_ms for r in responses]
+        all_latencies.extend(latencies)
+        reasons = shed.get(tenant, {})
+        tenants[tenant] = TenantStats(
+            tenant=tenant,
+            fleet_id=shard.fleet_id,
+            offered=len(arrivals[tenant]),
+            completed=len(responses),
+            shed=sum(reasons.values()),
+            shed_by_reason=dict(sorted(reasons.items())),
+            deadline_misses=sum(r.deadline_missed for r in responses),
+            mean_latency_ms=float(np.mean(latencies)) if latencies else 0.0,
+            p50_latency_ms=percentile(latencies, 50.0),
+            p99_latency_ms=percentile(latencies, 99.0),
+            results_evicted=shard.server.stats.results_evicted_by_client.get(
+                tenant, 0
+            ),
+        )
+    return fabric, FabricReport(
+        n_fleets=len(fabric.fleet_ids),
+        n_tenants=len(tenants),
+        offered=sum(s.offered for s in tenants.values()),
+        completed=sum(s.completed for s in tenants.values()),
+        shed=sum(s.shed for s in tenants.values()),
+        deadline_misses=sum(s.deadline_misses for s in tenants.values()),
+        mean_latency_ms=(
+            float(np.mean(all_latencies)) if all_latencies else 0.0
+        ),
+        p99_latency_ms=percentile(all_latencies, 99.0),
+        tenants=tenants,
+        routing={t: s.fleet_id for t, s in tenants.items()},
+        fleet_logs=fabric.response_logs(),
+    )

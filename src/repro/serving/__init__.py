@@ -19,11 +19,12 @@ from repro.errors import QueryRejected
 from repro.serving.admission import AdmissionController, TokenBucket
 from repro.serving.loadgen import (
     Arrival,
+    Fleet,
     LoadGenConfig,
     ServeReport,
+    build_fleet,
     final_responses,
     generate_arrivals,
-    per_client_responses,
     percentile,
     run_open_loop,
     serve_session,
@@ -60,6 +61,7 @@ __all__ = [
     "BrownoutConfig",
     "BrownoutController",
     "CircuitBreaker",
+    "Fleet",
     "LoadGenConfig",
     "QueryRejected",
     "QueryRequest",
@@ -75,9 +77,9 @@ __all__ = [
     "TIER_REDUCED",
     "TIER_REJECT",
     "TokenBucket",
+    "build_fleet",
     "final_responses",
     "generate_arrivals",
-    "per_client_responses",
     "percentile",
     "run_open_loop",
     "serve_session",

@@ -21,21 +21,28 @@ metric.
 build a seeded fleet, ingest, optionally replay a
 :class:`~repro.faults.plan.FaultPlan` against it while the load runs
 (the health monitor's belief feeds the server), and return the server
-plus a :class:`ServeReport`.
+plus a :class:`ServeReport`.  The fleet fabric
+(:mod:`repro.fabric`) is many of these fleets side by side: it builds
+each with :func:`build_fleet`, draws each tenant's stream with
+:func:`generate_arrivals`, and drives the merged streams through
+:func:`run_open_loop` — one serving plane, not two.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.queries import QueryEngine, QuerySpec
+from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
+from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, QueryRejected
 from repro.serving.reliability import RetryPolicy
 from repro.serving.server import QueryResponse, QueryServer, ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
+from repro.units import WINDOW_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,18 @@ class LoadGenConfig:
             raise ConfigurationError("offered load must be positive")
         if self.n_clients < 1:
             raise ConfigurationError("need at least one client")
+        if self.deadline_ms <= 0:
+            raise ConfigurationError("deadline must be positive")
+        weights = self.kind_weights
+        if (
+            len(weights) != 3
+            or not all(0 <= w < np.inf for w in weights)
+            or sum(weights) <= 0
+        ):
+            raise ConfigurationError(
+                "kind weights need three finite non-negative entries "
+                "with a positive sum"
+            )
         if self.n_templates < 1:
             raise ConfigurationError("need at least one template")
         if not 0 <= self.min_coverage <= 1:
@@ -82,16 +101,31 @@ class Arrival:
     template_index: int | None
 
 
-def generate_arrivals(config: LoadGenConfig) -> list[Arrival]:
-    """Draw the deterministic arrival timeline for one load config."""
-    rng = np.random.default_rng(config.seed)
+def generate_arrivals(
+    config: LoadGenConfig,
+    *,
+    rng: np.random.Generator | None = None,
+    client: str | None = None,
+) -> list[Arrival]:
+    """Draw the deterministic arrival timeline for one load config.
+
+    ``rng`` defaults to ``default_rng(config.seed)``.  A fixed
+    ``client`` stamps every arrival with that name and skips the
+    per-arrival client draw, so the stream spends its RNG only on gaps,
+    kinds and templates (the fabric's one-tenant-per-stream timelines).
+    """
+    rng = np.random.default_rng(config.seed) if rng is None else rng
     weights = np.asarray(config.kind_weights, dtype=float)
     weights = weights / weights.sum()
     arrivals: list[Arrival] = []
     t = 0.0
     for _ in range(config.n_requests):
         t += float(rng.exponential(1e3 / config.offered_qps))
-        client = f"c{int(rng.integers(config.n_clients)):02d}"
+        who = (
+            client
+            if client is not None
+            else f"c{int(rng.integers(config.n_clients)):02d}"
+        )
         kind = ("q1", "q2", "q3")[int(rng.choice(3, p=weights))]
         template_index = (
             int(rng.integers(config.n_templates)) if kind == "q2" else None
@@ -101,7 +135,7 @@ def generate_arrivals(config: LoadGenConfig) -> list[Arrival]:
             time_range_ms=config.time_range_ms,
             match_fraction=1.0 if kind == "q3" else config.match_fraction,
         )
-        arrivals.append(Arrival(t, client, spec, template_index))
+        arrivals.append(Arrival(t, who, spec, template_index))
     return arrivals
 
 
@@ -176,20 +210,6 @@ def percentile(values, q: float) -> float:
     return _percentile(sorted(float(v) for v in values), q)
 
 
-def per_client_responses(
-    server: QueryServer,
-) -> dict[str, list[QueryResponse]]:
-    """Each client's *final* answers, grouped and id-ordered.
-
-    The per-tenant view of :func:`final_responses` — what the fabric's
-    tenant reports and the isolation gate aggregate over.
-    """
-    grouped: dict[str, list[QueryResponse]] = {}
-    for response in final_responses(server):
-        grouped.setdefault(response.client, []).append(response)
-    return grouped
-
-
 def final_responses(server: QueryServer) -> list[QueryResponse]:
     """Each request's latest answer (re-executions supersede), id-ordered."""
     final: dict[int, QueryResponse] = {}
@@ -241,41 +261,121 @@ def summarise(
     )
 
 
-def run_open_loop(
-    server: QueryServer,
-    arrivals: list[Arrival],
-    window_range: tuple[int, int],
-    templates: list[np.ndarray],
+@dataclass
+class Fleet:
+    """One seeded patient fleet: its system and the server over it."""
+
+    system: ScaloSystem
+    server: QueryServer
+    #: the Q2 probe pool, drawn from the fleet's own ingested windows
+    templates: list[np.ndarray]
+    #: the full ingested range every request covers
+    window_range: tuple[int, int]
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.system.nodes)
+
+
+def build_fleet(
     *,
+    n_nodes: int,
+    electrodes: int,
+    n_windows: int,
+    seed: int,
+    n_templates: int,
+    server_config: ServerConfig | None = None,
+    telemetry: TelemetryLike = NULL_TELEMETRY,
+) -> Fleet:
+    """Build a seeded system, ingest ``n_windows`` windows into it, pick
+    the Q2 template pool, and wire a query engine and server over it.
+
+    Signals come from ``default_rng(seed)``, so two fleets built with
+    the same arguments hold the same data, templates, and engine state.
+    """
+    system = ScaloSystem(
+        n_nodes=n_nodes,
+        electrodes_per_node=electrodes,
+        seed=seed,
+        telemetry=telemetry,
+    )
+    rng = np.random.default_rng(seed)
+    templates: list[np.ndarray] = []
+    for _ in range(n_windows):
+        windows = (
+            rng.standard_normal((n_nodes, electrodes, WINDOW_SAMPLES)).cumsum(
+                axis=2
+            )
+            * 300
+        ).round()
+        system.ingest(windows)
+        if len(templates) < n_templates:
+            templates.append(windows[0, 0].astype(float))
+    while len(templates) < n_templates:
+        templates.append(templates[-1])
+    engine = QueryEngine(
+        controllers=[node.storage for node in system.nodes],
+        lsh=system.lsh,
+        seizure_flags={node: {0, n_windows - 1} for node in range(n_nodes)},
+        telemetry=telemetry,
+    )
+    server = QueryServer(
+        engine,
+        config=server_config if server_config is not None else ServerConfig(),
+        cost_model=QueryCostModel(
+            n_nodes=n_nodes, electrodes_per_node=electrodes
+        ),
+        telemetry=telemetry,
+    )
+    return Fleet(system, server, templates, (0, n_windows))
+
+
+def run_open_loop(
+    target,
+    arrivals: list[Arrival],
+    templates: Callable[[str], Sequence[np.ndarray]],
+    *,
+    window_range: tuple[int, int] | None = None,
     deadline_ms: float = 250.0,
     min_coverage: float = 0.0,
     client_retry: RetryPolicy | None = None,
     on_advance=None,
     finalize=None,
-) -> tuple[int, int, int]:
-    """Drive one arrival timeline through a server.
+    health=None,
+) -> tuple[int, dict[str, dict[str, int]], int]:
+    """Drive one arrival timeline through a server or a fabric.
 
-    Between offers the server dispatches whatever waves can start
+    ``target`` is a :class:`~repro.serving.QueryServer` or a
+    :class:`~repro.fabric.FleetFabric` (both offer ``run_until``,
+    ``drain``, ``now_ms`` and ``submit``).  ``templates(client)`` is the
+    Q2 probe pool for that client's requests; ``window_range=None``
+    lets a fabric use each fleet's full range.
+
+    Between offers the target dispatches whatever waves can start
     (``run_until``); ``on_advance(t_ms)`` — called before each offer and
     once after the last — lets a caller interleave external timelines
     (the fault injector's TDMA rounds).  ``finalize(t_ms)`` runs after
     the last offer but *before* the final drain, so a chaos driver can
     play out the rest of its fault plan (letting crashed nodes reboot
     and parked SLA re-executions reschedule) while requests are still
-    in flight.
+    in flight.  A :class:`~repro.telemetry.health.HealthEngine` passed
+    as ``health`` samples the registry up to each offer and closes its
+    last round after the drain; it is observational only.
 
     With a ``client_retry`` policy, a shed offer is re-enqueued at the
     larger of the server's ``retry_after_ms`` hint and the policy's
     seeded backoff; only offers that exhaust the policy count as shed.
-    Offers pop in global time order, so per-client admission timestamps
-    stay monotonic.  Returns ``(n_offered, n_shed, n_client_retries)``
-    over *unique* arrivals; responses accumulate on the server.
+    Offers pop in ``(time, position)`` order, so per-client admission
+    timestamps stay monotonic.  Returns ``(n_offered, shed_by_client,
+    n_client_retries)`` over *unique* arrivals, where
+    ``shed_by_client[client][reason]`` counts final sheds; responses
+    accumulate on the target.
     """
     heap: list[tuple[float, int, int]] = [
         (arrival.at_ms, seq, 0) for seq, arrival in enumerate(arrivals)
     ]
     heapq.heapify(heap)
-    shed = 0
+    shed: dict[str, dict[str, int]] = {}
     client_retries = 0
     last_t = 0.0
     while heap:
@@ -284,17 +384,19 @@ def run_open_loop(
         arrival = arrivals[seq]
         if on_advance is not None:
             on_advance(at)
-        server.run_until(at)
-        template = (
-            templates[arrival.template_index % len(templates)]
-            if arrival.template_index is not None
-            else None
-        )
+        if health is not None:
+            health.observe_to(at)
+        target.run_until(at)
+        if arrival.template_index is None:
+            template = None
+        else:
+            pool = templates(arrival.client)
+            template = pool[arrival.template_index % len(pool)]
         try:
-            server.submit(
+            target.submit(
                 arrival.client,
                 arrival.spec,
-                window_range,
+                window_range=window_range,
                 template=template,
                 deadline_ms=deadline_ms,
                 arrival_ms=at,
@@ -309,12 +411,18 @@ def run_open_loop(
                 heapq.heappush(heap, (at + backoff, seq, attempt + 1))
                 client_retries += 1
             else:
-                shed += 1
-    if on_advance is not None and arrivals:
-        on_advance(last_t)
+                reasons = shed.setdefault(arrival.client, {})
+                reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
+    if arrivals:
+        if on_advance is not None:
+            on_advance(last_t)
+        if health is not None:
+            health.observe_to(last_t)
     if finalize is not None:
         finalize(last_t)
-    server.drain()
+    target.drain()
+    if health is not None:
+        health.finalize(target.now_ms)
     return len(arrivals), shed, client_retries
 
 
@@ -359,48 +467,17 @@ def serve_session(
     server answers cache-only, and regaining quorum (heal) reschedules
     parked below-SLA requests.
     """
-    from repro.core.system import ScaloSystem
-    from repro.units import WINDOW_SAMPLES
-
     load = load if load is not None else LoadGenConfig(seed=seed)
-    system = ScaloSystem(
+    fleet = build_fleet(
         n_nodes=n_nodes,
-        electrodes_per_node=electrodes,
+        electrodes=electrodes,
+        n_windows=n_windows,
         seed=seed,
+        n_templates=load.n_templates,
+        server_config=server_config,
         telemetry=telemetry,
     )
-    rng = np.random.default_rng(seed)
-    templates: list[np.ndarray] = []
-    for w in range(n_windows):
-        windows = (
-            rng.standard_normal((n_nodes, electrodes, WINDOW_SAMPLES)).cumsum(
-                axis=2
-            )
-            * 300
-        ).round()
-        system.ingest(windows)
-        if len(templates) < load.n_templates:
-            templates.append(windows[0, 0].astype(float))
-    while len(templates) < load.n_templates:
-        templates.append(templates[-1])
-    flags = {node: {0, n_windows - 1} for node in range(n_nodes)}
-
-    engine = QueryEngine(
-        controllers=[node.storage for node in system.nodes],
-        lsh=system.lsh,
-        seizure_flags=flags,
-        telemetry=telemetry,
-    )
-    from repro.apps.queries import QueryCostModel
-
-    server = QueryServer(
-        engine,
-        config=server_config if server_config is not None else ServerConfig(),
-        cost_model=QueryCostModel(
-            n_nodes=n_nodes, electrodes_per_node=electrodes
-        ),
-        telemetry=telemetry,
-    )
+    system, server = fleet.system, fleet.server
 
     on_advance = None
     finalize = None
@@ -459,32 +536,19 @@ def serve_session(
 
     if health is not None and health.enabled:
         health.attach_server(server)
-        inner_advance, inner_finalize = on_advance, finalize
-
-        def on_advance(t_ms: float) -> None:
-            if inner_advance is not None:
-                inner_advance(t_ms)
-            health.observe_to(t_ms)
-
-        def finalize(t_ms: float) -> None:
-            if inner_finalize is not None:
-                inner_finalize(t_ms)
-            health.observe_to(t_ms)
-
-    arrivals = generate_arrivals(load)
     n_offered, shed, client_retries = run_open_loop(
         server,
-        arrivals,
-        (0, n_windows),
-        templates,
+        generate_arrivals(load),
+        lambda _client: fleet.templates,
+        window_range=fleet.window_range,
         deadline_ms=load.deadline_ms,
         min_coverage=load.min_coverage,
         client_retry=client_retry,
         on_advance=on_advance,
         finalize=finalize,
+        health=health,
     )
-    if health is not None:
-        health.finalize(server.now_ms)
+    n_shed = sum(sum(reasons.values()) for reasons in shed.values())
     return server, summarise(
-        server, load.offered_qps, n_offered, shed, client_retries
+        server, load.offered_qps, n_offered, n_shed, client_retries
     )

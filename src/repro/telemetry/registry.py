@@ -19,7 +19,6 @@ Metric naming scheme (see DESIGN.md "Telemetry & tracing"):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -104,42 +103,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.n if self.n else 0.0
 
-    def quantile(self, q: float, *, interpolate: bool = True) -> float:
-        """Estimate the ``q``-quantile from the bucket counts.
-
-        With ``interpolate=True`` (the default) the estimate is placed
-        *within* the admitting bucket by linear interpolation on the
-        rank, clamped to the observed ``[min, max]``; its error is
-        bounded by that bucket's width.  ``interpolate=False`` keeps
-        the legacy answer — the bucket's upper edge — which is biased
-        upward by up to a full bucket width (a p50 of uniform 0.5–1 ms
-        data used to report exactly 1.0 ms).  Sketch-backed quantiles
-        (:meth:`MetricsRegistry.quantile`) carry a relative-error bound
-        instead and are preferred where available.
-        """
-        if not 0 < q <= 1:
-            raise ConfigurationError(f"quantile must be in (0, 1], got {q}")
-        if self.n == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * self.n))
-        seen = 0
-        for i, count in enumerate(self.counts):
-            if count == 0 or seen + count < rank:
-                seen += count
-                continue
-            if i < len(self.edges):
-                upper = self.edges[i]
-                lower = self.edges[i - 1] if i > 0 else self.min_value
-            else:  # overflow bucket: all we know is (last edge, max]
-                upper = self.max_value
-                lower = self.edges[-1]
-            if not interpolate:
-                return upper
-            lower = min(max(lower, self.min_value), upper)
-            estimate = lower + (upper - lower) * ((rank - seen) / count)
-            return min(max(estimate, self.min_value), self.max_value)
-        return self.max_value
-
     def as_dict(self) -> dict:
         return {
             "edges": list(self.edges),
@@ -158,10 +121,10 @@ class MetricsRegistry:
     ``observe()`` dual-writes every sample: into the fixed-bucket
     :class:`Histogram` (the PR-2 export surface, kept byte-compatible)
     and into a mergeable
-    :class:`~repro.telemetry.health.sketch.QuantileSketch`, which is
-    what quantile readers should prefer — its error is *relative*
-    (±1 % by default at any magnitude) rather than bucket-width bound,
-    and sketches from different nodes/labels merge exactly.
+    :class:`~repro.telemetry.health.sketch.QuantileSketch`, the only
+    quantile source — its error is *relative* (±1 % by default at any
+    magnitude) rather than bucket-width bound, and sketches from
+    different nodes/labels merge exactly.
     """
 
     _counters: dict[tuple[str, LabelKey], float] = field(default_factory=dict)
@@ -222,18 +185,14 @@ class MetricsRegistry:
         return self._sketches.get((name, label_key(labels)))
 
     def quantile(self, name: str, q: float, **labels: object) -> float:
-        """The preferred quantile reader: sketch first, histogram fallback.
+        """The ``q``-quantile of one series, from its sketch.
 
-        The sketch answer is within the registry's relative-error
-        bound; the histogram fallback (for series observed before
-        sketches existed, e.g. restored snapshots) is interpolated and
-        bucket-width bound.  Returns 0.0 for unknown series.
+        Every ``observe()`` feeds the sketch, so it is the only quantile
+        source; the answer is within the registry's relative-error
+        bound.  Returns 0.0 for unknown series.
         """
         sketch = self.sketch(name, **labels)
-        if sketch is not None and sketch.count:
-            return sketch.quantile(q)
-        hist = self.histogram(name, **labels)
-        return hist.quantile(q) if hist is not None else 0.0
+        return sketch.quantile(q) if sketch is not None else 0.0
 
     def counters(self) -> Iterator[tuple[str, LabelKey, float]]:
         for (name, labels), value in sorted(self._counters.items()):

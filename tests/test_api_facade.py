@@ -48,7 +48,7 @@ def test_api_exports_every_era():
         # serving (PR 5)
         "QueryServer", "ServerConfig", "AdmissionController", "TokenBucket",
         "LoadGenConfig", "ServeReport", "serve_session", "final_responses",
-        "per_client_responses", "percentile",
+        "percentile",
         # chaos (PR 6)
         "ChaosConfig", "StormLevel", "FAULT_PRESETS", "chaos_sweep",
         "run_storm", "CircuitBreaker", "BrownoutController", "RetryPolicy",

@@ -26,6 +26,7 @@ from repro.fabric import (
     FabricConfig,
     FabricLoadConfig,
     FleetFabric,
+    IsolationConfig,
     ShardMap,
     build_fleet_shard,
     fabric_session,
@@ -112,23 +113,45 @@ def test_remove_last_fleet_refused():
 # -- the 1-tenant byte-identity anchor -------------------------------------------
 
 
-def test_one_tenant_fabric_matches_direct_server():
-    """Fabric(1 fleet, 1 tenant) == ScaloSystem + QueryServer directly.
+@pytest.mark.parametrize(
+    "n_fleets, n_tenants, rate_multipliers",
+    [(1, 1, {}), (2, 4, {"t01": 3.0})],
+    ids=["1fleet-1tenant", "2fleets-4tenants-3x"],
+)
+def test_one_tenant_fabric_matches_direct_server(
+    n_fleets, n_tenants, rate_multipliers
+):
+    """Fabric == ScaloSystem + QueryServer per fleet, driven directly.
 
-    Same seed, same arrivals, same server config: the response log must
-    be byte-identical.  This is the contract that lets every serving
-    result from PRs 5-8 carry over to the fabric unchanged.
+    Same seed, same arrivals, same server config: every fleet's response
+    log must be byte-identical to a hand-driven server's.  The reference
+    loop below merges the tenant streams in ``(at_ms, tenant)`` order
+    itself and never goes through the serving layer's open-loop driver.
+    This is the contract that lets every single-fleet serving result
+    carry over to the fabric unchanged.
     """
-    config = _small_config(n_fleets=1)
+    config = _small_config(n_fleets=n_fleets)
     load = FabricLoadConfig(
-        n_tenants=1, requests_per_tenant=12, offered_qps=6.0, seed=0
+        n_tenants=n_tenants,
+        requests_per_tenant=12,
+        offered_qps=6.0,
+        seed=0,
+        rate_multipliers=rate_multipliers,
     )
     _, report = fabric_session(config=config, load=load)
 
-    shard = build_fleet_shard(0, config)  # the underlying system, directly
-    tenant = tenant_name(0)
-    for arrival in generate_tenant_arrivals(load)[tenant]:
-        shard.server.run_until(arrival.at_ms)
+    # the underlying systems, directly
+    shards = [build_fleet_shard(f, config) for f in range(n_fleets)]
+    owner = config.shard_map().owner
+    offers = sorted(
+        (arrival.at_ms, tenant, seq, arrival)
+        for tenant, stream in generate_tenant_arrivals(load).items()
+        for seq, arrival in enumerate(stream)
+    )
+    for at_ms, tenant, _, arrival in offers:
+        for shard in shards:
+            shard.server.run_until(at_ms)
+        shard = shards[owner(tenant)]
         template = (
             shard.templates[arrival.template_index % len(shard.templates)]
             if arrival.template_index is not None
@@ -141,15 +164,18 @@ def test_one_tenant_fabric_matches_direct_server():
                 shard.window_range,
                 template=template,
                 deadline_ms=load.deadline_ms,
-                arrival_ms=arrival.at_ms,
+                arrival_ms=at_ms,
                 min_coverage=load.min_coverage,
             )
         except QueryRejected:
             pass
-    shard.server.drain()
+    for shard in shards:
+        shard.server.drain()
 
-    assert report.fleet_logs[0] == shard.server.response_log()
-    assert report.fleet_logs[0]  # and it is not trivially empty
+    assert report.offered == len(offers)
+    for fleet_id, shard in enumerate(shards):
+        assert report.fleet_logs[fleet_id] == shard.server.response_log()
+        assert report.fleet_logs[fleet_id]  # and it is not trivially empty
 
 
 def test_fabric_run_is_deterministic_per_seed():
@@ -212,6 +238,25 @@ def test_partitioned_result_lru_never_crosses_tenants():
     assert evicted.get("churner", 0) >= 1
     assert evicted.get("quiet", 0) == 0
     shard.server.result_for(quiet_id)  # the quiet tenant's answer survived
+
+
+def test_isolation_noisy_run_keeps_base_rate_multipliers():
+    """Only the noisy tenant's timeline may change between the runs."""
+    load = FabricLoadConfig(
+        n_tenants=6,
+        requests_per_tenant=16,
+        offered_qps=2.0,
+        rate_multipliers={"t00": 2.0},
+    )
+    result = run_isolation_gate(IsolationConfig(load=load))
+    assert result.noisy_tenant != "t00"
+    assert result.baseline.tenants["t00"].offered == 32
+    for tenant in load.tenants:
+        if tenant != result.noisy_tenant:
+            assert (
+                result.noisy.tenants[tenant].offered
+                == result.baseline.tenants[tenant].offered
+            ), tenant
 
 
 def test_isolation_gate_passes_at_defaults():

@@ -36,7 +36,7 @@ from repro.telemetry.health import (
     SLO,
     SLOEngine,
 )
-from repro.telemetry.registry import Histogram, MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry
 
 
 def _true_quantile(values: list[float], q: float) -> float:
@@ -383,48 +383,6 @@ class TestFlightRecorder:
         assert bundle["entries"][0]["kind"] == "breaker"
         assert bundle["spans"] == [{"name": "serve-wave"}]
         assert bundle["quantiles"]["serving.latency_ms"]["p99"] == 120.0
-
-
-class TestHistogramInterpolation:
-    def _uniform_histogram(self):
-        hist = Histogram(edges=(0.5, 1.0, 2.0))
-        rng = random.Random(0)
-        values = [rng.uniform(0.5, 1.0) for _ in range(500)]
-        for v in values:
-            hist.observe(v)
-        return hist, values
-
-    def test_legacy_path_returns_upper_edge(self):
-        hist, _ = self._uniform_histogram()
-        # every value lands in (0.5, 1.0]; the legacy answer is its edge
-        assert hist.quantile(0.5, interpolate=False) == 1.0
-
-    def test_interpolated_estimate_is_inside_bucket(self):
-        hist, values = self._uniform_histogram()
-        true = _true_quantile(values, 0.5)
-        estimate = hist.quantile(0.5)
-        assert 0.5 < estimate < 1.0
-        # error bounded by the bucket width, and far better in practice
-        assert abs(estimate - true) < 0.5
-        assert abs(estimate - true) < abs(1.0 - true)
-
-    def test_clamped_to_observed_range(self):
-        hist = Histogram(edges=(10.0, 100.0))
-        hist.observe(40.0)
-        hist.observe(42.0)
-        assert 40.0 <= hist.quantile(0.5) <= 42.0
-        assert hist.quantile(1.0) <= 42.0
-
-    def test_overflow_bucket_uses_max(self):
-        hist = Histogram(edges=(1.0,))
-        hist.observe(5.0)
-        hist.observe(7.0)
-        assert hist.quantile(1.0) == 7.0
-        assert hist.quantile(1.0, interpolate=False) == 7.0
-
-    def test_empty_histogram(self):
-        hist = Histogram(edges=(1.0,))
-        assert hist.quantile(0.5) == 0.0
 
 
 class TestRegistrySketches:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
+from repro.fabric import FabricLoadConfig
 from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.serving import (
@@ -349,6 +350,18 @@ class TestLoadGenerator:
             LoadGenConfig(n_requests=0)
         with pytest.raises(ConfigurationError):
             LoadGenConfig(offered_qps=0.0)
+        for bad in (
+            dict(deadline_ms=0.0),
+            dict(deadline_ms=-5.0),
+            dict(kind_weights=(0.0, 0.0, 0.0)),
+            dict(kind_weights=(-0.5, 1.0, 0.5)),
+            dict(kind_weights=(0.5, 0.5)),
+            dict(kind_weights=(0.25, 0.25, 0.25, 0.25)),
+        ):
+            # the fabric's per-tenant config delegates to the same checks
+            for make in (LoadGenConfig, FabricLoadConfig):
+                with pytest.raises(ConfigurationError):
+                    make(**bad)
 
     def test_low_load_sheds_nothing(self):
         _, report = serve_session(
