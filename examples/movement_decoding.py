@@ -8,7 +8,7 @@ network per decision.
 Run:  python examples/movement_decoding.py
 """
 
-from repro import (
+from repro.apps import (
     MovementClassifierApp,
     MovementKalmanApp,
     MovementNNApp,

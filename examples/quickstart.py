@@ -5,14 +5,15 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import (
+from repro.api import build_system, run_query
+from repro.hardware import get_pe
+from repro.lang import compile_text
+from repro.scheduler import (
     Flow,
     SchedulerProblem,
-    compile_text,
-    get_pe,
+    hash_similarity_task,
+    seizure_detection_task,
 )
-from repro.api import build_system, run_query
-from repro.scheduler import hash_similarity_task, seizure_detection_task
 
 
 def main() -> None:

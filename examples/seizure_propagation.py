@@ -8,9 +8,10 @@ encoding errors to show the protocol's resilience.
 Run:  python examples/seizure_propagation.py
 """
 
-from repro import SeizurePropagationSimulator, generate_ieeg
+from repro.apps import SeizurePropagationSimulator
 from repro.apps.seizure import train_detector_from_recording
 from repro.apps.stimulation import Stimulator, stimulate_from_confirmations
+from repro.datasets import generate_ieeg
 from repro.eval.application import seizure_propagation_schedule
 from repro.hashing import LSHFamily
 

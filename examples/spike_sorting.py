@@ -8,8 +8,9 @@ per-node sorting rate/latency from §6.3.
 Run:  python examples/spike_sorting.py
 """
 
-from repro import SpikeSorter, generate_spikes
+from repro.apps import SpikeSorter
 from repro.apps.spike_sorting import detection_recall, sorting_accuracy
+from repro.datasets import generate_spikes
 from repro.eval.application import (
     spike_sorting_latency_ms,
     spike_sorting_rate_per_node,

@@ -7,9 +7,11 @@ on-node runtime loader.  Every arrow below runs for real.
 Run:  python examples/toolchain.py
 """
 
-from repro import Flow, SchedulerProblem, compile_text
 from repro.core.config_loader import load_config_program
+from repro.lang import compile_text
 from repro.scheduler import (
+    Flow,
+    SchedulerProblem,
     emit_config_program,
     hash_similarity_task,
     materialise,

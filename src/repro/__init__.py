@@ -8,10 +8,12 @@ every algorithm (LSH, DTW/EMD/XCOR similarity, compression, decoders,
 spike sorting, the ILP scheduler, the query language) is implemented for
 real and runs on synthetic neural data.
 
-Quickstart::
+The root package imports nothing, so ``import repro.units`` loads one
+module.  The stable entry points live in :mod:`repro.api`; every other
+name is imported from the subpackage that defines it::
 
-    from repro import ScaloSystem, LSHFamily
-    system = ScaloSystem(n_nodes=4, electrodes_per_node=8)
+    from repro.api import build_system, run_query
+    system = build_system(n_nodes=4, electrodes_per_node=8)
     print(system.thermal_check())
 
 Package map:
@@ -37,94 +39,8 @@ Package map:
 * :mod:`repro.fabric` — multi-tenant fleet fabric: consistent-hash
   tenant routing, noisy-neighbour isolation, population queries.
 * :mod:`repro.eval` — one experiment driver per paper table/figure.
+* :mod:`repro.api` — the facade: build a fleet or fabric, run queries,
+  run serving sessions.
 """
 
-from repro.apps import (
-    MovementClassifierApp,
-    MovementKalmanApp,
-    MovementNNApp,
-    QueryCostModel,
-    QuerySpec,
-    SeizureDetector,
-    SeizurePropagationSimulator,
-    SpikeSorter,
-    generate_movement_session,
-)
-from repro.core import (
-    ScaloNode,
-    ScaloSystem,
-    architecture_throughput,
-    check_placement,
-    fig8a_table,
-    max_implants,
-)
-from repro.datasets import generate_ieeg, generate_spikes
-from repro.errors import ScaloError
-from repro.fabric import (
-    FabricConfig,
-    FabricLoadConfig,
-    FabricReport,
-    FleetFabric,
-    ShardMap,
-    fabric_session,
-    run_isolation_gate,
-)
-from repro.hardware import PE_CATALOG, Fabric, ProcessingElement, get_pe
-from repro.hashing import LSHConfig, LSHFamily
-from repro.lang import QueryRuntime, compile_text, parse_query
-from repro.scheduler import (
-    Flow,
-    SchedulerProblem,
-    max_throughput_mbps,
-)
-from repro.serving import LoadGenConfig, QueryServer, ServerConfig, serve_session
-from repro.units import ELECTRODES_PER_NODE, NODE_POWER_CAP_MW
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "MovementClassifierApp",
-    "MovementKalmanApp",
-    "MovementNNApp",
-    "QueryCostModel",
-    "QuerySpec",
-    "SeizureDetector",
-    "SeizurePropagationSimulator",
-    "SpikeSorter",
-    "generate_movement_session",
-    "ScaloNode",
-    "ScaloSystem",
-    "architecture_throughput",
-    "check_placement",
-    "fig8a_table",
-    "max_implants",
-    "generate_ieeg",
-    "generate_spikes",
-    "ScaloError",
-    "FabricConfig",
-    "FabricLoadConfig",
-    "FabricReport",
-    "FleetFabric",
-    "ShardMap",
-    "fabric_session",
-    "run_isolation_gate",
-    "PE_CATALOG",
-    "Fabric",
-    "ProcessingElement",
-    "get_pe",
-    "LSHConfig",
-    "LSHFamily",
-    "QueryRuntime",
-    "compile_text",
-    "parse_query",
-    "Flow",
-    "SchedulerProblem",
-    "max_throughput_mbps",
-    "LoadGenConfig",
-    "QueryServer",
-    "ServerConfig",
-    "serve_session",
-    "ELECTRODES_PER_NODE",
-    "NODE_POWER_CAP_MW",
-    "__version__",
-]

@@ -246,7 +246,6 @@ def _query(args) -> None:
     import numpy as np
 
     from repro.api import Telemetry, build_system, run_query
-    from repro.errors import ConfigurationError
 
     telemetry = Telemetry()
     system = build_system(
@@ -262,11 +261,6 @@ def _query(args) -> None:
     template = windows[0][0]
     flags = {node: {0, n_windows - 1} for node in range(args.nodes)}
     window_range = args.range if args.range is not None else (0, n_windows)
-    if not 0 <= window_range[0] < window_range[1]:
-        raise ConfigurationError(
-            f"window range {window_range[0]}:{window_range[1]} is empty or "
-            "negative; expected START:STOP with 0 <= START < STOP"
-        )
     reg = telemetry.registry
     print(f"-- interactive queries over {args.nodes} implants, "
           f"{n_windows} windows x 8 electrodes (seed {args.seed})\n")
@@ -368,15 +362,14 @@ def _health(args) -> None:
 
 
 def _serve(args) -> None:
-    from repro.api import (
+    from repro.api import Telemetry, serve_session
+    from repro.eval.reporting import span_summary, telemetry_summary
+    from repro.serving import (
         BrownoutConfig,
         LoadGenConfig,
         RetryPolicy,
         ServerConfig,
-        Telemetry,
-        serve_session,
     )
-    from repro.eval.reporting import span_summary, telemetry_summary
     from repro.telemetry import write_metrics_csv
     from repro.telemetry.health import HealthEngine
 

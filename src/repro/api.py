@@ -1,4 +1,4 @@
-"""The stable high-level facade: build a fleet, run queries, run scenarios.
+"""The stable high-level facade: build a fleet, run queries, run sessions.
 
 Examples, notebooks, and the README quick-start import from here instead
 of reaching five modules deep::
@@ -9,272 +9,84 @@ of reaching five modules deep::
     system.ingest(windows)
     result = run_query(system, "q3", (0, 1))
 
-Many concurrent callers go through the serving layer instead — a
-:class:`~repro.serving.QueryServer` (or the one-call
-:func:`~repro.serving.serve_session`) multiplexes deadline-bearing
-request streams onto the same query path with admission control and
-coalescing.  The chaos-hardening knobs ride along: a seeded
-:class:`~repro.serving.RetryPolicy` (client- and server-side), per-node
-circuit breakers (:class:`~repro.serving.BreakerConfig`), graded
-brownout tiers (:class:`~repro.serving.BrownoutConfig`), and the
-:func:`~repro.eval.chaos.chaos_sweep` fault-storm harness.
+Many concurrent callers go through the serving layer instead:
+:func:`serve_session` builds a fleet behind a :class:`QueryServer` and
+drives an open-loop request stream through admission control and
+coalescing.
 
 Multi-tenant deployments go one level up: :func:`build_fabric` runs
 many independent fleets behind one tenant-aware serving plane,
-:func:`run_fleet_query` routes a tenant's query to its owning fleet
-(consistent-hash shard map, per-tenant admission quotas, partitioned
-result retention), and :func:`run_population_query` scatter-gathers one
-query across every fleet with partial-coverage merge.
-:func:`build_system`/:func:`run_query` remain the unchanged
-single-tenant path.
+:func:`run_fleet_query` routes a tenant's query to its owning fleet,
+:func:`run_population_query` scatter-gathers one query across every
+fleet with partial-coverage merge, and :func:`fabric_session` drives a
+multi-tenant load through the whole fabric.
 
-Everything re-exported here is covered by the deprecation policy: the
-deeper module paths may shuffle between releases, ``repro.api`` does not.
+Every facade query function checks its ``window_range`` the same way:
+``0 <= start < stop`` or :class:`~repro.errors.ConfigurationError`.
+
+The deprecation policy covers exactly ``__all__``: the seven entry
+points and the types their signatures take, return or raise.  Every
+other name (chaos, breakers, health, partitions, the scheduler, fabric
+internals) is imported from the subpackage that defines it, and those
+deeper paths may shuffle between releases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.queries import (
-    DistributedQueryResult,
-    QueryCostModel,
-    QueryEngine,
-    QueryResultRow,
-    QuerySpec,
-)
+from repro.apps.queries import DistributedQueryResult, QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import QueryRejected, ScaloError
-from repro.eval.chaos import (
-    FAULT_PRESETS,
-    MILD,
-    MODERATE,
-    PARTITION,
-    SEVERE,
-    STORM_LEVELS,
-    ChaosConfig,
-    ChaosReport,
-    PartitionInvariants,
-    PartitionStormReport,
-    StormLevel,
-    StormResult,
-    chaos_sweep,
-    partition_config,
-    run_partition_storm,
-    run_storm,
-)
 from repro.fabric import (
-    POPULATION_CLIENT,
     FabricConfig,
     FabricLoadConfig,
     FabricReport,
-    FleetAnswer,
     FleetFabric,
-    FleetShard,
-    IsolationConfig,
-    IsolationResult,
     PopulationResult,
-    ShardMap,
-    TenantStats,
     fabric_session,
-    generate_tenant_arrivals,
-    run_isolation_gate,
-    tenant_name,
-    tenant_slos,
-)
-from repro.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FleetBelief,
-    HealthMonitor,
-)
-from repro.network import SPLIT_MODES, PartitionMatrix
-from repro.recovery import (
-    FailoverEvent,
-    FailoverManager,
-    JournalRecord,
-    WriteAheadJournal,
-)
-from repro.scheduler.constraints import ConstraintSystem, build_constraints
-from repro.scheduler.ilp import (
-    Flow,
-    FlowAllocation,
-    Schedule,
-    SchedulerProblem,
 )
 from repro.serving import (
-    TIER_CACHE_ONLY,
-    TIER_HEALTHY,
-    TIER_NAMES,
-    TIER_REDUCED,
-    TIER_REJECT,
-    AdmissionController,
-    Arrival,
-    BreakerBoard,
-    BreakerConfig,
-    BreakerState,
-    BrownoutConfig,
-    BrownoutController,
-    CircuitBreaker,
     LoadGenConfig,
-    QueryRequest,
     QueryResponse,
     QueryServer,
-    RetryPolicy,
     ServeReport,
     ServerConfig,
-    ServingStats,
-    TokenBucket,
-    final_responses,
-    generate_arrivals,
-    percentile,
-    run_open_loop,
     serve_session,
-    summarise,
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetryLike
-from repro.telemetry.health import (
-    DEFAULT_SERVING_SLOS,
-    SLO,
-    Alert,
-    Anomaly,
-    AnomalyConfig,
-    AnomalyDetector,
-    BurnRateWindow,
-    FlightRecorder,
-    HealthConfig,
-    HealthEngine,
-    QuantileSketch,
-    SLOEngine,
-    SLOStatus,
-)
-from repro.telemetry.scenarios import SCENARIOS, run_scenario
 from repro.units import WINDOW_MS
 
 __all__ = [
     # single-tenant entry points
     "build_system",
     "run_query",
-    "run_scenario",
     "serve_session",
     # multi-tenant entry points
     "build_fabric",
     "run_fleet_query",
     "run_population_query",
     "fabric_session",
-    # core types
-    "SCENARIOS",
-    "ScaloSystem",
-    "ScaloError",
-    "QuerySpec",
-    "QueryCostModel",
-    "QueryEngine",
-    "QueryRejected",
-    "QueryResultRow",
+    # the types those entry points take, return or raise
     "DistributedQueryResult",
-    "WINDOW_MS",
-    # serving (PR 5)
-    "AdmissionController",
-    "Arrival",
-    "LoadGenConfig",
-    "QueryRequest",
-    "QueryResponse",
-    "QueryServer",
-    "ServeReport",
-    "ServerConfig",
-    "ServingStats",
-    "TokenBucket",
-    "final_responses",
-    "generate_arrivals",
-    "percentile",
-    "run_open_loop",
-    "summarise",
-    # chaos hardening (PR 6)
-    "BreakerBoard",
-    "BreakerConfig",
-    "BreakerState",
-    "BrownoutConfig",
-    "BrownoutController",
-    "ChaosConfig",
-    "ChaosReport",
-    "CircuitBreaker",
-    "FAULT_PRESETS",
-    "MILD",
-    "MODERATE",
-    "PARTITION",
-    "SEVERE",
-    "STORM_LEVELS",
-    "StormLevel",
-    "StormResult",
-    "RetryPolicy",
-    "TIER_CACHE_ONLY",
-    "TIER_HEALTHY",
-    "TIER_NAMES",
-    "TIER_REDUCED",
-    "TIER_REJECT",
-    "chaos_sweep",
-    "run_storm",
-    # fleet health (PR 7)
-    "Alert",
-    "Anomaly",
-    "AnomalyConfig",
-    "AnomalyDetector",
-    "BurnRateWindow",
-    "DEFAULT_SERVING_SLOS",
-    "FlightRecorder",
-    "HealthConfig",
-    "HealthEngine",
-    "QuantileSketch",
-    "SLO",
-    "SLOEngine",
-    "SLOStatus",
-    # partitions + coordination (PR 8)
-    "FailoverEvent",
-    "FailoverManager",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FleetBelief",
-    "HealthMonitor",
-    "JournalRecord",
-    "PartitionInvariants",
-    "PartitionMatrix",
-    "PartitionStormReport",
-    "SPLIT_MODES",
-    "WriteAheadJournal",
-    "partition_config",
-    "run_partition_storm",
-    # fleet fabric (PR 9)
     "FabricConfig",
     "FabricLoadConfig",
     "FabricReport",
-    "FleetAnswer",
     "FleetFabric",
-    "FleetShard",
-    "IsolationConfig",
-    "IsolationResult",
-    "POPULATION_CLIENT",
-    "PopulationResult",
-    "ShardMap",
-    "TenantStats",
-    "generate_tenant_arrivals",
-    "run_isolation_gate",
-    "tenant_name",
-    "tenant_slos",
-    # scheduler
-    "ConstraintSystem",
-    "Flow",
-    "FlowAllocation",
-    "Schedule",
-    "SchedulerProblem",
-    "build_constraints",
-    # telemetry
+    "LoadGenConfig",
     "NULL_TELEMETRY",
+    "PopulationResult",
+    "QueryRejected",
+    "QueryResponse",
+    "QueryServer",
+    "QuerySpec",
+    "ScaloError",
+    "ScaloSystem",
+    "ServeReport",
+    "ServerConfig",
     "Telemetry",
     "TelemetryLike",
+    "WINDOW_MS",
 ]
 
 
@@ -327,7 +139,8 @@ def run_query(
         system: the fleet to query.
         kind: ``"q1"`` (seizure-flagged windows), ``"q2"`` (windows
             matching ``template``), or ``"q3"`` (everything in range).
-        window_range: half-open ``[start, stop)`` window-index range.
+        window_range: half-open ``[start, stop)`` window-index range,
+            ``0 <= start < stop``.
         template: the probe window (required for Q2).
         use_hash: Q2 only — hash filter (default) vs exact DTW.
         time_range_ms: time span the query covers; derived from
@@ -342,10 +155,7 @@ def run_query(
         A :class:`~repro.apps.queries.DistributedQueryResult` — matched
         rows plus degraded/coverage accounting for dead nodes.
     """
-    if time_range_ms is None:
-        start, stop = window_range
-        time_range_ms = max(stop - start, 1) * WINDOW_MS
-    spec = QuerySpec(kind=kind, time_range_ms=time_range_ms, use_hash=use_hash)
+    spec = _resolve_spec(kind, window_range, time_range_ms, use_hash=use_hash)
     run = system.query_distributed if distributed else system.query
     return run(
         spec, window_range, template=template, seizure_flags=seizure_flags
@@ -395,16 +205,30 @@ def _resolve_spec(
     kind: str | QuerySpec,
     window_range: tuple[int, int] | None,
     time_range_ms: float | None,
+    *,
+    use_hash: bool = True,
 ) -> QuerySpec:
+    """Check ``window_range`` and build the query's :class:`QuerySpec`.
+
+    A pre-built spec passes through; otherwise ``time_range_ms`` defaults
+    to the span of ``window_range`` (one window when no range is given).
+    """
+    if window_range is not None:
+        start, stop = window_range
+        if not 0 <= start < stop:
+            # imported here so it stays out of the facade's public names
+            from repro.errors import ConfigurationError
+
+            raise ConfigurationError(
+                f"window range {start}:{stop} is empty or negative; "
+                "expected START:STOP with 0 <= START < STOP"
+            )
     if isinstance(kind, QuerySpec):
         return kind
     if time_range_ms is None:
-        if window_range is not None:
-            start, stop = window_range
-            time_range_ms = max(stop - start, 1) * WINDOW_MS
-        else:
-            time_range_ms = WINDOW_MS
-    return QuerySpec(kind=kind, time_range_ms=time_range_ms)
+        n_windows = 1 if window_range is None else stop - start
+        time_range_ms = n_windows * WINDOW_MS
+    return QuerySpec(kind=kind, time_range_ms=time_range_ms, use_hash=use_hash)
 
 
 def run_fleet_query(
@@ -460,11 +284,13 @@ def run_population_query(
     The cross-fleet entry point: submits through every targeted fleet's
     serving plane concurrently and merges with node-weighted partial
     coverage (a shed or degraded fleet lowers ``coverage`` instead of
-    failing the query — gate on ``result.sla_met``).
+    failing the query — gate on ``result.sla_met``).  ``window_range``
+    defaults to each fleet's full ingested range.
     """
     spec = _resolve_spec(kind, window_range, time_range_ms)
     return fabric.population_query(
         spec,
+        window_range=window_range,
         template=template,
         min_coverage=min_coverage,
         fleets=fleets,

@@ -83,10 +83,6 @@ class NetworkError(ScaloError):
     """Invalid network operation (oversized packet, no TDMA slot, ...)."""
 
 
-class PacketCorrupted(NetworkError):
-    """A received packet failed its CRC check."""
-
-
 class RetryExhausted(NetworkError):
     """An ARQ transfer ran out of retries without an acknowledgement."""
 

@@ -350,6 +350,7 @@ class FleetFabric:
         self,
         spec: QuerySpec,
         *,
+        window_range: tuple[int, int] | None = None,
         template: np.ndarray | None = None,
         min_coverage: float = 0.0,
         fleets: tuple[int, ...] | None = None,
@@ -362,7 +363,8 @@ class FleetFabric:
         gated like any tenant's) at the current fabric clock; fleets run
         concurrently, so the gathered finish time is the *max* fleet
         finish plus the gather charge — population latency scales with
-        the slowest fleet, not the fleet count.
+        the slowest fleet, not the fleet count.  ``window_range``
+        defaults to each fleet's full ingested range.
         """
         if not 0 <= min_coverage <= 1:
             raise ConfigurationError("coverage SLA must be in [0, 1]")
@@ -385,7 +387,7 @@ class FleetFabric:
                 request_id = shard.server.submit(
                     POPULATION_CLIENT,
                     spec,
-                    shard.window_range,
+                    shard.window_range if window_range is None else window_range,
                     template=template,
                     deadline_ms=deadline_ms,
                     arrival_ms=start,

@@ -19,14 +19,11 @@ and zero events to a seeded scenario.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.telemetry.clock import SimClock
 from repro.telemetry.exporters import (
     chrome_trace_events,
     telemetry_json,
     write_chrome_trace,
-    write_json,
     write_metrics_csv,
 )
 from repro.telemetry.profiler import WallClockProfiler
@@ -56,7 +53,6 @@ __all__ = [
     "label_key",
     "telemetry_json",
     "write_chrome_trace",
-    "write_json",
     "write_metrics_csv",
 ]
 
@@ -191,13 +187,3 @@ class Telemetry:
 
 #: What instrumented dataclass fields accept.
 TelemetryLike = Telemetry | NullTelemetry
-
-
-def iter_telemetry_metrics(telemetry: Telemetry) -> Iterator[str]:
-    """All metric cell names currently present (debug convenience)."""
-    for name, labels, _ in telemetry.registry.counters():
-        yield format_metric(name, labels)
-    for name, labels, _ in telemetry.registry.gauges():
-        yield format_metric(name, labels)
-    for name, labels, _ in telemetry.registry.histograms():
-        yield format_metric(name, labels)

@@ -117,18 +117,6 @@ def telemetry_json(registry: MetricsRegistry, tracer: Tracer | None = None) -> d
     return doc
 
 
-def write_json(
-    registry: MetricsRegistry,
-    path: str | pathlib.Path,
-    tracer: Tracer | None = None,
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(
-        json.dumps(telemetry_json(registry, tracer), indent=2, sort_keys=True)
-    )
-    return path
-
-
 def write_chrome_trace(tracer: Tracer, path: str | pathlib.Path) -> pathlib.Path:
     path = pathlib.Path(path)
     path.write_text(json.dumps(chrome_trace_events(tracer)))

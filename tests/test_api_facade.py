@@ -1,18 +1,41 @@
-"""The ``repro.api`` facade must re-export the whole public surface.
+"""``repro.api`` is the one public facade; the root package imports nothing.
 
-PRs 5-9 each grew a subsystem (serving, chaos, health, partition
-coordination, the fleet fabric); the facade's contract is that every
-public type a user needs is importable from ``repro.api`` without
-knowing the internal package layout.  The audit is mechanical:
-``__all__`` must list exactly the public non-module attributes, every
-name must resolve, and the load-bearing types from each era must be
-present by name.
+The facade's contract is small on purpose: the seven entry points and
+the types their signatures take, return or raise.  Every other name is
+imported from the subpackage that defines it.  The audits here are
+mechanical: ``__all__`` lists exactly the public non-module attributes,
+every name the README, the examples, ``bench/`` and the tests import
+from ``repro.api`` is present, the facade checks and honours window
+ranges, and each package imports on its own.
 """
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import repro
+import numpy as np
+import pytest
+
 from repro import api
+from repro.errors import ConfigurationError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+ENTRY_POINTS = {
+    "build_system", "run_query", "serve_session",
+    "build_fabric", "run_fleet_query", "run_population_query",
+    "fabric_session",
+}
+
+SIGNATURE_TYPES = {
+    "ScaloSystem", "QuerySpec", "DistributedQueryResult", "FleetFabric",
+    "FabricConfig", "FabricLoadConfig", "FabricReport", "PopulationResult",
+    "QueryServer", "ServerConfig", "LoadGenConfig", "ServeReport",
+    "QueryResponse", "Telemetry", "TelemetryLike", "NULL_TELEMETRY",
+    "ScaloError", "QueryRejected", "WINDOW_MS",
+}
 
 
 def _public_attrs(module) -> set[str]:
@@ -40,43 +63,99 @@ def test_api_all_names_resolve_and_are_unique():
         assert getattr(api, name) is not None
 
 
-def test_api_exports_every_era():
+def test_api_holds_only_entry_points_and_their_signature_types():
+    assert set(api.__all__) == ENTRY_POINTS | SIGNATURE_TYPES
+    assert len(api.__all__) <= 26
+    for name in ENTRY_POINTS:
+        assert callable(getattr(api, name))
+
+
+def test_api_exports_what_callers_import():
     required = {
-        # core (PRs 1-4)
-        "ScaloSystem", "QuerySpec", "QueryCostModel", "WINDOW_MS",
-        "ScaloError", "build_system", "run_query",
-        # serving (PR 5)
-        "QueryServer", "ServerConfig", "AdmissionController", "TokenBucket",
-        "LoadGenConfig", "ServeReport", "serve_session", "final_responses",
-        "percentile",
-        # chaos (PR 6)
-        "ChaosConfig", "StormLevel", "FAULT_PRESETS", "chaos_sweep",
-        "run_storm", "CircuitBreaker", "BrownoutController", "RetryPolicy",
-        # health (PR 7)
-        "HealthEngine", "SLO", "SLOEngine", "QuantileSketch",
-        "DEFAULT_SERVING_SLOS", "FlightRecorder", "AnomalyDetector",
-        # partition coordination (PR 8)
-        "PartitionMatrix", "SPLIT_MODES", "FailoverManager",
-        "WriteAheadJournal", "FaultPlan", "HealthMonitor",
-        # fabric (PR 9)
-        "FleetFabric", "FabricConfig", "ShardMap", "FabricLoadConfig",
-        "fabric_session", "run_isolation_gate", "tenant_slos",
+        # README quick-start, serving and fabric snippets
+        "build_system", "run_query", "serve_session", "QueryServer",
         "build_fabric", "run_fleet_query", "run_population_query",
-        "PopulationResult",
+        # examples/
+        "Telemetry",
     }
     missing = required - set(api.__all__)
     assert not missing, f"facade lost public names: {sorted(missing)}"
 
 
-def test_root_package_exports_fabric_entry_points():
-    for name in (
-        "FleetFabric", "FabricConfig", "FabricLoadConfig", "FabricReport",
-        "ShardMap", "fabric_session", "run_isolation_gate",
-    ):
-        assert name in repro.__all__
-        assert getattr(repro, name) is not None
+def test_every_package_imports_on_its_own():
+    """Each subpackage, ``repro.api`` and ``repro.__main__`` import cold.
+
+    One subprocess clears every ``repro*`` module before each import, so
+    an import cycle the old eager root package used to hide fails here
+    for the package that has it.
+    """
+    script = """
+import pkgutil, sys
+import repro
+loaded = sorted(m for m in sys.modules if m.startswith("repro"))
+assert loaded == ["repro"], loaded
+names = [f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)]
+for name in names:
+    for module in [m for m in sys.modules if m.startswith("repro")]:
+        del sys.modules[module]
+    __import__(name)
+print(len(names))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # every subpackage plus api, errors, units and __main__
+    assert int(proc.stdout) >= 20
 
 
-def test_root_package_all_resolves():
-    for name in repro.__all__:
-        assert getattr(repro, name) is not None
+@pytest.fixture(scope="module")
+def fabric():
+    return api.build_fabric(n_fleets=2, nodes_per_fleet=2, seed=0)
+
+
+@pytest.fixture(scope="module")
+def system():
+    system = api.build_system(n_nodes=2, electrodes_per_node=2, seed=0)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        system.ingest(rng.normal(size=(2, 2, 120)).cumsum(axis=2))
+    return system
+
+
+def _query(entry, system, fabric, window_range):
+    if entry == "run_query":
+        return api.run_query(system, "q3", window_range).rows
+    if entry == "run_fleet_query":
+        return api.run_fleet_query(fabric, "t00", "q3", window_range).n_rows
+    return api.run_population_query(fabric, "q3", window_range).n_rows
+
+
+@pytest.mark.parametrize("entry", [
+    "run_query", "run_fleet_query", "run_population_query",
+])
+@pytest.mark.parametrize("window_range", [
+    pytest.param((0, 1), id="valid"),
+    pytest.param((2, 1), id="reversed"),
+    pytest.param((1, 1), id="empty"),
+    pytest.param((-5, 2), id="negative"),
+])
+def test_facade_checks_window_range(entry, window_range, system, fabric):
+    start, stop = window_range
+    if 0 <= start < stop:
+        assert _query(entry, system, fabric, window_range)
+        return
+    with pytest.raises(ConfigurationError, match="empty or negative"):
+        _query(entry, system, fabric, window_range)
+
+
+def test_population_query_honours_window_range(fabric):
+    per_fleet = api.run_fleet_query(fabric, "t00", "q3", (0, 1)).n_rows
+    assert per_fleet == 16  # 2 nodes x 8 electrodes x 1 window
+    population = api.run_population_query(fabric, "q3", (0, 1))
+    assert population.n_fleets == 2
+    assert population.n_rows == 2 * per_fleet == 32
+    assert api.run_population_query(fabric, "q3").n_rows == 128
