@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import SchedulingError
 from repro.network.tdma import TDMAConfig
@@ -190,6 +189,10 @@ class SchedulerProblem:
 
     def _solve_ilp(self, cs: ConstraintSystem) -> np.ndarray:
         """The exact LP over the shared constraint rows."""
+        # deferred: scipy costs ~40 MB and ~0.3 s to import, and only
+        # paths that actually solve a schedule should pay for it
+        from scipy.optimize import linprog
+
         n_flows = len(self.flows)
         caps = [row.cap for row in cs.rows]
 

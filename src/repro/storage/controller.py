@@ -85,11 +85,13 @@ class StorageController:
     #: queries never re-read and re-hash raw samples
     lsh: "LSHFamily | None" = field(default=None, repr=False)
 
-    def _meter(self, op: str, busy0: float, reads0: int, writes0: int) -> None:
+    def _meter(
+        self, counter: str, busy0: float, reads0: int, writes0: int
+    ) -> None:
         """Book one storage operation's deltas into the registry."""
         tel = self.telemetry
         stats = self.device.stats
-        tel.inc(f"storage.{op}")
+        tel.inc(counter)
         if stats.page_reads > reads0:
             tel.inc("storage.nvm_reads", stats.page_reads - reads0)
         if stats.page_writes > writes0:
@@ -130,7 +132,7 @@ class StorageController:
         while cursor < len(data):
             take = min(PAGE_BYTES - offset, len(data) - cursor)
             chunk = data[cursor : cursor + take]
-            if page in self.device._programmed:
+            if self.device.is_programmed(page):
                 # erase-free buffer merge, verified by the ECC engine
                 self.device.rewrite_range(page, offset, chunk)
             else:
@@ -223,7 +225,7 @@ class StorageController:
             self._signatures.pop((electrode, window_index), None)
         self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_WRITE_MS_PER_WINDOW
         if metered:
-            self._meter("windows_stored", busy0, reads0, writes0)
+            self._meter("storage.windows_stored", busy0, reads0, writes0)
         self._maybe_checkpoint()
 
     def store_channel_windows(
@@ -268,7 +270,7 @@ class StorageController:
         data = self._read_bytes(obj.address, obj.length)
         self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_READ_MS_PER_WINDOW
         if metered:
-            self._meter("windows_read", busy0, reads0, writes0)
+            self._meter("storage.windows_read", busy0, reads0, writes0)
         return np.frombuffer(data, dtype="<i2").astype(np.int64)
 
     def has_window(self, electrode: int, window_index: int) -> bool:
@@ -334,7 +336,7 @@ class StorageController:
         self._hash_times.append(time_ms)
         self.busy_ms += SC_LATENCY_FREE_MS
         if metered:
-            self._meter("hash_batches_stored", busy0, reads0, writes0)
+            self._meter("storage.hash_batches_stored", busy0, reads0, writes0)
         self._maybe_checkpoint()
 
     def read_hash_batch(self, window_index: int) -> list[tuple[int, ...]]:
@@ -354,7 +356,7 @@ class StorageController:
         flat = np.frombuffer(data, dtype="<u2")
         self.busy_ms += SC_LATENCY_FREE_MS
         if metered:
-            self._meter("hash_batches_read", busy0, reads0, writes0)
+            self._meter("storage.hash_batches_read", busy0, reads0, writes0)
         return [
             tuple(int(x) for x in flat[i * n_components : (i + 1) * n_components])
             for i in range(n_signatures)

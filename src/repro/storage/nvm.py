@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError, UncorrectableError
-from repro.recovery.ecc import PageECC, compute_ecc, decode_page
+from repro.recovery.ecc import PageECC, compute_ecc, decode_page, update_ecc
 
 #: Device geometry (paper §5).
 PAGE_BYTES = 4 * 1024
@@ -74,6 +74,18 @@ class NVMDevice:
     returning garbage.  A page found uncorrectable stays *poisoned*
     (reads keep raising) until its block is erased or the page is
     rewritten in full, like a real device's grown-bad-page handling.
+
+    The SECDED engine is hardware: NVSim's per-page costs already price
+    it, so the software decode below changes no simulated time, only
+    the simulator's.  The device therefore remembers which pages it has
+    verified since their last mutation (the *clean set*) and skips
+    re-decoding them: a page joins on ``program_page``, ``rewrite_range``
+    and every clean or corrected decode, and leaves on ``inject_bit_rot``
+    and ``erase_block``, the only other ways stored bytes change.  A
+    partial rewrite of a page verified clean or corrected re-encodes its
+    ECC from the changed bytes alone; one that failed to decode is
+    re-encoded in full.  Stored words, decode outcomes and every counter
+    are exactly those of a device that decodes on every access.
     """
 
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES
@@ -83,6 +95,9 @@ class NVMDevice:
     _programmed: set[int] = field(default_factory=set)
     _ecc: dict[int, PageECC] = field(default_factory=dict, repr=False)
     _poisoned: set[int] = field(default_factory=set, repr=False)
+    #: pages whose bytes were verified (or written) since their last
+    #: mutation, so their stored ECC words describe them exactly
+    _clean: set[int] = field(default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes < BLOCK_BYTES:
@@ -104,6 +119,10 @@ class NVMDevice:
         if not 0 <= page_index < self.n_pages:
             raise StorageError(f"page {page_index} out of range")
 
+    def is_programmed(self, page_index: int) -> bool:
+        """Whether a page holds programmed data (erase before reprogram)."""
+        return page_index in self._programmed
+
     # -- operations -----------------------------------------------------------------
 
     def erase_block(self, block_index: int) -> None:
@@ -116,6 +135,7 @@ class NVMDevice:
             self._programmed.discard(page)
             self._ecc.pop(page, None)
             self._poisoned.discard(page)
+            self._clean.discard(page)
         self.stats.block_erases += 1
         self.stats.busy_ms += ERASE_MS
         # erase energy folded into the write figure, as NVSim reports
@@ -134,6 +154,7 @@ class NVMDevice:
         self._programmed.add(page_index)
         if self.ecc_enabled:
             self._ecc[page_index] = compute_ecc(padded)
+        self._clean.add(page_index)
         self.stats.page_writes += 1
         self.stats.busy_ms += PROGRAM_MS
         self.stats.dynamic_energy_nj += WRITE_NJ_PER_PAGE
@@ -148,6 +169,8 @@ class NVMDevice:
         beyond SECDED marks the page poisoned (the write itself still
         lands — the surrounding old bytes are what was lost).  A rewrite
         covering the whole page replaces everything and clears the poison.
+        A page in the clean set skips the verify, and the ECC words of a
+        verified page are updated from the changed bytes alone.
         """
         self._check_page(page_index)
         if page_index not in self._programmed:
@@ -156,7 +179,9 @@ class NVMDevice:
             raise StorageError("rewrite range outside the page")
         existing = self._pages[page_index]
         whole_page = offset == 0 and len(chunk) == PAGE_BYTES
-        if self.ecc_enabled and not whole_page:
+        # the stored words describe ``existing`` once it is verified
+        verified = page_index in self._clean
+        if self.ecc_enabled and not whole_page and not verified:
             result = decode_page(existing, self._ecc[page_index])
             if result.corrected_bits:
                 self.stats.ecc_corrected += result.corrected_bits
@@ -164,12 +189,22 @@ class NVMDevice:
             elif not result.ok and page_index not in self._poisoned:
                 self.stats.ecc_uncorrectable += 1
                 self._poisoned.add(page_index)
-        merged = bytearray(existing)
-        merged[offset : offset + len(chunk)] = chunk
-        merged = bytes(merged)
+            verified = result.ok
+        end = offset + len(chunk)
+        merged = existing[:offset] + chunk + existing[end:]
         self._pages[page_index] = merged
         if self.ecc_enabled:
-            self._ecc[page_index] = compute_ecc(merged)
+            if verified and not whole_page:
+                self._ecc[page_index] = update_ecc(
+                    self._ecc[page_index], offset, existing[offset:end],
+                    chunk, merged,
+                )
+            else:
+                # a whole-page rewrite, or a failed decode whose rotten
+                # bytes around the chunk stay on the page: encode what
+                # is actually there
+                self._ecc[page_index] = compute_ecc(merged)
+        self._clean.add(page_index)
         if whole_page:
             self._poisoned.discard(page_index)
         self.stats.page_writes += 1
@@ -204,16 +239,20 @@ class NVMDevice:
             return page
         if page_index in self._poisoned:
             raise UncorrectableError(page_index, "page poisoned")
+        if page_index in self._clean:
+            return page
         result = decode_page(page, self._ecc[page_index])
         if result.corrected_bits:
             # scrub-on-read: commit the corrected content back
             self.stats.ecc_corrected += result.corrected_bits
             self._pages[page_index] = result.data
+            self._clean.add(page_index)
             return result.data
         if not result.ok:
             self.stats.ecc_uncorrectable += 1
             self._poisoned.add(page_index)
             raise UncorrectableError(page_index, result.detail)
+        self._clean.add(page_index)
         return page
 
     def check_page(self, page_index: int) -> tuple[int, bool]:
@@ -231,15 +270,19 @@ class NVMDevice:
         self.stats.page_reads += 1
         self.stats.busy_ms += READ_PAGE_MS
         self.stats.dynamic_energy_nj += READ_NJ_PER_PAGE
+        if page_index in self._clean:
+            return 0, False
         result = decode_page(self._pages[page_index], self._ecc[page_index])
         if result.corrected_bits:
             self.stats.ecc_corrected += result.corrected_bits
             self._pages[page_index] = result.data
+            self._clean.add(page_index)
             return result.corrected_bits, False
         if not result.ok:
             self.stats.ecc_uncorrectable += 1
             self._poisoned.add(page_index)
             return 0, True
+        self._clean.add(page_index)
         return 0, False
 
     @property
@@ -279,6 +322,7 @@ class NVMDevice:
         if idx.size == 0:
             return 0
         self._pages[page_index] = flip_bits(self._pages[page_index], idx)
+        self._clean.discard(page_index)
         return int(idx.size)
 
     # -- derived rates ------------------------------------------------------------

@@ -112,6 +112,29 @@ print(len(names))
     assert int(proc.stdout) >= 20
 
 
+def test_storage_path_never_imports_scipy():
+    """Only an LP solve loads scipy; building, storing and reading do not."""
+    script = """
+import sys
+import numpy as np
+from repro.api import build_system, run_query
+system = build_system(n_nodes=2, electrodes_per_node=2, seed=0)
+system.ingest(np.random.default_rng(0).normal(size=(2, 2, 120)).cumsum(axis=2))
+stored = system.nodes[0].storage.read_window(0, 0)
+assert stored.shape == (120,), stored.shape
+assert run_query(system, "q3", (0, 1)).rows
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.fixture(scope="module")
 def fabric():
     return api.build_fabric(n_fleets=2, nodes_per_fleet=2, seed=0)

@@ -1,0 +1,81 @@
+"""Golden stdout digests for every CLI target.
+
+Each figure, table and scenario target runs in process through
+:func:`repro.__main__.main`, and the SHA-256 of what it prints is
+compared with ``tests/golden/cli.json``.  Every printed value is
+fixed-precision, so the digests are platform-stable; a change that
+moves any figure, table, serving report or telemetry summary fails
+here.  After an intended output change, regenerate the file with::
+
+    PYTHONPATH=src python tests/update_golden.py
+
+and review its diff.  fig11, fig12 and fig14 are ``slow`` (run them
+with ``-m slow``).  fig15a and fig15b share fig15's handler, so fig15
+is pinned once.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import main
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+#: Command lines whose stdout is pinned, fast ones first.
+TARGETS: tuple[tuple[str, ...], ...] = (
+    ("fig8a",), ("fig8b",), ("fig8c",), ("fig9a",), ("fig9b",),
+    ("fig10",), ("fig13",), ("fig15",), ("sec62",), ("sec63",),
+    ("table1",), ("table3",),
+    ("query", "--seed", "0"),
+    ("serve", "--seed", "0"),
+    ("chaos", "--seed", "0"),
+    ("chaos", "partition", "--seed", "0"),
+    ("fabric", "--seed", "0"),
+    ("trace", "seizure", "--seed", "0"),
+    ("fig11",), ("fig12",), ("fig14",),
+)
+
+#: Targets that take seconds each; deselected unless ``-m slow``.
+SLOW = frozenset({"fig11", "fig12", "fig14"})
+
+
+def target_key(argv: tuple[str, ...]) -> str:
+    return " ".join(argv)
+
+
+def stdout_digest(argv: tuple[str, ...]) -> str:
+    """SHA-256 of one target's stdout (raises if the target fails)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"{target_key(argv)!r} exited with {code}")
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_file_covers_every_target(golden):
+    assert sorted(golden) == sorted(target_key(t) for t in TARGETS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(t, marks=pytest.mark.slow) if t[0] in SLOW else t
+        for t in TARGETS
+    ],
+    ids=target_key,
+)
+def test_stdout_matches_golden(argv, golden):
+    assert stdout_digest(argv) == golden[target_key(argv)]

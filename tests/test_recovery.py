@@ -1,17 +1,31 @@
 """Crash-consistent recovery: ECC, journal replay, scrub, resync, failover."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.apps.queries import QuerySpec
 from repro.core.system import ScaloSystem
-from repro.errors import ConfigurationError, UncorrectableError
+from repro.errors import ConfigurationError, StorageError, UncorrectableError
 from repro.network.arq import ARQConfig
 from repro.network.channel import flip_bits
 from repro.network.packet import PayloadKind
-from repro.recovery.ecc import compute_ecc, decode_page
+from repro.recovery.ecc import (
+    PageECC,
+    _syndrome_parity,
+    compute_ecc,
+    decode_page,
+    update_ecc,
+)
 from repro.recovery.journal import (
     JournalRecord,
     RecordType,
@@ -19,7 +33,17 @@ from repro.recovery.journal import (
 )
 from repro.recovery.scrub import Scrubber
 from repro.storage.controller import StorageController
-from repro.storage.nvm import PAGE_BYTES, NVMDevice
+from repro.storage.nvm import (
+    ERASE_MS,
+    PAGE_BYTES,
+    PAGES_PER_BLOCK,
+    PROGRAM_MS,
+    READ_NJ_PER_PAGE,
+    READ_PAGE_MS,
+    WRITE_NJ_PER_PAGE,
+    NVMDevice,
+    NVMStats,
+)
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.scenarios import recovery_session
 from repro.units import WINDOW_SAMPLES
@@ -72,6 +96,277 @@ class TestPageECC:
         result = decode_page(damaged, compute_ecc(data))
         assert result.ok
         assert result.data == data
+
+
+def _reference_syndrome_parity(data: bytes) -> tuple[int, int]:
+    """Oracle: XOR of the 1-based indices of all set bits, bit by bit."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    positions = np.flatnonzero(bits).astype(np.int64) + 1
+    if positions.size == 0:
+        return 0, 0
+    return int(np.bitwise_xor.reduce(positions)), int(positions.size & 1)
+
+
+def _reference_ecc(data: bytes) -> PageECC:
+    return PageECC(*_reference_syndrome_parity(data), zlib.crc32(data))
+
+
+class TestByteTableSyndrome:
+    """The per-byte table syndrome against the bit-by-bit oracle."""
+
+    @pytest.mark.parametrize("data", [
+        _page(0), _page(1), _page(2),
+        bytes(PAGE_BYTES), b"\xff" * PAGE_BYTES, b"",
+        _page(3, 7), _page(4, 100), _page(5, 4095), _page(6, 4097),
+        _page(7, 9000), b"\xff" * 9000,
+    ], ids=lambda d: f"{len(d)}B")
+    def test_matches_reference(self, data):
+        assert _syndrome_parity(data) == _reference_syndrome_parity(data)
+
+    def test_every_single_byte(self):
+        for value in range(256):
+            data = bytes([value])
+            assert _syndrome_parity(data) == _reference_syndrome_parity(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(min_size=0, max_size=600),
+           offset=st.integers(0, 5000))
+    def test_offset_matches_zero_padded_reference(self, data, offset):
+        # leading zero bytes set no bits, so they only shift positions
+        assert _syndrome_parity(data, offset) == _reference_syndrome_parity(
+            bytes(offset) + data
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           offset=st.integers(0, PAGE_BYTES - 1),
+           length=st.integers(1, PAGE_BYTES))
+    def test_incremental_update_equals_full_recompute(self, seed, offset,
+                                                      length):
+        length = min(length, PAGE_BYTES - offset)
+        page = _page(seed)
+        chunk = _page(seed + 1, length)
+        merged = page[:offset] + chunk + page[offset + length:]
+        updated = update_ecc(
+            compute_ecc(page), offset, page[offset:offset + length], chunk,
+            merged,
+        )
+        assert updated == compute_ecc(merged) == _reference_ecc(merged)
+
+
+class _PlainDevice:
+    """Reference NVM device without fast paths.
+
+    Every access decodes and every write re-encodes the whole page with
+    the oracle syndrome: the behaviour the clean set and the incremental
+    encode of :class:`NVMDevice` must reproduce exactly.  Only the ECC
+    path is modelled; range checks are left to the device under test.
+    """
+
+    def __init__(self) -> None:
+        self.stats = NVMStats()
+        self.pages: dict[int, bytes] = {}
+        self.ecc: dict[int, PageECC] = {}
+        self.poisoned: set[int] = set()
+
+    def _book_write(self) -> None:
+        self.stats.page_writes += 1
+        self.stats.busy_ms += PROGRAM_MS
+        self.stats.dynamic_energy_nj += WRITE_NJ_PER_PAGE
+
+    def erase_block(self, block: int) -> None:
+        first = block * PAGES_PER_BLOCK
+        for page in range(first, first + PAGES_PER_BLOCK):
+            self.pages.pop(page, None)
+            self.ecc.pop(page, None)
+            self.poisoned.discard(page)
+        self.stats.block_erases += 1
+        self.stats.busy_ms += ERASE_MS
+
+    def program_page(self, page: int, data: bytes) -> None:
+        if page in self.pages:
+            raise StorageError(
+                f"page {page} already programmed; erase its block first"
+            )
+        padded = data.ljust(PAGE_BYTES, b"\xff")
+        self.pages[page] = padded
+        self.ecc[page] = _reference_ecc(padded)
+        self._book_write()
+
+    def rewrite_range(self, page: int, offset: int, chunk: bytes) -> None:
+        if page not in self.pages:
+            raise StorageError(f"page {page} not programmed")
+        existing = self.pages[page]
+        whole_page = offset == 0 and len(chunk) == PAGE_BYTES
+        if not whole_page:
+            result = decode_page(existing, self.ecc[page])
+            if result.corrected_bits:
+                self.stats.ecc_corrected += result.corrected_bits
+                existing = result.data
+            elif not result.ok and page not in self.poisoned:
+                self.stats.ecc_uncorrectable += 1
+                self.poisoned.add(page)
+        merged = bytearray(existing)
+        merged[offset:offset + len(chunk)] = chunk
+        self.pages[page] = bytes(merged)
+        self.ecc[page] = _reference_ecc(bytes(merged))
+        if whole_page:
+            self.poisoned.discard(page)
+        self._book_write()
+
+    def _decode(self, page: int):
+        result = decode_page(self.pages[page], self.ecc[page])
+        if result.corrected_bits:
+            self.stats.ecc_corrected += result.corrected_bits
+            self.pages[page] = result.data
+        elif not result.ok:
+            self.stats.ecc_uncorrectable += 1
+            self.poisoned.add(page)
+        return result
+
+    def read(self, page: int, offset: int, length: int) -> bytes:
+        self.stats.page_reads += 1
+        self.stats.busy_ms += READ_PAGE_MS
+        self.stats.dynamic_energy_nj += READ_NJ_PER_PAGE * length / PAGE_BYTES
+        if page not in self.pages:
+            return (b"\xff" * PAGE_BYTES)[offset:offset + length]
+        if page in self.poisoned:
+            raise UncorrectableError(page, "page poisoned")
+        result = self._decode(page)
+        if not result.ok:
+            raise UncorrectableError(page, result.detail)
+        return result.data[offset:offset + length]
+
+    def check_page(self, page: int) -> tuple[int, bool]:
+        if page not in self.pages:
+            return 0, False
+        if page in self.poisoned:
+            return 0, True
+        self.stats.page_reads += 1
+        self.stats.busy_ms += READ_PAGE_MS
+        self.stats.dynamic_energy_nj += READ_NJ_PER_PAGE
+        result = self._decode(page)
+        return result.corrected_bits, not result.ok
+
+    def inject_bit_rot(self, page: int, bits) -> int:
+        if page not in self.pages:
+            return 0
+        self.pages[page] = flip_bits(self.pages[page], np.asarray(bits))
+        return len(bits)
+
+
+#: two pages in block 0 and one in block 1, so erases hit a subset
+_SM_PAGES = (0, 1, PAGES_PER_BLOCK)
+
+
+def _outcome(call):
+    """A call's return value, or the error it raised (type and text)."""
+    try:
+        return "ok", call()
+    except (StorageError, UncorrectableError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class DeviceEquivalence(RuleBasedStateMachine):
+    """The fast device against :class:`_PlainDevice`, step by step.
+
+    Random program, partial and whole-page rewrite, read, scrub visit,
+    1-3-bit rot and erase sequences must leave identical page bytes,
+    spare-area words, returned data and errors, counters and poisoned
+    sets.
+    """
+
+    @initialize()
+    def setup(self):
+        self.fast = NVMDevice(capacity_bytes=2 * 1024 * 1024)
+        self.plain = _PlainDevice()
+
+    def _both(self, name, *args):
+        fast = _outcome(lambda: getattr(self.fast, name)(*args))
+        plain = _outcome(lambda: getattr(self.plain, name)(*args))
+        assert fast == plain, (name, args)
+
+    @rule(page=st.sampled_from(_SM_PAGES), seed=st.integers(0, 2**16),
+          length=st.integers(1, PAGE_BYTES))
+    def program(self, page, seed, length):
+        self._both("program_page", page, _page(seed, length))
+
+    @rule(page=st.sampled_from(_SM_PAGES), seed=st.integers(0, 2**16),
+          offset=st.integers(0, PAGE_BYTES - 1),
+          length=st.integers(1, 512), whole=st.booleans())
+    def rewrite(self, page, seed, offset, length, whole):
+        if whole:
+            offset, length = 0, PAGE_BYTES
+        length = min(length, PAGE_BYTES - offset)
+        self._both("rewrite_range", page, offset, _page(seed, length))
+
+    @rule(page=st.sampled_from(_SM_PAGES),
+          start=st.integers(0, PAGE_BYTES // 8 - 1),
+          words=st.integers(1, 64))
+    def read(self, page, start, words):
+        words = min(words, PAGE_BYTES // 8 - start)
+        self._both("read", page, 8 * start, 8 * words)
+
+    @rule(page=st.sampled_from(_SM_PAGES))
+    def check(self, page):
+        self._both("check_page", page)
+
+    @rule(page=st.sampled_from(_SM_PAGES),
+          bits=st.lists(st.integers(0, 8 * PAGE_BYTES - 1),
+                        min_size=1, max_size=3, unique=True))
+    def rot(self, page, bits):
+        self._both("inject_bit_rot", page, bits)
+
+    @rule(block=st.sampled_from((0, 1)))
+    def erase(self, block):
+        self._both("erase_block", block)
+
+    @invariant()
+    def same_state(self):
+        assert self.fast._pages == self.plain.pages
+        assert self.fast._ecc == self.plain.ecc
+        assert self.fast.stats == self.plain.stats
+        assert self.fast.poisoned_pages == sorted(self.plain.poisoned)
+
+
+DeviceEquivalence.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None
+)
+TestDeviceEquivalence = DeviceEquivalence.TestCase
+
+
+class TestCleanSet:
+    def test_poisoned_clean_page_still_raises(self):
+        device = NVMDevice(capacity_bytes=2 * 1024 * 1024)
+        device.program_page(0, _page(0))
+        device.inject_bit_rot(0, [3, 77])
+        # the merge finds double-bit damage and poisons the page, and the
+        # rewrite re-encodes it, so it rejoins the verified-clean set
+        device.rewrite_range(0, 64, b"new bytes")
+        assert device.poisoned_pages == [0]
+        assert 0 in device._clean
+        with pytest.raises(UncorrectableError):
+            device.read(0, 0, 8)
+        assert device.check_page(0) == (0, True)
+        assert device.stats.ecc_uncorrectable == 1
+
+    def test_failed_merge_encodes_the_rotten_bytes(self):
+        # an incremental update from the stored words would encode the
+        # pre-rot bytes; the page must be re-encoded as it actually is
+        device = NVMDevice(capacity_bytes=2 * 1024 * 1024)
+        device.program_page(0, _page(2))
+        device.inject_bit_rot(0, [3, 77])
+        device.rewrite_range(0, 1024, b"chunk")
+        assert device._ecc[0] == _reference_ecc(device._pages[0])
+
+    def test_rot_invalidates_a_verified_page(self):
+        device = NVMDevice(capacity_bytes=2 * 1024 * 1024)
+        data = _page(1)
+        device.program_page(0, data)
+        assert device.read(0, 0, PAGE_BYTES) == data
+        device.inject_bit_rot(0, [12345])
+        assert device.read(0, 0, PAGE_BYTES) == data
+        assert device.stats.ecc_corrected == 1
 
 
 class TestWriteAheadJournal:
