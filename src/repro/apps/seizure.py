@@ -238,15 +238,23 @@ class SeizurePropagationSimulator:
             result.node_windows_total += rec.n_nodes
             result.node_windows_skipped += rec.n_nodes - sum(alive)
 
-            # 1. every live node hashes and stores its window (always-on)
+            # 1. every live node hashes and stores its window (always-on);
+            # one batch for all live nodes, walked in node then electrode
+            # order so the hash-error draws keep their sequence
+            live = [node for node in range(rec.n_nodes) if alive[node]]
+            hashed = iter(
+                self.lsh.hash_windows(
+                    windows[live].reshape(-1, windows.shape[-1])
+                ).tolist()
+            )
             node_hashes: list[list[tuple[int, ...]]] = []
             for node in range(rec.n_nodes):
                 if not alive[node]:
                     node_hashes.append([])
                     continue
                 signatures = []
-                for electrode in range(rec.n_electrodes):
-                    sig = self.lsh.hash_window(windows[node, electrode])
+                for _ in range(rec.n_electrodes):
+                    sig = tuple(next(hashed))
                     if (
                         self.hash_error_rate
                         and self._rng.random() < self.hash_error_rate

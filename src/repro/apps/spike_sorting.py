@@ -100,7 +100,9 @@ class TemplateMatcher:
         self._waves = np.stack(
             [_peak_normalise(t[c]) for t, c in zip(self.templates, self._dominant)]
         )
-        self._signatures = [self.hasher.hash_window(w) for w in self._waves]
+        self._signatures = [
+            tuple(sig) for sig in self.hasher.hash_windows(self._waves).tolist()
+        ]
 
     @property
     def n_neurons(self) -> int:

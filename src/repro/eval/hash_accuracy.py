@@ -128,8 +128,8 @@ def hash_accuracy(
     )
     hashed = np.array(
         [
-            family.matches(family.hash_window(a), family.hash_window(b))
-            for a, b in pairs
+            family.matches(sig_a, sig_b)
+            for sig_a, sig_b in zip(*hash_pairs(family, pairs))
         ],
         dtype=bool,
     )
@@ -154,6 +154,18 @@ def hash_accuracy(
         false_positive_share=(
             false_positives / total_wrong if total_wrong else 0.0
         ),
+    )
+
+
+def hash_pairs(
+    family: LSHFamily, pairs: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Signatures of every pair's ``a`` window and ``b`` window, one
+    :meth:`~repro.hashing.lsh.LSHFamily.hash_windows` call per side."""
+    firsts, seconds = zip(*pairs)
+    return (
+        family.hash_windows(np.stack(firsts)).tolist(),
+        family.hash_windows(np.stack(seconds)).tolist(),
     )
 
 

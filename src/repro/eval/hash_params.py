@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.eval.hash_accuracy import make_pairs, pick_threshold
+from repro.eval.hash_accuracy import hash_pairs, make_pairs, pick_threshold
 from repro.hashing.lsh import LSHConfig, LSHFamily
 from repro.similarity.measures import get_measure
 
@@ -66,8 +66,8 @@ def sweep_measure(
             family = LSHFamily(config)
             matches = np.array(
                 [
-                    family.matches(family.hash_window(a), family.hash_window(b))
-                    for a, b in pairs
+                    family.matches(sig_a, sig_b)
+                    for sig_a, sig_b in zip(*hash_pairs(family, pairs))
                 ],
                 dtype=bool,
             )

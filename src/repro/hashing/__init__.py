@@ -8,14 +8,8 @@ from repro.hashing.lsh import (
     MEASURE_PRESETS,
     SUPPORTED_MEASURES,
 )
-from repro.hashing.minhash import (
-    finalize_hash,
-    minhash_signature,
-    minhash_signature_batch,
-    minhash_tables,
-    weighted_minhash_sample,
-)
-from repro.hashing.ngram import ngram_counts, ngram_value_matrix, profile_similarity
+from repro.hashing.minhash import finalize_hash, minhash_signature_batch
+from repro.hashing.ngram import ngram_value_matrix
 from repro.hashing.sketch import (
     random_projection_vector,
     sign_sketch,
@@ -33,13 +27,8 @@ __all__ = [
     "MEASURE_PRESETS",
     "SUPPORTED_MEASURES",
     "finalize_hash",
-    "minhash_signature",
     "minhash_signature_batch",
-    "minhash_tables",
-    "weighted_minhash_sample",
-    "ngram_counts",
     "ngram_value_matrix",
-    "profile_similarity",
     "random_projection_vector",
     "sign_sketch",
     "sign_sketch_batch",

@@ -21,12 +21,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.emd_hash import EMDHash
-from repro.hashing.minhash import (
-    minhash_signature,
-    minhash_signature_batch,
-    minhash_tables,
-)
-from repro.hashing.ngram import ngram_counts, ngram_value_matrix
+from repro.hashing.minhash import minhash_signature_batch
+from repro.hashing.ngram import ngram_value_matrix
 from repro.hashing.sketch import (
     random_projection_vector,
     sign_sketch,
@@ -121,8 +117,6 @@ class LSHFamily:
                 config.sketch_window, config.seed
             )
         self._seeds = [config.seed * 1000 + i for i in range(config.n_components)]
-        #: lazy per-family minhash lookup tables (see ``hash_windows``)
-        self._minhash_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def for_measure(cls, measure: str, **overrides) -> "LSHFamily":
@@ -154,28 +148,28 @@ class LSHFamily:
         )
 
     def hash_window(self, window: np.ndarray) -> tuple[int, ...]:
-        """Hash one signal window to its component tuple."""
+        """Hash one signal window to its component tuple.
+
+        The one-row view of :meth:`hash_windows` (EMD keeps its own
+        per-window hash).
+        """
         window = np.asarray(window, dtype=float)
         if window.ndim != 1:
             raise ConfigurationError("hash_window expects a single 1-D window")
         if self._emd is not None:
             return self._emd.hash_window(window)
-        bits = self.sketch(window)
-        counts = ngram_counts(bits, self.config.ngram)
-        if not counts:
-            # degenerate window shorter than the sketch geometry
-            return tuple(0 for _ in self._seeds)
-        return minhash_signature(counts, self._seeds, self.config.bits)
+        return tuple(self.hash_windows(window[None, :])[0].tolist())
 
     def hash_windows(self, windows: np.ndarray) -> np.ndarray:
         """Batch-hash ``(n_windows, window_len)`` rows in single passes.
 
-        The hot-path form of :meth:`hash_window`: the sketch is one
-        strided matmul over the whole batch, n-gram counting is one
-        ``bincount``, and the min-hash sampler runs off precomputed
-        per-seed lookup tables instead of per-shingle digests.  Row ``i``
-        of the result is element-identical to ``hash_window(windows[i])``
-        (property-tested in ``tests/test_query_batching.py``).
+        The sketch is one strided matmul over the whole batch, n-gram
+        values are packed with one shift per n-gram bit, and the min-hash
+        scores only the shingle values each row contains
+        (:func:`~repro.hashing.minhash.minhash_signature_batch`).  Row
+        ``i`` depends only on ``windows[i]``; the one-pass sampler in
+        ``tests/minhash_oracle.py`` is the reference it is
+        property-tested against (``tests/test_query_batching.py``).
 
         Returns:
             ``(n_windows, n_components)`` int64 array of components.
@@ -194,23 +188,10 @@ class LSHFamily:
         if bits.shape[1] < self.config.ngram:
             # degenerate geometry: every row's n-gram profile is empty
             return np.zeros((batch.shape[0], len(self._seeds)), dtype=np.int64)
-        if (1 << self.config.ngram) > 4096:
-            # shingle alphabet too large to tabulate — scalar fallback
-            # (no preset is near this; the sweep tool explores big n-grams)
-            return np.array(
-                [self.hash_window(row) for row in batch], dtype=np.int64
-            )
-        values = ngram_value_matrix(bits, self.config.ngram)
-        if self._minhash_tables is None:
-            self._minhash_tables = minhash_tables(
-                self._seeds, self.config.bits, 1 << self.config.ngram
-            )
         return minhash_signature_batch(
-            values,
+            ngram_value_matrix(bits, self.config.ngram),
             self._seeds,
             self.config.bits,
-            1 << self.config.ngram,
-            tables=self._minhash_tables,
         )
 
     def hash_channels(self, windows: np.ndarray) -> list[tuple[int, ...]]:

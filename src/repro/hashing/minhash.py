@@ -30,31 +30,6 @@ def _uniform01(value: int, seed: int) -> float:
     return (as_int + 1) / (2**64 + 2)
 
 
-def weighted_minhash_sample(counts: dict[int, int], seed: int) -> int:
-    """Select one n-gram from a weighted profile, min-wise consistently.
-
-    Returns:
-        The selected n-gram's packed integer value.
-
-    Raises:
-        ConfigurationError: for an empty profile.
-    """
-    if not counts:
-        raise ConfigurationError("cannot min-hash an empty n-gram profile")
-    best_key = -1
-    best_score = -1.0
-    for key, weight in counts.items():
-        if weight <= 0:
-            continue
-        score = _uniform01(key, seed) ** (1.0 / weight)
-        if score > best_score:
-            best_score = score
-            best_key = key
-    if best_key < 0:
-        raise ConfigurationError("profile has no positive weights")
-    return best_key
-
-
 def finalize_hash(sample: int, seed: int, bits: int) -> int:
     """Map a min-hash sample to a ``bits``-wide hash value.
 
@@ -69,65 +44,91 @@ def finalize_hash(sample: int, seed: int, bits: int) -> int:
     return int.from_bytes(digest, "little") & ((1 << bits) - 1)
 
 
-def minhash_signature(
-    counts: dict[int, int], seeds: list[int], bits: int
-) -> tuple[int, ...]:
-    """One hash component per seed — the OR-construction signature."""
-    return tuple(
-        finalize_hash(weighted_minhash_sample(counts, seed), seed, bits)
-        for seed in seeds
-    )
+class _SeedTable:
+    """Per-``(seeds, bits)`` rows of :func:`_uniform01` and
+    :func:`finalize_hash`, one row per shingle value seen so far.
 
-
-def minhash_tables(
-    seeds: list[int], bits: int, n_values: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Precompute the per-seed score and finalisation lookup tables.
-
-    The scalar sampler calls :func:`_uniform01` / :func:`finalize_hash`
-    per n-gram per seed — thousands of blake2b digests per window.  With
-    a bounded shingle alphabet (``n_values == 2**ngram``) both functions
-    depend only on ``(value, seed)``, so they tabulate once per hash
-    family: ``U[s, v]`` is the pseudo-uniform draw and ``F[s, v]`` the
-    finalised ``bits``-wide component for value ``v`` under seed
-    ``seeds[s]``.  Entries are produced by the *same* scalar functions,
-    so batched signatures are value-identical by construction.
+    Both functions depend only on ``(value, seed)``, so a row computed
+    once is exact forever; the table only grows, and only with values a
+    batch contains that it has not tabulated yet.  Rows are kept in
+    ascending value order so looking a batch up is one ``searchsorted``.
     """
-    if n_values < 1:
-        raise ConfigurationError("need a positive shingle alphabet size")
-    uniforms = np.empty((len(seeds), n_values), dtype=np.float64)
-    finals = np.empty((len(seeds), n_values), dtype=np.int64)
-    for s, seed in enumerate(seeds):
-        for value in range(n_values):
-            uniforms[s, value] = _uniform01(value, seed)
-            finals[s, value] = finalize_hash(value, seed, bits)
-    return uniforms, finals
+
+    def __init__(self, seeds: tuple[int, ...], bits: int):
+        self.seeds = seeds
+        self.bits = bits
+        self.values = np.empty(0, dtype=np.int64)
+        #: ``uniforms[r, s]`` is ``_uniform01(values[r], seeds[s])``
+        self.uniforms = np.empty((0, len(seeds)), dtype=np.float64)
+        #: ``finals[r, s]`` is ``finalize_hash(values[r], seeds[s], bits)``
+        self.finals = np.empty((0, len(seeds)), dtype=np.int64)
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """The table row of each of ``values``, tabulating unseen ones."""
+        pos = np.searchsorted(self.values, values)
+        if self.values.shape[0] == 0 or not np.array_equal(
+            self.values.take(pos, mode="clip"), values
+        ):
+            self._grow(np.setdiff1d(values, self.values))
+            pos = np.searchsorted(self.values, values)
+        return pos
+
+    def _grow(self, new: np.ndarray) -> None:
+        new_values = new.tolist()
+        uniforms = np.array(
+            [[_uniform01(v, seed) for seed in self.seeds] for v in new_values],
+            dtype=np.float64,
+        ).reshape(-1, len(self.seeds))
+        finals = np.array(
+            [
+                [finalize_hash(v, seed, self.bits) for seed in self.seeds]
+                for v in new_values
+            ],
+            dtype=np.int64,
+        ).reshape(-1, len(self.seeds))
+        values = np.concatenate([self.values, new])
+        order = np.argsort(values)
+        self.values = values[order]
+        self.uniforms = np.concatenate([self.uniforms, uniforms])[order]
+        self.finals = np.concatenate([self.finals, finals])[order]
+
+
+#: one table per ``(seeds, bits)``, shared by every family with those seeds
+_TABLES: dict[tuple[tuple[int, ...], int], _SeedTable] = {}
+
+
+def _seed_table(seeds: list[int], bits: int) -> _SeedTable:
+    key = (tuple(seeds), bits)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _SeedTable(key[0], bits)
+    return table
 
 
 def minhash_signature_batch(
-    values: np.ndarray,
-    seeds: list[int],
-    bits: int,
-    n_values: int,
-    tables: tuple[np.ndarray, np.ndarray] | None = None,
+    values: np.ndarray, seeds: list[int], bits: int
 ) -> np.ndarray:
-    """Batched :func:`minhash_signature` over per-row shingle values.
+    """Weighted min-hash signatures of many shingle multisets at once.
 
     Args:
-        values: ``(n_windows, n_shingles)`` packed shingle values in
-            ``[0, n_values)`` (see
-            :func:`~repro.hashing.ngram.ngram_value_matrix`).
-        tables: optional precomputed :func:`minhash_tables` output.
+        values: ``(n_windows, n_shingles)`` packed shingle values, one
+            row per window (see
+            :func:`~repro.hashing.ngram.ngram_value_matrix`); a value's
+            weight in a row is its number of occurrences there.
+        seeds: one seed per signature component.
+        bits: width of each component.
 
     Returns:
-        ``(n_windows, len(seeds))`` int64 signature components; row ``i``
-        equals ``minhash_signature(ngram_counts(row_i), seeds, bits)``.
+        ``(n_windows, len(seeds))`` int64 signature components.
 
-    The selection rule matches the scalar sampler exactly: scores are
-    ``u ** (1 / w)`` and ties break toward the smallest shingle value
-    (the scalar loop walks keys in ascending order and only replaces on
-    a strictly greater score; ``argmax`` returns the first maximum over
-    the ascending value axis).
+    Each row is sorted, so a value's occurrences form one run whose
+    length is its weight, and runs ascend by value.  Only the first
+    element of each run — one per ``(row, value)`` pair present — is
+    looked up in the shared per-``(seeds, bits)`` table and scored
+    ``u ** (1 / weight)``; the rest score -1.  ``argmax`` along the row
+    then picks the first maximum in ascending value order, which is the
+    one-pass sampler's tie-break (it walks values in ascending order and
+    replaces only on a strictly greater score).
     """
     values = np.asarray(values)
     if values.ndim != 2:
@@ -135,19 +136,22 @@ def minhash_signature_batch(
     n_rows, n_shingles = values.shape
     if n_shingles == 0:
         raise ConfigurationError("cannot min-hash an empty n-gram profile")
-    uniforms, finals = tables if tables is not None else minhash_tables(
-        seeds, bits, n_values
-    )
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), n_shingles)
-    counts = np.bincount(
-        rows * n_values + values.ravel().astype(np.int64),
-        minlength=n_rows * n_values,
-    ).reshape(n_rows, n_values).astype(np.float64)
-    present = counts > 0
-    inv_weight = np.zeros_like(counts)
-    inv_weight[present] = 1.0 / counts[present]
-    out = np.empty((n_rows, len(seeds)), dtype=np.int64)
-    for s in range(len(seeds)):
-        scores = np.where(present, uniforms[s][None, :] ** inv_weight, -1.0)
-        out[:, s] = finals[s][np.argmax(scores, axis=1)]
-    return out
+    table = _seed_table(seeds, bits)
+    ordered = np.sort(values, axis=1).ravel()
+    size = ordered.shape[0]
+    # run boundaries, plus one past the end so every run has a successor
+    bound = np.empty(size + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=bound[1:size])
+    bound[:size:n_shingles] = True
+    bound[size] = True
+    edges = np.flatnonzero(bound)
+    starts = edges[:-1]
+    weights = edges[1:] - starts
+    rows = table.rows(ordered[starts])
+    scores = np.full((size, len(seeds)), -1.0)
+    scores[starts] = table.uniforms[rows] ** (1.0 / weights)[:, None]
+    winners = scores.reshape(n_rows, n_shingles, len(seeds)).argmax(axis=1)
+    row_at = np.empty(size, dtype=np.intp)
+    row_at[starts] = rows
+    picked = row_at[winners + (np.arange(n_rows) * n_shingles)[:, None]]
+    return table.finals[picked, np.arange(len(seeds))]

@@ -13,38 +13,13 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-def ngram_counts(bits: np.ndarray, n: int) -> dict[int, int]:
-    """Histogram of the n-bit shingles of a 0/1 bit array.
-
-    Each shingle is packed into an integer key (MSB first).
-
-    Returns:
-        Mapping shingle-value -> occurrence count.
-    """
-    bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ConfigurationError("expected a 1-D bit array")
-    if n < 1:
-        raise ConfigurationError("n-gram size must be >= 1")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ConfigurationError("sketch must contain only 0/1 bits")
-    if bits.shape[0] < n:
-        return {}
-    weights = 1 << np.arange(n - 1, -1, -1)
-    shingles = np.lib.stride_tricks.sliding_window_view(bits.astype(np.int64), n)
-    values = shingles @ weights
-    uniques, counts = np.unique(values, return_counts=True)
-    return {int(v): int(c) for v, c in zip(uniques, counts)}
-
-
 def ngram_value_matrix(bits: np.ndarray, n: int) -> np.ndarray:
     """Packed shingle values for a whole batch of sketches at once.
 
     ``bits`` is ``(n_windows, sketch_bits)``; the result is
-    ``(n_windows, sketch_bits - n + 1)`` of integer shingle values — the
-    multiset each row spans is exactly the key set of
-    :func:`ngram_counts` on that row (occurrence counts fall out of a
-    single ``bincount`` downstream, see
+    ``(n_windows, sketch_bits - n + 1)`` of integer shingle values, each
+    n-bit shingle packed MSB first; a value's occurrence count in its row
+    is its weight in the row's n-gram profile (counted downstream, see
     :func:`repro.hashing.minhash.minhash_signature_batch`).
     """
     bits = np.asarray(bits)
@@ -52,33 +27,14 @@ def ngram_value_matrix(bits: np.ndarray, n: int) -> np.ndarray:
         raise ConfigurationError("expected a (n_windows, bits) array")
     if n < 1:
         raise ConfigurationError("n-gram size must be >= 1")
-    if np.any((bits != 0) & (bits != 1)):
+    if ((bits != 0) & (bits != 1)).any():
         raise ConfigurationError("sketch must contain only 0/1 bits")
-    if bits.shape[1] < n:
+    length = bits.shape[1] - n + 1
+    if length < 1:
         return np.empty((bits.shape[0], 0), dtype=np.int64)
-    weights = 1 << np.arange(n - 1, -1, -1)
-    shingles = np.lib.stride_tricks.sliding_window_view(
-        bits.astype(np.int64), n, axis=1
-    )
-    return shingles @ weights
-
-
-def profile_similarity(counts_a: dict[int, int], counts_b: dict[int, int]) -> float:
-    """Weighted Jaccard similarity of two n-gram profiles.
-
-    This is the quantity the weighted min-hash collision probability
-    estimates; exposed for tests and calibration.
-    """
-    keys = set(counts_a) | set(counts_b)
-    if not keys:
-        return 1.0
-    min_sum = 0
-    max_sum = 0
-    for key in keys:
-        a = counts_a.get(key, 0)
-        b = counts_b.get(key, 0)
-        min_sum += min(a, b)
-        max_sum += max(a, b)
-    if max_sum == 0:
-        return 1.0
-    return min_sum / max_sum
+    bits = bits.astype(np.int64)
+    values = bits[:, :length].copy()
+    for k in range(1, n):
+        values <<= 1
+        values |= bits[:, k : k + length]
+    return values

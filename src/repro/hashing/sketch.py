@@ -112,13 +112,18 @@ def sign_sketch_batch(
         x = x - mean[:, None]
         scaled = std > 0
         x[scaled] = x[scaled] / std[scaled, None]
-    positions = np.lib.stride_tricks.sliding_window_view(
-        x, r.shape[0], axis=1
-    )[:, ::stride, :]
-    n, p, w = positions.shape
+    n, w = x.shape[0], r.shape[0]
+    p = (x.shape[1] - w) // stride + 1
+    positions = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, p, w),
+        strides=(x.strides[0], stride * x.strides[1], x.strides[1]),
+        writeable=False,
+    )
     dots = (positions.reshape(n * p, w) @ r).reshape(n, p)
     if difference:
-        return (np.diff(dots, axis=1) > 0).astype(np.uint8)
+        # ``b > a`` is ``b - a > 0`` for IEEE doubles, without the temporary
+        return (dots[:, 1:] > dots[:, :-1]).astype(np.uint8)
     return (dots > 0).astype(np.uint8)
 
 

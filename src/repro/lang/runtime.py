@@ -106,9 +106,14 @@ class QueryRuntime:
 
             lsh = self.models.get("lsh") or LSHFamily.for_measure("dtw")
             if data.ndim == 3:
+                channels, windows, samples = data.shape
+                signatures = [
+                    tuple(sig)
+                    for sig in lsh.hash_windows(data.reshape(-1, samples)).tolist()
+                ]
                 return [
-                    [lsh.hash_window(data[c, w]) for w in range(data.shape[1])]
-                    for c in range(data.shape[0])
+                    signatures[c * windows : (c + 1) * windows]
+                    for c in range(channels)
                 ]
             raise CompilationError("hash expects windowed data")
         if op == "select":

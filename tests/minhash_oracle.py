@@ -1,0 +1,113 @@
+"""Reference weighted min-hash: the one-pass scalar sampler.
+
+This is the definition :func:`repro.hashing.minhash.minhash_signature_batch`
+must reproduce bit for bit.  It walks one window's n-gram profile as a
+``{value: count}`` dict in ascending value order, draws one
+``_uniform01`` per n-gram per seed, and keeps the first strictly greatest
+``u ** (1 / count)`` score.  Slow by design; used only by the tests.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.errors import ConfigurationError
+from repro.hashing.lsh import LSHFamily
+from repro.hashing.minhash import _uniform01, finalize_hash
+
+
+def ngram_counts(bits: np.ndarray, n: int) -> dict[int, int]:
+    """Histogram of the n-bit shingles of a 0/1 bit array.
+
+    Each shingle is packed into an integer key (MSB first).
+
+    Returns:
+        Mapping shingle-value -> occurrence count, in ascending key order.
+    """
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ConfigurationError("expected a 1-D bit array")
+    if n < 1:
+        raise ConfigurationError("n-gram size must be >= 1")
+    if np.any((bits != 0) & (bits != 1)):
+        raise ConfigurationError("sketch must contain only 0/1 bits")
+    if bits.shape[0] < n:
+        return {}
+    weights = 1 << np.arange(n - 1, -1, -1)
+    shingles = np.lib.stride_tricks.sliding_window_view(bits.astype(np.int64), n)
+    values = shingles @ weights
+    uniques, counts = np.unique(values, return_counts=True)
+    return {int(v): int(c) for v, c in zip(uniques, counts)}
+
+
+def profile_similarity(counts_a: dict[int, int], counts_b: dict[int, int]) -> float:
+    """Weighted Jaccard similarity of two n-gram profiles.
+
+    This is the quantity the weighted min-hash collision probability
+    estimates.
+    """
+    keys = set(counts_a) | set(counts_b)
+    if not keys:
+        return 1.0
+    min_sum = 0
+    max_sum = 0
+    for key in keys:
+        a = counts_a.get(key, 0)
+        b = counts_b.get(key, 0)
+        min_sum += min(a, b)
+        max_sum += max(a, b)
+    if max_sum == 0:
+        return 1.0
+    return min_sum / max_sum
+
+
+def weighted_minhash_sample(counts: dict[int, int], seed: int) -> int:
+    """Select one n-gram from a weighted profile, min-wise consistently.
+
+    Returns:
+        The selected n-gram's packed integer value.
+
+    Raises:
+        ConfigurationError: for an empty profile.
+    """
+    if not counts:
+        raise ConfigurationError("cannot min-hash an empty n-gram profile")
+    best_key = -1
+    best_score = -1.0
+    for key, weight in counts.items():
+        if weight <= 0:
+            continue
+        score = _uniform01(key, seed) ** (1.0 / weight)
+        if score > best_score:
+            best_score = score
+            best_key = key
+    if best_key < 0:
+        raise ConfigurationError("profile has no positive weights")
+    return best_key
+
+
+def minhash_signature(
+    counts: dict[int, int], seeds: list[int], bits: int
+) -> tuple[int, ...]:
+    """One hash component per seed — the OR-construction signature."""
+    return tuple(
+        finalize_hash(weighted_minhash_sample(counts, seed), seed, bits)
+        for seed in seeds
+    )
+
+
+def oracle_hash_window(family: LSHFamily, window: np.ndarray) -> tuple[int, ...]:
+    """What ``family.hash_window(window)`` must return, computed the slow way.
+
+    Sketch with the scalar :meth:`LSHFamily.sketch`, count n-grams into a
+    dict, and run the scalar sampler once per seed.  EMD families have no
+    min-hash stage and defer to their own hash.
+    """
+    window = np.asarray(window, dtype=float)
+    if family.config.measure == "emd":
+        return family.hash_window(window)
+    counts = ngram_counts(family.sketch(window), family.config.ngram)
+    if not counts:
+        # degenerate window shorter than the sketch geometry
+        return (0,) * family.config.n_components
+    return minhash_signature(counts, family._seeds, family.config.bits)

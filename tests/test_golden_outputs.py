@@ -9,7 +9,7 @@ here.  After an intended output change, regenerate the file with::
 
     PYTHONPATH=src python tests/update_golden.py
 
-and review its diff.  fig11, fig12 and fig14 are ``slow`` (run them
+and review its diff.  fig12 is ``slow`` (run it
 with ``-m slow``).  fig15a and fig15b share fig15's handler, so fig15
 is pinned once.
 """
@@ -43,7 +43,7 @@ TARGETS: tuple[tuple[str, ...], ...] = (
 )
 
 #: Targets that take seconds each; deselected unless ``-m slow``.
-SLOW = frozenset({"fig11", "fig12", "fig14"})
+SLOW = frozenset({"fig12"})
 
 
 def target_key(argv: tuple[str, ...]) -> str:

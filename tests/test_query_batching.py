@@ -3,7 +3,8 @@
 The batched kernels (`hash_windows`, `dtw_distance_batch`) and the cached
 query path promise *element-identical* results to the scalar reference
 implementations — these tests hold them to it, property-based where the
-input space is wide.
+input space is wide.  The min-hash reference is the one-pass sampler in
+`tests/minhash_oracle.py`.
 """
 
 import dataclasses
@@ -15,10 +16,13 @@ from hypothesis import strategies as st
 
 from repro.apps.queries import QueryEngine, QuerySpec
 from repro.errors import ConfigurationError
+from repro.hashing import minhash
 from repro.hashing.lsh import SUPPORTED_MEASURES, LSHFamily
 from repro.similarity.dtw import dtw_distance, dtw_distance_batch
 from repro.storage.controller import StorageController
 from repro.storage.nvm import PAGE_BYTES, NVMDevice
+from tests import minhash_oracle
+from tests.minhash_oracle import oracle_hash_window
 
 CAPACITY = 16 * 1024 * 1024
 
@@ -31,7 +35,17 @@ def _windows(seed: int, n: int, length: int) -> np.ndarray:
     return out
 
 
-# --- kernel equivalence: batched == scalar, element for element ---------------
+# --- kernel equivalence: the min-hash kernel == the scalar oracle -------------
+
+SKETCH_MEASURES = tuple(m for m in SUPPORTED_MEASURES if m != "emd")
+
+
+def _assert_matches_oracle(family: LSHFamily, batch: np.ndarray) -> None:
+    expected = [oracle_hash_window(family, row) for row in batch]
+    batched = family.hash_windows(batch)
+    assert batched.shape == (len(batch), family.config.n_components)
+    assert [tuple(sig) for sig in batched.tolist()] == expected
+    assert [family.hash_window(row) for row in batch] == expected
 
 
 class TestHashBatchEquivalence:
@@ -46,24 +60,103 @@ class TestHashBatchEquivalence:
         family = LSHFamily.for_measure(measure)
         length = family.config.sketch_window + extra if measure != "emd" \
             else 2 + extra
-        batch = _windows(seed, n, length)
-        batched = family.hash_windows(batch)
-        scalar = np.array(
-            [family.hash_window(row) for row in batch], dtype=np.int64
-        )
-        assert np.array_equal(batched, scalar)
+        _assert_matches_oracle(family, _windows(seed, n, length))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
     def test_quantised_windows_match_scalar(self, seed, n):
         # the signature-cache input: int16 round-tripped samples
         family = LSHFamily.for_measure("dtw")
-        quantised = _windows(seed, n, 120).astype("<i2").astype(float)
-        batched = family.hash_windows(quantised)
-        scalar = np.array(
-            [family.hash_window(row) for row in quantised], dtype=np.int64
+        _assert_matches_oracle(
+            family, _windows(seed, n, 120).astype("<i2").astype(float)
         )
-        assert np.array_equal(batched, scalar)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        measure=st.sampled_from(SKETCH_MEASURES),
+        ngram=st.integers(1, 16),
+        n=st.integers(1, 4),
+    )
+    def test_every_ngram_size_matches_oracle(self, seed, measure, ngram, n):
+        # 13..16-grams have more than 4 096 possible shingle values
+        family = LSHFamily.for_measure(measure, ngram=ngram)
+        length = family.config.sketch_window + ngram + 40
+        _assert_matches_oracle(family, _windows(seed, n, length))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        measure=st.sampled_from(SKETCH_MEASURES),
+        level=st.floats(-1e4, 1e4, allow_nan=False),
+        ngram=st.integers(1, 12),
+    )
+    def test_constant_rows_match_oracle(self, measure, level, ngram):
+        family = LSHFamily.for_measure(measure, ngram=ngram)
+        length = family.config.sketch_window + 60
+        batch = np.stack([np.full(length, level), np.zeros(length)])
+        _assert_matches_oracle(family, batch)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        measure=st.sampled_from(SKETCH_MEASURES),
+        ngram=st.integers(2, 16),
+        data=st.data(),
+    )
+    def test_sketch_shorter_than_ngram(self, seed, measure, ngram, data):
+        family = LSHFamily.for_measure(measure, ngram=ngram)
+        # a differenced sketch has ``length - sketch_window`` bits
+        short = data.draw(st.integers(0, ngram - 1))
+        batch = _windows(seed, 3, family.config.sketch_window + short)
+        _assert_matches_oracle(family, batch)
+        assert not family.hash_windows(batch).any()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        measure=st.sampled_from(SKETCH_MEASURES),
+        ngram=st.integers(1, 16),
+        copies=st.integers(2, 4),
+    )
+    def test_duplicate_rows_match_oracle(self, seed, measure, ngram, copies):
+        family = LSHFamily.for_measure(measure, ngram=ngram)
+        rows = _windows(seed, 2, family.config.sketch_window + 50)
+        batch = np.concatenate([rows] * copies)
+        _assert_matches_oracle(family, batch)
+
+    def test_ties_break_toward_the_smallest_value(self, monkeypatch):
+        # real draws almost never tie; coarse ones tie constantly, and the
+        # scalar sampler keeps the first of equal scores in value order
+        def coarse(value, seed):
+            return ((value + seed) % 3 + 1) / 4
+
+        monkeypatch.setattr(minhash, "_uniform01", coarse)
+        monkeypatch.setattr(minhash_oracle, "_uniform01", coarse)
+        monkeypatch.setattr(minhash, "_TABLES", {})
+        for ngram in (1, 3, 8, 12):
+            family = LSHFamily.for_measure("dtw", ngram=ngram)
+            _assert_matches_oracle(family, _windows(ngram, 6, 120))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ngram=st.integers(1, 16),
+        n_a=st.integers(1, 4),
+        n_b=st.integers(1, 4),
+    )
+    def test_seed_table_cache_is_order_independent(self, seed, ngram, n_a, n_b):
+        first = LSHFamily.for_measure("dtw", ngram=ngram)
+        second = LSHFamily.for_measure("dtw", ngram=ngram)
+        batch_a = _windows(seed, n_a, 120)
+        batch_b = _windows(seed + 1, n_b, 120)
+        minhash._TABLES.clear()
+        a_then_b = [first.hash_windows(batch_a), first.hash_windows(batch_b)]
+        minhash._TABLES.clear()
+        b_then_a = [second.hash_windows(batch_b), second.hash_windows(batch_a)]
+        # and once the table holds every value of both batches
+        warm = [second.hash_windows(batch_a), first.hash_windows(batch_b)]
+        for sigs in (b_then_a[::-1], warm):
+            assert all(np.array_equal(x, y) for x, y in zip(a_then_b, sigs))
 
     def test_matches_many_matches_scalar(self, rng):
         family = LSHFamily.for_measure("dtw")
