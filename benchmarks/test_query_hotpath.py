@@ -1,22 +1,27 @@
-"""Query hot path: scalar scan vs batched scan vs warm signature cache.
+"""Query hot path: reference scan vs batched scan, cold and warm.
 
-The batch-first redesign promises that a Q2 hash fleet scan is answered
+The batch-first design promises that a Q2 hash fleet scan is answered
 (a) in one vectorised pass per node instead of a Python loop per window,
 and (b) from the storage controllers' hash-on-write signature cache
 without touching the hash kernels at all when the cache is warm.  This
-benchmark times all three modes on Q2 hash scans at several fleet sizes,
-asserts the returned rows are element-identical, and writes the measured
-numbers to ``BENCH_query.json`` at the repo root.
+benchmark times the window-at-a-time reference scan in
+``tests/query_oracle.py`` (the "scalar" columns), the engine with warm
+signature caches, and the same engine after every controller's
+signatures are invalidated (the "cold" columns), on Q2 hash scans at
+several fleet sizes.  It asserts the returned rows are element-identical
+and writes the measured numbers to ``BENCH_query.json`` at the repo root.
 
 Gates: batched-cold must beat scalar by >= 2x at every fleet size, and
 the warm cache must beat scalar by >= 5x on the paper's 11-node fleet.
 Set ``BENCH_QUERY_SMOKE=1`` to run the 4-node fleet only with the 2x
-gate (the CI smoke configuration).
+gate (the CI smoke configuration).  Run it from the repo root with
+``PYTHONPATH=src python -m pytest benchmarks/test_query_hotpath.py`` so
+that the ``tests`` package is importable.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import json
 import os
 import pathlib
@@ -28,6 +33,7 @@ from repro.apps.queries import QueryEngine, QuerySpec
 from repro.hashing.lsh import LSHFamily
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
+from tests.query_oracle import oracle_run
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_query.json"
 
@@ -67,20 +73,13 @@ def _build_fleet(n_nodes: int, seed: int = 0):
     return engine, template
 
 
-def _row_keys(result):
-    return [
-        (row.node, row.electrode, row.window_index, row.samples.tobytes())
-        for row in result.rows
-    ]
-
-
-def _time_run(engine, spec, template) -> tuple[float, list]:
+def _time_run(run, spec, template) -> tuple[float, list]:
     best, rows = float("inf"), None
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        result = engine.run(spec, (0, N_WINDOWS), template=template)
+        result = run(spec, (0, N_WINDOWS), template=template)
         best = min(best, time.perf_counter() - start)
-        rows = _row_keys(result)
+        rows = result.row_keys()
     return best, rows
 
 
@@ -89,12 +88,13 @@ def test_query_hotpath(report):
     results = []
     for n_nodes in FLEET_SIZES:
         engine, template = _build_fleet(n_nodes)
-        scalar = dataclasses.replace(engine, batched=False)
-        cold = dataclasses.replace(engine, use_cache=False)
 
-        scalar_s, scalar_rows = _time_run(scalar, spec, template)
-        cold_s, cold_rows = _time_run(cold, spec, template)
-        warm_s, warm_rows = _time_run(engine, spec, template)
+        reference = functools.partial(oracle_run, engine)
+        scalar_s, scalar_rows = _time_run(reference, spec, template)
+        warm_s, warm_rows = _time_run(engine.run, spec, template)
+        for controller in engine.controllers:
+            controller.invalidate_signatures()
+        cold_s, cold_rows = _time_run(engine.run, spec, template)
 
         assert cold_rows == scalar_rows
         assert warm_rows == scalar_rows
@@ -138,7 +138,8 @@ def test_query_hotpath(report):
             f"{r['batched_speedup']:8.1f}{r['warm_speedup']:8.1f}"
         )
     lines.append(f"written to {BENCH_PATH.name}")
-    report("Query hot path: scalar vs batched vs warm cache (Q2 hash)", lines)
+    report("Query hot path: reference scan vs batched cold vs warm cache "
+           "(Q2 hash)", lines)
 
     for r in results:
         assert r["batched_speedup"] >= MIN_BATCHED_SPEEDUP, r

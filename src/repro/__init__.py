@@ -29,7 +29,7 @@ Package map:
 * :mod:`repro.decoders` — SVM / shallow NN / Kalman + decompositions.
 * :mod:`repro.apps` — seizure propagation, movement intent, spike
   sorting, interactive queries.
-* :mod:`repro.scheduler` — task models, the ILP, analytical twin.
+* :mod:`repro.scheduler` — task models, the ILP, materialisation.
 * :mod:`repro.lang` — the Trill-like query language.
 * :mod:`repro.datasets` — synthetic iEEG and spike datasets.
 * :mod:`repro.core` — nodes, the distributed system, Table 2 designs,

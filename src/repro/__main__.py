@@ -655,19 +655,20 @@ def _positive_int(text: str) -> int:
 
 
 def _writable_path(text: str) -> str:
-    """Reject report paths whose parent directory does not exist.
+    """Reject report paths that cannot name a new or existing file.
 
-    Validated at parse time so a typo fails in milliseconds with usage,
-    not after a multi-minute sweep has already run.
+    The parent directory must exist and the path must not itself be a
+    directory.  Validated at parse time so a typo fails in milliseconds
+    with usage, not after a multi-minute sweep has already run.
     """
     import pathlib
 
-    parent = pathlib.Path(text).parent
-    if not parent.is_dir():
+    path = pathlib.Path(text)
+    if not path.parent.is_dir():
         raise argparse.ArgumentTypeError(
-            f"directory {str(parent)!r} does not exist"
+            f"directory {str(path.parent)!r} does not exist"
         )
-    if not text or text.endswith(("/", ".")):
+    if not text or text.endswith(("/", ".")) or path.is_dir():
         raise argparse.ArgumentTypeError(
             f"expected a file path, got {text!r}"
         )

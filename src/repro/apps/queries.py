@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError, ScaloError
 from repro.hardware.catalog import get_pe
 from repro.hashing.lsh import LSHFamily
 from repro.network.radio import EXTERNAL_RADIO, RadioSpec
-from repro.similarity.dtw import dtw_distance, dtw_distance_batch
+from repro.similarity.dtw import dtw_distance_batch
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike, TraceContext
@@ -200,7 +200,7 @@ class DistributedQueryResult:
 
         The stable identity of an answer: equality of two results' row
         keys is exactly "same rows, same order, same bytes" — what the
-        batched/scalar equivalence tests and the serving layer's
+        reference-scan equivalence tests and the serving layer's
         response-log checksums compare.
         """
         return [
@@ -226,13 +226,12 @@ class QueryEngine:
     (what Q1 filters on); Q2 matches stored windows against a template via
     the node's LSH (or exact DTW).
 
-    :meth:`run` is the single entry point.  By default each node is
-    scanned as one batched pass (vectorised hashing/DTW, served from the
-    storage controllers' hash-on-write signature cache where possible);
-    ``batched=False`` selects the reference window-at-a-time scan, and
-    ``use_cache=False`` forces rehashing.  All three paths return
-    element-identical rows (property-tested in
-    ``tests/test_query_batching.py``).
+    :meth:`run` is the single entry point.  Each node is scanned as one
+    batched pass (vectorised hashing/DTW, served from the storage
+    controllers' hash-on-write signature cache where possible).  The
+    window-at-a-time reference scan in ``tests/query_oracle.py`` is what
+    it is tested against, warm and with the signatures invalidated
+    (``tests/test_query_batching.py``).
     """
 
     controllers: list[StorageController]
@@ -240,10 +239,6 @@ class QueryEngine:
     seizure_flags: dict[int, set[int]] = field(default_factory=dict)
     dtw_threshold: float = 60.0
     dtw_band: int = 10
-    #: scan each node as one vectorised pass (off = reference scalar scan)
-    batched: bool = True
-    #: serve Q2 hash signatures from the SC signature cache when present
-    use_cache: bool = True
     #: observability handle: per-node ``lookup`` spans, a ``merge`` span,
     #: and the ``query.*`` counters land here
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
@@ -262,39 +257,6 @@ class QueryEngine:
 
     # -- per-node scans --------------------------------------------------------------
 
-    def _node_rows_scalar(
-        self,
-        node: int,
-        spec: QuerySpec,
-        window_range: tuple[int, int],
-        template: np.ndarray | None,
-        template_sig: tuple[int, ...] | None,
-    ) -> list[QueryResultRow]:
-        """Reference scan: one read + one hash/DTW per stored window."""
-        start, stop = window_range
-        controller = self.controllers[node]
-        flags = self.seizure_flags.get(node, set())
-        rows: list[QueryResultRow] = []
-        for electrode, window_index in self._stored_windows(node):
-            if not start <= window_index < stop:
-                continue
-            if spec.kind == "q1" and window_index not in flags:
-                continue
-            samples = controller.read_window(electrode, window_index)
-            if spec.kind == "q2":
-                if spec.use_hash:
-                    sig = self.lsh.hash_window(samples.astype(float))
-                    if not self.lsh.matches(sig, template_sig):
-                        continue
-                else:
-                    cost = dtw_distance(
-                        samples.astype(float), template, self.dtw_band
-                    )
-                    if cost > self.dtw_threshold:
-                        continue
-            rows.append(QueryResultRow(node, electrode, window_index, samples))
-        return rows
-
     def _node_rows_batched(
         self,
         node: int,
@@ -311,8 +273,8 @@ class QueryEngine:
         in a single vectorised pass (per window length, since stored
         windows need not share a geometry).  Q2 DTW scans batch the DP
         over all same-length windows.  Row order (sorted
-        ``(electrode, window)``) and row contents match the scalar scan
-        exactly.
+        ``(electrode, window)``) and row contents match the reference
+        scan in ``tests/query_oracle.py`` exactly.
         """
         start, stop = window_range
         controller = self.controllers[node]
@@ -332,15 +294,12 @@ class QueryEngine:
         if spec.kind == "q2" and spec.use_hash:
             signatures: dict[tuple[int, int], tuple[int, ...]] = {}
             misses: list[tuple[int, int]] = []
-            if self.use_cache:
-                for pair in pairs:
-                    sig = controller.window_signature(*pair)
-                    if sig is None:
-                        misses.append(pair)
-                    else:
-                        signatures[pair] = sig
-            else:
-                misses = list(pairs)
+            for pair in pairs:
+                sig = controller.window_signature(*pair)
+                if sig is None:
+                    misses.append(pair)
+                else:
+                    signatures[pair] = sig
             if tel.enabled:
                 tel.inc("query.cache_hit", len(pairs) - len(misses))
                 tel.inc("query.cache_miss", len(misses))
@@ -437,20 +396,6 @@ class QueryEngine:
             QueryResultRow(node, pair[0], pair[1], empty) for pair in pairs
         ]
 
-    def _node_rows(
-        self,
-        node: int,
-        spec: QuerySpec,
-        window_range: tuple[int, int],
-        template: np.ndarray | None,
-        template_sig: tuple[int, ...] | None,
-        cache_only: bool = False,
-    ) -> list[QueryResultRow]:
-        if cache_only:
-            return self._node_rows_cached(node, spec, window_range, template_sig)
-        scan = self._node_rows_batched if self.batched else self._node_rows_scalar
-        return scan(node, spec, window_range, template, template_sig)
-
     # -- the query entry point -------------------------------------------------------
 
     def run(
@@ -496,10 +441,14 @@ class QueryEngine:
             with tel.span("lookup", trace=traces.get(node), node=node,
                           kind=spec.kind) as span:
                 try:
-                    node_rows = self._node_rows(
-                        node, spec, window_range, template, template_sig,
-                        cache_only=cache_only,
-                    )
+                    if cache_only:
+                        node_rows = self._node_rows_cached(
+                            node, spec, window_range, template_sig
+                        )
+                    else:
+                        node_rows = self._node_rows_batched(
+                            node, spec, window_range, template, template_sig
+                        )
                 except ScaloError:
                     failed.append(node)
                     tel.inc("query.node_failures")

@@ -119,11 +119,16 @@ def fig9b(node_counts=FIG9_NODE_COUNTS) -> dict[str, dict[int, float]]:
 
 
 def spike_sorting_rate_per_node(power_mw: float = NODE_POWER_CAP_MW) -> float:
-    """Spikes sorted per second per node (paper: 12,250)."""
-    from repro.scheduler.analytical import analytic_electrodes
+    """Spikes sorted per second per node (paper: 12,250).
 
-    breakdown = analytic_electrodes(spike_sorting_task(), 1, power_mw)
-    return breakdown.electrodes * SPIKES_PER_ELECTRODE_HZ
+    The single-node, single-flow LP's electrode allocation times the
+    assumed per-electrode spike rate.
+    """
+    problem = SchedulerProblem(
+        n_nodes=1, flows=[Flow(spike_sorting_task())], power_budget_mw=power_mw
+    )
+    allocation = problem.solve().allocations[0]
+    return allocation.electrodes_per_node * SPIKES_PER_ELECTRODE_HZ
 
 
 def spike_sorting_latency_ms() -> float:

@@ -10,12 +10,7 @@ from repro.hashing.lsh import (
 )
 from repro.hashing.minhash import finalize_hash, minhash_signature_batch
 from repro.hashing.ngram import ngram_value_matrix
-from repro.hashing.sketch import (
-    random_projection_vector,
-    sign_sketch,
-    sign_sketch_batch,
-    sketch_length,
-)
+from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 
 __all__ = [
     "CollisionChecker",
@@ -30,7 +25,5 @@ __all__ = [
     "minhash_signature_batch",
     "ngram_value_matrix",
     "random_projection_vector",
-    "sign_sketch",
     "sign_sketch_batch",
-    "sketch_length",
 ]

@@ -23,11 +23,7 @@ from repro.errors import ConfigurationError
 from repro.hashing.emd_hash import EMDHash
 from repro.hashing.minhash import minhash_signature_batch
 from repro.hashing.ngram import ngram_value_matrix
-from repro.hashing.sketch import (
-    random_projection_vector,
-    sign_sketch,
-    sign_sketch_batch,
-)
+from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 
 #: Measures the family supports.
 SUPPORTED_MEASURES = ("dtw", "euclidean", "xcor", "emd")
@@ -135,17 +131,6 @@ class LSHFamily:
         return cls(preset)
 
     # -- hashing ---------------------------------------------------------------
-
-    def sketch(self, window: np.ndarray) -> np.ndarray:
-        """The intermediate HCONV bit sketch (exposed for tests/analysis)."""
-        if self._projection is None:
-            raise ConfigurationError("EMD hashes have no bit sketch")
-        return sign_sketch(
-            window,
-            self._projection,
-            stride=self.config.stride,
-            normalise=self.config.normalise,
-        )
 
     def hash_window(self, window: np.ndarray) -> tuple[int, ...]:
         """Hash one signal window to its component tuple.

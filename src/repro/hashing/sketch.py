@@ -28,72 +28,38 @@ def random_projection_vector(
     return rng.standard_normal(length)
 
 
-def sign_sketch(
-    window: np.ndarray,
-    projection: np.ndarray,
-    stride: int = 1,
-    normalise: bool = False,
-    difference: bool = True,
-) -> np.ndarray:
-    """Bit sketch: sign structure of sliding dot products with ``projection``.
-
-    Args:
-        window: 1-D signal window.
-        projection: the shared random vector; its length is the sketch
-            sub-window size ``w``.
-        stride: hop between sliding positions (SSH's ``delta``).
-        normalise: z-score the window first.  Pearson correlation is
-            invariant to offset and scale, so the XCOR-configured hash
-            normalises; the Euclidean/DTW hashes do not.
-        difference: take the sign of the dot-product *first difference*
-            rather than the raw sign.  Neural signals have a strong 1/f
-            component that makes consecutive overlapping dot products
-            drift together; raw signs then degenerate into long runs and
-            every window hashes alike.  Differencing whitens the sketch
-            while preserving the warping-tolerant local structure.
-
-    Returns:
-        uint8 array of 0/1 bits, one per sliding position (minus one
-        when differencing).
-    """
-    x = np.asarray(window, dtype=float)
-    r = np.asarray(projection, dtype=float)
-    if x.ndim != 1 or r.ndim != 1:
-        raise ConfigurationError("window and projection must be 1-D")
-    if r.shape[0] > x.shape[0]:
-        raise ConfigurationError(
-            f"projection ({r.shape[0]}) longer than window ({x.shape[0]})"
-        )
-    if stride < 1:
-        raise ConfigurationError("stride must be >= 1")
-    if normalise:
-        std = x.std()
-        x = (x - x.mean()) / std if std > 0 else x - x.mean()
-    positions = np.lib.stride_tricks.sliding_window_view(x, r.shape[0])[::stride]
-    dots = positions @ r
-    if difference:
-        return (np.diff(dots) > 0).astype(np.uint8)
-    return (dots > 0).astype(np.uint8)
-
-
 def sign_sketch_batch(
     windows: np.ndarray,
     projection: np.ndarray,
     stride: int = 1,
     normalise: bool = False,
-    difference: bool = True,
 ) -> np.ndarray:
-    """Batched :func:`sign_sketch` over ``(n_windows, window_len)`` rows.
+    """Bit sketches of ``(n_windows, window_len)`` rows, one per row.
 
-    One strided view + one matmul covers the whole batch; row ``i`` of
-    the result is element-identical to ``sign_sketch(windows[i], ...)``.
-    The dot products are evaluated as a single ``(n * positions, w)``
-    by ``(w,)`` product — the same contiguous-rows-times-vector kernel
-    the scalar path uses — so the floating-point summation order per
-    sliding position is unchanged.
+    Each bit is the sign of the *first difference* of consecutive sliding
+    dot products with ``projection``, not the raw sign.  Neural signals
+    have a strong 1/f component that makes overlapping dot products drift
+    together; raw signs then degenerate into long runs and every window
+    hashes alike.  Differencing whitens the sketch while preserving the
+    warping-tolerant local structure.
+
+    One strided view + one matmul covers the whole batch, evaluated as a
+    single ``(n * positions, w)`` by ``(w,)`` product — the same
+    rows-times-vector kernel as the one-window reference ``sign_sketch``
+    in ``tests/minhash_oracle.py``, so each position's summation order,
+    and hence row ``i`` of the result, matches it exactly.
+
+    Args:
+        windows: ``(n_windows, window_len)`` signal rows.
+        projection: the shared random vector; its length is the sketch
+            sub-window size ``w``.
+        stride: hop between sliding positions (SSH's ``delta``).
+        normalise: z-score each row first.  Pearson correlation is
+            invariant to offset and scale, so the XCOR-configured hash
+            normalises; the Euclidean/DTW hashes do not.
 
     Returns:
-        uint8 array of shape ``(n_windows, sketch_bits)``.
+        uint8 array of shape ``(n_windows, positions - 1)``.
     """
     x = np.asarray(windows, dtype=float)
     r = np.asarray(projection, dtype=float)
@@ -121,16 +87,5 @@ def sign_sketch_batch(
         writeable=False,
     )
     dots = (positions.reshape(n * p, w) @ r).reshape(n, p)
-    if difference:
-        # ``b > a`` is ``b - a > 0`` for IEEE doubles, without the temporary
-        return (dots[:, 1:] > dots[:, :-1]).astype(np.uint8)
-    return (dots > 0).astype(np.uint8)
-
-
-def sketch_length(window_len: int, w: int, stride: int = 1,
-                  difference: bool = True) -> int:
-    """Number of sketch bits produced for the given geometry."""
-    if window_len < w:
-        return 0
-    positions = (window_len - w) // stride + 1
-    return max(0, positions - 1) if difference else positions
+    # ``b > a`` is ``b - a > 0`` for IEEE doubles, without the temporary
+    return (dots[:, 1:] > dots[:, :-1]).astype(np.uint8)

@@ -1,4 +1,4 @@
-"""Wireless networking: packets, CRC, channels, radios, TDMA, ARQ."""
+"""Wireless networking: packets, channels, radios, TDMA, ARQ."""
 
 from repro.network.arq import ARQConfig, ARQResult, ARQStats, ReliableLink
 from repro.network.channel import (
@@ -6,7 +6,6 @@ from repro.network.channel import (
     GilbertElliottChannel,
     flip_bits,
 )
-from repro.network.crc import crc32, verify
 from repro.network.network import (
     DROP_ON_ERROR,
     DeliveryOutcome,
@@ -53,8 +52,6 @@ __all__ = [
     "BitErrorChannel",
     "GilbertElliottChannel",
     "flip_bits",
-    "crc32",
-    "verify",
     "DROP_ON_ERROR",
     "DeliveryOutcome",
     "DeliveryStats",

@@ -3,7 +3,8 @@
 Packets carry an 84-bit header and up to 256 bytes of data; the header and
 the data each get a 32-bit CRC32 checksum.  On a checksum error the
 receiver drops hash packets but *keeps* signal packets, because similarity
-measures like DTW tolerate a few flipped samples (§6.6).
+measures like DTW tolerate a few flipped samples (§6.6).  ``zlib.crc32``
+is the NPACK polynomial: IEEE 802.3 CRC-32, reflected form 0xEDB88320.
 
 Header layout (84 bits)::
 
@@ -19,11 +20,11 @@ Header layout (84 bits)::
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, NetworkError
-from repro.network.crc import crc32
 
 if TYPE_CHECKING:
     from repro.telemetry import TraceContext
@@ -144,8 +145,8 @@ class Packet:
         return cls(
             header=header,
             payload=payload,
-            header_crc=crc32(header.pack()),
-            payload_crc=crc32(payload),
+            header_crc=zlib.crc32(header.pack()),
+            payload_crc=zlib.crc32(payload),
             trace=trace,
         )
 
@@ -153,11 +154,11 @@ class Packet:
 
     @property
     def header_ok(self) -> bool:
-        return crc32(self.header.pack()) == self.header_crc
+        return zlib.crc32(self.header.pack()) == self.header_crc
 
     @property
     def payload_ok(self) -> bool:
-        return crc32(self.payload) == self.payload_crc
+        return zlib.crc32(self.payload) == self.payload_crc
 
     @property
     def intact(self) -> bool:

@@ -1,10 +1,5 @@
-"""ILP scheduling: task models, LP solver, analytical twin, materialisation."""
+"""ILP scheduling: task models, LP solver, materialisation."""
 
-from repro.scheduler.analytical import (
-    ThroughputBreakdown,
-    analytic_electrodes,
-    analytic_throughput_mbps,
-)
 from repro.scheduler.codegen import emit_all_nodes, emit_config_program
 from repro.scheduler.constraints import (
     NETWORK_UTILISATION_CAP,
@@ -44,9 +39,6 @@ __all__ = [
     "ConstraintSystem",
     "FlowRow",
     "NETWORK_UTILISATION_CAP",
-    "ThroughputBreakdown",
-    "analytic_electrodes",
-    "analytic_throughput_mbps",
     "build_constraints",
     "emit_all_nodes",
     "emit_config_program",

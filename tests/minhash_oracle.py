@@ -1,7 +1,10 @@
-"""Reference weighted min-hash: the one-pass scalar sampler.
+"""Reference sign sketch and weighted min-hash: the one-window scalar forms.
 
-This is the definition :func:`repro.hashing.minhash.minhash_signature_batch`
-must reproduce bit for bit.  It walks one window's n-gram profile as a
+:func:`sign_sketch` is the definition
+:func:`repro.hashing.sketch.sign_sketch_batch` must reproduce row for
+row, and the one-pass sampler is the definition
+:func:`repro.hashing.minhash.minhash_signature_batch` must reproduce bit
+for bit.  The sampler walks one window's n-gram profile as a
 ``{value: count}`` dict in ascending value order, draws one
 ``_uniform01`` per n-gram per seed, and keeps the first strictly greatest
 ``u ** (1 / count)`` score.  Slow by design; used only by the tests.
@@ -14,6 +17,41 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.hashing.lsh import LSHFamily
 from repro.hashing.minhash import _uniform01, finalize_hash
+
+
+def sign_sketch(
+    window: np.ndarray,
+    projection: np.ndarray,
+    stride: int = 1,
+    normalise: bool = False,
+) -> np.ndarray:
+    """One window's differenced sign sketch (the HCONV bit string).
+
+    The sign of the first difference of consecutive sliding dot products
+    with ``projection``, hopping ``stride`` samples; ``normalise``
+    z-scores the window first.
+    """
+    x = np.asarray(window, dtype=float)
+    r = np.asarray(projection, dtype=float)
+    if x.ndim != 1 or r.ndim != 1:
+        raise ConfigurationError("window and projection must be 1-D")
+    if r.shape[0] > x.shape[0]:
+        raise ConfigurationError(
+            f"projection ({r.shape[0]}) longer than window ({x.shape[0]})"
+        )
+    if stride < 1:
+        raise ConfigurationError("stride must be >= 1")
+    if normalise:
+        std = x.std()
+        x = (x - x.mean()) / std if std > 0 else x - x.mean()
+    positions = np.lib.stride_tricks.sliding_window_view(x, r.shape[0])[::stride]
+    return (np.diff(positions @ r) > 0).astype(np.uint8)
+
+
+def sketch_length(window_len: int, w: int, stride: int = 1) -> int:
+    """Number of sketch bits produced for the given geometry."""
+    return (window_len - w) // stride if window_len >= w else 0
+
 
 
 def ngram_counts(bits: np.ndarray, n: int) -> dict[int, int]:
@@ -99,15 +137,17 @@ def minhash_signature(
 def oracle_hash_window(family: LSHFamily, window: np.ndarray) -> tuple[int, ...]:
     """What ``family.hash_window(window)`` must return, computed the slow way.
 
-    Sketch with the scalar :meth:`LSHFamily.sketch`, count n-grams into a
+    Sketch with the scalar :func:`sign_sketch`, count n-grams into a
     dict, and run the scalar sampler once per seed.  EMD families have no
     min-hash stage and defer to their own hash.
     """
     window = np.asarray(window, dtype=float)
-    if family.config.measure == "emd":
+    config = family.config
+    if config.measure == "emd":
         return family.hash_window(window)
-    counts = ngram_counts(family.sketch(window), family.config.ngram)
+    bits = sign_sketch(window, family._projection, config.stride, config.normalise)
+    counts = ngram_counts(bits, config.ngram)
     if not counts:
         # degenerate window shorter than the sketch geometry
-        return (0,) * family.config.n_components
-    return minhash_signature(counts, family._seeds, family.config.bits)
+        return (0,) * config.n_components
+    return minhash_signature(counts, family._seeds, config.bits)

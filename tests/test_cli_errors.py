@@ -65,6 +65,12 @@ BAD_INVOCATIONS = [
                  id="serve-csv-missing-parent"),
     pytest.param(("trace", "--export", "traces/"),
                  id="trace-export-trailing-slash"),
+    pytest.param(("trace", "seizure", "--csv", SRC),
+                 id="trace-csv-existing-directory"),
+    pytest.param(("trace", "seizure", "--export", SRC),
+                 id="trace-export-existing-directory"),
+    pytest.param(("serve", "--health-report", SRC),
+                 id="serve-health-report-existing-directory"),
     pytest.param(("nosuchtarget",), id="unknown-target"),
 ]
 

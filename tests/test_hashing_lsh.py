@@ -80,11 +80,6 @@ class TestLSHFamily:
         with pytest.raises(ConfigurationError):
             family.matches((1, 2), (1, 2, 3))
 
-    def test_emd_family_has_no_sketch(self):
-        fam = LSHFamily.for_measure("emd")
-        with pytest.raises(ConfigurationError):
-            fam.sketch(np.zeros(120))
-
     def test_2d_input_rejected(self, family):
         with pytest.raises(ConfigurationError):
             family.hash_window(np.zeros((2, 120)))

@@ -2,18 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hashing.minhash import finalize_hash
-from repro.hashing.sketch import (
-    random_projection_vector,
-    sign_sketch,
-    sketch_length,
-)
+from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 from tests.minhash_oracle import (
     minhash_signature,
     ngram_counts,
     profile_similarity,
+    sign_sketch,
+    sketch_length,
     weighted_minhash_sample,
 )
 
@@ -34,41 +34,74 @@ class TestProjection:
             random_projection_vector(0, 7)
 
 
+def _one_row(x):
+    return np.asarray(x, dtype=float)[None, :]
+
+
 class TestSignSketch:
     def test_output_is_bits(self, rng):
         proj = random_projection_vector(8, 7)
-        bits = sign_sketch(rng.normal(size=64), proj)
+        bits = sign_sketch_batch(_one_row(rng.normal(size=64)), proj)
         assert set(np.unique(bits)) <= {0, 1}
 
     def test_length_matches_helper(self, rng):
         proj = random_projection_vector(8, 7)
         for stride in (1, 2, 4):
-            for diff in (True, False):
-                bits = sign_sketch(rng.normal(size=64), proj, stride,
-                                   difference=diff)
-                assert bits.shape[0] == sketch_length(64, 8, stride, diff)
+            bits = sign_sketch_batch(_one_row(rng.normal(size=64)), proj, stride)
+            assert bits.shape == (1, sketch_length(64, 8, stride))
 
     def test_gain_invariant(self, rng):
         proj = random_projection_vector(8, 7)
         x = rng.normal(size=64)
-        assert (sign_sketch(x, proj) == sign_sketch(3.5 * x, proj)).all()
+        assert (
+            sign_sketch_batch(_one_row(x), proj)
+            == sign_sketch_batch(_one_row(3.5 * x), proj)
+        ).all()
 
     def test_normalise_makes_offset_invariant(self, rng):
         proj = random_projection_vector(8, 7)
         x = rng.normal(size=64)
-        a = sign_sketch(x, proj, normalise=True)
-        b = sign_sketch(x + 100.0, proj, normalise=True)
+        a = sign_sketch_batch(_one_row(x), proj, normalise=True)
+        b = sign_sketch_batch(_one_row(x + 100.0), proj, normalise=True)
         assert (a == b).all()
 
     def test_projection_longer_than_window_rejected(self):
         proj = random_projection_vector(32, 7)
         with pytest.raises(ConfigurationError):
-            sign_sketch(np.zeros(16), proj)
+            sign_sketch_batch(np.zeros((1, 16)), proj)
 
     def test_bad_stride_rejected(self, rng):
         proj = random_projection_vector(8, 7)
         with pytest.raises(ConfigurationError):
-            sign_sketch(rng.normal(size=64), proj, stride=0)
+            sign_sketch_batch(_one_row(rng.normal(size=64)), proj, stride=0)
+
+    def test_one_d_input_rejected(self, rng):
+        proj = random_projection_vector(8, 7)
+        with pytest.raises(ConfigurationError):
+            sign_sketch_batch(rng.normal(size=64), proj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        w=st.integers(1, 40),
+        extra=st.integers(0, 90),
+        stride=st.integers(1, 5),
+        normalise=st.booleans(),
+    )
+    def test_rows_match_scalar_oracle(self, seed, n, w, extra, stride,
+                                      normalise):
+        rng = np.random.default_rng(seed)
+        batch = rng.standard_normal((n, w + extra)) * 200
+        batch[0] = batch[0, 0]  # constant row: zero variance
+        proj = random_projection_vector(w, seed)
+        bits = sign_sketch_batch(batch, proj, stride, normalise)
+        assert bits.dtype == np.uint8
+        assert bits.shape == (n, sketch_length(w + extra, w, stride))
+        for row, expected in zip(bits, batch):
+            assert np.array_equal(
+                row, sign_sketch(expected, proj, stride, normalise)
+            )
 
 
 class TestNgrams:

@@ -1,13 +1,15 @@
 """Tests for CRC, packets, radios, the BER channel, TDMA, and delivery."""
 
+import dataclasses
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.network.channel import BitErrorChannel, flip_bits
-from repro.network.crc import crc32, verify
 from repro.network.network import WirelessNetwork
 from repro.network.packet import (
     BROADCAST,
@@ -27,6 +29,11 @@ from repro.network.radio import (
     scale_radio_to_distance,
 )
 from repro.network.tdma import TDMAConfig, TDMASchedule, hash_payload_bytes
+from tests import crc_oracle
+
+
+#: header bits on air; the last 4 bits of the 11 packed bytes are padding
+_HEADER_PAD = range(84, 88)
 
 
 class TestCRC:
@@ -34,16 +41,54 @@ class TestCRC:
         "data", [b"", b"a", b"hello world", bytes(range(256))]
     )
     def test_matches_zlib(self, data):
-        assert crc32(data) == zlib.crc32(data)
+        assert crc_oracle.crc32(data) == zlib.crc32(data)
+
+    def test_check_value(self):
+        # the CRC-32/ISO-HDLC check value the NPACK polynomial must give
+        assert zlib.crc32(b"123456789") == 0xCBF43926
+        assert crc_oracle.crc32(b"123456789") == 0xCBF43926
 
     def test_verify(self):
-        assert verify(b"xyz", crc32(b"xyz"))
-        assert not verify(b"xyz", crc32(b"xya"))
+        packet = Packet.build(0, 1, PayloadKind.HASHES, b"xyz")
+        assert packet.payload_ok
+        assert not dataclasses.replace(packet, payload=b"xya").payload_ok
 
     def test_detects_single_bit_flip(self):
         data = b"neural data payload"
         corrupted = flip_bits(data, np.array([13]))
-        assert crc32(corrupted) != crc32(data)
+        assert zlib.crc32(corrupted) != zlib.crc32(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(max_size=300),
+           seed=st.sampled_from([0, 1, 0xDEADBEEF]))
+    def test_zlib_equals_table_crc(self, data, seed):
+        assert zlib.crc32(data, seed) == crc_oracle.crc32(data, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        src=st.integers(0, 63), dst=st.integers(0, 63),
+        kind=st.sampled_from(list(PayloadKind)), flow=st.integers(0, 255),
+        seq=st.integers(0, 65535), ticks=st.integers(0, 2**32 - 1),
+        payload=st.binary(max_size=MAX_PAYLOAD_BYTES), data=st.data(),
+    )
+    def test_packet_crcs_are_the_table_crc(
+        self, src, dst, kind, flow, seq, ticks, payload, data
+    ):
+        packet = Packet.build(src, dst, kind, payload, flow=flow, seq=seq,
+                              time_ticks=ticks)
+        assert packet.header_crc == crc_oracle.crc32(packet.header.pack())
+        assert packet.payload_crc == crc_oracle.crc32(payload)
+        # any one flipped bit on air fails exactly the check covering it
+        wire = packet.to_wire()
+        bit = data.draw(
+            st.integers(0, 8 * len(wire) - 1).filter(
+                lambda b: b not in _HEADER_PAD
+            )
+        )
+        received = Packet.from_wire(flip_bits(wire, np.array([bit])))
+        in_header = bit < 8 * 15  # header bytes + header CRC
+        assert received.header_ok != in_header
+        assert received.payload_ok == in_header
 
 
 class TestHeader:

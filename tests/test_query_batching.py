@@ -1,10 +1,11 @@
-"""Batched query hot path: kernel equivalence, signature cache, shims.
+"""Batched query hot path: kernel equivalence, signature cache, engine.
 
 The batched kernels (`hash_windows`, `dtw_distance_batch`) and the cached
 query path promise *element-identical* results to the scalar reference
 implementations — these tests hold them to it, property-based where the
 input space is wide.  The min-hash reference is the one-pass sampler in
-`tests/minhash_oracle.py`.
+`tests/minhash_oracle.py`; the query-scan reference is the
+window-at-a-time scan in `tests/query_oracle.py`.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from repro.storage.controller import StorageController
 from repro.storage.nvm import PAGE_BYTES, NVMDevice
 from tests import minhash_oracle
 from tests.minhash_oracle import oracle_hash_window
+from tests.query_oracle import oracle_run
 
 CAPACITY = 16 * 1024 * 1024
 
@@ -325,7 +327,7 @@ class TestSignatureCache:
         )
 
 
-# --- engine equivalence: scalar vs batched vs cache-warm ----------------------
+# --- engine equivalence: reference scan vs cold engine vs warm engine ---------
 
 
 def _fleet(seed: int = 0, n_nodes: int = 3, with_cache: bool = True):
@@ -358,13 +360,6 @@ def _fleet(seed: int = 0, n_nodes: int = 3, with_cache: bool = True):
     return engine, template
 
 
-def _row_keys(result):
-    return [
-        (row.node, row.electrode, row.window_index, row.samples.tobytes())
-        for row in result.rows
-    ]
-
-
 SPECS = [
     ("q1", QuerySpec("q1", 16.0), False),
     ("q2-hash", QuerySpec("q2", 16.0), True),
@@ -372,39 +367,80 @@ SPECS = [
     ("q3", QuerySpec("q3", 16.0), False),
 ]
 
+#: the whole store, interior ranges, a one-window range, an empty range
+WINDOW_RANGES = [(0, 10), (1, 3), (2, 3), (3, 9), (9, 10), (4, 4)]
+
+
+def _invalidate(engine: QueryEngine) -> None:
+    for controller in engine.controllers:
+        controller.invalidate_signatures()
+
+
+def _assert_engine_matches_oracle(engine, spec, window_range, **kwargs):
+    """Warm engine, then cold engine, each == the reference scan."""
+    reference = oracle_run(engine, spec, window_range, **kwargs)
+    for _ in range(2):
+        result = engine.run(spec, window_range, **kwargs)
+        assert result.row_keys() == reference.row_keys()
+        assert result.queried_nodes == reference.queried_nodes
+        assert result.failed_nodes == reference.failed_nodes
+        _invalidate(engine)
+
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("label,spec,needs_template",
                              [(s[0], s[1], s[2]) for s in SPECS])
     def test_batched_equals_scalar(self, label, spec, needs_template):
+        for window_range in WINDOW_RANGES:
+            engine, template = _fleet()
+            tpl = template if needs_template else None
+            _assert_engine_matches_oracle(
+                engine, spec, window_range, template=tpl
+            )
+
+    def test_reference_scan_finds_planted_match(self):
         engine, template = _fleet()
-        tpl = template if needs_template else None
-        scalar = dataclasses.replace(engine, batched=False)
-        cold = dataclasses.replace(engine, use_cache=False)
-        reference = _row_keys(scalar.run(spec, (0, 10), template=tpl))
-        assert _row_keys(cold.run(spec, (0, 10), template=tpl)) == reference
-        assert _row_keys(engine.run(spec, (0, 10), template=tpl)) == reference
+        for spec in (QuerySpec("q2", 16.0), QuerySpec("q2", 16.0,
+                                                      use_hash=False)):
+            result = oracle_run(engine, spec, (0, 10), template=template)
+            assert (0, 0, 1) in [key[:3] for key in result.row_keys()]
+            assert len(result.rows) < len(
+                oracle_run(engine, QuerySpec("q3", 16.0), (0, 10)).rows
+            )
+
+    def test_dtw_threshold_is_inclusive(self):
+        # a window whose cost equals the threshold exactly is a match
+        spec = QuerySpec("q2", 16.0, use_hash=False)
+        engine, template = _fleet()
+        samples = engine.controllers[0].read_window(1, 2).astype(float)
+        cost = dtw_distance(samples, template, engine.dtw_band)
+        for threshold in (cost, np.nextafter(cost, -np.inf)):
+            tight = dataclasses.replace(engine, dtw_threshold=threshold)
+            reference = oracle_run(tight, spec, (0, 10), template=template)
+            keys = [key[:3] for key in reference.row_keys()]
+            assert ((0, 1, 2) in keys) == (threshold == cost)
+            assert tight.run(spec, (0, 10), template=template).row_keys() \
+                == reference.row_keys()
 
     def test_warm_cache_equals_uncached_fleet(self):
         spec = QuerySpec("q2", 16.0)
         warm_engine, template = _fleet(with_cache=True)
         cold_engine, _ = _fleet(with_cache=False)
-        warm = _row_keys(warm_engine.run(spec, (0, 10), template=template))
-        cold = _row_keys(cold_engine.run(spec, (0, 10), template=template))
+        warm = warm_engine.run(spec, (0, 10), template=template).row_keys()
+        cold = cold_engine.run(spec, (0, 10), template=template).row_keys()
         assert warm == cold
 
     def test_identical_after_crash_and_recover(self):
         spec = QuerySpec("q2", 16.0)
         engine, template = _fleet()
-        before = _row_keys(engine.run(spec, (0, 10), template=template))
+        before = engine.run(spec, (0, 10), template=template).row_keys()
         for controller in engine.controllers:
             controller.lose_sram()
             controller.recover()
-        assert _row_keys(engine.run(spec, (0, 10), template=template)) == before
+        assert engine.run(spec, (0, 10), template=template).row_keys() == before
         # and with the caches dropped outright (cold recompute path)
-        for controller in engine.controllers:
-            controller.invalidate_signatures()
-        assert _row_keys(engine.run(spec, (0, 10), template=template)) == before
+        _invalidate(engine)
+        assert engine.run(spec, (0, 10), template=template).row_keys() == before
 
     def test_dead_nodes_and_row_order(self):
         engine, template = _fleet()
@@ -414,9 +450,12 @@ class TestEngineEquivalence:
         )
         assert result.failed_nodes == [1]
         assert result.degraded
-        scalar = dataclasses.replace(engine, batched=False)
-        assert _row_keys(result) == _row_keys(
-            scalar.run(QuerySpec("q2", 16.0), (0, 10), template=template,
-                       dead_nodes={1})
-        )
-
+        keys = [key[:3] for key in result.row_keys()]
+        assert keys == sorted(keys)
+        for label, spec, needs_template in SPECS:
+            for dead in ({1}, {0, 2}, {0, 1, 2}):
+                engine, template = _fleet()
+                _assert_engine_matches_oracle(
+                    engine, spec, (0, 10), dead_nodes=dead,
+                    template=template if needs_template else None,
+                )

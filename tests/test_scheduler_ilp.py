@@ -1,10 +1,13 @@
-"""Tests for the LP scheduler and its closed-form analytical twin."""
+"""Tests for the LP scheduler, checked against the closed-form oracle."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduler.analytical import analytic_electrodes, analytic_throughput_mbps
+from repro.eval.application import (
+    SPIKES_PER_ELECTRODE_HZ,
+    spike_sorting_rate_per_node,
+)
 from repro.scheduler.constraints import NETWORK_UTILISATION_CAP
 from repro.scheduler.ilp import Flow, SchedulerProblem, max_throughput_mbps
 from repro.scheduler.model import (
@@ -18,6 +21,7 @@ from repro.scheduler.model import (
 )
 from repro.telemetry import Telemetry
 from repro.units import ELECTRODES_PER_NODE
+from tests.throughput_oracle import analytic_electrodes, analytic_throughput_mbps
 
 ALL_TASKS = (
     seizure_detection_task,
@@ -48,6 +52,25 @@ class TestAgreementWithClosedForm:
         assert max_throughput_mbps(task, 1, power) == pytest.approx(
             analytic_throughput_mbps(task, 1, power), rel=0.02
         )
+
+    def test_spike_sorting_rate_is_the_lp_allocation(self):
+        """§6.3's sorting rate reads the one-node LP, not a closed form."""
+        task = spike_sorting_task()
+        for power in np.arange(6.0, 20.0 + 1e-9, 0.5):
+            allocation = SchedulerProblem(
+                n_nodes=1, flows=[Flow(task)], power_budget_mw=float(power)
+            ).solve().allocations[0]
+            rate = spike_sorting_rate_per_node(float(power))
+            assert rate == pytest.approx(
+                allocation.electrodes_per_node * SPIKES_PER_ELECTRODE_HZ,
+                rel=1e-12,
+            )
+            # linear and power-bound: the LP optimum is the closed form's
+            assert rate == pytest.approx(
+                analytic_electrodes(task, 1, float(power)).electrodes
+                * SPIKES_PER_ELECTRODE_HZ,
+                rel=1e-12,
+            )
 
 
 class TestPaperShapes:
