@@ -228,39 +228,34 @@ class ConstraintSystem:
     def schedule(self, electrodes: Sequence[float]) -> "Schedule":
         """Materialise a :class:`~repro.scheduler.ilp.Schedule`.
 
-        The one shared reporting path: ``network_utilisation`` is the
-        utilisation constraint's LHS at this solution, so it is capped
-        by :data:`NETWORK_UTILISATION_CAP` whenever the solution is
-        feasible (``all_one`` aggregations pipeline and are exempt,
-        exactly as in the constraint).
+        The one shared reporting path: ``network_utilisation`` and
+        ``node_power_mw`` are the utilisation and power constraints'
+        LHS at this solution, so they stay within their caps whenever
+        the solution is feasible (``all_one`` aggregations pipeline and
+        are exempt, exactly as in the constraint; a centralised flow's
+        linear power is the binding node's share).
         """
         from repro.scheduler.ilp import FlowAllocation, Schedule
 
-        allocations = []
-        node_power = self.static_mw
-        utilisation = 0.0
-        for row, e in zip(self.rows, electrodes):
-            e = float(e)
-            task = row.task
-            allocations.append(
-                FlowAllocation(
-                    flow=row.flow,
-                    electrodes_per_node=(
-                        e / self.n_nodes if task.centralised else e
-                    ),
-                    aggregate_electrodes=e * row.count,
-                    power_mw_per_node=task.dynamic_mw(e),
-                    airtime_ms_per_period=row.airtime_ms(e),
-                )
+        es = [float(e) for e in electrodes]
+        allocations = [
+            FlowAllocation(
+                flow=row.flow,
+                electrodes_per_node=(
+                    e / self.n_nodes if row.task.centralised else e
+                ),
+                aggregate_electrodes=e * row.count,
+                power_mw_per_node=row.dynamic_mw(e),
+                airtime_ms_per_period=row.airtime_ms(e),
             )
-            node_power += task.dynamic_mw(e)
-            utilisation += row.utilisation(e)
+            for row, e in zip(self.rows, es)
+        ]
         return Schedule(
             allocations=allocations,
             n_nodes=self.n_nodes,
             power_budget_mw=self.power_budget_mw,
-            node_power_mw=node_power,
-            network_utilisation=utilisation,
+            node_power_mw=self.node_power_mw(es),
+            network_utilisation=self.utilisation(es),
         )
 
 

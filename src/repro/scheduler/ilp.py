@@ -13,12 +13,16 @@ of piecewise-linear convexification: because the power curve is convex
 and appears on the small side of a "<= budget" constraint, the LP
 relaxation is exact at breakpoints and conservative between them — no
 integer variables needed.  (The paper's artifact uses GLPK; same
-problem, different backend.)
+problem, different backend.)  A single-flow LP has one decision
+variable, so its optimum is taken in closed form over the same rows and
+the same breakpoint grid; only multi-flow problems call the solver.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from repro.network.tdma import TDMAConfig
 from repro.scheduler.constraints import (
     NETWORK_UTILISATION_CAP,
     ConstraintSystem,
+    FlowRow,
     build_constraints,
 )
 from repro.scheduler.model import PAIR_NORM, TaskModel
@@ -188,115 +193,27 @@ class SchedulerProblem:
         return schedule
 
     def _solve_ilp(self, cs: ConstraintSystem) -> np.ndarray:
-        """The exact LP over the shared constraint rows."""
+        """The exact optimum over the shared constraint rows.
+
+        A single flow is solved in closed form; several flows go
+        through the LP.
+        """
+        tel = self.telemetry
+        if len(cs.rows) == 1:
+            with self._timed_solve(cs):
+                best = _single_flow_optimum(cs)
+            if best is None:
+                tel.inc("scheduler.solve_failures")
+                raise SchedulingError("single-flow rows are infeasible")
+            return np.maximum(np.array([best]), 0.0)
+
         # deferred: scipy costs ~40 MB and ~0.3 s to import, and only
-        # paths that actually solve a schedule should pay for it
+        # paths that solve a multi-flow schedule should pay for it
         from scipy.optimize import linprog
 
-        n_flows = len(self.flows)
-        caps = [row.cap for row in cs.rows]
-
-        # variable layout: [e_0..e_{F-1}] + lambda blocks for quadratic flows
-        quad_flows = [
-            i for i, f in enumerate(self.flows) if f.task.pairwise_uw > 0
-        ]
-        lambda_offset: dict[int, int] = {}
-        n_vars = n_flows
-        for i in quad_flows:
-            lambda_offset[i] = n_vars
-            n_vars += N_BREAKPOINTS
-
-        # objective: maximise sum w_i * n_i * e_i  (linprog minimises)
-        c = np.zeros(n_vars)
-        for i, row in enumerate(cs.rows):
-            c[i] = -row.flow.weight * row.count
-
-        a_ub: list[np.ndarray] = []
-        b_ub: list[float] = []
-        a_eq: list[np.ndarray] = []
-        b_eq: list[float] = []
-
-        # power: sum_i dyn_i(e_i) <= dyn_budget (per node; centralised
-        # flows load the central node which is the binding one)
-        power_row = np.zeros(n_vars)
-        for i, row in enumerate(cs.rows):
-            task = row.task
-            # For a centralised flow the variable is the *total* electrode
-            # count: sensing (linear) cost spreads over all nodes while the
-            # quadratic compute lands on the central node — the binding
-            # node pays linear/N + quadratic(E).
-            if i in lambda_offset:
-                # e_i = sum lambda_j x_j ; power uses sum lambda_j g(x_j);
-                # the breakpoint grid spans the pre-network power cap so
-                # the convexification is identical across node counts
-                xs = np.linspace(
-                    0.0, max(row.power_grid_cap, 1.0), N_BREAKPOINTS
-                )
-                off = lambda_offset[i]
-                link = np.zeros(n_vars)
-                link[i] = 1.0
-                link[off : off + N_BREAKPOINTS] = -xs
-                a_eq.append(link)
-                b_eq.append(0.0)
-                hull = np.zeros(n_vars)
-                hull[off : off + N_BREAKPOINTS] = 1.0
-                a_eq.append(hull)
-                b_eq.append(1.0)
-                power_row[off : off + N_BREAKPOINTS] += np.array(
-                    [
-                        task.dyn_uw_per_electrode * x * row.linear_share / 1e3
-                        + task.pairwise_uw * x * x / (1e3 * PAIR_NORM)
-                        for x in xs
-                    ]
-                )
-            else:
-                power_row[i] += (
-                    task.dyn_uw_per_electrode * row.linear_share / 1e3
-                )
-        a_ub.append(power_row)
-        b_ub.append(cs.dyn_budget_mw)
-
-        # network: per-flow latency budget + shared medium utilisation.
-        # all-to-one aggregations pipeline across periods (the aggregator
-        # stretches its cadence when the medium saturates), so they do not
-        # get a hard latency row — their rate hit shows up in the
-        # application-level intents/second metric instead.
-        util_row = np.zeros(n_vars)
-        for i, row in enumerate(cs.rows):
-            if row.latency_rhs_ms is not None:
-                lat_row = np.zeros(n_vars)
-                lat_row[i] = row.mult * row.airtime_slope_ms
-                a_ub.append(lat_row)
-                b_ub.append(row.latency_rhs_ms)
-            util_row[i] = row.util_slope_per_ms
-        if np.any(util_row):
-            a_ub.append(util_row)
-            b_ub.append(cs.util_rhs)
-
-        # NVM bandwidth per node (linear part)
-        nvm_row = np.zeros(n_vars)
-        for i, row in enumerate(cs.rows):
-            nvm_row[i] += row.nvm_per_ms
-        if np.any(nvm_row):
-            a_ub.append(nvm_row)
-            b_ub.append(cs.nvm_budget_bytes_per_ms)
-
-        bounds = [(0.0, caps[i]) for i in range(n_flows)]
-        bounds += [(0.0, 1.0)] * (n_vars - n_flows)
-
-        tel = self.telemetry
-        with tel.time("scheduler.ilp_solve_ms"), tel.span(
-            "ilp-solve", n_nodes=self.n_nodes, n_flows=n_flows
-        ):
-            result = linprog(
-                c,
-                A_ub=np.vstack(a_ub) if a_ub else None,
-                b_ub=np.asarray(b_ub) if b_ub else None,
-                A_eq=np.vstack(a_eq) if a_eq else None,
-                b_eq=np.asarray(b_eq) if b_eq else None,
-                bounds=bounds,
-                method="highs",
-            )
+        program = lp_program(cs)
+        with self._timed_solve(cs):
+            result = linprog(**program, method="highs")
         if not result.success:
             tel.inc("scheduler.solve_failures")
             raise SchedulingError(f"LP failed: {result.message}")
@@ -305,7 +222,166 @@ class SchedulerProblem:
         # back as -1e-12 and propagate sign into every derived quantity
         # (negative electrodes, power, airtime).  Feasible solutions are
         # non-negative by construction, so clamp before deriving.
-        return np.maximum(result.x[:n_flows], 0.0)
+        return np.maximum(result.x[: len(cs.rows)], 0.0)
+
+    @contextmanager
+    def _timed_solve(self, cs: ConstraintSystem) -> Iterator[None]:
+        """The ``ilp-solve`` span and ``scheduler.ilp_solve_ms`` sample."""
+        tel = self.telemetry
+        with tel.time("scheduler.ilp_solve_ms"), tel.span(
+            "ilp-solve", n_nodes=self.n_nodes, n_flows=len(cs.rows)
+        ):
+            yield
+
+
+def _breakpoints(row: FlowRow) -> tuple[np.ndarray, np.ndarray]:
+    """A quadratic flow's lambda-hull grid and the power at each point.
+
+    The grid spans the pre-network power cap, so the convexification is
+    identical across node counts.  For a centralised flow the variable
+    is the *total* electrode count: sensing (linear) cost spreads over
+    all nodes while the quadratic compute lands on the central node, so
+    the binding node pays ``linear / N + quadratic(E)``.
+    """
+    task = row.task
+    xs = np.linspace(0.0, max(row.power_grid_cap, 1.0), N_BREAKPOINTS)
+    power = (
+        task.dyn_uw_per_electrode * xs * row.linear_share / 1e3
+        + task.pairwise_uw * xs * xs / (1e3 * PAIR_NORM)
+    )
+    return xs, power
+
+
+def _single_flow_optimum(cs: ConstraintSystem) -> float | None:
+    """The one-flow LP's optimum in closed form; None when infeasible.
+
+    With one variable ``e`` every row is ``a * e <= b`` with ``a >= 0``,
+    so the optimum is ``min(cap, b / a)`` over the rows with ``a > 0``.
+    A quadratic flow's power row is the LP's lambda hull: the chord of
+    the same breakpoint grid, cut where it crosses the dynamic budget
+    (the LP's convexified optimum, not the exact quadratic root).
+    """
+    (row,) = cs.rows
+    linear = [
+        (row.util_slope_per_ms, cs.util_rhs),
+        (row.nvm_per_ms, cs.nvm_budget_bytes_per_ms),
+    ]
+    if row.latency_rhs_ms is not None:
+        linear.append((row.mult * row.airtime_slope_ms, row.latency_rhs_ms))
+    best = row.cap
+    if row.task.pairwise_uw > 0:
+        xs, power = _breakpoints(row)
+        budget = cs.dyn_budget_mw
+        if budget < 0:
+            return None
+        # power[0] == 0 <= budget, so the crossing segment starts at k >= 0
+        k = int(np.searchsorted(power, budget, side="right")) - 1
+        if k == N_BREAKPOINTS - 1:
+            best = min(best, float(xs[k]))
+        else:
+            frac = (budget - power[k]) / (power[k + 1] - power[k])
+            best = min(best, float(xs[k] + frac * (xs[k + 1] - xs[k])))
+    else:
+        linear.append(
+            (
+                row.task.dyn_uw_per_electrode * row.linear_share / 1e3,
+                cs.dyn_budget_mw,
+            )
+        )
+    for a, b in linear:
+        if a > 0:
+            best = min(best, b / a)
+        elif b < 0:
+            return None
+    if best < 0:
+        return None
+    # linprog returns the origin when the objective cannot grow
+    return best if row.flow.weight > 0 else 0.0
+
+
+def lp_program(cs: ConstraintSystem) -> dict[str, object]:
+    """The LP over ``cs`` as :func:`scipy.optimize.linprog` keywords.
+
+    Variables are ``[e_0..e_{F-1}]`` plus one lambda block of
+    :data:`N_BREAKPOINTS` per quadratic flow; the objective maximises
+    ``sum w_i * count_i * e_i`` (``linprog`` minimises).
+    """
+    n_flows = len(cs.rows)
+    lambda_offset: dict[int, int] = {}
+    n_vars = n_flows
+    for i, row in enumerate(cs.rows):
+        if row.task.pairwise_uw > 0:
+            lambda_offset[i] = n_vars
+            n_vars += N_BREAKPOINTS
+
+    c = np.zeros(n_vars)
+    for i, row in enumerate(cs.rows):
+        c[i] = -row.flow.weight * row.count
+
+    a_ub: list[np.ndarray] = []
+    b_ub: list[float] = []
+    a_eq: list[np.ndarray] = []
+    b_eq: list[float] = []
+
+    # power: sum_i dyn_i(e_i) <= dyn_budget on the binding node
+    power_row = np.zeros(n_vars)
+    for i, row in enumerate(cs.rows):
+        if i in lambda_offset:
+            # e_i = sum lambda_j x_j ; power uses sum lambda_j g(x_j)
+            xs, power = _breakpoints(row)
+            block = slice(lambda_offset[i], lambda_offset[i] + N_BREAKPOINTS)
+            link = np.zeros(n_vars)
+            link[i] = 1.0
+            link[block] = -xs
+            a_eq.append(link)
+            b_eq.append(0.0)
+            hull = np.zeros(n_vars)
+            hull[block] = 1.0
+            a_eq.append(hull)
+            b_eq.append(1.0)
+            power_row[block] += power
+        else:
+            power_row[i] += (
+                row.task.dyn_uw_per_electrode * row.linear_share / 1e3
+            )
+    a_ub.append(power_row)
+    b_ub.append(cs.dyn_budget_mw)
+
+    # network: per-flow latency budget + shared medium utilisation.
+    # all-to-one aggregations pipeline across periods (the aggregator
+    # stretches its cadence when the medium saturates), so they do not
+    # get a hard latency row — their rate hit shows up in the
+    # application-level intents/second metric instead.
+    util_row = np.zeros(n_vars)
+    for i, row in enumerate(cs.rows):
+        if row.latency_rhs_ms is not None:
+            lat_row = np.zeros(n_vars)
+            lat_row[i] = row.mult * row.airtime_slope_ms
+            a_ub.append(lat_row)
+            b_ub.append(row.latency_rhs_ms)
+        util_row[i] = row.util_slope_per_ms
+    if np.any(util_row):
+        a_ub.append(util_row)
+        b_ub.append(cs.util_rhs)
+
+    # NVM bandwidth per node (linear part)
+    nvm_row = np.zeros(n_vars)
+    for i, row in enumerate(cs.rows):
+        nvm_row[i] += row.nvm_per_ms
+    if np.any(nvm_row):
+        a_ub.append(nvm_row)
+        b_ub.append(cs.nvm_budget_bytes_per_ms)
+
+    bounds = [(0.0, row.cap) for row in cs.rows]
+    bounds += [(0.0, 1.0)] * (n_vars - n_flows)
+    return {
+        "c": c,
+        "A_ub": np.vstack(a_ub),
+        "b_ub": np.asarray(b_ub),
+        "A_eq": np.vstack(a_eq) if a_eq else None,
+        "b_eq": np.asarray(b_eq) if b_eq else None,
+        "bounds": bounds,
+    }
 
 
 def max_throughput_mbps(

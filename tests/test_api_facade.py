@@ -113,7 +113,8 @@ print(len(names))
 
 
 def test_storage_path_never_imports_scipy():
-    """Only an LP solve loads scipy; building, storing and reading do not."""
+    """Only a multi-flow LP solve loads scipy; building, storing and
+    reading do not."""
     script = """
 import sys
 import numpy as np

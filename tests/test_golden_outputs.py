@@ -11,7 +11,9 @@ here.  After an intended output change, regenerate the file with::
 
 and review its diff.  fig12 is ``slow`` (run it
 with ``-m slow``).  fig15a and fig15b share fig15's handler, so fig15
-is pinned once.
+is pinned once.  The scheduler targets are also run as ``python -m
+repro`` under one and two OpenMP threads, so a BLAS or solver result
+that depends on the thread count fails here too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,7 @@ import pytest
 from repro.__main__ import main
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "cli.json"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Command lines whose stdout is pinned, fast ones first.
 TARGETS: tuple[tuple[str, ...], ...] = (
@@ -79,3 +85,17 @@ def test_golden_file_covers_every_target(golden):
 )
 def test_stdout_matches_golden(argv, golden):
     assert stdout_digest(argv) == golden[target_key(argv)]
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+@pytest.mark.parametrize("target", ("fig8b", "fig9a"))
+def test_stdout_is_thread_count_stable(target, threads, golden):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["OMP_NUM_THREADS"] = threads
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", target],
+        capture_output=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == golden[target]

@@ -1,15 +1,32 @@
-"""Tests for the LP scheduler, checked against the closed-form oracle."""
+"""Tests for the scheduler, checked against ``linprog`` and the
+closed-form throughput oracle."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from repro.errors import SchedulingError
 from repro.eval.application import (
+    FIG9_NODE_COUNTS,
+    FIG9A_WEIGHTS,
     SPIKES_PER_ELECTRODE_HZ,
     spike_sorting_rate_per_node,
 )
-from repro.scheduler.constraints import NETWORK_UTILISATION_CAP
-from repro.scheduler.ilp import Flow, SchedulerProblem, max_throughput_mbps
+from repro.scheduler.constraints import NETWORK_UTILISATION_CAP, VERIFY_TOL
+from repro.scheduler.ilp import (
+    Flow,
+    SchedulerProblem,
+    lp_program,
+    max_throughput_mbps,
+)
 from repro.scheduler.model import (
     dtw_similarity_task,
     hash_similarity_task,
@@ -22,6 +39,8 @@ from repro.scheduler.model import (
 from repro.telemetry import Telemetry
 from repro.units import ELECTRODES_PER_NODE
 from tests.throughput_oracle import analytic_electrodes, analytic_throughput_mbps
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 ALL_TASKS = (
     seizure_detection_task,
@@ -273,11 +292,15 @@ def _fig9_flows():
 
 
 def _electrodes(schedule):
-    """Recover the decision vector from a materialised schedule."""
+    """Recover the decision vector from a materialised schedule, exactly.
+
+    The variable is the total count for a centralised flow and the
+    per-node count otherwise; both are stored without rounding.
+    """
     return np.array(
         [
-            a.aggregate_electrodes / (1.0 if a.flow.task.centralised
-                                      else schedule.n_nodes)
+            a.aggregate_electrodes if a.flow.task.centralised
+            else a.electrodes_per_node
             for a in schedule.allocations
         ]
     )
@@ -370,3 +393,219 @@ class TestMediumSaturation:
         schedule = problem.solve()
         assert telemetry.registry.counter("scheduler.medium_saturated") == 0
         assert schedule.allocations[1].aggregate_electrodes > 0
+
+
+# --- the single-flow closed form against the LP ------------------------------
+
+
+def linprog_electrodes(cs):
+    """The oracle: HiGHS on the shared LP assembly, clamped like solve()."""
+    result = linprog(**lp_program(cs), method="highs")
+    assert result.success, result.message
+    return np.maximum(result.x[: len(cs.rows)], 0.0)
+
+
+def _assert_matches_linprog(problem):
+    cs = problem.constraints()
+    got = _electrodes(problem.solve())
+    assert got == pytest.approx(linprog_electrodes(cs), rel=1e-12, abs=1e-12)
+    assert cs.verify(got) == ()
+    return got, cs
+
+
+class TestSingleFlowClosedForm:
+    """Single-flow problems skip linprog; the optimum must not move."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        task_factory=st.sampled_from(ALL_TASKS),
+        n_nodes=st.integers(1, 1024),
+        power_mw=st.floats(6.0, 20.0),
+        cap=st.one_of(st.none(), st.floats(0.0, 256.0)),
+    )
+    # one example per row that binds strictly below the others
+    @example(task_factory=mi_svm_task, n_nodes=1, power_mw=20.0, cap=50.0)
+    @example(task_factory=ALL_TASKS[2], n_nodes=16, power_mw=20.0, cap=None)
+    @example(task_factory=ALL_TASKS[4], n_nodes=64, power_mw=6.0, cap=None)
+    @example(task_factory=seizure_detection_task, n_nodes=1, power_mw=6.0,
+             cap=None)
+    @example(task_factory=mi_kf_task, n_nodes=8, power_mw=15.0, cap=None)
+    def test_matches_linprog(self, task_factory, n_nodes, power_mw, cap):
+        problem = SchedulerProblem(
+            n_nodes=n_nodes,
+            flows=[Flow(task_factory(), electrode_cap=cap)],
+            power_budget_mw=power_mw,
+        )
+        try:
+            problem.constraints()
+        except SchedulingError:  # static power alone over budget
+            assume(False)
+        _assert_matches_linprog(problem)
+
+    @pytest.mark.parametrize("task_factory", ALL_TASKS)
+    @pytest.mark.parametrize("n_nodes", (1, 8, 64))
+    def test_matches_linprog_with_the_cap_lifted(self, task_factory,
+                                                 n_nodes):
+        """Each row binds on its own, even one the builder's cap repeats.
+
+        ``build_constraints`` folds the power limit into the cap, so
+        lifting the cap is what lets the power row (or the top of the
+        breakpoint grid) bind.
+        """
+        problem = SchedulerProblem(n_nodes, [Flow(task_factory())])
+        cs = problem.constraints()
+        lifted = dataclasses.replace(
+            cs, rows=(dataclasses.replace(cs.rows[0], cap=1e9),)
+        )
+        got = problem._solve_ilp(lifted)
+        assert got == pytest.approx(
+            linprog_electrodes(lifted), rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("task_factory", (seizure_detection_task,
+                                              mi_kf_task))
+    @pytest.mark.parametrize("n_nodes", (1, 4, 64))
+    @pytest.mark.parametrize("headroom", (0.05, 0.3, 0.95))
+    def test_chord_binds_below_the_quadratic_root(
+        self, task_factory, n_nodes, headroom
+    ):
+        """Under one electrode of headroom the grid spans [0, 1].
+
+        The LP's lambda hull is then a chord above the convex power
+        curve, so its optimum sits strictly below the exact root (the
+        flow's cap) — the closed form must take the same chord.
+        """
+        full = SchedulerProblem(n_nodes, [Flow(task_factory())]).constraints()
+        problem = SchedulerProblem(
+            n_nodes=n_nodes,
+            flows=[Flow(task_factory())],
+            power_budget_mw=(
+                full.static_mw + headroom * full.rows[0].dynamic_mw(1.0)
+            ),
+        )
+        got, cs = _assert_matches_linprog(problem)
+        assert got[0] < cs.rows[0].cap
+
+    def test_nvm_row_binds(self):
+        task = dataclasses.replace(
+            spike_sorting_task(), nvm_bytes_per_electrode_period=1e5,
+            uses_nvm=True,
+        )
+        problem = SchedulerProblem(n_nodes=1, flows=[Flow(task)])
+        got, cs = _assert_matches_linprog(problem)
+        row = cs.rows[0]
+        assert got[0] == cs.nvm_budget_bytes_per_ms / row.nvm_per_ms
+        assert got[0] < row.cap
+
+    @pytest.mark.parametrize("weight", (0.0, -1.0))
+    @pytest.mark.parametrize("task_factory", (spike_sorting_task,
+                                              seizure_detection_task))
+    def test_non_positive_weight_allocates_nothing(self, task_factory,
+                                                   weight):
+        problem = SchedulerProblem(
+            n_nodes=4, flows=[Flow(task_factory(), weight=weight)]
+        )
+        got, _ = _assert_matches_linprog(problem)
+        assert got[0] == 0.0
+
+    def test_dtw_all_all_network_collapses_the_cap(self):
+        """64 all-to-all bursts leave 0.132 electrodes per node of a
+        164-electrode power cap; the medium row binds just below the
+        latency row (0.143)."""
+        problem = SchedulerProblem(
+            n_nodes=64, flows=[Flow(dtw_similarity_task("all_all"))]
+        )
+        got, cs = _assert_matches_linprog(problem)
+        row = cs.rows[0]
+        assert round(float(got[0]), 3) == 0.132
+        assert got[0] == cs.util_rhs / row.util_slope_per_ms
+        assert got[0] < row.latency_rhs_ms / (row.mult * row.airtime_slope_ms)
+        assert got[0] < row.cap / 1000
+
+    def test_saturated_medium_allocates_nothing(self):
+        problem = SchedulerProblem(
+            n_nodes=4,
+            flows=[Flow(hash_similarity_task("one_all", net_budget_ms=1e6))],
+            round_overhead_ms=1000.0,
+        )
+        got, cs = _assert_matches_linprog(problem)
+        assert cs.medium_saturated
+        assert got[0] == 0.0
+
+    def test_static_power_over_budget_raises_before_any_solve(self):
+        tel = Telemetry()
+        problem = SchedulerProblem(
+            2, [Flow(seizure_detection_task())], power_budget_mw=0.5,
+            telemetry=tel,
+        )
+        with pytest.raises(SchedulingError, match="static power"):
+            problem.solve()
+        assert tel.registry.counter("scheduler.solves") == 0.0
+        assert tel.registry.histogram("scheduler.ilp_solve_ms") is None
+        assert tel.spans_named("ilp-solve") == []
+
+    @pytest.mark.parametrize("flows", (
+        [Flow(seizure_detection_task())],
+        [Flow(spike_sorting_task())],
+        _fig9_flows(),
+    ), ids=("quadratic", "linear", "multi-flow"))
+    def test_telemetry_parity(self, flows):
+        """Closed form and LP book the same solve telemetry."""
+        tel = Telemetry()
+        SchedulerProblem(8, flows, telemetry=tel).solve()
+        assert tel.registry.counter("scheduler.solves") == 1.0
+        assert tel.registry.histogram("scheduler.ilp_solve_ms").n == 1
+        (span,) = tel.spans_named("ilp-solve")
+        assert span.attrs == {"n_nodes": 8, "n_flows": len(flows)}
+
+    def test_single_flow_sweep_never_imports_scipy(self):
+        script = """
+import sys
+from repro.eval.throughput import fig8b
+fig8b()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestReportedPowerIsTheConstraintLhs:
+    """``node_power_mw`` is the power row's LHS (a centralised flow's
+    linear cost is the binding node's share, as in the constraint)."""
+
+    @staticmethod
+    def _check(problem):
+        schedule = problem.solve()
+        cs = problem.constraints()
+        electrodes = _electrodes(schedule)
+        assert schedule.node_power_mw == cs.node_power_mw(electrodes)
+        assert schedule.node_power_mw <= (
+            problem.power_budget_mw * (1 + VERIFY_TOL)
+        )
+        for alloc, row, e in zip(schedule.allocations, cs.rows, electrodes):
+            assert alloc.power_mw_per_node == row.dynamic_mw(e)
+
+    @pytest.mark.parametrize("n_nodes", (1, 2, 8, 64))
+    @pytest.mark.parametrize("task_factory", ALL_TASKS)
+    def test_single_flow(self, task_factory, n_nodes):
+        self._check(SchedulerProblem(n_nodes, [Flow(task_factory())], 15.0))
+
+    @pytest.mark.parametrize("weights", FIG9A_WEIGHTS)
+    @pytest.mark.parametrize("n_nodes", FIG9_NODE_COUNTS)
+    def test_fig9a(self, weights, n_nodes):
+        flows = [
+            dataclasses.replace(flow, weight=float(w))
+            for flow, w in zip(_fig9_flows(), weights)
+        ]
+        self._check(SchedulerProblem(n_nodes, flows))
+
+    def test_mi_kf_reads_the_constraint_not_the_full_linear_cost(self):
+        problem = SchedulerProblem(8, [Flow(mi_kf_task())], 15.0)
+        schedule = problem.solve()
+        assert schedule.node_power_mw == pytest.approx(9.4934, abs=1e-4)

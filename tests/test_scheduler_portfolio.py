@@ -93,7 +93,7 @@ def test_portfolio_solutions_satisfy_exact_rows(picks, n_nodes, power_mw):
     assert cs.verify(electrodes) == ()
     assert (schedule.network_utilisation
             <= NETWORK_UTILISATION_CAP + 1e-9)
-    # the exact power row (binding-node share for centralised flows;
-    # the *reported* node_power_mw keeps the legacy full-linear
-    # convention and is not the constraint LHS)
+    # the exact power row (binding-node share for centralised flows),
+    # which is also what the schedule reports
     assert cs.node_power_mw(electrodes) <= power_mw * (1 + 1e-6) + 1e-6
+    assert schedule.node_power_mw == cs.node_power_mw(electrodes)
