@@ -625,16 +625,16 @@ def _trace(args) -> None:
 
 
 def _positive_float(text: str) -> float:
-    """Parse a strictly positive float (``--qps``, ``--deadline-ms``)."""
+    """Parse a strictly positive, finite float (``--qps``, ``--power``)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a number, got {text!r}"
         ) from None
-    if value <= 0:
+    if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text!r}"
+            f"expected a positive finite number, got {text!r}"
         )
     return value
 
@@ -715,22 +715,33 @@ def _opt_health_report(parser: argparse.ArgumentParser) -> None:
                              "as JSON")
 
 
-def _opt_fig(parser: argparse.ArgumentParser) -> None:
+def _opt_nodes(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=_positive_int, default=11,
                         help="implant count")
+
+
+def _opt_power(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--power", type=_positive_float, default=15.0,
                         help="per-node power budget (mW)")
+
+
+def _opt_pairs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pairs", type=_positive_int, default=300,
                         help="window pairs for hash-accuracy sweeps")
+
+
+def _opt_packets(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--packets", type=_positive_int, default=400,
                         help="packets per BER point")
+
+
+def _opt_reps(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reps", type=_positive_int, default=500,
                         help="Monte-Carlo repetitions")
 
 
 def _opt_query(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=_positive_int, default=11,
-                        help="implant count")
+    _opt_nodes(parser)
     parser.add_argument("--range", type=_window_range, default=None,
                         metavar="START:STOP",
                         help="window-index range to query")
@@ -784,31 +795,31 @@ class _Command:
     scenario_help: str | None = None
 
 
-_FIG_OPTIONS = (_opt_fig,)
+#: every figure knob: what `all` accepts, since it runs every figure
+_FIG_OPTIONS = (_opt_nodes, _opt_power, _opt_pairs, _opt_packets, _opt_reps)
 
 _COMMANDS: dict[str, _Command] = {
-    "table1": _Command(_table1, "PE catalog (Table 1)", _FIG_OPTIONS),
-    "table3": _Command(_table3, "application pipelines (Table 3)",
-                       _FIG_OPTIONS),
-    "fig8a": _Command(_fig8a, "architecture comparison", _FIG_OPTIONS),
-    "fig8b": _Command(_fig8b, "throughput vs power/nodes", _FIG_OPTIONS),
-    "fig8c": _Command(_fig8c, "application throughput surfaces",
-                      _FIG_OPTIONS),
-    "fig9a": _Command(_fig9a, "latency vs node count", _FIG_OPTIONS),
-    "fig9b": _Command(_fig9b, "throughput vs node count", _FIG_OPTIONS),
-    "fig10": _Command(_fig10, "query cost model", _FIG_OPTIONS),
-    "fig11": _Command(_fig11, "hash accuracy", _FIG_OPTIONS),
-    "fig12": _Command(_fig12, "network error rates", _FIG_OPTIONS),
+    "table1": _Command(_table1, "PE catalog (Table 1)"),
+    "table3": _Command(_table3, "application pipelines (Table 3)"),
+    "fig8a": _Command(_fig8a, "architecture comparison",
+                      (_opt_nodes, _opt_power)),
+    "fig8b": _Command(_fig8b, "throughput vs power/nodes"),
+    "fig8c": _Command(_fig8c, "application throughput surfaces"),
+    "fig9a": _Command(_fig9a, "latency vs node count"),
+    "fig9b": _Command(_fig9b, "throughput vs node count"),
+    "fig10": _Command(_fig10, "query cost model"),
+    "fig11": _Command(_fig11, "hash accuracy", (_opt_pairs,)),
+    "fig12": _Command(_fig12, "network error rates", (_opt_packets,)),
     "fig13": _Command(_fig13, "radio design-space exploration",
-                      _FIG_OPTIONS),
-    "fig14": _Command(_fig14, "hash parameter sweeps", _FIG_OPTIONS),
-    "fig15": _Command(_fig15, "delay Monte-Carlo", _FIG_OPTIONS),
-    "fig15a": _Command(_fig15, "delay Monte-Carlo", _FIG_OPTIONS),
-    "fig15b": _Command(_fig15, "delay Monte-Carlo", _FIG_OPTIONS),
+                      (_opt_nodes,)),
+    "fig14": _Command(_fig14, "hash parameter sweeps", (_opt_pairs,)),
+    "fig15": _Command(_fig15, "delay Monte-Carlo", (_opt_reps,)),
+    "fig15a": _Command(_fig15, "delay Monte-Carlo", (_opt_reps,)),
+    "fig15b": _Command(_fig15, "delay Monte-Carlo", (_opt_reps,)),
     "resilience": _Command(_resilience, "ARQ/crash resilience sweeps",
-                           _FIG_OPTIONS),
-    "sec62": _Command(_sec62, "local task throughput", _FIG_OPTIONS),
-    "sec63": _Command(_sec63, "application scalars", _FIG_OPTIONS),
+                           (_opt_packets, _opt_nodes)),
+    "sec62": _Command(_sec62, "local task throughput"),
+    "sec63": _Command(_sec63, "application scalars"),
     "export": _Command(_export, "write every table/figure to disk",
                        (_opt_out,)),
     "trace": _Command(_trace, "run a scenario under telemetry",
@@ -884,7 +895,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if target == "all":
         parser = argparse.ArgumentParser(prog="python -m repro all")
-        _opt_fig(parser)
+        for add_options in _FIG_OPTIONS:
+            add_options(parser)
         args = parser.parse_args(rest)
         try:
             for name in sorted(set(_COMMANDS) - _ALL_EXCLUDES):

@@ -65,9 +65,10 @@ class FabricLoadConfig:
         if self.requests_per_tenant < 1:
             raise ConfigurationError("need at least one request per tenant")
         for tenant, multiplier in self.rate_multipliers.items():
-            if multiplier <= 0:
+            if not 0 < multiplier < np.inf:
                 raise ConfigurationError(
-                    f"rate multiplier for {tenant!r} must be positive"
+                    f"rate multiplier for {tenant!r} must be positive "
+                    "and finite"
                 )
         self.tenant_load(0)  # the per-stream checks live on LoadGenConfig
 

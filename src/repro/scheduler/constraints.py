@@ -5,6 +5,10 @@ LP (:mod:`repro.scheduler.ilp`) solves — the per-flow electrode caps,
 the exact (quadratic) power row, the per-flow latency rows, the
 shared-medium utilisation row, and the NVM-bandwidth row — and owns:
 
+* **the cost model**: :meth:`FlowRow.dynamic_mw` is the only
+  dynamic-power formula, :func:`_power_cap` its only inverse and
+  :func:`_static_mw` the only static-power sum;
+  :class:`~repro.scheduler.model.TaskModel` only carries coefficients;
 * **verification** (:meth:`ConstraintSystem.verify`): checks a solution
   against the exact rows (the LP convexifies quadratic power, so this
   is an independent oracle the tests apply to the LP's output);
@@ -56,6 +60,10 @@ if TYPE_CHECKING:
 #: fraction of wall-clock time (guard slots, resync).
 NETWORK_UTILISATION_CAP = 0.95
 
+#: Electrode bound of a flow with no ``electrode_cap`` (the fig. 8 mode:
+#: ADCs are added until another constraint binds).
+UNBOUNDED_CAP = 4096.0
+
 #: Feasibility slack the verifier grants (LP/solver roundoff, not model
 #: error): absolute on electrode counts, relative on budget rows.
 VERIFY_TOL = 1e-6
@@ -70,6 +78,15 @@ def comm_multiplier(task: TaskModel, n_nodes: int) -> float:
     if task.comm == "all_all":
         return float(n_nodes)
     return float(max(0, n_nodes - 1))  # all_one
+
+
+def _shares_medium(task: TaskModel) -> bool:
+    """Whether the flow occupies the shared-medium utilisation budget.
+
+    ``one_all`` / ``all_all`` exchanges do; ``all_one`` aggregations
+    pipeline across periods and local (``none``) stages send nothing.
+    """
+    return task.comm in ("one_all", "all_all")
 
 
 @dataclass(frozen=True)
@@ -108,12 +125,20 @@ class FlowRow:
     def task(self) -> TaskModel:
         return self.flow.task
 
-    def dynamic_mw(self, electrodes: float) -> float:
-        """Exact dynamic power on the binding node (mW)."""
+    def dynamic_mw(
+        self, electrodes: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Exact dynamic power on the binding node (mW).
+
+        The one dynamic-power formula: the report, the LP's breakpoint
+        grid (``electrodes`` may be an array) and the linear LP
+        coefficient (``dynamic_mw(1.0)``) all evaluate it.
+        """
         task = self.task
-        linear = task.dyn_uw_per_electrode * self.linear_share * electrodes
-        quad = task.pairwise_uw * electrodes * electrodes / PAIR_NORM
-        return (linear + quad) / 1e3
+        return (
+            task.dyn_uw_per_electrode * electrodes * self.linear_share / 1e3
+            + task.pairwise_uw * electrodes * electrodes / (1e3 * PAIR_NORM)
+        )
 
     def airtime_ms(self, electrodes: float) -> float:
         """Airtime per period, as reported on the allocation.
@@ -144,7 +169,6 @@ class ConstraintSystem:
     static_mw: float
     dyn_budget_mw: float
     rows: tuple[FlowRow, ...]
-    utilisation_cap: float
     #: fixed burst airtime already committed by capped-in sharing flows
     fixed_util: float
     #: electrode-dependent utilisation budget remaining after fixed_util
@@ -210,10 +234,10 @@ class ConstraintSystem:
                 f"{self.power_budget_mw:.6g} mW"
             )
         util = self.utilisation(electrodes)
-        if util > self.utilisation_cap * (1 + tol) + tol:
+        if util > NETWORK_UTILISATION_CAP * (1 + tol) + tol:
             violations.append(
                 f"medium utilisation {util:.6g} over cap "
-                f"{self.utilisation_cap:.6g}"
+                f"{NETWORK_UTILISATION_CAP:.6g}"
             )
         nvm = self.nvm_rate(electrodes)
         if nvm > self.nvm_budget_bytes_per_ms * (1 + tol) + tol:
@@ -264,8 +288,6 @@ def build_constraints(
     flows: Sequence["Flow"],
     power_budget_mw: float,
     tdma: TDMAConfig,
-    round_overhead_ms: float = 0.0,
-    unbounded_cap: float = 4096.0,
     telemetry: TelemetryLike = NULL_TELEMETRY,
 ) -> ConstraintSystem:
     """Build the exact constraint rows for one scheduling instance.
@@ -290,7 +312,7 @@ def build_constraints(
         cap = (
             flow.electrode_cap
             if flow.electrode_cap is not None
-            else unbounded_cap
+            else UNBOUNDED_CAP
         )
         task = flow.task
         if task.centralised:
@@ -322,11 +344,10 @@ def build_constraints(
             (PACKET_OVERHEAD_BITS + 8.0 * task.wire_bytes_fixed)
             / rate_kbps_ms
             + tdma.guard_ms
-            + round_overhead_ms
         )
         slopes.append(slope)
         fixeds.append(fixed)
-        if task.comm == "all_one":
+        if not _shares_medium(task):
             # all-to-one aggregations pipeline across periods: no hard
             # latency row, no utilisation share
             latency_rhs.append(None)
@@ -343,25 +364,21 @@ def build_constraints(
             latency_rhs.append(rhs if slope > 0 else None)
             util_slopes.append(mult * slope / task.period_ms)
 
-    def _fixed_util() -> float:
-        return sum(
-            mults[i] * fixeds[i] / flow.task.period_ms
-            for i, flow in enumerate(flows)
-            if caps[i] > 0 and flow.task.comm not in ("none", "all_one")
-        )
-
-    fixed_util = _fixed_util()
-    medium_saturated = False
-    if fixed_util >= NETWORK_UTILISATION_CAP:
+    fixed_util = sum(
+        mults[i] * fixeds[i] / flow.task.period_ms
+        for i, flow in enumerate(flows)
+        if caps[i] > 0 and _shares_medium(flow.task)
+    )
+    medium_saturated = fixed_util >= NETWORK_UTILISATION_CAP
+    if medium_saturated:
         # The fixed bursts alone fill the medium: no electrode budget is
         # left for any sharing flow.  Degrade explicitly — zero their
         # caps and count the event — instead of silently clamping the
         # utilisation RHS to zero and letting the report disagree with
         # the constraint.
-        medium_saturated = True
         telemetry.inc("scheduler.medium_saturated")
         for i, flow in enumerate(flows):
-            if flow.task.comm not in ("none", "all_one"):
+            if _shares_medium(flow.task):
                 caps[i] = 0.0
         fixed_util = 0.0
 
@@ -376,7 +393,7 @@ def build_constraints(
             airtime_slope_ms=slopes[i],
             airtime_fixed_ms=fixeds[i],
             latency_rhs_ms=latency_rhs[i],
-            shares_medium=flow.task.comm in ("one_all", "all_all"),
+            shares_medium=_shares_medium(flow.task),
             util_slope_per_ms=util_slopes[i],
             nvm_per_ms=(
                 flow.task.nvm_bytes_per_electrode_period
@@ -391,7 +408,6 @@ def build_constraints(
         static_mw=static_mw,
         dyn_budget_mw=dyn_budget,
         rows=rows,
-        utilisation_cap=NETWORK_UTILISATION_CAP,
         fixed_util=fixed_util,
         util_rhs=max(NETWORK_UTILISATION_CAP - fixed_util, 0.0),
         medium_saturated=medium_saturated,
@@ -409,7 +425,9 @@ def _static_mw(flows: Sequence["Flow"]) -> float:
     for flow in flows:
         pe_union.update(flow.task.pe_names)
         uses_nvm = uses_nvm or flow.task.uses_nvm
-    static = sum(get_pe(name).static_uw for name in pe_union) / 1e3
+    # sorted: set order follows PYTHONHASHSEED, and so would the sum's
+    # last bit
+    static = sum(get_pe(name).static_uw for name in sorted(pe_union)) / 1e3
     static += BASE_STATIC_MW
     if uses_nvm:
         static += LEAKAGE_MW

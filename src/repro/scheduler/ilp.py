@@ -20,9 +20,7 @@ the same breakpoint grid; only multi-flow problems call the solver.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from repro.scheduler.constraints import (
     FlowRow,
     build_constraints,
 )
-from repro.scheduler.model import PAIR_NORM, TaskModel
+from repro.scheduler.model import TaskModel
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 from repro.units import NODE_POWER_CAP_MW, electrodes_to_mbps
 
@@ -128,12 +126,8 @@ class SchedulerProblem:
     flows: list[Flow]
     power_budget_mw: float = NODE_POWER_CAP_MW
     tdma: TDMAConfig = field(default_factory=TDMAConfig)
-    #: per-round medium overhead (ms): schedule beacon / resync per node
-    round_overhead_ms: float = 0.0
-    #: hard upper bound used when a flow has no electrode cap
-    unbounded_cap: float = 4096.0
-    #: observability handle: books ``scheduler.solves`` plus the
-    #: wall-clock ``scheduler.ilp_solve_ms`` histogram around the LP
+    #: observability handle: books ``scheduler.solves`` and the
+    #: ``ilp-solve`` span around the optimiser
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
@@ -141,8 +135,8 @@ class SchedulerProblem:
             raise SchedulingError("need at least one node")
         if not self.flows:
             raise SchedulingError("need at least one flow")
-        if self.power_budget_mw <= 0:
-            raise SchedulingError("power budget must be positive")
+        if not 0 < self.power_budget_mw < np.inf:
+            raise SchedulingError("power budget must be positive and finite")
 
     # -- constraint rows ----------------------------------------------------------
 
@@ -153,8 +147,6 @@ class SchedulerProblem:
             flows=self.flows,
             power_budget_mw=self.power_budget_mw,
             tdma=self.tdma,
-            round_overhead_ms=self.round_overhead_ms,
-            unbounded_cap=self.unbounded_cap,
             telemetry=self.telemetry,
         )
 
@@ -200,7 +192,7 @@ class SchedulerProblem:
         """
         tel = self.telemetry
         if len(cs.rows) == 1:
-            with self._timed_solve(cs):
+            with self._solve_span(cs):
                 best = _single_flow_optimum(cs)
             if best is None:
                 tel.inc("scheduler.solve_failures")
@@ -212,7 +204,7 @@ class SchedulerProblem:
         from scipy.optimize import linprog
 
         program = lp_program(cs)
-        with self._timed_solve(cs):
+        with self._solve_span(cs):
             result = linprog(**program, method="highs")
         if not result.success:
             tel.inc("scheduler.solve_failures")
@@ -224,14 +216,11 @@ class SchedulerProblem:
         # non-negative by construction, so clamp before deriving.
         return np.maximum(result.x[: len(cs.rows)], 0.0)
 
-    @contextmanager
-    def _timed_solve(self, cs: ConstraintSystem) -> Iterator[None]:
-        """The ``ilp-solve`` span and ``scheduler.ilp_solve_ms`` sample."""
-        tel = self.telemetry
-        with tel.time("scheduler.ilp_solve_ms"), tel.span(
+    def _solve_span(self, cs: ConstraintSystem):
+        """The ``ilp-solve`` span around the optimiser."""
+        return self.telemetry.span(
             "ilp-solve", n_nodes=self.n_nodes, n_flows=len(cs.rows)
-        ):
-            yield
+        )
 
 
 def _breakpoints(row: FlowRow) -> tuple[np.ndarray, np.ndarray]:
@@ -243,13 +232,8 @@ def _breakpoints(row: FlowRow) -> tuple[np.ndarray, np.ndarray]:
     all nodes while the quadratic compute lands on the central node, so
     the binding node pays ``linear / N + quadratic(E)``.
     """
-    task = row.task
     xs = np.linspace(0.0, max(row.power_grid_cap, 1.0), N_BREAKPOINTS)
-    power = (
-        task.dyn_uw_per_electrode * xs * row.linear_share / 1e3
-        + task.pairwise_uw * xs * xs / (1e3 * PAIR_NORM)
-    )
-    return xs, power
+    return xs, row.dynamic_mw(xs)
 
 
 def _single_flow_optimum(cs: ConstraintSystem) -> float | None:
@@ -282,12 +266,7 @@ def _single_flow_optimum(cs: ConstraintSystem) -> float | None:
             frac = (budget - power[k]) / (power[k + 1] - power[k])
             best = min(best, float(xs[k] + frac * (xs[k + 1] - xs[k])))
     else:
-        linear.append(
-            (
-                row.task.dyn_uw_per_electrode * row.linear_share / 1e3,
-                cs.dyn_budget_mw,
-            )
-        )
+        linear.append((row.dynamic_mw(1.0), cs.dyn_budget_mw))
     for a, b in linear:
         if a > 0:
             best = min(best, b / a)
@@ -341,9 +320,7 @@ def lp_program(cs: ConstraintSystem) -> dict[str, object]:
             b_eq.append(1.0)
             power_row[block] += power
         else:
-            power_row[i] += (
-                row.task.dyn_uw_per_electrode * row.linear_share / 1e3
-            )
+            power_row[i] += row.dynamic_mw(1.0)
     a_ub.append(power_row)
     b_ub.append(cs.dyn_budget_mw)
 

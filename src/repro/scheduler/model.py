@@ -14,6 +14,9 @@ Every application stage ("flow" in the ILP) is summarised by:
 
 All coefficients trace to Table 1 / §5 constants; the two calibration
 constants (`PAIR_NORM`, `INV_NVM_SWEEPS`) are documented where defined.
+A :class:`TaskModel` is a validated record of those coefficients: the
+arithmetic over them (static, dynamic and inverse power, airtime, NVM
+traffic) lives once, in :mod:`repro.scheduler.constraints`.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.hardware.catalog import get_pe
 from repro.hardware.microcontroller import MC_IDLE_POWER_MW
-from repro.storage.nvm import LEAKAGE_MW as NVM_LEAKAGE_MW
-from repro.storage.nvm import NVMDevice, WRITE_NJ_PER_PAGE, PAGE_BYTES
+from repro.storage.nvm import WRITE_NJ_PER_PAGE, PAGE_BYTES
 from repro.units import (
     ADC_POWER_MW_PER_ELECTRODE,
     ELECTRODE_RATE_BPS,
@@ -81,7 +83,6 @@ class TaskModel:
             exchange (response-time driven).
         nvm_bytes_per_electrode_period: NVM traffic per channel per
             period (bandwidth constraint).
-        nvm_bytes_fixed_period: NVM traffic per node per period.
         uses_nvm: whether the NVM (and its leakage) is on for this stage.
         centralised: stage computes on one node (MI-KF); the central
             node's constraints bind the total electrode count.
@@ -97,7 +98,6 @@ class TaskModel:
     period_ms: float = WINDOW_MS
     net_budget_ms: float = WINDOW_MS
     nvm_bytes_per_electrode_period: float = 0.0
-    nvm_bytes_fixed_period: float = 0.0
     uses_nvm: bool = False
     centralised: bool = False
 
@@ -106,59 +106,6 @@ class TaskModel:
             raise ConfigurationError(f"unknown comm pattern {self.comm!r}")
         if self.dyn_uw_per_electrode < 0 or self.pairwise_uw < 0:
             raise ConfigurationError("power coefficients must be non-negative")
-
-    # -- power -------------------------------------------------------------------
-
-    @property
-    def static_mw(self) -> float:
-        """Static power of the stage's PEs (+ NVM leakage if used)."""
-        static_uw = sum(get_pe(name).static_uw for name in self.pe_names)
-        total = static_uw / 1e3
-        if self.uses_nvm:
-            total += NVM_LEAKAGE_MW
-        return total
-
-    def dynamic_mw(self, electrodes: float) -> float:
-        """Dynamic power at ``electrodes`` channels (mW)."""
-        if electrodes < 0:
-            raise ConfigurationError("electrode count cannot be negative")
-        linear = self.dyn_uw_per_electrode * electrodes
-        quadratic = self.pairwise_uw * electrodes * electrodes / PAIR_NORM
-        return (linear + quadratic) / 1e3
-
-    def power_mw(self, electrodes: float) -> float:
-        return self.static_mw + self.dynamic_mw(electrodes)
-
-    def max_electrodes_for_power(self, dyn_budget_mw: float) -> float:
-        """Invert :meth:`dynamic_mw` (closed form, quadratic)."""
-        if dyn_budget_mw <= 0:
-            return 0.0
-        budget_uw = dyn_budget_mw * 1e3
-        a = self.pairwise_uw / PAIR_NORM
-        b = self.dyn_uw_per_electrode
-        if a == 0:
-            return budget_uw / b if b > 0 else float("inf")
-        return (-b + (b * b + 4 * a * budget_uw) ** 0.5) / (2 * a)
-
-    # -- network -----------------------------------------------------------------
-
-    def wire_bytes(self, electrodes: float) -> float:
-        """Payload bytes per node per period."""
-        return self.wire_bytes_per_electrode * electrodes + self.wire_bytes_fixed
-
-    # -- storage -----------------------------------------------------------------
-
-    def nvm_bytes_per_period(self, electrodes: float) -> float:
-        return (
-            self.nvm_bytes_per_electrode_period * electrodes
-            + self.nvm_bytes_fixed_period
-        )
-
-    def nvm_utilisation(self, electrodes: float) -> float:
-        """Fraction of device bandwidth the stage needs."""
-        bw_bytes_per_ms = NVMDevice.read_bandwidth_mbps() * 1e3 / 8
-        need = self.nvm_bytes_per_period(electrodes) / self.period_ms
-        return need / bw_bytes_per_ms
 
 
 #: Per-node baseline static power: the always-on microcontroller.
@@ -338,21 +285,18 @@ def mi_kf_task() -> TaskModel:
         + get_pe("SBP").dyn_uw_per_electrode
         + 4.0  # feature serialisation + central MAD row updates
     )
-    quadratic = MI_KF_CENTRAL_QUADRATIC_UW
-    nvm_per_elec_sq = 3 * 2 * INV_NVM_SWEEPS  # bytes per E^2 per intent
     return TaskModel(
         name="mi_kf",
         pe_names=("SBP", "BMUL", "ADD", "SUB", "INV",
                   "NPACK", "UNPACK", "GATE", "SC"),
         dyn_uw_per_electrode=dyn,
-        pairwise_uw=quadratic,
+        pairwise_uw=MI_KF_CENTRAL_QUADRATIC_UW,
         comm="all_one",
         wire_bytes_per_electrode=4.0,
         period_ms=MOVEMENT_PERIOD_MS,
         net_budget_ms=MOVEMENT_PERIOD_MS,
-        # the E^2 NVM term is handled by the scheduler's centralised-NVM
-        # constraint via this per-electrode-squared coefficient:
-        nvm_bytes_fixed_period=0.0,
+        # the E^2 NVM term is the scheduler's centralised-NVM cap, built
+        # from MI_KF_NVM_BYTES_PER_E2
         uses_nvm=True,
         centralised=True,
     )

@@ -69,12 +69,14 @@ class LoadGenConfig:
     def __post_init__(self) -> None:
         if self.n_requests < 1:
             raise ConfigurationError("need at least one request")
-        if self.offered_qps <= 0:
-            raise ConfigurationError("offered load must be positive")
+        if not 0 < self.offered_qps < np.inf:
+            raise ConfigurationError(
+                "offered load must be positive and finite"
+            )
         if self.n_clients < 1:
             raise ConfigurationError("need at least one client")
-        if self.deadline_ms <= 0:
-            raise ConfigurationError("deadline must be positive")
+        if not 0 < self.deadline_ms < np.inf:
+            raise ConfigurationError("deadline must be positive and finite")
         weights = self.kind_weights
         if (
             len(weights) != 3

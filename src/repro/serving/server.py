@@ -130,8 +130,10 @@ class ServerConfig:
     retry: RetryPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.default_deadline_ms <= 0:
-            raise ConfigurationError("default deadline must be positive")
+        if not 0 < self.default_deadline_ms < np.inf:
+            raise ConfigurationError(
+                "default deadline must be positive and finite"
+            )
         if self.coalesce_merge_ms < 0:
             raise ConfigurationError("merge charge cannot be negative")
         if self.failed_node_timeout_ms < 0:

@@ -2,7 +2,8 @@
 
 The subsystem has three moving parts, all keyed to *simulated* time
 (TDMA slots, packet airtimes, analytical-model microseconds — never the
-host clock, except for the explicit wall-clock profiler):
+host clock; wall-clock cost is measured from outside, by the bench's
+layer tracer):
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges,
   fixed-bucket histograms;
@@ -26,7 +27,6 @@ from repro.telemetry.exporters import (
     write_chrome_trace,
     write_metrics_csv,
 )
-from repro.telemetry.profiler import WallClockProfiler
 from repro.telemetry.registry import (
     DEFAULT_BUCKET_EDGES,
     Histogram,
@@ -47,7 +47,6 @@ __all__ = [
     "Telemetry",
     "TraceContext",
     "Tracer",
-    "WallClockProfiler",
     "chrome_trace_events",
     "format_metric",
     "label_key",
@@ -58,7 +57,7 @@ __all__ = [
 
 
 class _NullSpan:
-    """A reusable, stateless no-op context manager (also a null profiler)."""
+    """A reusable, stateless no-op context manager."""
 
     def __enter__(self) -> None:
         return None
@@ -103,9 +102,6 @@ class NullTelemetry:
     def instant(self, name: str, **attrs: object) -> None:
         pass
 
-    def time(self, name: str, **labels: object) -> _NullSpan:
-        return _NULL_SPAN
-
     def current_context(self) -> TraceContext | None:
         return None
 
@@ -116,7 +112,7 @@ NULL_TELEMETRY = NullTelemetry()
 
 
 class Telemetry:
-    """A live handle: one clock, one registry, one tracer, one profiler."""
+    """A live handle: one clock, one registry, one tracer."""
 
     enabled = True
 
@@ -124,7 +120,6 @@ class Telemetry:
         self.clock = clock if clock is not None else SimClock()
         self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=self.clock)
-        self.profiler = WallClockProfiler(self.registry)
         # The metric/clock writes run on the serving hot path, where the
         # pure-delegation frame below is a measurable share of the 5 %
         # overhead budget — bind them straight to their targets.  The
@@ -154,7 +149,7 @@ class Telemetry:
     def advance_ms(self, delta_ms: float) -> None:
         self.clock.advance_ms(delta_ms)
 
-    # -- tracing and profiling ----------------------------------------------------
+    # -- tracing ------------------------------------------------------------------
 
     def span(self, name: str, trace: TraceContext | None = None,
              **attrs: object):
@@ -169,9 +164,6 @@ class Telemetry:
         """
         with self.tracer.span(name, instant=True, **attrs):
             pass
-
-    def time(self, name: str, **labels: object):
-        return self.profiler.time(name, **labels)
 
     def current_context(self) -> TraceContext | None:
         return self.tracer.current_context()

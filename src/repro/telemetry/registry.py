@@ -9,12 +9,12 @@ seeded scenario cannot perturb it (the PR-1 determinism guarantee).
 Metric naming scheme (see DESIGN.md "Telemetry & tracing"):
 
 * dotted, ``subsystem.quantity[_unit]`` — ``network.packets_sent``,
-  ``arq.retries``, ``storage.nvm_reads``, ``scheduler.ilp_solve_ms``;
+  ``arq.retries``, ``storage.nvm_reads``, ``scheduler.solves``;
 * labels for dimensions, not new names — ``pe.busy_us{pe=DTW}``;
 * ``*_ms`` / ``*_us`` suffixes mark time quantities; bare names count
-  events.  Simulated-time metrics come from the scenario's
-  :class:`~repro.telemetry.clock.SimClock`; the only wall-clock metrics
-  are the ``scheduler.ilp_solve_ms`` style profiler observations.
+  events.  Every time quantity is simulated time from the scenario's
+  :class:`~repro.telemetry.clock.SimClock`, so a snapshot depends only
+  on the seed; no registry value reads the host clock.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.telemetry.health.sketch import QuantileSketch
 LabelKey = tuple[tuple[str, str], ...]
 
 #: Default histogram bucket edges: a geometric ladder wide enough for both
-#: microsecond spans and millisecond solve times.
+#: microsecond spans and multi-second simulated intervals.
 DEFAULT_BUCKET_EDGES = (
     0.01, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
     100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,

@@ -133,12 +133,14 @@ def fig9a_scenario(
     node_counts: tuple[int, ...] = (1, 2, 4, 8, 11, 16, 32, 64),
     seed: int = 0,
 ) -> Telemetry:
-    """The Fig. 9a workload under telemetry: 24 ILP solves, profiled.
+    """The Fig. 9a workload under telemetry: 24 ILP solves.
 
     Simulated time stands still here (the scheduler is analytical); the
-    interesting numbers are the wall-clock ``scheduler.ilp_solve_ms``
-    histogram and the per-solve gauges.  ``seed`` is accepted for
-    interface uniformity — the workload is deterministic by construction.
+    interesting numbers are the ``scheduler.solves`` count, the
+    ``ilp-solve`` spans and the per-solve gauges, all fixed by the
+    inputs, so two runs give identical snapshots.  ``seed`` is accepted
+    for interface uniformity — the workload is deterministic by
+    construction.
     """
     del seed
     from repro.eval.application import (

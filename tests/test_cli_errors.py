@@ -40,6 +40,12 @@ BAD_INVOCATIONS = [
                  id="serve-negative-deadline"),
     pytest.param(("serve", "--deadline-ms", "abc"),
                  id="serve-deadline-not-a-number"),
+    pytest.param(("serve", "--qps", "nan"), id="serve-nan-qps"),
+    pytest.param(("serve", "--deadline-ms", "nan"), id="serve-nan-deadline"),
+    pytest.param(("fig8a", "--power", "nan"), id="fig8a-nan-power"),
+    pytest.param(("fabric", "--qps", "inf"), id="fabric-infinite-qps"),
+    pytest.param(("table1", "--power", "3"), id="table1-unread-power-flag"),
+    pytest.param(("fig9a", "--nodes", "64"), id="fig9a-unread-nodes-flag"),
     pytest.param(("serve", "--fault-plan", "apocalypse"),
                  id="serve-unknown-fault-plan"),
     pytest.param(("chaos", "--seed", "x"), id="chaos-seed-not-an-int"),
@@ -102,6 +108,22 @@ def test_subcommand_help_shows_only_its_options():
     assert proc.returncode == 0
     assert "--fault-plan" in proc.stdout
     assert "--tenants" not in proc.stdout
+
+
+def test_figure_help_lists_only_the_flags_its_handler_reads():
+    proc = _run("fig9a", "--help")
+    assert proc.returncode == 0
+    assert "--nodes" not in proc.stdout
+    assert "--power" not in proc.stdout
+    proc = _run("fig8a", "--help")
+    assert proc.returncode == 0
+    assert "--nodes" in proc.stdout
+    assert "--power" in proc.stdout
+    assert "--reps" not in proc.stdout
+    proc = _run("all", "--help")
+    assert proc.returncode == 0
+    for flag in ("--nodes", "--power", "--pairs", "--packets", "--reps"):
+        assert flag in proc.stdout
 
 
 def test_fabric_happy_path(tmp_path):

@@ -397,6 +397,9 @@ class TestResultRetention:
             ServerConfig(result_retention=0)
         with pytest.raises(ConfigurationError):
             ServerConfig(log_retention=0)
+        for deadline in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                ServerConfig(default_deadline_ms=deadline)
         with pytest.raises(ConfigurationError):
             ServerConfig(default_min_coverage=1.5)
 

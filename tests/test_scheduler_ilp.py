@@ -20,6 +20,7 @@ from repro.eval.application import (
     SPIKES_PER_ELECTRODE_HZ,
     spike_sorting_rate_per_node,
 )
+from repro.network.tdma import TDMAConfig
 from repro.scheduler.constraints import NETWORK_UTILISATION_CAP, VERIFY_TOL
 from repro.scheduler.ilp import (
     Flow,
@@ -198,6 +199,11 @@ class TestMultiFlow:
         with pytest.raises(SchedulingError):
             SchedulerProblem(2, flows, power_budget_mw=0.5).solve()
 
+    @pytest.mark.parametrize("budget", (0.0, float("nan"), float("inf")))
+    def test_non_positive_or_non_finite_budget_rejected(self, budget):
+        with pytest.raises(SchedulingError, match="power budget"):
+            SchedulerProblem(4, [Flow(spike_sorting_task())], budget)
+
     def test_missing_allocation_lookup_raises(self):
         schedule = SchedulerProblem(
             2, [Flow(spike_sorting_task())]
@@ -261,10 +267,9 @@ class TestSchedulerTelemetry:
     def test_max_throughput_books_solve_metrics(self):
         tel = Telemetry()
         max_throughput_mbps(seizure_detection_task(), 4, 15.0, telemetry=tel)
-        reg = tel.registry
-        assert reg.counter("scheduler.solves") == 1.0
-        hist = reg.histogram("scheduler.ilp_solve_ms")
-        assert hist is not None and hist.n >= 1
+        assert tel.registry.counter("scheduler.solves") == 1.0
+        (span,) = tel.spans_named("ilp-solve")
+        assert span.attrs == {"n_nodes": 4, "n_flows": 1}
 
     def test_sweep_books_one_solve_per_cell(self):
         from repro.eval.throughput import fig8b
@@ -363,11 +368,11 @@ class TestMediumSaturation:
 
     def test_saturated_medium_degrades_explicitly(self):
         telemetry = Telemetry()
-        # A 1000 ms per-round beacon overhead makes the fixed burst
-        # alone overrun the utilisation cap while the (huge) latency
-        # budget keeps the flow capped in — the silent-clamp cell.
+        # A 1000 ms guard interval makes the fixed burst alone overrun
+        # the utilisation cap while the (huge) latency budget keeps the
+        # flow capped in — the silent-clamp cell.
         problem = SchedulerProblem(n_nodes=4, flows=self._flows(),
-                                   round_overhead_ms=1000.0,
+                                   tdma=TDMAConfig(guard_ms=1000.0),
                                    telemetry=telemetry)
         cs = problem.constraints()
         assert cs.medium_saturated
@@ -526,7 +531,7 @@ class TestSingleFlowClosedForm:
         problem = SchedulerProblem(
             n_nodes=4,
             flows=[Flow(hash_similarity_task("one_all", net_budget_ms=1e6))],
-            round_overhead_ms=1000.0,
+            tdma=TDMAConfig(guard_ms=1000.0),
         )
         got, cs = _assert_matches_linprog(problem)
         assert cs.medium_saturated
@@ -541,7 +546,6 @@ class TestSingleFlowClosedForm:
         with pytest.raises(SchedulingError, match="static power"):
             problem.solve()
         assert tel.registry.counter("scheduler.solves") == 0.0
-        assert tel.registry.histogram("scheduler.ilp_solve_ms") is None
         assert tel.spans_named("ilp-solve") == []
 
     @pytest.mark.parametrize("flows", (
@@ -554,7 +558,6 @@ class TestSingleFlowClosedForm:
         tel = Telemetry()
         SchedulerProblem(8, flows, telemetry=tel).solve()
         assert tel.registry.counter("scheduler.solves") == 1.0
-        assert tel.registry.histogram("scheduler.ilp_solve_ms").n == 1
         (span,) = tel.spans_named("ilp-solve")
         assert span.attrs == {"n_nodes": 8, "n_flows": len(flows)}
 
@@ -609,3 +612,41 @@ class TestReportedPowerIsTheConstraintLhs:
         problem = SchedulerProblem(8, [Flow(mi_kf_task())], 15.0)
         schedule = problem.solve()
         assert schedule.node_power_mw == pytest.approx(9.4934, abs=1e-4)
+
+
+class TestHashSeedIndependence:
+    """Scheduler results must not depend on ``PYTHONHASHSEED``.
+
+    Static power sums PE leakage over a set of PE names; summed in set
+    order, the float's last bit followed the hash seed, and with it some
+    fig. 8c cells.  Full-precision ``repr`` catches what the printed
+    figures round away.
+    """
+
+    SCRIPT = """
+import json
+from repro.eval.application import fig9a, sec63_scalars
+from repro.eval.throughput import fig8c
+
+def full(x):
+    if isinstance(x, dict):
+        return {repr(k): full(v) for k, v in x.items()}
+    return repr(x)
+
+print(json.dumps(full({"fig8c": fig8c(), "fig9a": fig9a(),
+                       "sec63": sec63_scalars()}), sort_keys=True))
+"""
+
+    def _run(self, hash_seed):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = str(hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_full_precision_outputs_identical_across_hash_seeds(self):
+        assert self._run(0) == self._run(13)

@@ -348,11 +348,15 @@ class TestLoadGenerator:
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):
             LoadGenConfig(n_requests=0)
-        with pytest.raises(ConfigurationError):
-            LoadGenConfig(offered_qps=0.0)
+        for qps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                LoadGenConfig(offered_qps=qps)
         for bad in (
             dict(deadline_ms=0.0),
             dict(deadline_ms=-5.0),
+            dict(deadline_ms=float("nan")),
+            dict(deadline_ms=float("inf")),
+            dict(offered_qps=float("nan")),
             dict(kind_weights=(0.0, 0.0, 0.0)),
             dict(kind_weights=(-0.5, 1.0, 0.5)),
             dict(kind_weights=(0.5, 0.5)),
@@ -362,6 +366,9 @@ class TestLoadGenerator:
             for make in (LoadGenConfig, FabricLoadConfig):
                 with pytest.raises(ConfigurationError):
                     make(**bad)
+        for multiplier in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                FabricLoadConfig(rate_multipliers={"t00": multiplier})
 
     def test_low_load_sheds_nothing(self):
         _, report = serve_session(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.hardware.catalog import get_pe
 from repro.network.packet import PACKET_OVERHEAD_BITS
 from repro.network.tdma import TDMAConfig
 from repro.scheduler.ilp import NETWORK_UTILISATION_CAP
@@ -23,7 +24,7 @@ from repro.scheduler.model import (
     PAIR_NORM,
     TaskModel,
 )
-from repro.storage.nvm import NVMDevice
+from repro.storage.nvm import LEAKAGE_MW, NVMDevice
 from repro.units import NODE_POWER_CAP_MW, electrodes_to_mbps
 
 
@@ -57,7 +58,10 @@ class ThroughputBreakdown:
 
 def static_power_mw(task: TaskModel) -> float:
     """Static power when only this task runs on a node."""
-    return task.static_mw + BASE_STATIC_MW
+    static = sum(get_pe(name).static_uw for name in task.pe_names) / 1e3
+    if task.uses_nvm:
+        static += LEAKAGE_MW
+    return static + BASE_STATIC_MW
 
 
 def analytic_electrodes(
