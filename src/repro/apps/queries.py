@@ -53,8 +53,8 @@ class QuerySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("q1", "q2", "q3"):
             raise ConfigurationError("query kind must be q1, q2, or q3")
-        if self.time_range_ms <= 0:
-            raise ConfigurationError("time range must be positive")
+        if not 0 < self.time_range_ms < np.inf:
+            raise ConfigurationError("time range must be positive and finite")
         if not 0 <= self.match_fraction <= 1:
             raise ConfigurationError("match fraction must be in [0, 1]")
 
@@ -303,9 +303,7 @@ class QueryEngine:
             if tel.enabled:
                 tel.inc("query.cache_hit", len(pairs) - len(misses))
                 tel.inc("query.cache_miss", len(misses))
-            miss_samples = {
-                pair: controller.read_window(*pair) for pair in misses
-            }
+            miss_samples = dict(zip(misses, controller.read_windows(misses)))
             for group in _group_by_length(misses, miss_samples):
                 batch = np.stack(
                     [miss_samples[pair] for pair in group]
@@ -315,20 +313,16 @@ class QueryEngine:
             matched = self.lsh.matches_many(
                 np.array([signatures[pair] for pair in pairs]), template_sig
             )
+            pairs = [pair for pair, hit in zip(pairs, matched) if hit]
+            hits = [pair for pair in pairs if pair not in miss_samples]
+            samples = dict(zip(hits, controller.read_windows(hits)))
+            samples.update(miss_samples)
             return [
-                QueryResultRow(
-                    node,
-                    pair[0],
-                    pair[1],
-                    miss_samples[pair]
-                    if pair in miss_samples
-                    else controller.read_window(*pair),
-                )
-                for pair, hit in zip(pairs, matched)
-                if hit
+                QueryResultRow(node, pair[0], pair[1], samples[pair])
+                for pair in pairs
             ]
 
-        samples = {pair: controller.read_window(*pair) for pair in pairs}
+        samples = dict(zip(pairs, controller.read_windows(pairs)))
         if spec.kind == "q2":
             reference = np.asarray(template, dtype=float)
             costs: dict[tuple[int, int], float] = {}

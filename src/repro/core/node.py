@@ -93,7 +93,8 @@ class ScaloNode:
             np.asarray(windows, dtype=float)
         )
         if store_signals:
-            self.storage.store_channel_windows(index, windows)
+            # int16-exact rows reuse these hashes for the signature cache
+            self.storage.store_channel_windows(index, windows, signatures)
         self.storage.store_hash_batch(index, time_ms, signatures)
         self.hash_store.add_batch(time_ms, signatures)
         self.hash_store.evict_before(time_ms - 4 * self.hash_horizon_ms)
@@ -131,14 +132,14 @@ class ScaloNode:
         self._window_index = max(stored) + 1 if stored else 0
         horizon = (self.now_ms - 4 * self.hash_horizon_ms, self.now_ms)
         for window in stored:
-            meta = self.storage._hash_meta.get(window)
-            if meta is None or not horizon[0] <= meta[0] <= horizon[1]:
+            time_ms = self.storage.hash_batch_time(window)
+            if time_ms is None or not horizon[0] <= time_ms <= horizon[1]:
                 continue
             try:
                 signatures = self.storage.read_hash_batch(window)
             except StorageError:
                 continue  # rotted beyond ECC — warm cache stays cold here
-            self.hash_store.add_batch(meta[0], signatures)
+            self.hash_store.add_batch(time_ms, signatures)
         return report
 
     def check_remote_hashes(

@@ -184,9 +184,7 @@ class LSHFamily:
         windows = np.asarray(windows, dtype=float)
         if windows.ndim != 2:
             raise ConfigurationError("expected (channels, samples)")
-        return [
-            tuple(int(c) for c in row) for row in self.hash_windows(windows)
-        ]
+        return [tuple(row) for row in self.hash_windows(windows).tolist()]
 
     # -- matching ----------------------------------------------------------------
 

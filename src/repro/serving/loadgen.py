@@ -89,6 +89,12 @@ class LoadGenConfig:
             )
         if self.n_templates < 1:
             raise ConfigurationError("need at least one template")
+        if not 0 < self.time_range_ms < np.inf:
+            raise ConfigurationError(
+                "time range must be positive and finite"
+            )
+        if not 0 <= self.match_fraction <= 1:
+            raise ConfigurationError("match fraction must be in [0, 1]")
         if not 0 <= self.min_coverage <= 1:
             raise ConfigurationError("coverage SLA must be in [0, 1]")
 

@@ -134,11 +134,20 @@ class ServerConfig:
             raise ConfigurationError(
                 "default deadline must be positive and finite"
             )
-        if self.coalesce_merge_ms < 0:
+        if not 0 < self.bucket_capacity < np.inf:
+            raise ConfigurationError(
+                "bucket capacity must be positive and finite"
+            )
+        if not 0 < self.bucket_refill_per_s < np.inf:
+            raise ConfigurationError(
+                "bucket refill rate must be positive and finite"
+            )
+        # ``not x >= 0`` also rejects NaN
+        if not self.coalesce_merge_ms >= 0:
             raise ConfigurationError("merge charge cannot be negative")
-        if self.failed_node_timeout_ms < 0:
+        if not self.failed_node_timeout_ms >= 0:
             raise ConfigurationError("timeout charge cannot be negative")
-        if self.cache_only_service_ms < 0:
+        if not self.cache_only_service_ms >= 0:
             raise ConfigurationError("cache-only service cannot be negative")
         if not 0 < self.reduced_range_fraction <= 1:
             raise ConfigurationError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -29,7 +30,7 @@ from repro.storage.layout import (
     CHUNKED_READ_MS_PER_WINDOW,
     CHUNKED_WRITE_MS_PER_WINDOW,
 )
-from repro.storage.nvm import NVMDevice, PAGE_BYTES
+from repro.storage.nvm import NVMDevice, PAGE_BYTES, WRITE_NJ_PER_PAGE
 from repro.storage.partitions import PARTITION_NAMES, PartitionTable
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 
@@ -86,192 +87,265 @@ class StorageController:
     lsh: "LSHFamily | None" = field(default=None, repr=False)
 
     def _meter(
-        self, counter: str, busy0: float, reads0: int, writes0: int
+        self, counter: str, busy0: float, reads: int, writes: int,
+        energy_nj: float,
     ) -> None:
         """Book one storage operation's deltas into the registry."""
         tel = self.telemetry
-        stats = self.device.stats
         tel.inc(counter)
-        if stats.page_reads > reads0:
-            tel.inc("storage.nvm_reads", stats.page_reads - reads0)
-        if stats.page_writes > writes0:
-            tel.inc("storage.nvm_writes", stats.page_writes - writes0)
+        if reads:
+            tel.inc("storage.nvm_reads", reads)
+        if writes:
+            tel.inc("storage.nvm_writes", writes)
         tel.advance_ms(self.busy_ms - busy0)
         tel.set_gauge("storage.busy_ms", self.busy_ms)
-        tel.set_gauge("storage.nvm_energy_nj", stats.dynamic_energy_nj)
+        tel.set_gauge("storage.nvm_energy_nj", energy_nj)
 
     def __post_init__(self) -> None:
         if self.table is None:
             self.table = PartitionTable(self.device.capacity_bytes)
-        self._buffer: bytearray = bytearray()
-        self._buffer_partition: str | None = None
         self._windows: dict[tuple[int, int], _StoredObject] = {}
         self._signatures: dict[tuple[int, int], tuple[int, ...]] = {}
         self._hashes: dict[int, _StoredObject] = {}
         self._hash_times: list[float] = []
         self._hash_meta: dict[int, tuple[float, int, int]] = {}
         self._templates: dict[str, _StoredObject] = {}
-        self._next_page: dict[str, int] = {}
         self.last_written_page: int | None = None  # the metadata register
         #: durable write-ahead journal + checkpoint (lives in the ``mc``
         #: partition; survives crashes, unlike the metadata dicts above)
         self.journal = WriteAheadJournal()
         self._records_at_checkpoint = 0
 
-    # -- low-level page append ----------------------------------------------------
+    # -- page I/O -------------------------------------------------------------------
 
-    def _append_bytes(self, partition: str, data: bytes) -> int:
-        """Write ``data`` into ``partition`` page by page; returns address."""
+    def _append_objects(
+        self,
+        partition: str,
+        blobs: Sequence[bytes],
+        commit: Callable[[int, int, int], None],
+        counter: str | None = None,
+    ) -> None:
+        """Append ``blobs`` to ``partition`` in order; the one write path.
+
+        Per blob, in order: reserve its address, ``commit(i, address,
+        write_head)`` (journal record, metadata, SC latency), meter it as
+        ``counter``, and checkpoint when one is due, so a checkpoint that
+        falls mid-batch serialises the state as of its blob.  The device
+        programs whole pages: the SRAM buffer folds the blobs into ordered
+        ``(offset, chunk)`` pieces per page, and each touched page takes
+        one :meth:`~repro.storage.nvm.NVMDevice.merge_page` after the loop
+        (or at an error), which books one program per piece.
+        """
         part = self.table[partition]
-        address = part.append(len(data))
-        page = address // PAGE_BYTES
-        offset = address % PAGE_BYTES
-        # The device model programs whole pages; fold partial-page appends
-        # through the SRAM buffer (read-merge is free, the SRAM holds it).
-        cursor = 0
-        while cursor < len(data):
-            take = min(PAGE_BYTES - offset, len(data) - cursor)
-            chunk = data[cursor : cursor + take]
-            if self.device.is_programmed(page):
-                # erase-free buffer merge, verified by the ECC engine
-                self.device.rewrite_range(page, offset, chunk)
-            else:
-                padded = bytearray(b"\xff" * PAGE_BYTES)
-                padded[offset : offset + take] = chunk
-                self.device.program_page(page, bytes(padded))
-            self.last_written_page = page
-            cursor += take
-            page += 1
-            offset = 0
-        return address
+        metered = counter is not None and self.telemetry.enabled
+        # the device books WRITE_NJ_PER_PAGE per piece; the per-blob
+        # energy gauge reads the same running sum before the merges land
+        energy = self.device.stats.dynamic_energy_nj
+        merges: dict[int, list[tuple[int, bytes]]] = {}
+        try:
+            for i, data in enumerate(blobs):
+                busy0 = self.busy_ms
+                address = part.append(len(data))
+                page, offset = divmod(address, PAGE_BYTES)
+                cursor = pieces = 0
+                while cursor < len(data):
+                    take = min(PAGE_BYTES - offset, len(data) - cursor)
+                    merges.setdefault(page, []).append(
+                        (offset, data[cursor : cursor + take])
+                    )
+                    self.last_written_page = page
+                    cursor += take
+                    pieces += 1
+                    page += 1
+                    offset = 0
+                commit(i, address, part.write_head)
+                if metered:
+                    for _ in range(pieces):
+                        energy += WRITE_NJ_PER_PAGE
+                    self._meter(counter, busy0, 0, pieces, energy)
+                self._maybe_checkpoint()
+        finally:
+            for page, page_pieces in merges.items():
+                self.device.merge_page(page, page_pieces)
 
-    def _read_bytes(self, address: int, length: int) -> bytes:
-        page = address // PAGE_BYTES
-        offset = address % PAGE_BYTES
-        out = bytearray()
-        while length > 0:
-            take = min(PAGE_BYTES - offset, length)
-            aligned_offset = offset - offset % 8
-            aligned_len = -(-(offset + take - aligned_offset) // 8) * 8
-            aligned_len = min(aligned_len, PAGE_BYTES - aligned_offset)
-            data = self.device.read(page, aligned_offset, aligned_len)
-            out += data[offset - aligned_offset : offset - aligned_offset + take]
-            length -= take
-            page += 1
-            offset = 0
-        return bytes(out)
+    def _read_object(self, obj: _StoredObject) -> bytes:
+        (data,) = self.device.read_spans(((obj.address, obj.length),))
+        return data
 
     # -- signal windows -------------------------------------------------------------
+
+    def _window_signatures(
+        self,
+        windows: np.ndarray,
+        quantised: np.ndarray,
+        signatures: Sequence[Sequence[int]] | None,
+    ) -> list[tuple[int, ...] | None]:
+        """The cache entries of a batch: hashes of what reads return.
+
+        The caller's ``signatures`` hash ``windows`` as given, which is
+        what :meth:`read_window` returns only when the rows are
+        int16-exact; otherwise the quantised rows are hashed here.
+        """
+        if signatures is not None and len(signatures) != len(quantised):
+            raise StorageError("expected one signature per window")
+        if signatures is not None and np.array_equal(quantised, windows):
+            rows = np.asarray(signatures, dtype=np.int64).tolist()
+            return [tuple(row) for row in rows]
+        if self.lsh is None or quantised.shape[0] == 0:
+            return [None] * quantised.shape[0]
+        try:
+            hashed = self.lsh.hash_windows(quantised.astype(float))
+        except ConfigurationError:
+            # window shorter than the hash geometry
+            return [None] * quantised.shape[0]
+        return [tuple(row) for row in hashed.tolist()]
+
+    def _store_windows(
+        self,
+        keys: Sequence[tuple[int, int]],
+        windows: np.ndarray,
+        signatures: Sequence[Sequence[int]] | None,
+    ) -> None:
+        """Persist row ``i`` of ``(rows, samples)`` as window ``keys[i]``."""
+        quantised = windows.astype("<i2")
+        row_bytes = quantised.shape[1] * quantised.itemsize
+        if keys and row_bytes > SC_BUFFER_BYTES:
+            raise StorageError("window larger than the SC write buffer")
+        cache = self._window_signatures(windows, quantised, signatures)
+        data = quantised.tobytes()
+
+        def commit(i: int, address: int, head: int) -> None:
+            electrode, window_index = key = keys[i]
+            signature = cache[i]
+            sig_tail = (
+                struct.pack("<H", 0)
+                if signature is None
+                else struct.pack(f"<H{len(signature)}i", len(signature), *signature)
+            )
+            self.journal.append(
+                RecordType.WINDOW,
+                _WINDOW_REC.pack(
+                    electrode, window_index, address, row_bytes, head
+                )
+                + sig_tail,
+            )
+            self._windows[key] = _StoredObject(address, row_bytes)
+            if signature is not None:
+                self._signatures[key] = signature
+            else:
+                self._signatures.pop(key, None)
+            self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_WRITE_MS_PER_WINDOW
+
+        self._append_objects(
+            "signals",
+            [data[i * row_bytes : (i + 1) * row_bytes] for i in range(len(keys))],
+            commit,
+            "storage.windows_stored",
+        )
 
     def store_window(
         self,
         electrode: int,
         window_index: int,
         samples: np.ndarray,
-        signature: tuple[int, ...] | None = None,
+        signature: Sequence[int] | None = None,
     ) -> None:
         """Persist one electrode-window (int16 samples) in chunked layout.
 
+        The one-row :meth:`store_channel_windows`.
+
         Args:
-            signature: precomputed LSH signature of the quantised samples
-                (batch ingest paths hash whole arrays at once); when
-                ``None`` and an :attr:`lsh` is configured, the signature
-                is computed here.  Either way it is journaled with the
-                window record so crash recovery restores the cache
-                without rehashing.
+            signature: the LSH signature of ``samples``, reused for the
+                signature cache when the samples are int16-exact; see
+                :meth:`store_channel_windows`.
         """
         samples = np.asarray(samples)
         if samples.ndim != 1:
             raise StorageError("expected a 1-D sample window")
-        quantised = samples.astype("<i2")
-        data = quantised.tobytes()
-        if len(data) > SC_BUFFER_BYTES:
-            raise StorageError("window larger than the SC write buffer")
-        if signature is None and self.lsh is not None:
-            # hash what read_window will return (the int16 round-trip),
-            # not the raw float samples — the query path compares stored
-            # data, and the two differ by quantisation
-            try:
-                signature = self.lsh.hash_window(quantised.astype(float))
-            except ConfigurationError:
-                signature = None  # window shorter than the hash geometry
-        metered = self.telemetry.enabled
-        if metered:
-            busy0, reads0, writes0 = (
-                self.busy_ms,
-                self.device.stats.page_reads,
-                self.device.stats.page_writes,
-            )
-        address = self._append_bytes("signals", data)
-        sig_tail = (
-            struct.pack("<H", 0)
-            if signature is None
-            else struct.pack(f"<H{len(signature)}i", len(signature), *signature)
+        self._store_windows(
+            [(electrode, window_index)],
+            samples[None, :],
+            None if signature is None else [signature],
         )
-        self.journal.append(
-            RecordType.WINDOW,
-            _WINDOW_REC.pack(
-                electrode, window_index, address, len(data),
-                self.table["signals"].write_head,
-            )
-            + sig_tail,
-        )
-        self._windows[(electrode, window_index)] = _StoredObject(address, len(data))
-        if signature is not None:
-            self._signatures[(electrode, window_index)] = tuple(
-                int(c) for c in signature
-            )
-        else:
-            self._signatures.pop((electrode, window_index), None)
-        self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_WRITE_MS_PER_WINDOW
-        if metered:
-            self._meter("storage.windows_stored", busy0, reads0, writes0)
-        self._maybe_checkpoint()
 
     def store_channel_windows(
-        self, window_index: int, windows: np.ndarray
+        self,
+        window_index: int,
+        windows: np.ndarray,
+        signatures: Sequence[Sequence[int]] | None = None,
     ) -> None:
-        """Persist one window per electrode from ``(channels, samples)``."""
+        """Persist one window per electrode from ``(channels, samples)``.
+
+        Samples are stored as int16.  With an :attr:`lsh` configured, each
+        window's signature (of the int16 samples, i.e. exactly what
+        :meth:`read_window` returns) is journaled with its record, so
+        crash recovery restores the cache without rehashing.
+
+        Args:
+            signatures: the per-row LSH signatures of ``windows`` as given
+                (the ingest hash).  They are reused when the rows are
+                int16-exact, which makes them the hashes of the stored
+                samples; otherwise the quantised rows are hashed here.
+        """
         windows = np.asarray(windows)
         if windows.ndim != 2:
             raise StorageError("expected (channels, samples)")
-        signatures: list[tuple[int, ...] | None]
-        if self.lsh is not None and windows.shape[0] > 0:
-            quantised = windows.astype("<i2")
-            try:
-                signatures = [
-                    tuple(int(c) for c in row)
-                    for row in self.lsh.hash_windows(quantised.astype(float))
-                ]
-            except ConfigurationError:
-                signatures = [None] * windows.shape[0]
-        else:
-            signatures = [None] * windows.shape[0]
-        for electrode, row in enumerate(windows):
-            self.store_window(
-                electrode, window_index, row, signature=signatures[electrode]
-            )
+        self._store_windows(
+            [(electrode, window_index) for electrode in range(windows.shape[0])],
+            windows,
+            signatures,
+        )
 
-    def read_window(self, electrode: int, window_index: int) -> np.ndarray:
-        """Retrieve a stored electrode-window."""
-        try:
-            obj = self._windows[(electrode, window_index)]
-        except KeyError:
+    def read_windows(
+        self, keys: Iterable[tuple[int, int]]
+    ) -> list[np.ndarray]:
+        """Retrieve stored ``(electrode, window_index)`` windows, in order.
+
+        Returns one int64 row per key.  Costs are booked per window and
+        per page piece exactly as one :meth:`read_window` per key books
+        them, and an error is raised at the same key with the same costs
+        already booked; the device fetches each touched page once.
+        """
+        objects: list[_StoredObject] = []
+        missing = None
+        for key in keys:
+            obj = self._windows.get(key)
+            if obj is None:
+                missing = key
+                break
+            objects.append(obj)
+        stats = self.device.stats
+        metered = self.telemetry.enabled
+        reader = self.device.read_spans(
+            [(obj.address, obj.length) for obj in objects]
+        )
+        chunks = []
+        for _ in objects:
+            if metered:
+                busy0, reads0 = self.busy_ms, stats.page_reads
+            chunks.append(next(reader))
+            self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_READ_MS_PER_WINDOW
+            if metered:
+                self._meter(
+                    "storage.windows_read", busy0, stats.page_reads - reads0,
+                    0, stats.dynamic_energy_nj,
+                )
+        if missing is not None:
+            electrode, window_index = missing
             raise StorageError(
                 f"no stored window (electrode={electrode}, index={window_index})"
-            ) from None
-        metered = self.telemetry.enabled
-        if metered:
-            busy0, reads0, writes0 = (
-                self.busy_ms,
-                self.device.stats.page_reads,
-                self.device.stats.page_writes,
             )
-        data = self._read_bytes(obj.address, obj.length)
-        self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_READ_MS_PER_WINDOW
-        if metered:
-            self._meter("storage.windows_read", busy0, reads0, writes0)
-        return np.frombuffer(data, dtype="<i2").astype(np.int64)
+        if not objects:
+            return []
+        samples = np.frombuffer(b"".join(chunks), dtype="<i2").astype(np.int64)
+        lengths = [obj.length // 2 for obj in objects]
+        if len(set(lengths)) == 1:
+            return list(samples.reshape(len(objects), lengths[0]))
+        return np.split(samples, np.cumsum(lengths)[:-1])
+
+    def read_window(self, electrode: int, window_index: int) -> np.ndarray:
+        """Retrieve a stored electrode-window (the one-key :meth:`read_windows`)."""
+        return self.read_windows([(electrode, window_index)])[0]
 
     def has_window(self, electrode: int, window_index: int) -> bool:
         return (electrode, window_index) in self._windows
@@ -315,29 +389,25 @@ class StorageController:
             raise StorageError("mixed signature widths in one batch")
         flat = [component for sig in signatures for component in sig]
         data = np.asarray(flat, dtype="<u2").tobytes()
-        metered = self.telemetry.enabled
-        if metered:
-            busy0, reads0, writes0 = (
-                self.busy_ms,
-                self.device.stats.page_reads,
-                self.device.stats.page_writes,
+
+        def commit(_: int, address: int, head: int) -> None:
+            self.journal.append(
+                RecordType.HASH_BATCH,
+                _HASH_REC.pack(
+                    window_index, address, len(data), time_ms,
+                    len(signatures), n_components, head,
+                ),
             )
-        address = self._append_bytes("hashes", data)
-        self.journal.append(
-            RecordType.HASH_BATCH,
-            _HASH_REC.pack(
-                window_index, address, len(data), time_ms,
-                len(signatures), n_components,
-                self.table["hashes"].write_head,
-            ),
+            self._hashes[window_index] = _StoredObject(address, len(data))
+            self._hash_meta[window_index] = (
+                time_ms, len(signatures), n_components,
+            )
+            self._hash_times.append(time_ms)
+            self.busy_ms += SC_LATENCY_FREE_MS
+
+        self._append_objects(
+            "hashes", [data], commit, "storage.hash_batches_stored"
         )
-        self._hashes[window_index] = _StoredObject(address, len(data))
-        self._hash_meta[window_index] = (time_ms, len(signatures), n_components)
-        self._hash_times.append(time_ms)
-        self.busy_ms += SC_LATENCY_FREE_MS
-        if metered:
-            self._meter("storage.hash_batches_stored", busy0, reads0, writes0)
-        self._maybe_checkpoint()
 
     def read_hash_batch(self, window_index: int) -> list[tuple[int, ...]]:
         try:
@@ -345,22 +415,25 @@ class StorageController:
             _, n_signatures, n_components = self._hash_meta[window_index]
         except KeyError:
             raise StorageError(f"no stored hashes for window {window_index}") from None
-        metered = self.telemetry.enabled
-        if metered:
-            busy0, reads0, writes0 = (
-                self.busy_ms,
-                self.device.stats.page_reads,
-                self.device.stats.page_writes,
-            )
-        data = self._read_bytes(obj.address, obj.length)
+        stats = self.device.stats
+        busy0, reads0 = self.busy_ms, stats.page_reads
+        data = self._read_object(obj)
         flat = np.frombuffer(data, dtype="<u2")
         self.busy_ms += SC_LATENCY_FREE_MS
-        if metered:
-            self._meter("storage.hash_batches_read", busy0, reads0, writes0)
+        if self.telemetry.enabled:
+            self._meter(
+                "storage.hash_batches_read", busy0, stats.page_reads - reads0,
+                0, stats.dynamic_energy_nj,
+            )
         return [
             tuple(int(x) for x in flat[i * n_components : (i + 1) * n_components])
             for i in range(n_signatures)
         ]
+
+    def hash_batch_time(self, window_index: int) -> float | None:
+        """When a stored hash batch was taken (ms), or ``None`` if absent."""
+        meta = self._hash_meta.get(window_index)
+        return None if meta is None else meta[0]
 
     def stored_hash_windows(self) -> list[int]:
         """All window indexes with a stored hash batch (sorted)."""
@@ -380,18 +453,18 @@ class StorageController:
         """Persist a named application object (spike template, weights)."""
         if not data:
             raise StorageError("refusing to store an empty object")
-        address = self._append_bytes("appdata", data)
-        encoded = key.encode("utf-8")
-        self.journal.append(
-            RecordType.APPDATA,
-            struct.pack("<H", len(encoded)) + encoded
-            + _APPDATA_REC.pack(
-                address, len(data), self.table["appdata"].write_head
-            ),
-        )
-        self._templates[key] = _StoredObject(address, len(data))
-        self.busy_ms += SC_LATENCY_FREE_MS
-        self._maybe_checkpoint()
+
+        def commit(_: int, address: int, head: int) -> None:
+            encoded = key.encode("utf-8")
+            self.journal.append(
+                RecordType.APPDATA,
+                struct.pack("<H", len(encoded)) + encoded
+                + _APPDATA_REC.pack(address, len(data), head),
+            )
+            self._templates[key] = _StoredObject(address, len(data))
+            self.busy_ms += SC_LATENCY_FREE_MS
+
+        self._append_objects("appdata", [data], commit)
 
     def read_appdata(self, key: str) -> bytes:
         try:
@@ -399,7 +472,7 @@ class StorageController:
         except KeyError:
             raise StorageError(f"no stored object {key!r}") from None
         self.busy_ms += SC_LATENCY_FREE_MS
-        return self._read_bytes(obj.address, obj.length)
+        return self._read_object(obj)
 
     def appdata_keys(self) -> list[str]:
         return sorted(self._templates)
@@ -554,19 +627,17 @@ class StorageController:
     def lose_sram(self) -> None:
         """Model a power loss: the SC's SRAM contents vanish.
 
-        The write buffer, the metadata dicts, the last-written-page
-        register, and the partition write heads are all SRAM state; the
-        NVM pages and the journal survive (NAND is non-volatile).
+        The metadata dicts, the last-written-page register, and the
+        partition write heads are all SRAM state (every store call has
+        flushed its write buffer by the time it returns); the NVM pages
+        and the journal survive (NAND is non-volatile).
         """
-        self._buffer = bytearray()
-        self._buffer_partition = None
         self._windows = {}
         self._signatures = {}
         self._hashes = {}
         self._hash_times = []
         self._hash_meta = {}
         self._templates = {}
-        self._next_page = {}
         self.last_written_page = None
         self.table = PartitionTable(
             self.device.capacity_bytes, fractions=dict(self.table.fractions)

@@ -13,6 +13,7 @@ bandwidth numbers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError, UncorrectableError
@@ -34,6 +35,9 @@ READ_PAGE_MS = 0.025
 LEAKAGE_MW = 0.26
 READ_NJ_PER_PAGE = 918.809
 WRITE_NJ_PER_PAGE = 1374.0
+
+#: What an erased (or never-programmed) page reads as.
+_ERASED_PAGE = b"\xff" * PAGE_BYTES
 
 #: Default capacity: the paper integrates 128 GB per node.  The functional
 #: model allocates lazily, so the configured capacity costs no memory.
@@ -79,9 +83,10 @@ class NVMDevice:
     it, so the software decode below changes no simulated time, only
     the simulator's.  The device therefore remembers which pages it has
     verified since their last mutation (the *clean set*) and skips
-    re-decoding them: a page joins on ``program_page``, ``rewrite_range``
-    and every clean or corrected decode, and leaves on ``inject_bit_rot``
-    and ``erase_block``, the only other ways stored bytes change.  A
+    re-decoding them: a page joins on every write (``merge_page``, and
+    its one-piece forms ``program_page`` and ``rewrite_range``) and every
+    clean or corrected decode, and leaves on ``inject_bit_rot`` and
+    ``erase_block``, the only other ways stored bytes change.  A
     partial rewrite of a page verified clean or corrected re-encodes its
     ECC from the changed bytes alone; one that failed to decode is
     re-encoded in full.  Stored words, decode outcomes and every counter
@@ -141,7 +146,7 @@ class NVMDevice:
         # erase energy folded into the write figure, as NVSim reports
 
     def program_page(self, page_index: int, data: bytes) -> None:
-        """Program one full page (must be erased)."""
+        """Program one full page (must be erased); short data is 0xFF-padded."""
         self._check_page(page_index)
         if page_index in self._programmed:
             raise StorageError(
@@ -149,15 +154,75 @@ class NVMDevice:
             )
         if len(data) > PAGE_BYTES:
             raise StorageError(f"page data {len(data)} B exceeds {PAGE_BYTES} B")
-        padded = data.ljust(PAGE_BYTES, b"\xff")
-        self._pages[page_index] = padded
+        self.merge_page(page_index, ((0, data.ljust(PAGE_BYTES, b"\xff")),))
+
+    def merge_page(
+        self, page_index: int, pieces: Sequence[tuple[int, bytes]]
+    ) -> None:
+        """Merge ordered ``(offset, chunk)`` pieces into one page at once.
+
+        The SC's SRAM buffer folds every append that lands on a page into
+        one program.  The result is exactly that of writing the pieces one
+        at a time: an erased page is programmed by the first piece (the
+        rest of it reads as 0xFF) and each later piece is a
+        :meth:`rewrite_range`.  Only the first piece can verify the
+        existing content, since every piece leaves the page clean; a
+        poison is cleared by a piece that covers the whole page.  The ECC
+        words are updated once from the changed span (the code is linear
+        over GF(2)), and each piece books one program.
+        """
+        self._check_page(page_index)
+        if not pieces:
+            raise StorageError("no pieces to merge")
+        for offset, chunk in pieces:
+            if offset < 0 or not chunk or offset + len(chunk) > PAGE_BYTES:
+                raise StorageError("rewrite range outside the page")
+        programmed = page_index in self._programmed
+        existing = self._pages[page_index] if programmed else _ERASED_PAGE
+        # the stored words describe ``existing`` once it is verified
+        verified = programmed and page_index in self._clean
+        first_offset, first_chunk = pieces[0]
+        if (
+            self.ecc_enabled and programmed and not verified
+            and not (first_offset == 0 and len(first_chunk) == PAGE_BYTES)
+        ):
+            result = decode_page(existing, self._ecc[page_index])
+            if result.corrected_bits:
+                self.stats.ecc_corrected += result.corrected_bits
+                existing = result.data
+            elif not result.ok and page_index not in self._poisoned:
+                self.stats.ecc_uncorrectable += 1
+                self._poisoned.add(page_index)
+            verified = result.ok
+        buffer = bytearray(existing)
+        low, high, whole_page = PAGE_BYTES, 0, False
+        for offset, chunk in pieces:
+            end = offset + len(chunk)
+            buffer[offset:end] = chunk
+            low, high = min(low, offset), max(high, end)
+            whole_page = whole_page or (offset == 0 and end == PAGE_BYTES)
+        merged = bytes(buffer)
+        self._pages[page_index] = merged
         self._programmed.add(page_index)
         if self.ecc_enabled:
-            self._ecc[page_index] = compute_ecc(padded)
+            if verified:
+                self._ecc[page_index] = update_ecc(
+                    self._ecc[page_index], low, existing[low:high],
+                    merged[low:high], merged,
+                )
+            else:
+                # an erased page, or a failed decode whose rotten bytes
+                # around the pieces stay on the page: encode what is
+                # actually there
+                self._ecc[page_index] = compute_ecc(merged)
         self._clean.add(page_index)
-        self.stats.page_writes += 1
-        self.stats.busy_ms += PROGRAM_MS
-        self.stats.dynamic_energy_nj += WRITE_NJ_PER_PAGE
+        if whole_page:
+            self._poisoned.discard(page_index)
+        stats = self.stats
+        for _ in pieces:
+            stats.page_writes += 1
+            stats.busy_ms += PROGRAM_MS
+            stats.dynamic_energy_nj += WRITE_NJ_PER_PAGE
 
     def rewrite_range(self, page_index: int, offset: int, chunk: bytes) -> None:
         """In-place partial-page update through the SC's SRAM buffer.
@@ -170,46 +235,13 @@ class NVMDevice:
         lands — the surrounding old bytes are what was lost).  A rewrite
         covering the whole page replaces everything and clears the poison.
         A page in the clean set skips the verify, and the ECC words of a
-        verified page are updated from the changed bytes alone.
+        verified page are updated from the changed bytes alone.  The
+        one-piece :meth:`merge_page` of a programmed page.
         """
         self._check_page(page_index)
         if page_index not in self._programmed:
             raise StorageError(f"page {page_index} not programmed")
-        if offset < 0 or not chunk or offset + len(chunk) > PAGE_BYTES:
-            raise StorageError("rewrite range outside the page")
-        existing = self._pages[page_index]
-        whole_page = offset == 0 and len(chunk) == PAGE_BYTES
-        # the stored words describe ``existing`` once it is verified
-        verified = page_index in self._clean
-        if self.ecc_enabled and not whole_page and not verified:
-            result = decode_page(existing, self._ecc[page_index])
-            if result.corrected_bits:
-                self.stats.ecc_corrected += result.corrected_bits
-                existing = result.data
-            elif not result.ok and page_index not in self._poisoned:
-                self.stats.ecc_uncorrectable += 1
-                self._poisoned.add(page_index)
-            verified = result.ok
-        end = offset + len(chunk)
-        merged = existing[:offset] + chunk + existing[end:]
-        self._pages[page_index] = merged
-        if self.ecc_enabled:
-            if verified and not whole_page:
-                self._ecc[page_index] = update_ecc(
-                    self._ecc[page_index], offset, existing[offset:end],
-                    chunk, merged,
-                )
-            else:
-                # a whole-page rewrite, or a failed decode whose rotten
-                # bytes around the chunk stay on the page: encode what
-                # is actually there
-                self._ecc[page_index] = compute_ecc(merged)
-        self._clean.add(page_index)
-        if whole_page:
-            self._poisoned.discard(page_index)
-        self.stats.page_writes += 1
-        self.stats.busy_ms += PROGRAM_MS
-        self.stats.dynamic_energy_nj += WRITE_NJ_PER_PAGE
+        self.merge_page(page_index, ((offset, chunk),))
 
     def read(self, page_index: int, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` within one page.
@@ -224,14 +256,46 @@ class NVMDevice:
             )
         if offset < 0 or length <= 0 or offset + length > PAGE_BYTES:
             raise StorageError("read range outside the page")
-        page = self._pages.get(page_index, b"\xff" * PAGE_BYTES)
-        self.stats.page_reads += 1
-        self.stats.busy_ms += READ_PAGE_MS
-        self.stats.dynamic_energy_nj += (
-            READ_NJ_PER_PAGE * length / PAGE_BYTES
-        )
-        page = self._verify_on_access(page_index, page)
-        return page[offset : offset + length]
+        (data,) = self.read_spans(((page_index * PAGE_BYTES + offset, length),))
+        return data
+
+    def read_spans(
+        self, spans: Iterable[tuple[int, int]]
+    ) -> Iterator[bytes]:
+        """Yield the bytes of each ``(address, length)`` span, in order.
+
+        A span is read page by page in whole 8-byte units, and each piece
+        books one page read (energy in proportion to its length) just as
+        the matching :meth:`read` call would.  Booking and verification
+        happen as a span is consumed, so a caller that stops at an error
+        has booked exactly the pieces read so far.  The reader fetches and
+        verifies each page once; do not write the device while a reader
+        is open.
+        """
+        fetched: dict[int, bytes] = {}
+        stats = self.stats
+        for address, length in spans:
+            page, offset = divmod(address, PAGE_BYTES)
+            parts = []
+            while length > 0:
+                take = min(PAGE_BYTES - offset, length)
+                aligned = offset - offset % READ_UNIT_BYTES
+                units = -(-(offset + take - aligned) // READ_UNIT_BYTES)
+                aligned_len = min(units * READ_UNIT_BYTES, PAGE_BYTES - aligned)
+                self._check_page(page)
+                stats.page_reads += 1
+                stats.busy_ms += READ_PAGE_MS
+                stats.dynamic_energy_nj += READ_NJ_PER_PAGE * aligned_len / PAGE_BYTES
+                content = fetched.get(page)
+                if content is None:
+                    content = fetched[page] = self._verify_on_access(
+                        page, self._pages.get(page, _ERASED_PAGE)
+                    )
+                parts.append(content[offset : offset + take])
+                length -= take
+                page += 1
+                offset = 0
+            yield parts[0] if len(parts) == 1 else b"".join(parts)
 
     def _verify_on_access(self, page_index: int, page: bytes) -> bytes:
         """Run the SECDED engine on a page transfer; raise on bad pages."""

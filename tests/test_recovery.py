@@ -270,10 +270,10 @@ def _outcome(call):
 class DeviceEquivalence(RuleBasedStateMachine):
     """The fast device against :class:`_PlainDevice`, step by step.
 
-    Random program, partial and whole-page rewrite, read, scrub visit,
-    1-3-bit rot and erase sequences must leave identical page bytes,
-    spare-area words, returned data and errors, counters and poisoned
-    sets.
+    Random program, partial and whole-page rewrite, multi-piece merge,
+    read, scrub visit, 1-3-bit rot and erase sequences must leave
+    identical page bytes, spare-area words, returned data and errors,
+    counters and poisoned sets.
     """
 
     @initialize()
@@ -299,6 +299,29 @@ class DeviceEquivalence(RuleBasedStateMachine):
             offset, length = 0, PAGE_BYTES
         length = min(length, PAGE_BYTES - offset)
         self._both("rewrite_range", page, offset, _page(seed, length))
+
+    @rule(page=st.sampled_from(_SM_PAGES), seed=st.integers(0, 2**16),
+          cuts=st.lists(st.integers(1, PAGE_BYTES - 1), max_size=7,
+                        unique=True),
+          keep=st.lists(st.booleans(), min_size=8, max_size=8))
+    def merge(self, page, seed, cuts, keep):
+        """Ordered pieces of one page: a tiling, or a subset of one."""
+        edges = [0, *sorted(cuts), PAGE_BYTES]
+        data = _page(seed)
+        tiling = [(start, data[start:end]) for start, end in zip(edges, edges[1:])]
+        pieces = [piece for piece, kept in zip(tiling, keep) if kept] or tiling
+        fast = _outcome(lambda: self.fast.merge_page(page, pieces))
+
+        def plain():
+            for offset, chunk in pieces:
+                if page in self.plain.pages:
+                    self.plain.rewrite_range(page, offset, chunk)
+                else:
+                    padded = bytearray(b"\xff" * PAGE_BYTES)
+                    padded[offset:offset + len(chunk)] = chunk
+                    self.plain.program_page(page, bytes(padded))
+
+        assert fast == _outcome(plain)
 
     @rule(page=st.sampled_from(_SM_PAGES),
           start=st.integers(0, PAGE_BYTES // 8 - 1),

@@ -370,6 +370,44 @@ class TestLoadGenerator:
             with pytest.raises(ConfigurationError):
                 FabricLoadConfig(rate_multipliers={"t00": multiplier})
 
+    def test_rejects_bad_query_fields_at_construction(self):
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            dict(time_range_ms=0.0),
+            dict(time_range_ms=-5.0),
+            dict(time_range_ms=nan),
+            dict(time_range_ms=inf),
+            dict(match_fraction=-0.1),
+            dict(match_fraction=7.0),
+            dict(match_fraction=nan),
+        ):
+            for make in (LoadGenConfig, FabricLoadConfig):
+                with pytest.raises(ConfigurationError):
+                    make(**bad)
+        for time_range_ms in (nan, inf, -inf):
+            with pytest.raises(ConfigurationError):
+                QuerySpec("q1", time_range_ms)
+
+    def test_rejects_bad_server_config(self):
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            dict(bucket_capacity=0.0),
+            dict(bucket_capacity=-1.0),
+            dict(bucket_capacity=nan),
+            dict(bucket_capacity=inf),
+            dict(bucket_refill_per_s=0.0),
+            dict(bucket_refill_per_s=nan),
+            dict(bucket_refill_per_s=inf),
+            dict(coalesce_merge_ms=-1.0),
+            dict(coalesce_merge_ms=nan),
+            dict(failed_node_timeout_ms=-1.0),
+            dict(failed_node_timeout_ms=nan),
+            dict(cache_only_service_ms=-1.0),
+            dict(cache_only_service_ms=nan),
+        ):
+            with pytest.raises(ConfigurationError):
+                ServerConfig(**bad)
+
     def test_low_load_sheds_nothing(self):
         _, report = serve_session(
             seed=0, load=LoadGenConfig(n_requests=24, offered_qps=4.0)

@@ -162,6 +162,11 @@ class TestStorageController:
         controller.store_hash_batch(0, 4.0, sigs)
         assert controller.read_hash_batch(0) == sigs
 
+    def test_hash_batch_time(self, controller):
+        controller.store_hash_batch(3, 12.5, [(1, 2)])
+        assert controller.hash_batch_time(3) == 12.5
+        assert controller.hash_batch_time(4) is None
+
     def test_recent_hash_windows(self, controller):
         controller.store_hash_batch(0, 4.0, [(1,)])
         controller.store_hash_batch(1, 8.0, [(2,)])
