@@ -17,7 +17,7 @@ from repro.datasets.spikes import SPIKE_SAMPLES, SpikeDataset
 from repro.errors import ConfigurationError
 from repro.hashing.emd_hash import EMDHash
 from repro.signal.features import adaptive_threshold, nonlinear_energy, threshold_crossings
-from repro.similarity.emd import emd_signal
+from repro.similarity.emd import emd_rows, signal_to_histogram
 
 
 #: Boxcar width for NEO smoothing before thresholding (samples).
@@ -100,6 +100,9 @@ class TemplateMatcher:
         self._waves = np.stack(
             [_peak_normalise(t[c]) for t, c in zip(self.templates, self._dominant)]
         )
+        self._histograms = signal_to_histogram(
+            self._waves, _WAVE_BINS, _WAVE_RANGE
+        )
         self._signatures = [
             tuple(sig) for sig in self.hasher.hash_windows(self._waves).tolist()
         ]
@@ -116,15 +119,16 @@ class TemplateMatcher:
         channel = int(np.argmax(np.max(np.abs(snippet), axis=1)))
         return _peak_normalise(snippet[channel])
 
-    def _emd(self, wave_a: np.ndarray, wave_b: np.ndarray) -> float:
-        return emd_signal(wave_a, wave_b, n_bins=_WAVE_BINS,
-                          value_range=_WAVE_RANGE)
+    def _closest(self, wave: np.ndarray, candidates: np.ndarray) -> int:
+        """The candidate template with the least exact EMD to ``wave``."""
+        histogram = signal_to_histogram(wave, _WAVE_BINS, _WAVE_RANGE)
+        costs = emd_rows(histogram, self._histograms[candidates])
+        return int(candidates[int(np.argmin(costs))])
 
     def classify_exact(self, snippet: np.ndarray) -> int:
         """Baseline: exact EMD against every template."""
         wave = self._snippet_wave(snippet)
-        costs = [self._emd(wave, t) for t in self._waves]
-        return int(np.argmin(costs))
+        return self._closest(wave, np.arange(self.n_neurons))
 
     def classify_hashed(self, snippet: np.ndarray) -> tuple[int, int]:
         """Hash-filtered matching.
@@ -135,16 +139,13 @@ class TemplateMatcher:
         """
         wave = self._snippet_wave(snippet)
         signature = self.hasher.hash_window(wave)
-        candidates = [
-            i
-            for i, template_sig in enumerate(self._signatures)
-            if self.hasher.collision(signature, template_sig)
-        ]
-        if not candidates:
+        candidates = np.flatnonzero(
+            [self.hasher.collision(signature, sig) for sig in self._signatures]
+        )
+        if not candidates.size:
             # hash miss: fall back to the full exact scan (rare)
-            return self.classify_exact(snippet), self.n_neurons
-        costs = [self._emd(wave, self._waves[i]) for i in candidates]
-        return candidates[int(np.argmin(costs))], len(candidates)
+            candidates = np.arange(self.n_neurons)
+        return self._closest(wave, candidates), candidates.size
 
 
 @dataclass

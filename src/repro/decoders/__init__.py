@@ -1,11 +1,5 @@
 """Neural decoders: linear SVM, shallow NN, Kalman filter + decomposition."""
 
-from repro.decoders.adaptive import (
-    AdaptiveKalmanFilter,
-    DeepDecoder,
-    observation_drift,
-    train_deep_decoder,
-)
 from repro.decoders.kalman import KalmanFilter, KalmanModel, fit_kalman
 from repro.decoders.nn import (
     PartialNN,
@@ -25,10 +19,6 @@ from repro.decoders.svm import (
 )
 
 __all__ = [
-    "AdaptiveKalmanFilter",
-    "DeepDecoder",
-    "observation_drift",
-    "train_deep_decoder",
     "KalmanFilter",
     "KalmanModel",
     "fit_kalman",

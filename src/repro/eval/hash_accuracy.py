@@ -123,9 +123,7 @@ def hash_accuracy(
     # |threshold| alone would stretch one side of the axis
     sign = 1.0 if measure.higher_is_similar else -1.0
     margins = sign * (values - threshold) / separation * 100.0
-    exact = np.array(
-        [measure.is_similar(a, b, threshold) for a, b in pairs], dtype=bool
-    )
+    exact = measure.similar(values, threshold)
     hashed = np.array(
         [
             family.matches(sig_a, sig_b)

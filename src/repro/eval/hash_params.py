@@ -50,9 +50,7 @@ def sweep_measure(
     pairs = pair_set.pairs
     values = np.array([measure(a, b) for a, b in pairs])
     threshold, _ = pick_threshold(values, pair_set.labels)
-    similar = np.array(
-        [measure.is_similar(a, b, threshold) for a, b in pairs], dtype=bool
-    )
+    similar = measure.similar(values, threshold)
 
     tpr: dict[tuple[int, int], float] = {}
     for window in WINDOW_GRID:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.sketch import random_projection_vector
-from repro.similarity.emd import signal_to_histogram
+from repro.similarity.emd import signal_to_histogram, zscore_rows
 
 
 @dataclass
@@ -61,52 +61,24 @@ class EMDHash:
                          for _ in range(self.n_components)]
 
     def hash_window(self, window: np.ndarray) -> tuple[int, ...]:
-        """Hash one signal window into ``n_components`` bucket indices."""
+        """Hash one signal window: the one-row :meth:`hash_windows`."""
         window = np.asarray(window, dtype=float)
-        if self.normalise:
-            std = window.std()
-            window = (window - window.mean()) / std if std > 0 else window
-        histogram = signal_to_histogram(
-            window, self.n_bins, self.value_range
-        )
-        total = histogram.sum()
-        if total > 0:
-            histogram = histogram / total
-        components = []
-        for projection, offset in zip(self._projections, self._offsets):
-            dot = float(histogram @ projection)
-            value = np.sqrt(max(dot, 0.0))
-            components.append(int(np.floor((value + offset) / self.bucket_width)))
-        return tuple(components)
+        return tuple(self.hash_windows(window[None])[0].tolist())
 
     def hash_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Batched :meth:`hash_window` over ``(n_windows, samples)`` rows.
+        """Hash ``(n_windows, samples)`` rows into ``n_components`` buckets each.
 
-        Normalisation, projection, square root and quantisation run as
-        whole-batch array passes; the histogram step reuses the scalar
-        :func:`~repro.similarity.emd.signal_to_histogram` per row so the
-        bin-edge arithmetic is identical by construction.  Row ``i``
-        equals ``hash_window(windows[i])``.
+        Normalisation, histogramming, projection, square root and
+        quantisation each run as one whole-batch array pass.  Row ``i``
+        depends only on ``windows[i]``; the scalar arithmetic in
+        ``tests/emd_oracle.py`` is the reference it is tested against.
         """
         batch = np.asarray(windows, dtype=float)
         if batch.ndim != 2:
             raise ConfigurationError("expected (n_windows, samples)")
         if self.normalise:
-            # scalar hash_window leaves std == 0 rows untouched (not even
-            # mean-centred) — mirror that exactly
-            mean = batch.mean(axis=1)
-            std = batch.std(axis=1)
-            scaled = std > 0
-            batch = batch.copy()
-            batch[scaled] = (
-                batch[scaled] - mean[scaled, None]
-            ) / std[scaled, None]
-        histograms = np.stack(
-            [
-                signal_to_histogram(row, self.n_bins, self.value_range)
-                for row in batch
-            ]
-        )
+            batch = zscore_rows(batch)
+        histograms = signal_to_histogram(batch, self.n_bins, self.value_range)
         totals = histograms.sum(axis=1)
         positive = totals > 0
         histograms[positive] = histograms[positive] / totals[positive, None]

@@ -135,14 +135,11 @@ class LSHFamily:
     def hash_window(self, window: np.ndarray) -> tuple[int, ...]:
         """Hash one signal window to its component tuple.
 
-        The one-row view of :meth:`hash_windows` (EMD keeps its own
-        per-window hash).
+        The one-row view of :meth:`hash_windows`.
         """
         window = np.asarray(window, dtype=float)
         if window.ndim != 1:
             raise ConfigurationError("hash_window expects a single 1-D window")
-        if self._emd is not None:
-            return self._emd.hash_window(window)
         return tuple(self.hash_windows(window[None, :])[0].tolist())
 
     def hash_windows(self, windows: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ The paper's pipelines decide "similar / not similar" by comparing a
 measure against a clinician-set threshold (§6.5).  Measures disagree in
 polarity — higher cross-correlation means *more* similar, higher DTW cost
 means *less* similar — so this module wraps each measure with its polarity
-and provides a single :func:`is_similar` entry point used by both the exact
-comparators and the hash-accuracy experiments.
+and provides one polarity rule, :meth:`Measure.similar`, used by both the
+exact comparators and the hash-accuracy experiments.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.similarity.dtw import dtw_distance
-from repro.similarity.emd import emd_signal
+from repro.similarity.emd import emd_signal, zscore_rows
 from repro.similarity.xcor import max_cross_correlation
 
 
@@ -45,25 +45,17 @@ class Measure:
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.func(a, b)
 
-    def is_similar(self, a: np.ndarray, b: np.ndarray, threshold: float) -> bool:
-        """Thresholded match decision with the right polarity."""
-        value = self.func(a, b)
+    def similar(self, values: np.ndarray, threshold: float) -> np.ndarray:
+        """Thresholded match decisions for measure values, with the right
+        polarity (``values >= threshold`` or ``values <= threshold``)."""
+        values = np.asarray(values, dtype=float)
         if self.higher_is_similar:
-            return value >= threshold
-        return value <= threshold
+            return values >= threshold
+        return values <= threshold
 
-    def signed_margin(self, a: np.ndarray, b: np.ndarray, threshold: float) -> float:
-        """Distance from the threshold, positive on the 'similar' side.
-
-        Used by the Fig. 11 experiment, which bins hash errors by how far
-        the pair sits from the decision boundary (as a fraction of the
-        threshold).
-        """
-        if threshold == 0:
-            raise ConfigurationError("threshold must be non-zero for margins")
-        value = self.func(a, b)
-        margin = (value - threshold) / abs(threshold)
-        return margin if self.higher_is_similar else -margin
+    def is_similar(self, a: np.ndarray, b: np.ndarray, threshold: float) -> bool:
+        """Thresholded match decision for one pair: the one-pair :meth:`similar`."""
+        return bool(self.similar(self.func(a, b), threshold))
 
 
 def _dtw_banded(a: np.ndarray, b: np.ndarray) -> float:
@@ -77,13 +69,8 @@ def _emd_normalised(a: np.ndarray, b: np.ndarray) -> float:
     Seizure propagation attenuates signals without changing their shape,
     so the comparator (and its EMDH hash twin) normalises gain away.
     """
-
-    def z(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        std = x.std()
-        return (x - x.mean()) / std if std > 0 else x - x.mean()
-
-    return emd_signal(z(a), z(b), n_bins=20, value_range=(-4.0, 4.0))
+    return emd_signal(zscore_rows(a), zscore_rows(b), n_bins=20,
+                      value_range=(-4.0, 4.0))
 
 
 def _xcor_lagged(a: np.ndarray, b: np.ndarray) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.hashing.lsh import LSHFamily
 from repro.hashing.minhash import _uniform01, finalize_hash
+from tests import emd_oracle
 
 
 def sign_sketch(
@@ -139,12 +140,13 @@ def oracle_hash_window(family: LSHFamily, window: np.ndarray) -> tuple[int, ...]
 
     Sketch with the scalar :func:`sign_sketch`, count n-grams into a
     dict, and run the scalar sampler once per seed.  EMD families have no
-    min-hash stage and defer to their own hash.
+    min-hash stage and take the scalar EMDH arithmetic in
+    ``tests/emd_oracle.py``.
     """
     window = np.asarray(window, dtype=float)
     config = family.config
     if config.measure == "emd":
-        return family.hash_window(window)
+        return emd_oracle.hash_window(family._emd, window)
     bits = sign_sketch(window, family._projection, config.stride, config.normalise)
     counts = ngram_counts(bits, config.ngram)
     if not counts:

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.apps import spike_sorting
 from repro.apps.spike_sorting import (
+    _WAVE_BINS,
+    _WAVE_RANGE,
     SpikeSorter,
     TemplateMatcher,
     detect_spikes,
     detection_recall,
     sorting_accuracy,
 )
+from repro.datasets.spikes import SPIKE_SAMPLES
 from repro.errors import ConfigurationError
+from repro.similarity.emd import signal_to_histogram
+from tests import emd_oracle
 
 
 class TestDetection:
@@ -57,6 +63,39 @@ class TestTemplateMatcher:
             hashed, _ = matcher.classify_hashed(snippet)
             agree += hashed == matcher.classify_exact(snippet)
         assert agree / n > 0.8
+
+    def test_costs_match_pairwise_oracle(self, spike_dataset):
+        matcher = TemplateMatcher(spike_dataset.templates)
+        for i in range(min(40, spike_dataset.n_spikes)):
+            snippet = spike_dataset.snippet(i)
+            wave = matcher._snippet_wave(snippet)
+            costs = [
+                emd_oracle.emd_signal(wave, t, _WAVE_BINS, _WAVE_RANGE)
+                for t in matcher._waves
+            ]
+            assert matcher.classify_exact(snippet) == int(np.argmin(costs))
+
+    def test_histograms_each_waveform_once(self, spike_dataset, monkeypatch):
+        binned = []
+
+        def spy(window, *args):
+            binned.append(np.shape(window))
+            return signal_to_histogram(window, *args)
+
+        monkeypatch.setattr(spike_sorting, "signal_to_histogram", spy)
+        matcher = TemplateMatcher(spike_dataset.templates)
+        assert binned == [(matcher.n_neurons, SPIKE_SAMPLES)]
+        snippet = spike_dataset.snippet(0)
+        for classify in (matcher.classify_exact, matcher.classify_hashed):
+            binned.clear()
+            classify(snippet)
+            assert binned == [(SPIKE_SAMPLES,)]
+        # a hash miss falls back to every template, still one histogram
+        exact = matcher.classify_exact(snippet)
+        matcher._signatures = [(-1,) * 4] * matcher.n_neurons
+        binned.clear()
+        assert matcher.classify_hashed(snippet) == (exact, matcher.n_neurons)
+        assert binned == [(SPIKE_SAMPLES,)]
 
     def test_bad_template_shape_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.hashing.collision import CollisionChecker, HashRecord, RecentHashStore
 from repro.hashing.emd_hash import EMDHash
 from repro.hashing.lsh import LSHConfig, LSHFamily, MEASURE_PRESETS
+from repro.similarity.measures import get_measure
 
 
 @pytest.fixture()
@@ -91,6 +92,15 @@ class TestEMDHash:
         w = np.sin(np.linspace(0, 12, 120))
         near = 0.8 * np.roll(w, 5) + 0.02 * rng.normal(size=120)
         assert hasher.collision(hasher.hash_window(w), hasher.hash_window(near))
+
+    def test_constant_windows_collide_at_any_level(self):
+        # EMD between two constant windows is 0 under the z-scoring
+        # comparator, so their hashes must agree whatever the level
+        hasher = EMDHash()
+        flat, raised = np.zeros(120), np.full(120, 100.0)
+        assert get_measure("emd")(flat, raised) == 0.0
+        assert hasher.hash_window(flat) == hasher.hash_window(raised)
+        assert hasher.collision(hasher.hash_window(flat), hasher.hash_window(raised))
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,8 @@ The batched kernels (`hash_windows`, `dtw_distance_batch`) and the cached
 query path promise *element-identical* results to the scalar reference
 implementations — these tests hold them to it, property-based where the
 input space is wide.  The min-hash reference is the one-pass sampler in
-`tests/minhash_oracle.py`; the query-scan reference is the
+`tests/minhash_oracle.py` (EMD families: the scalar EMDH arithmetic in
+`tests/emd_oracle.py`); the query-scan reference is the
 window-at-a-time scan in `tests/query_oracle.py`.
 """
 

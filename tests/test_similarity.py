@@ -124,6 +124,16 @@ class TestEMD:
                                    value_range=(0.0, 1.0))
         assert hist.tolist() == [2.0, 1.0]
 
+    def test_non_finite_range_rejected(self):
+        window = np.array([0.1, np.nan, 0.9])
+        with pytest.raises(ConfigurationError):
+            signal_to_histogram(window)
+        with pytest.raises(ConfigurationError):
+            signal_to_histogram(window, value_range=(0.0, np.inf))
+        # a fixed range drops what falls outside it, NaN included
+        hist = signal_to_histogram(window, n_bins=2, value_range=(0.0, 1.0))
+        assert hist.tolist() == [1.0, 1.0]
+
     def test_emd_signal_similarity_ordering(self, rng):
         a = rng.normal(size=120)
         near = a + 0.05 * rng.normal(size=120)
@@ -148,12 +158,13 @@ class TestMeasures:
         assert not get_measure("euclidean").is_similar(
             a, 10 + a * 5, threshold=1.0
         )
-
-    def test_signed_margin_positive_on_similar_side(self, rng):
-        a = rng.normal(size=120)
-        near = a + 0.01 * rng.normal(size=120)
-        m = get_measure("euclidean")
-        assert m.signed_margin(a, near, threshold=5.0) > 0
+        values = np.array([0.5, 1.0, 1.5])
+        assert get_measure("xcor").similar(values, 1.0).tolist() == [
+            False, True, True
+        ]
+        assert get_measure("euclidean").similar(values, 1.0).tolist() == [
+            True, True, False
+        ]
 
     def test_euclidean_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
