@@ -36,7 +36,8 @@ def _min_wall_s(make_telemetry) -> float:
 
 
 def test_telemetry_overhead_within_budget(report):
-    # warm-up: first solve pays scipy/HiGHS initialisation for both sides
+    # warm-up: the first sweep pays module imports and first-call
+    # caches for both sides
     fig9a_scenario(NULL_TELEMETRY)
 
     null_s = _min_wall_s(lambda: NULL_TELEMETRY)

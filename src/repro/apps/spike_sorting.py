@@ -103,9 +103,8 @@ class TemplateMatcher:
         self._histograms = signal_to_histogram(
             self._waves, _WAVE_BINS, _WAVE_RANGE
         )
-        self._signatures = [
-            tuple(sig) for sig in self.hasher.hash_windows(self._waves).tolist()
-        ]
+        #: (n_neurons, n_components) template signatures
+        self._signatures = self.hasher.hash_windows(self._waves)
 
     @property
     def n_neurons(self) -> int:
@@ -138,10 +137,12 @@ class TemplateMatcher:
             work the hash filter saved versus ``n_neurons``.
         """
         wave = self._snippet_wave(snippet)
-        signature = self.hasher.hash_window(wave)
-        candidates = np.flatnonzero(
-            [self.hasher.collision(signature, sig) for sig in self._signatures]
-        )
+        signature = self.hasher.hash_windows(wave[None])[0]
+        if signature.shape != self._signatures.shape[1:]:
+            raise ConfigurationError("signature lengths differ")
+        # OR-construction: a template is a candidate when any component
+        # collides (the batch form of EMDHash.collision)
+        candidates = np.flatnonzero((self._signatures == signature).any(axis=1))
         if not candidates.size:
             # hash miss: fall back to the full exact scan (rare)
             candidates = np.arange(self.n_neurons)

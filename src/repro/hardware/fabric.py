@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from repro.dag import DAG
 from repro.errors import FabricError
 from repro.hardware.catalog import get_pe
 from repro.hardware.pe import ProcessingElement
@@ -25,7 +24,7 @@ class Fabric:
     """A configurable collection of PE instances and switch connections."""
 
     pes: dict[str, ProcessingElement] = field(default_factory=dict)
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    graph: DAG[str] = field(default_factory=DAG)
 
     def add_pe(self, name: str, instance_id: str | None = None, **kwargs) -> str:
         """Instantiate catalog PE ``name``; returns the instance id.
@@ -49,9 +48,7 @@ class Fabric:
                 raise FabricError(f"unknown PE instance {endpoint!r}")
         if src == dst:
             raise FabricError("a PE cannot feed itself (no loops in SCALO)")
-        self.graph.add_edge(src, dst)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_edge(src, dst)
+        if not self.graph.add_edge(src, dst):
             raise FabricError(
                 f"connecting {src} -> {dst} would create a cycle; "
                 "SCALO pipelines are loop-free"
@@ -105,4 +102,4 @@ class Fabric:
 
     def topological_order(self) -> list[str]:
         """Instances in dataflow order."""
-        return list(nx.topological_sort(self.graph))
+        return self.graph.topological_order()

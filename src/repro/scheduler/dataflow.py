@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from repro.dag import DAG
 from repro.errors import CompilationError
 
 #: Operator name -> the PE (or "MC") that implements it.
@@ -73,7 +72,7 @@ class Operator:
 class DataflowGraph:
     """A DAG of operators."""
 
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    graph: DAG[Operator] = field(default_factory=DAG)
     _next_id: int = 0
 
     def add_operator(self, name: str, **params) -> Operator:
@@ -87,9 +86,7 @@ class DataflowGraph:
     def connect(self, src: Operator, dst: Operator) -> None:
         if src not in self.graph or dst not in self.graph:
             raise CompilationError("operators must be added before wiring")
-        self.graph.add_edge(src, dst)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_edge(src, dst)
+        if not self.graph.add_edge(src, dst):
             raise CompilationError(
                 "dataflow must stay acyclic (SCALO has no loops)"
             )
@@ -103,7 +100,7 @@ class DataflowGraph:
 
     @property
     def operators(self) -> list[Operator]:
-        return list(nx.topological_sort(self.graph))
+        return self.graph.topological_order()
 
     @property
     def pe_names(self) -> list[str]:
@@ -120,6 +117,5 @@ class DataflowGraph:
         """Raise if the graph is empty or disconnected."""
         if not self.graph:
             raise CompilationError("empty dataflow graph")
-        undirected = self.graph.to_undirected()
-        if not nx.is_connected(undirected):
+        if not self.graph.is_connected():
             raise CompilationError("dataflow graph is disconnected")

@@ -6,16 +6,17 @@ processed per flow, subject to per-node power, shared-TDMA network, and
 NVM-bandwidth constraints.  SCALO's deterministic components make every
 coefficient exact.
 
-The exact constraint rows live in :mod:`repro.scheduler.constraints`; the
-LP here solves them with HiGHS via :func:`scipy.optimize.linprog`.
-Quadratic (pairwise) power terms are handled with the lambda-formulation
-of piecewise-linear convexification: because the power curve is convex
-and appears on the small side of a "<= budget" constraint, the LP
-relaxation is exact at breakpoints and conservative between them — no
-integer variables needed.  (The paper's artifact uses GLPK; same
-problem, different backend.)  A single-flow LP has one decision
-variable, so its optimum is taken in closed form over the same rows and
-the same breakpoint grid; only multi-flow problems call the solver.
+The exact constraint rows live in :mod:`repro.scheduler.constraints`;
+the LP here solves them exactly, with numpy alone.  Quadratic (pairwise)
+power terms are handled with the lambda-formulation of piecewise-linear
+convexification: because the power curve is convex and appears on the
+small side of a "<= budget" constraint, the LP relaxation is exact at
+breakpoints and conservative between them — no integer variables
+needed.  A single-flow LP has one decision variable, so its optimum is
+taken in closed form over the same rows and the same breakpoint grid;
+several flows go through a bounded-variable simplex with at most three
+coupling rows.  (The paper's artifact uses GLPK; same problem, different
+solver.  The tests check both paths against HiGHS.)
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ __all__ = [
 
 #: Breakpoints used to convexify quadratic power terms.
 N_BREAKPOINTS = 33
+
+#: Smallest pivot element the simplex ratio test accepts.
+_PIVOT_TOL = 1e-12
+
+#: Reduced costs within this fraction of their terms count as zero.
+_COST_TOL = 1e-11
+
+#: Basis changes after which the simplex gives up (a few suffice).
+_MAX_PIVOTS = 1000
 
 
 @dataclass(frozen=True)
@@ -188,39 +198,24 @@ class SchedulerProblem:
         """The exact optimum over the shared constraint rows.
 
         A single flow is solved in closed form; several flows go
-        through the LP.
+        through the bounded simplex.
         """
-        tel = self.telemetry
-        if len(cs.rows) == 1:
-            with self._solve_span(cs):
-                best = _single_flow_optimum(cs)
-            if best is None:
-                tel.inc("scheduler.solve_failures")
-                raise SchedulingError("single-flow rows are infeasible")
-            return np.maximum(np.array([best]), 0.0)
+        optimum = (
+            _single_flow_optimum if len(cs.rows) == 1 else _multi_flow_optimum
+        )
+        with self.telemetry.span(
+            "ilp-solve", n_nodes=self.n_nodes, n_flows=len(cs.rows)
+        ):
+            electrodes = optimum(cs)
+        if electrodes is None:
+            self.telemetry.inc("scheduler.solve_failures")
+            raise SchedulingError("the scheduling rows are infeasible")
 
-        # deferred: scipy costs ~40 MB and ~0.3 s to import, and only
-        # paths that solve a multi-flow schedule should pay for it
-        from scipy.optimize import linprog
-
-        program = lp_program(cs)
-        with self._solve_span(cs):
-            result = linprog(**program, method="highs")
-        if not result.success:
-            tel.inc("scheduler.solve_failures")
-            raise SchedulingError(f"LP failed: {result.message}")
-
-        # HiGHS reports interior-point-ish roundoff: components can come
-        # back as -1e-12 and propagate sign into every derived quantity
+        # the solvers' divisions carry roundoff: components can come back
+        # as -1e-16 and propagate sign into every derived quantity
         # (negative electrodes, power, airtime).  Feasible solutions are
         # non-negative by construction, so clamp before deriving.
-        return np.maximum(result.x[: len(cs.rows)], 0.0)
-
-    def _solve_span(self, cs: ConstraintSystem):
-        """The ``ilp-solve`` span around the optimiser."""
-        return self.telemetry.span(
-            "ilp-solve", n_nodes=self.n_nodes, n_flows=len(cs.rows)
-        )
+        return np.maximum(np.atleast_1d(electrodes), 0.0)
 
 
 def _breakpoints(row: FlowRow) -> tuple[np.ndarray, np.ndarray]:
@@ -274,91 +269,150 @@ def _single_flow_optimum(cs: ConstraintSystem) -> float | None:
             return None
     if best < 0:
         return None
-    # linprog returns the origin when the objective cannot grow
+    # the LP's optimum is the origin when the objective cannot grow
     return best if row.flow.weight > 0 else 0.0
 
 
-def lp_program(cs: ConstraintSystem) -> dict[str, object]:
-    """The LP over ``cs`` as :func:`scipy.optimize.linprog` keywords.
+def _multi_flow_optimum(cs: ConstraintSystem) -> np.ndarray | None:
+    """The multi-flow LP's optimum; None when infeasible.
 
-    Variables are ``[e_0..e_{F-1}]`` plus one lambda block of
-    :data:`N_BREAKPOINTS` per quadratic flow; the objective maximises
-    ``sum w_i * count_i * e_i`` (``linprog`` minimises).
+    Each flow's cap and latency row fold into one upper bound.  A
+    quadratic flow's lambda hull becomes the segments between its
+    breakpoints, whose power slopes rise, so an optimum fills them in
+    order and the segments past the bound are cut off.  What is left is
+    ``max c·z`` over boxes with at most three coupling rows (power,
+    medium utilisation, NVM), every coefficient >= 0: the origin is
+    feasible exactly when no right-hand side or bound is negative.
     """
-    n_flows = len(cs.rows)
-    lambda_offset: dict[int, int] = {}
-    n_vars = n_flows
+    flow_of: list[int] = []
+    upper: list[float] = []
+    power: list[float] = []
+    cost: list[float] = []
+    util: list[float] = []
+    nvm: list[float] = []
     for i, row in enumerate(cs.rows):
-        if row.task.pairwise_uw > 0:
-            lambda_offset[i] = n_vars
-            n_vars += N_BREAKPOINTS
-
-    c = np.zeros(n_vars)
-    for i, row in enumerate(cs.rows):
-        c[i] = -row.flow.weight * row.count
-
-    a_ub: list[np.ndarray] = []
-    b_ub: list[float] = []
-    a_eq: list[np.ndarray] = []
-    b_eq: list[float] = []
-
-    # power: sum_i dyn_i(e_i) <= dyn_budget on the binding node
-    power_row = np.zeros(n_vars)
-    for i, row in enumerate(cs.rows):
-        if i in lambda_offset:
-            # e_i = sum lambda_j x_j ; power uses sum lambda_j g(x_j)
-            xs, power = _breakpoints(row)
-            block = slice(lambda_offset[i], lambda_offset[i] + N_BREAKPOINTS)
-            link = np.zeros(n_vars)
-            link[i] = 1.0
-            link[block] = -xs
-            a_eq.append(link)
-            b_eq.append(0.0)
-            hull = np.zeros(n_vars)
-            hull[block] = 1.0
-            a_eq.append(hull)
-            b_eq.append(1.0)
-            power_row[block] += power
-        else:
-            power_row[i] += row.dynamic_mw(1.0)
-    a_ub.append(power_row)
-    b_ub.append(cs.dyn_budget_mw)
-
-    # network: per-flow latency budget + shared medium utilisation.
-    # all-to-one aggregations pipeline across periods (the aggregator
-    # stretches its cadence when the medium saturates), so they do not
-    # get a hard latency row — their rate hit shows up in the
-    # application-level intents/second metric instead.
-    util_row = np.zeros(n_vars)
-    for i, row in enumerate(cs.rows):
+        bound = row.cap
         if row.latency_rhs_ms is not None:
-            lat_row = np.zeros(n_vars)
-            lat_row[i] = row.mult * row.airtime_slope_ms
-            a_ub.append(lat_row)
-            b_ub.append(row.latency_rhs_ms)
-        util_row[i] = row.util_slope_per_ms
-    if np.any(util_row):
-        a_ub.append(util_row)
-        b_ub.append(cs.util_rhs)
+            bound = min(
+                bound, row.latency_rhs_ms / (row.mult * row.airtime_slope_ms)
+            )
+        if bound < 0:
+            return None
+        if row.task.pairwise_uw > 0:
+            xs, grid_mw = _breakpoints(row)
+            n_seg = min(int(np.searchsorted(xs, bound)), N_BREAKPOINTS - 1)
+            ends = xs[: n_seg + 1]
+            lengths = np.minimum(ends[1:], bound) - ends[:-1]
+            slopes = np.diff(grid_mw[: n_seg + 1]) / np.diff(ends)
+            upper += lengths.tolist()
+            power += slopes.tolist()
+        else:
+            n_seg = 1
+            upper.append(bound)
+            power.append(row.dynamic_mw(1.0))
+        flow_of += [i] * n_seg
+        cost += [row.flow.weight * row.count] * n_seg
+        util += [row.util_slope_per_ms] * n_seg
+        nvm += [row.nvm_per_ms] * n_seg
 
-    # NVM bandwidth per node (linear part)
-    nvm_row = np.zeros(n_vars)
-    for i, row in enumerate(cs.rows):
-        nvm_row[i] += row.nvm_per_ms
-    if np.any(nvm_row):
-        a_ub.append(nvm_row)
-        b_ub.append(cs.nvm_budget_bytes_per_ms)
+    rows = [power]
+    rhs = [cs.dyn_budget_mw]
+    for coeffs, budget in ((util, cs.util_rhs),
+                           (nvm, cs.nvm_budget_bytes_per_ms)):
+        if any(coeffs):
+            rows.append(coeffs)
+            rhs.append(budget)
+    if min(rhs) < 0:
+        return None
+    z = _bounded_simplex(
+        np.array(cost), np.array(rows), np.array(rhs), np.array(upper)
+    )
+    return np.bincount(flow_of, weights=z, minlength=len(cs.rows))
 
-    bounds = [(0.0, row.cap) for row in cs.rows]
-    bounds += [(0.0, 1.0)] * (n_vars - n_flows)
-    return {
-        "c": c,
-        "A_ub": np.vstack(a_ub),
-        "b_ub": np.asarray(b_ub),
-        "A_eq": np.vstack(a_eq) if a_eq else None,
-        "b_eq": np.asarray(b_eq) if b_eq else None,
-        "bounds": bounds,
-    }
+
+def _bounded_simplex(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, upper: np.ndarray
+) -> np.ndarray:
+    """``max c·z`` subject to ``a z <= b`` and ``0 <= z <= upper``.
+
+    A bounded-variable primal simplex from the all-slack basis, for
+    ``b >= 0`` and few rows.  Reduced costs are computed once per basis;
+    nonbasic columns then enter in order of decreasing gain (Dantzig's
+    rule, the lower index first on equal gain), and a column that
+    reaches its own bound first flips there without changing the basis.
+    Degenerate pivots switch to Bland's rule (lowest index), which
+    cannot cycle.  The basic values are re-solved from the final basis.
+    """
+    m, n = a.shape
+    full = np.hstack([a, np.eye(m)])
+    magnitude = np.abs(full)
+    cost = np.concatenate([c, np.zeros(m)])
+    ub = np.concatenate([upper, np.full(m, np.inf)]).tolist()
+    basis = list(range(n, n + m))
+    at_upper = np.zeros(n + m, dtype=bool)
+    binv = np.eye(m)
+    xb = b.tolist()
+    bland = False
+    for _ in range(_MAX_PIVOTS):
+        y = cost[basis] @ binv
+        d = cost - y @ full
+        d[basis] = 0.0
+        # relative to the terms d is computed from: roundoff, not a gain
+        tol = _COST_TOL * (np.abs(cost) + np.abs(y) @ magnitude)
+        eligible = np.flatnonzero(np.where(at_upper, d < -tol, d > tol))
+        if not bland:
+            eligible = eligible[np.argsort(-np.abs(d[eligible]), kind="stable")]
+        alphas = (binv @ full[:, eligible]).T.tolist()
+        for j, alpha in zip(eligible.tolist(), alphas):
+            # moving z_j by +theta (or -theta from its upper bound)
+            # moves the basic values by -sign * theta * alpha
+            sign = -1.0 if at_upper[j] else 1.0
+            theta, leave = ub[j], -1
+            for r in range(m):
+                step = sign * alpha[r]
+                if step > _PIVOT_TOL:
+                    t = xb[r] / step
+                elif step < -_PIVOT_TOL:
+                    t = (ub[basis[r]] - xb[r]) / -step
+                else:
+                    continue
+                if t < theta or (
+                    bland and t == theta and leave >= 0
+                    and basis[r] < basis[leave]
+                ):
+                    theta, leave = t, r
+            if theta == np.inf:
+                raise SchedulingError("LP is unbounded")
+            for r in range(m):
+                xb[r] -= sign * theta * alpha[r]
+            if leave < 0:
+                at_upper[j] = not at_upper[j]
+                continue
+            out = basis[leave]
+            at_upper[out] = sign * alpha[leave] < 0
+            xb[leave] = ub[j] - theta if at_upper[j] else theta
+            at_upper[j] = False
+            basis[leave] = j
+            pivot = binv[leave] / alpha[leave]
+            binv -= np.outer(alpha, pivot)
+            binv[leave] = pivot
+            bland = theta == 0.0
+            break
+        else:
+            break
+    else:
+        raise SchedulingError("LP did not converge")
+    # basic columns from the rows whose slacks left the basis alone:
+    # a basic slack row would only feed roundoff into them
+    z = np.where(at_upper[:n], upper, 0.0)
+    columns = [j for j in basis if j < n]
+    if columns:
+        tight = [r for r in range(m) if n + r not in basis]
+        z[columns] = 0.0
+        z[columns] = np.linalg.solve(
+            a[np.ix_(tight, columns)], b[tight] - a[tight] @ z
+        )
+    return z
 
 
 def max_throughput_mbps(

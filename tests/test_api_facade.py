@@ -113,8 +113,8 @@ print(len(names))
 
 
 def test_storage_path_never_imports_scipy():
-    """Only a multi-flow LP solve loads scipy; building, storing and
-    reading do not."""
+    """Building, storing and reading load no scipy (nothing in ``src/``
+    does; see :func:`test_runtime_never_imports_scipy_or_networkx`)."""
     script = """
 import sys
 import numpy as np
@@ -134,6 +134,41 @@ assert not loaded, loaded[:5]
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_never_imports_scipy_or_networkx():
+    """numpy is the one runtime dependency.
+
+    A meta-path finder in front of every other refuses ``scipy`` and
+    ``networkx`` with an error no ``except ImportError`` swallows; every
+    ``repro`` module is then imported and every ``all`` figure runs, at
+    small sizes.  A lazy import fails here instead of being paid for.
+    """
+    script = """
+import importlib, pkgutil, runpy, sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("scipy", "networkx"):
+            raise AssertionError(f"runtime import of {name}")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+sys.argv = ["repro", "all", "--packets", "20", "--pairs", "4", "--reps", "1"]
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for target in ("fig9a", "sec63", "table1"):
+        assert f"===== {target} =====" in proc.stdout
 
 
 @pytest.fixture(scope="module")

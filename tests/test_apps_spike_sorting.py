@@ -92,7 +92,7 @@ class TestTemplateMatcher:
             assert binned == [(SPIKE_SAMPLES,)]
         # a hash miss falls back to every template, still one histogram
         exact = matcher.classify_exact(snippet)
-        matcher._signatures = [(-1,) * 4] * matcher.n_neurons
+        matcher._signatures = np.full_like(matcher._signatures, -1)
         binned.clear()
         assert matcher.classify_hashed(snippet) == (exact, matcher.n_neurons)
         assert binned == [(SPIKE_SAMPLES,)]

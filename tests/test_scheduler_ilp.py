@@ -1,5 +1,5 @@
-"""Tests for the scheduler, checked against ``linprog`` and the
-closed-form throughput oracle."""
+"""Tests for the scheduler, checked against ``linprog`` on the oracle's
+LP assembly and the closed-form throughput oracle."""
 
 import dataclasses
 import os
@@ -22,12 +22,7 @@ from repro.eval.application import (
 )
 from repro.network.tdma import TDMAConfig
 from repro.scheduler.constraints import NETWORK_UTILISATION_CAP, VERIFY_TOL
-from repro.scheduler.ilp import (
-    Flow,
-    SchedulerProblem,
-    lp_program,
-    max_throughput_mbps,
-)
+from repro.scheduler.ilp import Flow, SchedulerProblem, max_throughput_mbps
 from repro.scheduler.model import (
     dtw_similarity_task,
     hash_similarity_task,
@@ -39,6 +34,7 @@ from repro.scheduler.model import (
 )
 from repro.telemetry import Telemetry
 from repro.units import ELECTRODES_PER_NODE
+from tests.lp_oracle import linprog_electrodes, lp_program
 from tests.throughput_oracle import analytic_electrodes, analytic_throughput_mbps
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -403,13 +399,6 @@ class TestMediumSaturation:
 # --- the single-flow closed form against the LP ------------------------------
 
 
-def linprog_electrodes(cs):
-    """The oracle: HiGHS on the shared LP assembly, clamped like solve()."""
-    result = linprog(**lp_program(cs), method="highs")
-    assert result.success, result.message
-    return np.maximum(result.x[: len(cs.rows)], 0.0)
-
-
 def _assert_matches_linprog(problem):
     cs = problem.constraints()
     got = _electrodes(problem.solve())
@@ -576,6 +565,114 @@ assert not loaded, loaded[:5]
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# --- the multi-flow simplex against the LP -------------------------------------
+
+
+def _optimum_is_unique(cs, ref):
+    """Whether HiGHS's vertex survives nudging the weights both ways.
+
+    On a tie (say a duplicated task at equal weight) the two nudges
+    favour different flows and move the optimum; a unique optimum stays.
+    The nudge is well above HiGHS's 1e-7 dual tolerance.
+    """
+    ramp = 1e-5 * np.arange(1, len(cs.rows) + 1)
+    scale = max(1.0, float(np.max(ref)))
+    return all(
+        np.max(np.abs(linprog_electrodes(cs, 1.0 + sign * ramp) - ref))
+        <= 1e-9 * scale
+        for sign in (1.0, -1.0)
+    )
+
+
+class TestMultiFlowSimplex:
+    """Several flows: the bounded simplex reaches HiGHS's optimum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        flows=st.lists(
+            st.tuples(
+                st.sampled_from(ALL_TASKS),
+                # HiGHS drops costs below its own tolerance (a lone
+                # flow of weight 1e-38 gets 0 electrodes), so weights
+                # start where the oracle is still exact
+                st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                st.one_of(st.none(), st.floats(0.0, 256.0)),
+            ),
+            min_size=2, max_size=4,
+        ),
+        n_nodes=st.integers(1, 1024),
+        power_mw=st.floats(6.0, 20.0),
+    )
+    # a tie: the same task twice at equal weight
+    @example(flows=[(spike_sorting_task, 1.0, None)] * 2, n_nodes=4,
+             power_mw=15.0)
+    # mi_kf is held 1.2e-11 under its breakpoint by HiGHS's tolerances
+    @example(flows=[(mi_kf_task, 9.089575386454205, None),
+                    (seizure_detection_task, 1.8391513899, None)],
+             n_nodes=675, power_mw=17.67743238039295)
+    def test_matches_linprog(self, flows, n_nodes, power_mw):
+        problem = SchedulerProblem(
+            n_nodes,
+            [Flow(task(), weight=w, electrode_cap=cap)
+             for task, w, cap in flows],
+            power_mw,
+        )
+        try:
+            cs = problem.constraints()
+        except SchedulingError:  # static power alone over budget
+            assume(False)
+        got = problem._solve_ilp(cs)
+        ref = linprog_electrodes(cs)
+        weights = np.array([row.flow.weight * row.count for row in cs.rows])
+        assert weights @ got == pytest.approx(weights @ ref, rel=1e-12,
+                                              abs=1e-12)
+        assert cs.verify(got) == ()
+        if _optimum_is_unique(cs, ref):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(ref))
+
+    @pytest.mark.parametrize("weights", FIG9A_WEIGHTS + ((1, 1, 1),))
+    @pytest.mark.parametrize("n_nodes", FIG9_NODE_COUNTS)
+    def test_fig9a_and_sec63_instances_match_linprog(self, weights, n_nodes):
+        """Every multi-flow problem the figures pose gets HiGHS's vector
+        (``(1, 1, 1)`` at 11 nodes is the §6.3 scalar)."""
+        flows = [
+            dataclasses.replace(flow, weight=float(w))
+            for flow, w in zip(_fig9_flows(), weights)
+        ]
+        _assert_matches_linprog(SchedulerProblem(n_nodes, flows))
+
+    def test_equal_weight_duplicates_fill_the_earlier_flow(self):
+        """Tie-break: on equal gain the lower flow index enters first."""
+        problem = SchedulerProblem(
+            4, [Flow(spike_sorting_task()), Flow(spike_sorting_task())]
+        )
+        got = problem._solve_ilp(problem.constraints())
+        assert got[0] == problem.constraints().rows[0].cap
+        assert got[1] == 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("dyn_budget_mw", -1.0),
+        ("util_rhs", -0.1),
+        ("nvm_budget_bytes_per_ms", -1.0),
+        ("cap", -1.0),
+        ("latency_rhs_ms", -0.5),
+    ])
+    def test_infeasible_rows_raise_as_linprog_fails(self, field, value):
+        tel = Telemetry()
+        problem = SchedulerProblem(8, _fig9_flows(), telemetry=tel)
+        cs = problem.constraints()
+        if field in ("cap", "latency_rhs_ms"):
+            rows = list(cs.rows)
+            rows[1] = dataclasses.replace(rows[1], **{field: value})
+            bad = dataclasses.replace(cs, rows=tuple(rows))
+        else:
+            bad = dataclasses.replace(cs, **{field: value})
+        assert not linprog(**lp_program(bad), method="highs").success
+        with pytest.raises(SchedulingError, match="infeasible"):
+            problem._solve_ilp(bad)
+        assert tel.registry.counter("scheduler.solve_failures") == 1.0
 
 
 class TestReportedPowerIsTheConstraintLhs:
