@@ -19,7 +19,7 @@ name is imported from the subpackage that defines it::
 Package map:
 
 * :mod:`repro.hardware` — PE catalog (Table 1), clock domains, fabric, MC.
-* :mod:`repro.signal` — filters, FFT/SBP/NEO/DWT feature kernels.
+* :mod:`repro.signal` — SBP/NEO/THR feature kernels.
 * :mod:`repro.similarity` — DTW, Euclidean, cross-correlation, EMD.
 * :mod:`repro.hashing` — the configurable LSH family + collision checking.
 * :mod:`repro.compression` — HCOMP/DCOMP hash codec, LZ baseline.

@@ -20,14 +20,6 @@ from repro.core.config_loader import (
     LoadedConfiguration,
     load_config_program,
 )
-from repro.core.maintenance import (
-    Battery,
-    DailySchedule,
-    ScheduleSlot,
-    plan_daily_schedule,
-    required_charge_power_mw,
-    simulate_day,
-)
 from repro.core.node import ScaloNode
 from repro.core.system import ScaloSystem
 from repro.core.thermal import (
@@ -55,12 +47,6 @@ __all__ = [
     "FlowConfig",
     "LoadedConfiguration",
     "load_config_program",
-    "Battery",
-    "DailySchedule",
-    "ScheduleSlot",
-    "plan_daily_schedule",
-    "required_charge_power_mw",
-    "simulate_day",
     "ScaloNode",
     "ScaloSystem",
     "BRAIN_RADIUS_MM",

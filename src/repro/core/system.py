@@ -1,4 +1,4 @@
-"""The distributed SCALO system: nodes + wireless network + maintenance.
+"""The distributed SCALO system: nodes + wireless network.
 
 :class:`ScaloSystem` assembles N implants, the intra-SCALO TDMA network,
 the thermal placement check, and clock synchronisation — the full-stack

@@ -1,4 +1,4 @@
-"""Trill-like query language: parser, compiler, runtime (paper §3.7)."""
+"""Trill-like query language: parser and compiler (paper §3.7)."""
 
 from repro.lang.ast import Call, QueryChain, Value
 from repro.lang.compiler import (
@@ -8,7 +8,6 @@ from repro.lang.compiler import (
     compile_text,
 )
 from repro.lang.parser import parse_program, parse_query
-from repro.lang.runtime import QueryRuntime
 
 __all__ = [
     "Call",
@@ -20,5 +19,4 @@ __all__ = [
     "compile_text",
     "parse_program",
     "parse_query",
-    "QueryRuntime",
 ]

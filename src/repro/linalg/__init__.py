@@ -1,13 +1,5 @@
 """Linear-algebra PE cluster: MAD/ADD/SUB, Gauss-Jordan INV, block tiling."""
 
-from repro.linalg.fixed import (
-    DEFAULT_FRAC_BITS,
-    WORD_BITS,
-    from_fixed,
-    quantisation_error,
-    quantise_roundtrip,
-    to_fixed,
-)
 from repro.linalg.inverse import (
     gauss_jordan_inverse,
     inv_nvm_traffic_bytes,
@@ -33,12 +25,6 @@ from repro.linalg.tiling import (
 )
 
 __all__ = [
-    "DEFAULT_FRAC_BITS",
-    "WORD_BITS",
-    "from_fixed",
-    "quantisation_error",
-    "quantise_roundtrip",
-    "to_fixed",
     "gauss_jordan_inverse",
     "inv_nvm_traffic_bytes",
     "inverse_operation_count",

@@ -24,7 +24,6 @@ from repro.network.packet import (
     packets_needed,
 )
 from repro.network.partition import SPLIT_MODES, PartitionMatrix
-from repro.network.simulator import Delivery, TDMASimulator
 from repro.network.radio import (
     EXTERNAL_RADIO,
     HIGH_PERF,
@@ -41,7 +40,6 @@ from repro.network.tdma import (
     DEFAULT_GUARD_MS,
     TDMAConfig,
     TDMASchedule,
-    hash_payload_bytes,
 )
 
 __all__ = [
@@ -67,8 +65,6 @@ __all__ = [
     "packets_needed",
     "PartitionMatrix",
     "SPLIT_MODES",
-    "Delivery",
-    "TDMASimulator",
     "EXTERNAL_RADIO",
     "HIGH_PERF",
     "LOW_BER",
@@ -82,5 +78,4 @@ __all__ = [
     "DEFAULT_GUARD_MS",
     "TDMAConfig",
     "TDMASchedule",
-    "hash_payload_bytes",
 ]

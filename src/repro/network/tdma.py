@@ -2,9 +2,10 @@
 
 SCALO's implant radios share one frequency to save power, so all access is
 serial: the ILP emits a fixed slot schedule and every node transmits only
-in its slots (paper §3.4).  This module provides both the schedule object
-and the airtime arithmetic for the three communication patterns in the
-evaluation: one-to-all, all-to-all, and all-to-one.
+in its slots (paper §3.4).  This module provides the medium parameters
+(one packet's airtime, one slot) and the round-robin slot frame the
+scheduler materialises; the per-pattern airtime the figures use is the
+scheduler's own row (:func:`repro.scheduler.constraints.build_constraints`).
 
 A slot carries one maximum-size packet plus a guard/turnaround interval —
 the per-slot overhead is what makes all-to-all exchanges degrade with node
@@ -43,50 +44,6 @@ class TDMAConfig:
         """One TDMA slot: packet airtime plus the guard interval."""
         return self.packet_airtime_ms(payload_bytes) + self.guard_ms
 
-    # -- pattern airtimes --------------------------------------------------------
-
-    def burst_ms(self, payload_bytes: int) -> float:
-        """Time for one node to send ``payload_bytes`` (packetised)."""
-        if payload_bytes <= 0:
-            return 0.0
-        n_full = payload_bytes // MAX_PAYLOAD_BYTES
-        tail = payload_bytes % MAX_PAYLOAD_BYTES
-        total = n_full * self.slot_ms(MAX_PAYLOAD_BYTES)
-        if tail:
-            total += self.slot_ms(tail)
-        return total
-
-    def one_to_all_ms(self, payload_bytes: int) -> float:
-        """Broadcast from one node: cost independent of receiver count."""
-        return self.burst_ms(payload_bytes)
-
-    def all_to_all_ms(self, payload_bytes_per_node: int, n_nodes: int) -> float:
-        """Every node broadcasts its payload, serially."""
-        if n_nodes < 1:
-            raise ConfigurationError("need at least one node")
-        return n_nodes * self.burst_ms(payload_bytes_per_node)
-
-    def all_to_one_ms(self, payload_bytes_per_node: int, n_nodes: int) -> float:
-        """Every node (including the aggregator's zero-cost local copy)
-        sends its payload to one node."""
-        if n_nodes < 1:
-            raise ConfigurationError("need at least one node")
-        return max(0, n_nodes - 1) * self.burst_ms(payload_bytes_per_node)
-
-    # -- bandwidth views ------------------------------------------------------------
-
-    def effective_rate_mbps(self, payload_bytes: int = MAX_PAYLOAD_BYTES) -> float:
-        """Goodput after header/CRC/guard overheads at a given packet size."""
-        if payload_bytes <= 0:
-            return 0.0
-        return 8 * payload_bytes / (self.slot_ms(payload_bytes) * 1e3)
-
-    def radio_duty_cycle(self, bytes_per_window: int, window_ms: float) -> float:
-        """Fraction of time this node's radio is on for a periodic burst."""
-        if window_ms <= 0:
-            raise ConfigurationError("window must be positive")
-        return min(1.0, self.burst_ms(bytes_per_window) / window_ms)
-
 
 @dataclass
 class TDMASchedule:
@@ -104,24 +61,6 @@ class TDMASchedule:
         """Duration of one full frame."""
         return len(self.slot_owners) * self.config.slot_ms()
 
-    def slots_for(self, node_id: int) -> list[int]:
-        return [i for i, owner in enumerate(self.slot_owners) if owner == node_id]
-
-    def node_share_mbps(self, node_id: int) -> float:
-        """Long-run goodput available to ``node_id`` under this schedule."""
-        n_slots = len(self.slots_for(node_id))
-        per_slot_bits = 8 * MAX_PAYLOAD_BYTES
-        return n_slots * per_slot_bits / (self.frame_ms * 1e3)
-
-    def wait_ms(self, node_id: int, from_slot: int = 0) -> float:
-        """Worst-case wait until the node's next slot starts."""
-        slots = self.slots_for(node_id)
-        if not slots:
-            raise NetworkError(f"node {node_id} owns no slots")
-        n = len(self.slot_owners)
-        deltas = [((s - from_slot) % n) for s in slots]
-        return min(deltas) * self.config.slot_ms()
-
     @classmethod
     def round_robin(cls, config: TDMAConfig, n_nodes: int,
                     slots_per_node: int = 1) -> "TDMASchedule":
@@ -130,16 +69,3 @@ class TDMASchedule:
             raise ConfigurationError("need positive node and slot counts")
         owners = [node for node in range(n_nodes) for _ in range(slots_per_node)]
         return cls(config, owners)
-
-
-def hash_payload_bytes(n_electrodes: int, hash_bytes: int = 1,
-                       compression_ratio: float = 1.0) -> int:
-    """Wire bytes for one window's worth of hashes from one node.
-
-    All of a node's per-electrode hashes travel together (one packet for
-    typical electrode counts), optionally compressed by HCOMP.
-    """
-    if n_electrodes < 0:
-        raise ConfigurationError("electrode count cannot be negative")
-    raw = n_electrodes * hash_bytes
-    return max(1, int(round(raw / max(compression_ratio, 1e-9)))) if raw else 0

@@ -1,47 +1,15 @@
-"""Signal-processing substrate: windows, filters, and feature kernels."""
+"""Signal-processing substrate: the feature kernels of the small PEs."""
 
 from repro.signal.features import (
-    DEFAULT_SEIZURE_BANDS_HZ,
     adaptive_threshold,
-    fft_band_powers,
-    haar_dwt,
-    haar_idwt,
     nonlinear_energy,
-    spike_band_power,
     spike_band_power_multichannel,
     threshold_crossings,
 )
-from repro.signal.filters import (
-    ButterworthBandpass,
-    butter_bandpass_zpk,
-    sosfilt,
-    zpk_to_sos,
-)
-from repro.signal.windows import (
-    channel_windows,
-    ms_to_samples,
-    samples_to_ms,
-    sliding_windows,
-    window_count,
-)
 
 __all__ = [
-    "DEFAULT_SEIZURE_BANDS_HZ",
     "adaptive_threshold",
-    "fft_band_powers",
-    "haar_dwt",
-    "haar_idwt",
     "nonlinear_energy",
-    "spike_band_power",
     "spike_band_power_multichannel",
     "threshold_crossings",
-    "ButterworthBandpass",
-    "butter_bandpass_zpk",
-    "sosfilt",
-    "zpk_to_sos",
-    "channel_windows",
-    "ms_to_samples",
-    "samples_to_ms",
-    "sliding_windows",
-    "window_count",
 ]

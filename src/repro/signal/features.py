@@ -1,8 +1,7 @@
 """Feature-extraction kernels: the software twins of SCALO's small PEs.
 
-Implements the FFT band features, spike-band power (SBP), non-linear energy
-operator (NEO), amplitude thresholding (THR), and the Haar discrete wavelet
-transform (DWT) used across the paper's pipelines (Figs. 5-7).
+Implements spike-band power (SBP), the non-linear energy operator (NEO) and
+amplitude thresholding (THR) used across the paper's pipelines (Figs. 5-7).
 """
 
 from __future__ import annotations
@@ -10,57 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.units import ADC_SAMPLE_RATE_HZ
-
-
-def fft_band_powers(
-    window: np.ndarray,
-    bands_hz: list[tuple[float, float]],
-    fs_hz: float = ADC_SAMPLE_RATE_HZ,
-) -> np.ndarray:
-    """Mean spectral power of ``window`` within each frequency band.
-
-    This is the FFT PE followed by band aggregation — the standard seizure
-    feature (delta/theta/alpha/beta/gamma band powers).
-    """
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 1:
-        raise ConfigurationError("fft_band_powers expects one window")
-    spectrum = np.abs(np.fft.rfft(window)) ** 2
-    freqs = np.fft.rfftfreq(window.shape[0], d=1.0 / fs_hz)
-    powers = np.empty(len(bands_hz))
-    for i, (low, high) in enumerate(bands_hz):
-        if not 0 <= low < high:
-            raise ConfigurationError(f"invalid band ({low}, {high})")
-        mask = (freqs >= low) & (freqs < high)
-        powers[i] = spectrum[mask].mean() if mask.any() else 0.0
-    return powers
-
-
-#: Conventional iEEG bands (Hz) used by the seizure detector.
-DEFAULT_SEIZURE_BANDS_HZ: list[tuple[float, float]] = [
-    (1, 4),      # delta
-    (4, 8),      # theta
-    (8, 13),     # alpha
-    (13, 30),    # beta
-    (30, 80),    # low gamma
-    (80, 250),   # high gamma / ripple
-]
-
-
-def spike_band_power(window: np.ndarray) -> float:
-    """Spike-band power (the SBP PE): mean absolute value of the window.
-
-    The movement pipelines compute "the mean value of all neural signals in
-    a time window (typically 50 ms)" on the spike-band-filtered signal;
-    mean |x| is the standard SBP estimator.
-    """
-    window = np.asarray(window, dtype=float)
-    return float(np.mean(np.abs(window)))
 
 
 def spike_band_power_multichannel(windows: np.ndarray) -> np.ndarray:
-    """SBP per channel for an array shaped ``(n_channels, n_samples)``."""
+    """Spike-band power (the SBP PE) per channel of ``(n_channels, n_samples)``.
+
+    The movement pipelines compute "the mean value of all neural signals in
+    a time window (typically 50 ms)"; mean |x| is the standard SBP
+    estimator.
+    """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2:
         raise ConfigurationError("expected (channels, samples)")
@@ -112,48 +69,3 @@ def adaptive_threshold(samples: np.ndarray, k: float = 4.0) -> float:
     samples = np.asarray(samples, dtype=float)
     sigma = np.median(np.abs(samples - np.median(samples))) / 0.6745
     return float(k * sigma)
-
-
-def haar_dwt(window: np.ndarray, levels: int = 1) -> list[np.ndarray]:
-    """DWT PE: Haar wavelet decomposition.
-
-    Returns ``[approx_L, detail_L, detail_L-1, ..., detail_1]`` like the
-    usual wavedec ordering.  Window length must be divisible by 2**levels.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 1:
-        raise ConfigurationError("haar_dwt expects a 1-D window")
-    if levels < 1:
-        raise ConfigurationError("levels must be >= 1")
-    if window.shape[0] % (2**levels):
-        raise ConfigurationError(
-            f"window length {window.shape[0]} not divisible by 2^{levels}"
-        )
-    details: list[np.ndarray] = []
-    approx = window
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for _ in range(levels):
-        even = approx[0::2]
-        odd = approx[1::2]
-        details.append((even - odd) * inv_sqrt2)
-        approx = (even + odd) * inv_sqrt2
-    return [approx] + details[::-1]
-
-
-def haar_idwt(coeffs: list[np.ndarray]) -> np.ndarray:
-    """Inverse of :func:`haar_dwt` (exact reconstruction)."""
-    if not coeffs:
-        raise ConfigurationError("empty coefficient list")
-    approx = np.asarray(coeffs[0], dtype=float)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for detail in coeffs[1:]:
-        detail = np.asarray(detail, dtype=float)
-        if detail.shape != approx.shape:
-            raise ConfigurationError("coefficient shape mismatch")
-        even = (approx + detail) * inv_sqrt2
-        odd = (approx - detail) * inv_sqrt2
-        merged = np.empty(approx.shape[0] * 2)
-        merged[0::2] = even
-        merged[1::2] = odd
-        approx = merged
-    return approx

@@ -1,12 +1,10 @@
-"""Tests for the query language: parser, compiler, runtime."""
+"""Tests for the query language: parser and compiler."""
 
-import numpy as np
 import pytest
 
 from repro.errors import CompilationError, QuerySyntaxError
 from repro.lang.compiler import compile_query, compile_text
 from repro.lang.parser import parse_query
-from repro.lang.runtime import QueryRuntime
 
 #: Paper Listing 1.
 LISTING_1 = (
@@ -93,47 +91,3 @@ class TestCompiler:
     def test_listing_2_compiles(self):
         compiled = compile_text(LISTING_2)
         assert compiled.window_ms == 4.0
-
-
-class TestRuntime:
-    def test_window_sbp_chain(self, rng):
-        runtime = QueryRuntime(fs_hz=30000)
-        compiled = compile_text("stream.window(wsize=50ms).sbp()")
-        recording = rng.normal(size=(4, 4500))
-        out = runtime.execute(compiled, recording)
-        assert out.shape == (3, 4)  # (windows, channels)
-
-    def test_kf_chain_with_registered_model(self, rng):
-        from repro.decoders.kalman import fit_kalman
-
-        states = np.zeros((100, 4))
-        for t in range(1, 100):
-            states[t, 2:] = 0.9 * states[t - 1, 2:] + 0.1 * rng.standard_normal(2)
-            states[t, :2] = states[t - 1, :2] + states[t - 1, 2:]
-        h = rng.normal(size=(4, 4))
-        obs = states @ h.T + 0.05 * rng.standard_normal((100, 4))
-        runtime = QueryRuntime(fs_hz=1000)
-        runtime.register_model("kf", fit_kalman(states, obs))
-
-        compiled = compile_text("stream.window(wsize=50ms).sbp().kf(params)")
-        recording = rng.normal(size=(4, 5000))
-        out = runtime.execute(compiled, recording)
-        assert out.shape[1] == 4  # decoded state per window
-
-    def test_model_required_operators_raise_without_model(self, rng):
-        runtime = QueryRuntime()
-        compiled = compile_text("stream.window(wsize=4ms).sbp().svm()")
-        with pytest.raises(CompilationError):
-            runtime.execute(compiled, rng.normal(size=(2, 600)))
-
-    def test_hash_operator(self, rng):
-        runtime = QueryRuntime(fs_hz=30000)
-        compiled = compile_text("stream.window(wsize=4ms).hash()")
-        out = runtime.execute(compiled, rng.normal(size=(2, 360)))
-        assert len(out) == 2 and len(out[0]) == 3  # channels x windows
-
-    def test_1d_recording_rejected(self, rng):
-        runtime = QueryRuntime()
-        compiled = compile_text("stream.window(wsize=4ms)")
-        with pytest.raises(CompilationError):
-            runtime.execute(compiled, rng.normal(size=600))

@@ -1,15 +1,9 @@
-"""Tests for fixed point, MAD/ADD/SUB, Gauss-Jordan INV, and tiling."""
+"""Tests for MAD/ADD/SUB, Gauss-Jordan INV, and tiling."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.linalg.fixed import (
-    from_fixed,
-    quantisation_error,
-    quantise_roundtrip,
-    to_fixed,
-)
 from repro.linalg.inverse import (
     gauss_jordan_inverse,
     inv_nvm_traffic_bytes,
@@ -30,30 +24,6 @@ from repro.linalg.tiling import (
     needs_nvm,
     split_even,
 )
-
-
-class TestFixedPoint:
-    def test_roundtrip_small_values(self, rng):
-        values = rng.uniform(-10, 10, 100)
-        error = quantisation_error(values)
-        assert error <= 2.0 ** -9  # half an LSB at Q6.9, rounded
-
-    def test_saturation(self):
-        fixed = to_fixed(np.array([1e6, -1e6]))
-        assert fixed[0] == 32767 and fixed[1] == -32768
-
-    def test_from_fixed_scale(self):
-        assert from_fixed(np.array([1 << 9], dtype=np.int16))[0] == 1.0
-
-    def test_bad_frac_bits_rejected(self):
-        with pytest.raises(ConfigurationError):
-            to_fixed(np.zeros(1), frac_bits=16)
-
-    def test_idempotent(self, rng):
-        values = rng.uniform(-3, 3, 50)
-        once = quantise_roundtrip(values)
-        twice = quantise_roundtrip(once)
-        assert np.array_equal(once, twice)
 
 
 class TestMAD:

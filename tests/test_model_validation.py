@@ -1,84 +1,60 @@
-"""Cross-validation: the analytic network model vs the event simulator.
+"""The scheduler's airtime row is the radio's one-packet TDMA slot.
 
-The throughput experiments (Figs. 8-9) rest on closed-form airtime
-arithmetic; the discrete-event TDMA simulator computes the same
-quantities by actually running the medium.  These tests check that the
-two agree — the analytic model is only trustworthy because this holds.
+Figs. 8-9 take their airtime from the :func:`build_constraints` row,
+``airtime_slope_ms * e + airtime_fixed_ms`` per burst, while ARQ, the
+network and the TDMA frame charge :meth:`TDMAConfig.slot_ms`.  Wherever a
+burst fits one packet the two formulas must give the same time.
 """
 
 import pytest
 
-from repro.network.packet import BROADCAST, Packet, PayloadKind
-from repro.network.simulator import TDMASimulator
+from repro.network.packet import MAX_PAYLOAD_BYTES
 from repro.network.tdma import TDMAConfig
+from repro.scheduler.constraints import build_constraints
+from repro.scheduler.ilp import Flow
+from repro.scheduler.model import (
+    dtw_similarity_task,
+    hash_similarity_task,
+    mi_kf_task,
+    mi_svm_task,
+)
+from repro.units import NODE_POWER_CAP_MW
+
+#: Every task builder whose burst can fit one packet.  The others have
+#: ``comm == "none"`` and book no airtime, or (``mi_nn``, 1 024 B per
+#: node) always send several packets.
+SENDING_TASKS = {
+    "hash_all_all": lambda: hash_similarity_task("all_all"),
+    "hash_one_all": lambda: hash_similarity_task("one_all"),
+    "dtw_all_all": lambda: dtw_similarity_task("all_all"),
+    "dtw_one_all": lambda: dtw_similarity_task("one_all"),
+    "mi_svm": mi_svm_task,
+    "mi_kf": mi_kf_task,
+}
+
+#: Electrode counts checked per task: up to the most one packet of hashes
+#: (0.5 B per electrode) can carry.
+ELECTRODES = range(0, 2 * MAX_PAYLOAD_BYTES + 1)
 
 
-def _all_to_all(sim: TDMASimulator, payload_bytes: int) -> None:
-    for node in range(sim.n_nodes):
-        sim.enqueue(
-            Packet.build(node, BROADCAST, PayloadKind.HASHES,
-                         bytes(payload_bytes), seq=node)
-        )
+def _one_packet_points(task):
+    """``(electrodes, payload bytes)`` for every burst that fits a packet."""
+    return [
+        (e, payload)
+        for e in ELECTRODES
+        if (payload := task.wire_bytes_per_electrode * e
+            + task.wire_bytes_fixed) <= MAX_PAYLOAD_BYTES
+    ]
 
 
-class TestAirtimeAgreement:
-    @pytest.mark.parametrize("n_nodes", [2, 4, 8])
-    @pytest.mark.parametrize("payload", [48, 128, 256])
-    def test_all_to_all_drain_matches_analytic(self, n_nodes, payload):
-        config = TDMAConfig()
-        sim = TDMASimulator(n_nodes=n_nodes, config=config)
-        _all_to_all(sim, payload)
-        elapsed = sim.run_until_idle()
-        analytic = config.all_to_all_ms(payload, n_nodes)
-        # the simulator quantises to whole slots and may wait for the
-        # right owner; agreement within one frame is the invariant
-        assert elapsed >= analytic - 1e-9
-        assert elapsed <= analytic + sim.schedule.frame_ms + 1e-9
-
-    def test_one_to_all_cost_is_node_count_independent(self):
-        config = TDMAConfig()
-        times = {}
-        for n_nodes in (2, 8):
-            sim = TDMASimulator(n_nodes=n_nodes, config=config)
-            sim.enqueue(
-                Packet.build(0, BROADCAST, PayloadKind.HASHES, bytes(96))
-            )
-            # airtime of the burst itself (ignore slot-rotation waits by
-            # reading the delivery stamps)
-            sim.run_until_idle()
-            times[n_nodes] = max(
-                d.delivered_ms - d.enqueued_ms for d in sim.deliveries
-            )
-        assert times[2] == pytest.approx(times[8], abs=config.slot_ms() * 8)
-
-    def test_burst_ms_matches_multi_packet_stream(self):
-        """burst_ms() predicts the drain time of a packetised payload."""
-        config = TDMAConfig()
-        sim = TDMASimulator(n_nodes=2, config=config)
-        total_bytes = 1000
-        remaining = total_bytes
-        seq = 0
-        while remaining > 0:
-            take = min(256, remaining)
-            sim.enqueue(Packet.build(0, 1, PayloadKind.SIGNAL, bytes(take),
-                                     seq=seq))
-            remaining -= take
-            seq += 1
-        elapsed = sim.run_until_idle()
-        analytic = config.burst_ms(total_bytes)
-        # node 0 owns every other slot, so the drain takes ~2x the pure
-        # burst airtime; within that factor the models agree
-        assert analytic <= elapsed <= 2 * analytic + config.slot_ms() + 1e-9
-
-    def test_effective_rate_matches_goodput(self):
-        config = TDMAConfig()
-        sim = TDMASimulator(n_nodes=2, config=config, seed=5)
-        for i in range(40):
-            sim.enqueue(Packet.build(0, 1, PayloadKind.SIGNAL, bytes(256),
-                                     seq=i))
-            sim.enqueue(Packet.build(1, 0, PayloadKind.SIGNAL, bytes(256),
-                                     seq=i))
-        sim.run_until_idle()
-        assert sim.goodput_mbps() == pytest.approx(
-            config.effective_rate_mbps(256), rel=0.05
-        )
+@pytest.mark.parametrize("name", sorted(SENDING_TASKS))
+def test_one_packet_burst_costs_one_slot(name):
+    task = SENDING_TASKS[name]()
+    tdma = TDMAConfig()
+    (row,) = build_constraints(4, [Flow(task)], NODE_POWER_CAP_MW, tdma).rows
+    points = _one_packet_points(task)
+    assert points
+    for e, payload in points:
+        assert row.airtime_slope_ms * e + row.airtime_fixed_ms == (
+            pytest.approx(tdma.slot_ms(payload), rel=1e-12, abs=0.0)
+        ), (e, payload)

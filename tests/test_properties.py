@@ -15,12 +15,9 @@ from repro.compression.elias import (
 from repro.compression.hash_codec import dcomp_decompress, hcomp_compress
 from repro.compression.lz import lz_compress, lz_decompress
 from repro.compression.rle import rle_decode, rle_encode
-from repro.linalg.fixed import from_fixed, to_fixed
 from repro.linalg.inverse import gauss_jordan_inverse
 from repro.linalg.tiling import block_multiply, split_even
 from repro.network.packet import Header, Packet, PayloadKind
-from repro.signal.features import haar_dwt, haar_idwt
-from repro.signal.windows import sliding_windows, window_count
 from repro.similarity.dtw import dtw_distance
 from repro.similarity.emd import emd_1d
 from tests.crc_oracle import crc32
@@ -94,24 +91,6 @@ def test_crc_distinguishes_most_inputs(a, b):
 # --- signal / linalg ---------------------------------------------------------------
 
 
-@given(st.integers(1, 6).flatmap(
-    lambda levels: st.lists(
-        st.floats(-1e3, 1e3), min_size=2**levels, max_size=2**levels
-    ).map(lambda xs: (levels, xs))
-))
-def test_dwt_roundtrip(args):
-    levels, xs = args
-    x = np.asarray(xs)
-    assert np.allclose(haar_idwt(haar_dwt(x, levels=levels)), x, atol=1e-6)
-
-
-@given(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=64))
-def test_fixed_point_bounded_error(values):
-    x = np.asarray(values)
-    error = np.abs(from_fixed(to_fixed(x)) - x)
-    assert np.all(error <= 2.0**-10 + 1e-12)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 1000))
 def test_gauss_jordan_is_inverse(n, seed):
@@ -138,12 +117,6 @@ def test_split_even_partitions(n, parts):
     assert covered == n
     sizes = [stop - start for start, stop in spans]
     assert max(sizes) - min(sizes) <= 1
-
-
-@given(st.integers(1, 300), st.integers(1, 50), st.integers(1, 50))
-def test_window_count_matches_reality(n, window, step):
-    produced = sliding_windows(np.zeros(n), window, step).shape[0]
-    assert produced == window_count(n, window, step)
 
 
 # --- similarity metric properties ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the feature kernels (FFT bands, SBP, NEO, THR, DWT)."""
+"""Tests for the feature kernels (SBP, NEO, THR)."""
 
 import numpy as np
 import pytest
@@ -6,42 +6,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.signal.features import (
     adaptive_threshold,
-    fft_band_powers,
-    haar_dwt,
-    haar_idwt,
     nonlinear_energy,
-    spike_band_power,
     spike_band_power_multichannel,
     threshold_crossings,
 )
 
 
-class TestFFTBands:
-    def test_power_lands_in_right_band(self):
-        fs = 1000.0
-        t = np.arange(512) / fs
-        signal = np.sin(2 * np.pi * 20 * t)
-        bands = [(1, 10), (15, 25), (30, 50)]
-        powers = fft_band_powers(signal, bands, fs_hz=fs)
-        assert np.argmax(powers) == 1
-
-    def test_empty_band_is_zero(self):
-        powers = fft_band_powers(np.ones(64), [(400, 450)], fs_hz=1000)
-        assert powers[0] == 0.0
-
-    def test_invalid_band_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fft_band_powers(np.ones(64), [(10, 5)], fs_hz=1000)
-
-    def test_2d_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fft_band_powers(np.ones((2, 64)), [(1, 5)])
-
-
 class TestSpikeBandPower:
-    def test_mean_absolute(self):
-        assert spike_band_power(np.array([1.0, -1.0, 3.0, -3.0])) == 2.0
-
     def test_multichannel(self):
         data = np.array([[1.0, -1.0], [2.0, -2.0]])
         assert (spike_band_power_multichannel(data) == [1.0, 2.0]).all()
@@ -95,29 +66,3 @@ class TestThreshold:
     def test_negative_refractory_rejected(self):
         with pytest.raises(ConfigurationError):
             threshold_crossings(np.zeros(4), 1.0, refractory=-1)
-
-
-class TestDWT:
-    def test_roundtrip_exact(self, rng):
-        x = rng.normal(size=256)
-        coeffs = haar_dwt(x, levels=4)
-        assert np.allclose(haar_idwt(coeffs), x, atol=1e-10)
-
-    def test_coefficient_lengths(self):
-        coeffs = haar_dwt(np.zeros(64), levels=3)
-        assert [c.shape[0] for c in coeffs] == [8, 8, 16, 32]
-
-    def test_energy_preserved(self, rng):
-        x = rng.normal(size=128)
-        coeffs = haar_dwt(x, levels=2)
-        total = sum(float(np.sum(c**2)) for c in coeffs)
-        assert total == pytest.approx(float(np.sum(x**2)))
-
-    def test_indivisible_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            haar_dwt(np.zeros(100), levels=3)
-
-    def test_constant_signal_has_zero_details(self):
-        coeffs = haar_dwt(np.ones(32), levels=2)
-        assert np.allclose(coeffs[1], 0)
-        assert np.allclose(coeffs[2], 0)
