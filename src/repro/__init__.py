@@ -18,14 +18,14 @@ name is imported from the subpackage that defines it::
 
 Package map:
 
-* :mod:`repro.hardware` — PE catalog (Table 1), clock domains, fabric, MC.
+* :mod:`repro.hardware` — PE catalog (Table 1), clock domains, fabric, MC constants.
 * :mod:`repro.signal` — SBP/NEO/THR feature kernels.
 * :mod:`repro.similarity` — DTW, Euclidean, cross-correlation, EMD.
 * :mod:`repro.hashing` — the configurable LSH family + collision checking.
 * :mod:`repro.compression` — HCOMP/DCOMP hash codec, LZ baseline.
 * :mod:`repro.network` — packets, CRC, BER channel, radios, TDMA.
 * :mod:`repro.storage` — NVM device, chunked layout, storage controller.
-* :mod:`repro.linalg` — MAD/ADD/SUB, Gauss-Jordan INV, block tiling.
+* :mod:`repro.linalg` — MAD, Gauss-Jordan INV, work splitting.
 * :mod:`repro.decoders` — SVM / shallow NN / Kalman + decompositions.
 * :mod:`repro.apps` — seizure propagation, movement intent, spike
   sorting, interactive queries.

@@ -72,41 +72,36 @@ def _fig8a(args) -> None:
               + "".join(f"{grid[design][t]:20.1f}" for t in TASKS))
 
 
-def _fig8b(args) -> None:
-    from repro.eval.throughput import NODE_COUNTS, fig8b
+def _surfaces(figure: str) -> Callable:
+    """Handler for fig8b/fig8c: a power-by-node-count table per method."""
 
-    surfaces = fig8b()
-    for method, surface in surfaces.items():
-        print(f"-- {method} (Mbps)")
-        for power, row in surface.items():
-            cells = "".join(f"{row[n]:9.1f}" for n in NODE_COUNTS)
-            print(f"{power:>6.0f}mW{cells}")
+    def handler(args) -> None:
+        from repro.eval import throughput
 
+        for method, surface in getattr(throughput, figure)().items():
+            print(f"-- {method} (Mbps)")
+            for power, row in surface.items():
+                cells = "".join(
+                    f"{row[n]:9.1f}" for n in throughput.NODE_COUNTS
+                )
+                print(f"{power:>6.0f}mW{cells}")
 
-def _fig8c(args) -> None:
-    from repro.eval.throughput import NODE_COUNTS, fig8c
-
-    for app, surface in fig8c().items():
-        print(f"-- {app} (Mbps)")
-        for power, row in surface.items():
-            cells = "".join(f"{row[n]:9.1f}" for n in NODE_COUNTS)
-            print(f"{power:>6.0f}mW{cells}")
+    return handler
 
 
-def _fig9a(args) -> None:
-    from repro.eval.application import FIG9_NODE_COUNTS, fig9a
+def _node_rows(figure: str) -> Callable:
+    """Handler for fig9a/fig9b: a row per series, a column per node count."""
 
-    for label, row in fig9a().items():
-        cells = "".join(f"{row[n]:9.1f}" for n in FIG9_NODE_COUNTS)
-        print(f"{label:>8s}{cells}")
+    def handler(args) -> None:
+        from repro.eval import application
 
+        for label, row in getattr(application, figure)().items():
+            cells = "".join(
+                f"{row[n]:9.1f}" for n in application.FIG9_NODE_COUNTS
+            )
+            print(f"{label:>8s}{cells}")
 
-def _fig9b(args) -> None:
-    from repro.eval.application import FIG9_NODE_COUNTS, fig9b
-
-    for label, row in fig9b().items():
-        cells = "".join(f"{row[n]:9.1f}" for n in FIG9_NODE_COUNTS)
-        print(f"{label:>8s}{cells}")
+    return handler
 
 
 def _fig10(args) -> None:
@@ -803,10 +798,10 @@ _COMMANDS: dict[str, _Command] = {
     "table3": _Command(_table3, "application pipelines (Table 3)"),
     "fig8a": _Command(_fig8a, "architecture comparison",
                       (_opt_nodes, _opt_power)),
-    "fig8b": _Command(_fig8b, "throughput vs power/nodes"),
-    "fig8c": _Command(_fig8c, "application throughput surfaces"),
-    "fig9a": _Command(_fig9a, "latency vs node count"),
-    "fig9b": _Command(_fig9b, "throughput vs node count"),
+    "fig8b": _Command(_surfaces("fig8b"), "throughput vs power/nodes"),
+    "fig8c": _Command(_surfaces("fig8c"), "application throughput surfaces"),
+    "fig9a": _Command(_node_rows("fig9a"), "latency vs node count"),
+    "fig9b": _Command(_node_rows("fig9b"), "throughput vs node count"),
     "fig10": _Command(_fig10, "query cost model"),
     "fig11": _Command(_fig11, "hash accuracy", (_opt_pairs,)),
     "fig12": _Command(_fig12, "network error rates", (_opt_packets,)),

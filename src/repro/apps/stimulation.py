@@ -1,15 +1,15 @@
 """Electrical stimulation: the closed loop's actuator (paper §2.1-2.2).
 
-When propagation is confirmed (seizure spread) or sensory feedback is
-needed (movement loop), the electrodes are repurposed through the DAC to
-deliver charge-balanced biphasic pulse trains.  This module provides:
+When propagation is confirmed (seizure spread), the electrodes are
+repurposed through the DAC to deliver charge-balanced biphasic pulse
+trains.  This module provides:
 
 * :class:`StimulationProtocol` — amplitude/width/frequency of a biphasic
   train, with the charge-balance invariant built in;
 * :func:`check_safety` — the Shannon charge-density limit every protocol
   must clear before the MC will execute it;
-* :class:`Stimulator` — per-node execution: waveform synthesis, DAC power
-  accounting, refractory enforcement, and an event log;
+* :class:`Stimulator` — per-node execution: DAC energy accounting,
+  refractory enforcement, and an event log;
 * :func:`stimulate_from_confirmations` — the glue from propagation
   events to stimulation commands.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.units import ADC_SAMPLE_RATE_HZ, DAC_POWER_MW
+from repro.units import DAC_POWER_MW
 
 #: Shannon safety limit: k = log10(Q/A) + log10(Q/area) <= 1.85 (uC, cm^2).
 SHANNON_K_LIMIT = 1.85
@@ -63,10 +63,6 @@ class StimulationProtocol:
         """Charge per phase (uC) — balanced by the opposite phase."""
         return self.amplitude_ua * self.phase_us * 1e-6
 
-    @property
-    def n_pulses(self) -> int:
-        return max(1, int(self.train_ms * self.frequency_hz / 1e3))
-
     def shannon_k(self, electrode_area_cm2: float = ELECTRODE_AREA_CM2) -> float:
         """The Shannon parameter k for this protocol."""
         charge = self.charge_per_phase_uc
@@ -80,31 +76,6 @@ def check_safety(
 ) -> bool:
     """True when the protocol sits below the Shannon damage threshold."""
     return protocol.shannon_k(electrode_area_cm2) <= SHANNON_K_LIMIT
-
-
-def synthesize_waveform(
-    protocol: StimulationProtocol, fs_hz: float = ADC_SAMPLE_RATE_HZ
-) -> np.ndarray:
-    """The DAC sample stream for one train (uA per sample).
-
-    Cathodic phase first, then the balancing anodic phase — the samples
-    sum to ~0 (charge balance).
-    """
-    n_samples = int(round(protocol.train_ms * fs_hz / 1e3))
-    waveform = np.zeros(n_samples)
-    phase_samples = max(1, int(round(protocol.phase_us * fs_hz / 1e6)))
-    period_samples = int(round(fs_hz / protocol.frequency_hz))
-    if period_samples < 2 * phase_samples:
-        raise ConfigurationError("pulse does not fit the period at this fs")
-    for pulse in range(protocol.n_pulses):
-        start = pulse * period_samples
-        if start + 2 * phase_samples > n_samples:
-            break
-        waveform[start : start + phase_samples] = -protocol.amplitude_ua
-        waveform[start + phase_samples : start + 2 * phase_samples] = (
-            protocol.amplitude_ua
-        )
-    return waveform
 
 
 @dataclass(frozen=True)
@@ -160,46 +131,6 @@ class Stimulator:
         """DAC energy spent across all logged trains."""
         total_ms = sum(e.protocol.train_ms for e in self.events)
         return DAC_POWER_MW * total_ms / 1e3
-
-    def duty_cycle(self, horizon_ms: float) -> float:
-        """Fraction of the horizon the DAC was driving."""
-        if horizon_ms <= 0:
-            raise ConfigurationError("horizon must be positive")
-        total_ms = sum(
-            e.protocol.train_ms for e in self.events
-            if e.time_ms >= -1e-9
-        )
-        return min(1.0, total_ms / horizon_ms)
-
-
-def sensory_feedback_events(
-    decoded_velocities,
-    stimulator: Stimulator,
-    step_ms: float,
-    contact_threshold: float = 1.0,
-    electrode: int = 0,
-) -> list[StimulationEvent]:
-    """Close the sensory loop of the movement pipelines (paper §2.2).
-
-    When the decoded movement implies contact (speed above the
-    threshold, standing in for the prosthetic's force sensor), the BCI
-    stimulates somatosensory sites to emulate the feeling of movement.
-    Refractory and Shannon safety apply as for any other train.
-    """
-    import numpy as np
-
-    velocities = np.atleast_2d(np.asarray(decoded_velocities, dtype=float))
-    if velocities.shape[1] < 2:
-        raise ConfigurationError("expected (steps, >=2) velocity array")
-    executed = []
-    for step, velocity in enumerate(velocities):
-        speed = float(np.hypot(velocity[0], velocity[1]))
-        if speed < contact_threshold:
-            continue
-        event = stimulator.stimulate(electrode, step * step_ms)
-        if event is not None:
-            executed.append(event)
-    return executed
 
 
 def stimulate_from_confirmations(

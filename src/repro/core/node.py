@@ -1,9 +1,10 @@
-"""One SCALO implant: fabric + storage + radios + ADC/DAC glue.
+"""One SCALO implant: storage, hashing and collision checks.
 
 :class:`ScaloNode` wires the substrates into the per-implant device of
 paper Fig. 2: it ingests electrode samples window by window, stores them
-through the SC, hashes them with the shared LSH, answers collision
-checks, and keeps a power ledger.
+through the SC, hashes them with the shared LSH, and answers collision
+checks.  Its power is the scheduler's to account
+(:mod:`repro.scheduler.constraints`).
 """
 
 from __future__ import annotations
@@ -13,19 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hardware.fabric import Fabric
-from repro.hardware.microcontroller import Microcontroller
 from repro.hashing.collision import CollisionChecker, HashRecord, RecentHashStore
 from repro.hashing.lsh import LSHFamily
-from repro.network.radio import EXTERNAL_RADIO, LOW_POWER, RadioSpec
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
-from repro.units import (
-    ADC_POWER_MW_PER_ELECTRODE,
-    ELECTRODES_PER_NODE,
-    NODE_POWER_CAP_MW,
-    WINDOW_SAMPLES,
-)
+from repro.units import ELECTRODES_PER_NODE, WINDOW_SAMPLES
 
 
 @dataclass
@@ -35,18 +28,13 @@ class ScaloNode:
     node_id: int
     n_electrodes: int = ELECTRODES_PER_NODE
     lsh: LSHFamily = field(default_factory=lambda: LSHFamily.for_measure("dtw"))
-    intra_radio: RadioSpec = field(default_factory=lambda: LOW_POWER)
-    external_radio: RadioSpec = field(default_factory=lambda: EXTERNAL_RADIO)
     nvm_capacity_bytes: int = 256 * 1024 * 1024  # scaled-down functional NVM
     window_samples: int = WINDOW_SAMPLES
     hash_horizon_ms: float = 100.0
-    power_cap_mw: float = NODE_POWER_CAP_MW
 
     def __post_init__(self) -> None:
         if self.n_electrodes < 1:
             raise ConfigurationError("need at least one electrode")
-        self.fabric = Fabric()
-        self.mc = Microcontroller()
         self.storage = StorageController(
             device=NVMDevice(capacity_bytes=self.nvm_capacity_bytes),
             lsh=self.lsh,
@@ -151,29 +139,3 @@ class ScaloNode:
 
     def read_window(self, electrode: int, window_index: int) -> np.ndarray:
         return self.storage.read_window(electrode, window_index)
-
-    # -- power ledger ----------------------------------------------------------------
-
-    def adc_power_mw(self) -> float:
-        return ADC_POWER_MW_PER_ELECTRODE * self.n_electrodes
-
-    def idle_power_mw(self) -> float:
-        """Power with the fabric configured but no data flowing."""
-        from repro.storage.nvm import LEAKAGE_MW
-
-        return (
-            self.fabric.static_uw / 1e3
-            + self.mc.idle_power_mw
-            + LEAKAGE_MW
-        )
-
-    def active_power_mw(self) -> float:
-        """Idle + ADC + fabric dynamic power at current configuration."""
-        return (
-            self.idle_power_mw()
-            + self.adc_power_mw()
-            + self.fabric.dynamic_uw / 1e3
-        )
-
-    def within_power_cap(self) -> bool:
-        return self.active_power_mw() <= self.power_cap_mw

@@ -62,7 +62,6 @@ class ScaloSystem:
                 node_id=i,
                 n_electrodes=self.electrodes_per_node,
                 lsh=self.lsh,
-                power_cap_mw=self.power_cap_mw,
             )
             for i in range(self.n_nodes)
         ]

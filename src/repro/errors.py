@@ -15,34 +15,6 @@ class ConfigurationError(ScaloError):
     """A component was configured with invalid or inconsistent parameters."""
 
 
-class PowerBudgetExceeded(ScaloError):
-    """A pipeline or schedule requires more power than the implant cap."""
-
-    def __init__(self, required_mw: float, budget_mw: float, detail: str = ""):
-        self.required_mw = required_mw
-        self.budget_mw = budget_mw
-        message = (
-            f"required {required_mw:.3f} mW exceeds budget {budget_mw:.3f} mW"
-        )
-        if detail:
-            message = f"{message} ({detail})"
-        super().__init__(message)
-
-
-class DeadlineExceeded(ScaloError):
-    """A pipeline or schedule cannot meet its response-time target."""
-
-    def __init__(self, latency_ms: float, deadline_ms: float, detail: str = ""):
-        self.latency_ms = latency_ms
-        self.deadline_ms = deadline_ms
-        message = (
-            f"latency {latency_ms:.3f} ms exceeds deadline {deadline_ms:.3f} ms"
-        )
-        if detail:
-            message = f"{message} ({detail})"
-        super().__init__(message)
-
-
 class UnknownPEError(ScaloError, KeyError):
     """A processing element name is not in the catalog."""
 

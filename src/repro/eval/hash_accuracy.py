@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datasets.synthetic_ieeg import generate_ieeg
+from repro.errors import ConfigurationError
 from repro.hashing.lsh import LSHFamily
 from repro.similarity.measures import get_measure
 from repro.units import WINDOW_SAMPLES
@@ -56,6 +57,10 @@ def _window_pool(n_windows: int, seed: int) -> np.ndarray:
 #: Pair class labels.
 SIMILAR, DISSIMILAR, BOUNDARY = 0, 1, 2
 
+#: Pairs cycle through 9 similar, 10 dissimilar and 1 boundary; the first
+#: dissimilar pair is the tenth, and a threshold needs both classes.
+MIN_PAIRS = 10
+
 
 @dataclass
 class PairSet:
@@ -78,7 +83,16 @@ def make_pairs(n_pairs: int = 400, seed: int = 0) -> PairSet:
     * *Boundary* pairs: partial mixtures, deliberately sitting near any
       sensible decision threshold — where hash errors are expected to
       concentrate (paper §6.5).
+
+    Raises:
+        ConfigurationError: for fewer than :data:`MIN_PAIRS` pairs, which
+            draw no dissimilar pair.
     """
+    if n_pairs < MIN_PAIRS:
+        raise ConfigurationError(
+            f"need at least {MIN_PAIRS} pairs to draw both similar and "
+            f"dissimilar windows, got {n_pairs}"
+        )
     rng = np.random.default_rng(seed)
     pool = _window_pool(max(64, n_pairs // 4), seed)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []

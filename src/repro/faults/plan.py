@@ -10,10 +10,9 @@ live random process), the same seed always produces a byte-identical
 :class:`~repro.core.system.ScaloSystem` reproduces the exact same
 delivery statistics run after run.
 
-Bursty *packet* loss is deliberately not an event type here: it is a
-channel property, modelled by
-:class:`~repro.network.channel.GilbertElliottChannel` and plugged into
-the network directly.
+Bursty *packet* loss is not an event type: the paper evaluates only
+memoryless bit errors (Figs. 12 and 15b), which the network's
+:class:`~repro.network.channel.BitErrorChannel` draws.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Hardware substrate: PE catalog, clock domains, fabric, microcontroller.
+"""Hardware substrate: PE catalog, clock domains, fabric, pipelines.
 
 This package models the per-implant processor of paper Fig. 2b using the
 published Table 1 numbers.  Everything is deterministic in latency and
@@ -15,21 +15,9 @@ from repro.hardware.catalog import (
     total_area_kge,
 )
 from repro.hardware.fabric import Fabric
-from repro.hardware.microcontroller import (
-    MC_FREQ_MHZ,
-    Microcontroller,
-    SOFTWARE_ROUTINES,
-    SoftwareRoutine,
-)
-from repro.hardware.node_fabric import (
-    block_unit_ids,
-    mad_cluster_ids,
-    node_area_kge,
-    node_static_power_mw,
-    standard_node_fabric,
-)
+from repro.hardware.microcontroller import MC_FREQ_MHZ
 from repro.hardware.pe import ClockDomain, ProcessingElement
-from repro.hardware.pipeline import Pipeline, PipelineStage, chain
+from repro.hardware.pipeline import Pipeline, PipelineStage
 
 __all__ = [
     "PE_CATALOG",
@@ -41,17 +29,8 @@ __all__ = [
     "total_area_kge",
     "Fabric",
     "MC_FREQ_MHZ",
-    "Microcontroller",
-    "SOFTWARE_ROUTINES",
-    "SoftwareRoutine",
-    "block_unit_ids",
-    "mad_cluster_ids",
-    "node_area_kge",
-    "node_static_power_mw",
-    "standard_node_fabric",
     "ClockDomain",
     "ProcessingElement",
     "Pipeline",
     "PipelineStage",
-    "chain",
 ]

@@ -96,10 +96,6 @@ class Fabric:
     def power_mw(self) -> float:
         return (self.static_uw + self.dynamic_uw) / 1e3
 
-    @property
-    def area_kge(self) -> float:
-        return sum(pe.spec.area_kge for pe in self.pes.values())
-
     def topological_order(self) -> list[str]:
         """Instances in dataflow order."""
         return self.graph.topological_order()

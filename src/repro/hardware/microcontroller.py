@@ -1,115 +1,21 @@
-"""The on-node RISC-V microcontroller (MC) model.
+"""The on-node RISC-V microcontroller (MC): the constants the models read.
 
 The MC configures PE pipelines, runs stimulation commands, executes
 algorithms with no dedicated PE (e.g. the fast 1-D EMD), and performs
 system chores like clock synchronisation (paper §3.2).  It runs at a fixed
 20 MHz with 8 KB SRAM.
 
-For the architecture comparison (paper §6.1) the key property is that
-running a task on the MC instead of its PE is 10-100x slower: HALO+NVM
-must hash and collision-check on the MC and loses up to 385x throughput.
-We model MC execution time via a cycles-per-item cost for each emulated
-task, calibrated so the paper's relative gaps reproduce.
+The scheduler charges its idle power to every node
+(:data:`repro.scheduler.model.BASE_STATIC_MW`), and the architecture
+comparison (paper §6.1) prices HALO+NVM's software hashing and sorting in
+MC cycles (:mod:`repro.core.architectures`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.errors import ConfigurationError
-
 #: MC clock (paper §3.2).
 MC_FREQ_MHZ = 20.0
 
-#: MC on-chip SRAM (bytes).
-MC_SRAM_BYTES = 8 * 1024
-
-#: Active power of the MC core (mW).  The paper does not tabulate the MC in
-#: Table 1; a 20 MHz in-order RV32 core in 28 nm burns on the order of one
-#: milliwatt, and the artifact's HALO.json uses a similar allowance.
-MC_ACTIVE_POWER_MW = 1.0
-
-#: Idle (retention) power of the MC (mW).
+#: Idle (retention) power of the MC (mW); the paper does not tabulate the
+#: MC in Table 1.
 MC_IDLE_POWER_MW = 0.05
-
-
-@dataclass(frozen=True)
-class SoftwareRoutine:
-    """A task the MC can run in software, with a per-item cycle cost.
-
-    ``cycles_per_item`` is the dominant cost: cycles to process one unit of
-    work (one sample for hashing, one hash for collision checks, one
-    histogram bin for EMD).  Costs are order-of-magnitude estimates for a
-    scalar in-order core; what matters for the reproduction is the ~100x
-    gap versus the dedicated PEs, which the paper reports directly.
-    """
-
-    name: str
-    cycles_per_item: float
-
-    def items_per_second(self, freq_mhz: float = MC_FREQ_MHZ) -> float:
-        return freq_mhz * 1e6 / self.cycles_per_item
-
-    def time_ms(self, n_items: float, freq_mhz: float = MC_FREQ_MHZ) -> float:
-        if n_items < 0:
-            raise ConfigurationError("item count cannot be negative")
-        return n_items * self.cycles_per_item / (freq_mhz * 1e3)
-
-
-#: Software routines used by the paper's baselines and by SCALO itself.
-SOFTWARE_ROUTINES: dict[str, SoftwareRoutine] = {
-    # SSH sketch: one MAC + sign per sample per sliding window position.
-    "hash_sketch": SoftwareRoutine("hash_sketch", cycles_per_item=24.0),
-    # Weighted min-hash over n-gram counts.
-    "hash_minhash": SoftwareRoutine("hash_minhash", cycles_per_item=180.0),
-    # Binary-search collision check per received hash (log2(n) compares
-    # plus bookkeeping) — slower than the CCHECK PE's 0.5 ms for a batch.
-    "collision_check": SoftwareRoutine("collision_check", cycles_per_item=400.0),
-    # Fast 1-D EMD between two histograms, per bin.
-    "emd": SoftwareRoutine("emd", cycles_per_item=60.0),
-    # DTW cell updates (banded), per cell.
-    "dtw_cell": SoftwareRoutine("dtw_cell", cycles_per_item=12.0),
-    # Matrix multiply-accumulate, per MAC.
-    "mac": SoftwareRoutine("mac", cycles_per_item=8.0),
-    # SNTP exchange processing, per message.
-    "sntp": SoftwareRoutine("sntp", cycles_per_item=2_000.0),
-    # PE/pipeline reconfiguration, per switch setting.
-    "reconfigure": SoftwareRoutine("reconfigure", cycles_per_item=500.0),
-}
-
-
-@dataclass
-class Microcontroller:
-    """A 20 MHz RISC-V service core with a small SRAM."""
-
-    freq_mhz: float = MC_FREQ_MHZ
-    sram_bytes: int = MC_SRAM_BYTES
-    active_power_mw: float = MC_ACTIVE_POWER_MW
-    idle_power_mw: float = MC_IDLE_POWER_MW
-    #: accumulated busy time (ms) since last reset, for utilisation accounting
-    busy_ms: float = field(default=0.0)
-
-    def run(self, routine: str, n_items: float) -> float:
-        """Execute ``routine`` over ``n_items``; returns elapsed ms."""
-        try:
-            software = SOFTWARE_ROUTINES[routine]
-        except KeyError:
-            raise ConfigurationError(f"unknown MC routine {routine!r}") from None
-        elapsed_ms = software.time_ms(n_items, self.freq_mhz)
-        self.busy_ms += elapsed_ms
-        return elapsed_ms
-
-    def throughput_items_per_s(self, routine: str) -> float:
-        """Sustained rate for ``routine`` when the MC does nothing else."""
-        try:
-            software = SOFTWARE_ROUTINES[routine]
-        except KeyError:
-            raise ConfigurationError(f"unknown MC routine {routine!r}") from None
-        return software.items_per_second(self.freq_mhz)
-
-    def energy_mj(self, elapsed_ms: float) -> float:
-        """Active energy for ``elapsed_ms`` of computation (mJ)."""
-        return self.active_power_mw * elapsed_ms / 1e3
-
-    def reset_accounting(self) -> None:
-        self.busy_ms = 0.0

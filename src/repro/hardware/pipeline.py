@@ -1,17 +1,16 @@
-"""Pipeline composition: latency and power roll-up over chains of PEs.
+"""Pipeline composition: the latency roll-up over a chain of PEs.
 
 A SCALO application maps to one or more linear chains of PEs (plus forks
 and joins handled by the fabric).  Because every PE has deterministic
-latency and power, a pipeline's end-to-end latency is the sum of stage
-latencies and its power is the sum of stage powers — the determinism that
-makes ILP scheduling possible (paper §3.5).
+latency, a pipeline's end-to-end latency is the sum of stage latencies —
+the determinism that makes ILP scheduling possible (paper §3.5).  Power
+is the scheduler's to account (:mod:`repro.scheduler.constraints`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, DeadlineExceeded, PowerBudgetExceeded
 from repro.hardware.pe import ProcessingElement
 
 
@@ -36,7 +35,7 @@ class PipelineStage:
 
 @dataclass
 class Pipeline:
-    """An ordered chain of PE stages with roll-up metrics."""
+    """An ordered chain of PE stages with a latency roll-up."""
 
     name: str
     stages: list[PipelineStage] = field(default_factory=list)
@@ -49,54 +48,6 @@ class Pipeline:
         return self
 
     @property
-    def pe_names(self) -> list[str]:
-        return [stage.pe.name for stage in self.stages]
-
-    @property
     def latency_ms(self) -> float:
         """End-to-end latency: sum of stage latencies."""
         return sum(stage.latency_ms for stage in self.stages)
-
-    @property
-    def static_uw(self) -> float:
-        return sum(stage.pe.static_uw for stage in self.stages)
-
-    @property
-    def dynamic_uw(self) -> float:
-        return sum(stage.pe.dynamic_uw for stage in self.stages)
-
-    @property
-    def power_mw(self) -> float:
-        return (self.static_uw + self.dynamic_uw) / 1e3
-
-    def set_electrodes(self, n_electrodes: float) -> None:
-        """Drive every stage with ``n_electrodes`` channels."""
-        if n_electrodes < 0:
-            raise ConfigurationError("electrode count cannot be negative")
-        for stage in self.stages:
-            stage.pe.n_electrodes = n_electrodes
-
-    def check_deadline(self, deadline_ms: float) -> None:
-        """Raise :class:`DeadlineExceeded` if the pipeline is too slow."""
-        if self.latency_ms > deadline_ms:
-            raise DeadlineExceeded(self.latency_ms, deadline_ms, self.name)
-
-    def check_power(self, budget_mw: float) -> None:
-        """Raise :class:`PowerBudgetExceeded` if the pipeline is too hungry."""
-        if self.power_mw > budget_mw:
-            raise PowerBudgetExceeded(self.power_mw, budget_mw, self.name)
-
-    def __len__(self) -> int:
-        return len(self.stages)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        chain = " -> ".join(self.pe_names)
-        return f"Pipeline({self.name}: {chain})"
-
-
-def chain(name: str, *pes: ProcessingElement) -> Pipeline:
-    """Build a pipeline from PEs in order."""
-    pipeline = Pipeline(name)
-    for pe in pes:
-        pipeline.add(pe)
-    return pipeline

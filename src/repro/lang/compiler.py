@@ -4,7 +4,7 @@ The chain's method names map onto dataflow operators (and thence PEs);
 windowing parameters become operator attributes the scheduler uses.  The
 output is (a) a :class:`~repro.scheduler.dataflow.DataflowGraph`, and
 (b) a wired :class:`~repro.hardware.fabric.Fabric` pipeline ready for the
-latency/power roll-ups — the reproduction's stand-in for the RISC-V
+latency roll-up — the reproduction's stand-in for the RISC-V
 configuration binary the real toolchain emits.
 """
 

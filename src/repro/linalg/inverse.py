@@ -44,21 +44,3 @@ def gauss_jordan_inverse(matrix: np.ndarray, pivot_tol: float = 1e-12) -> np.nda
             if row != col and augmented[row, col] != 0.0:
                 augmented[row] -= augmented[row, col] * augmented[col]
     return augmented[:, n:]
-
-
-def inverse_operation_count(n: int) -> int:
-    """Floating operations of Gauss-Jordan on an n x n matrix (~2 n^3)."""
-    if n < 1:
-        raise ConfigurationError("matrix dimension must be positive")
-    return 2 * n**3
-
-
-def inv_nvm_traffic_bytes(n: int, element_bytes: int = 2) -> int:
-    """NVM bytes the INV PE moves for an n x n inversion.
-
-    The augmented matrix (n x 2n) is streamed in and the result (n x n)
-    streamed out; matrices too big for the 16 KB registers make this the
-    dominant cost and the reason MI-KF saturates on NVM bandwidth
-    (paper §6.2).
-    """
-    return (2 * n * n + n * n) * element_bytes

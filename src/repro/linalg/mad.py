@@ -1,14 +1,14 @@
-"""The LIN ALG cluster's elementwise/matrix PEs: MAD, ADD, SUB, MUL.
+"""The LIN ALG cluster's MAD PE, the kernel of the NN decoder.
 
 MAD computes ``A @ X + C`` (multiply-add with a constant matrix) and can
-be configured as multiply-only; ADD and SUB are matrix add/subtract.  The
-paper adds two configurable post-ops to MAD and ADD for neural networks:
-ReLU (suppress negative outputs) and normalisation (subtract a mean and
-divide by a standard deviation read as parameters) (paper §3.2).
+be configured as multiply-only.  The paper adds two configurable post-ops
+to MAD and ADD for neural networks: ReLU (suppress negative outputs) and
+normalisation (subtract a mean and divide by a standard deviation read as
+parameters) (paper §3.2).  ADD, SUB and the block multiplier are modelled
+by their Table 1 catalog entries only.
 
 Each PE owns 16 KB of single-cycle registers for inputs/constants; larger
-operands stream from the NVM — enforced here as an operand-size check so
-schedules that spill are visible.
+operands stream from the NVM (:func:`repro.linalg.tiling.needs_nvm`).
 """
 
 from __future__ import annotations
@@ -24,12 +24,6 @@ PE_REGISTER_BYTES = 16 * 1024
 
 #: Bytes per 16-bit matrix element.
 ELEMENT_BYTES = 2
-
-
-def fits_in_registers(*operands: np.ndarray) -> bool:
-    """Do the operands fit the PE's 16 KB register file?"""
-    total = sum(np.asarray(op).size for op in operands) * ELEMENT_BYTES
-    return total <= PE_REGISTER_BYTES
 
 
 @dataclass
@@ -77,32 +71,3 @@ def mad(
     if post is not None:
         result = post.apply(result)
     return result
-
-
-def matrix_add(
-    a: np.ndarray, b: np.ndarray, post: PostOp | None = None
-) -> np.ndarray:
-    """ADD PE: elementwise matrix addition with the optional post-op."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ConfigurationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    result = a + b
-    if post is not None:
-        result = post.apply(result)
-    return result
-
-
-def matrix_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """SUB PE: elementwise matrix subtraction."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ConfigurationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a - b
-
-
-def mad_operation_count(a_shape: tuple[int, int], x_cols: int = 1) -> int:
-    """Multiply-accumulate count of one MAD invocation (work proxy)."""
-    rows, inner = a_shape
-    return rows * inner * x_cols

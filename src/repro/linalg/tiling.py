@@ -1,24 +1,15 @@
-"""4-way block tiling of MAD PEs for large matrices (the BMUL cluster).
+"""Work splitting and register-file limits of the LIN ALG cluster.
 
-Four of the ten MAD PEs are tiled into a 4-way block to handle the large
-matrices of the Kalman filter (paper §3.2).  This module implements block
-matrix multiply over a 2x2 grid of tiles, mirroring how the hardware
-splits an operation across the four PEs, and verifies tile-size limits
-against the 16 KB register files.
+:func:`split_even` cuts a dimension into contiguous spans, the way the
+decomposed SVM and NN decoders share features across implants; :func:`needs_nvm`
+tells when a matrix outgrows the 16 KB PE registers and must stream from
+the NVM, as the Kalman filter's inversion does (paper §3.2, §4).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.linalg.mad import ELEMENT_BYTES, PE_REGISTER_BYTES
-
-#: Number of MAD PEs ganged into the block unit.
-BLOCK_WAYS = 4
-
-#: Number of MAD PEs in the LIN ALG cluster (paper: 10 replicas).
-MAD_CLUSTER_SIZE = 10
 
 
 def split_even(n: int, parts: int) -> list[tuple[int, int]]:
@@ -34,39 +25,6 @@ def split_even(n: int, parts: int) -> list[tuple[int, int]]:
         spans.append((start, start + size))
         start += size
     return [s for s in spans if s[0] < s[1]]
-
-
-def block_multiply(a: np.ndarray, b: np.ndarray, ways: int = BLOCK_WAYS
-                   ) -> np.ndarray:
-    """Block matrix multiply on a sqrt(ways) x sqrt(ways) tile grid.
-
-    Functionally identical to ``a @ b``; structured the way the 4-way
-    BMUL unit partitions the work (each PE owns one output tile and
-    accumulates partial products).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ConfigurationError(f"bad shapes {a.shape} x {b.shape}")
-    grid = int(np.sqrt(ways))
-    if grid * grid != ways:
-        raise ConfigurationError("ways must be a perfect square")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    row_spans = split_even(a.shape[0], grid)
-    col_spans = split_even(b.shape[1], grid)
-    inner_spans = split_even(a.shape[1], grid)
-    for r0, r1 in row_spans:
-        for c0, c1 in col_spans:
-            tile = np.zeros((r1 - r0, c1 - c0))
-            for k0, k1 in inner_spans:
-                tile += a[r0:r1, k0:k1] @ b[k0:k1, c0:c1]
-            out[r0:r1, c0:c1] = tile
-    return out
-
-
-def max_square_dim_in_registers() -> int:
-    """Largest n such that an n x n 16-bit matrix fits one register file."""
-    return int(np.floor(np.sqrt(PE_REGISTER_BYTES / ELEMENT_BYTES)))
 
 
 def needs_nvm(n_rows: int, n_cols: int) -> bool:

@@ -1,11 +1,7 @@
-"""Wireless networking: packets, channels, radios, TDMA, ARQ."""
+"""Wireless networking: packets, the BER channel, radios, TDMA, ARQ, partitions."""
 
 from repro.network.arq import ARQConfig, ARQResult, ARQStats, ReliableLink
-from repro.network.channel import (
-    BitErrorChannel,
-    GilbertElliottChannel,
-    flip_bits,
-)
+from repro.network.channel import BitErrorChannel, flip_bits
 from repro.network.network import (
     DROP_ON_ERROR,
     DeliveryOutcome,
@@ -48,7 +44,6 @@ __all__ = [
     "ARQStats",
     "ReliableLink",
     "BitErrorChannel",
-    "GilbertElliottChannel",
     "flip_bits",
     "DROP_ON_ERROR",
     "DeliveryOutcome",

@@ -1,12 +1,9 @@
-"""Bit-error channels: memoryless and bursty corruption of packet frames.
+"""The bit-error channel: memoryless corruption of packet frames.
 
 The paper's Fig. 12/15b experiments inject uniformly-random bit errors
 into packet headers and payloads at a given bit-error ratio and observe
 the effect on checksums and on application outcomes.
-:class:`BitErrorChannel` is that memoryless binary-symmetric channel;
-:class:`GilbertElliottChannel` adds the classic two-state burst model
-(good/bad states with per-state BERs) for fault-injection experiments
-where losses cluster — body movement, interferers, or a marginal link.
+:class:`BitErrorChannel` is that memoryless binary-symmetric channel.
 """
 
 from __future__ import annotations
@@ -42,30 +39,8 @@ def flip_bits(data: bytes, bit_indices: np.ndarray) -> bytes:
     return buf.tobytes()
 
 
-class _FrameChannel:
-    """Shared frame plumbing: serialise, corrupt, reparse."""
-
-    def corrupt_bytes(self, data: bytes) -> tuple[bytes, int]:
-        raise NotImplementedError
-
-    def transmit(self, packet: Packet) -> tuple[Packet, int]:
-        """Send one packet through the channel.
-
-        The whole frame (header, CRCs, payload) is exposed to errors, so a
-        flip may land in the header, a checksum, or the data.
-
-        Returns:
-            (received packet, number of flipped bits).
-        """
-        wire = packet.to_wire()
-        corrupted, n_flipped = self.corrupt_bytes(wire)
-        if n_flipped == 0:
-            return packet, 0
-        return Packet.from_wire(corrupted), n_flipped
-
-
 @dataclass
-class BitErrorChannel(_FrameChannel):
+class BitErrorChannel:
     """A memoryless binary-symmetric channel at a fixed BER."""
 
     bit_error_rate: float
@@ -87,72 +62,17 @@ class BitErrorChannel(_FrameChannel):
         positions = self._rng.choice(n_bits, size=n_errors, replace=False)
         return flip_bits(data, positions), int(n_errors)
 
+    def transmit(self, packet: Packet) -> tuple[Packet, int]:
+        """Send one packet through the channel.
 
-@dataclass
-class GilbertElliottChannel(_FrameChannel):
-    """The two-state burst-error channel (Gilbert-Elliott).
+        The whole frame (header, CRCs, payload) is exposed to errors, so a
+        flip may land in the header, a checksum, or the data.
 
-    The channel alternates between a GOOD state (residual BER) and a BAD
-    state (burst BER); per-bit transition probabilities set the burst
-    length statistics.  State persists across packets, so a burst that
-    starts in one frame can swallow the next — the loss clustering that a
-    memoryless channel cannot produce at the same average BER.
-    """
-
-    p_good_to_bad: float = 1e-4
-    p_bad_to_good: float = 5e-2
-    ber_good: float = 1e-6
-    ber_bad: float = 5e-2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("p_good_to_bad", "p_bad_to_good"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigurationError(f"{name} must be in [0, 1]")
-        for name in ("ber_good", "ber_bad"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be in [0, 1)")
-        self._rng = np.random.default_rng(self.seed)
-        self._bad = False
-
-    @property
-    def stationary_bad_fraction(self) -> float:
-        """Long-run fraction of bits spent in the BAD state."""
-        denom = self.p_good_to_bad + self.p_bad_to_good
-        return self.p_good_to_bad / denom if denom else 0.0
-
-    @property
-    def average_ber(self) -> float:
-        """The equivalent memoryless BER of this channel's mixture."""
-        pi_bad = self.stationary_bad_fraction
-        return pi_bad * self.ber_bad + (1.0 - pi_bad) * self.ber_good
-
-    def corrupt_bytes(self, data: bytes) -> tuple[bytes, int]:
-        """Pass ``data`` through the channel; returns (output, n_flipped)."""
-        n_bits = 8 * len(data)
-        if n_bits == 0:
-            return data, 0
-        flips: list[np.ndarray] = []
-        pos = 0
-        while pos < n_bits:
-            leave = self.p_bad_to_good if self._bad else self.p_good_to_bad
-            ber = self.ber_bad if self._bad else self.ber_good
-            remaining = n_bits - pos
-            # bits spent in this state before the next transition
-            sojourn = (
-                int(self._rng.geometric(leave)) if leave > 0 else remaining + 1
-            )
-            seg = min(sojourn, remaining)
-            if ber > 0:
-                n_errors = int(self._rng.binomial(seg, ber))
-                if n_errors:
-                    flips.append(
-                        pos + self._rng.choice(seg, n_errors, replace=False)
-                    )
-            pos += seg
-            if sojourn <= remaining:
-                self._bad = not self._bad
-        if not flips:
-            return data, 0
-        positions = np.concatenate(flips)
-        return flip_bits(data, positions), int(positions.size)
+        Returns:
+            (received packet, number of flipped bits).
+        """
+        wire = packet.to_wire()
+        corrupted, n_flipped = self.corrupt_bytes(wire)
+        if n_flipped == 0:
+            return packet, 0
+        return Packet.from_wire(corrupted), n_flipped

@@ -8,9 +8,7 @@ since it cannot be routed (paper §3.4, §6.6).
 
 Fault-injection hooks: endpoints can be :meth:`unregistered
 <WirelessNetwork.unregister>` (a crashed implant) or put into a radio
-outage (registered but deaf and mute), and the channel model is pluggable
-so bursty Gilbert-Elliott noise can replace the memoryless default.
-Every transmit reports a per-target :class:`DeliveryOutcome`, which is
+outage (registered but deaf and mute).  Every transmit reports a per-target :class:`DeliveryOutcome`, which is
 what the ARQ layer in :mod:`repro.network.arq` builds on.
 """
 
@@ -102,15 +100,13 @@ class WirelessNetwork:
 
     Endpoints register a callback keyed by node id; :meth:`send` runs the
     channel per receiver (each receiver sees independent noise, as real
-    radio links do).  ``channel`` accepts any object with the
-    ``transmit(packet) -> (packet, n_flips)`` protocol
-    (:class:`~repro.network.channel.BitErrorChannel` by default,
-    :class:`~repro.network.channel.GilbertElliottChannel` for bursts).
+    radio links do); ``channel`` is a
+    :class:`~repro.network.channel.BitErrorChannel` at the radio's BER.
     """
 
     tdma: TDMAConfig = field(default_factory=TDMAConfig)
     seed: int = 0
-    channel: object | None = None
+    channel: BitErrorChannel = field(init=False)
     _receivers: dict[int, Receiver] = field(default_factory=dict)
     stats: DeliveryStats = field(default_factory=DeliveryStats)
     #: Injectable observability handle; the no-op default keeps the
@@ -118,10 +114,9 @@ class WirelessNetwork:
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
-        if self.channel is None:
-            self.channel = BitErrorChannel(
-                self.tdma.radio.bit_error_rate, self.seed
-            )
+        self.channel = BitErrorChannel(
+            self.tdma.radio.bit_error_rate, self.seed
+        )
         self._outages: set[int] = set()
         self._partition: PartitionMatrix | None = None
 

@@ -1,11 +1,6 @@
 """Exact signal-similarity measures: DTW, Euclidean, XCOR, EMD."""
 
-from repro.similarity.dtw import (
-    dtw_cell_count,
-    dtw_distance,
-    dtw_distance_batch,
-    dtw_distance_matrix,
-)
+from repro.similarity.dtw import dtw_distance, dtw_distance_batch
 from repro.similarity.emd import emd_1d, emd_signal, signal_to_histogram
 from repro.similarity.measures import (
     MEASURES,
@@ -20,10 +15,8 @@ from repro.similarity.xcor import (
 )
 
 __all__ = [
-    "dtw_cell_count",
     "dtw_distance",
     "dtw_distance_batch",
-    "dtw_distance_matrix",
     "emd_1d",
     "emd_signal",
     "signal_to_histogram",

@@ -129,28 +129,3 @@ def dtw_distance_batch(
     if not np.all(np.isfinite(result)):
         raise ConfigurationError("band too narrow for the length difference")
     return result
-
-
-def dtw_distance_matrix(
-    queries: np.ndarray, references: np.ndarray, band: int | None = None
-) -> np.ndarray:
-    """All-pairs banded DTW: shape ``(len(queries), len(references))``."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    references = np.atleast_2d(np.asarray(references, dtype=float))
-    out = np.empty((queries.shape[0], references.shape[0]))
-    for i, q in enumerate(queries):
-        for j, r in enumerate(references):
-            out[i, j] = dtw_distance(q, r, band)
-    return out
-
-
-def dtw_cell_count(n: int, m: int, band: int | None = None) -> int:
-    """Number of DP cells evaluated — the PE's work/latency proxy."""
-    if band is None or band >= max(n, m):
-        return n * m
-    cells = 0
-    for i in range(1, n + 1):
-        j_low = max(1, i - band)
-        j_high = min(m, i + band)
-        cells += max(0, j_high - j_low + 1)
-    return cells

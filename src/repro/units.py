@@ -1,10 +1,10 @@
-"""Unit conventions and converters used across the SCALO reproduction.
+"""Unit conventions and paper-wide constants of the SCALO reproduction.
 
 The paper mixes units freely (mW, uW, ms, Mbps, KGE ...).  To keep the code
 honest, every quantity in this code base carries its unit in the variable or
 field name (``power_mw``, ``latency_ms``, ``rate_mbps``).  This module
-collects the handful of conversion helpers and paper-wide constants so that
-magic numbers appear exactly once.
+collects the paper-wide constants, so that magic numbers appear exactly
+once, and the paper's throughput metric, :func:`electrodes_to_mbps`.
 """
 
 from __future__ import annotations
@@ -49,48 +49,7 @@ HASH_BITS_PER_WINDOW = 8
 #: Bytes of one raw signal window (120 samples x 16 bit).
 WINDOW_BYTES = WINDOW_SAMPLES * ADC_BITS_PER_SAMPLE // 8  # 240
 
-#: Response-time targets (ms), paper §2.3.
-SEIZURE_RESPONSE_MS = 10.0
-MOVEMENT_RESPONSE_MS = 50.0
-QUERY_RESPONSE_MS = 300.0
-SPIKE_SORT_RESPONSE_MS = 2.5
-
-# --- conversions -------------------------------------------------------------
-
-
-def mbps_to_bps(rate_mbps: float) -> float:
-    """Convert megabits/second to bits/second."""
-    return rate_mbps * 1e6
-
-
-def bps_to_mbps(rate_bps: float) -> float:
-    """Convert bits/second to megabits/second."""
-    return rate_bps / 1e6
-
-
-def uw_to_mw(power_uw: float) -> float:
-    """Convert microwatts to milliwatts."""
-    return power_uw / 1e3
-
-
-def mw_to_uw(power_mw: float) -> float:
-    """Convert milliwatts to microwatts."""
-    return power_mw * 1e3
-
-
-def ms_to_s(time_ms: float) -> float:
-    """Convert milliseconds to seconds."""
-    return time_ms / 1e3
-
-
-def s_to_ms(time_s: float) -> float:
-    """Convert seconds to milliseconds."""
-    return time_s * 1e3
-
-
-def nj_to_mj(energy_nj: float) -> float:
-    """Convert nanojoules to millijoules."""
-    return energy_nj / 1e6
+# --- throughput metric -------------------------------------------------------
 
 
 def electrodes_to_mbps(n_electrodes: float) -> float:
@@ -100,8 +59,3 @@ def electrodes_to_mbps(n_electrodes: float) -> float:
     480 kbps raw rate of one channel.
     """
     return n_electrodes * ELECTRODE_RATE_BPS / 1e6
-
-
-def mbps_to_electrodes(rate_mbps: float) -> float:
-    """Inverse of :func:`electrodes_to_mbps`."""
-    return rate_mbps * 1e6 / ELECTRODE_RATE_BPS

@@ -157,7 +157,7 @@ sys.meta_path.insert(0, Refuse())
 import repro
 for info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(info.name)
-sys.argv = ["repro", "all", "--packets", "20", "--pairs", "4", "--reps", "1"]
+sys.argv = ["repro", "all", "--packets", "20", "--pairs", "10", "--reps", "1"]
 runpy.run_module("repro", run_name="__main__", alter_sys=True)
 """
     env = dict(os.environ)

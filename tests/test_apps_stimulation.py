@@ -1,6 +1,5 @@
-"""Tests for the stimulation subsystem (safety, waveforms, closed loop)."""
+"""Tests for the stimulation subsystem (safety, refractory, closed loop)."""
 
-import numpy as np
 import pytest
 
 from repro.apps.seizure import PropagationEvent
@@ -11,7 +10,6 @@ from repro.apps.stimulation import (
     Stimulator,
     check_safety,
     stimulate_from_confirmations,
-    synthesize_waveform,
 )
 from repro.errors import ConfigurationError
 
@@ -44,32 +42,6 @@ class TestProtocol:
             StimulationProtocol(amplitude_ua=-5.0)
 
 
-class TestWaveform:
-    def test_charge_balanced(self):
-        waveform = synthesize_waveform(StimulationProtocol())
-        assert abs(waveform.sum()) < 1e-9
-
-    def test_biphasic_shape(self):
-        waveform = synthesize_waveform(StimulationProtocol())
-        first_nonzero = np.flatnonzero(waveform)[0]
-        assert waveform[first_nonzero] < 0  # cathodic first
-
-    def test_pulse_count(self):
-        protocol = StimulationProtocol(frequency_hz=100.0, train_ms=50.0)
-        waveform = synthesize_waveform(protocol, fs_hz=30000)
-        # rising edges of the cathodic phase, plus one if it starts at t=0
-        edges = np.count_nonzero(np.diff((waveform < 0).astype(int)) == 1)
-        edges += int(waveform[0] < 0)
-        assert edges == protocol.n_pulses
-
-    def test_pulse_must_fit_period(self):
-        # at 1 kHz sampling a 300 us phase rounds to one sample but the
-        # 1 kHz pulse period is a single sample: the biphase cannot fit
-        protocol = StimulationProtocol(phase_us=300.0, frequency_hz=1000.0)
-        with pytest.raises(ConfigurationError):
-            synthesize_waveform(protocol, fs_hz=1000)
-
-
 class TestStimulator:
     def test_refractory_enforced(self):
         stimulator = Stimulator(0, 4)
@@ -98,11 +70,6 @@ class TestStimulator:
         stimulator.stimulate(0, 0.0)
         # 0.6 mW DAC x 100 ms train
         assert stimulator.energy_mj() == pytest.approx(0.06)
-
-    def test_duty_cycle(self):
-        stimulator = Stimulator(0, 4)
-        stimulator.stimulate(0, 0.0)
-        assert stimulator.duty_cycle(1000.0) == pytest.approx(0.1)
 
 
 class TestClosedLoop:

@@ -46,6 +46,8 @@ BAD_INVOCATIONS = [
     pytest.param(("fabric", "--qps", "inf"), id="fabric-infinite-qps"),
     pytest.param(("table1", "--power", "3"), id="table1-unread-power-flag"),
     pytest.param(("fig9a", "--nodes", "64"), id="fig9a-unread-nodes-flag"),
+    pytest.param(("fig11", "--pairs", "4"), id="fig11-too-few-pairs"),
+    pytest.param(("fig14", "--pairs", "4"), id="fig14-too-few-pairs"),
     pytest.param(("serve", "--fault-plan", "apocalypse"),
                  id="serve-unknown-fault-plan"),
     pytest.param(("chaos", "--seed", "x"), id="chaos-seed-not-an-int"),

@@ -1,6 +1,5 @@
 """Tests for thermal model, clock sync, nodes, system, architectures."""
 
-import numpy as np
 import pytest
 
 from repro.core.architectures import (
@@ -93,11 +92,6 @@ class TestScaloNode:
     def test_wrong_shape_rejected(self, node, rng):
         with pytest.raises(ConfigurationError):
             node.ingest_window(rng.normal(size=(3, 120)))
-
-    def test_power_ledger(self, node):
-        assert node.adc_power_mw() == pytest.approx(4 * 0.03)
-        assert node.idle_power_mw() > 0
-        assert node.within_power_cap()
 
 
 class TestScaloSystem:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.eval.application import fig9a, fig9b, sec63_scalars
 from repro.eval.delay import build_trace, encoding_delay, network_delay
 from repro.eval.hash_accuracy import hash_accuracy, make_pairs, pick_threshold
@@ -120,6 +121,12 @@ class TestHashAccuracyDriver:
     def test_pairs_have_three_classes(self):
         pair_set = make_pairs(100, 0)
         assert set(np.unique(pair_set.labels)) == {0, 1, 2}
+
+    def test_too_few_pairs_for_both_classes_rejected(self):
+        # ten pairs are the fewest that include a dissimilar one
+        assert set(np.unique(make_pairs(10, 0).labels)) == {0, 1}
+        with pytest.raises(ConfigurationError):
+            make_pairs(9, 0)
 
 
 class TestNetworkErrorDriver:

@@ -13,7 +13,6 @@ from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, NodeFailure, SchedulingError
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan, HealthMonitor
 from repro.hashing.lsh import LSHFamily
-from repro.network.channel import GilbertElliottChannel
 from repro.scheduler.ilp import Flow
 from repro.scheduler.model import seizure_detection_task
 from repro.units import WINDOW_SAMPLES
@@ -376,75 +375,6 @@ class TestSeizureUnderFaultPlan:
         ).run(max_windows=40)
         assert not result.degraded
         assert result.coverage == 1.0
-
-
-class TestGilbertElliottChannel:
-    def test_deterministic_for_seed(self):
-        from repro.network.packet import Packet, PayloadKind
-
-        def run(seed):
-            channel = GilbertElliottChannel(seed=seed)
-            flips = []
-            for i in range(200):
-                packet = Packet.build(0, 1, PayloadKind.HASHES, bytes(48),
-                                      seq=i)
-                _, n = channel.transmit(packet)
-                flips.append(n)
-            return flips
-
-        assert run(5) == run(5)
-        assert run(5) != run(6)
-
-    def test_burstier_than_memoryless_at_same_average_ber(self):
-        from repro.network.packet import Packet, PayloadKind
-
-        channel = GilbertElliottChannel(
-            p_good_to_bad=2e-4, p_bad_to_good=2e-2, ber_good=0.0,
-            ber_bad=0.02, seed=0,
-        )
-        flips = []
-        for i in range(500):
-            packet = Packet.build(0, 1, PayloadKind.SIGNAL, bytes(200),
-                                  seq=i & 0xFFFF)
-            _, n = channel.transmit(packet)
-            flips.append(n)
-        hit = [n for n in flips if n]
-        # bursts: errors cluster into few packets with many flips each
-        assert sum(flips) > 0
-        assert np.mean(hit) > 2.0
-        assert len(hit) < 0.25 * len(flips)
-
-    def test_average_ber_formula(self):
-        channel = GilbertElliottChannel(
-            p_good_to_bad=1e-3, p_bad_to_good=1e-1, ber_good=0.0,
-            ber_bad=1e-2,
-        )
-        pi_bad = 1e-3 / (1e-3 + 1e-1)
-        assert channel.average_ber == pytest.approx(pi_bad * 1e-2)
-
-    def test_pluggable_into_network(self):
-        from repro.network.network import WirelessNetwork
-        from repro.network.packet import Packet, PayloadKind
-
-        channel = GilbertElliottChannel(
-            p_good_to_bad=0.5, p_bad_to_good=0.1, ber_good=0.0, ber_bad=0.1,
-            seed=2,
-        )
-        network = WirelessNetwork(channel=channel)
-        inbox = []
-        network.register(0, lambda p: None)
-        network.register(1, inbox.append)
-        for i in range(80):
-            network.send(Packet.build(0, 1, PayloadKind.HASHES, bytes(64),
-                                      seq=i))
-        assert network.stats.dropped_payload + network.stats.dropped_header > 0
-        assert all(p.payload_ok for p in inbox)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GilbertElliottChannel(p_good_to_bad=1.5)
-        with pytest.raises(ConfigurationError):
-            GilbertElliottChannel(ber_bad=1.0)
 
 
 class TestNVMBitRot:

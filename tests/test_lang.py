@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CompilationError, QuerySyntaxError
+from repro.hardware.fabric import Fabric
 from repro.lang.compiler import compile_query, compile_text
 from repro.lang.parser import parse_query
 
@@ -78,9 +79,10 @@ class TestCompiler:
 
     def test_pipeline_buildable(self):
         compiled = compile_text("stream.window(wsize=4ms).fft().svm()")
-        pipeline = compiled.build_pipeline()
+        fabric = Fabric()
+        pipeline = compiled.build_pipeline(fabric)
         assert pipeline.latency_ms > 0
-        assert pipeline.power_mw > 0
+        assert fabric.power_mw > 0
 
     def test_unknown_method_rejected(self):
         chain = parse_query("stream.window(wsize=4ms)")

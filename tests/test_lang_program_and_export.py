@@ -1,10 +1,8 @@
-"""Tests: multi-statement programs, CSV export, sensory feedback."""
+"""Tests: multi-statement programs and CSV export."""
 
-import numpy as np
 import pytest
 
-from repro.apps.stimulation import Stimulator, sensory_feedback_events
-from repro.errors import ConfigurationError, QuerySyntaxError
+from repro.errors import QuerySyntaxError
 from repro.eval.export import EXPORTERS, export_fig8a, export_fig13
 from repro.lang.parser import parse_program
 
@@ -58,31 +56,3 @@ class TestExport:
             "fig8a", "fig8b", "fig8c", "fig9", "fig10", "fig11", "fig12",
             "fig13", "fig14", "fig15",
         }
-
-
-class TestSensoryFeedback:
-    def test_contact_triggers_stimulation(self):
-        stimulator = Stimulator(0, 4)
-        velocities = np.zeros((10, 2))
-        velocities[3] = [2.0, 0.0]  # one contact event
-        events = sensory_feedback_events(velocities, stimulator, step_ms=50.0)
-        assert len(events) == 1
-        assert events[0].time_ms == pytest.approx(150.0)
-
-    def test_sustained_contact_respects_refractory(self):
-        stimulator = Stimulator(0, 4)
-        velocities = np.full((10, 2), 3.0)  # contact every 50 ms step
-        events = sensory_feedback_events(velocities, stimulator, step_ms=50.0)
-        # refractory 100 ms -> at most every other step fires
-        assert 1 <= len(events) <= 5
-
-    def test_idle_movement_never_stimulates(self):
-        stimulator = Stimulator(0, 4)
-        events = sensory_feedback_events(
-            0.1 * np.ones((20, 2)), stimulator, step_ms=50.0
-        )
-        assert events == []
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sensory_feedback_events(np.zeros((5, 1)), Stimulator(0, 4), 50.0)

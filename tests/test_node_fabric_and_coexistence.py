@@ -1,18 +1,10 @@
-"""Tests: the full Fig. 2b fabric, and query/application coexistence."""
+"""Tests: interactive queries coexist with the running application (§2.2).
 
-import pytest
+The scheduler and :class:`~repro.apps.queries.QueryCostModel` decide
+whether a query's power fits beside the seizure flows.
+"""
 
 from repro.apps.queries import QueryCostModel, QuerySpec
-from repro.hardware.catalog import catalog_names, total_area_kge
-from repro.hardware.node_fabric import (
-    MAD_PE,
-    block_unit_ids,
-    mad_cluster_ids,
-    node_area_kge,
-    node_static_power_mw,
-    standard_node_fabric,
-)
-from repro.linalg.tiling import BLOCK_WAYS, MAD_CLUSTER_SIZE
 from repro.scheduler.ilp import Flow, SchedulerProblem
 from repro.scheduler.model import (
     dtw_similarity_task,
@@ -20,36 +12,6 @@ from repro.scheduler.model import (
     seizure_detection_task,
 )
 from repro.units import ELECTRODES_PER_NODE, NODE_POWER_CAP_MW
-
-
-class TestNodeFabric:
-    def test_full_catalog_plus_mad_cluster(self):
-        fabric = standard_node_fabric()
-        assert len(fabric.pes) == len(catalog_names()) + MAD_CLUSTER_SIZE - 1
-
-    def test_mad_cluster_size(self):
-        fabric = standard_node_fabric()
-        assert len(mad_cluster_ids(fabric)) == MAD_CLUSTER_SIZE
-        assert len(block_unit_ids(fabric)) == BLOCK_WAYS
-
-    def test_area_accounting(self):
-        from repro.hardware.catalog import get_pe
-
-        expected = total_area_kge() + (MAD_CLUSTER_SIZE - 1) * get_pe(
-            MAD_PE
-        ).area_kge
-        assert node_area_kge() == pytest.approx(expected)
-
-    def test_worst_case_static_power_under_half_cap(self):
-        """Even with every PE leaking, static power leaves headroom —
-        the premise of SCALO's power-gated flexibility."""
-        assert node_static_power_mw() < NODE_POWER_CAP_MW / 2
-
-    def test_pipelines_wire_on_the_standard_fabric(self):
-        fabric = standard_node_fabric()
-        fabric.connect("FFT", "SVM")
-        pipeline = fabric.pipeline("detect", ["FFT", "SVM"])
-        assert pipeline.latency_ms > 0
 
 
 class TestQueryCoexistence:

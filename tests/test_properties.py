@@ -16,7 +16,7 @@ from repro.compression.hash_codec import dcomp_decompress, hcomp_compress
 from repro.compression.lz import lz_compress, lz_decompress
 from repro.compression.rle import rle_decode, rle_encode
 from repro.linalg.inverse import gauss_jordan_inverse
-from repro.linalg.tiling import block_multiply, split_even
+from repro.linalg.tiling import split_even
 from repro.network.packet import Header, Packet, PayloadKind
 from repro.similarity.dtw import dtw_distance
 from repro.similarity.emd import emd_1d
@@ -97,16 +97,6 @@ def test_gauss_jordan_is_inverse(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n)) + n * np.eye(n)
     assert np.allclose(gauss_jordan_inverse(m) @ m, np.eye(n), atol=1e-7)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
-       st.integers(0, 100))
-def test_block_multiply_matches_dense(rows, inner, cols, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(rows, inner))
-    b = rng.normal(size=(inner, cols))
-    assert np.allclose(block_multiply(a, b), a @ b, atol=1e-9)
 
 
 @given(st.integers(1, 200), st.integers(1, 16))

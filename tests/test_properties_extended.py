@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.stimulation import StimulationProtocol, synthesize_waveform
 from repro.core.thermal import relative_temperature_rise, temperature_rise_c
 from repro.crypto.aes import AES128
-from repro.errors import ConfigurationError
 from repro.hashing.lsh import LSHFamily
 from repro.network.tdma import TDMAConfig, TDMASchedule
 
@@ -60,23 +58,6 @@ def test_aes_ctr_is_length_preserving_involution(data, nonce):
 
 
 # --- stimulation --------------------------------------------------------------------
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.floats(10.0, 500.0),
-    st.floats(50.0, 400.0),
-    st.floats(50.0, 200.0),
-    st.floats(20.0, 200.0),
-)
-def test_stimulation_always_charge_balanced(amplitude, phase, frequency,
-                                            train):
-    try:
-        protocol = StimulationProtocol(amplitude, phase, frequency, train)
-        waveform = synthesize_waveform(protocol)
-    except ConfigurationError:
-        return  # invalid geometry is allowed to be rejected
-    assert abs(float(waveform.sum())) < 1e-6 * max(1.0, np.abs(waveform).max())
 
 
 # --- LSH determinism across processes ----------------------------------------------

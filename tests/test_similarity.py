@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.similarity.dtw import dtw_cell_count, dtw_distance, dtw_distance_matrix
+from repro.similarity.dtw import dtw_distance
 from repro.similarity.emd import emd_1d, emd_signal, signal_to_histogram
 from repro.similarity.measures import euclidean_distance, get_measure
 from repro.similarity.xcor import (
@@ -46,15 +46,6 @@ class TestDTW:
         a = np.array([0.0, 1.0, 0.0])
         b = np.array([0.0, 1.0, 1.0, 0.0])
         assert dtw_distance(a, b) == pytest.approx(0.0)
-
-    def test_matrix_shape(self, rng):
-        q = rng.normal(size=(3, 20))
-        r = rng.normal(size=(4, 20))
-        out = dtw_distance_matrix(q, r, band=5)
-        assert out.shape == (3, 4)
-
-    def test_cell_count_banded_less_than_full(self):
-        assert dtw_cell_count(120, 120, band=10) < dtw_cell_count(120, 120)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -23,33 +23,5 @@ class TestPaperConstants:
         assert units.WINDOW_SAMPLES == 120
         assert units.WINDOW_BYTES == 240
 
-    def test_response_targets(self):
-        assert units.SEIZURE_RESPONSE_MS == 10.0
-        assert units.MOVEMENT_RESPONSE_MS == 50.0
-        assert units.SPIKE_SORT_RESPONSE_MS == 2.5
-
     def test_power_cap(self):
         assert units.NODE_POWER_CAP_MW == 15.0
-
-
-class TestConversions:
-    @pytest.mark.parametrize("value", [0.0, 1.0, 7.25, 480.0])
-    def test_rate_roundtrip(self, value):
-        assert units.bps_to_mbps(units.mbps_to_bps(value)) == pytest.approx(value)
-
-    @pytest.mark.parametrize("value", [0.0, 0.5, 96.0, 384.0])
-    def test_electrode_roundtrip(self, value):
-        assert units.mbps_to_electrodes(
-            units.electrodes_to_mbps(value)
-        ) == pytest.approx(value)
-
-    def test_power_conversions(self):
-        assert units.uw_to_mw(1500.0) == 1.5
-        assert units.mw_to_uw(1.5) == 1500.0
-
-    def test_time_conversions(self):
-        assert units.ms_to_s(250.0) == 0.25
-        assert units.s_to_ms(0.25) == 250.0
-
-    def test_energy_conversion(self):
-        assert units.nj_to_mj(1e6) == 1.0
