@@ -67,14 +67,17 @@ def network_errors(
     seed: int = 0,
 ) -> NetworkErrorResult:
     """Run the Fig. 12 experiment at one BER."""
-    rng = np.random.default_rng(seed)
     channel = BitErrorChannel(ber, seed=seed + 1)
 
     # hash packets
+    payloads = np.random.default_rng(seed).integers(
+        0, 256, (n_packets, HASH_PAYLOAD_BYTES), dtype=np.uint8
+    )
     hash_errors = 0
-    for i in range(n_packets):
-        payload = bytes(rng.integers(0, 256, HASH_PAYLOAD_BYTES, dtype=np.uint8))
-        packet = Packet.build(0, 1, PayloadKind.HASHES, payload, seq=i & 0xFFFF)
+    for i, row in enumerate(payloads):
+        packet = Packet.build(
+            0, 1, PayloadKind.HASHES, row.tobytes(), seq=i & 0xFFFF
+        )
         received, flips = channel.transmit(packet)
         if flips and not received.intact:
             hash_errors += 1

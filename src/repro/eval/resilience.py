@@ -95,10 +95,13 @@ def arq_recovery(
     link.attach(0, lambda p: None)
     link.attach(1, lambda p: None)
 
-    rng = np.random.default_rng(seed)
-    for i in range(n_packets):
-        payload = bytes(rng.integers(0, 256, HASH_PAYLOAD_BYTES, dtype=np.uint8))
-        packet = Packet.build(0, 1, PayloadKind.HASHES, payload, seq=i & 0xFFFF)
+    payloads = np.random.default_rng(seed).integers(
+        0, 256, (n_packets, HASH_PAYLOAD_BYTES), dtype=np.uint8
+    )
+    for i, row in enumerate(payloads):
+        packet = Packet.build(
+            0, 1, PayloadKind.HASHES, row.tobytes(), seq=i & 0xFFFF
+        )
         link.send(packet)
 
     reg = telemetry.registry

@@ -187,20 +187,26 @@ class ReliableLink:
 
     # -- transmit side ----------------------------------------------------------
 
-    def _ack_roundtrip_ok(self, packet: Packet, target: int) -> bool:
+    def _ack_roundtrip_ok(
+        self, packet: Packet, target: int, acks: dict[int, Packet]
+    ) -> bool:
         """Model the receiver's ACK travelling back through the channel.
 
         The ACK is a minimal CONTROL packet; if it arrives corrupted the
         sender must assume loss (a NACK by timeout) and retransmit.  Its
         airtime lands in the network stats like any other transmission.
+        ``acks`` holds the ACK each target has built for this send, so a
+        retry re-sends the same frame instead of building it again.
         """
-        ack = Packet.build(
-            target,
-            packet.header.src,
-            PayloadKind.CONTROL,
-            packet.header.seq.to_bytes(ACK_PAYLOAD_BYTES, "big"),
-            seq=packet.header.seq,
-        )
+        ack = acks.get(target)
+        if ack is None:
+            ack = acks[target] = Packet.build(
+                target,
+                packet.header.src,
+                PayloadKind.CONTROL,
+                packet.header.seq.to_bytes(ACK_PAYLOAD_BYTES, "big"),
+                seq=packet.header.seq,
+            )
         airtime = self.network.tdma.packet_airtime_ms(len(ack.payload))
         self.network.stats.airtime_ms += airtime
         self.stats.acks_sent += 1
@@ -239,6 +245,7 @@ class ReliableLink:
         slot_ms = self.network.tdma.slot_ms()
         needed_retry = False
         attempts_used = 0
+        acks: dict[int, Packet] = {}
 
         for attempt in range(1, self.config.max_retries + 2):
             attempts_used = attempt
@@ -260,9 +267,9 @@ class ReliableLink:
                     attempt=attempt,
                     pending=len(pending),
                 ):
-                    outcomes = self._attempt(packet, pending)
+                    outcomes = self._attempt(packet, pending, acks)
             else:
-                outcomes = self._attempt(packet, pending)
+                outcomes = self._attempt(packet, pending, acks)
             still_pending: list[int] = []
             for target, acked in outcomes.items():
                 if acked:
@@ -291,11 +298,13 @@ class ReliableLink:
             )
         return result
 
-    def _attempt(self, packet: Packet, pending: list[int]) -> dict[int, bool]:
+    def _attempt(
+        self, packet: Packet, pending: list[int], acks: dict[int, Packet]
+    ) -> dict[int, bool]:
         """One burst plus ACK round-trips: target -> acknowledged."""
         outcomes = self.network.transmit_to(packet, pending)
         return {
             target: outcome.received
-            and self._ack_roundtrip_ok(packet, target)
+            and self._ack_roundtrip_ok(packet, target, acks)
             for target, outcome in outcomes.items()
         }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network.packet import Packet
+from repro.network.packet import FRAME_OVERHEAD_BYTES, Packet
 
 
 def flip_bits(data: bytes, bit_indices: np.ndarray) -> bytes:
@@ -51,28 +51,37 @@ class BitErrorChannel:
             raise ConfigurationError("BER must be in [0, 1)")
         self._rng = np.random.default_rng(self.seed)
 
-    def corrupt_bytes(self, data: bytes) -> tuple[bytes, int]:
-        """Pass ``data`` through the channel; returns (output, n_flipped)."""
-        n_bits = 8 * len(data)
+    def _flip_positions(self, n_bits: int) -> np.ndarray | None:
+        """Draw which of ``n_bits`` bits flip (``None`` when none do)."""
         if n_bits == 0 or self.bit_error_rate == 0:
-            return data, 0
+            return None
         n_errors = self._rng.binomial(n_bits, self.bit_error_rate)
         if n_errors == 0:
+            return None
+        return self._rng.choice(n_bits, size=n_errors, replace=False)
+
+    def corrupt_bytes(self, data: bytes) -> tuple[bytes, int]:
+        """Pass ``data`` through the channel; returns (output, n_flipped)."""
+        positions = self._flip_positions(8 * len(data))
+        if positions is None:
             return data, 0
-        positions = self._rng.choice(n_bits, size=n_errors, replace=False)
-        return flip_bits(data, positions), int(n_errors)
+        return flip_bits(data, positions), len(positions)
 
     def transmit(self, packet: Packet) -> tuple[Packet, int]:
         """Send one packet through the channel.
 
         The whole frame (header, CRCs, payload) is exposed to errors, so a
-        flip may land in the header, a checksum, or the data.
+        flip may land in the header, a checksum, or the data.  The draws
+        are those of :meth:`corrupt_bytes` on ``packet.to_wire()``, but
+        the wire bytes are built only when a bit flips.
 
         Returns:
             (received packet, number of flipped bits).
         """
-        wire = packet.to_wire()
-        corrupted, n_flipped = self.corrupt_bytes(wire)
-        if n_flipped == 0:
+        positions = self._flip_positions(
+            8 * (FRAME_OVERHEAD_BYTES + len(packet.payload))
+        )
+        if positions is None:
             return packet, 0
-        return Packet.from_wire(corrupted), n_flipped
+        corrupted = flip_bits(packet.to_wire(), positions)
+        return Packet.from_wire(corrupted), len(positions)

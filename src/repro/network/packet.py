@@ -6,6 +6,10 @@ receiver drops hash packets but *keeps* signal packets, because similarity
 measures like DTW tolerate a few flipped samples (§6.6).  ``zlib.crc32``
 is the NPACK polynomial: IEEE 802.3 CRC-32, reflected form 0xEDB88320.
 
+A packet is framed once: :class:`Packet` packs its header when it is
+made and reads those bytes for its header CRC check and its wire form,
+and the channel builds the wire bytes only for frames it corrupts.
+
 Header layout (84 bits)::
 
     src        6 bits   source node id
@@ -37,6 +41,9 @@ HEADER_BITS = 84
 
 #: Wire overhead per packet: header + two CRC32s, in bits.
 PACKET_OVERHEAD_BITS = HEADER_BITS + 2 * 32
+
+#: Frame bytes around the payload: the 11 header bytes and two CRC32s.
+FRAME_OVERHEAD_BYTES = 11 + 4 + 4
 
 #: Broadcast destination id.
 BROADCAST = 0x3F
@@ -73,6 +80,15 @@ class Header:
                ("seq", 16), ("time_ticks", 32), ("length", 12))
 
     def __post_init__(self) -> None:
+        if (
+            0 <= self.src < 1 << 6 and 0 <= self.dst < 1 << 6
+            and 0 <= self.kind < 1 << 4 and 0 <= self.flow < 1 << 8
+            and 0 <= self.seq < 1 << 16 and 0 <= self.time_ticks < 1 << 32
+            and 0 <= self.length < 1 << 12
+        ):
+            return
+        # the field-by-field check decides (it truncates like pack) and
+        # words the error
         for name, bits in self._FIELDS:
             value = int(getattr(self, name))
             if not 0 <= value < (1 << bits):
@@ -81,12 +97,12 @@ class Header:
                 )
 
     def pack(self) -> bytes:
-        """Serialise to ceil(84 / 8) = 11 bytes."""
-        acc = 0
-        for name, bits in self._FIELDS:
-            acc = (acc << bits) | int(getattr(self, name))
-        acc <<= (88 - HEADER_BITS)  # pad to 11 bytes
-        return acc.to_bytes(11, "big")
+        """Serialise to ceil(84 / 8) = 11 bytes (4 zero pad bits last)."""
+        return (
+            int(self.src) << 82 | int(self.dst) << 76 | int(self.kind) << 72
+            | int(self.flow) << 64 | int(self.seq) << 48
+            | int(self.time_ticks) << 16 | int(self.length) << 4
+        ).to_bytes(11, "big")
 
     @classmethod
     def unpack(cls, raw: bytes) -> "Header":
@@ -124,6 +140,14 @@ class Packet:
     trace: "TraceContext | None" = field(
         default=None, compare=False, repr=False
     )
+    #: ``header.pack()``, computed once per packet.  It is re-derived from
+    #: the decoded header, never kept from received bytes, so flipped pad
+    #: bits stay invisible exactly as on a re-pack; and ``replace`` re-runs
+    #: ``__post_init__``, so a swapped header never keeps stale bytes.
+    _header_bytes: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_header_bytes", self.header.pack())
 
     @classmethod
     def build(
@@ -154,7 +178,7 @@ class Packet:
 
     @property
     def header_ok(self) -> bool:
-        return zlib.crc32(self.header.pack()) == self.header_crc
+        return zlib.crc32(self._header_bytes) == self.header_crc
 
     @property
     def payload_ok(self) -> bool:
@@ -174,7 +198,7 @@ class Packet:
     def to_wire(self) -> bytes:
         """Serialise the whole frame (header, crc, payload, crc)."""
         return (
-            self.header.pack()
+            self._header_bytes
             + self.header_crc.to_bytes(4, "big")
             + self.payload
             + self.payload_crc.to_bytes(4, "big")
@@ -183,7 +207,7 @@ class Packet:
     @classmethod
     def from_wire(cls, raw: bytes) -> "Packet":
         """Parse a frame laid out by :meth:`to_wire` (no integrity check)."""
-        if len(raw) < 11 + 4 + 4:
+        if len(raw) < FRAME_OVERHEAD_BYTES:
             raise NetworkError("frame too short")
         header_raw = raw[:11]
         header_crc = int.from_bytes(raw[11:15], "big")
@@ -200,7 +224,7 @@ class Packet:
         string parses into a (possibly corrupted) packet whose ``header_ok``
         / ``payload_ok`` predicates report the damage.
         """
-        if len(raw) < 11 + 4 + 4:
+        if len(raw) < FRAME_OVERHEAD_BYTES:
             return None
         return cls.from_wire(raw)
 

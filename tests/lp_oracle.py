@@ -26,7 +26,18 @@ def linprog_electrodes(
     program = lp_program(cs)
     if weight_scale is not None:
         program["c"][: len(cs.rows)] *= weight_scale
-    result = linprog(**program, method="highs")
+    # at HiGHS's default feasibility tolerances (1e-7) the reference can
+    # overshoot the power row (primal) or stop short of the optimum (dual)
+    # by more than the tests' 1e-12.  Both are tightened; the dual simplex
+    # then reports numerical trouble on some weight-nudged programs, which
+    # the interior-point solver (with its crossover to a vertex) does not
+    result = linprog(
+        **program, method="highs-ipm",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
     assert result.success, result.message
     return np.maximum(result.x[: len(cs.rows)], 0.0)
 

@@ -45,6 +45,7 @@ TARGETS: tuple[tuple[str, ...], ...] = (
     ("chaos", "partition", "--seed", "0"),
     ("fabric", "--seed", "0"),
     ("trace", "seizure", "--seed", "0"),
+    ("resilience",),
     ("fig11",), ("fig12",), ("fig14",),
 )
 

@@ -29,7 +29,7 @@ from repro.network.radio import (
     scale_radio_to_distance,
 )
 from repro.network.tdma import TDMAConfig, TDMASchedule
-from tests import crc_oracle
+from tests import crc_oracle, packet_oracle
 
 
 #: header bits on air; the last 4 bits of the 11 packed bytes are padding
@@ -104,6 +104,24 @@ class TestHeader:
         header = Header(1, 2, PayloadKind.HASHES, 0, 0, 0, 10)
         assert len(header.pack()) == 11
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        name: st.one_of(
+            st.integers(-2, (1 << bits) + 1),
+            st.floats(-2.0, (1 << bits) + 1.0),
+        )
+        for name, bits in packet_oracle.FIELDS
+    }))
+    def test_range_check_and_pack_match_the_field_loop(self, values):
+        """The all-in-range fast check accepts exactly what the
+        field-by-field loop accepts, and packs the same bytes."""
+        if not packet_oracle.header_fits(values):
+            with pytest.raises(ConfigurationError):
+                Header(**values)
+            return
+        header = Header(**values)
+        assert header.pack() == packet_oracle.pack_header(header)
+
 
 class TestPacket:
     def test_build_and_integrity(self):
@@ -129,6 +147,27 @@ class TestPacket:
         # 256 B + overhead at 7 Mbps
         expected = (PACKET_OVERHEAD_BITS + 2048) / 7000
         assert packet_airtime_ms(256, 7.0) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("bit", _HEADER_PAD)
+    def test_flipped_header_pad_bit_is_invisible(self, bit):
+        """The cached header bytes are re-packed from the decoded header,
+        so a flip in the 4 pad bits neither fails the header CRC nor
+        survives into the re-serialised frame."""
+        packet = Packet.build(5, 9, PayloadKind.HASHES, bytes(range(48)),
+                              flow=3, seq=1234, time_ticks=99999)
+        wire = packet.to_wire()
+        received = Packet.from_wire(flip_bits(wire, np.array([bit])))
+        assert received.header_ok
+        assert received == packet
+        assert received.to_wire() == wire
+
+    def test_replaced_header_is_repacked(self):
+        packet = Packet.build(1, 2, PayloadKind.HASHES, b"abc", seq=5)
+        moved = dataclasses.replace(
+            packet, header=dataclasses.replace(packet.header, seq=6)
+        )
+        assert moved.to_wire()[:11] == packet_oracle.pack_header(moved.header)
+        assert not moved.header_ok  # the CRC still covers seq=5
 
     def test_packets_needed(self):
         assert packets_needed(0) == 0
@@ -190,6 +229,38 @@ class TestChannel:
     def test_bad_ber_rejected(self):
         with pytest.raises(ConfigurationError):
             BitErrorChannel(1.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        src=st.integers(0, 63), dst=st.integers(0, 63),
+        kind=st.integers(0, 15), flow=st.integers(0, 255),
+        seq=st.integers(0, 65535), ticks=st.integers(0, 2**32 - 1),
+        payload=st.binary(max_size=MAX_PAYLOAD_BYTES),
+        ber=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+        seed=st.integers(0, 2**32 - 1),
+        sends=st.integers(1, 8),
+    )
+    def test_transmit_matches_the_plain_frame_path(
+        self, src, dst, kind, flow, seq, ticks, payload, ber, seed, sends
+    ):
+        """Twin-seeded channels: the frame-once ``transmit`` and the
+        serialise-corrupt-reparse oracle agree packet for packet and
+        leave their RNGs in the same state."""
+        packet = Packet.build(src, dst, kind, payload, flow=flow, seq=seq,
+                              time_ticks=ticks)
+        assert packet_oracle.checks(packet) == (True, True)
+        assert packet.to_wire() == packet_oracle.wire(packet)
+        fast = BitErrorChannel(ber, seed=seed)
+        plain = BitErrorChannel(ber, seed=seed)
+        for _ in range(sends):
+            got, got_flips = fast.transmit(packet)
+            ref, ref_flips = packet_oracle.transmit(plain, packet)
+            assert got == ref
+            assert got_flips == ref_flips
+            assert (got.header_ok, got.payload_ok) == packet_oracle.checks(ref)
+            assert got.to_wire() == packet_oracle.wire(ref)
+        assert (fast._rng.bit_generator.state
+                == plain._rng.bit_generator.state)
 
 
 class TestTDMA:
