@@ -65,8 +65,7 @@ def main() -> None:
     assert loaded.tdma_frame == materialised.tdma_frame.slot_owners
     print("runtime loader applied the program:")
     print(f"  {len(loaded.fabric.pes)} PEs configured, "
-          f"{len(loaded.flows)} flows wired, dividers verified equal, "
-          f"fabric power {loaded.fabric.power_mw:.2f} mW")
+          f"{len(loaded.flows)} flows wired, dividers verified equal")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError, ScaloError
 from repro.hardware.catalog import get_pe
 from repro.hashing.lsh import LSHFamily
 from repro.network.radio import EXTERNAL_RADIO, RadioSpec
-from repro.similarity.dtw import dtw_distance_batch
+from repro.similarity.dtw import dtw_rows
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike, TraceContext
@@ -330,7 +330,7 @@ class QueryEngine:
                 batch = np.stack([samples[pair] for pair in group]).astype(
                     float
                 )
-                distances = dtw_distance_batch(batch, reference, self.dtw_band)
+                distances = dtw_rows(batch, reference, self.dtw_band)
                 for pair, cost in zip(group, distances):
                     costs[pair] = float(cost)
             pairs = [pair for pair in pairs if costs[pair] <= self.dtw_threshold]

@@ -31,7 +31,7 @@ from repro.faults.plan import FaultPlan
 from repro.hashing.collision import CollisionChecker, RecentHashStore
 from repro.hashing.lsh import LSHFamily
 from repro.network.packet import PACKET_OVERHEAD_BITS
-from repro.similarity.dtw import dtw_distance
+from repro.similarity.dtw import dtw_rows
 from repro.units import WINDOW_SAMPLES
 
 
@@ -220,6 +220,12 @@ class SeizurePropagationSimulator:
         result = SimulationResult(
             detections={node: [] for node in range(rec.n_nodes)}
         )
+        # colliding pairs, (w, src, dst, n_collisions) and their two
+        # windows, scored in one DTW call after the loop: nothing in the
+        # loop reads a cost
+        exchanges: list[tuple[int, int, int, int]] = []
+        src_windows: list[np.ndarray] = []
+        dst_windows: list[np.ndarray] = []
 
         for w in range(n_windows):
             start = w * self.window_samples
@@ -301,15 +307,21 @@ class SeizurePropagationSimulator:
                     # 4. exact comparison of the colliding pair
                     result.signal_exchanges += 1
                     src_electrode, record = collisions[0]
-                    src_window = windows[src, src_electrode]
-                    dst_window = windows[dst, record.electrode]
-                    cost = dtw_distance(src_window, dst_window, self.dtw_band)
-                    if cost <= self.dtw_threshold:
-                        result.confirmations.append(
-                            PropagationEvent(src, dst, w, cost,
-                                             n_collisions=len(collisions))
-                        )
-                        result.stimulations.append((dst, w))
+                    exchanges.append((w, src, dst, len(collisions)))
+                    src_windows.append(windows[src, src_electrode])
+                    dst_windows.append(windows[dst, record.electrode])
+
+        costs = dtw_rows(
+            np.reshape(src_windows, (-1, self.window_samples)),
+            np.reshape(dst_windows, (-1, self.window_samples)),
+            self.dtw_band,
+        )
+        for (w, src, dst, n_collisions), cost in zip(exchanges, costs.tolist()):
+            if cost <= self.dtw_threshold:
+                result.confirmations.append(
+                    PropagationEvent(src, dst, w, cost, n_collisions=n_collisions)
+                )
+                result.stimulations.append((dst, w))
         return result
 
     # -- analytic helpers used by the evaluation ---------------------------------

@@ -72,6 +72,12 @@ class PairSet:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair's ``a`` window and ``b`` window, each stacked
+        ``(n_pairs, samples)``."""
+        firsts, seconds = zip(*self.pairs)
+        return np.stack(firsts), np.stack(seconds)
+
 
 def make_pairs(n_pairs: int = 400, seed: int = 0) -> PairSet:
     """Window pairs mirroring the physics of seizure propagation.
@@ -127,9 +133,9 @@ def hash_accuracy(
     measure = get_measure(measure_name)
     family = LSHFamily.for_measure(measure_name)
     pair_set = make_pairs(n_pairs, seed)
-    pairs = pair_set.pairs
+    sides = pair_set.sides()
 
-    values = np.array([measure(a, b) for a, b in pairs])
+    values = measure.rows(*sides)
     threshold, separation = pick_threshold(values, pair_set.labels)
     # distance from threshold as a percentage of the correlated-vs-
     # uncorrelated class separation, positive on the similar side —
@@ -141,7 +147,7 @@ def hash_accuracy(
     hashed = np.array(
         [
             family.matches(sig_a, sig_b)
-            for sig_a, sig_b in zip(*hash_pairs(family, pairs))
+            for sig_a, sig_b in zip(*hash_pairs(family, sides))
         ],
         dtype=bool,
     )
@@ -154,7 +160,7 @@ def hash_accuracy(
         mask = (clipped >= BIN_EDGES_PCT[i]) & (clipped < BIN_EDGES_PCT[i + 1])
         if mask.any():
             # errors in this bin as a share of all pairs (area = total)
-            error_pct[i] = 100.0 * wrong[mask].sum() / len(pairs)
+            error_pct[i] = 100.0 * wrong[mask].sum() / len(pair_set)
 
     false_positives = (~exact & hashed).sum()
     total_wrong = wrong.sum()
@@ -162,7 +168,7 @@ def hash_accuracy(
         measure=measure_name,
         bin_centers_pct=centers,
         error_pct=error_pct,
-        total_error_pct=100.0 * total_wrong / len(pairs),
+        total_error_pct=100.0 * total_wrong / len(pair_set),
         false_positive_share=(
             false_positives / total_wrong if total_wrong else 0.0
         ),
@@ -170,14 +176,15 @@ def hash_accuracy(
 
 
 def hash_pairs(
-    family: LSHFamily, pairs: list[tuple[np.ndarray, np.ndarray]]
+    family: LSHFamily, sides: tuple[np.ndarray, np.ndarray]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Signatures of every pair's ``a`` window and ``b`` window, one
+    """Signatures of every pair's ``a`` window and ``b`` window (the
+    :meth:`PairSet.sides`), one
     :meth:`~repro.hashing.lsh.LSHFamily.hash_windows` call per side."""
-    firsts, seconds = zip(*pairs)
+    firsts, seconds = sides
     return (
-        family.hash_windows(np.stack(firsts)).tolist(),
-        family.hash_windows(np.stack(seconds)).tolist(),
+        family.hash_windows(firsts).tolist(),
+        family.hash_windows(seconds).tolist(),
     )
 
 

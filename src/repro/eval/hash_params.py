@@ -47,8 +47,8 @@ def sweep_measure(
     """Sweep (window, ngram) for one measure; returns TPR landscape."""
     measure = get_measure(measure_name)
     pair_set = make_pairs(n_pairs, seed)
-    pairs = pair_set.pairs
-    values = np.array([measure(a, b) for a, b in pairs])
+    sides = pair_set.sides()
+    values = measure.rows(*sides)
     threshold, _ = pick_threshold(values, pair_set.labels)
     similar = measure.similar(values, threshold)
 
@@ -65,7 +65,7 @@ def sweep_measure(
             matches = np.array(
                 [
                     family.matches(sig_a, sig_b)
-                    for sig_a, sig_b in zip(*hash_pairs(family, pairs))
+                    for sig_a, sig_b in zip(*hash_pairs(family, sides))
                 ],
                 dtype=bool,
             )

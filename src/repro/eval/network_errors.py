@@ -16,7 +16,7 @@ import numpy as np
 from repro.datasets.synthetic_ieeg import generate_ieeg
 from repro.network.channel import BitErrorChannel
 from repro.network.packet import Packet, PayloadKind
-from repro.similarity.dtw import dtw_distance
+from repro.similarity.dtw import dtw_rows
 from repro.units import WINDOW_SAMPLES
 
 #: BER points on the Fig. 12 x-axis.
@@ -86,14 +86,12 @@ def network_errors(
     windows = _signal_windows(n_packets, seed)
     partner = np.roll(windows, 1, axis=0)
     signal_errors = 0
-    dtw_failures = 0
-    clean_costs = np.array(
-        [
-            dtw_distance(w.astype(float), p.astype(float), dtw_threshold_band)
-            for w, p in zip(windows, partner)
-        ]
-    )
+    clean_costs = dtw_rows(windows, partner, dtw_threshold_band)
     threshold = float(np.median(clean_costs))
+    # corrupted payloads that still route, scored in one call after the
+    # loop: no channel draw depends on a cost
+    delivered: list[int] = []
+    corrupted: list[np.ndarray] = []
     for i in range(n_packets):
         samples = _quantise(windows[i])
         packet = Packet.build(
@@ -106,15 +104,17 @@ def network_errors(
             signal_errors += 1
         if not received.header_ok:
             continue  # unroutable; counted as an error above
-        corrupted = np.frombuffer(received.payload, dtype="<i2").astype(float)
-        if corrupted.shape[0] != WINDOW_SAMPLES:
+        payload = np.frombuffer(received.payload, dtype="<i2").astype(float)
+        if payload.shape[0] != WINDOW_SAMPLES:
             continue
-        cost = dtw_distance(corrupted / 1000.0,
-                            partner[i].astype(float), dtw_threshold_band)
-        clean_decision = clean_costs[i] <= threshold
-        corrupt_decision = cost <= threshold
-        if clean_decision != corrupt_decision:
-            dtw_failures += 1
+        delivered.append(i)
+        corrupted.append(payload / 1000.0)
+    costs = dtw_rows(
+        np.reshape(corrupted, (-1, WINDOW_SAMPLES)), partner[delivered],
+        dtw_threshold_band,
+    )
+    clean_decision = clean_costs[delivered] <= threshold
+    dtw_failures = int(np.count_nonzero(clean_decision != (costs <= threshold)))
 
     return NetworkErrorResult(
         ber=ber,

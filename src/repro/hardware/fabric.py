@@ -82,20 +82,6 @@ class Fabric:
             self.connect(src, dst)
         return self.pipeline(name, ids)
 
-    # -- roll-ups ---------------------------------------------------------------
-
-    @property
-    def static_uw(self) -> float:
-        return sum(pe.static_uw for pe in self.pes.values())
-
-    @property
-    def dynamic_uw(self) -> float:
-        return sum(pe.dynamic_uw for pe in self.pes.values())
-
-    @property
-    def power_mw(self) -> float:
-        return (self.static_uw + self.dynamic_uw) / 1e3
-
     def topological_order(self) -> list[str]:
         """Instances in dataflow order."""
         return self.graph.topological_order()

@@ -1,11 +1,11 @@
-"""Processing-element instances: clock domains, frequency division, power.
+"""Processing-element instances: clock domains and frequency division.
 
 SCALO composes PEs in a GALS (globally asynchronous, locally synchronous)
 architecture: every PE sits in its own clock domain and can be slowed to
 ``f_max / k`` for an integer divider ``k`` chosen to just sustain the
-application's data rate (paper §3.2, "Optimal Power Tuning").  Dynamic power
-scales linearly with frequency; static power is always paid while the PE is
-powered on.
+application's data rate (paper §3.2, "Optimal Power Tuning").  Power is
+costed once, by the scheduler (``repro.scheduler.constraints``), from the
+catalog figures.
 """
 
 from __future__ import annotations
@@ -60,23 +60,12 @@ class ProcessingElement:
     """A live PE instance: a catalog spec plus a clock-domain configuration.
 
     ``n_electrodes`` is the number of electrode channels whose data stream
-    this PE instance is currently processing; dynamic power is the catalog's
-    per-electrode figure scaled by channel count and clock ratio.
-
-    ``pairwise`` marks PEs whose work grows with the number of channel
-    *pairs* rather than channels (the XCOR feature extractor correlating
-    electrode pairs); their dynamic power picks up an extra ``n/pair_norm``
-    factor, which is what bends seizure detection's throughput-vs-power
-    curve quadratic in the paper (§6.2).
+    this PE instance is currently processing.
     """
 
     spec: PESpec
     clock: ClockDomain = field(default=None)  # type: ignore[assignment]
     n_electrodes: float = 0.0
-    pairwise: bool = False
-    #: channel-pair normalisation: at pair_norm channels a pairwise PE burns
-    #: exactly its catalog per-electrode dynamic power per channel.
-    pair_norm: float = 96.0
 
     def __post_init__(self) -> None:
         if self.clock is None:
@@ -96,36 +85,6 @@ class ProcessingElement:
     @property
     def freq_mhz(self) -> float:
         return self.clock.freq_mhz
-
-    @property
-    def clock_ratio(self) -> float:
-        """Fraction of the maximum frequency the PE currently runs at."""
-        return self.clock.freq_mhz / self.spec.max_freq_mhz
-
-    # -- power ----------------------------------------------------------------
-
-    @property
-    def static_uw(self) -> float:
-        """Leakage + SRAM power (uW); paid whenever the PE is on."""
-        return self.spec.static_uw
-
-    @property
-    def dynamic_uw(self) -> float:
-        """Dynamic power (uW) at the current channel count and clock."""
-        per_channel = self.spec.dyn_uw_per_electrode * self.clock_ratio
-        if self.pairwise:
-            per_channel *= self.n_electrodes / self.pair_norm
-        return per_channel * self.n_electrodes
-
-    @property
-    def power_uw(self) -> float:
-        """Total power (uW)."""
-        return self.static_uw + self.dynamic_uw
-
-    @property
-    def power_mw(self) -> float:
-        """Total power (mW)."""
-        return self.power_uw / 1e3
 
     # -- latency ---------------------------------------------------------------
 
@@ -165,5 +124,5 @@ class ProcessingElement:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ProcessingElement({self.name}, {self.freq_mhz:g} MHz, "
-            f"{self.n_electrodes:g} ch, {self.power_uw:.1f} uW)"
+            f"{self.n_electrodes:g} ch)"
         )

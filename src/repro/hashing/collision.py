@@ -2,13 +2,18 @@
 
 When hashes arrive from a remote node, CCHECK sorts them in its SRAM
 registers and checks them against the local hashes of a configurable past
-horizon (e.g. the last 100 ms) with binary search (paper §3.2).
+horizon (e.g. the last 100 ms) with binary search (paper §3.2).  The
+simulator gets the same pairs from one component-wise array comparison;
+the per-record binary-search loop lives in ``tests/ccheck_oracle.py`` as
+the reference.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -69,9 +74,8 @@ class RecentHashStore:
 class CollisionChecker:
     """The CCHECK PE: match received hashes against local recent hashes.
 
-    The PE sorts the received batch in place in SRAM and binary-searches
-    local hashes against it.  The OR-construction of multi-component
-    signatures is honoured by indexing each component separately.
+    The OR-construction of multi-component signatures is honoured by
+    comparing each component separately.
     """
 
     def __init__(self, min_matching: int = 1):
@@ -87,41 +91,25 @@ class CollisionChecker:
         """All (received-index, local-record) pairs that collide.
 
         A pair collides when at least ``min_matching`` signature components
-        are equal component-wise.
+        are equal component-wise.  Pairs come in ``local`` order; within
+        one record, by the first component that agrees, then by index
+        (the order the PE's per-component binary searches find them).
         """
         if not received or not local:
             return []
         n_components = len(received[0])
         if any(len(sig) != n_components for sig in received):
             raise ConfigurationError("received signatures have mixed widths")
+        if any(len(record.signature) != n_components for record in local):
+            raise ConfigurationError("local signature width mismatch")
 
-        # Sort received signatures per component (the in-SRAM sort).
-        sorted_components: list[list[tuple[int, int]]] = []
-        for c in range(n_components):
-            component = sorted((sig[c], i) for i, sig in enumerate(received))
-            sorted_components.append(component)
-
-        matches: list[tuple[int, HashRecord]] = []
-        for record in local:
-            if len(record.signature) != n_components:
-                raise ConfigurationError("local signature width mismatch")
-            agree_counts: dict[int, int] = {}
-            for c in range(n_components):
-                component = sorted_components[c]
-                value = record.signature[c]
-                keys = [entry[0] for entry in component]
-                lo = bisect.bisect_left(keys, value)
-                while lo < len(component) and component[lo][0] == value:
-                    idx = component[lo][1]
-                    agree_counts[idx] = agree_counts.get(idx, 0) + 1
-                    lo += 1
-            for idx, agreeing in agree_counts.items():
-                if agreeing >= self.min_matching:
-                    matches.append((idx, record))
-        return matches
-
-    def any_match(
-        self, received: list[tuple[int, ...]], local: list[HashRecord]
-    ) -> bool:
-        """Fast-path: does any received hash collide with any local one?"""
-        return bool(self.check(received, local))
+        eq = (
+            np.array([record.signature for record in local])[:, None, :]
+            == np.array(received)[None, :, :]
+        )
+        rec, idx = np.nonzero(eq.sum(axis=-1) >= self.min_matching)
+        if rec.size == 0:
+            return []
+        first = eq[rec, idx].argmax(axis=-1)
+        order = np.lexsort((idx, first, rec))
+        return [(int(idx[k]), local[rec[k]]) for k in order]

@@ -1,6 +1,6 @@
 """Exact signal-similarity measures: DTW, Euclidean, XCOR, EMD."""
 
-from repro.similarity.dtw import dtw_distance, dtw_distance_batch
+from repro.similarity.dtw import dtw_rows
 from repro.similarity.emd import emd_1d, emd_signal, signal_to_histogram
 from repro.similarity.measures import (
     MEASURES,
@@ -15,8 +15,7 @@ from repro.similarity.xcor import (
 )
 
 __all__ = [
-    "dtw_distance",
-    "dtw_distance_batch",
+    "dtw_rows",
     "emd_1d",
     "emd_signal",
     "signal_to_histogram",

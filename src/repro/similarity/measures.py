@@ -6,6 +6,10 @@ polarity — higher cross-correlation means *more* similar, higher DTW cost
 means *less* similar — so this module wraps each measure with its polarity
 and provides one polarity rule, :meth:`Measure.similar`, used by both the
 exact comparators and the hash-accuracy experiments.
+
+Each measure is one rows callable scoring ``(k, samples)`` windows against
+``(k, samples)`` partners: DTW runs every pair through one
+:func:`~repro.similarity.dtw.dtw_rows` call, the others loop over pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.similarity.dtw import dtw_distance
+from repro.similarity.dtw import dtw_rows
 from repro.similarity.emd import emd_signal, zscore_rows
 from repro.similarity.xcor import max_cross_correlation
 
@@ -34,16 +38,18 @@ def euclidean_distance(series_a: np.ndarray, series_b: np.ndarray) -> float:
 class Measure:
     """A similarity measure plus its match polarity.
 
+    ``rows(a, b)`` scores row ``i`` of ``a`` against row ``i`` of ``b``
+    and returns ``(k,)`` values; calling the measure scores one pair.
     ``higher_is_similar`` is True for correlation-type measures and False
     for distance-type measures.
     """
 
     name: str
-    func: Callable[[np.ndarray, np.ndarray], float]
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     higher_is_similar: bool
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
-        return self.func(a, b)
+        return float(self.rows(np.asarray(a)[None], np.asarray(b)[None])[0])
 
     def similar(self, values: np.ndarray, threshold: float) -> np.ndarray:
         """Thresholded match decisions for measure values, with the right
@@ -55,12 +61,24 @@ class Measure:
 
     def is_similar(self, a: np.ndarray, b: np.ndarray, threshold: float) -> bool:
         """Thresholded match decision for one pair: the one-pair :meth:`similar`."""
-        return bool(self.similar(self.func(a, b), threshold))
+        return bool(self.similar(self(a, b), threshold))
 
 
-def _dtw_banded(a: np.ndarray, b: np.ndarray) -> float:
+def _pairwise(
+    pair: Callable[[np.ndarray, np.ndarray], float]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The rows form of a one-pair measure: one call per pair of rows."""
+
+    def rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.array([pair(x, y) for x, y in zip(a, b, strict=True)],
+                        dtype=float)
+
+    return rows
+
+
+def _dtw_banded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # band 10 on 120-sample windows mirrors the PE's Sakoe-Chiba setting
-    return dtw_distance(a, b, band=10)
+    return dtw_rows(a, b, band=10)
 
 
 def _emd_normalised(a: np.ndarray, b: np.ndarray) -> float:
@@ -81,9 +99,11 @@ def _xcor_lagged(a: np.ndarray, b: np.ndarray) -> float:
 
 MEASURES: dict[str, Measure] = {
     "dtw": Measure("dtw", _dtw_banded, higher_is_similar=False),
-    "euclidean": Measure("euclidean", euclidean_distance, higher_is_similar=False),
-    "xcor": Measure("xcor", _xcor_lagged, higher_is_similar=True),
-    "emd": Measure("emd", _emd_normalised, higher_is_similar=False),
+    "euclidean": Measure(
+        "euclidean", _pairwise(euclidean_distance), higher_is_similar=False
+    ),
+    "xcor": Measure("xcor", _pairwise(_xcor_lagged), higher_is_similar=True),
+    "emd": Measure("emd", _pairwise(_emd_normalised), higher_is_similar=False),
 }
 
 

@@ -4,7 +4,7 @@ The definition :meth:`repro.apps.queries.QueryEngine.run` must reproduce
 row for row.  It walks each node's stored windows in index order, reads
 every candidate off the NVM, and filters it with the scalar references:
 :func:`tests.minhash_oracle.oracle_hash_window` for Q2 hash and the
-per-pair :func:`repro.similarity.dtw.dtw_distance` for Q2 DTW.  It never
+per-pair :func:`tests.dtw_oracle.dtw_distance` for Q2 DTW.  It never
 consults the signature cache or a batched kernel, so it does not call
 the code it checks.  Slow by design; used only by tests and benchmarks.
 """
@@ -20,7 +20,7 @@ from repro.apps.queries import (
     QuerySpec,
 )
 from repro.errors import ConfigurationError, ScaloError
-from repro.similarity.dtw import dtw_distance
+from tests.dtw_oracle import dtw_distance
 from tests.minhash_oracle import oracle_hash_window
 
 

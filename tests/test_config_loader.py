@@ -75,7 +75,9 @@ class TestRoundTrip:
         loaded = load_config_program(program)
         order = loaded.fabric.topological_order()
         assert order.index("FFT") < order.index("SVM")
-        assert loaded.fabric.power_mw > 0
+        assert {
+            name: pe.clock.divider for name, pe in loaded.fabric.pes.items()
+        } == loaded.dividers
 
 
 class TestLoaderValidation:

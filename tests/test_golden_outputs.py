@@ -9,8 +9,7 @@ here.  After an intended output change, regenerate the file with::
 
     PYTHONPATH=src python tests/update_golden.py
 
-and review its diff.  fig12 is ``slow`` (run it
-with ``-m slow``).  fig15a and fig15b share fig15's handler, so fig15
+and review its diff.  fig15a and fig15b share fig15's handler, so fig15
 is pinned once.  The scheduler targets are also run as ``python -m
 repro`` under one and two OpenMP threads, so a BLAS or solver result
 that depends on the thread count fails here too.
@@ -49,9 +48,6 @@ TARGETS: tuple[tuple[str, ...], ...] = (
     ("fig11",), ("fig12",), ("fig14",),
 )
 
-#: Targets that take seconds each; deselected unless ``-m slow``.
-SLOW = frozenset({"fig12"})
-
 
 def target_key(argv: tuple[str, ...]) -> str:
     return " ".join(argv)
@@ -76,14 +72,7 @@ def test_golden_file_covers_every_target(golden):
     assert sorted(golden) == sorted(target_key(t) for t in TARGETS)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(t, marks=pytest.mark.slow) if t[0] in SLOW else t
-        for t in TARGETS
-    ],
-    ids=target_key,
-)
+@pytest.mark.parametrize("argv", TARGETS, ids=target_key)
 def test_stdout_matches_golden(argv, golden):
     assert stdout_digest(argv) == golden[target_key(argv)]
 

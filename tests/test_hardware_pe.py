@@ -1,4 +1,4 @@
-"""Tests for PE instances, clock domains, and power scaling."""
+"""Tests for PE instances and clock domains."""
 
 import pytest
 
@@ -30,37 +30,6 @@ class TestClockDomain:
 
 
 class TestProcessingElement:
-    def test_dynamic_power_scales_with_electrodes(self):
-        pe = ProcessingElement.from_name("FFT", n_electrodes=96)
-        assert pe.dynamic_uw == pytest.approx(9.02 * 96)
-        pe.n_electrodes = 48
-        assert pe.dynamic_uw == pytest.approx(9.02 * 48)
-
-    def test_dynamic_power_scales_with_clock(self):
-        pe = ProcessingElement.from_name("FFT", n_electrodes=96)
-        full = pe.dynamic_uw
-        pe.clock.divider = 2
-        assert pe.dynamic_uw == pytest.approx(full / 2)
-
-    def test_static_power_independent_of_clock(self):
-        pe = ProcessingElement.from_name("SVM", n_electrodes=10)
-        static = pe.static_uw
-        pe.clock.divider = 3
-        assert pe.static_uw == static
-
-    def test_pairwise_power_quadratic(self):
-        pe = ProcessingElement.from_name(
-            "XCOR", n_electrodes=96, pairwise=True, pair_norm=96.0
-        )
-        # at pair_norm channels, per-channel power equals the catalog figure
-        assert pe.dynamic_uw == pytest.approx(44.11 * 96)
-        pe.n_electrodes = 192
-        assert pe.dynamic_uw == pytest.approx(44.11 * 192 * 2)
-
-    def test_total_power_mw(self):
-        pe = ProcessingElement.from_name("THR", n_electrodes=1)
-        assert pe.power_mw == pytest.approx((2.00 + 0.11) / 1e3)
-
     def test_latency_from_catalog(self):
         pe = ProcessingElement.from_name("CCHECK")
         assert pe.latency_ms == 0.50

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hashing.collision import CollisionChecker, HashRecord, RecentHashStore
 from repro.hashing.emd_hash import EMDHash
 from repro.hashing.lsh import LSHConfig, LSHFamily, MEASURE_PRESETS
 from repro.similarity.measures import get_measure
+from tests import ccheck_oracle
 
 
 @pytest.fixture()
@@ -168,6 +171,32 @@ class TestCollisionChecker:
         checker = CollisionChecker()
         with pytest.raises(ConfigurationError):
             checker.check([(1, 2), (1,)], [HashRecord(0.0, 0, (1, 2))])
+
+    def test_local_width_mismatch_rejected(self):
+        checker = CollisionChecker()
+        local = [HashRecord(0.0, 0, (1, 2)), HashRecord(0.0, 1, (1,))]
+        with pytest.raises(ConfigurationError):
+            checker.check([(1, 2)], local)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_components=st.integers(1, 4))
+    def test_matches_oracle_in_order(self, data, n_components):
+        # a four-value alphabet makes duplicate components common
+        signature = st.tuples(*[st.integers(0, 3)] * n_components)
+        received = data.draw(st.lists(signature, max_size=8))
+        local = [
+            HashRecord(float(t), electrode, sig)
+            for t, (electrode, sig) in enumerate(
+                data.draw(
+                    st.lists(st.tuples(st.integers(0, 7), signature),
+                             max_size=12)
+                )
+            )
+        ]
+        min_matching = data.draw(st.integers(1, n_components))
+        assert CollisionChecker(min_matching).check(received, local) == (
+            ccheck_oracle.check(received, local, min_matching)
+        )
 
     def test_matches_agree_with_brute_force(self, rng):
         checker = CollisionChecker(min_matching=2)

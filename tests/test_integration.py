@@ -16,7 +16,7 @@ from repro.apps.stimulation import Stimulator
 from repro.apps.streaming import Codec, TelemetryOffloader, TelemetryReceiver
 from repro.core.system import ScaloSystem
 from repro.datasets.synthetic_ieeg import generate_ieeg
-from repro.similarity.dtw import dtw_distance
+from tests.dtw_oracle import dtw_distance
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
 """Batched query hot path: kernel equivalence, signature cache, engine.
 
-The batched kernels (`hash_windows`, `dtw_distance_batch`) and the cached
-query path promise *element-identical* results to the scalar reference
+The batched hash kernel (`hash_windows`) and the cached query path
+promise *element-identical* results to the scalar reference
 implementations — these tests hold them to it, property-based where the
 input space is wide.  The min-hash reference is the one-pass sampler in
 `tests/minhash_oracle.py` (EMD families: the scalar EMDH arithmetic in
 `tests/emd_oracle.py`); the query-scan reference is the
-window-at-a-time scan in `tests/query_oracle.py`.
+window-at-a-time scan in `tests/query_oracle.py`.  The DTW kernel is
+checked against `tests/dtw_oracle.py` in `tests/test_similarity.py`.
 """
 
 import dataclasses
@@ -20,10 +21,10 @@ from repro.apps.queries import QueryEngine, QuerySpec
 from repro.errors import ConfigurationError
 from repro.hashing import minhash
 from repro.hashing.lsh import SUPPORTED_MEASURES, LSHFamily
-from repro.similarity.dtw import dtw_distance, dtw_distance_batch
 from repro.storage.controller import StorageController
 from repro.storage.nvm import PAGE_BYTES, NVMDevice
 from tests import minhash_oracle
+from tests.dtw_oracle import dtw_distance
 from tests.minhash_oracle import oracle_hash_window
 from tests.query_oracle import oracle_run
 
@@ -181,38 +182,6 @@ class TestHashBatchEquivalence:
         family = LSHFamily.for_measure("dtw")
         with pytest.raises(ConfigurationError):
             family.hash_windows(np.zeros(120))
-
-
-class TestDTWBatchEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 5),
-        length=st.integers(4, 30),
-        template_len=st.integers(4, 30),
-        band=st.sampled_from([None, 1, 2, 5, 100]),
-    )
-    def test_matches_scalar(self, seed, n, length, template_len, band):
-        if band == 1:
-            template_len = length  # lockstep needs equal lengths
-        rng = np.random.default_rng(seed)
-        batch = rng.standard_normal((n, length)) * 5
-        template = rng.standard_normal(template_len) * 5
-        batched = dtw_distance_batch(batch, template, band)
-        scalar = np.array(
-            [dtw_distance(row, template, band) for row in batch]
-        )
-        assert np.array_equal(batched, scalar)
-
-    def test_empty_batch(self):
-        out = dtw_distance_batch(np.empty((0, 10)), np.ones(10), 3)
-        assert out.shape == (0,)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ConfigurationError):
-            dtw_distance_batch(np.zeros(10), np.ones(10))
-        with pytest.raises(ConfigurationError):
-            dtw_distance_batch(np.zeros((2, 0)), np.ones(10))
 
 
 # --- the hash-on-write signature cache ----------------------------------------

@@ -1,10 +1,14 @@
 """Tests for the exact similarity measures (DTW, XCOR, EMD, Euclidean)."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.similarity.dtw import dtw_distance
+from repro.similarity.dtw import dtw_rows
 from repro.similarity.emd import emd_1d, emd_signal, signal_to_histogram
 from repro.similarity.measures import euclidean_distance, get_measure
 from repro.similarity.xcor import (
@@ -12,44 +16,121 @@ from repro.similarity.xcor import (
     max_cross_correlation,
     pearson_correlation,
 )
+from tests.dtw_oracle import dtw_distance
+
+
+def _dtw(a, b, band=None):
+    """The kernel on one pair: its one-row case."""
+    return float(dtw_rows(np.asarray(a)[None], np.asarray(b)[None], band)[0])
 
 
 class TestDTW:
     def test_identity_is_zero(self, rng):
         x = rng.normal(size=50)
-        assert dtw_distance(x, x) == pytest.approx(0.0)
+        assert _dtw(x, x) == pytest.approx(0.0)
 
     def test_symmetric(self, rng):
         a, b = rng.normal(size=40), rng.normal(size=40)
-        assert dtw_distance(a, b, band=8) == pytest.approx(
-            dtw_distance(b, a, band=8)
-        )
+        assert _dtw(a, b, band=8) == pytest.approx(_dtw(b, a, band=8))
 
     def test_tolerates_time_warp(self):
         t = np.linspace(0, 4 * np.pi, 80)
         a = np.sin(t)
         b = np.sin(t + 0.3)  # phase-shifted
-        warped = dtw_distance(a, b, band=10)
-        lockstep = dtw_distance(a, b, band=1)
+        warped = _dtw(a, b, band=10)
+        lockstep = _dtw(a, b, band=1)
         assert warped < lockstep
 
     def test_band_one_is_l1_lockstep(self):
         a = np.array([1.0, 2.0, 3.0])
         b = np.array([2.0, 2.0, 5.0])
-        assert dtw_distance(a, b, band=1) == pytest.approx(3.0)
+        assert _dtw(a, b, band=1) == pytest.approx(3.0)
 
     def test_band_one_needs_equal_lengths(self):
         with pytest.raises(ConfigurationError):
-            dtw_distance(np.zeros(3), np.zeros(4), band=1)
+            _dtw(np.zeros(3), np.zeros(4), band=1)
 
     def test_unequal_lengths_allowed_unbanded(self):
         a = np.array([0.0, 1.0, 0.0])
         b = np.array([0.0, 1.0, 1.0, 0.0])
-        assert dtw_distance(a, b) == pytest.approx(0.0)
+        assert _dtw(a, b) == pytest.approx(0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            dtw_distance(np.array([]), np.array([1.0]))
+            _dtw(np.array([]), np.array([1.0]))
+
+
+class TestDTWKernel:
+    """:func:`dtw_rows` against the cell-by-cell oracle, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        n=st.integers(1, 25),
+        m=st.integers(1, 25),
+        band=st.sampled_from([None, 1, 2, 3, 5, 100]),
+        shared=st.booleans(),
+        ties=st.booleans(),
+    )
+    @example(seed=0, k=3, n=120, m=120, band=10, shared=False, ties=False)
+    @example(seed=1, k=2, n=4, m=20, band=2, shared=True, ties=True)
+    def test_matches_oracle(self, seed, k, n, m, band, shared, ties):
+        if band == 1:
+            m = n  # lockstep needs equal lengths
+        rng = np.random.default_rng(seed)
+        windows = rng.standard_normal((k, n)) * 5
+        templates = rng.standard_normal((k, m)) * 5
+        if ties:  # whole-number samples make equal min operands common
+            windows, templates = np.round(windows), np.round(templates)
+        if shared:  # one 1-D template broadcast to every row
+            templates = templates[0]
+            want = [dtw_distance(row, templates, band) for row in windows]
+        else:
+            want = [
+                dtw_distance(row, template, band)
+                for row, template in zip(windows, templates)
+            ]
+        assert np.array_equal(dtw_rows(windows, templates, band), want)
+
+    def test_zero_rows(self):
+        for templates in (np.ones(7), np.ones((0, 7))):
+            out = dtw_rows(np.empty((0, 5)), templates, 3)
+            assert out.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "a, b, band",
+        [
+            (np.array([]), np.ones(3), None),
+            (np.ones(3), np.array([]), 2),
+            (np.ones(3), np.ones(3), 0),
+            (np.ones(3), np.ones(4), 1),
+            # the widened band always reaches (n, m); only a non-finite
+            # sample leaves no finite path
+            (np.array([1.0, np.inf, 2.0]), np.ones(5), 2),
+        ],
+    )
+    def test_errors_match_oracle(self, a, b, band):
+        with pytest.raises(ConfigurationError) as oracle_error:
+            dtw_distance(a, b, band)
+        with pytest.raises(
+            ConfigurationError, match=re.escape(str(oracle_error.value))
+        ):
+            dtw_rows(a[None], b[None], band)
+
+    @pytest.mark.parametrize(
+        "windows, templates",
+        [
+            (np.zeros(3), np.ones(3)),
+            (np.zeros((2, 3)), np.ones((3, 3))),
+            (np.zeros((2, 3)), np.ones((2, 3, 1))),
+        ],
+    )
+    def test_rejects_bad_shapes(self, windows, templates):
+        with pytest.raises(ConfigurationError):
+            dtw_distance(np.zeros((1, 3)), np.ones(3))
+        with pytest.raises(ConfigurationError):
+            dtw_rows(windows, templates)
 
 
 class TestXCOR:

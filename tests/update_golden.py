@@ -4,9 +4,9 @@ Usage::
 
     PYTHONPATH=src python tests/update_golden.py
 
-Runs every target in :data:`test_golden_outputs.TARGETS` (the slow ones
-included) and every script in :data:`test_examples.SCRIPTS`, and prints
-which digests changed; the files' diffs are what a reviewer checks.
+Runs every target in :data:`test_golden_outputs.TARGETS` and every
+script in :data:`test_examples.SCRIPTS`, and prints which digests
+changed; the files' diffs are what a reviewer checks.
 """
 
 from __future__ import annotations
