@@ -23,7 +23,8 @@ import json
 import pathlib
 
 from repro.apps.queries import QuerySpec
-from repro.fabric import FabricConfig, FleetFabric, run_isolation_gate
+from repro.fabric.fabric import FabricConfig, FleetFabric
+from repro.fabric.isolation import run_isolation_gate
 
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_fabric.json"

@@ -6,7 +6,7 @@ wall-clock budget the telemetry PR set: the moderate chaos storm — the
 workload the health engine was calibrated against, with alerts firing
 and incident bundles snapshotting — must run at most 5 % slower with a
 live :class:`~repro.telemetry.Telemetry` handle plus an attached
-:class:`~repro.telemetry.health.HealthEngine` than with the no-op
+:class:`~repro.telemetry.health.engine.HealthEngine` than with the no-op
 :data:`~repro.telemetry.NULL_TELEMETRY` and no health at all.  The
 measured numbers land in ``BENCH_health.json`` at the repo root.
 """

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.serving import LoadGenConfig, ServerConfig, serve_session
+from repro.serving.loadgen import LoadGenConfig, serve_session
+from repro.serving.server import ServerConfig
 
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_serving.json"

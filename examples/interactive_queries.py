@@ -11,9 +11,8 @@ Run:  python examples/interactive_queries.py
 import numpy as np
 
 from repro.api import Telemetry, build_system, run_query
-from repro.apps import QueryCostModel, QuerySpec
-from repro.apps.queries import query_data_bytes
-from repro.lang import parse_query
+from repro.apps.queries import QueryCostModel, QuerySpec, query_data_bytes
+from repro.lang.parser import parse_query
 
 
 def main() -> None:

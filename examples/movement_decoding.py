@@ -8,7 +8,7 @@ network per decision.
 Run:  python examples/movement_decoding.py
 """
 
-from repro.apps import (
+from repro.apps.movement import (
     MovementClassifierApp,
     MovementKalmanApp,
     MovementNNApp,

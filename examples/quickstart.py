@@ -6,14 +6,10 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.api import build_system, run_query
-from repro.hardware import get_pe
-from repro.lang import compile_text
-from repro.scheduler import (
-    Flow,
-    SchedulerProblem,
-    hash_similarity_task,
-    seizure_detection_task,
-)
+from repro.hardware.catalog import get_pe
+from repro.lang.compiler import compile_text
+from repro.scheduler.ilp import Flow, SchedulerProblem
+from repro.scheduler.model import hash_similarity_task, seizure_detection_task
 
 
 def main() -> None:

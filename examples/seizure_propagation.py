@@ -8,12 +8,14 @@ encoding errors to show the protocol's resilience.
 Run:  python examples/seizure_propagation.py
 """
 
-from repro.apps import SeizurePropagationSimulator
-from repro.apps.seizure import train_detector_from_recording
+from repro.apps.seizure import (
+    SeizurePropagationSimulator,
+    train_detector_from_recording,
+)
 from repro.apps.stimulation import Stimulator, stimulate_from_confirmations
-from repro.datasets import generate_ieeg
+from repro.datasets.synthetic_ieeg import generate_ieeg
 from repro.eval.application import seizure_propagation_schedule
-from repro.hashing import LSHFamily
+from repro.hashing.lsh import LSHFamily
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ from repro.apps.streaming import (
     TelemetryReceiver,
     offload_budget,
 )
-from repro.datasets import generate_ieeg
+from repro.datasets.synthetic_ieeg import generate_ieeg
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 

@@ -8,15 +8,11 @@ Run:  python examples/toolchain.py
 """
 
 from repro.core.config_loader import load_config_program
-from repro.lang import compile_text
-from repro.scheduler import (
-    Flow,
-    SchedulerProblem,
-    emit_config_program,
-    hash_similarity_task,
-    materialise,
-    seizure_detection_task,
-)
+from repro.lang.compiler import compile_text
+from repro.scheduler.codegen import emit_config_program
+from repro.scheduler.ilp import Flow, SchedulerProblem
+from repro.scheduler.model import hash_similarity_task, seizure_detection_task
+from repro.scheduler.schedule import materialise
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ real and runs on synthetic neural data.
 
 The root package imports nothing, so ``import repro.units`` loads one
 module.  The stable entry points live in :mod:`repro.api`; every other
-name is imported from the subpackage that defines it::
+name is imported from the module that defines it::
 
     from repro.api import build_system, run_query
     system = build_system(n_nodes=4, electrodes_per_node=8)

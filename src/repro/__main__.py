@@ -28,13 +28,13 @@ writes a Chrome trace-event file loadable in Perfetto or
 ``chrome://tracing``.
 
 ``health`` replays one fault storm with a
-:class:`~repro.telemetry.health.HealthEngine` attached and prints the
+:class:`~repro.telemetry.health.engine.HealthEngine` attached and prints the
 SLO scoreboard, fired burn-rate alerts, anomalies, and incident
 bundles; ``--health-report out.json`` (also accepted by ``serve``,
 ``chaos``, and ``fabric``) writes the full verdict as JSON.
 
 ``fabric`` runs a seeded multi-tenant load over a
-:class:`~repro.fabric.FleetFabric` — consistent-hash tenant routing,
+:class:`~repro.fabric.fabric.FleetFabric` — consistent-hash tenant routing,
 per-tenant admission quotas, a cross-fleet population query — and
 prints the per-tenant scoreboard with per-tenant SLO verdicts.
 """
@@ -201,7 +201,7 @@ def _resilience(args) -> None:
 
 def _recover(args) -> None:
     from repro.eval.reporting import span_summary, telemetry_summary
-    from repro.telemetry import write_chrome_trace, write_metrics_csv
+    from repro.telemetry.exporters import write_chrome_trace, write_metrics_csv
     from repro.telemetry.scenarios import run_scenario
 
     telemetry = run_scenario("recover", seed=args.seed)
@@ -324,7 +324,7 @@ def _health(args) -> None:
     from repro.errors import ConfigurationError
     from repro.eval.chaos import FAULT_PRESETS, ChaosConfig, run_storm
     from repro.telemetry import Telemetry
-    from repro.telemetry.health import HealthEngine
+    from repro.telemetry.health.engine import HealthEngine
 
     name = args.scenario or "moderate"
     level = FAULT_PRESETS.get(name)
@@ -359,14 +359,11 @@ def _health(args) -> None:
 def _serve(args) -> None:
     from repro.api import Telemetry, serve_session
     from repro.eval.reporting import span_summary, telemetry_summary
-    from repro.serving import (
-        BrownoutConfig,
-        LoadGenConfig,
-        RetryPolicy,
-        ServerConfig,
-    )
-    from repro.telemetry import write_metrics_csv
-    from repro.telemetry.health import HealthEngine
+    from repro.serving.loadgen import LoadGenConfig
+    from repro.serving.reliability import BrownoutConfig, RetryPolicy
+    from repro.serving.server import ServerConfig
+    from repro.telemetry.exporters import write_metrics_csv
+    from repro.telemetry.health.engine import HealthEngine
 
     telemetry = Telemetry()
     health = HealthEngine(telemetry)
@@ -470,7 +467,8 @@ def _chaos(args) -> None:
         run_partition_storm,
     )
     from repro.eval.reporting import span_summary, telemetry_summary
-    from repro.telemetry import Telemetry, write_metrics_csv
+    from repro.telemetry import Telemetry
+    from repro.telemetry.exporters import write_metrics_csv
 
     from repro.errors import ConfigurationError
 
@@ -509,14 +507,15 @@ def _chaos(args) -> None:
 
 def _fabric(args) -> None:
     from repro.eval.reporting import telemetry_summary
-    from repro.fabric import (
-        FabricConfig,
-        FabricLoadConfig,
-        fabric_session,
-        tenant_slos,
+    from repro.fabric.fabric import FabricConfig
+    from repro.fabric.loadgen import FabricLoadConfig, fabric_session
+    from repro.fabric.slos import tenant_slos
+    from repro.telemetry import Telemetry
+    from repro.telemetry.exporters import write_metrics_csv
+    from repro.telemetry.health.engine import (
+        DEFAULT_SERVING_SLOS,
+        HealthEngine,
     )
-    from repro.telemetry import Telemetry, write_metrics_csv
-    from repro.telemetry.health import DEFAULT_SERVING_SLOS, HealthEngine
 
     config = FabricConfig(
         n_fleets=args.fleets,
@@ -588,7 +587,7 @@ def _export(args) -> None:
 
 def _trace(args) -> None:
     from repro.eval.reporting import span_summary, telemetry_summary
-    from repro.telemetry import write_chrome_trace, write_metrics_csv
+    from repro.telemetry.exporters import write_chrome_trace, write_metrics_csv
     from repro.telemetry.scenarios import SCENARIOS, run_scenario
 
     from repro.errors import ConfigurationError

@@ -38,22 +38,10 @@ import numpy as np
 from repro.apps.queries import DistributedQueryResult, QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import QueryRejected, ScaloError
-from repro.fabric import (
-    FabricConfig,
-    FabricLoadConfig,
-    FabricReport,
-    FleetFabric,
-    PopulationResult,
-    fabric_session,
-)
-from repro.serving import (
-    LoadGenConfig,
-    QueryResponse,
-    QueryServer,
-    ServeReport,
-    ServerConfig,
-    serve_session,
-)
+from repro.fabric.fabric import FabricConfig, FleetFabric, PopulationResult
+from repro.fabric.loadgen import FabricLoadConfig, FabricReport, fabric_session
+from repro.serving.loadgen import LoadGenConfig, ServeReport, serve_session
+from repro.serving.server import QueryResponse, QueryServer, ServerConfig
 from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetryLike
 from repro.units import WINDOW_MS
 
@@ -172,11 +160,11 @@ def build_fabric(
     telemetry: TelemetryLike = NULL_TELEMETRY,
     **overrides,
 ) -> FleetFabric:
-    """Assemble a multi-tenant :class:`~repro.fabric.FleetFabric`.
+    """Assemble a multi-tenant :class:`~repro.fabric.fabric.FleetFabric`.
 
     Each of the ``n_fleets`` fleets is an independent, pre-ingested
     :class:`ScaloSystem` seeded ``seed + fleet_id`` behind its own
-    tenant-isolated :class:`~repro.serving.QueryServer`; tenants route
+    tenant-isolated :class:`~repro.serving.server.QueryServer`; tenants route
     to fleets via a consistent-hash shard map.
 
     Args:
@@ -187,7 +175,7 @@ def build_fabric(
         n_windows: pre-ingested windows per fleet.
         telemetry: optional shared :class:`~repro.telemetry.Telemetry`
             handle (per-tenant ``fabric.*`` counters land on it).
-        **overrides: any further :class:`~repro.fabric.FabricConfig`
+        **overrides: any further :class:`~repro.fabric.fabric.FabricConfig`
             field (``tenant_queue_quota``, ``gather_base_ms``, ...).
     """
     config = FabricConfig(
@@ -247,7 +235,7 @@ def run_fleet_query(
     Routes via the shard map, submits through admission control (a shed
     raises :class:`~repro.errors.QueryRejected` with the fleet's
     reason), dispatches, and returns the tenant's
-    :class:`~repro.serving.QueryResponse`.  ``kind`` is a query kind
+    :class:`~repro.serving.server.QueryResponse`.  ``kind`` is a query kind
     string or a pre-built :class:`QuerySpec`; ``window_range`` defaults
     to the fleet's full ingested range.
     """

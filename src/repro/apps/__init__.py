@@ -1,90 +1,2 @@
 """BCI applications: seizure propagation, movement intent, spike sorting,
 interactive queries."""
-
-from repro.apps.movement import (
-    MovementClassifierApp,
-    MovementKalmanApp,
-    MovementNNApp,
-    MovementSession,
-    generate_movement_session,
-)
-from repro.apps.queries import (
-    QUERY_OVERHEAD_MS,
-    QueryCost,
-    QueryCostModel,
-    QueryEngine,
-    QueryResultRow,
-    QuerySpec,
-    query_data_bytes,
-)
-from repro.apps.seizure import (
-    PropagationEvent,
-    SeizureDetector,
-    SeizurePropagationSimulator,
-    SimulationResult,
-    train_detector_from_recording,
-    window_features,
-)
-from repro.apps.stimulation import (
-    REFRACTORY_MS,
-    SHANNON_K_LIMIT,
-    StimulationEvent,
-    StimulationProtocol,
-    Stimulator,
-    check_safety,
-    stimulate_from_confirmations,
-)
-from repro.apps.streaming import (
-    Codec,
-    OffloadChunk,
-    TelemetryOffloader,
-    TelemetryReceiver,
-    offload_budget,
-)
-from repro.apps.spike_sorting import (
-    SortingResult,
-    SpikeSorter,
-    TemplateMatcher,
-    detect_spikes,
-    detection_recall,
-    sorting_accuracy,
-)
-
-__all__ = [
-    "MovementClassifierApp",
-    "MovementKalmanApp",
-    "MovementNNApp",
-    "MovementSession",
-    "generate_movement_session",
-    "QUERY_OVERHEAD_MS",
-    "QueryCost",
-    "QueryCostModel",
-    "QueryEngine",
-    "QueryResultRow",
-    "QuerySpec",
-    "query_data_bytes",
-    "PropagationEvent",
-    "SeizureDetector",
-    "SeizurePropagationSimulator",
-    "SimulationResult",
-    "train_detector_from_recording",
-    "window_features",
-    "REFRACTORY_MS",
-    "SHANNON_K_LIMIT",
-    "StimulationEvent",
-    "StimulationProtocol",
-    "Stimulator",
-    "check_safety",
-    "stimulate_from_confirmations",
-    "Codec",
-    "OffloadChunk",
-    "TelemetryOffloader",
-    "TelemetryReceiver",
-    "offload_budget",
-    "SortingResult",
-    "SpikeSorter",
-    "TemplateMatcher",
-    "detect_spikes",
-    "detection_recall",
-    "sorting_accuracy",
-]

@@ -29,7 +29,8 @@ from repro.network.radio import EXTERNAL_RADIO, RadioSpec
 from repro.similarity.dtw import dtw_rows
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
-from repro.telemetry import NULL_TELEMETRY, TelemetryLike, TraceContext
+from repro.telemetry import NULL_TELEMETRY, TelemetryLike
+from repro.telemetry.tracer import TraceContext
 from repro.units import (
     ELECTRODE_RATE_BPS,
     ELECTRODES_PER_NODE,
@@ -417,7 +418,7 @@ class QueryEngine:
         :meth:`_node_rows_cached`).
 
         Each node's scan runs under a ``lookup`` span; ``node_traces``
-        (node id -> :class:`~repro.telemetry.TraceContext`) lets a
+        (node id -> :class:`~repro.telemetry.tracer.TraceContext`) lets a
         distributed caller parent those spans onto the trace context the
         node received on air, instead of the local span stack.
         """

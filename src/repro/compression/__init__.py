@@ -1,55 +1,1 @@
 """Compression substrate: the HCOMP/DCOMP hash codec and an LZ baseline."""
-
-from repro.compression.bitstream import BitReader, BitWriter
-from repro.compression.dictionary import (
-    dictionary_decode,
-    dictionary_encode,
-    frequency_dictionary,
-)
-from repro.compression.elias import (
-    decode_gamma,
-    decode_gamma_sequence,
-    encode_gamma,
-    encode_gamma_sequence,
-)
-from repro.compression.hash_codec import (
-    compression_ratio,
-    dcomp_decompress,
-    hcomp_compress,
-)
-from repro.compression.lic import (
-    lic_compress,
-    lic_decompress,
-    lic_ratio,
-    unzigzag,
-    zigzag,
-)
-from repro.compression.lz import lz_compress, lz_decompress
-from repro.compression.range_coder import rc_compress, rc_decompress
-from repro.compression.rle import rle_decode, rle_encode
-
-__all__ = [
-    "BitReader",
-    "BitWriter",
-    "dictionary_decode",
-    "dictionary_encode",
-    "frequency_dictionary",
-    "decode_gamma",
-    "decode_gamma_sequence",
-    "encode_gamma",
-    "encode_gamma_sequence",
-    "compression_ratio",
-    "dcomp_decompress",
-    "hcomp_compress",
-    "lic_compress",
-    "lic_decompress",
-    "lic_ratio",
-    "unzigzag",
-    "zigzag",
-    "lz_compress",
-    "lz_decompress",
-    "rc_compress",
-    "rc_decompress",
-    "rle_decode",
-    "rle_encode",
-]

@@ -121,12 +121,6 @@ def load_config_program(program: str) -> LoadedConfiguration:
                     )
             if not fabric.graph.has_edge(src, dst):
                 fabric.connect(src, dst)
-        flow_pes = {pe for pair in flow.route for pe in pair}
-        if flow.route and flow.electrodes:
-            for pe in flow_pes:
-                fabric.pes[pe].n_electrodes = max(
-                    fabric.pes[pe].n_electrodes, flow.electrodes
-                )
 
     return LoadedConfiguration(
         power_budget_mw=power_budget_mw,

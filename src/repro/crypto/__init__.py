@@ -1,5 +1,1 @@
 """Cryptography substrate: the AES PE (off-implant telemetry encryption)."""
-
-from repro.crypto.aes import AES128, decrypt_block, encrypt_block, expand_key
-
-__all__ = ["AES128", "decrypt_block", "encrypt_block", "expand_key"]

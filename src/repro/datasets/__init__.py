@@ -1,27 +1,1 @@
 """Synthetic neural datasets with ground truth (iEEG seizures, spikes)."""
-
-from repro.datasets.spikes import (
-    PROFILES,
-    SPIKE_SAMPLES,
-    SpikeDataset,
-    SpikeDatasetProfile,
-    generate_spikes,
-)
-from repro.datasets.synthetic_ieeg import (
-    SeizureEvent,
-    SyntheticIEEG,
-    generate_ieeg,
-    pink_noise,
-)
-
-__all__ = [
-    "PROFILES",
-    "SPIKE_SAMPLES",
-    "SpikeDataset",
-    "SpikeDatasetProfile",
-    "generate_spikes",
-    "SeizureEvent",
-    "SyntheticIEEG",
-    "generate_ieeg",
-    "pink_noise",
-]

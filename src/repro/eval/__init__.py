@@ -13,91 +13,3 @@
 | Fig. 14 | :mod:`repro.eval.hash_params` |
 | Fig. 15 | :mod:`repro.eval.delay` |
 """
-
-from repro.eval.application import (
-    fig9a,
-    fig9b,
-    mi_intents_per_second,
-    sec63_scalars,
-    seizure_propagation_schedule,
-    spike_sorting_latency_ms,
-    spike_sorting_rate_per_node,
-)
-from repro.eval.delay import (
-    DelayStats,
-    Fig15Result,
-    PropagationTrace,
-    build_trace,
-    encoding_delay,
-    fig15,
-    network_delay,
-)
-from repro.eval.export import EXPORTERS, export_all
-from repro.eval.hash_accuracy import HashAccuracyResult, fig11, hash_accuracy, make_pairs
-from repro.eval.hash_params import (
-    ParamSweepResult,
-    fig14,
-    shared_configs,
-    sweep_measure,
-)
-from repro.eval.network_errors import NetworkErrorResult, fig12, network_errors
-from repro.eval.queries import data_sizes_mb, fig10, q2_hash_vs_dtw
-from repro.eval.resilience import (
-    ResilienceResult,
-    arq_recovery,
-    crash_query_degradation,
-    resilience_sweep,
-)
-from repro.eval.radio_dse import fig13, radio_throughputs, table3
-from repro.eval.reporting import format_series, format_table
-from repro.eval.tables import table1_summary, table1_text, table3_text
-from repro.eval.throughput import fig8a, fig8b, fig8c, sec62_local_tasks
-
-__all__ = [
-    "fig9a",
-    "fig9b",
-    "mi_intents_per_second",
-    "sec63_scalars",
-    "seizure_propagation_schedule",
-    "spike_sorting_latency_ms",
-    "spike_sorting_rate_per_node",
-    "DelayStats",
-    "Fig15Result",
-    "PropagationTrace",
-    "build_trace",
-    "encoding_delay",
-    "fig15",
-    "network_delay",
-    "EXPORTERS",
-    "export_all",
-    "HashAccuracyResult",
-    "fig11",
-    "hash_accuracy",
-    "make_pairs",
-    "ParamSweepResult",
-    "fig14",
-    "shared_configs",
-    "sweep_measure",
-    "NetworkErrorResult",
-    "fig12",
-    "network_errors",
-    "ResilienceResult",
-    "arq_recovery",
-    "crash_query_degradation",
-    "resilience_sweep",
-    "data_sizes_mb",
-    "fig10",
-    "q2_hash_vs_dtw",
-    "fig13",
-    "radio_throughputs",
-    "table3",
-    "format_series",
-    "format_table",
-    "table1_summary",
-    "table1_text",
-    "table3_text",
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "sec62_local_tasks",
-]

@@ -3,7 +3,7 @@ r"""Chaos evaluation: serving availability under graded fault storms.
 SCALO's query path is safety-adjacent — seizure detection has hard
 deadlines — so the serving layer must keep answering while implants
 crash, radios go dark, and NVM pages rot.  This module sweeps a seeded
-open-loop load through :func:`~repro.serving.serve_session` under three
+open-loop load through :func:`~repro.serving.loadgen.serve_session` under three
 :class:`StormLevel`\ s of :class:`~repro.faults.plan.FaultPlan`
 intensity with the full reliability stack enabled (client retries,
 server-side coverage-SLA re-execution, per-node circuit breakers,
@@ -32,7 +32,7 @@ the *coordination* layer: at most one coordinator writes accepted
 checkpoints per round, epochs never move backwards, no query sequence
 number is broadcast twice, every stale-epoch write is fenced, and the
 majority side keeps availability ≥ 95%.  Its audit comes from the
-:class:`~repro.recovery.FailoverManager`'s deterministic counters, and
+:class:`~repro.recovery.failover.FailoverManager`'s deterministic counters, and
 ``benchmarks/test_partition.py`` writes it to ``BENCH_partition.json``.
 """
 
@@ -42,17 +42,15 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
-from repro.serving import (
+from repro.serving.loadgen import LoadGenConfig, ServeReport, serve_session
+from repro.serving.reliability import (
     BreakerConfig,
     BrownoutConfig,
-    LoadGenConfig,
     RetryPolicy,
-    ServeReport,
-    ServerConfig,
-    serve_session,
 )
+from repro.serving.server import ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
-from repro.telemetry.health import HealthEngine
+from repro.telemetry.health.engine import HealthEngine
 
 # -- storm levels --------------------------------------------------------------
 
@@ -238,8 +236,9 @@ class ChaosConfig:
 class PartitionInvariants:
     """The coordination audit of one partition storm.
 
-    Every number is read off the :class:`~repro.recovery.FailoverManager`
-    after the run — deterministic counters, not telemetry — so the
+    Every number is read off the
+    :class:`~repro.recovery.failover.FailoverManager` after the run —
+    deterministic counters, not telemetry — so the
     split-brain gates hold with or without a live telemetry handle.
     """
 
@@ -657,7 +656,7 @@ def run_partition_storm(
     Same determinism contract as :func:`run_storm` — the response log
     and every invariant counter replay byte-identically per seed — with
     the quorum/epoch stack attached (the plan schedules partitions, so
-    :func:`~repro.serving.serve_session` wires per-node belief views
+    :func:`~repro.serving.loadgen.serve_session` wires per-node belief views
     and the epoch-fenced failover manager automatically).
     """
     config = config if config is not None else partition_config()

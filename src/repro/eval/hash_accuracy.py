@@ -144,13 +144,7 @@ def hash_accuracy(
     sign = 1.0 if measure.higher_is_similar else -1.0
     margins = sign * (values - threshold) / separation * 100.0
     exact = measure.similar(values, threshold)
-    hashed = np.array(
-        [
-            family.matches(sig_a, sig_b)
-            for sig_a, sig_b in zip(*hash_pairs(family, sides))
-        ],
-        dtype=bool,
-    )
+    hashed = family.matches_many(*hash_pairs(family, sides))
     wrong = exact != hashed
 
     centers = (BIN_EDGES_PCT[:-1] + BIN_EDGES_PCT[1:]) / 2
@@ -177,15 +171,12 @@ def hash_accuracy(
 
 def hash_pairs(
     family: LSHFamily, sides: tuple[np.ndarray, np.ndarray]
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Signatures of every pair's ``a`` window and ``b`` window (the
     :meth:`PairSet.sides`), one
     :meth:`~repro.hashing.lsh.LSHFamily.hash_windows` call per side."""
     firsts, seconds = sides
-    return (
-        family.hash_windows(firsts).tolist(),
-        family.hash_windows(seconds).tolist(),
-    )
+    return family.hash_windows(firsts), family.hash_windows(seconds)
 
 
 def pick_threshold(

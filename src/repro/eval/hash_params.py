@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.eval.hash_accuracy import hash_pairs, make_pairs, pick_threshold
 from repro.hashing.lsh import LSHConfig, LSHFamily
 from repro.similarity.measures import get_measure
@@ -62,13 +60,7 @@ def sweep_measure(
                 normalise=(measure_name == "xcor"),
             )
             family = LSHFamily(config)
-            matches = np.array(
-                [
-                    family.matches(sig_a, sig_b)
-                    for sig_a, sig_b in zip(*hash_pairs(family, sides))
-                ],
-                dtype=bool,
-            )
+            matches = family.matches_many(*hash_pairs(family, sides))
             positives = similar.sum()
             false_alarm = (matches & ~similar).sum() / max(1, (~similar).sum())
             raw_tpr = (matches & similar).sum() / max(1, positives)

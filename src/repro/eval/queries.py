@@ -1,6 +1,6 @@
 """Fig. 10: interactive query throughput over 11 nodes.
 
-The grid is recorded into a :class:`~repro.telemetry.MetricsRegistry`
+The grid is recorded into a :class:`~repro.telemetry.registry.MetricsRegistry`
 (gauges ``fig10.qps{query=,range_ms=,fraction=}``, plus latency and
 power) and the returned dict is read *back* from the registry, so the
 registry is the single source of truth and any telemetry consumer — the
@@ -11,7 +11,7 @@ numbers.
 from __future__ import annotations
 
 from repro.apps.queries import QueryCostModel, QuerySpec, query_data_bytes
-from repro.telemetry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry
 
 #: The paper's four time ranges (ms) — 7, 24, 42, 60 MB over 11 nodes.
 TIME_RANGES_MS = (110.0, 400.0, 700.0, 1000.0)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
-    from repro.telemetry import MetricsRegistry, Tracer
+    from repro.telemetry.registry import MetricsRegistry
+    from repro.telemetry.tracer import Tracer
 
 
 def format_table(
@@ -49,7 +50,7 @@ def format_series(name: str, series: Mapping[object, float],
 
 def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
     """Render a registry as counter / gauge / histogram tables."""
-    from repro.telemetry import format_metric
+    from repro.telemetry.registry import format_metric
 
     sections: list[str] = []
     counter_rows = [

@@ -9,9 +9,10 @@ things a multi-site deployment needs (the Hull follow-on's framing):
   the consistent-hash :class:`~repro.fabric.shardmap.ShardMap`; a
   tenant's queries always hit its own fleet's server, cache, and
   retained results;
-* **isolation** — each fleet's :class:`~repro.serving.QueryServer` runs
-  with per-client token buckets, a per-client pending-queue quota
-  (shed reason ``tenant_quota``), and a client-partitioned result LRU,
+* **isolation** — each fleet's
+  :class:`~repro.serving.server.QueryServer` runs with per-client token
+  buckets, a per-client pending-queue quota (shed reason
+  ``tenant_quota``), and a client-partitioned result LRU,
   so a tenant flooding at 10× its share is clamped at admission and its
   churn can never evict a neighbour's retained answers;
 * **population queries** — a cross-fleet question ("run Q2 everywhere")

@@ -170,7 +170,7 @@ def fabric_session(
     """Build a fabric, offer one seeded multi-tenant load, report.
 
     ``health`` accepts a
-    :class:`~repro.telemetry.health.HealthEngine`: its flight recorder
+    :class:`~repro.telemetry.health.engine.HealthEngine`: its flight recorder
     attaches to every fleet server and the engine samples the shared
     registry at each offer, so the per-tenant ``fabric.{tenant}.*``
     SLOs (see :func:`repro.fabric.slos.tenant_slos`) burn as the run

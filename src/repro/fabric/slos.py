@@ -1,19 +1,19 @@
 """Per-tenant SLOs over the fabric's ``fabric.{tenant}.*`` counters.
 
-The PR-7 :class:`~repro.telemetry.health.SLOEngine` matches counters by
+The PR-7 :class:`~repro.telemetry.health.slo.SLOEngine` matches counters by
 *name* (summing across label sets), so per-tenant objectives need
 per-tenant counter names — the fabric books ``fabric.t03.submitted``,
 ``.shed``, ``.completed``, and ``.deadline_miss`` per tenant exactly so
 these portfolios have something to burn against.  Append the result of
 :func:`tenant_slos` to ``DEFAULT_SERVING_SLOS`` when building a
-:class:`~repro.telemetry.health.HealthEngine` for a fabric run and the
+:class:`~repro.telemetry.health.engine.HealthEngine` for a fabric run and the
 existing burn-rate alerting, incident recorder, and report plumbing
 work per tenant with no engine changes.
 """
 
 from __future__ import annotations
 
-from repro.telemetry.health import SLO
+from repro.telemetry.health.slo import SLO
 
 
 def tenant_slos(

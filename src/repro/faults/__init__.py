@@ -5,17 +5,3 @@ The substrate behind the resilience evaluation
 TDMA-round time, a missed-heartbeat failure detector, and an injector
 that replays a plan against a live :class:`~repro.core.system.ScaloSystem`.
 """
-
-from repro.faults.health import FleetBelief, HealthMonitor
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import PARTITION_MODES, FaultEvent, FaultKind, FaultPlan
-
-__all__ = [
-    "FleetBelief",
-    "HealthMonitor",
-    "FaultInjector",
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
-    "PARTITION_MODES",
-]

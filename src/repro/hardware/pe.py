@@ -57,21 +57,14 @@ class ClockDomain:
 
 @dataclass
 class ProcessingElement:
-    """A live PE instance: a catalog spec plus a clock-domain configuration.
-
-    ``n_electrodes`` is the number of electrode channels whose data stream
-    this PE instance is currently processing.
-    """
+    """A live PE instance: a catalog spec plus a clock-domain configuration."""
 
     spec: PESpec
     clock: ClockDomain = field(default=None)  # type: ignore[assignment]
-    n_electrodes: float = 0.0
 
     def __post_init__(self) -> None:
         if self.clock is None:
             self.clock = ClockDomain(self.spec.max_freq_mhz)
-        if self.n_electrodes < 0:
-            raise ConfigurationError("electrode count cannot be negative")
 
     @classmethod
     def from_name(cls, name: str, **kwargs) -> "ProcessingElement":
@@ -104,25 +97,5 @@ class ProcessingElement:
             )
         return self.spec.latency_ms
 
-    # -- tuning ----------------------------------------------------------------
-
-    def tune_for_load(self, load_fraction: float) -> None:
-        """Pick the slowest clock that sustains ``load_fraction`` of max rate.
-
-        ``load_fraction`` is the PE's required processing rate relative to
-        the rate it sustains at maximum frequency (e.g. electrodes handled
-        over electrodes handled at f_max).
-        """
-        if not 0 < load_fraction <= 1:
-            raise ConfigurationError(
-                f"load fraction must be in (0, 1], got {load_fraction}"
-            )
-        self.clock.divider = self.clock.slowest_divider_for(
-            self.spec.max_freq_mhz * load_fraction
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ProcessingElement({self.name}, {self.freq_mhz:g} MHz, "
-            f"{self.n_electrodes:g} ch)"
-        )
+        return f"ProcessingElement({self.name}, {self.freq_mhz:g} MHz)"

@@ -193,23 +193,25 @@ class LSHFamily:
         return agreeing >= self.config.min_matching
 
     def matches_many(
-        self, signatures: np.ndarray, signature: tuple[int, ...]
+        self, signatures: np.ndarray, signature: tuple[int, ...] | np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`matches` of many signatures against one.
+        """Vectorised :meth:`matches` of many signatures against one, or
+        against as many, row by row.
 
         Args:
             signatures: ``(n, n_components)`` component array (e.g. the
                 output of :meth:`hash_windows`).
-            signature: the probe signature.
+            signature: the probe signature, or an ``(n, n_components)``
+                array whose row ``i`` is compared with ``signatures[i]``.
 
         Returns:
             Boolean array of shape ``(n,)``.
         """
         sigs = np.asarray(signatures)
         probe = np.asarray(signature)
-        if sigs.ndim != 2 or sigs.shape[1] != probe.shape[0]:
+        if sigs.ndim != 2 or probe.shape not in (sigs.shape[1:], sigs.shape):
             raise ConfigurationError("signature lengths differ")
-        agreeing = (sigs == probe[None, :]).sum(axis=1)
+        agreeing = (sigs == probe).sum(axis=1)
         return agreeing >= self.config.min_matching
 
     # -- wire format ---------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError, NetworkError
 
 if TYPE_CHECKING:
-    from repro.telemetry import TraceContext
+    from repro.telemetry.tracer import TraceContext
 
 #: Maximum payload size (bytes).
 MAX_PAYLOAD_BYTES = 256
@@ -166,13 +166,12 @@ class Packet:
                 f"payload {len(payload)} B exceeds max {MAX_PAYLOAD_BYTES} B"
             )
         header = Header(src, dst, kind, flow, seq, time_ticks, len(payload))
-        return cls(
-            header=header,
-            payload=payload,
-            header_crc=zlib.crc32(header.pack()),
-            payload_crc=zlib.crc32(payload),
-            trace=trace,
+        packet = cls(header, payload, 0, zlib.crc32(payload), trace)
+        # the header CRC covers the bytes __post_init__ just packed
+        object.__setattr__(
+            packet, "header_crc", zlib.crc32(packet._header_bytes)
         )
+        return packet
 
     # -- integrity ---------------------------------------------------------------
 

@@ -15,29 +15,3 @@ Four cooperating pieces (each in its own module):
   to the lowest-id alive node, re-materialising query state from a
   replicated checkpoint.
 """
-
-from repro.recovery.ecc import PageECC, compute_ecc, decode_page
-from repro.recovery.failover import FailoverEvent, FailoverManager
-from repro.recovery.journal import (
-    JournalRecord,
-    RecordType,
-    WriteAheadJournal,
-)
-from repro.recovery.resync import ResyncReport, resync_node
-from repro.recovery.scrub import FleetScrubber, Scrubber, ScrubReport
-
-__all__ = [
-    "PageECC",
-    "compute_ecc",
-    "decode_page",
-    "JournalRecord",
-    "RecordType",
-    "WriteAheadJournal",
-    "Scrubber",
-    "FleetScrubber",
-    "ScrubReport",
-    "ResyncReport",
-    "resync_node",
-    "FailoverManager",
-    "FailoverEvent",
-]

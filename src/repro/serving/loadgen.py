@@ -353,8 +353,8 @@ def run_open_loop(
 ) -> tuple[int, dict[str, dict[str, int]], int]:
     """Drive one arrival timeline through a server or a fabric.
 
-    ``target`` is a :class:`~repro.serving.QueryServer` or a
-    :class:`~repro.fabric.FleetFabric` (both offer ``run_until``,
+    ``target`` is a :class:`~repro.serving.server.QueryServer` or a
+    :class:`~repro.fabric.fabric.FleetFabric` (both offer ``run_until``,
     ``drain``, ``now_ms`` and ``submit``).  ``templates(client)`` is the
     Q2 probe pool for that client's requests; ``window_range=None``
     lets a fabric use each fleet's full range.
@@ -366,7 +366,7 @@ def run_open_loop(
     the last offer but *before* the final drain, so a chaos driver can
     play out the rest of its fault plan (letting crashed nodes reboot
     and parked SLA re-executions reschedule) while requests are still
-    in flight.  A :class:`~repro.telemetry.health.HealthEngine` passed
+    in flight.  A :class:`~repro.telemetry.health.engine.HealthEngine` passed
     as ``health`` samples the registry up to each offer and closes its
     last round after the drain; it is observational only.
 
@@ -451,7 +451,7 @@ def serve_session(
     """Build a fleet, offer one seeded load, return server + report.
 
     ``health`` accepts a
-    :class:`~repro.telemetry.health.HealthEngine`: its flight recorder
+    :class:`~repro.telemetry.health.engine.HealthEngine`: its flight recorder
     is attached to the server (breaker/brownout/shed evidence) and the
     engine samples the registry at every TDMA round of the load, so SLO
     burn rates, anomalies, and incident bundles accumulate as the run

@@ -278,7 +278,7 @@ class QueryServer:
     #: one sized to the engine's fleet
     cost_model: QueryCostModel | None = None
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
-    #: optional :class:`~repro.telemetry.health.FlightRecorder` fed
+    #: optional :class:`~repro.telemetry.health.recorder.FlightRecorder` fed
     #: breaker/brownout/shed transitions (attached by a HealthEngine;
     #: append-only, so it cannot perturb the response log)
     recorder: object | None = field(default=None, repr=False)

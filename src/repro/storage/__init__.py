@@ -1,79 +1,1 @@
 """NVM storage substrate: device model, layout, controller, partitions."""
-
-from repro.storage.controller import (
-    SC_BUFFER_BYTES,
-    SC_LATENCY_BUSY_MS,
-    SC_LATENCY_FREE_MS,
-    StorageController,
-)
-from repro.storage.layout import (
-    CHUNKED_READ_MS_PER_WINDOW,
-    CHUNKED_WRITE_MS_PER_WINDOW,
-    DEFAULT_CHUNK_SAMPLES,
-    INTERLEAVED_READ_MS_PER_WINDOW,
-    RAW_WRITE_MS_PER_WINDOW,
-    SAMPLE_BYTES,
-    chunk_address,
-    chunked_layout,
-    deinterleave,
-    interleave,
-    read_cost_ms,
-    write_cost_ms,
-)
-from repro.storage.nvm import (
-    BLOCK_BYTES,
-    DEFAULT_CAPACITY_BYTES,
-    ERASE_MS,
-    LEAKAGE_MW,
-    NVMDevice,
-    NVMStats,
-    PAGE_BYTES,
-    PAGES_PER_BLOCK,
-    PROGRAM_MS,
-    READ_NJ_PER_PAGE,
-    READ_PAGE_MS,
-    READ_UNIT_BYTES,
-    WRITE_NJ_PER_PAGE,
-)
-from repro.storage.partitions import (
-    DEFAULT_FRACTIONS,
-    PARTITION_NAMES,
-    Partition,
-    PartitionTable,
-)
-
-__all__ = [
-    "SC_BUFFER_BYTES",
-    "SC_LATENCY_BUSY_MS",
-    "SC_LATENCY_FREE_MS",
-    "StorageController",
-    "CHUNKED_READ_MS_PER_WINDOW",
-    "CHUNKED_WRITE_MS_PER_WINDOW",
-    "DEFAULT_CHUNK_SAMPLES",
-    "INTERLEAVED_READ_MS_PER_WINDOW",
-    "RAW_WRITE_MS_PER_WINDOW",
-    "SAMPLE_BYTES",
-    "chunk_address",
-    "chunked_layout",
-    "deinterleave",
-    "interleave",
-    "read_cost_ms",
-    "write_cost_ms",
-    "BLOCK_BYTES",
-    "DEFAULT_CAPACITY_BYTES",
-    "ERASE_MS",
-    "LEAKAGE_MW",
-    "NVMDevice",
-    "NVMStats",
-    "PAGE_BYTES",
-    "PAGES_PER_BLOCK",
-    "PROGRAM_MS",
-    "READ_NJ_PER_PAGE",
-    "READ_PAGE_MS",
-    "READ_UNIT_BYTES",
-    "WRITE_NJ_PER_PAGE",
-    "DEFAULT_FRACTIONS",
-    "PARTITION_NAMES",
-    "Partition",
-    "PartitionTable",
-]

@@ -20,40 +20,18 @@ and zero events to a seeded scenario.
 
 from __future__ import annotations
 
-from repro.telemetry.clock import SimClock
-from repro.telemetry.exporters import (
-    chrome_trace_events,
-    telemetry_json,
-    write_chrome_trace,
-    write_metrics_csv,
-)
-from repro.telemetry.registry import (
-    DEFAULT_BUCKET_EDGES,
-    Histogram,
-    MetricsRegistry,
-    format_metric,
-    label_key,
-)
-from repro.telemetry.tracer import Span, TraceContext, Tracer
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DEFAULT_BUCKET_EDGES",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "SimClock",
-    "Span",
-    "Telemetry",
-    "TraceContext",
-    "Tracer",
-    "chrome_trace_events",
-    "format_metric",
-    "label_key",
-    "telemetry_json",
-    "write_chrome_trace",
-    "write_metrics_csv",
-]
+# The handles below are defined here; these imports are what they use.
+from repro.telemetry.clock import SimClock
+from repro.telemetry.exporters import telemetry_json
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.tracer import TraceContext, Tracer
+
+if TYPE_CHECKING:
+    from repro.telemetry.tracer import Span
+
+__all__ = ["NULL_TELEMETRY", "NullTelemetry", "Telemetry", "TelemetryLike"]
 
 
 class _NullSpan:

@@ -26,41 +26,3 @@ and is strictly observational: it reads the registry and tracer at TDMA
 round boundaries and never feeds back into serving decisions, so a run
 with a health engine attached is byte-identical to one without.
 """
-
-from __future__ import annotations
-
-from repro.telemetry.health.anomaly import (
-    Anomaly,
-    AnomalyConfig,
-    AnomalyDetector,
-)
-from repro.telemetry.health.engine import (
-    DEFAULT_SERVING_SLOS,
-    HealthConfig,
-    HealthEngine,
-)
-from repro.telemetry.health.recorder import FlightRecorder
-from repro.telemetry.health.sketch import QuantileSketch
-from repro.telemetry.health.slo import (
-    SLO,
-    Alert,
-    BurnRateWindow,
-    SLOEngine,
-    SLOStatus,
-)
-
-__all__ = [
-    "Alert",
-    "Anomaly",
-    "AnomalyConfig",
-    "AnomalyDetector",
-    "BurnRateWindow",
-    "DEFAULT_SERVING_SLOS",
-    "FlightRecorder",
-    "HealthConfig",
-    "HealthEngine",
-    "QuantileSketch",
-    "SLO",
-    "SLOEngine",
-    "SLOStatus",
-]

@@ -150,11 +150,13 @@ class HealthEngine:
     # -- wiring --------------------------------------------------------------------
 
     def attach_server(self, server) -> None:
-        """Feed a :class:`~repro.serving.QueryServer`'s transitions in."""
+        """Feed a :class:`~repro.serving.server.QueryServer`'s transitions
+        in."""
         server.recorder = self.recorder
 
     def attach_failover(self, manager) -> None:
-        """Feed a :class:`~repro.recovery.FailoverManager`'s handovers in."""
+        """Feed a :class:`~repro.recovery.failover.FailoverManager`'s
+        handovers in."""
         manager.recorder = self.recorder
 
     # -- sampling ------------------------------------------------------------------

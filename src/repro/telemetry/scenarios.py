@@ -258,14 +258,14 @@ def serving_scenario(
     """Fleet-scale serving under overload and a mid-run node crash.
 
     A seeded open-loop load generator offers ~40 QPS of mixed Q1/Q2/Q3
-    traffic to a :class:`~repro.serving.QueryServer` fronting a 4-node
+    traffic to a :class:`~repro.serving.server.QueryServer` fronting a 4-node
     fleet; a :class:`~repro.faults.plan.FaultPlan` crashes node 1 two
     TDMA rounds in, so later waves answer degraded over the survivors.
     Every admission decision, wave, shed, and deadline miss lands in the
     ``serving.*`` metrics and ``serve-wave`` spans.
     """
     from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-    from repro.serving import LoadGenConfig, serve_session
+    from repro.serving.loadgen import LoadGenConfig, serve_session
 
     plan = FaultPlan(
         n_nodes=n_nodes,

@@ -2,13 +2,14 @@
 
 The facade's contract is small on purpose: the seven entry points and
 the types their signatures take, return or raise.  Every other name is
-imported from the subpackage that defines it.  The audits here are
+imported from the module that defines it.  The audits here are
 mechanical: ``__all__`` lists exactly the public non-module attributes,
 every name the README, the examples, ``bench/`` and the tests import
 from ``repro.api`` is present, the facade checks and honours window
 ranges, and each package imports on its own.
 """
 
+import ast
 import inspect
 import os
 import subprocess
@@ -110,6 +111,60 @@ print(len(names))
     assert proc.returncode == 0, proc.stderr
     # every subpackage plus api, errors, units and __main__
     assert int(proc.stdout) >= 20
+
+
+#: The two package ``__init__``s that may import: ``repro.telemetry``
+#: defines the handles, and ``bench/workloads.py`` imports the two
+#: fabric configs from ``repro.fabric``.
+INIT_IMPORTS_ALLOWED = {
+    "repro/telemetry/__init__.py",
+    "repro/fabric/__init__.py",
+}
+
+
+def test_package_inits_hold_only_docstrings():
+    """Every name has one import path: its defining module.  A package
+    ``__init__`` re-exports nothing, so importing a submodule runs only
+    what that submodule imports."""
+    offenders = []
+    for path in sorted((Path(SRC) / "repro").rglob("__init__.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "repro/__init__.py" or rel in INIT_IMPORTS_ALLOWED:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Name) and node.id == "__all__"
+            ):
+                offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == []
+
+
+def test_bench_entry_points_skip_unused_subsystems():
+    """What ``bench/workloads.py`` imports loads no compression, crypto or
+    decoder module: no workload runs them."""
+    script = """
+import sys
+import repro.api
+import repro.eval.application
+import repro.eval.chaos
+import repro.eval.resilience
+import repro.eval.throughput
+import repro.fabric.loadgen
+loaded = sorted(
+    m for m in sys.modules
+    if m.split(".")[:2] in (
+        ["repro", "compression"], ["repro", "crypto"], ["repro", "decoders"]
+    )
+)
+assert not loaded, loaded
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_storage_path_never_imports_scipy():

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.scheduler import (
-    Flow,
-    SchedulerProblem,
-    hash_similarity_task,
-    materialise,
-    seizure_detection_task,
-)
 from repro.scheduler.codegen import emit_all_nodes, emit_config_program
+from repro.scheduler.ilp import Flow, SchedulerProblem
+from repro.scheduler.model import hash_similarity_task, seizure_detection_task
+from repro.scheduler.schedule import materialise
 
 
 @pytest.fixture(scope="module")

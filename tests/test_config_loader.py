@@ -4,14 +4,10 @@ import pytest
 
 from repro.core.config_loader import load_config_program
 from repro.errors import CompilationError
-from repro.scheduler import (
-    Flow,
-    SchedulerProblem,
-    hash_similarity_task,
-    materialise,
-    seizure_detection_task,
-)
 from repro.scheduler.codegen import emit_config_program
+from repro.scheduler.ilp import Flow, SchedulerProblem
+from repro.scheduler.model import hash_similarity_task, seizure_detection_task
+from repro.scheduler.schedule import materialise
 
 
 @pytest.fixture(scope="module")

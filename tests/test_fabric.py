@@ -22,20 +22,17 @@ from hypothesis import strategies as st
 
 from repro.apps.queries import QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
-from repro.fabric import (
-    FabricConfig,
+from repro.fabric.fabric import FabricConfig, FleetFabric, build_fleet_shard
+from repro.fabric.isolation import IsolationConfig, run_isolation_gate
+from repro.fabric.loadgen import (
     FabricLoadConfig,
-    FleetFabric,
-    IsolationConfig,
-    ShardMap,
-    build_fleet_shard,
     fabric_session,
     generate_tenant_arrivals,
-    run_isolation_gate,
     tenant_name,
-    tenant_slos,
 )
-from repro.serving import ServerConfig
+from repro.fabric.shardmap import ShardMap
+from repro.fabric.slos import tenant_slos
+from repro.serving.server import ServerConfig
 
 TENANTS = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
@@ -356,7 +353,10 @@ def test_add_and_remove_fleet_keeps_routing_total():
 
 def test_fabric_session_books_per_tenant_counters_and_slos():
     from repro.telemetry import Telemetry
-    from repro.telemetry.health import DEFAULT_SERVING_SLOS, HealthEngine
+    from repro.telemetry.health.engine import (
+        DEFAULT_SERVING_SLOS,
+        HealthEngine,
+    )
 
     load = FabricLoadConfig(n_tenants=3, requests_per_tenant=4, seed=0)
     telemetry = Telemetry()

@@ -11,7 +11,9 @@ from repro.apps.seizure import (
 )
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, NodeFailure, SchedulingError
-from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan, HealthMonitor
+from repro.faults.health import HealthMonitor
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.hashing.lsh import LSHFamily
 from repro.scheduler.ilp import Flow
 from repro.scheduler.model import seizure_detection_task

@@ -38,19 +38,3 @@ class TestProcessingElement:
         pe = ProcessingElement.from_name("LZ")
         with pytest.raises(ConfigurationError):
             _ = pe.latency_ms
-
-    def test_tune_for_load_picks_power_optimal_divider(self):
-        pe = ProcessingElement.from_name("DTW", n_electrodes=10)
-        pe.tune_for_load(0.25)
-        assert pe.clock.divider == 4
-        assert pe.freq_mhz >= 50 * 0.25
-
-    @pytest.mark.parametrize("load", [0.0, -0.5, 1.5])
-    def test_tune_for_bad_load_rejected(self, load):
-        pe = ProcessingElement.from_name("DTW")
-        with pytest.raises(ConfigurationError):
-            pe.tune_for_load(load)
-
-    def test_negative_electrodes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessingElement.from_name("FFT", n_electrodes=-1)

@@ -25,17 +25,11 @@ from repro.eval.chaos import (
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.exporters import chrome_trace_events, telemetry_json
-from repro.telemetry.health import (
-    AnomalyConfig,
-    AnomalyDetector,
-    BurnRateWindow,
-    FlightRecorder,
-    HealthConfig,
-    HealthEngine,
-    QuantileSketch,
-    SLO,
-    SLOEngine,
-)
+from repro.telemetry.health.anomaly import AnomalyConfig, AnomalyDetector
+from repro.telemetry.health.engine import HealthConfig, HealthEngine
+from repro.telemetry.health.recorder import FlightRecorder
+from repro.telemetry.health.sketch import QuantileSketch
+from repro.telemetry.health.slo import BurnRateWindow, SLO, SLOEngine
 from repro.telemetry.registry import MetricsRegistry
 
 

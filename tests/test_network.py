@@ -169,6 +169,18 @@ class TestPacket:
         assert moved.to_wire()[:11] == packet_oracle.pack_header(moved.header)
         assert not moved.header_ok  # the CRC still covers seq=5
 
+    def test_build_packs_the_header_once(self, monkeypatch):
+        calls = []
+        pack = Header.pack
+        monkeypatch.setattr(
+            Header, "pack", lambda header: calls.append(1) or pack(header)
+        )
+        packet = Packet.build(5, 9, PayloadKind.HASHES, bytes(range(48)),
+                              flow=3, seq=1234, time_ticks=99999)
+        assert len(calls) == 1
+        assert packet.to_wire() == packet_oracle.wire(packet)
+        assert packet_oracle.checks(packet) == (True, True)
+
     def test_packets_needed(self):
         assert packets_needed(0) == 0
         assert packets_needed(256) == 1

@@ -7,18 +7,14 @@ import pytest
 from repro.apps.queries import QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, NodeFailure
-from repro.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FleetBelief,
-    HealthMonitor,
-)
-from repro.network import PartitionMatrix, WirelessNetwork
+from repro.faults.health import FleetBelief, HealthMonitor
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.network.network import WirelessNetwork
 from repro.network.packet import Packet, PayloadKind
+from repro.network.partition import PartitionMatrix
 from repro.recovery.failover import FailoverManager
-from repro.serving import LoadGenConfig, serve_session
+from repro.serving.loadgen import LoadGenConfig, serve_session
 from repro.telemetry import Telemetry
 from repro.units import WINDOW_SAMPLES
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.apps.queries import QueryEngine, QuerySpec
 from repro.errors import ConfigurationError
 from repro.hashing import minhash
-from repro.hashing.lsh import SUPPORTED_MEASURES, LSHFamily
+from repro.hashing.lsh import SUPPORTED_MEASURES, LSHConfig, LSHFamily
 from repro.storage.controller import StorageController
 from repro.storage.nvm import PAGE_BYTES, NVMDevice
 from tests import minhash_oracle
@@ -173,10 +173,36 @@ class TestHashBatchEquivalence:
         ]
         assert batched.tolist() == scalar
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        min_matching=st.integers(1, 12),
+        n=st.integers(0, 16),
+        alphabet=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_many_row_wise_matches_scalar(
+        self, min_matching, n, alphabet, seed
+    ):
+        """An ``(n, k)`` probe compares row by row, as ``matches`` on
+        each pair does (a small alphabet makes both outcomes common)."""
+        family = LSHFamily(LSHConfig(min_matching=min_matching))
+        rng = np.random.default_rng(seed)
+        firsts = rng.integers(0, alphabet, size=(n, 12))
+        seconds = rng.integers(0, alphabet, size=(n, 12))
+        batched = family.matches_many(firsts, seconds)
+        scalar = [
+            family.matches(tuple(a.tolist()), tuple(b.tolist()))
+            for a, b in zip(firsts, seconds)
+        ]
+        assert batched.tolist() == scalar
+
     def test_matches_many_rejects_width_mismatch(self):
         family = LSHFamily.for_measure("dtw")
         with pytest.raises(ConfigurationError):
             family.matches_many(np.zeros((2, 3), dtype=int), (0,) * 12)
+        with pytest.raises(ConfigurationError):
+            family.matches_many(np.zeros((2, 12), dtype=int),
+                                np.zeros((3, 12), dtype=int))
 
     def test_rejects_non_2d(self):
         family = LSHFamily.for_measure("dtw")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
 from repro.faults.plan import FaultPlan
-from repro.serving import (
+from repro.serving.loadgen import LoadGenConfig, serve_session
+from repro.serving.reliability import (
     TIER_CACHE_ONLY,
     TIER_HEALTHY,
     TIER_REDUCED,
@@ -19,12 +20,9 @@ from repro.serving import (
     BrownoutConfig,
     BrownoutController,
     CircuitBreaker,
-    LoadGenConfig,
-    QueryServer,
     RetryPolicy,
-    ServerConfig,
-    serve_session,
 )
+from repro.serving.server import QueryServer, ServerConfig
 from repro.telemetry import Telemetry
 
 N_NODES = 3

@@ -9,18 +9,16 @@ import pytest
 
 from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
-from repro.fabric import FabricLoadConfig
+from repro.fabric.loadgen import FabricLoadConfig
 from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.serving import (
-    AdmissionController,
+from repro.serving.admission import AdmissionController, TokenBucket
+from repro.serving.loadgen import (
     LoadGenConfig,
-    QueryServer,
-    ServerConfig,
-    TokenBucket,
     generate_arrivals,
     serve_session,
 )
+from repro.serving.server import QueryServer, ServerConfig
 from repro.telemetry import Telemetry
 
 N_NODES = 3

@@ -13,20 +13,17 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.arq import ARQConfig
-from repro.telemetry import (
-    NULL_TELEMETRY,
+from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
+from repro.telemetry.clock import SimClock
+from repro.telemetry.exporters import chrome_trace_events, telemetry_json
+from repro.telemetry.registry import (
     Histogram,
     MetricsRegistry,
-    NullTelemetry,
-    SimClock,
-    Telemetry,
-    Tracer,
-    chrome_trace_events,
     format_metric,
     label_key,
-    telemetry_json,
 )
 from repro.telemetry.scenarios import SCENARIOS, run_scenario
+from repro.telemetry.tracer import Tracer
 
 #: Seed for which the seizure scenario's distributed query is known to
 #: need at least one ARQ retransmission for its QUERY broadcast (the
@@ -325,7 +322,7 @@ class TestEndToEndQueryTrace:
         assert merge.parent_id == query.span_id
 
     def test_chrome_export_of_query_trace(self, tmp_path):
-        from repro.telemetry import write_chrome_trace
+        from repro.telemetry.exporters import write_chrome_trace
 
         tel = run_scenario("seizure", seed=QUERY_RETRY_SEED)
         path = write_chrome_trace(tel.tracer, tmp_path / "out.trace.json")
