@@ -30,7 +30,6 @@ from repro.decoders.svm import LinearSVM, train_linear_svm
 from repro.faults.plan import FaultPlan
 from repro.hashing.collision import CollisionChecker, RecentHashStore
 from repro.hashing.lsh import LSHFamily
-from repro.network.packet import PACKET_OVERHEAD_BITS
 from repro.similarity.dtw import dtw_rows
 from repro.units import WINDOW_SAMPLES
 
@@ -66,13 +65,6 @@ class SeizureDetector:
 
     def detect_window(self, window: np.ndarray) -> bool:
         return bool(self.svm.predict(window_features(window)))
-
-    def detect_channels(self, windows: np.ndarray) -> np.ndarray:
-        """Per-electrode decisions for ``(channels, samples)``."""
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim != 2:
-            raise ConfigurationError("expected (channels, samples)")
-        return np.array([self.detect_window(row) for row in windows], dtype=bool)
 
     @classmethod
     def train(
@@ -151,16 +143,6 @@ class SimulationResult:
     @property
     def degraded(self) -> bool:
         return self.node_windows_skipped > 0
-
-    def first_confirmation_window(
-        self, source_node: int, confirming_node: int
-    ) -> int | None:
-        candidates = [
-            e.window_index
-            for e in self.confirmations
-            if e.source_node == source_node and e.confirming_node == confirming_node
-        ]
-        return min(candidates) if candidates else None
 
 
 @dataclass
@@ -323,10 +305,3 @@ class SeizurePropagationSimulator:
                 )
                 result.stimulations.append((dst, w))
         return result
-
-    # -- analytic helpers used by the evaluation ---------------------------------
-
-    def hash_packet_bits(self) -> int:
-        """Size of one node's per-window hash broadcast on the wire."""
-        payload = self.recording.n_electrodes * self.lsh.config.hash_bytes
-        return PACKET_OVERHEAD_BITS + 8 * payload

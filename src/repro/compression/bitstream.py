@@ -11,11 +11,6 @@ class BitWriter:
     def __init__(self) -> None:
         self._bits: list[int] = []
 
-    def write_bit(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ConfigurationError("bit must be 0 or 1")
-        self._bits.append(bit)
-
     def write_bits(self, value: int, width: int) -> None:
         """Write ``value`` as ``width`` bits, MSB first."""
         if width < 0:

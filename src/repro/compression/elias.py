@@ -22,17 +22,3 @@ def decode_gamma(reader: BitReader) -> int:
     if n == 0:
         return 1
     return (1 << n) + reader.read_bits(n)
-
-
-def encode_gamma_sequence(values: list[int]) -> tuple[bytes, int]:
-    """Encode a sequence; returns (bytes, exact bit length)."""
-    writer = BitWriter()
-    for value in values:
-        encode_gamma(writer, value)
-    return writer.to_bytes(), writer.bit_length
-
-
-def decode_gamma_sequence(data: bytes, count: int, bit_length: int) -> list[int]:
-    """Decode ``count`` integers from gamma-coded ``data``."""
-    reader = BitReader(data, bit_length)
-    return [decode_gamma(reader) for _ in range(count)]

@@ -143,9 +143,3 @@ def lic_decompress(blob: bytes) -> np.ndarray:
             residuals[index] = _rice_decode(reader, k)
             index += 1
     return _unpredict(unzigzag(residuals), order)
-
-
-def lic_ratio(samples: np.ndarray, order: int = 2) -> float:
-    """Raw 16-bit size over compressed size."""
-    compressed = lic_compress(samples, order)
-    return 2 * np.asarray(samples).shape[0] / len(compressed)

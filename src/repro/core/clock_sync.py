@@ -38,9 +38,6 @@ class NodeClock:
     def advance(self, elapsed_s: float) -> None:
         self.offset_us += self.drift_ppm * elapsed_s
 
-    def read_us(self, true_time_us: float) -> float:
-        return true_time_us + self.offset_us
-
 
 @dataclass
 class SyncReport:
@@ -53,10 +50,6 @@ class SyncReport:
     @property
     def worst_offset_us(self) -> float:
         return max(abs(x) for x in self.final_offsets_us)
-
-    @property
-    def synchronised(self) -> bool:
-        return self.worst_offset_us <= TARGET_PRECISION_US
 
 
 @dataclass

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import CompilationError
 from repro.hardware.fabric import Fabric
-from repro.network.tdma import TDMAConfig, TDMASchedule
 
 _DIVIDER_RE = re.compile(
     r"scalo_set_clock_divider\(PE_(\w+),\s*(\d+)\);"
@@ -56,11 +55,6 @@ class LoadedConfiguration:
     flows: dict[str, FlowConfig]
     tdma_frame: list[int]
     fabric: Fabric
-
-    def tdma_schedule(self, config: TDMAConfig | None = None) -> TDMASchedule:
-        return TDMASchedule(
-            config if config is not None else TDMAConfig(), self.tdma_frame
-        )
 
 
 def load_config_program(program: str) -> LoadedConfiguration:

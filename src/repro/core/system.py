@@ -19,7 +19,7 @@ from repro.hashing.lsh import LSHFamily
 from repro.network.arq import ARQConfig, ReliableLink
 from repro.network.network import WirelessNetwork
 from repro.network.packet import BROADCAST, Packet, PayloadKind
-from repro.network.tdma import TDMAConfig, TDMASchedule
+from repro.network.tdma import TDMAConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 from repro.units import ELECTRODES_PER_NODE, NODE_POWER_CAP_MW
 
@@ -252,9 +252,6 @@ class ScaloSystem:
         return SNTPSynchroniser(tdma=self.tdma, seed=self.seed).synchronise(
             self.clocks
         )
-
-    def default_tdma_schedule(self, slots_per_node: int = 1) -> TDMASchedule:
-        return TDMASchedule.round_robin(self.tdma, self.n_nodes, slots_per_node)
 
     def attach_failover(self, health=None, views=None):
         """Enable coordinator failover for the centralised stages.

@@ -3,11 +3,10 @@
 The one graph type behind the dataflow IR
 (:class:`~repro.scheduler.dataflow.DataflowGraph`) and the per-node PE
 fabric (:class:`~repro.hardware.fabric.Fabric`).  Nodes, and each
-node's successors, keep insertion order; an edge re-added after its
-removal goes last.  :meth:`DAG.topological_order` is Kahn's algorithm
-taken generation by generation in that order, which is the order
-``networkx.topological_sort`` yields: PE lists, power roll-ups and
-codegen read it, so it must not change.
+node's successors, keep insertion order.  :meth:`DAG.topological_order`
+is Kahn's algorithm taken generation by generation in that order, which
+is the order ``networkx.topological_sort`` yields: PE lists, power
+roll-ups and codegen read it, so it must not change.
 """
 
 from __future__ import annotations
@@ -49,16 +48,6 @@ class DAG(Generic[N]):
         self._succ[src][dst] = None
         self._pred[dst][src] = None
         return True
-
-    def remove_edge(self, src: N, dst: N) -> None:
-        del self._succ[src][dst]
-        del self._pred[dst][src]
-
-    def in_degree(self, node: N) -> int:
-        return len(self._pred[node])
-
-    def out_degree(self, node: N) -> int:
-        return len(self._succ[node])
 
     def topological_order(self) -> list[N]:
         """Kahn's algorithm, generation by generation in insertion order.

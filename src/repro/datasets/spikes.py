@@ -80,12 +80,6 @@ class SpikeDataset:
         t = int(self.spike_times[spike_index])
         return self.data[:, t : t + SPIKE_SAMPLES]
 
-    def dominant_channel(self, neuron: int) -> int:
-        """The channel where a neuron's template is strongest."""
-        return int(
-            np.argmax(np.max(np.abs(self.templates[neuron]), axis=1))
-        )
-
 
 def _template_waveform(rng: np.random.Generator) -> np.ndarray:
     """One neuron's canonical single-channel waveshape, peak-normalised."""

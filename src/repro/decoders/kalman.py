@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.linalg.inverse import gauss_jordan_inverse
-from repro.linalg.tiling import needs_nvm
 
 
 @dataclass
@@ -59,16 +58,6 @@ class KalmanModel:
     @property
     def n_obs(self) -> int:
         return self.h.shape[0]
-
-    @property
-    def inversion_dim(self) -> int:
-        """Size of the matrix the INV PE inverts each step."""
-        return self.n_obs
-
-    @property
-    def inversion_needs_nvm(self) -> bool:
-        """Does the innovation covariance spill past the 16 KB registers?"""
-        return needs_nvm(self.n_obs, self.n_obs)
 
 
 @dataclass
@@ -119,10 +108,6 @@ class KalmanFilter:
         if observations.ndim != 2:
             raise ConfigurationError("expected (n_steps, n_obs)")
         return np.stack([self.step(z) for z in observations])
-
-    def reset(self) -> None:
-        self.state = np.zeros(self.model.n_state)
-        self.covariance = np.eye(self.model.n_state)
 
 
 def fit_kalman(states: np.ndarray, observations: np.ndarray,

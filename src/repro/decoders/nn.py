@@ -52,10 +52,6 @@ class ShallowNN:
     def n_hidden(self) -> int:
         return self.w_hidden.shape[0]
 
-    @property
-    def n_outputs(self) -> int:
-        return self.w_out.shape[0]
-
     def forward(self, features: np.ndarray) -> np.ndarray:
         """Centralised inference, expressed with the MAD PE post-ops."""
         features = np.asarray(features, dtype=float)

@@ -25,9 +25,6 @@ BER_POINTS = (1e-4, 1e-5, 1e-6)
 #: Hash payload: 96 electrodes x 1 B, HCOMP-compressed ~2x.
 HASH_PAYLOAD_BYTES = 48
 
-#: Signal payload: one 240 B window (120 x 16-bit samples).
-SIGNAL_PAYLOAD_BYTES = 240
-
 
 @dataclass
 class NetworkErrorResult:

@@ -57,15 +57,3 @@ def fig13(n_nodes: int = 6, power_mw: float = NODE_POWER_CAP_MW,
         }
         for radio, row in absolute.items()
     }
-
-
-def table3() -> dict[str, dict[str, float]]:
-    """Table 3 rows."""
-    return {
-        name: {
-            "ber": spec.bit_error_rate,
-            "data_rate_mbps": spec.data_rate_mbps,
-            "power_mw": spec.power_mw,
-        }
-        for name, spec in RADIO_CATALOG.items()
-    }

@@ -8,7 +8,7 @@ name — the text the ``python -m repro trace`` CLI prints.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from repro.telemetry.registry import MetricsRegistry
@@ -39,13 +39,6 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(name: str, series: Mapping[object, float],
-                  precision: int = 2) -> str:
-    """Render one named series as 'name: k=v k=v ...'."""
-    body = " ".join(f"{k}={v:.{precision}f}" for k, v in series.items())
-    return f"{name}: {body}"
 
 
 def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:

@@ -140,7 +140,3 @@ class FleetBelief:
         if node not in self._views:
             raise ConfigurationError(f"node {node} out of range")
         return self._views[node]
-
-    def alive_in_view(self, node: int) -> list[int]:
-        """Nodes the given vantage currently believes alive."""
-        return self.view(node).alive_nodes

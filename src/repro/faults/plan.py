@@ -122,20 +122,6 @@ class FaultPlan:
             up_kind=FaultKind.RADIO_OUTAGE_END,
             down_kind=FaultKind.RADIO_OUTAGE_START,
         )
-        # global split timeline: (round, (cut, mode) | None); events are
-        # already sorted with HEAL before START, so a same-round swap
-        # collapses to the new split
-        self._partition_transitions: list[
-            tuple[int, tuple[int, str] | None]
-        ] = []
-        for event in self.events:
-            if event.kind is FaultKind.PARTITION_HEAL:
-                self._partition_transitions.append((event.round, None))
-            elif event.kind is FaultKind.PARTITION_START:
-                mode = PARTITION_MODES[int(event.magnitude)]
-                self._partition_transitions.append(
-                    (event.round, (event.node, mode))
-                )
 
     def _transitions(
         self, up_kind: FaultKind, down_kind: FaultKind
@@ -183,16 +169,10 @@ class FaultPlan:
         keep the legacy single-belief path byte-for-byte, so existing
         storm logs never shift.
         """
-        return bool(self._partition_transitions)
-
-    def partition_at(self, round_index: int) -> tuple[int, str] | None:
-        """The ``(cut, mode)`` split active at this round, if any."""
-        active: tuple[int, str] | None = None
-        for when, split in self._partition_transitions:
-            if when > round_index:
-                break
-            active = split
-        return active
+        return any(
+            e.kind in (FaultKind.PARTITION_START, FaultKind.PARTITION_HEAL)
+            for e in self.events
+        )
 
     def event_log(self) -> str:
         """The canonical textual form — byte-identical for equal plans."""

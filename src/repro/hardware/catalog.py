@@ -50,11 +50,6 @@ class PESpec:
         """Total static (leakage + SRAM) power in uW."""
         return self.leakage_uw + self.sram_uw
 
-    @property
-    def data_dependent(self) -> bool:
-        """True when the paper reports no fixed latency for this PE."""
-        return self.latency_ms is None
-
 
 def _pe(
     name: str,
@@ -117,16 +112,6 @@ PE_CATALOG: dict[str, PESpec] = {
         _pe("XCOR", "Pearson's Cross Correlation", 85, 377.00, 306.88, 44.11, 4.00, 81),
     )
 }
-
-#: PEs that are new in SCALO (vs. its HALO predecessor).  HALO+NVM, the
-#: strongest prior-work baseline, lacks these and must emulate them on the
-#: 20 MHz RISC-V microcontroller (paper §6.1).
-SCALO_ONLY_PES = frozenset(
-    {
-        "HCONV", "NGRAM", "EMDH", "CCHECK", "CSEL", "HCOMP", "HFREQ",
-        "DCOMP", "DTW", "NPACK", "UNPACK", "ADD", "SUB", "BMUL", "INV",
-    }
-)
 
 
 def get_pe(name: str) -> PESpec:

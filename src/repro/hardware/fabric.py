@@ -54,11 +54,6 @@ class Fabric:
                 "SCALO pipelines are loop-free"
             )
 
-    def disconnect(self, src: str, dst: str) -> None:
-        if not self.graph.has_edge(src, dst):
-            raise FabricError(f"no connection {src} -> {dst}")
-        self.graph.remove_edge(src, dst)
-
     def pipeline(self, name: str, instance_ids: list[str]) -> Pipeline:
         """Materialise a pipeline along connected instances.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.hardware.catalog import PESpec, get_pe
+from repro.hardware.catalog import PESpec
 
 
 @dataclass
@@ -65,11 +65,6 @@ class ProcessingElement:
     def __post_init__(self) -> None:
         if self.clock is None:
             self.clock = ClockDomain(self.spec.max_freq_mhz)
-
-    @classmethod
-    def from_name(cls, name: str, **kwargs) -> "ProcessingElement":
-        """Instantiate a PE by its Table 1 name."""
-        return cls(spec=get_pe(name), **kwargs)
 
     @property
     def name(self) -> str:

@@ -204,35 +204,3 @@ def parse_query(text: str) -> QueryChain:
     if not chain.calls:
         raise QuerySyntaxError("a query needs at least one operation")
     return chain
-
-
-def parse_program(text: str) -> list[QueryChain]:
-    """Parse a multi-statement program (one chain per statement).
-
-    Statements are separated by semicolons or blank lines; statements
-    themselves may span lines (Listing 2 style), so a bare newline inside
-    a chain does not split it.
-    """
-    statements: list[str] = []
-    current: list[str] = []
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("//") or line.startswith("#"):
-            if current:
-                statements.append(" ".join(current))
-                current = []
-            continue
-        while ";" in line:
-            head, line = line.split(";", 1)
-            current.append(head)
-            statements.append(" ".join(current))
-            current = []
-            line = line.strip()
-        if line:
-            current.append(line)
-    if current:
-        statements.append(" ".join(current))
-    chains = [parse_query(s) for s in statements if s.strip()]
-    if not chains:
-        raise QuerySyntaxError("empty program")
-    return chains

@@ -8,7 +8,7 @@ parameters) (paper §3.2).  ADD, SUB and the block multiplier are modelled
 by their Table 1 catalog entries only.
 
 Each PE owns 16 KB of single-cycle registers for inputs/constants; larger
-operands stream from the NVM (:func:`repro.linalg.tiling.needs_nvm`).
+operands stream from the NVM.
 """
 
 from __future__ import annotations
@@ -18,12 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-#: Per-PE operand register capacity (bytes).
-PE_REGISTER_BYTES = 16 * 1024
-
-#: Bytes per 16-bit matrix element.
-ELEMENT_BYTES = 2
 
 
 @dataclass

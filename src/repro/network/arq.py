@@ -92,14 +92,6 @@ class ARQStats:
     ack_airtime_ms: float = 0.0
     backoff_ms: float = 0.0
 
-    @property
-    def recovery_rate(self) -> float:
-        """Fraction of initially-failed packets the ARQ got through."""
-        initially_failed = self.recovered + self.failed
-        if initially_failed == 0:
-            return 1.0
-        return self.recovered / initially_failed
-
 
 @dataclass
 class ARQResult:

@@ -76,20 +76,6 @@ class DeliveryStats:
     delivered_corrupted: int = 0
     airtime_ms: float = 0.0
 
-    @property
-    def drop_rate(self) -> float:
-        if self.sent == 0:
-            return 0.0
-        # broadcast fan-out counts each delivery attempt
-        attempts = (
-            self.delivered
-            + self.dropped_header
-            + self.dropped_payload
-            + self.dropped_outage
-            + self.dropped_partition
-        )
-        return 1.0 - self.delivered / attempts if attempts else 0.0
-
 
 Receiver = Callable[[Packet], None]
 

@@ -234,10 +234,3 @@ def packet_airtime_ms(payload_bytes: int, rate_mbps: float) -> float:
         raise NetworkError(f"invalid payload size {payload_bytes}")
     bits = PACKET_OVERHEAD_BITS + 8 * payload_bytes
     return bits / (rate_mbps * 1e3)
-
-
-def packets_needed(total_bytes: int) -> int:
-    """How many max-size packets carry ``total_bytes`` of payload."""
-    if total_bytes <= 0:
-        return 0
-    return -(-total_bytes // MAX_PAYLOAD_BYTES)

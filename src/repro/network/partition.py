@@ -1,12 +1,12 @@
 """Link-level network partitions: asymmetric reachability as data.
 
 A :class:`PartitionMatrix` is a set of *directed* blocked links laid
-over the shared medium: ``blocks(src, dst)`` answers whether a frame
+over the shared medium: ``reachable(src, dst)`` answers whether a frame
 transmitted by ``src`` can physically reach ``dst``.  Real inter-site
 fabric failures are frequently one-sided (a saturated uplink, a
 misprogrammed route), so the matrix is directional by construction —
-``blocks(a, b)`` and ``blocks(b, a)`` are independent facts — and the
-convenience constructors expose the three canonical shapes:
+``reachable(a, b)`` and ``reachable(b, a)`` are independent facts — and
+the convenience constructors expose the three canonical shapes:
 
 * ``split(..., mode="both")`` — the textbook symmetric cut: neither
   side hears the other;
@@ -101,24 +101,7 @@ class PartitionMatrix:
             label=f"split@{cut}/{mode}",
         )
 
-    @classmethod
-    def isolate(cls, n_nodes: int, node: int) -> "PartitionMatrix":
-        """Cut one node off from everybody (both directions)."""
-        if not 0 <= node < n_nodes:
-            raise ConfigurationError(f"node {node} outside the fleet")
-        links = frozenset(
-            pair
-            for other in range(n_nodes)
-            if other != node
-            for pair in ((node, other), (other, node))
-        )
-        return cls(n_nodes=n_nodes, blocked=links, label=f"isolate@{node}")
-
     # -- queries ------------------------------------------------------------------
-
-    def blocks(self, src: int, dst: int) -> bool:
-        """Is the directed link ``src -> dst`` cut?"""
-        return (src, dst) in self.blocked
 
     def reachable(self, src: int, dst: int) -> bool:
         """Can a frame from ``src`` land on ``dst`` (one hop)?"""
@@ -127,22 +110,6 @@ class PartitionMatrix:
     def symmetric(self) -> bool:
         """Does every blocked link have its mirror blocked too?"""
         return all((dst, src) in self.blocked for src, dst in self.blocked)
-
-    def component_of(self, node: int) -> frozenset[int]:
-        """The node's *bidirectional* reachability component.
-
-        Two nodes share a component when frames flow both ways between
-        them (directly).  This is the symmetric closure the round-trip
-        failure detector converges on, hence the unit quorum election
-        reasons over.
-        """
-        if not 0 <= node < self.n_nodes:
-            raise ConfigurationError(f"node {node} outside the fleet")
-        return frozenset(
-            other
-            for other in range(self.n_nodes)
-            if self.reachable(node, other) and self.reachable(other, node)
-        )
 
     def describe(self) -> str:
         """Canonical one-line form for deterministic logs."""

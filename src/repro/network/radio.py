@@ -3,15 +3,13 @@
 The intra-SCALO radio is a modified Rahmani-Babakhani FDD UWB design:
 7 Mbps, 1.721 mW, BER < 1e-5 at 20 cm through brain/skull/skin.  The
 design-space exploration (paper §7) compares four (rate, power, BER)
-triples, all scaled to a 20 cm range with a log-distance path-loss model
-of exponent 3.5.  The external radio (retained from HALO) reaches 10 m at
-46 Mbps for 9.2 mW.
+triples, all at a 20 cm range.  The external radio (retained from HALO)
+reaches 10 m at 46 Mbps for 9.2 mW.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -24,7 +22,6 @@ class RadioSpec:
     data_rate_mbps: float
     power_mw: float
     bit_error_rate: float
-    range_m: float
     carrier_ghz: float = 4.12
 
     def __post_init__(self) -> None:
@@ -43,18 +40,14 @@ class RadioSpec:
         """Transmit/receive energy for ``n_bits`` (mJ)."""
         return self.power_mw * self.airtime_ms(n_bits) / 1e3
 
-    def packet_error_rate(self, n_bits: int) -> float:
-        """Probability that an ``n_bits`` frame suffers >= 1 bit error."""
-        return 1.0 - (1.0 - self.bit_error_rate) ** n_bits
-
 
 #: Default intra-SCALO radio (paper Table 3, "Low Power").
-LOW_POWER = RadioSpec("Low Power", 7.0, 1.721, 1e-5, 0.20)
+LOW_POWER = RadioSpec("Low Power", 7.0, 1.721, 1e-5)
 
 #: Table 3 alternatives.
-HIGH_PERF = RadioSpec("High Perf", 14.0, 6.85, 1e-6, 0.20)
-LOW_BER = RadioSpec("Low BER", 7.0, 3.4, 1e-6, 0.20)
-LOW_DATA_RATE = RadioSpec("Low Data Rate", 3.5, 0.855, 1e-5, 0.20)
+HIGH_PERF = RadioSpec("High Perf", 14.0, 6.85, 1e-6)
+LOW_BER = RadioSpec("Low BER", 7.0, 3.4, 1e-6)
+LOW_DATA_RATE = RadioSpec("Low Data Rate", 3.5, 0.855, 1e-5)
 
 RADIO_CATALOG: dict[str, RadioSpec] = {
     spec.name: spec for spec in (LOW_POWER, HIGH_PERF, LOW_BER, LOW_DATA_RATE)
@@ -62,50 +55,5 @@ RADIO_CATALOG: dict[str, RadioSpec] = {
 
 #: The external (to-environment) radio retained from HALO: 46 Mbps / 10 m.
 EXTERNAL_RADIO = RadioSpec(
-    "External", 46.0, 9.2, 1e-6, 10.0, carrier_ghz=0.25
+    "External", 46.0, 9.2, 1e-6, carrier_ghz=0.25
 )
-
-
-def get_radio(name: str) -> RadioSpec:
-    """Look up a Table 3 radio by name."""
-    try:
-        return RADIO_CATALOG[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown radio {name!r}; choose from {sorted(RADIO_CATALOG)}"
-        ) from None
-
-
-def path_loss_db(distance_m: float, exponent: float = 3.5,
-                 reference_m: float = 0.01, reference_loss_db: float = 40.0) -> float:
-    """Log-distance path loss through brain/skull/skin tissue.
-
-    ``PL(d) = PL(d0) + 10 n log10(d / d0)`` with the paper's exponent
-    n = 3.5 (IEEE 802.15.4a body-area model).
-    """
-    if distance_m <= 0:
-        raise ConfigurationError("distance must be positive")
-    return reference_loss_db + 10.0 * exponent * math.log10(
-        distance_m / reference_m
-    )
-
-
-def scale_radio_to_distance(spec: RadioSpec, distance_m: float,
-                            exponent: float = 3.5) -> RadioSpec:
-    """Re-rate a radio for a different range at constant link margin.
-
-    Received power must stay constant for the same BER, so transmit power
-    scales by the path-loss ratio ``(d_new / d_old) ** n``.
-    """
-    if distance_m <= 0:
-        raise ConfigurationError("distance must be positive")
-    ratio_db = path_loss_db(distance_m, exponent) - path_loss_db(
-        spec.range_m, exponent
-    )
-    power_scale = 10.0 ** (ratio_db / 10.0)
-    return replace(
-        spec,
-        name=f"{spec.name}@{distance_m:g}m",
-        power_mw=spec.power_mw * power_scale,
-        range_m=distance_m,
-    )

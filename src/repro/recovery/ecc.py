@@ -33,6 +33,10 @@ That is only sound when the stored words describe the old bytes, i.e.
 the page was verified clean (or corrected) first; a page with
 uncorrectable damage must be re-encoded in full with
 :func:`compute_ecc`.  The CRC is always recomputed over the whole page.
+
+A 4 KB page has 32768 bit positions, so 1-based indices fit a 16-bit
+syndrome: the spare-area cost is 16 syndrome bits + 1 parity bit + 32 CRC
+bits per page (49 bits, well under a real NAND's 64-224 B OOB).
 """
 
 from __future__ import annotations
@@ -41,11 +45,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-
-#: ECC geometry: a 4 KB page has 32768 bit positions, so 1-based indices
-#: fit 16 bits — the spare-area cost is 16 syndrome bits + 1 parity bit
-#: + 32 CRC bits per page (49 bits, well under a real NAND's 64-224 B OOB).
-SYNDROME_BITS = 16
 
 
 @dataclass(frozen=True)

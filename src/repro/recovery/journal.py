@@ -135,10 +135,6 @@ class WriteAheadJournal:
 
     # -- read side ----------------------------------------------------------------
 
-    @property
-    def log_bytes(self) -> int:
-        return len(self._log)
-
     def checkpoint_payload(self) -> bytes | None:
         """The committed checkpoint, falling back to the other slot if
         the active one is torn."""

@@ -104,9 +104,6 @@ class FleetScrubber:
             for node in self.system.nodes
         }
 
-    def scrubber_for(self, node_id: int) -> Scrubber:
-        return self._scrubbers[node_id]
-
     def step(self) -> ScrubReport:
         """Scrub one round's budget on every *alive* node.
 

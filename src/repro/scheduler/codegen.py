@@ -66,11 +66,3 @@ def emit_config_program(
     )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def emit_all_nodes(materialised: MaterialisedSchedule) -> dict[int, str]:
-    """One program per node (identical allocations, distinct TDMA slots)."""
-    return {
-        node: emit_config_program(materialised, node)
-        for node in range(materialised.schedule.n_nodes)
-    }

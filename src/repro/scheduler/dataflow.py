@@ -107,12 +107,6 @@ class DataflowGraph:
         """The PEs this graph needs, in dataflow order (MC ops excluded)."""
         return [op.pe_name for op in self.operators if not op.runs_on_mc]
 
-    def sources(self) -> list[Operator]:
-        return [op for op in self.graph if self.graph.in_degree(op) == 0]
-
-    def sinks(self) -> list[Operator]:
-        return [op for op in self.graph if self.graph.out_degree(op) == 0]
-
     def validate(self) -> None:
         """Raise if the graph is empty or disconnected."""
         if not self.graph:

@@ -22,7 +22,7 @@ server in **simulated milliseconds**:
 * completion past a request's deadline is answered anyway but counted
   as a deadline miss (a late answer still beats a lost session);
 * nodes believed dead (fed from the faults/health layer via
-  :meth:`observe_health`) are routed around — responses carry the
+  :meth:`set_dead_nodes`) are routed around — responses carry the
   degraded/coverage tagging of the underlying
   :class:`~repro.apps.queries.DistributedQueryResult`.
 
@@ -349,10 +349,6 @@ class QueryServer:
                 self.breakers.force_probe(recovered, self.now_ms)
                 self._drain_breaker_events("recovery")
             self._reschedule_parked()
-
-    def observe_health(self, monitor) -> None:
-        """Adopt a :class:`~repro.faults.health.HealthMonitor` belief."""
-        self.set_dead_nodes(monitor.dead_nodes)
 
     def set_quorum(self, has_quorum: bool) -> None:
         """Pin whether the fleet currently holds a coordinating quorum.

@@ -36,7 +36,8 @@ def dtw_rows(
             template broadcast to every row without a copy.  ``n`` and
             ``m`` need not be equal.
         band: Sakoe-Chiba band half-width; ``None`` means unconstrained.
-            A band narrower than the length difference is widened by it.
+            A band narrower than the length difference is widened by it,
+            so every band reaches ``(n, m)`` and the result is finite.
             ``band == 1`` with equal lengths reduces to the Manhattan (L1)
             alignment along the diagonal, i.e. a Euclidean-style lockstep
             comparison.
@@ -57,7 +58,9 @@ def dtw_rows(
         return np.empty(0, dtype=float)
     n, m = a.shape[1], b.shape[-1]
     if n == 0 or m == 0:
-        raise ConfigurationError("dtw_distance expects non-empty series")
+        raise ConfigurationError("dtw_rows expects non-empty series")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigurationError("dtw_rows expects finite samples")
     if band is not None:
         if band < 1:
             raise ConfigurationError("band must be >= 1")
@@ -93,7 +96,4 @@ def dtw_rows(
                 before_last[:, lo - 1:hi],
             )
         before_last, last, current = last, current, before_last
-    result = last[:, n].copy()
-    if not np.all(np.isfinite(result)):
-        raise ConfigurationError("band too narrow for the length difference")
-    return result
+    return last[:, n].copy()

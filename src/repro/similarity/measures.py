@@ -59,10 +59,6 @@ class Measure:
             return values >= threshold
         return values <= threshold
 
-    def is_similar(self, a: np.ndarray, b: np.ndarray, threshold: float) -> bool:
-        """Thresholded match decision for one pair: the one-pair :meth:`similar`."""
-        return bool(self.similar(self(a, b), threshold))
-
 
 def _pairwise(
     pair: Callable[[np.ndarray, np.ndarray], float]

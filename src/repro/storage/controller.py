@@ -37,9 +37,8 @@ from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 #: SC SRAM buffer size (paper §5: sized to 24 KB from the NVSim numbers).
 SC_BUFFER_BYTES = 24 * 1024
 
-#: SC PE access latency: 0.03 ms with the NVM available, 0.04 ms when busy.
+#: SC PE access latency with the NVM available (0.04 ms when it is busy).
 SC_LATENCY_FREE_MS = 0.03
-SC_LATENCY_BUSY_MS = 0.04
 
 #: Auto-compaction threshold: checkpoint after this many journal records.
 CHECKPOINT_EVERY_RECORDS = 512
@@ -347,9 +346,6 @@ class StorageController:
         """Retrieve a stored electrode-window (the one-key :meth:`read_windows`)."""
         return self.read_windows([(electrode, window_index)])[0]
 
-    def has_window(self, electrode: int, window_index: int) -> bool:
-        return (electrode, window_index) in self._windows
-
     def stored_windows(self) -> list[tuple[int, int]]:
         """All stored ``(electrode, window_index)`` pairs, sorted.
 
@@ -438,14 +434,6 @@ class StorageController:
     def stored_hash_windows(self) -> list[int]:
         """All window indexes with a stored hash batch (sorted)."""
         return sorted(self._hashes)
-
-    def recent_hash_windows(self, now_ms: float, horizon_ms: float) -> list[int]:
-        """Window indexes whose hashes fall in ``[now - horizon, now]``."""
-        return [
-            index
-            for index, (time_ms, _, _) in self._hash_meta.items()
-            if now_ms - horizon_ms <= time_ms <= now_ms
-        ]
 
     # -- application data (templates, weights) ----------------------------------------
 

@@ -20,25 +20,6 @@ from repro.errors import StorageError
 #: Default chunk size (samples of one electrode stored contiguously).
 DEFAULT_CHUNK_SAMPLES = 120  # one 4 ms window
 
-#: Bytes per 16-bit sample.
-SAMPLE_BYTES = 2
-
-
-def interleave(samples: np.ndarray) -> np.ndarray:
-    """ADC order: flatten ``(channels, time)`` column-major (time-major)."""
-    samples = np.asarray(samples)
-    if samples.ndim != 2:
-        raise StorageError("expected (channels, samples)")
-    return samples.T.reshape(-1)
-
-
-def deinterleave(stream: np.ndarray, n_channels: int) -> np.ndarray:
-    """Inverse of :func:`interleave`."""
-    stream = np.asarray(stream)
-    if stream.ndim != 1 or stream.shape[0] % n_channels:
-        raise StorageError("stream length must be a channel multiple")
-    return stream.reshape(-1, n_channels).T
-
 
 def chunked_layout(samples: np.ndarray, chunk_samples: int = DEFAULT_CHUNK_SAMPLES
                    ) -> np.ndarray:
@@ -59,21 +40,6 @@ def chunked_layout(samples: np.ndarray, chunk_samples: int = DEFAULT_CHUNK_SAMPL
     n_chunks = n_samples // chunk_samples
     reshaped = samples.reshape(n_channels, n_chunks, chunk_samples)
     return reshaped.transpose(1, 0, 2).reshape(-1)
-
-
-def chunk_address(
-    electrode: int,
-    chunk_index: int,
-    n_channels: int,
-    chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
-) -> int:
-    """Byte offset of a (electrode, chunk) pair in the chunked layout."""
-    if electrode < 0 or electrode >= n_channels:
-        raise StorageError(f"electrode {electrode} out of range")
-    if chunk_index < 0:
-        raise StorageError("chunk index cannot be negative")
-    chunk_bytes = chunk_samples * SAMPLE_BYTES
-    return (chunk_index * n_channels + electrode) * chunk_bytes
 
 
 #: Calibrated per-window costs from the paper (§3.3): with the chunked

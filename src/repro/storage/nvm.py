@@ -58,10 +58,6 @@ class NVMStats:
     #: pages found damaged beyond SECDED (multi-bit rot)
     ecc_uncorrectable: int = 0
 
-    @property
-    def dynamic_energy_mj(self) -> float:
-        return self.dynamic_energy_nj / 1e6
-
 
 @dataclass
 class NVMDevice:
@@ -123,10 +119,6 @@ class NVMDevice:
     def _check_page(self, page_index: int) -> None:
         if not 0 <= page_index < self.n_pages:
             raise StorageError(f"page {page_index} out of range")
-
-    def is_programmed(self, page_index: int) -> bool:
-        """Whether a page holds programmed data (erase before reprogram)."""
-        return page_index in self._programmed
 
     # -- operations -----------------------------------------------------------------
 
@@ -354,10 +346,6 @@ class NVMDevice:
         """Pages known damaged beyond SECDED (sorted)."""
         return sorted(self._poisoned)
 
-    def read_page(self, page_index: int) -> bytes:
-        """Read one full page."""
-        return self.read(page_index, 0, PAGE_BYTES)
-
     # -- fault injection ----------------------------------------------------------
 
     @property
@@ -395,9 +383,3 @@ class NVMDevice:
     def read_bandwidth_mbps() -> float:
         """Sequential read bandwidth of the device (Mbps)."""
         return 8 * PAGE_BYTES / (READ_PAGE_MS * 1e3)
-
-    @staticmethod
-    def write_bandwidth_mbps() -> float:
-        """Sustained program bandwidth, amortising one erase per block."""
-        ms_per_page = PROGRAM_MS + ERASE_MS / PAGES_PER_BLOCK
-        return 8 * PAGE_BYTES / (ms_per_page * 1e3)

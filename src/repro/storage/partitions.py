@@ -34,22 +34,6 @@ class Partition:
     size_bytes: int
     write_head: int = 0  # bytes written since creation (monotonic)
 
-    @property
-    def used_bytes(self) -> int:
-        return min(self.write_head, self.size_bytes)
-
-    @property
-    def wrapped(self) -> bool:
-        """True once the ring has overwritten its oldest data."""
-        return self.write_head > self.size_bytes
-
-    @property
-    def oldest_offset(self) -> int:
-        """Ring offset of the oldest still-present byte."""
-        if not self.wrapped:
-            return 0
-        return self.write_head % self.size_bytes
-
     def append(self, n_bytes: int) -> int:
         """Reserve space for ``n_bytes``; returns the device byte address.
 
@@ -70,9 +54,6 @@ class Partition:
         address = self.start_byte + offset
         self.write_head += n_bytes
         return address
-
-    def contains_address(self, device_byte: int) -> bool:
-        return self.start_byte <= device_byte < self.start_byte + self.size_bytes
 
 
 @dataclass
@@ -113,10 +94,3 @@ class PartitionTable:
             return self.partitions[name]
         except KeyError:
             raise StorageError(f"unknown partition {name!r}") from None
-
-    def locate(self, device_byte: int) -> Partition:
-        """Which partition owns a device byte address."""
-        for partition in self.partitions.values():
-            if partition.contains_address(device_byte):
-                return partition
-        raise StorageError(f"address {device_byte} outside all partitions")

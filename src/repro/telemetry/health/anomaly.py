@@ -127,7 +127,3 @@ class AnomalyDetector:
         state.var = (1 - cfg.alpha) * (state.var + cfg.alpha * err * err)
         state.rounds += 1
         return flagged
-
-    def series_mean(self, metric: str) -> float:
-        state = self._series.get(metric)
-        return state.mean if state is not None else 0.0

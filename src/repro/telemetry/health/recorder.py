@@ -52,12 +52,6 @@ class FlightRecorder:
             {"seq": self._seq, "kind": kind, "t_ms": float(t_ms), **detail}
         )
 
-    def entries(self, kind: str | None = None) -> list[dict]:
-        """The ring's current contents, oldest first."""
-        if kind is None:
-            return list(self._ring)
-        return [e for e in self._ring if e["kind"] == kind]
-
     def snapshot_incident(
         self,
         alert: dict,

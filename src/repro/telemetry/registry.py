@@ -135,7 +135,6 @@ class MetricsRegistry:
     _sketches: dict[tuple[str, LabelKey], QuantileSketch] = field(
         default_factory=dict
     )
-    _declared_edges: dict[str, tuple[float, ...]] = field(default_factory=dict)
     #: relative-error bound for newly created sketches
     sketch_accuracy: float = 0.01
 
@@ -151,17 +150,11 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self._gauges[(name, label_key(labels))] = float(value)
 
-    def declare_histogram(self, name: str, edges: tuple[float, ...]) -> None:
-        """Pin the bucket edges all series of ``name`` will use."""
-        Histogram(tuple(edges))  # validate eagerly
-        self._declared_edges[name] = tuple(edges)
-
     def observe(self, name: str, value: float, **labels: object) -> None:
         key = (name, label_key(labels))
         hist = self._histograms.get(key)
         if hist is None:
-            edges = self._declared_edges.get(name, DEFAULT_BUCKET_EDGES)
-            hist = self._histograms[key] = Histogram(edges)
+            hist = self._histograms[key] = Histogram(DEFAULT_BUCKET_EDGES)
         hist.observe(value)
         sketch = self._sketches.get(key)
         if sketch is None:

@@ -23,7 +23,9 @@ def dtw_distance(
     if a.ndim != 1 or b.ndim != 1:
         raise ConfigurationError("dtw_distance expects 1-D series")
     if a.size == 0 or b.size == 0:
-        raise ConfigurationError("dtw_distance expects non-empty series")
+        raise ConfigurationError("dtw_rows expects non-empty series")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigurationError("dtw_rows expects finite samples")
     n, m = a.shape[0], b.shape[0]
     if band is not None:
         if band < 1:
@@ -48,7 +50,4 @@ def dtw_distance(
             cost = abs(a[i - 1] - b[j - 1])
             current[j] = cost + min(prev[j], current[j - 1], prev[j - 1])
         prev = current
-    result = prev[m]
-    if not np.isfinite(result):
-        raise ConfigurationError("band too narrow for the length difference")
-    return float(result)
+    return float(prev[m])

@@ -68,7 +68,7 @@ def _append_bytes(
     while cursor < len(data):
         take = min(PAGE_BYTES - offset, len(data) - cursor)
         chunk = data[cursor : cursor + take]
-        if controller.device.is_programmed(page):
+        if page in controller.device.programmed_pages:
             controller.device.rewrite_range(page, offset, chunk)
         else:
             padded = bytearray(b"\xff" * PAGE_BYTES)

@@ -11,9 +11,7 @@ from repro.compression.dictionary import (
 )
 from repro.compression.elias import (
     decode_gamma,
-    decode_gamma_sequence,
     encode_gamma,
-    encode_gamma_sequence,
 )
 from repro.compression.hash_codec import (
     compression_ratio,
@@ -65,8 +63,11 @@ class TestElias:
 
     def test_sequence_roundtrip(self):
         values = [1, 5, 2, 100, 3, 1, 1]
-        data, bit_length = encode_gamma_sequence(values)
-        assert decode_gamma_sequence(data, len(values), bit_length) == values
+        writer = BitWriter()
+        for value in values:
+            encode_gamma(writer, value)
+        reader = BitReader(writer.to_bytes(), writer.bit_length)
+        assert [decode_gamma(reader) for _ in values] == values
 
     def test_small_values_are_short(self):
         writer = BitWriter()

@@ -106,13 +106,6 @@ class TestSpikeDatasets:
         noise = ds.data[:, : int(ds.spike_times[0]) - SPIKE_SAMPLES]
         assert np.abs(snippet).max() > 4 * noise.std()
 
-    def test_dominant_channel_is_strongest(self, spike_dataset):
-        ds = spike_dataset
-        for neuron in range(3):
-            dom = ds.dominant_channel(neuron)
-            peaks = np.max(np.abs(ds.templates[neuron]), axis=1)
-            assert peaks[dom] == peaks.max()
-
     def test_deterministic_for_seed(self):
         a = generate_spikes("mearec", duration_s=1.0, seed=9)
         b = generate_spikes("mearec", duration_s=1.0, seed=9)

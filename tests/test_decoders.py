@@ -150,14 +150,6 @@ class TestKalman:
         kf.step(obs[0])
         assert np.trace(kf.covariance) < trace_before
 
-    def test_reset(self, rng):
-        states, obs = self._make_tracking_problem(rng)
-        kf = KalmanFilter(fit_kalman(states, obs))
-        kf.step(obs[0])
-        kf.reset()
-        assert np.allclose(kf.state, 0)
-        assert np.allclose(kf.covariance, np.eye(4))
-
     def test_wrong_observation_size_rejected(self, rng):
         states, obs = self._make_tracking_problem(rng)
         kf = KalmanFilter(fit_kalman(states, obs))
@@ -167,19 +159,6 @@ class TestKalman:
     def test_model_shape_validation(self):
         with pytest.raises(ConfigurationError):
             KalmanModel(np.eye(4), np.eye(3), np.zeros((8, 4)), np.eye(8))
-
-    def test_inversion_dimension_is_observation_count(self, rng):
-        states, obs = self._make_tracking_problem(rng, n_obs=12)
-        model = fit_kalman(states, obs)
-        assert model.inversion_dim == 12
-        assert not model.inversion_needs_nvm  # 12x12 fits registers
-
-    def test_large_inversion_needs_nvm(self):
-        model = KalmanModel(
-            np.eye(4), np.eye(4), np.zeros((384, 4)), np.eye(384)
-        )
-        # the paper: the 384-electrode innovation matrix spills to NVM
-        assert model.inversion_needs_nvm
 
     def test_misaligned_fit_rejected(self):
         with pytest.raises(ConfigurationError):

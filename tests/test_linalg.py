@@ -1,14 +1,13 @@
 """Tests for MAD, Gauss-Jordan INV, work splitting and register limits."""
 
-import math
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.linalg.inverse import gauss_jordan_inverse
-from repro.linalg.mad import ELEMENT_BYTES, PE_REGISTER_BYTES, PostOp, mad
-from repro.linalg.tiling import needs_nvm, split_even
+from repro.linalg.mad import PostOp, mad
+from repro.linalg.tiling import split_even
 
 
 class TestMAD:
@@ -60,9 +59,3 @@ class TestTiling:
     def test_split_even(self):
         assert split_even(10, 3) == [(0, 4), (4, 7), (7, 10)]
         assert split_even(2, 4) == [(0, 1), (1, 2)]
-
-    def test_needs_nvm_threshold(self):
-        # the largest n x n 16-bit matrix one 16 KB register file holds
-        dim = math.isqrt(PE_REGISTER_BYTES // ELEMENT_BYTES)
-        assert not needs_nvm(dim, dim)
-        assert needs_nvm(dim + 1, dim + 1)

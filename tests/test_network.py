@@ -19,15 +19,8 @@ from repro.network.packet import (
     Packet,
     PayloadKind,
     packet_airtime_ms,
-    packets_needed,
 )
-from repro.network.radio import (
-    LOW_POWER,
-    RADIO_CATALOG,
-    get_radio,
-    path_loss_db,
-    scale_radio_to_distance,
-)
+from repro.network.radio import LOW_POWER, RADIO_CATALOG
 from repro.network.tdma import TDMAConfig, TDMASchedule
 from tests import crc_oracle, packet_oracle
 
@@ -181,42 +174,19 @@ class TestPacket:
         assert packet.to_wire() == packet_oracle.wire(packet)
         assert packet_oracle.checks(packet) == (True, True)
 
-    def test_packets_needed(self):
-        assert packets_needed(0) == 0
-        assert packets_needed(256) == 1
-        assert packets_needed(257) == 2
-
 
 class TestRadios:
     def test_table3_values(self):
         assert LOW_POWER.data_rate_mbps == 7.0
         assert LOW_POWER.power_mw == 1.721
         assert LOW_POWER.bit_error_rate == 1e-5
-        assert get_radio("High Perf").power_mw == 6.85
-        assert get_radio("Low Data Rate").data_rate_mbps == 3.5
+        assert RADIO_CATALOG["High Perf"].power_mw == 6.85
+        assert RADIO_CATALOG["Low Data Rate"].data_rate_mbps == 3.5
         assert len(RADIO_CATALOG) == 4
 
     def test_airtime_and_energy(self):
         assert LOW_POWER.airtime_ms(7000) == pytest.approx(1.0)
         assert LOW_POWER.energy_mj(7000) == pytest.approx(1.721e-3)
-
-    def test_packet_error_rate_monotone_in_size(self):
-        assert LOW_POWER.packet_error_rate(2000) > LOW_POWER.packet_error_rate(100)
-
-    def test_path_loss_increases_with_distance(self):
-        assert path_loss_db(0.4) > path_loss_db(0.2)
-
-    def test_scaling_to_longer_range_needs_more_power(self):
-        scaled = scale_radio_to_distance(LOW_POWER, 0.4)
-        assert scaled.power_mw > LOW_POWER.power_mw
-        # n=3.5 path loss: doubling distance costs 2^3.5x power
-        assert scaled.power_mw / LOW_POWER.power_mw == pytest.approx(
-            2**3.5, rel=1e-6
-        )
-
-    def test_unknown_radio_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_radio("warp")
 
 
 class TestChannel:

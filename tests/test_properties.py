@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.dictionary import dictionary_decode, dictionary_encode
-from repro.compression.elias import (
-    decode_gamma_sequence,
-    encode_gamma_sequence,
-)
+from repro.compression.bitstream import BitReader, BitWriter
+from repro.compression.elias import decode_gamma, encode_gamma
 from repro.compression.hash_codec import dcomp_decompress, hcomp_compress
 from repro.compression.lz import lz_compress, lz_decompress
 from repro.compression.rle import rle_decode, rle_encode
@@ -43,8 +41,11 @@ def test_rle_roundtrip(symbols):
 
 @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=100))
 def test_gamma_roundtrip(values):
-    data, bits = encode_gamma_sequence(values)
-    assert decode_gamma_sequence(data, len(values), bits) == values
+    writer = BitWriter()
+    for value in values:
+        encode_gamma(writer, value)
+    reader = BitReader(writer.to_bytes(), writer.bit_length)
+    assert [decode_gamma(reader) for _ in values] == values
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=100))

@@ -435,7 +435,7 @@ class TestWriteAheadJournal:
         whole = journal.snapshot()
         first_only = WriteAheadJournal()
         first_only.append(RecordType.WINDOW, b"first")
-        tail = len(whole.log) - first_only.log_bytes
+        tail = len(whole.log) - len(first_only.snapshot().log)
         for cut in range(1, tail + 1):
             replayed = WriteAheadJournal.from_image(whole.torn(cut)).replay()
             # removing the entire frame leaves a clean log; any partial

@@ -58,9 +58,8 @@ class TestDataflow:
     def test_chain_and_order(self):
         graph = DataflowGraph()
         ops = graph.chain(["window", "fft", "svm"])
-        assert [op.name for op in graph.operators] == ["window", "fft", "svm"]
-        assert graph.sources() == [ops[0]]
-        assert graph.sinks() == [ops[-1]]
+        assert graph.operators == ops
+        assert [op.name for op in ops] == ["window", "fft", "svm"]
 
     def test_pe_mapping(self):
         graph = DataflowGraph()

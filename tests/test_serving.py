@@ -10,7 +10,6 @@ import pytest
 from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
 from repro.fabric.loadgen import FabricLoadConfig
-from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.serving.admission import AdmissionController, TokenBucket
 from repro.serving.loadgen import (
@@ -277,19 +276,6 @@ class TestDegradedAnswers:
         result = server.result_for(response.request_id)
         assert result.failed_nodes == [1]
         assert all(row.node != 1 for row in result.rows)
-
-    def test_observe_health_adopts_monitor_belief(self):
-        server, _ = _server()
-        monitor = HealthMonitor(N_NODES, miss_threshold=1)
-        for round_index in range(3):
-            for node in (0, 2):  # node 1 never heartbeats
-                monitor.heartbeat(node, round_index)
-            monitor.tick(round_index)
-        server.observe_health(monitor)
-        server.submit("a", QuerySpec("q3", 16.0), (0, N_WINDOWS))
-        (response,) = server.step()
-        assert response.degraded
-        assert server.result_for(response.request_id).failed_nodes == [1]
 
 
 class TestDeterminism:

@@ -105,9 +105,11 @@ class TestDTWKernel:
             (np.ones(3), np.array([]), 2),
             (np.ones(3), np.ones(3), 0),
             (np.ones(3), np.ones(4), 1),
-            # the widened band always reaches (n, m); only a non-finite
-            # sample leaves no finite path
+            # non-finite samples are refused before the DP, banded or
+            # lockstep alike
             (np.array([1.0, np.inf, 2.0]), np.ones(5), 2),
+            (np.ones(4), np.array([1.0, np.nan, 2.0]), None),
+            (np.array([1.0, -np.inf, 2.0]), np.ones(3), 1),
         ],
     )
     def test_errors_match_oracle(self, a, b, band):
@@ -225,11 +227,10 @@ class TestMeasures:
     def test_polarity(self, rng):
         a = rng.normal(size=120)
         near = a + 0.01 * rng.normal(size=120)
-        assert get_measure("xcor").is_similar(a, near, threshold=0.8)
-        assert get_measure("euclidean").is_similar(a, near, threshold=1.0)
-        assert not get_measure("euclidean").is_similar(
-            a, 10 + a * 5, threshold=1.0
-        )
+        xcor, euclidean = get_measure("xcor"), get_measure("euclidean")
+        assert xcor.similar(xcor(a, near), 0.8)
+        assert euclidean.similar(euclidean(a, near), 1.0)
+        assert not euclidean.similar(euclidean(a, 10 + a * 5), 1.0)
         values = np.array([0.5, 1.0, 1.5])
         assert get_measure("xcor").similar(values, 1.0).tolist() == [
             False, True, True

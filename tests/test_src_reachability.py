@@ -1,21 +1,69 @@
-"""Every module under ``src/repro`` is reached from a runtime entry point.
+"""Every module, function and constant under ``src/repro`` is used
+outside ``tests/``.
 
-A static walk of ``import`` and ``from repro... import`` statements
-(function-local ones included) starts at ``repro.__main__``,
+Modules: a static walk of ``import`` and ``from repro... import``
+statements (function-local ones included) starts at ``repro.__main__``,
 ``repro.api``, ``examples/``, ``bench/`` and ``benchmarks/``.  A name
 re-exported by a package ``__init__`` resolves to the module that
 defines it, so a package import does not reach every submodule.  A
 module that only ``tests/`` imports is code no figure, table, example
 or benchmark runs.
+
+Functions and constants: every public module-level function, public
+method of a public class and public module-level constant is *named*
+in ``src/``, ``examples/``, ``bench/`` or ``benchmarks/``: as an
+``ast.Name`` read, an ``ast.Attribute``, an import alias, a member of
+``repro.api.__all__``, or a word of a string in ``bench/layer_tracer.py``
+(its ``ENTRY_POINTS`` wrap functions by qualname).  Docstrings and
+comments do not count.  Names match bare, so a method counts as named
+when any attribute of that name is read.  :data:`UNNAMED_ALLOWED` lists
+the few kept although only tests call them.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+#: the trees whose names keep a definition alive
+NAMING_ROOTS = ("src", "examples", "bench", "benchmarks")
+#: the file that wraps entry points by their qualname strings
+TRACER = ROOT / "bench" / "layer_tracer.py"
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+#: Public definitions that no file outside ``tests/`` names, each with
+#: why it stays.  The list only shrinks: an entry that is no longer
+#: defined, or that a file outside ``tests/`` now names, fails
+#: :func:`test_unnamed_allow_list_is_current`.
+UNNAMED_ALLOWED = {
+    "repro.scheduler.constraints.ConstraintSystem.verify":
+        "independent check of a solved schedule against every exact row",
+    "repro.recovery.journal.WriteAheadJournal.from_image":
+        "rebuilds a journal from a torn image: the torn-tail handling",
+    "repro.network.packet.Packet.parse":
+        "the total parser for untrusted frames; never raises",
+    "repro.compression.hash_codec.dcomp_decompress":
+        "the codec inverse the HCOMP round-trip tests decode with",
+    "repro.decoders.nn.ShallowNN.forward":
+        "the undecomposed reference distributed_forward is tested against",
+    "repro.faults.injector.FaultInjector.event_log":
+        "the determinism observable of a replayed storm",
+    "repro.faults.plan.FaultPlan.event_log":
+        "the determinism observable of a generated plan",
+    "repro.serving.server.QueryServer.result_for":
+        "the API whose LRU bound the isolation eviction counts measure",
+    "repro.storage.controller.StorageController.store_appdata":
+        "SCK2 checkpoints and APPDATA journal records carry its state",
+    "repro.storage.controller.StorageController.read_appdata":
+        "reads back what the APPDATA recovery path restores",
+    "repro.storage.controller.StorageController.appdata_keys":
+        "lists what the APPDATA recovery path restores",
+    "repro.network.channel.BitErrorChannel.corrupt_bytes":
+        "shares _flip_positions with transmit, so oracles draw one RNG stream",
+}
 
 
 def _path(module: str) -> Path | None:
@@ -69,10 +117,108 @@ def reached_modules() -> set[str]:
     return seen
 
 
+def _module_name(path: Path) -> str:
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
 def test_every_src_module_is_reached_from_an_entry_point():
     modules = {
-        ".".join(path.relative_to(SRC).with_suffix("").parts)
+        _module_name(path)
         for path in (SRC / "repro").rglob("*.py")
         if path.name != "__init__.py"
     }
     assert sorted(modules - reached_modules()) == []
+
+
+def public_definitions() -> dict[str, str]:
+    """Qualified name -> bare name of every public module-level function,
+    public method of a public top-level class and public module-level
+    constant under ``src/repro``."""
+    found: dict[str, str] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(node.name, node.name)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                members = [
+                    (f"{node.name}.{sub.name}", sub.name)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                ]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                )
+                members = [
+                    (target.id, target.id)
+                    for target in targets
+                    if isinstance(target, ast.Name)
+                    and CONSTANT.fullmatch(target.id)
+                ]
+            else:
+                continue
+            for qualname, name in members:
+                if not name.startswith("_"):
+                    found[f"{module}.{qualname}"] = name
+    return found
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """``id``s of the docstring constants in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+def names_outside_tests() -> set[str]:
+    """Every name :func:`public_definitions` entries may be matched by."""
+    names: set[str] = set()
+    for folder in NAMING_ROOTS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            docstrings = _docstrings(tree) if path == TRACER else set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                elif (
+                    path == TRACER
+                    and isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                ):
+                    names.update(re.split(r"[\s.]+", node.value))
+    api = ast.parse((SRC / "repro" / "api.py").read_text())
+    for node in api.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_every_public_definition_is_named_outside_tests():
+    names = names_outside_tests()
+    unnamed = {
+        qualname
+        for qualname, name in public_definitions().items()
+        if name not in names
+    }
+    assert sorted(unnamed - set(UNNAMED_ALLOWED)) == []
+
+
+def test_unnamed_allow_list_is_current():
+    definitions = public_definitions()
+    names = names_outside_tests()
+    assert all(reason for reason in UNNAMED_ALLOWED.values())
+    assert sorted(set(UNNAMED_ALLOWED) - set(definitions)) == []
+    assert sorted(q for q in UNNAMED_ALLOWED if definitions[q] in names) == []

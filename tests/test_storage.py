@@ -8,10 +8,7 @@ from repro.storage.controller import SC_BUFFER_BYTES, StorageController
 from repro.storage.layout import (
     CHUNKED_READ_MS_PER_WINDOW,
     INTERLEAVED_READ_MS_PER_WINDOW,
-    chunk_address,
     chunked_layout,
-    deinterleave,
-    interleave,
     read_cost_ms,
     write_cost_ms,
 )
@@ -58,15 +55,11 @@ class TestNVMDevice:
 
     def test_stats_accumulate(self, device):
         device.program_page(0, b"x")
-        device.read_page(0)
+        device.read(0, 0, PAGE_BYTES)
         assert device.stats.page_writes == 1
         assert device.stats.page_reads == 1
         assert device.stats.busy_ms > 0
         assert device.stats.dynamic_energy_nj > 0
-
-    def test_bandwidths_paper_ordering(self):
-        # reads are far faster than erase-burdened writes
-        assert NVMDevice.read_bandwidth_mbps() > NVMDevice.write_bandwidth_mbps()
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(StorageError):
@@ -74,20 +67,11 @@ class TestNVMDevice:
 
 
 class TestLayout:
-    def test_interleave_roundtrip(self, rng):
-        data = rng.integers(0, 100, size=(4, 12))
-        assert (deinterleave(interleave(data), 4) == data).all()
-
     def test_chunked_layout_groups_by_electrode(self):
         data = np.arange(12).reshape(2, 6)  # 2 electrodes, 6 samples
         out = chunked_layout(data, chunk_samples=3)
         # chunk period 0: e0 samples 0-2, e1 samples 6-8 ...
         assert out.tolist() == [0, 1, 2, 6, 7, 8, 3, 4, 5, 9, 10, 11]
-
-    def test_chunk_address(self):
-        assert chunk_address(0, 0, 4, chunk_samples=120) == 0
-        assert chunk_address(1, 0, 4, chunk_samples=120) == 240
-        assert chunk_address(0, 1, 4, chunk_samples=120) == 4 * 240
 
     def test_paper_read_advantage(self):
         chunked = read_cost_ms(120, 96, chunked=True)
@@ -113,18 +97,12 @@ class TestPartitions:
         sizes = [p.size_bytes for p in table.partitions.values()]
         assert all(s % BLOCK_BYTES == 0 for s in sizes)
 
-    def test_append_and_locate(self):
-        table = PartitionTable(capacity_bytes=64 * 1024 * 1024)
-        address = table["hashes"].append(100)
-        assert table.locate(address).name == "hashes"
-
     def test_ring_wraps_over_oldest(self):
         table = PartitionTable(capacity_bytes=64 * 1024 * 1024)
         partition = table["mc"]
         first = partition.append(partition.size_bytes - 10)
-        assert not partition.wrapped
+        assert first == partition.start_byte
         second = partition.append(100)  # forces wrap
-        assert partition.wrapped
         assert second == partition.start_byte
 
     def test_oversized_object_rejected(self):
@@ -166,12 +144,6 @@ class TestStorageController:
         controller.store_hash_batch(3, 12.5, [(1, 2)])
         assert controller.hash_batch_time(3) == 12.5
         assert controller.hash_batch_time(4) is None
-
-    def test_recent_hash_windows(self, controller):
-        controller.store_hash_batch(0, 4.0, [(1,)])
-        controller.store_hash_batch(1, 8.0, [(2,)])
-        controller.store_hash_batch(2, 200.0, [(3,)])
-        assert controller.recent_hash_windows(10.0, 100.0) == [0, 1]
 
     def test_appdata_roundtrip(self, controller):
         controller.store_appdata("template:3", b"\x01\x02\x03")

@@ -259,7 +259,7 @@ class TestBatchEdges:
         length = SC_BUFFER_BYTES // 2 - 3  # odd byte offsets, page-crossing
         part = pair.batched.table["signals"]
         index = 0
-        while not part.wrapped:
+        while part.write_head <= part.size_bytes:  # until it wraps
             pair.both("store_channel_windows", index, _walk(index, 6, length))
             pair.check()
             index += 1

@@ -73,13 +73,6 @@ class TestHistogramBuckets:
         with pytest.raises(ConfigurationError):
             Histogram(edges=(1.0, 1.0))
 
-    def test_declared_edges_apply_to_new_series(self):
-        reg = MetricsRegistry()
-        reg.declare_histogram("x", (1.0, 2.0))
-        reg.observe("x", 1.5, pe="DTW")
-        hist = reg.histogram("x", pe="DTW")
-        assert hist is not None and hist.edges == (1.0, 2.0)
-
 
 class TestRegistry:
     def test_label_order_is_canonicalised(self):
