@@ -219,6 +219,10 @@ class DistributedQueryResult:
         return len(self.queried_nodes) / total if total else 0.0
 
 
+#: distinct Q2 templates whose signatures one :class:`QueryEngine` keeps
+TEMPLATE_MEMO_SIZE = 64
+
+
 @dataclass
 class QueryEngine:
     """Functional query execution against per-node storage controllers.
@@ -243,6 +247,11 @@ class QueryEngine:
     #: observability handle: per-node ``lookup`` spans, a ``merge`` span,
     #: and the ``query.*`` counters land here
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
+    #: Q2 template signatures by ``(shape, float64 bytes)``: a serving
+    #: pool re-sends the same few templates wave after wave
+    _template_sigs: dict[tuple[tuple[int, ...], bytes], tuple[int, ...]] = (
+        field(default_factory=dict, init=False, repr=False, compare=False)
+    )
 
     def _stored_windows(self, node: int) -> list[tuple[int, int]]:
         return self.controllers[node].stored_windows()
@@ -252,9 +261,18 @@ class QueryEngine:
     ) -> tuple[int, ...] | None:
         if spec.kind == "q2" and template is None:
             raise ConfigurationError("q2 needs a template window")
-        if spec.kind == "q2" and spec.use_hash:
-            return self.lsh.hash_window(template)
-        return None
+        if spec.kind != "q2" or not spec.use_hash:
+            return None
+        window = np.asarray(template, dtype=float)
+        key = (window.shape, window.tobytes())
+        signature = self._template_sigs.get(key)
+        if signature is None:
+            signature = self.lsh.hash_window(window)
+            if len(self._template_sigs) >= TEMPLATE_MEMO_SIZE:
+                # first in, first out
+                del self._template_sigs[next(iter(self._template_sigs))]
+            self._template_sigs[key] = signature
+        return signature
 
     # -- per-node scans --------------------------------------------------------------
 

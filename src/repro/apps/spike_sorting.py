@@ -17,7 +17,7 @@ from repro.datasets.spikes import SPIKE_SAMPLES, SpikeDataset
 from repro.errors import ConfigurationError
 from repro.hashing.emd_hash import EMDHash
 from repro.signal.features import adaptive_threshold, nonlinear_energy, threshold_crossings
-from repro.similarity.emd import emd_rows, signal_to_histogram
+from repro.similarity.emd import emd_rows
 
 
 #: Boxcar width for NEO smoothing before thresholding (samples).
@@ -85,7 +85,10 @@ class TemplateMatcher:
     """
 
     templates: np.ndarray  # (n_neurons, n_channels, SPIKE_SAMPLES)
-    hasher: EMDHash = field(default_factory=_default_spike_hasher)
+    #: bins waveforms for both the hash filter and the exact EMD
+    hasher: EMDHash = field(
+        default_factory=_default_spike_hasher, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.templates = np.asarray(self.templates, dtype=float)
@@ -100,11 +103,9 @@ class TemplateMatcher:
         self._waves = np.stack(
             [_peak_normalise(t[c]) for t, c in zip(self.templates, self._dominant)]
         )
-        self._histograms = signal_to_histogram(
-            self._waves, _WAVE_BINS, _WAVE_RANGE
-        )
+        self._histograms = self.hasher.histograms(self._waves)
         #: (n_neurons, n_components) template signatures
-        self._signatures = self.hasher.hash_windows(self._waves)
+        self._signatures = self.hasher.hash_histograms(self._histograms)
 
     @property
     def n_neurons(self) -> int:
@@ -118,16 +119,20 @@ class TemplateMatcher:
         channel = int(np.argmax(np.max(np.abs(snippet), axis=1)))
         return _peak_normalise(snippet[channel])
 
-    def _closest(self, wave: np.ndarray, candidates: np.ndarray) -> int:
-        """The candidate template with the least exact EMD to ``wave``."""
-        histogram = signal_to_histogram(wave, _WAVE_BINS, _WAVE_RANGE)
-        costs = emd_rows(histogram, self._histograms[candidates])
+    def _histogram(self, snippet: np.ndarray) -> np.ndarray:
+        """The ``(1, n_bins)`` histogram of :meth:`_snippet_wave`, the one
+        both the hash filter and the exact EMD read."""
+        return self.hasher.histograms(self._snippet_wave(snippet)[None])
+
+    def _closest(self, histogram: np.ndarray, candidates: np.ndarray) -> int:
+        """The candidate template with the least exact EMD to a snippet's
+        ``(1, n_bins)`` histogram."""
+        costs = emd_rows(histogram[0], self._histograms[candidates])
         return int(candidates[int(np.argmin(costs))])
 
     def classify_exact(self, snippet: np.ndarray) -> int:
         """Baseline: exact EMD against every template."""
-        wave = self._snippet_wave(snippet)
-        return self._closest(wave, np.arange(self.n_neurons))
+        return self._closest(self._histogram(snippet), np.arange(self.n_neurons))
 
     def classify_hashed(self, snippet: np.ndarray) -> tuple[int, int]:
         """Hash-filtered matching.
@@ -136,17 +141,15 @@ class TemplateMatcher:
             (neuron, n_exact_comparisons) — the comparison count is the
             work the hash filter saved versus ``n_neurons``.
         """
-        wave = self._snippet_wave(snippet)
-        signature = self.hasher.hash_windows(wave[None])[0]
-        if signature.shape != self._signatures.shape[1:]:
-            raise ConfigurationError("signature lengths differ")
+        histogram = self._histogram(snippet)
+        signature = self.hasher.hash_histograms(histogram)[0]
         # OR-construction: a template is a candidate when any component
         # collides (the batch form of EMDHash.collision)
         candidates = np.flatnonzero((self._signatures == signature).any(axis=1))
         if not candidates.size:
             # hash miss: fall back to the full exact scan (rare)
             candidates = np.arange(self.n_neurons)
-        return self._closest(wave, candidates), candidates.size
+        return self._closest(histogram, candidates), candidates.size
 
 
 @dataclass
@@ -174,13 +177,7 @@ class SpikeSorter:
     def from_dataset(cls, dataset: SpikeDataset, **kwargs) -> "SpikeSorter":
         """Build with the dataset's ground-truth templates (offline-trained
         templates, per Rutishauser et al.)."""
-        hasher = kwargs.pop("hasher", None)
-        matcher = (
-            TemplateMatcher(dataset.templates, hasher)
-            if hasher is not None
-            else TemplateMatcher(dataset.templates)
-        )
-        return cls(matcher, **kwargs)
+        return cls(TemplateMatcher(dataset.templates), **kwargs)
 
     def sort(self, data: np.ndarray, method: str = "hash") -> SortingResult:
         if method not in ("hash", "exact"):

@@ -2,9 +2,8 @@
 
 :class:`ScaloNode` wires the substrates into the per-implant device of
 paper Fig. 2: it ingests electrode samples window by window, stores them
-through the SC, hashes them with the shared LSH, and answers collision
-checks.  Its power is the scheduler's to account
-(:mod:`repro.scheduler.constraints`).
+and their hashes through the SC, and answers collision checks.  Its power
+is the scheduler's to account (:mod:`repro.scheduler.constraints`).
 """
 
 from __future__ import annotations
@@ -55,34 +54,39 @@ class ScaloNode:
     def now_ms(self) -> float:
         return self._window_index * self.window_ms
 
-    def ingest_window(self, windows: np.ndarray,
-                      store_signals: bool = True) -> list[tuple[int, ...]]:
-        """Process one multi-electrode window: store + hash.
+    @property
+    def window_shape(self) -> tuple[int, int]:
+        """``(n_electrodes, window_samples)``: one ingested window."""
+        return (self.n_electrodes, self.window_samples)
+
+    def ingest_window(
+        self, windows: np.ndarray, signatures: list[tuple[int, ...]]
+    ) -> list[tuple[int, ...]]:
+        """Store one multi-electrode window and record its hashes.
 
         Args:
             windows: ``(n_electrodes, window_samples)``.
-            store_signals: persist raw windows to the NVM (on for every
-                paper application).
+            signatures: the LSH signature of each row of ``windows``
+                (:meth:`~repro.hashing.lsh.LSHFamily.hash_channels`);
+                :meth:`~repro.core.system.ScaloSystem.ingest` hashes every
+                node's rows in one batch.
 
         Returns:
-            The per-electrode hash signatures for this window.
+            ``signatures``, the per-electrode hashes of this window.
         """
         windows = np.asarray(windows)
-        if windows.shape != (self.n_electrodes, self.window_samples):
+        if windows.shape != self.window_shape:
             raise ConfigurationError(
-                f"expected {(self.n_electrodes, self.window_samples)}, "
-                f"got {windows.shape}"
+                f"expected {self.window_shape}, got {windows.shape}"
             )
+        if len(signatures) != self.n_electrodes:
+            raise ConfigurationError("expected one signature per electrode")
         index = self._window_index
         self._window_index += 1
         time_ms = self.now_ms
 
-        signatures = self.lsh.hash_channels(
-            np.asarray(windows, dtype=float)
-        )
-        if store_signals:
-            # int16-exact rows reuse these hashes for the signature cache
-            self.storage.store_channel_windows(index, windows, signatures)
+        # int16-exact rows reuse these hashes for the signature cache
+        self.storage.store_channel_windows(index, windows, signatures)
         self.storage.store_hash_batch(index, time_ms, signatures)
         self.hash_store.add_batch(time_ms, signatures)
         self.hash_store.evict_before(time_ms - 4 * self.hash_horizon_ms)

@@ -324,20 +324,33 @@ class ScaloSystem:
 
         ``windows`` is ``(n_nodes, electrodes, wlen)``; a dead node's slice
         is skipped (its ADC is not sampling) and its slot in the returned
-        list is an empty signature batch, keeping positions aligned.
+        list is an empty signature batch, keeping positions aligned.  The
+        nodes share :attr:`lsh`, so every surviving node's rows are hashed
+        in one batch and each node stores its slice of the signatures.
         """
         windows = np.asarray(windows)
         if windows.shape[0] != self.n_nodes:
             raise ConfigurationError("first axis must be nodes")
+        shape = self.nodes[0].window_shape
+        if windows.shape[1:] != shape:
+            raise ConfigurationError(
+                f"expected {shape}, got {windows.shape[1:]}"
+            )
+        alive = [node for node in self.nodes if node.node_id not in self._dead]
         tel = self.telemetry
-        with tel.span("ingest", n_nodes=len(self.alive_node_ids)):
-            batches = [
-                node.ingest_window(windows[node.node_id])
-                if node.node_id not in self._dead
-                else []
-                for node in self.nodes
-            ]
-        tel.inc("system.windows_ingested", len(self.alive_node_ids))
+        with tel.span("ingest", n_nodes=len(alive)):
+            batches: list[list[tuple[int, ...]]] = [[] for _ in self.nodes]
+            if alive:
+                rows = windows[[node.node_id for node in alive]]
+                hashed = self.lsh.hash_windows(
+                    rows.reshape(-1, shape[1])
+                ).tolist()
+                for k, node in enumerate(alive):
+                    signatures = hashed[k * shape[0] : (k + 1) * shape[0]]
+                    batches[node.node_id] = node.ingest_window(
+                        rows[k], [tuple(row) for row in signatures]
+                    )
+        tel.inc("system.windows_ingested", len(alive))
         return batches
 
     # -- distributed queries ------------------------------------------------------------

@@ -68,25 +68,39 @@ class EMDHash:
     def hash_windows(self, windows: np.ndarray) -> np.ndarray:
         """Hash ``(n_windows, samples)`` rows into ``n_components`` buckets each.
 
-        Normalisation, histogramming, projection, square root and
-        quantisation each run as one whole-batch array pass.  Row ``i``
-        depends only on ``windows[i]``; the scalar arithmetic in
+        :meth:`hash_histograms` of :meth:`histograms`.  Row ``i`` depends
+        only on ``windows[i]``; the scalar arithmetic in
         ``tests/emd_oracle.py`` is the reference it is tested against.
+        """
+        return self.hash_histograms(self.histograms(windows))
+
+    def histograms(self, windows: np.ndarray) -> np.ndarray:
+        """The ``(n_windows, n_bins)`` amplitude counts the hash projects.
+
+        Rows are z-scored first when :attr:`normalise` is set, and binned
+        over the shared :attr:`value_range`, as one whole-batch pass.
         """
         batch = np.asarray(windows, dtype=float)
         if batch.ndim != 2:
             raise ConfigurationError("expected (n_windows, samples)")
         if self.normalise:
             batch = zscore_rows(batch)
-        histograms = signal_to_histogram(batch, self.n_bins, self.value_range)
+        return signal_to_histogram(batch, self.n_bins, self.value_range)
+
+    def hash_histograms(self, histograms: np.ndarray) -> np.ndarray:
+        """Hash rows of :meth:`histograms` output, leaving them unchanged.
+
+        Each row is scaled to unit mass (an empty row stays zero), then
+        projection, square root and quantisation each run as one
+        whole-batch array pass.
+        """
         totals = histograms.sum(axis=1)
-        positive = totals > 0
-        histograms[positive] = histograms[positive] / totals[positive, None]
-        out = np.empty((batch.shape[0], self.n_components), dtype=np.int64)
+        masses = histograms / np.where(totals > 0, totals, 1.0)[:, None]
+        out = np.empty((masses.shape[0], self.n_components), dtype=np.int64)
         for c, (projection, offset) in enumerate(
             zip(self._projections, self._offsets)
         ):
-            dots = histograms @ projection
+            dots = masses @ projection
             values = np.sqrt(np.maximum(dots, 0.0))
             out[:, c] = np.floor(
                 (values + offset) / self.bucket_width

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.emd_hash import EMDHash
-from repro.hashing.minhash import minhash_signature_batch
+from repro.hashing.minhash import MAX_SHINGLE_BITS, minhash_signature_batch
 from repro.hashing.ngram import ngram_value_matrix
 from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 
@@ -36,7 +36,7 @@ class LSHConfig:
     Attributes:
         measure: which similarity measure this hash approximates.
         sketch_window: HCONV sliding sub-window length ``w`` (samples).
-        ngram: shingle size ``n`` (bits); ignored for EMD.
+        ngram: shingle size ``n`` (bits), 1 to 16; ignored for EMD.
         stride: HCONV hop between sliding positions.
         n_components: independent hash components (OR-construction width).
         bits: width of each component; the paper uses 8-bit hashes.
@@ -63,8 +63,10 @@ class LSHConfig:
             )
         if self.sketch_window < 1:
             raise ConfigurationError("sketch window must be >= 1")
-        if self.ngram < 1:
-            raise ConfigurationError("n-gram size must be >= 1")
+        if not 1 <= self.ngram <= MAX_SHINGLE_BITS:
+            raise ConfigurationError(
+                f"n-gram size must be between 1 and {MAX_SHINGLE_BITS}"
+            )
         if not 1 <= self.min_matching <= self.n_components:
             raise ConfigurationError(
                 "min_matching must be between 1 and n_components"

@@ -44,34 +44,54 @@ def finalize_hash(sample: int, seed: int, bits: int) -> int:
     return int.from_bytes(digest, "little") & ((1 << bits) - 1)
 
 
-class _SeedTable:
-    """Per-``(seeds, bits)`` rows of :func:`_uniform01` and
-    :func:`finalize_hash`, one row per shingle value seen so far.
+#: shingle values are codes of at most this many bits (n-grams of a 0/1
+#: sketch), so a seed table looks a value up by direct index
+MAX_SHINGLE_BITS = 16
+#: a seed table holds ``u ** (1 / w)`` for weights up to this; a heavier
+#: run (under 0.01 % of the runs of random-walk windows' 8-grams) is
+#: scored on the spot, which keeps a 16-bit table's scores under 51 MB
+TABULATED_WEIGHTS = 8
 
-    Both functions depend only on ``(value, seed)``, so a row computed
-    once is exact forever; the table only grows, and only with values a
-    batch contains that it has not tabulated yet.  Rows are kept in
-    ascending value order so looking a batch up is one ``searchsorted``.
+
+class _SeedTable:
+    """Per-``(seeds, bits)`` rows of :func:`_uniform01`, its scores
+    ``u ** (1 / w)`` and :func:`finalize_hash`, one row per shingle value
+    seen so far.
+
+    Every entry depends only on ``(value, seed)`` and the weight, so a row
+    computed once is exact forever; the table only grows, and only with
+    values a batch contains that it has not tabulated yet.  ``index``
+    maps a value straight to its row.  The scores and finals are laid out
+    seed-major, the layout the kernel gathers them in.
     """
 
     def __init__(self, seeds: tuple[int, ...], bits: int):
         self.seeds = seeds
         self.bits = bits
-        self.values = np.empty(0, dtype=np.int64)
-        #: ``uniforms[r, s]`` is ``_uniform01(values[r], seeds[s])``
+        #: ``index[v]`` is value ``v``'s row, or -1 before it is tabulated
+        self.index = np.full(0, -1, dtype=np.intp)
+        #: ``uniforms[r, s]`` is ``_uniform01(v, seeds[s])`` for row ``r``'s ``v``
         self.uniforms = np.empty((0, len(seeds)), dtype=np.float64)
-        #: ``finals[r, s]`` is ``finalize_hash(values[r], seeds[s], bits)``
-        self.finals = np.empty((0, len(seeds)), dtype=np.int64)
+        #: ``powered[s, 1 + r * TABULATED_WEIGHTS + w - 1]`` is
+        #: ``uniforms[r, s] ** (1 / w)``; column 0 is the -1 that scores
+        #: every position of a run but its first
+        self.powered = np.full((len(seeds), 1), -1.0)
+        #: ``finals[s, r]`` is ``finalize_hash(v, seeds[s], bits)``
+        self.finals = np.empty((len(seeds), 0), dtype=np.int64)
 
     def rows(self, values: np.ndarray) -> np.ndarray:
         """The table row of each of ``values``, tabulating unseen ones."""
-        pos = np.searchsorted(self.values, values)
-        if self.values.shape[0] == 0 or not np.array_equal(
-            self.values.take(pos, mode="clip"), values
-        ):
-            self._grow(np.setdiff1d(values, self.values))
-            pos = np.searchsorted(self.values, values)
-        return pos
+        top = int(values.max(initial=-1))
+        if top >= self.index.shape[0]:
+            grown = np.full(1 << top.bit_length(), -1, dtype=np.intp)
+            grown[: self.index.shape[0]] = self.index
+            self.index = grown
+        rows = self.index[values]
+        missing = rows < 0
+        if missing.any():
+            self._grow(np.unique(values[missing]))
+            rows = self.index[values]
+        return rows
 
     def _grow(self, new: np.ndarray) -> None:
         new_values = new.tolist()
@@ -86,11 +106,27 @@ class _SeedTable:
             ],
             dtype=np.int64,
         ).reshape(-1, len(self.seeds))
-        values = np.concatenate([self.values, new])
-        order = np.argsort(values)
-        self.values = values[order]
-        self.uniforms = np.concatenate([self.uniforms, uniforms])[order]
-        self.finals = np.concatenate([self.finals, finals])[order]
+        powered = np.stack(
+            [
+                _power(uniforms, np.full(len(new_values), weight))
+                for weight in range(1, TABULATED_WEIGHTS + 1)
+            ],
+            axis=1,
+        ).reshape(-1, len(self.seeds))
+        self.index[new] = np.arange(len(new_values)) + self.uniforms.shape[0]
+        self.uniforms = np.concatenate([self.uniforms, uniforms])
+        self.powered = np.concatenate([self.powered, powered.T], axis=1)
+        self.finals = np.concatenate([self.finals, finals.T], axis=1)
+
+
+def _power(uniforms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``uniforms ** (1 / weights)``, one weight per row.
+
+    The exponent column is broadcast along the seeds: the operand layout
+    the kernel has always scored with, so a tabulated score is the same
+    numpy ``pow`` result, bit for bit, as one computed on the spot.
+    """
+    return uniforms ** (1.0 / weights)[:, None]
 
 
 #: one table per ``(seeds, bits)``, shared by every family with those seeds
@@ -123,12 +159,12 @@ def minhash_signature_batch(
 
     Each row is sorted, so a value's occurrences form one run whose
     length is its weight, and runs ascend by value.  Only the first
-    element of each run — one per ``(row, value)`` pair present — is
-    looked up in the shared per-``(seeds, bits)`` table and scored
-    ``u ** (1 / weight)``; the rest score -1.  ``argmax`` along the row
-    then picks the first maximum in ascending value order, which is the
-    one-pass sampler's tie-break (it walks values in ascending order and
-    replaces only on a strictly greater score).
+    element of each run — one per ``(row, value)`` pair present — scores
+    ``u ** (1 / weight)``, gathered from the shared per-``(seeds, bits)``
+    table that indexes values directly; the rest score -1.  ``argmax``
+    along the row then picks the first maximum in ascending value order,
+    which is the one-pass sampler's tie-break (it walks values in
+    ascending order and replaces only on a strictly greater score).
     """
     values = np.asarray(values)
     if values.ndim != 2:
@@ -137,7 +173,15 @@ def minhash_signature_batch(
     if n_shingles == 0:
         raise ConfigurationError("cannot min-hash an empty n-gram profile")
     table = _seed_table(seeds, bits)
-    ordered = np.sort(values, axis=1).ravel()
+    ordered = np.sort(values, axis=1)
+    if n_rows and (
+        ordered[:, 0].min() < 0
+        or ordered[:, -1].max() >= 1 << MAX_SHINGLE_BITS
+    ):
+        raise ConfigurationError(
+            f"shingle values must be {MAX_SHINGLE_BITS}-bit codes"
+        )
+    ordered = ordered.ravel()
     size = ordered.shape[0]
     # run boundaries, plus one past the end so every run has a successor
     bound = np.empty(size + 1, dtype=bool)
@@ -148,10 +192,19 @@ def minhash_signature_batch(
     starts = edges[:-1]
     weights = edges[1:] - starts
     rows = table.rows(ordered[starts])
-    scores = np.full((size, len(seeds)), -1.0)
-    scores[starts] = table.uniforms[rows] ** (1.0 / weights)[:, None]
-    winners = scores.reshape(n_rows, n_shingles, len(seeds)).argmax(axis=1)
-    row_at = np.empty(size, dtype=np.intp)
-    row_at[starts] = rows
-    picked = row_at[winners + (np.arange(n_rows) * n_shingles)[:, None]]
-    return table.finals[picked, np.arange(len(seeds))]
+    # each position's column of ``table.powered``: its run's score at the
+    # run's first position, column 0 (-1) everywhere else
+    columns = np.zeros(size, dtype=np.intp)
+    columns[starts] = rows * TABULATED_WEIGHTS + np.minimum(
+        weights, TABULATED_WEIGHTS
+    )
+    scores = table.powered.take(columns, axis=1)
+    heavy = weights > TABULATED_WEIGHTS
+    if heavy.any():
+        scores[:, starts[heavy]] = _power(
+            table.uniforms[rows[heavy]], weights[heavy]
+        ).T
+    winners = scores.reshape(len(seeds), n_rows, n_shingles).argmax(axis=2)
+    winners += np.arange(0, size, n_shingles)
+    picked = table.index[ordered[winners]]
+    return np.take_along_axis(table.finals, picked, axis=1).T.copy()

@@ -22,7 +22,6 @@ class RadioSpec:
     data_rate_mbps: float
     power_mw: float
     bit_error_rate: float
-    carrier_ghz: float = 4.12
 
     def __post_init__(self) -> None:
         if self.data_rate_mbps <= 0 or self.power_mw <= 0:
@@ -35,10 +34,6 @@ class RadioSpec:
         if n_bits < 0:
             raise ConfigurationError("bit count cannot be negative")
         return n_bits / (self.data_rate_mbps * 1e3)
-
-    def energy_mj(self, n_bits: float) -> float:
-        """Transmit/receive energy for ``n_bits`` (mJ)."""
-        return self.power_mw * self.airtime_ms(n_bits) / 1e3
 
 
 #: Default intra-SCALO radio (paper Table 3, "Low Power").
@@ -54,6 +49,4 @@ RADIO_CATALOG: dict[str, RadioSpec] = {
 }
 
 #: The external (to-environment) radio retained from HALO: 46 Mbps / 10 m.
-EXTERNAL_RADIO = RadioSpec(
-    "External", 46.0, 9.2, 1e-6, carrier_ghz=0.25
-)
+EXTERNAL_RADIO = RadioSpec("External", 46.0, 9.2, 1e-6)

@@ -8,39 +8,15 @@ stored in contiguous *chunks*; reads become single sequential accesses.
 
 The paper reports the trade-off: writes take 5x longer (1.75 ms) but
 reads get 10x faster (0.035 ms), and reads are on the critical path while
-writes are not.
+writes are not.  This module is the cost model of both layouts.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.errors import StorageError
 
 #: Default chunk size (samples of one electrode stored contiguously).
 DEFAULT_CHUNK_SAMPLES = 120  # one 4 ms window
-
-
-def chunked_layout(samples: np.ndarray, chunk_samples: int = DEFAULT_CHUNK_SAMPLES
-                   ) -> np.ndarray:
-    """Reorganise ``(channels, time)`` data into the chunked NVM order.
-
-    Output order: for each chunk period, electrode 0's chunk, electrode
-    1's chunk, ...; each chunk is ``chunk_samples`` contiguous samples of
-    one electrode.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 2:
-        raise StorageError("expected (channels, samples)")
-    n_channels, n_samples = samples.shape
-    if n_samples % chunk_samples:
-        raise StorageError(
-            f"sample count {n_samples} not a multiple of chunk {chunk_samples}"
-        )
-    n_chunks = n_samples // chunk_samples
-    reshaped = samples.reshape(n_channels, n_chunks, chunk_samples)
-    return reshaped.transpose(1, 0, 2).reshape(-1)
-
 
 #: Calibrated per-window costs from the paper (§3.3): with the chunked
 #: layout, retrieving one electrode's 4 ms window costs 0.035 ms; in the

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps.seizure import (
-    SeizureDetector,
     SeizurePropagationSimulator,
     train_detector_from_recording,
     window_features,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.apps import spike_sorting
 from repro.apps.spike_sorting import (
     _WAVE_BINS,
     _WAVE_RANGE,
@@ -15,6 +14,7 @@ from repro.apps.spike_sorting import (
 )
 from repro.datasets.spikes import SPIKE_SAMPLES
 from repro.errors import ConfigurationError
+from repro.hashing import emd_hash
 from repro.similarity.emd import signal_to_histogram
 from tests import emd_oracle
 
@@ -82,20 +82,21 @@ class TestTemplateMatcher:
             binned.append(np.shape(window))
             return signal_to_histogram(window, *args)
 
-        monkeypatch.setattr(spike_sorting, "signal_to_histogram", spy)
+        # the hash and the exact EMD share one histogram per waveform
+        monkeypatch.setattr(emd_hash, "signal_to_histogram", spy)
         matcher = TemplateMatcher(spike_dataset.templates)
         assert binned == [(matcher.n_neurons, SPIKE_SAMPLES)]
         snippet = spike_dataset.snippet(0)
         for classify in (matcher.classify_exact, matcher.classify_hashed):
             binned.clear()
             classify(snippet)
-            assert binned == [(SPIKE_SAMPLES,)]
+            assert binned == [(1, SPIKE_SAMPLES)]
         # a hash miss falls back to every template, still one histogram
         exact = matcher.classify_exact(snippet)
         matcher._signatures = np.full_like(matcher._signatures, -1)
         binned.clear()
         assert matcher.classify_hashed(snippet) == (exact, matcher.n_neurons)
-        assert binned == [(SPIKE_SAMPLES,)]
+        assert binned == [(1, SPIKE_SAMPLES)]
 
     def test_bad_template_shape_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -77,26 +77,44 @@ class TestScaloNode:
 
     def test_ingest_stores_and_hashes(self, node, rng):
         windows = rng.normal(size=(4, 120))
-        signatures = node.ingest_window(windows)
-        assert len(signatures) == 4
+        hashes = node.lsh.hash_channels(windows)
+        signatures = node.ingest_window(windows, hashes)
+        assert signatures == hashes
         assert (0, 0) in node.storage.stored_windows()
         assert node.read_window(2, 0).shape == (120,)
+        assert node.storage.read_hash_batch(0) == hashes
+        assert [r.signature for r in node.hash_store.recent(node.now_ms)] == hashes
 
     def test_check_remote_hashes_self_match(self, node, rng):
         windows = rng.normal(size=(4, 120)).cumsum(axis=1)
-        signatures = node.ingest_window(windows)
+        signatures = node.ingest_window(windows, node.lsh.hash_channels(windows))
         matches = node.check_remote_hashes(signatures)
         assert matches  # identical windows must collide
 
     def test_wrong_shape_rejected(self, node, rng):
-        with pytest.raises(ConfigurationError):
-            node.ingest_window(rng.normal(size=(3, 120)))
+        windows = rng.normal(size=(3, 120))
+        with pytest.raises(ConfigurationError, match="expected"):
+            node.ingest_window(windows, node.lsh.hash_channels(windows))
+        assert node.storage.stored_windows() == []
+
+    def test_signature_count_must_match(self, node, rng):
+        windows = rng.normal(size=(4, 120))
+        with pytest.raises(ConfigurationError, match="one signature"):
+            node.ingest_window(windows, node.lsh.hash_channels(windows[:3]))
+        assert node.storage.stored_windows() == []
 
 
 class TestScaloSystem:
     @pytest.fixture()
     def system(self):
         return ScaloSystem(n_nodes=3, electrodes_per_node=4)
+
+    def test_wrong_node_shape_rejected_before_storing(self, system, rng):
+        with pytest.raises(ConfigurationError, match="expected"):
+            system.ingest(rng.normal(size=(3, 3, 120)))
+        with pytest.raises(ConfigurationError, match="first axis"):
+            system.ingest(rng.normal(size=(2, 4, 120)))
+        assert all(node.storage.stored_windows() == [] for node in system.nodes)
 
     def test_broadcast_and_unpack(self, system, rng):
         windows = rng.normal(size=(3, 4, 120))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.aes import AES128, decrypt_block, encrypt_block, expand_key
+from repro.crypto.aes import AES128, encrypt_block, expand_key
 from repro.errors import ConfigurationError
 
 

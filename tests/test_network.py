@@ -184,9 +184,8 @@ class TestRadios:
         assert RADIO_CATALOG["Low Data Rate"].data_rate_mbps == 3.5
         assert len(RADIO_CATALOG) == 4
 
-    def test_airtime_and_energy(self):
+    def test_airtime(self):
         assert LOW_POWER.airtime_ms(7000) == pytest.approx(1.0)
-        assert LOW_POWER.energy_mj(7000) == pytest.approx(1.721e-3)
 
 
 class TestChannel:

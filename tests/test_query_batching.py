@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.queries import QueryEngine, QuerySpec
+from repro.apps.queries import TEMPLATE_MEMO_SIZE, QueryEngine, QuerySpec
 from repro.errors import ConfigurationError
 from repro.hashing import minhash
 from repro.hashing.lsh import SUPPORTED_MEASURES, LSHConfig, LSHFamily
@@ -455,3 +455,46 @@ class TestEngineEquivalence:
                     engine, spec, (0, 10), dead_nodes=dead,
                     template=template if needs_template else None,
                 )
+
+
+# --- Q2 template signatures, memoised per engine --------------------------------
+
+
+class TestTemplateMemo:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(st.integers(0, 2), st.booleans(), st.integers(0, 119)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_memo_matches_hash_window(self, seed, steps):
+        """Each call equals a fresh ``hash_window``, also after a pool
+        template is changed in place between calls."""
+        lsh = LSHFamily.for_measure("dtw")
+        engine = QueryEngine([], lsh)
+        rng = np.random.default_rng(seed)
+        pool = [(rng.standard_normal(120).cumsum() * 300).round()
+                for _ in range(3)]
+        spec = QuerySpec("q2", 16.0)
+        for index, mutate, sample in steps:
+            template = pool[index]
+            if mutate:
+                template[sample:] += 250.0
+            assert engine._template_signature(spec, template) \
+                == lsh.hash_window(template)
+        assert len(engine._template_sigs) <= TEMPLATE_MEMO_SIZE
+
+    def test_memo_is_bounded_first_in_first_out(self):
+        lsh = LSHFamily.for_measure("dtw")
+        engine = QueryEngine([], lsh)
+        spec = QuerySpec("q2", 16.0)
+        templates = [np.arange(120.0) * k for k in range(TEMPLATE_MEMO_SIZE + 3)]
+        for template in templates:
+            engine._template_signature(spec, template)
+        assert len(engine._template_sigs) == TEMPLATE_MEMO_SIZE
+        assert (templates[0].shape, templates[0].tobytes()) \
+            not in engine._template_sigs
+        assert engine._template_signature(spec, templates[0]) \
+            == lsh.hash_window(templates[0])

@@ -8,7 +8,6 @@ from repro.storage.controller import SC_BUFFER_BYTES, StorageController
 from repro.storage.layout import (
     CHUNKED_READ_MS_PER_WINDOW,
     INTERLEAVED_READ_MS_PER_WINDOW,
-    chunked_layout,
     read_cost_ms,
     write_cost_ms,
 )
@@ -67,12 +66,6 @@ class TestNVMDevice:
 
 
 class TestLayout:
-    def test_chunked_layout_groups_by_electrode(self):
-        data = np.arange(12).reshape(2, 6)  # 2 electrodes, 6 samples
-        out = chunked_layout(data, chunk_samples=3)
-        # chunk period 0: e0 samples 0-2, e1 samples 6-8 ...
-        assert out.tolist() == [0, 1, 2, 6, 7, 8, 3, 4, 5, 9, 10, 11]
-
     def test_paper_read_advantage(self):
         chunked = read_cost_ms(120, 96, chunked=True)
         interleaved = read_cost_ms(120, 96, chunked=False)
@@ -84,10 +77,6 @@ class TestLayout:
         assert write_cost_ms(120, chunked=True) / write_cost_ms(
             120, chunked=False
         ) == pytest.approx(5.0)
-
-    def test_indivisible_chunk_rejected(self):
-        with pytest.raises(StorageError):
-            chunked_layout(np.zeros((2, 100)), chunk_samples=120)
 
 
 class TestPartitions:

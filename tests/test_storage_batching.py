@@ -24,6 +24,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.node import ScaloNode
+from repro.core.system import ScaloSystem
 from repro.errors import StorageError, UncorrectableError
 from repro.hashing.lsh import LSHFamily
 from repro.recovery.journal import WriteAheadJournal
@@ -320,7 +321,7 @@ class TestHashOnce:
             LSHFamily, "hash_windows", autospec=True,
             side_effect=LSHFamily.hash_windows,
         ) as spy:
-            node.ingest_window(rows)
+            node.ingest_window(rows, LSH.hash_channels(rows))
         assert spy.call_count == 1
         assert spy.call_args.args[1].shape == rows.shape
 
@@ -331,10 +332,59 @@ class TestHashOnce:
             LSHFamily, "hash_windows", autospec=True,
             side_effect=LSHFamily.hash_windows,
         ) as spy:
-            node.ingest_window(rows)
+            node.ingest_window(rows, LSH.hash_channels(rows))
         assert spy.call_count == 2
         quantised = spy.call_args_list[1].args[1]
         assert np.array_equal(quantised, rows.astype("<i2").astype(float))
+
+
+class TestFleetIngest:
+    """``ScaloSystem.ingest`` hashes the fleet in one batch; each node
+    then stores its slice.  The reference hashes node by node with
+    ``hash_channels`` and stores the same way."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(("exact", "fraction")),
+        dead=st.sets(st.integers(0, 3), max_size=4),
+        n_windows=st.integers(1, 3),
+    )
+    def test_fleet_batch_matches_per_node_hashing(
+        self, seed, kind, dead, n_windows
+    ):
+        fleet, reference = (ScaloSystem(n_nodes=4, electrodes_per_node=3)
+                            for _ in range(2))
+        for system in (fleet, reference):
+            for node_id in sorted(dead):
+                system.fail_node(node_id)
+        shape = (n_windows, 4, 3, fleet.nodes[0].window_samples)
+        batches = _rows(kind, seed, n_windows * 12, shape[-1]).reshape(shape)
+        alive = 4 - len(dead)
+        for windows in batches:
+            with mock.patch.object(
+                LSHFamily, "hash_windows", autospec=True,
+                side_effect=LSHFamily.hash_windows,
+            ) as spy:
+                got = fleet.ingest(windows)
+            # one fleet hash, plus one hash of the quantised rows per node
+            # that stored non-integral samples
+            rehashes = alive if kind == "fraction" else 0
+            assert spy.call_count == (1 if alive else 0) + rehashes
+            expected = [
+                []
+                if node.node_id in dead
+                else node.ingest_window(
+                    windows[node.node_id],
+                    node.lsh.hash_channels(windows[node.node_id]),
+                )
+                for node in reference.nodes
+            ]
+            assert got == expected
+        for mine, theirs in zip(fleet.nodes, reference.nodes):
+            assert mine.storage.state_digest() == theirs.storage.state_digest()
+            assert mine.hash_store._records == theirs.hash_store._records
+            assert mine.now_ms == theirs.now_ms
 
 
 # --- read_windows ---------------------------------------------------------------
