@@ -29,8 +29,11 @@ import json
 import pathlib
 
 from repro.eval.chaos import (
+    ELECTRODES,
     MILD_MIN_AVAILABILITY,
+    MIN_COVERAGE,
     MODERATE_MAX_FINAL_SLA_VIOLATIONS,
+    OFFERED_QPS,
     SEVERE_P99_BOUND_MS,
     ChaosConfig,
     chaos_sweep,
@@ -63,10 +66,10 @@ def test_chaos_storm_sweep(report):
     doc = {
         "workload": (
             f"{config.n_requests} mixed Q1/Q2/Q3 requests at "
-            f"{config.offered_qps:.0f} QPS, open loop, seed {SEED}, "
-            f"{config.n_nodes}-node fleet x {config.electrodes} electrodes "
+            f"{OFFERED_QPS:.0f} QPS, open loop, seed {SEED}, "
+            f"{config.n_nodes}-node fleet x {ELECTRODES} electrodes "
             f"x {config.n_windows} windows, coverage SLA "
-            f"{config.min_coverage}"
+            f"{MIN_COVERAGE}"
         ),
         "units": "simulated milliseconds (deterministic per seed)",
         "reliability": (

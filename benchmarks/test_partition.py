@@ -30,6 +30,8 @@ import json
 import pathlib
 
 from repro.eval.chaos import (
+    ELECTRODES,
+    OFFERED_QPS,
     PARTITION_MIN_AVAILABILITY,
     partition_config,
     run_partition_storm,
@@ -64,9 +66,9 @@ def test_partition_storm(report):
     doc = {
         "workload": (
             f"{config.n_requests} mixed Q1/Q2/Q3 requests at "
-            f"{config.offered_qps:.0f} QPS, open loop, seed {SEED}, "
+            f"{OFFERED_QPS:.0f} QPS, open loop, seed {SEED}, "
             f"{config.n_nodes}-node fleet (quorum {config.n_nodes // 2 + 1})"
-            f" x {config.electrodes} electrodes x {config.n_windows} windows"
+            f" x {ELECTRODES} electrodes x {config.n_windows} windows"
         ),
         "units": "simulated milliseconds (deterministic per seed)",
         "storm": (

@@ -360,7 +360,7 @@ def _serve(args) -> None:
     from repro.api import Telemetry, serve_session
     from repro.eval.reporting import span_summary, telemetry_summary
     from repro.serving.loadgen import LoadGenConfig
-    from repro.serving.reliability import BrownoutConfig, RetryPolicy
+    from repro.serving.reliability import RetryPolicy
     from repro.serving.server import ServerConfig
     from repro.telemetry.exporters import write_metrics_csv
     from repro.telemetry.health.engine import HealthEngine
@@ -371,7 +371,7 @@ def _serve(args) -> None:
     client_retry = None
     min_coverage = 0.0
     retry = None
-    brownout = None
+    brownout = False
     n_nodes = 4
     if args.fault_plan not in (None, "none"):
         from repro.eval.chaos import FAULT_PRESETS
@@ -383,7 +383,7 @@ def _serve(args) -> None:
         fault_plan = level.plan(n_nodes, 64, args.seed)
         retry = RetryPolicy(seed=args.seed)
         client_retry = RetryPolicy(seed=args.seed + 1)
-        brownout = BrownoutConfig()
+        brownout = True
         min_coverage = 0.9
     load = LoadGenConfig(
         n_requests=args.requests,
@@ -461,6 +461,8 @@ def _serve(args) -> None:
 
 def _chaos(args) -> None:
     from repro.eval.chaos import (
+        MIN_COVERAGE,
+        OFFERED_QPS,
         ChaosConfig,
         chaos_sweep,
         partition_config,
@@ -483,14 +485,14 @@ def _chaos(args) -> None:
         config = partition_config(seed=args.seed)
         sweep = run_partition_storm(config, telemetry)
         print(f"-- partition storm: {config.n_requests} requests at "
-              f"{config.offered_qps:.0f} QPS over {config.n_nodes} implants, "
+              f"{OFFERED_QPS:.0f} QPS over {config.n_nodes} implants, "
               f"quorum {config.n_nodes // 2 + 1} (seed {config.seed})\n")
     else:
         config = ChaosConfig(seed=args.seed)
         sweep = chaos_sweep(config, telemetry)
         print(f"-- chaos sweep: {config.n_requests} requests at "
-              f"{config.offered_qps:.0f} QPS over {config.n_nodes} implants, "
-              f"coverage SLA {config.min_coverage:.2f} (seed {config.seed})\n")
+              f"{OFFERED_QPS:.0f} QPS over {config.n_nodes} implants, "
+              f"coverage SLA {MIN_COVERAGE:.2f} (seed {config.seed})\n")
     for line in sweep.table():
         print(f"  {line}")
     print()
@@ -556,9 +558,10 @@ def _fabric(args) -> None:
               f"{stats.deadline_misses:6d} {stats.p50_latency_ms:8.1f} "
               f"{stats.p99_latency_ms:8.1f} {stats.results_evicted:8d}")
     from repro.apps.queries import QuerySpec
+    from repro.serving.loadgen import TIME_RANGE_MS
 
     pop = fabric.population_query(
-        QuerySpec(kind="q1", time_range_ms=load.time_range_ms)
+        QuerySpec(kind="q1", time_range_ms=TIME_RANGE_MS)
     )
     print(f"\n  population q1: {pop.n_fleets} fleets, "
           f"latency {pop.latency_ms:.1f} ms "

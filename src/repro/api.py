@@ -158,7 +158,6 @@ def build_fabric(
     electrodes: int = 8,
     n_windows: int = 4,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    **overrides,
 ) -> FleetFabric:
     """Assemble a multi-tenant :class:`~repro.fabric.fabric.FleetFabric`.
 
@@ -175,8 +174,6 @@ def build_fabric(
         n_windows: pre-ingested windows per fleet.
         telemetry: optional shared :class:`~repro.telemetry.Telemetry`
             handle (per-tenant ``fabric.*`` counters land on it).
-        **overrides: any further :class:`~repro.fabric.fabric.FabricConfig`
-            field (``tenant_queue_quota``, ``gather_base_ms``, ...).
     """
     config = FabricConfig(
         n_fleets=n_fleets,
@@ -184,7 +181,6 @@ def build_fabric(
         electrodes=electrodes,
         n_windows=n_windows,
         seed=seed,
-        **overrides,
     )
     return FleetFabric(config=config, telemetry=telemetry)
 

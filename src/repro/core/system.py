@@ -16,7 +16,7 @@ from repro.core.node import ScaloNode
 from repro.core.thermal import DEFAULT_SPACING_MM, PlacementCheck, check_placement
 from repro.errors import ConfigurationError, NodeFailure
 from repro.hashing.lsh import LSHFamily
-from repro.network.arq import ARQConfig, ReliableLink
+from repro.network.arq import ReliableLink
 from repro.network.network import WirelessNetwork
 from repro.network.packet import BROADCAST, Packet, PayloadKind
 from repro.network.tdma import TDMAConfig
@@ -47,7 +47,7 @@ class ScaloSystem:
     seed: int = 0
     #: when set, hash/query dissemination runs over a stop-and-wait
     #: :class:`~repro.network.arq.ReliableLink` instead of fire-and-forget
-    arq: ARQConfig | None = None
+    arq: bool = False
     #: injectable observability handle, threaded through the network,
     #: every node's storage controller, and the query/scheduler paths
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
@@ -71,9 +71,7 @@ class ScaloSystem:
             tdma=self.tdma, seed=self.seed, telemetry=self.telemetry
         )
         self.link: ReliableLink | None = (
-            ReliableLink(self.network, config=self.arq)
-            if self.arq is not None
-            else None
+            ReliableLink(self.network) if self.arq else None
         )
         self._inboxes: dict[int, list[Packet]] = {i: [] for i in range(self.n_nodes)}
         self._dead: set[int] = set()

@@ -43,11 +43,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.serving.loadgen import LoadGenConfig, ServeReport, serve_session
-from repro.serving.reliability import (
-    BreakerConfig,
-    BrownoutConfig,
-    RetryPolicy,
-)
+from repro.serving.reliability import BreakerConfig, RetryPolicy
 from repro.serving.server import ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 from repro.telemetry.health.engine import HealthEngine
@@ -67,10 +63,8 @@ class StormLevel:
     n_bit_rot: int = 0
     rot_bits: int = 1
     n_drift_spikes: int = 0
-    drift_spike_us: float = 50.0
     n_partitions: int = 0
     partition_rounds: int = 6
-    partition_asymmetric: bool = True
 
     def plan(self, n_nodes: int, n_rounds: int, seed: int) -> FaultPlan:
         """Draw this level's deterministic plan for one fleet/horizon."""
@@ -85,10 +79,8 @@ class StormLevel:
             n_bit_rot=self.n_bit_rot,
             rot_bits=self.rot_bits,
             n_drift_spikes=self.n_drift_spikes,
-            drift_spike_us=self.drift_spike_us,
             n_partitions=self.n_partitions,
             partition_rounds=self.partition_rounds,
-            partition_asymmetric=self.partition_asymmetric,
         )
 
 
@@ -178,41 +170,40 @@ PARTITION_MIN_AVAILABILITY = 0.95
 
 # -- the sweep -----------------------------------------------------------------
 
+#: electrodes per implant in every chaos fleet
+ELECTRODES = 4
+#: offered load of every chaos run (open loop, QPS)
+OFFERED_QPS = 40.0
+#: relative deadline stamped on every chaos request (ms)
+DEADLINE_MS = 300.0
+#: coverage SLA on every request; one dead node out of six violates
+MIN_COVERAGE = 0.9
+#: TDMA rounds a chaos fault plan spans (one per :data:`~repro.units.ROUND_MS`)
+N_ROUNDS = 64
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One chaos sweep: fleet, load, SLA, and fault-plan horizon."""
+    """One chaos sweep: fleet size, load size and seed."""
 
     n_nodes: int = 6
-    electrodes: int = 4
     n_windows: int = 4
     n_requests: int = 96
-    offered_qps: float = 40.0
-    deadline_ms: float = 300.0
-    #: coverage SLA on every request; one dead node out of six violates
-    min_coverage: float = 0.9
     seed: int = 0
-    #: TDMA rounds the fault plan spans (1 round per ``round_ms``)
-    n_rounds: int = 64
-    round_ms: float = 50.0
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
             raise ConfigurationError("chaos needs at least two nodes")
         if self.n_requests < 1:
             raise ConfigurationError("need at least one request")
-        if not 0 <= self.min_coverage <= 1:
-            raise ConfigurationError("coverage SLA must be in [0, 1]")
-        if self.n_rounds < 1:
-            raise ConfigurationError("need at least one fault round")
 
     def load(self) -> LoadGenConfig:
         return LoadGenConfig(
             n_requests=self.n_requests,
-            offered_qps=self.offered_qps,
+            offered_qps=OFFERED_QPS,
             seed=self.seed,
-            deadline_ms=self.deadline_ms,
-            min_coverage=self.min_coverage,
+            deadline_ms=DEADLINE_MS,
+            min_coverage=MIN_COVERAGE,
         )
 
     def server_config(self) -> ServerConfig:
@@ -220,10 +211,10 @@ class ChaosConfig:
         return ServerConfig(
             max_queue=24,
             breaker=BreakerConfig(failure_threshold=2, open_ms=300.0),
-            brownout=BrownoutConfig(),
+            brownout=True,
             retry=RetryPolicy(max_attempts=3, base_ms=40.0, cap_ms=400.0,
                               seed=self.seed),
-            default_min_coverage=self.min_coverage,
+            default_min_coverage=MIN_COVERAGE,
         )
 
     def client_retry(self) -> RetryPolicy:
@@ -364,28 +355,24 @@ def run_storm(
     the response log stays byte-identical either way.
     """
     config = config if config is not None else ChaosConfig()
-    plan = level.plan(config.n_nodes, config.n_rounds, config.seed)
+    plan = level.plan(config.n_nodes, N_ROUNDS, config.seed)
     if health is None and telemetry.enabled:
         health = HealthEngine(telemetry)
     server, report = serve_session(
         n_nodes=config.n_nodes,
-        electrodes=config.electrodes,
+        electrodes=ELECTRODES,
         n_windows=config.n_windows,
         seed=config.seed,
         load=config.load(),
         server_config=config.server_config(),
         telemetry=telemetry,
         fault_plan=plan,
-        round_ms=config.round_ms,
         client_retry=config.client_retry(),
         health=health,
     )
-    transitions = (
-        server.breakers.transition_log() if server.breakers is not None else []
-    )
     return StormResult(
         level=level, plan=plan, report=report,
-        breaker_transitions=transitions,
+        breaker_transitions=server.breakers.transition_log(),
         health=health.report() if health is not None else None,
         coordination=(
             _audit_coordination(server.failover)

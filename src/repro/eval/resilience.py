@@ -24,7 +24,7 @@ import numpy as np
 from repro.apps.queries import DistributedQueryResult, QuerySpec
 from repro.core.system import ScaloSystem
 from repro.eval.network_errors import BER_POINTS, HASH_PAYLOAD_BYTES
-from repro.network.arq import ARQConfig, ReliableLink
+from repro.network.arq import ReliableLink
 from repro.network.network import WirelessNetwork
 from repro.network.packet import Packet, PayloadKind
 from repro.network.radio import LOW_POWER
@@ -74,7 +74,6 @@ class ResilienceResult:
 def arq_recovery(
     ber: float,
     n_packets: int = 400,
-    config: ARQConfig | None = None,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> ResilienceResult:
@@ -85,13 +84,12 @@ def arq_recovery(
     stat structs.  Pass an existing ``telemetry`` handle to accumulate
     the run into a larger session (the sweep gives each point its own).
     """
-    config = config or ARQConfig()
     telemetry = telemetry if telemetry is not None else Telemetry()
     radio = replace(LOW_POWER, bit_error_rate=ber)
     network = WirelessNetwork(
         tdma=TDMAConfig(radio=radio), seed=seed, telemetry=telemetry
     )
-    link = ReliableLink(network, config=config)
+    link = ReliableLink(network)
     link.attach(0, lambda p: None)
     link.attach(1, lambda p: None)
 
@@ -125,12 +123,11 @@ def arq_recovery(
 def resilience_sweep(
     bers: tuple[float, ...] = (1e-3, *BER_POINTS),
     n_packets: int = 400,
-    config: ARQConfig | None = None,
     seed: int = 0,
 ) -> dict[float, ResilienceResult]:
     """The recovery-rate-vs-BER curve (Fig. 12's x-axis, plus 1e-3)."""
     return {
-        ber: arq_recovery(ber, n_packets, config=config, seed=seed)
+        ber: arq_recovery(ber, n_packets, seed=seed)
         for ber in bers
     }
 
@@ -218,7 +215,7 @@ def crash_recovery_coverage(
         raise ConfigurationError("crash_after must be in (0, n_windows]")
     system = ScaloSystem(
         n_nodes=n_nodes, electrodes_per_node=electrodes_per_node, seed=seed,
-        arq=ARQConfig(), telemetry=telemetry,
+        arq=True, telemetry=telemetry,
     )
     rng = np.random.default_rng(seed)
 

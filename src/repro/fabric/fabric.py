@@ -45,6 +45,12 @@ from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 
 #: the reserved client name population scatters run under (never a tenant)
 POPULATION_CLIENT = "_population"
+#: fixed cost of assembling a population answer (merge + transmit, ms)
+GATHER_BASE_MS = 5.0
+#: incremental gather cost per fleet in the scatter set (ms)
+GATHER_PER_FLEET_MS = 0.05
+#: per-tenant pending-queue quota on every default fleet server
+TENANT_QUEUE_QUOTA = 4
 
 
 @dataclass(frozen=True)
@@ -56,18 +62,9 @@ class FabricConfig:
     electrodes: int = 8
     n_windows: int = 4
     seed: int = 0
-    #: Q2 templates ingested per fleet (drawn from the fleet's own data)
-    n_templates: int = 3
-    #: virtual nodes per fleet on the consistent-hash ring
-    vnodes: int = 64
-    #: fixed cost of assembling a population answer (merge + transmit)
-    gather_base_ms: float = 5.0
-    #: incremental gather cost per fleet in the scatter set
-    gather_per_fleet_ms: float = 0.05
-    #: per-tenant pending-queue quota on every fleet server
-    tenant_queue_quota: int = 4
     #: per-fleet server tunables; ``None`` builds a tenant-isolated
-    #: default (quota above + client-partitioned result retention)
+    #: default (:data:`TENANT_QUEUE_QUOTA` + client-partitioned result
+    #: retention)
     server_config: ServerConfig | None = None
 
     def __post_init__(self) -> None:
@@ -77,29 +74,19 @@ class FabricConfig:
             raise ConfigurationError("fleets need at least one node")
         if self.n_windows < 1:
             raise ConfigurationError("fleets need at least one window")
-        if self.n_templates < 1:
-            raise ConfigurationError("need at least one template")
-        if self.gather_base_ms < 0 or self.gather_per_fleet_ms < 0:
-            raise ConfigurationError("gather charges cannot be negative")
-        if self.tenant_queue_quota < 1:
-            raise ConfigurationError("tenant queue quota must be positive")
 
     def resolved_server_config(self) -> ServerConfig:
         """The per-fleet server config (tenant-isolated unless overridden)."""
         if self.server_config is not None:
             return self.server_config
         return ServerConfig(
-            per_client_queue_quota=self.tenant_queue_quota,
+            per_client_queue_quota=TENANT_QUEUE_QUOTA,
             partition_results_by_client=True,
         )
 
     def shard_map(self) -> ShardMap:
         """The initial tenant → fleet ring over fleets ``0..n_fleets-1``."""
-        return ShardMap(
-            fleet_ids=tuple(range(self.n_fleets)),
-            vnodes=self.vnodes,
-            seed=self.seed,
-        )
+        return ShardMap(fleet_ids=tuple(range(self.n_fleets)), seed=self.seed)
 
 
 @dataclass
@@ -129,7 +116,6 @@ def build_fleet_shard(
         electrodes=config.electrodes,
         n_windows=config.n_windows,
         seed=config.seed + fleet_id,
-        n_templates=config.n_templates,
         server_config=config.resolved_server_config(),
         telemetry=telemetry,
     )
@@ -439,10 +425,7 @@ class FleetFabric:
                 f"{shard.fleet_id}:{response.rows_crc:08x}:".encode(), crc
             )
 
-        gather = (
-            self.config.gather_base_ms
-            + self.config.gather_per_fleet_ms * len(targets)
-        )
+        gather = GATHER_BASE_MS + GATHER_PER_FLEET_MS * len(targets)
         result = PopulationResult(
             kind=spec.kind,
             start_ms=start,

@@ -29,55 +29,30 @@ from repro.fabric.loadgen import FabricLoadConfig, FabricReport, fabric_session
 from repro.serving.server import ServerConfig
 
 
-def _default_fabric_config() -> FabricConfig:
-    """A small two-fleet fabric with a deliberately tight admission plane."""
-    return FabricConfig(
-        n_fleets=2,
-        nodes_per_fleet=2,
-        electrodes=2,
-        n_windows=3,
-        server_config=ServerConfig(
-            bucket_capacity=4.0,
-            bucket_refill_per_s=4.0,
-            per_client_queue_quota=2,
-            partition_results_by_client=True,
-        ),
-    )
-
-
-def _default_load_config(seed: int) -> FabricLoadConfig:
-    return FabricLoadConfig(
-        n_tenants=6,
-        requests_per_tenant=16,
-        offered_qps=2.0,
-        seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class IsolationConfig:
-    """One noisy-neighbour experiment."""
-
-    seed: int = 0
-    #: the noisy tenant's rate multiplier (offers and rate both scale)
-    noise_multiplier: float = 10.0
-    #: allowed victim p99 degradation (0.10 = +10%)
-    p99_tolerance: float = 0.10
-    fabric: FabricConfig = field(default_factory=_default_fabric_config)
-    load: FabricLoadConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.noise_multiplier <= 1:
-            raise ConfigurationError("noise multiplier must exceed 1")
-        if self.p99_tolerance < 0:
-            raise ConfigurationError("tolerance cannot be negative")
-
-    def resolved_load(self) -> FabricLoadConfig:
-        return (
-            self.load
-            if self.load is not None
-            else _default_load_config(self.seed)
-        )
+#: A small two-fleet fabric with a deliberately tight admission plane.
+FABRIC_CONFIG = FabricConfig(
+    n_fleets=2,
+    nodes_per_fleet=2,
+    electrodes=2,
+    n_windows=3,
+    server_config=ServerConfig(
+        bucket_capacity=4.0,
+        bucket_refill_per_s=4.0,
+        per_client_queue_quota=2,
+        partition_results_by_client=True,
+    ),
+)
+#: The baseline load: six tenants at 1x, two of them sharing a fleet.
+LOAD_CONFIG = FabricLoadConfig(
+    n_tenants=6,
+    requests_per_tenant=16,
+    offered_qps=2.0,
+    seed=0,
+)
+#: the noisy tenant's rate multiplier (offers and rate both scale)
+NOISE_MULTIPLIER = 10.0
+#: allowed victim p99 degradation (0.10 = +10%)
+P99_TOLERANCE = 0.10
 
 
 @dataclass
@@ -156,31 +131,28 @@ def choose_pair(
     )
 
 
-def run_isolation_gate(
-    config: IsolationConfig | None = None,
-) -> IsolationResult:
+def run_isolation_gate() -> IsolationResult:
     """Run baseline, noisy, and repeat-noisy; fold into the gate verdict."""
-    config = config if config is not None else IsolationConfig()
-    load = config.resolved_load()
-    noisy_tenant, victim, fleet_id = choose_pair(config.fabric, load)
+    fabric, load = FABRIC_CONFIG, LOAD_CONFIG
+    noisy_tenant, victim, fleet_id = choose_pair(fabric, load)
 
     noisy_load = replace(
         load,
         rate_multipliers={
             **load.rate_multipliers,
-            noisy_tenant: config.noise_multiplier,
+            noisy_tenant: NOISE_MULTIPLIER,
         },
     )
-    _, baseline = fabric_session(config=config.fabric, load=load)
-    _, noisy = fabric_session(config=config.fabric, load=noisy_load)
-    _, repeat = fabric_session(config=config.fabric, load=noisy_load)
+    _, baseline = fabric_session(config=fabric, load=load)
+    _, noisy = fabric_session(config=fabric, load=noisy_load)
+    _, repeat = fabric_session(config=fabric, load=noisy_load)
 
     return IsolationResult(
         noisy_tenant=noisy_tenant,
         victim_tenant=victim,
         shared_fleet=fleet_id,
-        noise_multiplier=config.noise_multiplier,
-        p99_tolerance=config.p99_tolerance,
+        noise_multiplier=NOISE_MULTIPLIER,
+        p99_tolerance=P99_TOLERANCE,
         baseline_victim_p99_ms=baseline.tenants[victim].p99_latency_ms,
         noisy_victim_p99_ms=noisy.tenants[victim].p99_latency_ms,
         victim_evictions=noisy.tenants[victim].results_evicted,

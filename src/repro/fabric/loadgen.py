@@ -49,12 +49,6 @@ class FabricLoadConfig:
     #: per-tenant offered rate (each tenant's own open loop)
     offered_qps: float = 4.0
     seed: int = 0
-    deadline_ms: float = 250.0
-    kind_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
-    n_templates: int = 3
-    time_range_ms: float = 110.0
-    match_fraction: float = 0.05
-    min_coverage: float = 0.0
     #: tenant → rate multiplier (requests *and* rate scale together, so
     #: a 10× tenant floods 10× the offers over the same wall span)
     rate_multipliers: dict[str, float] = field(default_factory=dict)
@@ -84,12 +78,6 @@ class FabricLoadConfig:
             offered_qps=self.offered_qps * multiplier,
             seed=self.seed,
             n_clients=1,
-            deadline_ms=self.deadline_ms,
-            kind_weights=self.kind_weights,
-            n_templates=self.n_templates,
-            time_range_ms=self.time_range_ms,
-            match_fraction=self.match_fraction,
-            min_coverage=self.min_coverage,
         )
 
 
@@ -193,8 +181,6 @@ def fabric_session(
             key=lambda a: (a.at_ms, a.client),
         ),
         lambda tenant: fabric.shard_for(tenant).templates,
-        deadline_ms=load.deadline_ms,
-        min_coverage=load.min_coverage,
         health=health,
     )
 

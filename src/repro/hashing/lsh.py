@@ -27,6 +27,9 @@ from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 
 #: Measures the family supports.
 SUPPORTED_MEASURES = ("dtw", "euclidean", "xcor", "emd")
+#: The projection and min-hash seed every implant shares, so hashes
+#: computed on different implants compare.
+HASH_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -37,11 +40,9 @@ class LSHConfig:
         measure: which similarity measure this hash approximates.
         sketch_window: HCONV sliding sub-window length ``w`` (samples).
         ngram: shingle size ``n`` (bits), 1 to 16; ignored for EMD.
-        stride: HCONV hop between sliding positions.
         n_components: independent hash components (OR-construction width).
         bits: width of each component; the paper uses 8-bit hashes.
         normalise: z-score windows first (on for XCOR).
-        seed: shared seed — all implants must agree on it.
         min_matching: components that must collide to declare a match
             (1 = OR construction, biased to false positives).
     """
@@ -49,11 +50,9 @@ class LSHConfig:
     measure: str = "dtw"
     sketch_window: int = 16
     ngram: int = 8
-    stride: int = 1
     n_components: int = 12
     bits: int = 4
     normalise: bool = False
-    seed: int = 7
     min_matching: int = 7
 
     def __post_init__(self) -> None:
@@ -105,16 +104,14 @@ class LSHFamily:
     def __init__(self, config: LSHConfig):
         self.config = config
         if config.measure == "emd":
-            self._emd = EMDHash(
-                n_components=config.n_components, seed=config.seed
-            )
+            self._emd = EMDHash(n_components=config.n_components, seed=HASH_SEED)
             self._projection = None
         else:
             self._emd = None
             self._projection = random_projection_vector(
-                config.sketch_window, config.seed
+                config.sketch_window, HASH_SEED
             )
-        self._seeds = [config.seed * 1000 + i for i in range(config.n_components)]
+        self._seeds = [HASH_SEED * 1000 + i for i in range(config.n_components)]
 
     @classmethod
     def for_measure(cls, measure: str, **overrides) -> "LSHFamily":
@@ -164,10 +161,7 @@ class LSHFamily:
         if self._emd is not None:
             return self._emd.hash_windows(batch)
         bits = sign_sketch_batch(
-            batch,
-            self._projection,
-            stride=self.config.stride,
-            normalise=self.config.normalise,
+            batch, self._projection, normalise=self.config.normalise
         )
         if bits.shape[1] < self.config.ngram:
             # degenerate geometry: every row's n-gram profile is empty

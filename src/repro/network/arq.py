@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, RetryExhausted
+from repro.errors import RetryExhausted
 from repro.network.network import Receiver, WirelessNetwork
 from repro.network.packet import BROADCAST, Packet, PayloadKind
 from repro.telemetry import TelemetryLike
@@ -38,42 +38,24 @@ from repro.telemetry import TelemetryLike
 ACK_PAYLOAD_BYTES = 2
 
 
-@dataclass(frozen=True)
-class ARQConfig:
-    """The ARQ knobs.
+#: Retransmissions per packet; a send makes at most ``1 + MAX_RETRIES``
+#: attempts.
+MAX_RETRIES = 4
+#: TDMA slots waited before the first retry; the wait doubles per retry
+#: (1, 2, 4, ... slots), the classic congestion-friendly schedule.
+BACKOFF_SLOTS = 1
+#: Duplicate-suppression memory per receiver set: an entry is evicted
+#: once this many newer packets have been accepted since it was last
+#: seen, so long fault sweeps hold bounded memory.  The window only
+#: needs to exceed the deepest plausible retransmission reordering.
+DEDUP_WINDOW = 4096
 
-    ``max_retries`` bounds the retransmissions *per packet* (total
-    attempts = 1 + max_retries).  ``backoff_slots`` is the TDMA-slot wait
-    before the first retry; with ``exponential_backoff`` the wait doubles
-    per retry (1, 2, 4, ... slots), the classic congestion-friendly
-    schedule.
-    """
 
-    max_retries: int = 4
-    backoff_slots: int = 1
-    exponential_backoff: bool = True
-    #: duplicate-suppression memory per receiver set: an entry is evicted
-    #: once this many newer packets have been accepted since it was last
-    #: seen (``None`` = unbounded, the pre-bound behaviour).  Long fault
-    #: sweeps no longer grow memory without limit; the window only needs
-    #: to exceed the deepest plausible retransmission reordering.
-    dedup_window: int | None = 4096
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff_slots < 0:
-            raise ConfigurationError("backoff_slots must be >= 0")
-        if self.dedup_window is not None and self.dedup_window < 1:
-            raise ConfigurationError("dedup_window must be >= 1 or None")
-
-    def backoff_slots_for(self, retry: int) -> int:
-        """Slots waited before retry number ``retry`` (1-based)."""
-        if retry < 1:
-            return 0
-        if self.exponential_backoff:
-            return self.backoff_slots * (1 << (retry - 1))
-        return self.backoff_slots
+def backoff_slots(retry: int) -> int:
+    """Slots waited before retry number ``retry`` (1-based)."""
+    if retry < 1:
+        return 0
+    return BACKOFF_SLOTS * (1 << (retry - 1))
 
 
 @dataclass
@@ -115,15 +97,14 @@ class ReliableLink:
     """Stop-and-wait ARQ endpoint manager over one wireless network."""
 
     network: WirelessNetwork
-    config: ARQConfig = field(default_factory=ARQConfig)
     stats: ARQStats = field(default_factory=ARQStats)
 
     def __post_init__(self) -> None:
         # (src, dst, kind, seq) already handed to the application; kind is
         # part of the key because sequence spaces are per payload stream
         # (a HASHES seq=0 must not suppress a later QUERY seq=0).  Values
-        # are accept ticks: the OrderedDict is an LRU bounded by the
-        # config's dedup_window, so long sweeps hold O(window) memory.
+        # are accept ticks: the OrderedDict is an LRU bounded by
+        # DEDUP_WINDOW, so long sweeps hold O(window) memory.
         self._seen: OrderedDict[tuple[int, int, PayloadKind, int], int] = (
             OrderedDict()
         )
@@ -153,15 +134,13 @@ class ReliableLink:
                 return
             self._accept_tick += 1
             self._seen[key] = self._accept_tick
-            window = self.config.dedup_window
-            if window is not None:
-                while (
-                    self._seen
-                    and self._accept_tick - next(iter(self._seen.values()))
-                    >= window
-                ):
-                    self._seen.popitem(last=False)
-                    self.stats.dedup_evictions += 1
+            while (
+                self._seen
+                and self._accept_tick - next(iter(self._seen.values()))
+                >= DEDUP_WINDOW
+            ):
+                self._seen.popitem(last=False)
+                self.stats.dedup_evictions += 1
             receiver(packet)
 
         self.network.register(node_id, deduped)
@@ -239,14 +218,12 @@ class ReliableLink:
         attempts_used = 0
         acks: dict[int, Packet] = {}
 
-        for attempt in range(1, self.config.max_retries + 2):
+        for attempt in range(1, MAX_RETRIES + 2):
             attempts_used = attempt
             if attempt > 1:
                 needed_retry = True
                 self.stats.retransmissions += 1
-                backoff_ms = (
-                    self.config.backoff_slots_for(attempt - 1) * slot_ms
-                )
+                backoff_ms = backoff_slots(attempt - 1) * slot_ms
                 self.stats.backoff_ms += backoff_ms
                 if tel.enabled:
                     tel.inc("arq.retries")
@@ -286,7 +263,7 @@ class ReliableLink:
         result = ARQResult(packet.header.seq, delivered, sorted(pending))
         if pending and raise_on_failure:
             raise RetryExhausted(
-                packet.header.seq, self.config.max_retries + 1, sorted(pending)
+                packet.header.seq, MAX_RETRIES + 1, sorted(pending)
             )
         return result
 

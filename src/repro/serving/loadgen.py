@@ -42,7 +42,17 @@ from repro.errors import ConfigurationError, QueryRejected
 from repro.serving.reliability import RetryPolicy
 from repro.serving.server import QueryResponse, QueryServer, ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
-from repro.units import WINDOW_SAMPLES
+from repro.units import ROUND_MS, WINDOW_SAMPLES
+
+#: q1/q2/q3 mix of every load (normalised at draw time)
+KIND_WEIGHTS = (0.25, 0.5, 0.25)
+#: Q2 probes are drawn from a per-fleet pool this large, so repeats
+#: coalesce
+N_TEMPLATES = 3
+#: time span each query covers (the Fig. 10 cost-model input, ms)
+TIME_RANGE_MS = 110.0
+#: fraction of data matching Q1/Q2 predicates (Q3 ships everything)
+MATCH_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -55,14 +65,6 @@ class LoadGenConfig:
     n_clients: int = 4
     #: relative deadline stamped on every request (ms after arrival)
     deadline_ms: float = 250.0
-    #: q1/q2/q3 mix (normalised at draw time)
-    kind_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
-    #: Q2 probes are drawn from a pool this large, so repeats coalesce
-    n_templates: int = 3
-    #: time span each query covers (the Fig. 10 cost-model input)
-    time_range_ms: float = 110.0
-    #: fraction of data matching Q1/Q2 predicates (Q3 ships everything)
-    match_fraction: float = 0.05
     #: coverage SLA stamped on every request (0 = answers always satisfy)
     min_coverage: float = 0.0
 
@@ -77,24 +79,6 @@ class LoadGenConfig:
             raise ConfigurationError("need at least one client")
         if not 0 < self.deadline_ms < np.inf:
             raise ConfigurationError("deadline must be positive and finite")
-        weights = self.kind_weights
-        if (
-            len(weights) != 3
-            or not all(0 <= w < np.inf for w in weights)
-            or sum(weights) <= 0
-        ):
-            raise ConfigurationError(
-                "kind weights need three finite non-negative entries "
-                "with a positive sum"
-            )
-        if self.n_templates < 1:
-            raise ConfigurationError("need at least one template")
-        if not 0 < self.time_range_ms < np.inf:
-            raise ConfigurationError(
-                "time range must be positive and finite"
-            )
-        if not 0 <= self.match_fraction <= 1:
-            raise ConfigurationError("match fraction must be in [0, 1]")
         if not 0 <= self.min_coverage <= 1:
             raise ConfigurationError("coverage SLA must be in [0, 1]")
 
@@ -123,7 +107,7 @@ def generate_arrivals(
     kinds and templates (the fabric's one-tenant-per-stream timelines).
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    weights = np.asarray(config.kind_weights, dtype=float)
+    weights = np.asarray(KIND_WEIGHTS, dtype=float)
     weights = weights / weights.sum()
     arrivals: list[Arrival] = []
     t = 0.0
@@ -136,12 +120,12 @@ def generate_arrivals(
         )
         kind = ("q1", "q2", "q3")[int(rng.choice(3, p=weights))]
         template_index = (
-            int(rng.integers(config.n_templates)) if kind == "q2" else None
+            int(rng.integers(N_TEMPLATES)) if kind == "q2" else None
         )
         spec = QuerySpec(
             kind=kind,
-            time_range_ms=config.time_range_ms,
-            match_fraction=1.0 if kind == "q3" else config.match_fraction,
+            time_range_ms=TIME_RANGE_MS,
+            match_fraction=1.0 if kind == "q3" else MATCH_FRACTION,
         )
         arrivals.append(Arrival(t, who, spec, template_index))
     return arrivals
@@ -291,12 +275,12 @@ def build_fleet(
     electrodes: int,
     n_windows: int,
     seed: int,
-    n_templates: int,
     server_config: ServerConfig | None = None,
     telemetry: TelemetryLike = NULL_TELEMETRY,
 ) -> Fleet:
     """Build a seeded system, ingest ``n_windows`` windows into it, pick
-    the Q2 template pool, and wire a query engine and server over it.
+    the :data:`N_TEMPLATES` Q2 template pool, and wire a query engine
+    and server over it.
 
     Signals come from ``default_rng(seed)``, so two fleets built with
     the same arguments hold the same data, templates, and engine state.
@@ -317,9 +301,9 @@ def build_fleet(
             * 300
         ).round()
         system.ingest(windows)
-        if len(templates) < n_templates:
+        if len(templates) < N_TEMPLATES:
             templates.append(windows[0, 0].astype(float))
-    while len(templates) < n_templates:
+    while len(templates) < N_TEMPLATES:
         templates.append(templates[-1])
     engine = QueryEngine(
         controllers=[node.storage for node in system.nodes],
@@ -444,7 +428,6 @@ def serve_session(
     server_config: ServerConfig | None = None,
     telemetry: TelemetryLike = NULL_TELEMETRY,
     fault_plan=None,
-    round_ms: float = 50.0,
     client_retry: RetryPolicy | None = None,
     health=None,
 ) -> tuple[QueryServer, ServeReport]:
@@ -460,13 +443,13 @@ def serve_session(
 
     With a ``fault_plan``, a :class:`~repro.faults.injector.FaultInjector`
     replays it against the system while the load runs — one TDMA round
-    per ``round_ms`` of simulated serving time — and the health
-    monitor's belief (unioned with ground-truth dead nodes) steers the
-    server's degraded answers.  After the last offer the remaining plan
-    rounds play out before the final drain, so reboots scheduled past
-    the load's end still trigger coverage-SLA re-execution.  Same seed +
-    same plan ⇒ byte-identical response log, with or without telemetry
-    attached.
+    per :data:`~repro.units.ROUND_MS` of simulated serving time — and
+    the health monitor's belief (unioned with ground-truth dead nodes)
+    steers the server's degraded answers.  After the last offer the
+    remaining plan rounds play out before the final drain, so reboots
+    scheduled past the load's end still trigger coverage-SLA
+    re-execution.  Same seed + same plan ⇒ byte-identical response log,
+    with or without telemetry attached.
 
     A plan that schedules partitions additionally activates the quorum
     stack: per-node liveness views, an epoch-fenced
@@ -481,7 +464,6 @@ def serve_session(
         electrodes=electrodes,
         n_windows=n_windows,
         seed=seed,
-        n_templates=load.n_templates,
         server_config=server_config,
         telemetry=telemetry,
     )
@@ -529,7 +511,7 @@ def serve_session(
                 )
 
         def on_advance(t_ms: float) -> None:
-            target_round = int(t_ms // round_ms)
+            target_round = int(t_ms // ROUND_MS)
             while (
                 injector.round_index <= target_round
                 and injector.round_index < fault_plan.n_rounds

@@ -240,40 +240,22 @@ TIER_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class BrownoutConfig:
-    """Thresholds driving the graded-degradation controller.
-
-    ``queue_tiers`` are queue-depth fractions (of ``max_queue``) and
-    ``miss_tiers`` deadline-miss rates (over the last ``window``
-    completions) at which tiers 1..3 engage; the effective tier is the
-    max of the two signals.
-    """
-
-    queue_tiers: tuple[float, float, float] = (0.5, 0.75, 0.95)
-    miss_tiers: tuple[float, float, float] = (0.25, 0.5, 0.8)
-    #: completions the deadline-miss rate is computed over
-    window: int = 16
-    #: retry hint handed to clients shed at tier 3 (simulated ms)
-    retry_after_ms: float = 100.0
-
-    def __post_init__(self) -> None:
-        for tiers in (self.queue_tiers, self.miss_tiers):
-            if len(tiers) != 3 or list(tiers) != sorted(tiers):
-                raise ConfigurationError(
-                    "tier thresholds must be three ascending values"
-                )
-        if self.window < 1:
-            raise ConfigurationError("miss window must be positive")
-        if self.retry_after_ms < 0:
-            raise ConfigurationError("retry hint cannot be negative")
+#: Brownout thresholds: queue-depth fractions (of ``max_queue``) and
+#: deadline-miss rates (over the last :data:`BROWNOUT_WINDOW`
+#: completions) at which tiers 1..3 engage; the effective tier is the
+#: max of the two signals.
+BROWNOUT_QUEUE_TIERS = (0.5, 0.75, 0.95)
+BROWNOUT_MISS_TIERS = (0.25, 0.5, 0.8)
+#: completions the deadline-miss rate is computed over
+BROWNOUT_WINDOW = 16
+#: retry hint handed to clients shed at tier 3 (simulated ms)
+BROWNOUT_RETRY_AFTER_MS = 100.0
 
 
 @dataclass
 class BrownoutController:
     """Maps (queue pressure, recent deadline misses) to a service tier."""
 
-    config: BrownoutConfig = field(default_factory=BrownoutConfig)
     _recent_misses: list[bool] = field(default_factory=list)
     #: tier transition log, ``(t_ms, old_tier, new_tier)`` — appended by
     #: the server at wave dispatch, consumed by health/export tooling
@@ -281,8 +263,8 @@ class BrownoutController:
 
     def record_completion(self, missed: bool) -> None:
         self._recent_misses.append(missed)
-        if len(self._recent_misses) > self.config.window:
-            del self._recent_misses[: -self.config.window]
+        if len(self._recent_misses) > BROWNOUT_WINDOW:
+            del self._recent_misses[:-BROWNOUT_WINDOW]
 
     @property
     def miss_rate(self) -> float:
@@ -302,6 +284,6 @@ class BrownoutController:
         """The current service tier (0 = healthy .. 3 = reject)."""
         queue_frac = queue_depth / max_queue if max_queue else 0.0
         return max(
-            self._tier_from(queue_frac, self.config.queue_tiers),
-            self._tier_from(self.miss_rate, self.config.miss_tiers),
+            self._tier_from(queue_frac, BROWNOUT_QUEUE_TIERS),
+            self._tier_from(self.miss_rate, BROWNOUT_MISS_TIERS),
         )

@@ -31,7 +31,7 @@ Chaos hardening (see :mod:`repro.serving.reliability` and DESIGN.md
 
 * **failed-contribution timeouts** — a node the wave attempts (or has
   not yet latched out) that cannot contribute charges
-  ``failed_node_timeout_ms`` of extra service time, making fault cost
+  ``FAILED_NODE_TIMEOUT_MS`` of extra service time, making fault cost
   explicit;
 * **per-node circuit breakers** — ``failure_threshold`` consecutive
   failed contributions latch a node open; latched nodes are skipped
@@ -76,13 +76,29 @@ from repro.serving.reliability import (
     TIER_NAMES,
     TIER_REDUCED,
     TIER_REJECT,
+    BROWNOUT_RETRY_AFTER_MS,
     BreakerBoard,
     BreakerConfig,
-    BrownoutConfig,
     BrownoutController,
     RetryPolicy,
 )
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
+
+#: response-assembly charge per coalesced member beyond the first (ms)
+COALESCE_MERGE_MS = 2.0
+#: extra service time per failed, un-latched node contribution: the wave
+#: waits this long before declaring the node absent (ms)
+FAILED_NODE_TIMEOUT_MS = 25.0
+#: flat service time for a signature-cache-only (tier 2) wave (ms)
+CACHE_ONLY_SERVICE_MS = 10.0
+#: fraction of the window range a tier-1 (reduced) wave still scans
+REDUCED_RANGE_FRACTION = 0.5
+#: completed :class:`~repro.apps.queries.DistributedQueryResult`\ s
+#: retained for :meth:`QueryServer.result_for` (LRU eviction), per
+#: client when results are partitioned by client
+RESULT_RETENTION = 512
+#: response/shed log lines retained (oldest dropped first)
+LOG_RETENTION = 4096
 
 
 @dataclass(frozen=True)
@@ -98,20 +114,6 @@ class ServerConfig:
     bucket_refill_per_s: float = 100.0
     #: deadline assigned when a request does not carry one (relative ms)
     default_deadline_ms: float = 250.0
-    #: response-assembly charge per coalesced member beyond the first
-    coalesce_merge_ms: float = 2.0
-    #: extra service time per failed, un-latched node contribution (the
-    #: wave waits this long before declaring the node absent)
-    failed_node_timeout_ms: float = 25.0
-    #: flat service time for a signature-cache-only (tier 2) wave
-    cache_only_service_ms: float = 10.0
-    #: fraction of the window range a tier-1 (reduced) wave still scans
-    reduced_range_fraction: float = 0.5
-    #: completed :class:`~repro.apps.queries.DistributedQueryResult`\ s
-    #: retained for :meth:`QueryServer.result_for` (LRU eviction)
-    result_retention: int = 512
-    #: response/shed log lines retained (oldest dropped first)
-    log_retention: int = 4096
     #: coverage SLA stamped on requests that do not carry one
     default_min_coverage: float = 0.0
     #: pending requests any one client may hold in the queue (None = no
@@ -119,13 +121,13 @@ class ServerConfig:
     #: fills at most this share of the shared admission queue
     per_client_queue_quota: int | None = None
     #: partition the result-retention LRU by client: each client gets
-    #: its own ``result_retention``-bounded LRU, so one tenant's churn
+    #: its own ``RESULT_RETENTION``-bounded LRU, so one tenant's churn
     #: can never evict another tenant's retained answers
     partition_results_by_client: bool = False
-    #: per-node circuit breakers (None disables latching entirely)
-    breaker: BreakerConfig | None = field(default_factory=BreakerConfig)
-    #: graded-degradation controller (None = always serve tier 0)
-    brownout: BrownoutConfig | None = None
+    #: per-node circuit breakers
+    breaker: BreakerConfig = field(default_factory=BreakerConfig)
+    #: graded-degradation tiers (off = always serve tier 0)
+    brownout: bool = False
     #: server-side coverage-SLA re-execution policy (None = no retries)
     retry: RetryPolicy | None = None
 
@@ -142,21 +144,6 @@ class ServerConfig:
             raise ConfigurationError(
                 "bucket refill rate must be positive and finite"
             )
-        # ``not x >= 0`` also rejects NaN
-        if not self.coalesce_merge_ms >= 0:
-            raise ConfigurationError("merge charge cannot be negative")
-        if not self.failed_node_timeout_ms >= 0:
-            raise ConfigurationError("timeout charge cannot be negative")
-        if not self.cache_only_service_ms >= 0:
-            raise ConfigurationError("cache-only service cannot be negative")
-        if not 0 < self.reduced_range_fraction <= 1:
-            raise ConfigurationError(
-                "reduced-range fraction must be in (0, 1]"
-            )
-        if self.result_retention < 1:
-            raise ConfigurationError("result retention must be positive")
-        if self.log_retention < 1:
-            raise ConfigurationError("log retention must be positive")
         if not 0 <= self.default_min_coverage <= 1:
             raise ConfigurationError("coverage SLA must be in [0, 1]")
         if (
@@ -298,16 +285,8 @@ class QueryServer:
             bucket_refill_per_s=self.config.bucket_refill_per_s,
             max_pending_per_client=self.config.per_client_queue_quota,
         )
-        self.breakers = (
-            BreakerBoard(self.config.breaker)
-            if self.config.breaker is not None
-            else None
-        )
-        self.brownout = (
-            BrownoutController(self.config.brownout)
-            if self.config.brownout is not None
-            else None
-        )
+        self.breakers = BreakerBoard(self.config.breaker)
+        self.brownout = BrownoutController() if self.config.brownout else None
         self._pending: list[QueryRequest] = []
         self._parked: list[QueryRequest] = []
         self._results: dict[int, DistributedQueryResult] = {}
@@ -316,7 +295,7 @@ class QueryServer:
         self._results_by_client: dict[str, dict[int, DistributedQueryResult]] = {}
         self._client_of: dict[int, str] = {}
         self._evicted: set[int] = set()
-        self._log: deque[str] = deque(maxlen=self.config.log_retention)
+        self._log: deque[str] = deque(maxlen=LOG_RETENTION)
         self._dead: set[int] = set()
         self._next_id = 0
         self._wave_id = 0
@@ -342,12 +321,11 @@ class QueryServer:
         if tel.enabled:
             tel.set_gauge("serving.dead_nodes", len(self._dead))
         if recovered:
-            if self.breakers is not None:
-                # Recovery evidence outranks the hold-off timer: the
-                # next wave probes the node instead of waiting out an
-                # open breaker that latched while it was down.
-                self.breakers.force_probe(recovered, self.now_ms)
-                self._drain_breaker_events("recovery")
+            # Recovery evidence outranks the hold-off timer: the next
+            # wave probes the node instead of waiting out an open
+            # breaker that latched while it was down.
+            self.breakers.force_probe(recovered, self.now_ms)
+            self._drain_breaker_events("recovery")
             self._reschedule_parked()
 
     def set_quorum(self, has_quorum: bool) -> None:
@@ -470,7 +448,7 @@ class QueryServer:
             self.stats.brownout_rejections += 1
             raise self._shed(
                 client, spec, at, "brownout",
-                self.brownout.config.retry_after_ms,
+                BROWNOUT_RETRY_AFTER_MS,
             )
         rel = self.config.default_deadline_ms if deadline_ms is None else deadline_ms
         if rel <= 0:
@@ -532,12 +510,11 @@ class QueryServer:
         """Tier-1 degradation: keep the most recent fraction of the range."""
         start, stop = window_range
         span = max(1, stop - start)
-        keep = max(1, int(np.ceil(span * self.config.reduced_range_fraction)))
+        keep = max(1, int(np.ceil(span * REDUCED_RANGE_FRACTION)))
         return (stop - keep, stop), keep / span
 
     def _drain_breaker_events(self, tier_label: str) -> None:
         """Book breaker transitions into stats and telemetry."""
-        assert self.breakers is not None
         tel = self.telemetry
         for node, when, src, dst in self.breakers.pop_events():
             if dst == "open":
@@ -609,7 +586,7 @@ class QueryServer:
         # charge; half-open probes rejoin the attempt set here.
         all_nodes = list(range(len(self.engine.controllers)))
         latched: set[int] = set()
-        if self.breakers is not None and not cache_only:
+        if not cache_only:
             _, latched = self.breakers.partition(all_nodes, start)
         exclude = self._dead | latched
 
@@ -629,15 +606,13 @@ class QueryServer:
             failed = set(result.failed_nodes)
             if cache_only:
                 timeout_nodes: list[int] = []
-                service = self.config.cache_only_service_ms
+                service = CACHE_ONLY_SERVICE_MS
             else:
                 timeout_nodes = sorted(failed - latched)
                 service = self.cost_model.cost(service_spec).latency_ms
-                service += self.config.failed_node_timeout_ms * len(
-                    timeout_nodes
-                )
-            service += self.config.coalesce_merge_ms * (size - 1)
-            if self.breakers is not None and not cache_only:
+                service += FAILED_NODE_TIMEOUT_MS * len(timeout_nodes)
+            service += COALESCE_MERGE_MS * (size - 1)
+            if not cache_only:
                 for node in timeout_nodes:
                     self.breakers.breaker(node).record_failure(start)
                 for node in result.queried_nodes:
@@ -744,7 +719,7 @@ class QueryServer:
         """Retain one result, evicting least-recently-used past the bound.
 
         With ``partition_results_by_client`` each client owns its own
-        LRU of ``result_retention`` entries, so eviction pressure never
+        LRU of ``RESULT_RETENTION`` entries, so eviction pressure never
         crosses a tenant boundary — one tenant churning through answers
         evicts only its own.
         """
@@ -756,7 +731,7 @@ class QueryServer:
         store.pop(request_id, None)
         store[request_id] = result
         self._evicted.discard(request_id)
-        while len(store) > self.config.result_retention:
+        while len(store) > RESULT_RETENTION:
             evicted_id = next(iter(store))
             del store[evicted_id]
             self._evicted.add(evicted_id)
@@ -773,7 +748,7 @@ class QueryServer:
 
         Raises:
             KeyError: the id was never completed, or its result aged out
-                of the ``result_retention`` LRU bound.
+                of the ``RESULT_RETENTION`` LRU bound.
         """
         if self.config.partition_results_by_client:
             client = self._client_of.get(request_id)
@@ -789,8 +764,7 @@ class QueryServer:
             if request_id in self._evicted:
                 raise KeyError(
                     f"result for request {request_id} was evicted "
-                    f"(result_retention={self.config.result_retention}; "
-                    "raise ServerConfig.result_retention to keep more)"
+                    f"(result_retention={RESULT_RETENTION})"
                 )
             raise KeyError(f"no completed request with id {request_id}")
         # LRU refresh: re-insert at the most-recently-used position.
@@ -804,6 +778,6 @@ class QueryServer:
         Byte-identical across runs for the same submissions and fault
         timeline — the serving determinism contract (telemetry on or
         off, it never changes a byte here).  Bounded to the newest
-        ``log_retention`` lines.
+        ``LOG_RETENTION`` lines.
         """
         return "\n".join(self._log)

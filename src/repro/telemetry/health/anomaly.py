@@ -4,7 +4,7 @@ Burn-rate alerts police *declared* objectives; the anomaly detector
 watches everything else.  For each counter it sees (``serving.*``,
 ``recovery.*``, ``arq.*`` by default), it tracks an exponentially
 weighted moving average and variance of the per-TDMA-round delta and
-flags rounds whose delta sits more than ``z_threshold`` deviations from
+flags rounds whose delta sits more than :data:`Z_THRESHOLD` deviations from
 the running mean — a retry storm, a breaker flapping, an ARQ
 retransmission spike — without anyone having written a threshold for
 that counter.
@@ -22,34 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class AnomalyConfig:
-    """Tunables for the per-counter EWMA excursion detector."""
-
-    #: EWMA smoothing factor (weight of the newest delta)
-    alpha: float = 0.25
-    #: flag when |delta - mean| > z_threshold * std
-    z_threshold: float = 4.0
-    #: rounds a counter must be seen before it may flag
-    warmup_rounds: int = 8
-    #: absolute floor on the deviation that may flag (suppresses noise
-    #: on near-constant counters)
-    min_deviation: float = 3.0
-    #: counter-name prefixes to watch
-    prefixes: tuple[str, ...] = ("serving.", "recovery.", "arq.")
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha <= 1:
-            raise ConfigurationError("EWMA alpha must be in (0, 1]")
-        if self.z_threshold <= 0:
-            raise ConfigurationError("z threshold must be positive")
-        if self.warmup_rounds < 1:
-            raise ConfigurationError("warm-up must be at least one round")
-        if self.min_deviation < 0:
-            raise ConfigurationError("deviation floor cannot be negative")
+#: EWMA smoothing factor (weight of the newest delta)
+ALPHA = 0.25
+#: flag when |delta - mean| > Z_THRESHOLD * std
+Z_THRESHOLD = 4.0
+#: rounds a counter must be seen before it may flag
+WARMUP_ROUNDS = 8
+#: absolute floor on the deviation that may flag (suppresses noise on
+#: near-constant counters)
+MIN_DEVIATION = 3.0
+#: counter-name prefixes to watch
+PREFIXES = ("serving.", "recovery.", "arq.")
 
 
 @dataclass(frozen=True)
@@ -85,12 +70,11 @@ class _SeriesState:
 class AnomalyDetector:
     """Flags counters whose per-round delta leaves its EWMA band."""
 
-    config: AnomalyConfig = field(default_factory=AnomalyConfig)
     _series: dict[str, _SeriesState] = field(default_factory=dict)
     anomalies: list[Anomaly] = field(default_factory=list)
 
     def watches(self, metric: str) -> bool:
-        return metric.startswith(self.config.prefixes)
+        return metric.startswith(PREFIXES)
 
     def observe(
         self, metric: str, round_index: int, t_ms: float, delta: float
@@ -102,15 +86,14 @@ class AnomalyDetector:
         once the EWMA catches up, which is the desired re-arm
         behaviour).
         """
-        cfg = self.config
         state = self._series.get(metric)
         if state is None:
             state = self._series[metric] = _SeriesState()
         flagged: Anomaly | None = None
-        if state.rounds >= cfg.warmup_rounds:
+        if state.rounds >= WARMUP_ROUNDS:
             std = math.sqrt(state.var)
             deviation = abs(delta - state.mean)
-            band = max(cfg.z_threshold * std, cfg.min_deviation)
+            band = max(Z_THRESHOLD * std, MIN_DEVIATION)
             if deviation > band:
                 z = deviation / std if std > 0 else float("inf")
                 flagged = Anomaly(
@@ -123,7 +106,7 @@ class AnomalyDetector:
                 )
                 self.anomalies.append(flagged)
         err = delta - state.mean
-        state.mean += cfg.alpha * err
-        state.var = (1 - cfg.alpha) * (state.var + cfg.alpha * err * err)
+        state.mean += ALPHA * err
+        state.var = (1 - ALPHA) * (state.var + ALPHA * err * err)
         state.rounds += 1
         return flagged

@@ -18,13 +18,11 @@ there is nothing to observe and every method is a no-op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.errors import ConfigurationError
-from repro.telemetry.health.anomaly import AnomalyConfig, AnomalyDetector
+from repro.telemetry.health.anomaly import AnomalyDetector
 from repro.telemetry.health.recorder import FlightRecorder
 from repro.telemetry.health.sketch import QuantileSketch
 from repro.telemetry.health.slo import SLO, Alert, SLOEngine
+from repro.units import ROUND_MS
 
 #: The default serving SLO portfolio, calibrated against the seeded
 #: chaos storms (see DESIGN.md "Health & SLO model" for the numbers).
@@ -93,25 +91,8 @@ DEFAULT_SERVING_SLOS: tuple[SLO, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Tunables for one :class:`HealthEngine`."""
-
-    #: simulated ms per TDMA round (the sampling cadence)
-    round_ms: float = 50.0
-    anomaly: AnomalyConfig = field(default_factory=AnomalyConfig)
-    #: flight-recorder ring capacity
-    recorder_capacity: int = 256
-    #: incident bundles retained
-    max_incidents: int = 16
-    #: newest spans included in an incident bundle
-    incident_span_tail: int = 40
-
-    def __post_init__(self) -> None:
-        if self.round_ms <= 0:
-            raise ConfigurationError("round duration must be positive")
-        if self.incident_span_tail < 1:
-            raise ConfigurationError("span tail must be positive")
+#: newest spans included in an incident bundle
+INCIDENT_SPAN_TAIL = 40
 
 
 class HealthEngine:
@@ -121,17 +102,12 @@ class HealthEngine:
         self,
         telemetry,
         slos: tuple[SLO, ...] = DEFAULT_SERVING_SLOS,
-        config: HealthConfig | None = None,
     ) -> None:
         self.telemetry = telemetry
         self.enabled = bool(getattr(telemetry, "enabled", False))
-        self.config = config if config is not None else HealthConfig()
         self.slo_engine = SLOEngine(tuple(slos))
-        self.anomaly = AnomalyDetector(self.config.anomaly)
-        self.recorder = FlightRecorder(
-            capacity=self.config.recorder_capacity,
-            max_incidents=self.config.max_incidents,
-        )
+        self.anomaly = AnomalyDetector()
+        self.recorder = FlightRecorder()
         self.alerts: list[Alert] = []
         self._last_round = -1
         self._last_totals: dict[str, float] = {}
@@ -166,12 +142,12 @@ class HealthEngine:
         if not self.enabled:
             return []
         fired: list[Alert] = []
-        completed = int(t_ms // self.config.round_ms)
+        completed = int(t_ms // ROUND_MS)
         while self._last_round + 1 < completed:
             round_index = self._last_round + 1
             fired.extend(
                 self._sample_round(
-                    round_index, (round_index + 1) * self.config.round_ms
+                    round_index, (round_index + 1) * ROUND_MS
                 )
             )
         return fired
@@ -307,9 +283,7 @@ class HealthEngine:
                 }
         spans = [
             s.as_dict()
-            for s in self.telemetry.tracer.spans[
-                -self.config.incident_span_tail:
-            ]
+            for s in self.telemetry.tracer.spans[-INCIDENT_SPAN_TAIL:]
         ]
         self.recorder.snapshot_incident(
             alert.as_dict(),
@@ -335,7 +309,7 @@ class HealthEngine:
         """The JSON health verdict: SLOs, alerts, anomalies, incidents."""
         return {
             "enabled": self.enabled,
-            "round_ms": self.config.round_ms,
+            "round_ms": ROUND_MS,
             "rounds_observed": self._last_round + 1,
             "healthy": self.healthy,
             "slos": [s.as_dict() for s in self.slo_engine.statuses()],

@@ -21,25 +21,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+#: ring capacity (oldest entries drop first)
+CAPACITY = 256
+#: incident bundles retained (oldest drop first)
+MAX_INCIDENTS = 16
 
 
 @dataclass
 class FlightRecorder:
     """Bounded ring buffer of health evidence + incident bundles."""
 
-    #: ring capacity (oldest entries drop first)
-    capacity: int = 256
-    #: incident bundles retained (oldest drop first)
-    max_incidents: int = 16
     bundles: list[dict] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ConfigurationError("recorder capacity must be positive")
-        if self.max_incidents < 1:
-            raise ConfigurationError("must retain at least one incident")
-        self._ring: deque[dict] = deque(maxlen=self.capacity)
+        self._ring: deque[dict] = deque(maxlen=CAPACITY)
         self._seq = 0
 
     def __len__(self) -> int:
@@ -78,6 +73,6 @@ class FlightRecorder:
             "quantiles": dict(quantiles) if quantiles is not None else {},
         }
         self.bundles.append(bundle)
-        if len(self.bundles) > self.max_incidents:
-            del self.bundles[: -self.max_incidents]
+        if len(self.bundles) > MAX_INCIDENTS:
+            del self.bundles[:-MAX_INCIDENTS]
         return bundle

@@ -25,7 +25,6 @@ def _traced_system(
     telemetry: Telemetry, n_nodes: int, electrodes: int, seed: int
 ):
     from repro.core.system import ScaloSystem
-    from repro.network.arq import ARQConfig
     from repro.network.radio import LOW_POWER
     from repro.network.tdma import TDMAConfig
 
@@ -35,7 +34,7 @@ def _traced_system(
         electrodes_per_node=electrodes,
         tdma=TDMAConfig(radio=radio),
         seed=seed,
-        arq=ARQConfig(),
+        arq=True,
         telemetry=telemetry,
     )
 
@@ -356,7 +355,7 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "fig9a": Scenario(
         "fig9a",
-        "the Fig. 9a scheduler sweep with wall-clock solve profiling",
+        "the Fig. 9a scheduler sweep with per-solve spans and gauges",
         lambda tel, seed: fig9a_scenario(tel, seed=seed),
     ),
     "recover": Scenario(

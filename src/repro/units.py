@@ -49,6 +49,10 @@ HASH_BITS_PER_WINDOW = 8
 #: Bytes of one raw signal window (120 samples x 16 bit).
 WINDOW_BYTES = WINDOW_SAMPLES * ADC_BITS_PER_SAMPLE // 8  # 240
 
+#: Simulated ms per TDMA round of a fault plan: the cadence at which the
+#: fault injector steps a plan and the health engine samples the registry.
+ROUND_MS = 50.0
+
 # --- throughput metric -------------------------------------------------------
 
 

@@ -8,6 +8,12 @@ for bit.  The sampler walks one window's n-gram profile as a
 ``{value: count}`` dict in ascending value order, draws one
 ``_uniform01`` per n-gram per seed, and keeps the first strictly greatest
 ``u ** (1 / count)`` score.  Slow by design; used only by the tests.
+
+Each score is a one-element ``np.power`` in the operand layout of the
+kernel's :func:`~repro.hashing.minhash._power`, not Python's float
+``**``: libm ``pow`` and numpy's ``power`` differ in the last bit for a
+few percent of ``(u, 1 / w)`` pairs, and two scores one ulp apart would
+let the oracle and the kernel pick different arg-maxes.
 """
 
 from __future__ import annotations
@@ -100,6 +106,13 @@ def profile_similarity(counts_a: dict[int, int], counts_b: dict[int, int]) -> fl
     return min_sum / max_sum
 
 
+def weighted_score(u: float, weight: int) -> float:
+    """``u ** (1 / weight)`` as :func:`~repro.hashing.minhash._power`
+    computes it: a ``(1, 1)`` base against a ``(1, 1)`` exponent column."""
+    exponent = 1.0 / np.array([weight], dtype=np.float64)
+    return float(np.power(np.array([[u]]), exponent[:, None])[0, 0])
+
+
 def weighted_minhash_sample(counts: dict[int, int], seed: int) -> int:
     """Select one n-gram from a weighted profile, min-wise consistently.
 
@@ -116,7 +129,7 @@ def weighted_minhash_sample(counts: dict[int, int], seed: int) -> int:
     for key, weight in counts.items():
         if weight <= 0:
             continue
-        score = _uniform01(key, seed) ** (1.0 / weight)
+        score = weighted_score(_uniform01(key, seed), weight)
         if score > best_score:
             best_score = score
             best_key = key
@@ -147,7 +160,7 @@ def oracle_hash_window(family: LSHFamily, window: np.ndarray) -> tuple[int, ...]
     config = family.config
     if config.measure == "emd":
         return emd_oracle.hash_window(family._emd, window)
-    bits = sign_sketch(window, family._projection, config.stride, config.normalise)
+    bits = sign_sketch(window, family._projection, normalise=config.normalise)
     counts = ngram_counts(bits, config.ngram)
     if not counts:
         # degenerate window shorter than the sketch geometry

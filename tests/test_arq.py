@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NetworkError, RetryExhausted
-from repro.network.arq import ARQConfig, ReliableLink
+from repro.network import arq
+from repro.network.arq import MAX_RETRIES, ReliableLink, backoff_slots
 from repro.network.channel import BitErrorChannel, flip_bits
 from repro.network.network import DeliveryOutcome, DeliveryStats, WirelessNetwork
 from repro.network.packet import BROADCAST, Packet, PayloadKind
@@ -216,7 +217,7 @@ class TestARQRecovery:
 
     def test_retry_exhaustion(self):
         network = _network()
-        link = ReliableLink(network, config=ARQConfig(max_retries=2))
+        link = ReliableLink(network)
         link.attach(0, lambda p: None)
         link.attach(1, lambda p: None)
         network.set_outage(1)  # nothing will ever arrive
@@ -224,16 +225,16 @@ class TestARQRecovery:
         assert not result.ok
         assert result.failed == [1]
         assert link.stats.failed == 1
-        assert link.stats.retransmissions == 2
+        assert link.stats.retransmissions == MAX_RETRIES
         with pytest.raises(RetryExhausted) as exc:
             link.send(_packet(seq=6), raise_on_failure=True)
         assert exc.value.seq == 6
-        assert exc.value.attempts == 3
+        assert exc.value.attempts == 1 + MAX_RETRIES
         assert exc.value.targets == [1]
 
     def test_broadcast_retransmits_only_to_pending(self):
         network = _network()
-        link = ReliableLink(network, config=ARQConfig(max_retries=3))
+        link = ReliableLink(network)
         inboxes = {n: [] for n in range(3)}
         for n in range(3):
             link.attach(n, inboxes[n].append)
@@ -248,10 +249,10 @@ class TestARQRecovery:
 
 
 class TestARQBackoff:
-    def test_exponential_backoff_accounting(self):
+    def test_exponential_backoff_accounting(self, monkeypatch):
         network = _network()
-        config = ARQConfig(max_retries=3, backoff_slots=1)
-        link = ReliableLink(network, config=config)
+        monkeypatch.setattr(arq, "MAX_RETRIES", 3)
+        link = ReliableLink(network)
         link.attach(0, lambda p: None)
         link.attach(1, lambda p: None)
         network.set_outage(1)
@@ -260,29 +261,17 @@ class TestARQBackoff:
         # retries 1, 2, 3 wait 1, 2, 4 slots
         assert link.stats.backoff_ms == pytest.approx(7 * slot_ms)
 
-    def test_linear_backoff(self):
-        config = ARQConfig(backoff_slots=2, exponential_backoff=False)
-        assert [config.backoff_slots_for(r) for r in (1, 2, 3)] == [2, 2, 2]
-
     def test_exponential_schedule(self):
-        config = ARQConfig(backoff_slots=1)
-        assert [config.backoff_slots_for(r) for r in (1, 2, 3, 4)] == [1, 2, 4, 8]
-        assert config.backoff_slots_for(0) == 0
-
-    def test_negative_knobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ARQConfig(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            ARQConfig(backoff_slots=-1)
-        # zero retries is legal: plain send with ACK confirmation
-        assert ARQConfig(max_retries=0).backoff_slots_for(1) == 1
+        assert [backoff_slots(r) for r in (1, 2, 3, 4)] == [1, 2, 4, 8]
+        assert backoff_slots(0) == 0
 
 
 class TestDuplicateSuppression:
-    def test_lost_ack_duplicate_is_suppressed(self):
+    def test_lost_ack_duplicate_is_suppressed(self, monkeypatch):
         """Force delivery-then-lost-ACK: receiver sees the packet once."""
         network = _network()
-        link = ReliableLink(network, config=ARQConfig(max_retries=2))
+        monkeypatch.setattr(arq, "MAX_RETRIES", 2)
+        link = ReliableLink(network)
         seen = []
         link.attach(0, lambda p: None)
         link.attach(1, seen.append)
@@ -316,32 +305,22 @@ class TestDuplicateSuppression:
 
 
 class TestDedupWindowBound:
-    """The suppression memory is an LRU bounded by ``dedup_window``."""
+    """The suppression memory is an LRU bounded by ``DEDUP_WINDOW``."""
 
-    def _link(self, window):
-        link = ReliableLink(
-            _network(), config=ARQConfig(dedup_window=window)
-        )
-        seen = []
-        link.attach(0, lambda p: None)
-        link.attach(1, seen.append)
-        return link, seen
+    @pytest.fixture
+    def window(self, monkeypatch):
+        def set_window(window):
+            monkeypatch.setattr(arq, "DEDUP_WINDOW", window)
+            link = ReliableLink(_network())
+            seen = []
+            link.attach(0, lambda p: None)
+            link.attach(1, seen.append)
+            return link, seen
 
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ARQConfig(dedup_window=0)
-        with pytest.raises(ConfigurationError):
-            ARQConfig(dedup_window=-3)
+        return set_window
 
-    def test_unbounded_window_never_evicts(self):
-        link, seen = self._link(None)
-        for i in range(200):
-            link.send(_packet(seq=i))
-        assert len(seen) == 200
-        assert link.stats.dedup_evictions == 0
-
-    def test_eviction_allows_redelivery(self):
-        link, seen = self._link(4)
+    def test_eviction_allows_redelivery(self, window):
+        link, seen = window(4)
         link.send(_packet(seq=0))
         for seq in range(1, 5):
             link.send(_packet(seq=seq))
@@ -353,8 +332,8 @@ class TestDedupWindowBound:
         assert len(seen) == before + 1
         assert link.stats.duplicates_suppressed == 0
 
-    def test_hit_refreshes_recency(self):
-        link, seen = self._link(3)
+    def test_hit_refreshes_recency(self, window):
+        link, seen = window(3)
         link.send(_packet(seq=0))  # accept tick 1
         link.send(_packet(seq=1))  # accept tick 2
         link.send(_packet(seq=0))  # duplicate: refreshed, moved to back
@@ -363,15 +342,16 @@ class TestDedupWindowBound:
         link.send(_packet(seq=0))  # (tick 1) would have been evicted
         assert link.stats.duplicates_suppressed == 2
 
-    def test_memory_stays_bounded(self):
-        link, _ = self._link(16)
+    def test_memory_stays_bounded(self, window):
+        link, _ = window(16)
         for seq in range(500):
             link.send(_packet(seq=seq & 0xFFFF))
         assert len(link._seen) <= 16
         assert link.stats.dedup_evictions == 500 - len(link._seen)
 
-    def test_forget_drops_only_that_receiver(self):
-        link = ReliableLink(_network(), config=ARQConfig(dedup_window=64))
+    def test_forget_drops_only_that_receiver(self, monkeypatch):
+        monkeypatch.setattr(arq, "DEDUP_WINDOW", 64)
+        link = ReliableLink(_network())
         inboxes = {1: [], 2: []}
         link.attach(0, lambda p: None)
         link.attach(1, inboxes[1].append)

@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 
 from repro.apps.queries import QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
+from repro.fabric import fabric as fabric_module
+from repro.fabric import isolation
 from repro.fabric.fabric import FabricConfig, FleetFabric, build_fleet_shard
-from repro.fabric.isolation import IsolationConfig, run_isolation_gate
+from repro.fabric.isolation import run_isolation_gate
 from repro.fabric.loadgen import (
     FabricLoadConfig,
     fabric_session,
@@ -32,6 +34,7 @@ from repro.fabric.loadgen import (
 )
 from repro.fabric.shardmap import ShardMap
 from repro.fabric.slos import tenant_slos
+from repro.serving import server as serving_server
 from repro.serving.server import ServerConfig
 
 TENANTS = st.text(
@@ -160,9 +163,9 @@ def test_one_tenant_fabric_matches_direct_server(
                 arrival.spec,
                 shard.window_range,
                 template=template,
-                deadline_ms=load.deadline_ms,
+                deadline_ms=250.0,  # run_open_loop's defaults
                 arrival_ms=at_ms,
-                min_coverage=load.min_coverage,
+                min_coverage=0.0,
             )
         except QueryRejected:
             pass
@@ -193,8 +196,9 @@ def test_fabric_run_is_deterministic_per_seed():
 # -- tenant isolation ------------------------------------------------------------
 
 
-def test_tenant_queue_quota_sheds_with_tenant_quota_reason():
-    fabric = FleetFabric(config=_small_config(tenant_queue_quota=2))
+def test_tenant_queue_quota_sheds_with_tenant_quota_reason(monkeypatch):
+    monkeypatch.setattr(fabric_module, "TENANT_QUEUE_QUOTA", 2)
+    fabric = FleetFabric(config=_small_config())
     tenant = "hog"
     spec = QuerySpec(kind="q3", time_range_ms=50.0)
     for _ in range(2):
@@ -211,11 +215,11 @@ def test_tenant_queue_quota_sheds_with_tenant_quota_reason():
     fabric.submit(other, spec, arrival_ms=0.0)
 
 
-def test_partitioned_result_lru_never_crosses_tenants():
+def test_partitioned_result_lru_never_crosses_tenants(monkeypatch):
+    monkeypatch.setattr(serving_server, "RESULT_RETENTION", 2)
     config = _small_config(
         n_fleets=1,
         server_config=ServerConfig(
-            result_retention=2,
             partition_results_by_client=True,
             per_client_queue_quota=16,
         ),
@@ -237,7 +241,7 @@ def test_partitioned_result_lru_never_crosses_tenants():
     shard.server.result_for(quiet_id)  # the quiet tenant's answer survived
 
 
-def test_isolation_noisy_run_keeps_base_rate_multipliers():
+def test_isolation_noisy_run_keeps_base_rate_multipliers(monkeypatch):
     """Only the noisy tenant's timeline may change between the runs."""
     load = FabricLoadConfig(
         n_tenants=6,
@@ -245,7 +249,8 @@ def test_isolation_noisy_run_keeps_base_rate_multipliers():
         offered_qps=2.0,
         rate_multipliers={"t00": 2.0},
     )
-    result = run_isolation_gate(IsolationConfig(load=load))
+    monkeypatch.setattr(isolation, "LOAD_CONFIG", load)
+    result = run_isolation_gate()
     assert result.noisy_tenant != "t00"
     assert result.baseline.tenants["t00"].offered == 32
     for tenant in load.tenants:

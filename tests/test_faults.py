@@ -253,10 +253,8 @@ class TestHealthMonitor:
         assert monitor.is_alive(0)
 
     def test_injector_flapping_node_recovers_twice(self):
-        from repro.network.arq import ARQConfig
-
         system = ScaloSystem(
-            n_nodes=2, electrodes_per_node=2, seed=0, arq=ARQConfig()
+            n_nodes=2, electrodes_per_node=2, seed=0, arq=True
         )
         plan = FaultPlan(
             n_nodes=2, n_rounds=8,

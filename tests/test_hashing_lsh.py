@@ -35,8 +35,8 @@ class TestLSHConfig:
             LSHConfig(n_components=4, min_matching=5)
 
     def test_for_measure_overrides(self):
-        fam = LSHFamily.for_measure("dtw", seed=99)
-        assert fam.config.seed == 99
+        fam = LSHFamily.for_measure("dtw", ngram=6)
+        assert fam.config.ngram == 6
 
 
 class TestLSHFamily:

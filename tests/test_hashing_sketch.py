@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.hashing.minhash import finalize_hash
+from repro.hashing.minhash import _power, finalize_hash
 from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 from tests.minhash_oracle import (
     minhash_signature,
@@ -15,6 +15,7 @@ from tests.minhash_oracle import (
     sign_sketch,
     sketch_length,
     weighted_minhash_sample,
+    weighted_score,
 )
 
 
@@ -170,3 +171,19 @@ class TestMinhash:
     def test_signature_length(self):
         sig = minhash_signature({1: 2, 3: 4}, seeds=[1, 2, 3], bits=8)
         assert len(sig) == 3
+
+    def test_oracle_scores_match_kernel_power_bit_for_bit(self):
+        """50 004 seeded ``(u, w)`` pairs, w in 2..50, laid out as the
+        kernel scores them: one weight per row, one seed per column."""
+        rng = np.random.default_rng(2024)
+        n_rows, n_seeds = 4167, 12
+        uniforms = rng.random((n_rows, n_seeds))
+        weights = rng.integers(2, 51, n_rows)
+        kernel = _power(uniforms, weights)
+        oracle = np.array(
+            [
+                [weighted_score(u, w) for u in row]
+                for row, w in zip(uniforms.tolist(), weights.tolist())
+            ]
+        )
+        assert np.array_equal(kernel.view(np.uint64), oracle.view(np.uint64))

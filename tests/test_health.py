@@ -25,8 +25,9 @@ from repro.eval.chaos import (
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.exporters import chrome_trace_events, telemetry_json
-from repro.telemetry.health.anomaly import AnomalyConfig, AnomalyDetector
-from repro.telemetry.health.engine import HealthConfig, HealthEngine
+from repro.telemetry.health import anomaly, recorder
+from repro.telemetry.health.anomaly import AnomalyDetector
+from repro.telemetry.health.engine import HealthEngine
 from repro.telemetry.health.recorder import FlightRecorder
 from repro.telemetry.health.sketch import QuantileSketch
 from repro.telemetry.health.slo import BurnRateWindow, SLO, SLOEngine
@@ -296,14 +297,13 @@ class TestSLO:
 
 class TestAnomalyDetector:
     def test_quiet_during_warmup(self):
-        det = AnomalyDetector(AnomalyConfig(warmup_rounds=8))
+        det = AnomalyDetector()
         for i in range(8):
             assert det.observe("serving.x", i, i * 50.0, 1000.0) is None
 
-    def test_flags_spike_after_warmup(self):
-        det = AnomalyDetector(
-            AnomalyConfig(warmup_rounds=4, z_threshold=4.0, min_deviation=3.0)
-        )
+    def test_flags_spike_after_warmup(self, monkeypatch):
+        monkeypatch.setattr(anomaly, "WARMUP_ROUNDS", 4)
+        det = AnomalyDetector()
         for i in range(12):
             det.observe("serving.x", i, i * 50.0, 10.0)
         flagged = det.observe("serving.x", 12, 600.0, 500.0)
@@ -312,23 +312,27 @@ class TestAnomalyDetector:
         assert flagged.delta == 500.0
         assert flagged.z_score > 4.0
 
-    def test_min_deviation_forgives_small_wobble(self):
-        det = AnomalyDetector(
-            AnomalyConfig(warmup_rounds=2, z_threshold=2.0, min_deviation=5.0)
-        )
+    def test_min_deviation_forgives_small_wobble(self, monkeypatch):
+        monkeypatch.setattr(anomaly, "WARMUP_ROUNDS", 2)
+        monkeypatch.setattr(anomaly, "Z_THRESHOLD", 2.0)
+        monkeypatch.setattr(anomaly, "MIN_DEVIATION", 5.0)
+        det = AnomalyDetector()
         for i in range(10):
             det.observe("serving.x", i, i * 50.0, 10.0)
         # a +2 wobble is within min_deviation even if z is large
         assert det.observe("serving.x", 10, 500.0, 12.0) is None
 
-    def test_watch_prefixes(self):
-        det = AnomalyDetector(AnomalyConfig(prefixes=("serving.",)))
+    def test_watch_prefixes(self, monkeypatch):
+        monkeypatch.setattr(anomaly, "PREFIXES", ("serving.",))
+        det = AnomalyDetector()
         assert det.watches("serving.shed")
         assert not det.watches("health.alerts")
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(anomaly, "WARMUP_ROUNDS", 2)
+
         def run():
-            det = AnomalyDetector(AnomalyConfig(warmup_rounds=2))
+            det = AnomalyDetector()
             out = []
             for i, v in enumerate([5, 5, 5, 5, 50, 5, 5, 80]):
                 a = det.observe("serving.x", i, i * 50.0, float(v))
@@ -340,16 +344,19 @@ class TestAnomalyDetector:
 
 
 class TestFlightRecorder:
-    def test_ring_is_bounded(self):
-        rec = FlightRecorder(capacity=4)
+    def test_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(recorder, "CAPACITY", 4)
+        rec = FlightRecorder()
         for i in range(10):
             rec.record("tick", float(i))
         entries = rec.snapshot_incident({"slo": "x"})["entries"]
         assert len(entries) == 4
         assert [e["seq"] for e in entries] == [7, 8, 9, 10]
 
-    def test_incident_bundles_bounded(self):
-        rec = FlightRecorder(capacity=8, max_incidents=2)
+    def test_incident_bundles_bounded(self, monkeypatch):
+        monkeypatch.setattr(recorder, "CAPACITY", 8)
+        monkeypatch.setattr(recorder, "MAX_INCIDENTS", 2)
+        rec = FlightRecorder()
         for i in range(5):
             rec.snapshot_incident(
                 {"slo": "x", "round": i},
@@ -422,12 +429,6 @@ class TestHealthEngine:
         assert engine.finalize(2000.0) == []
         assert engine.healthy
         assert engine.report()["rounds_observed"] == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            HealthConfig(round_ms=0.0)
-        with pytest.raises(ConfigurationError):
-            HealthConfig(incident_span_tail=0)
 
     def test_preexisting_counters_are_baseline(self):
         tel = Telemetry()

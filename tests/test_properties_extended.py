@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.thermal import relative_temperature_rise, temperature_rise_c
 from repro.crypto.aes import AES128
+from repro.hashing import lsh
 from repro.hashing.lsh import LSHFamily
 from repro.network.tdma import TDMAConfig, TDMASchedule
 
@@ -68,8 +69,10 @@ def test_aes_ctr_is_length_preserving_involution(data, nonce):
 def test_lsh_same_seed_same_hash(seed, data_seed):
     rng = np.random.default_rng(data_seed)
     window = rng.normal(size=120).cumsum()
-    a = LSHFamily.for_measure("dtw", seed=seed)
-    b = LSHFamily.for_measure("dtw", seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(lsh, "HASH_SEED", seed)
+        a = LSHFamily.for_measure("dtw")
+        b = LSHFamily.for_measure("dtw")
     assert a.hash_window(window) == b.hash_window(window)
 
 

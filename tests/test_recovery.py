@@ -16,7 +16,6 @@ from hypothesis.stateful import (
 from repro.apps.queries import QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, StorageError, UncorrectableError
-from repro.network.arq import ARQConfig
 from repro.network.channel import flip_bits
 from repro.network.packet import PayloadKind
 from repro.recovery.ecc import (
@@ -626,7 +625,7 @@ def _ingest_exchange(system, rng, window):
 class TestResync:
     def test_pull_and_push_after_reboot(self):
         system = ScaloSystem(
-            n_nodes=3, electrodes_per_node=2, seed=0, arq=ARQConfig()
+            n_nodes=3, electrodes_per_node=2, seed=0, arq=True
         )
         rng = np.random.default_rng(0)
         for window in range(3):
@@ -666,7 +665,7 @@ class TestResync:
 class TestFailover:
     def test_lowest_id_takeover_restores_query_seq(self):
         system = ScaloSystem(
-            n_nodes=3, electrodes_per_node=2, seed=0, arq=ARQConfig()
+            n_nodes=3, electrodes_per_node=2, seed=0, arq=True
         )
         manager = system.attach_failover()
         assert manager.coordinator == 0

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
 from repro.faults.plan import FaultPlan
+from repro.serving import reliability
+from repro.serving import server as serving_server
 from repro.serving.loadgen import LoadGenConfig, serve_session
 from repro.serving.reliability import (
     TIER_CACHE_ONLY,
@@ -17,7 +19,6 @@ from repro.serving.reliability import (
     BreakerBoard,
     BreakerConfig,
     BreakerState,
-    BrownoutConfig,
     BrownoutController,
     CircuitBreaker,
     RetryPolicy,
@@ -182,18 +183,15 @@ class TestCircuitBreaker:
 
 class TestBrownoutController:
     def test_queue_pressure_grades_tiers(self):
-        ctrl = BrownoutController(
-            BrownoutConfig(queue_tiers=(0.5, 0.75, 0.95))
-        )
+        ctrl = BrownoutController()
         assert ctrl.tier(0, 16) == TIER_HEALTHY
         assert ctrl.tier(8, 16) == TIER_REDUCED
         assert ctrl.tier(12, 16) == TIER_CACHE_ONLY
         assert ctrl.tier(16, 16) == TIER_REJECT
 
-    def test_miss_rate_grades_tiers_over_window(self):
-        ctrl = BrownoutController(
-            BrownoutConfig(miss_tiers=(0.25, 0.5, 0.8), window=4)
-        )
+    def test_miss_rate_grades_tiers_over_window(self, monkeypatch):
+        monkeypatch.setattr(reliability, "BROWNOUT_WINDOW", 4)
+        ctrl = BrownoutController()
         for missed in (True, True, False, False):
             ctrl.record_completion(missed)
         assert ctrl.miss_rate == pytest.approx(0.5)
@@ -209,17 +207,10 @@ class TestBrownoutController:
             ctrl.record_completion(True)
         assert ctrl.tier(0, 16) == TIER_REJECT
 
-    def test_rejects_bad_config(self):
-        with pytest.raises(ConfigurationError):
-            BrownoutConfig(queue_tiers=(0.9, 0.5, 0.95))
-        with pytest.raises(ConfigurationError):
-            BrownoutConfig(window=0)
-
 
 class TestServerBreakers:
     def test_failed_node_charges_timeout_until_breaker_latches(self):
         config = ServerConfig(
-            failed_node_timeout_ms=25.0,
             breaker=BreakerConfig(failure_threshold=2, open_ms=1e6),
         )
         server, _ = _server(config)
@@ -264,28 +255,16 @@ class TestServerBreakers:
         assert healed.coverage == pytest.approx(1.0)
         assert server.stats.breaker_closed == 1
 
-    def test_breakers_disabled_always_charges_timeouts(self):
-        config = ServerConfig(breaker=None, failed_node_timeout_ms=25.0)
-        server, _ = _server(config)
-        server.set_dead_nodes({1})
-        spec = QuerySpec("q3", 16.0)
-        solo = server.cost_model.cost(spec).latency_ms
-        for i in range(4):
-            server.submit(f"c{i}", spec, (0, N_WINDOWS))
-            (response,) = server.step()
-            assert response.finish_ms - response.start_ms == pytest.approx(
-                solo + 25.0
-            )
-
 
 class TestServerBrownout:
-    def _config(self, **kwargs):
-        return ServerConfig(
-            max_queue=8,
-            brownout=BrownoutConfig(queue_tiers=(0.25, 0.5, 0.95)),
-            bucket_capacity=64.0,
-            **kwargs,
+    @pytest.fixture(autouse=True)
+    def _queue_tiers(self, monkeypatch):
+        monkeypatch.setattr(
+            reliability, "BROWNOUT_QUEUE_TIERS", (0.25, 0.5, 0.95)
         )
+
+    def _config(self):
+        return ServerConfig(max_queue=8, brownout=True, bucket_capacity=64.0)
 
     def test_tier_tagged_on_responses_and_log(self):
         server, _ = _server(self._config())
@@ -297,7 +276,7 @@ class TestServerBrownout:
         assert "tier=2" in server.response_log()
 
     def test_reduced_tier_shrinks_the_scanned_range(self):
-        server, _ = _server(self._config(reduced_range_fraction=0.5))
+        server, _ = _server(self._config())
         server.submit("a", QuerySpec("q3", 16.0), (0, N_WINDOWS))
         server.submit("a", QuerySpec("q3", 16.0), (0, 2))
         (response, *_rest) = server.step()
@@ -308,7 +287,7 @@ class TestServerBrownout:
         assert windows and windows <= {2, 3}
 
     def test_cache_only_answers_without_samples(self):
-        server, template = _server(self._config(cache_only_service_ms=10.0))
+        server, template = _server(self._config())
         for i in range(4):
             server.submit("a", QuerySpec("q3", 16.0), (0, i + 1))
         (response, *_rest) = server.step()
@@ -317,11 +296,14 @@ class TestServerBrownout:
         result = server.result_for(response.request_id)
         assert result.rows and all(row.samples.size == 0 for row in result.rows)
 
-    def test_reject_tier_sheds_with_brownout_reason(self):
+    def test_reject_tier_sheds_with_brownout_reason(self, monkeypatch):
         # the reject tier engages at 6/8 queued — before queue_full can
+        monkeypatch.setattr(
+            reliability, "BROWNOUT_QUEUE_TIERS", (0.25, 0.5, 0.75)
+        )
         server, _ = _server(ServerConfig(
             max_queue=8,
-            brownout=BrownoutConfig(queue_tiers=(0.25, 0.5, 0.75)),
+            brownout=True,
             bucket_capacity=64.0,
         ))
         for i in range(6):
@@ -344,9 +326,10 @@ class TestServerBrownout:
 
 
 class TestResultRetention:
-    def test_lru_bound_evicts_oldest(self):
+    def test_lru_bound_evicts_oldest(self, monkeypatch):
         tel = Telemetry()
-        config = ServerConfig(result_retention=2, bucket_capacity=64.0)
+        monkeypatch.setattr(serving_server, "RESULT_RETENTION", 2)
+        config = ServerConfig(bucket_capacity=64.0)
         server, _ = _server(config, telemetry=tel)
         ids = []
         for i in range(3):
@@ -362,8 +345,9 @@ class TestResultRetention:
         with pytest.raises(KeyError, match="evicted.*result_retention=2"):
             server.result_for(ids[0])
 
-    def test_access_refreshes_recency(self):
-        config = ServerConfig(result_retention=2, bucket_capacity=64.0)
+    def test_access_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr(serving_server, "RESULT_RETENTION", 2)
+        config = ServerConfig(bucket_capacity=64.0)
         server, _ = _server(config)
         a = server.submit("a", QuerySpec("q3", 16.0), (0, 1), arrival_ms=0.0)
         b = server.submit("a", QuerySpec("q3", 16.0), (0, 2), arrival_ms=1.0)
@@ -381,8 +365,9 @@ class TestResultRetention:
         with pytest.raises(KeyError, match="no completed request"):
             server.result_for(999)
 
-    def test_log_retention_bounds_the_response_log(self):
-        config = ServerConfig(log_retention=2, bucket_capacity=64.0)
+    def test_log_retention_bounds_the_response_log(self, monkeypatch):
+        monkeypatch.setattr(serving_server, "LOG_RETENTION", 2)
+        config = ServerConfig(bucket_capacity=64.0)
         server, _ = _server(config)
         for i in range(4):
             server.submit("a", QuerySpec("q3", 16.0), (0, (i % 4) + 1),
@@ -391,10 +376,6 @@ class TestResultRetention:
         assert len(server.response_log().splitlines()) == 2
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ConfigurationError):
-            ServerConfig(result_retention=0)
-        with pytest.raises(ConfigurationError):
-            ServerConfig(log_retention=0)
         for deadline in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 ServerConfig(default_deadline_ms=deadline)
@@ -533,7 +514,7 @@ class TestChaosDeterminism:
                 ),
                 server_config=ServerConfig(
                     breaker=BreakerConfig(failure_threshold=2),
-                    brownout=BrownoutConfig(),
+                    brownout=True,
                     retry=RetryPolicy(seed=seed),
                     default_min_coverage=0.9,
                 ),
@@ -541,11 +522,7 @@ class TestChaosDeterminism:
                 fault_plan=plan,
                 client_retry=RetryPolicy(seed=seed + 1),
             )
-            transitions = (
-                server.breakers.transition_log()
-                if server.breakers is not None
-                else []
-            )
+            transitions = server.breakers.transition_log()
             return report, transitions, telemetry.registry.snapshot()
 
         report_a, transitions_a, metrics_a = run()

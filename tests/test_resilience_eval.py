@@ -11,7 +11,7 @@ from repro.eval.resilience import (
     crash_query_degradation,
     resilience_sweep,
 )
-from repro.network.arq import ARQConfig
+from repro.network import arq
 from repro.network.packet import Packet, PayloadKind
 
 
@@ -91,13 +91,11 @@ class TestResilienceSweep:
         )
         assert sweep[1e-6].residual_loss_pct == 0.0
 
-    def test_larger_retry_budget_recovers_more(self):
-        tight = arq_recovery(
-            1e-3, n_packets=200, config=ARQConfig(max_retries=1), seed=3
-        )
-        roomy = arq_recovery(
-            1e-3, n_packets=200, config=ARQConfig(max_retries=6), seed=3
-        )
+    def test_larger_retry_budget_recovers_more(self, monkeypatch):
+        monkeypatch.setattr(arq, "MAX_RETRIES", 1)
+        tight = arq_recovery(1e-3, n_packets=200, seed=3)
+        monkeypatch.setattr(arq, "MAX_RETRIES", 6)
+        roomy = arq_recovery(1e-3, n_packets=200, seed=3)
         assert roomy.recovery_rate_pct >= tight.recovery_rate_pct
         assert roomy.residual_loss_pct <= tight.residual_loss_pct
 

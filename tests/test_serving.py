@@ -213,8 +213,7 @@ class TestCoalescing:
         assert len({r.wave_id for r in server.responses}) == 3
 
     def test_coalescing_charges_merge_time(self):
-        config = ServerConfig(coalesce_merge_ms=2.0)
-        server, _ = _server(config)
+        server, _ = _server(ServerConfig())
         spec = QuerySpec("q3", 16.0)
         server.submit("a", spec, (0, N_WINDOWS))
         server.submit("b", spec, (0, N_WINDOWS))
@@ -341,33 +340,18 @@ class TestLoadGenerator:
             dict(deadline_ms=float("nan")),
             dict(deadline_ms=float("inf")),
             dict(offered_qps=float("nan")),
-            dict(kind_weights=(0.0, 0.0, 0.0)),
-            dict(kind_weights=(-0.5, 1.0, 0.5)),
-            dict(kind_weights=(0.5, 0.5)),
-            dict(kind_weights=(0.25, 0.25, 0.25, 0.25)),
         ):
-            # the fabric's per-tenant config delegates to the same checks
-            for make in (LoadGenConfig, FabricLoadConfig):
-                with pytest.raises(ConfigurationError):
-                    make(**bad)
+            with pytest.raises(ConfigurationError):
+                LoadGenConfig(**bad)
+        # the fabric's per-tenant config delegates to the same checks
+        with pytest.raises(ConfigurationError):
+            FabricLoadConfig(offered_qps=float("nan"))
         for multiplier in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 FabricLoadConfig(rate_multipliers={"t00": multiplier})
 
     def test_rejects_bad_query_fields_at_construction(self):
         nan, inf = float("nan"), float("inf")
-        for bad in (
-            dict(time_range_ms=0.0),
-            dict(time_range_ms=-5.0),
-            dict(time_range_ms=nan),
-            dict(time_range_ms=inf),
-            dict(match_fraction=-0.1),
-            dict(match_fraction=7.0),
-            dict(match_fraction=nan),
-        ):
-            for make in (LoadGenConfig, FabricLoadConfig):
-                with pytest.raises(ConfigurationError):
-                    make(**bad)
         for time_range_ms in (nan, inf, -inf):
             with pytest.raises(ConfigurationError):
                 QuerySpec("q1", time_range_ms)
@@ -382,12 +366,6 @@ class TestLoadGenerator:
             dict(bucket_refill_per_s=0.0),
             dict(bucket_refill_per_s=nan),
             dict(bucket_refill_per_s=inf),
-            dict(coalesce_merge_ms=-1.0),
-            dict(coalesce_merge_ms=nan),
-            dict(failed_node_timeout_ms=-1.0),
-            dict(failed_node_timeout_ms=nan),
-            dict(cache_only_service_ms=-1.0),
-            dict(cache_only_service_ms=nan),
         ):
             with pytest.raises(ConfigurationError):
                 ServerConfig(**bad)

@@ -18,6 +18,13 @@ in ``src/``, ``examples/``, ``bench/`` or ``benchmarks/``: as an
 comments do not count.  Names match bare, so a method counts as named
 when any attribute of that name is read.  :data:`UNNAMED_ALLOWED` lists
 the few kept although only tests call them.
+
+Config fields: every field of a config dataclass under ``src/repro``
+(a ``*Config`` or ``*Policy`` class, or ``StormLevel``) is *set* in
+``src/``, ``examples/``, ``bench/`` or ``benchmarks/``.  A field no
+real run sets is a module constant instead, so tests and benchmarks
+never cover values that nothing runs.  :data:`CONFIG_FIELDS_ALLOWED`
+lists the few kept settable anyway.
 """
 
 from __future__ import annotations
@@ -63,6 +70,25 @@ UNNAMED_ALLOWED = {
         "lists what the APPDATA recovery path restores",
     "repro.network.channel.BitErrorChannel.corrupt_bytes":
         "shares _flip_positions with transmit, so oracles draw one RNG stream",
+}
+
+
+#: Config dataclasses: the classes whose fields are knobs.
+CONFIG_CLASS = re.compile(r"\w*(Config|Policy)|StormLevel")
+
+#: Config fields that no file outside ``tests/`` sets, each with why it
+#: stays settable.  The list only shrinks: an entry that is no longer a
+#: field, or that a file outside ``tests/`` now sets, fails
+#: :func:`test_config_allow_list_is_current`.
+CONFIG_FIELDS_ALLOWED = {
+    "repro.core.config_loader.FlowConfig.route":
+        "parsed in place from the program's scalo_connect lines (§3.7)",
+    "repro.core.config_loader.FlowConfig.comm":
+        "parsed in place from the program's scalo_set_comm lines (§3.7)",
+    "repro.core.config_loader.FlowConfig.net_budget_ms":
+        "parsed in place from the program's scalo_set_comm lines (§3.7)",
+    "repro.network.tdma.TDMAConfig.guard_ms":
+        "§3.6: the slot guard microsecond clock sync allows, beside the radio",
 }
 
 
@@ -222,3 +248,112 @@ def test_unnamed_allow_list_is_current():
     assert all(reason for reason in UNNAMED_ALLOWED.values())
     assert sorted(set(UNNAMED_ALLOWED) - set(definitions)) == []
     assert sorted(q for q in UNNAMED_ALLOWED if definitions[q] in names) == []
+
+
+def config_fields() -> dict[str, tuple[str, list[str]]]:
+    """Class name -> (module, fields in declaration order) of every
+    config dataclass under ``src/repro``."""
+    found: dict[str, tuple[str, list[str]]] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (
+                isinstance(node, ast.ClassDef)
+                and CONFIG_CLASS.fullmatch(node.name)
+                and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            ):
+                continue
+            assert node.name not in found, f"two config classes {node.name}"
+            found[node.name] = (
+                _module_name(path),
+                [
+                    sub.target.id
+                    for sub in node.body
+                    if isinstance(sub, ast.AnnAssign)
+                    and isinstance(sub.target, ast.Name)
+                ],
+            )
+    return found
+
+
+def config_field_names() -> set[str]:
+    """``module.Class.field`` of every config field."""
+    return {
+        f"{module}.{cls}.{field}"
+        for cls, (module, fields) in config_fields().items()
+        for field in fields
+    }
+
+
+def _keywords(call: ast.Call, dicts: dict[str, ast.Dict]) -> list[str]:
+    """The names a call passes by keyword, including the keys of a
+    literal dict passed as ``**``, inline or bound to a name."""
+    names = []
+    for keyword in call.keywords:
+        if keyword.arg is not None:
+            names.append(keyword.arg)
+            continue
+        spread = keyword.value
+        if isinstance(spread, ast.Name):
+            spread = dicts.get(spread.id)
+        if isinstance(spread, ast.Dict):
+            names.extend(
+                key.value for key in spread.keys if isinstance(key, ast.Constant)
+            )
+    return names
+
+
+def fields_set_outside_tests() -> set[str]:
+    """``module.Class.field`` of every config field a file outside
+    ``tests/`` sets: by keyword or position in a call of the class, or
+    through ``dataclasses.replace``.  A ``replace`` call counts for each
+    config class the file names whose fields include every keyword the
+    call passes (``replace`` raises on any other class)."""
+    classes = config_fields()
+    found: set[str] = set()
+    for folder in NAMING_ROOTS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            nodes = list(ast.walk(ast.parse(path.read_text())))
+            dicts = {
+                target.id: node.value
+                for node in nodes
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            named = {
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.asname or node.name
+                for node in nodes
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            }
+            for call in nodes:
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                keywords = _keywords(call, dicts)
+                if name in classes:
+                    module, fields = classes[name]
+                    found.update(
+                        f"{module}.{name}.{field}"
+                        for field in fields[: len(call.args)] + keywords
+                    )
+                elif name == "replace" and keywords:
+                    found.update(
+                        f"{module}.{cls}.{field}"
+                        for cls, (module, fields) in classes.items()
+                        if cls in named and set(keywords) <= set(fields)
+                        for field in keywords
+                    )
+    return found
+
+
+def test_every_config_field_is_set_outside_tests():
+    unset = config_field_names() - fields_set_outside_tests()
+    assert sorted(unset - set(CONFIG_FIELDS_ALLOWED)) == []
+
+
+def test_config_allow_list_is_current():
+    assert all(reason for reason in CONFIG_FIELDS_ALLOWED.values())
+    assert sorted(set(CONFIG_FIELDS_ALLOWED) - config_field_names()) == []
+    assert sorted(set(CONFIG_FIELDS_ALLOWED) & fields_set_outside_tests()) == []

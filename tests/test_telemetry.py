@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.arq import ARQConfig
 from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.telemetry.clock import SimClock
 from repro.telemetry.exporters import chrome_trace_events, telemetry_json
@@ -239,7 +238,7 @@ def _faulted_session(telemetry):
     from repro.units import WINDOW_SAMPLES
 
     system = ScaloSystem(
-        n_nodes=4, electrodes_per_node=4, seed=7, arq=ARQConfig(),
+        n_nodes=4, electrodes_per_node=4, seed=7, arq=True,
         telemetry=telemetry,
     )
     plan = FaultPlan.generate(
