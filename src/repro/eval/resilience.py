@@ -96,11 +96,10 @@ def arq_recovery(
     payloads = np.random.default_rng(seed).integers(
         0, 256, (n_packets, HASH_PAYLOAD_BYTES), dtype=np.uint8
     )
-    for i, row in enumerate(payloads):
-        packet = Packet.build(
-            0, 1, PayloadKind.HASHES, row.tobytes(), seq=i & 0xFFFF
-        )
-        link.send(packet)
+    link.send_many([
+        Packet.build(0, 1, PayloadKind.HASHES, row.tobytes(), seq=i & 0xFFFF)
+        for i, row in enumerate(payloads)
+    ])
 
     reg = telemetry.registry
     # ``network.airtime_ms`` books data bursts only; ACKs are booked by

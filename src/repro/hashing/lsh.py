@@ -114,8 +114,8 @@ class LSHFamily:
         self._seeds = [HASH_SEED * 1000 + i for i in range(config.n_components)]
 
     @classmethod
-    def for_measure(cls, measure: str, **overrides) -> "LSHFamily":
-        """Build a family from the per-measure preset, with overrides."""
+    def for_measure(cls, measure: str) -> "LSHFamily":
+        """Build a family from the per-measure preset."""
         try:
             preset = MEASURE_PRESETS[measure]
         except KeyError:
@@ -123,10 +123,6 @@ class LSHFamily:
                 f"no preset for measure {measure!r}; choose from "
                 f"{sorted(MEASURE_PRESETS)}"
             ) from None
-        if overrides:
-            from dataclasses import replace
-
-            preset = replace(preset, **overrides)
         return cls(preset)
 
     # -- hashing ---------------------------------------------------------------

@@ -175,6 +175,23 @@ class WirelessNetwork:
             return True
         return self._partition.reachable(src, dst)
 
+    def link_receiver(self, src: int, dst: int) -> Receiver | None:
+        """``dst``'s receiver when a frame from ``src`` reaches the channel.
+
+        ``None`` when ``dst`` is unknown, either end is in an outage, or
+        the partition cuts the link: the cases :meth:`transmit_to` settles
+        without a channel draw.
+        """
+        receiver = self._receivers.get(dst)
+        if (
+            receiver is None
+            or src in self._outages
+            or dst in self._outages
+            or not self.can_reach(src, dst)
+        ):
+            return None
+        return receiver
+
     @property
     def node_ids(self) -> list[int]:
         return sorted(self._receivers)

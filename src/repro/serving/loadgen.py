@@ -40,7 +40,12 @@ from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, QueryRejected
 from repro.serving.reliability import RetryPolicy
-from repro.serving.server import QueryResponse, QueryServer, ServerConfig
+from repro.serving.server import (
+    DEFAULT_DEADLINE_MS,
+    QueryResponse,
+    QueryServer,
+    ServerConfig,
+)
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 from repro.units import ROUND_MS, WINDOW_SAMPLES
 
@@ -64,7 +69,7 @@ class LoadGenConfig:
     seed: int = 0
     n_clients: int = 4
     #: relative deadline stamped on every request (ms after arrival)
-    deadline_ms: float = 250.0
+    deadline_ms: float = DEFAULT_DEADLINE_MS
     #: coverage SLA stamped on every request (0 = answers always satisfy)
     min_coverage: float = 0.0
 
@@ -328,7 +333,7 @@ def run_open_loop(
     templates: Callable[[str], Sequence[np.ndarray]],
     *,
     window_range: tuple[int, int] | None = None,
-    deadline_ms: float = 250.0,
+    deadline_ms: float = DEFAULT_DEADLINE_MS,
     min_coverage: float = 0.0,
     client_retry: RetryPolicy | None = None,
     on_advance=None,

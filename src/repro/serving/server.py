@@ -84,6 +84,10 @@ from repro.serving.reliability import (
 )
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 
+#: relative deadline of a request that carries none (ms after arrival):
+#: the server's default, a request's restamp on re-execution, and the
+#: load generator's stamp
+DEFAULT_DEADLINE_MS = 250.0
 #: response-assembly charge per coalesced member beyond the first (ms)
 COALESCE_MERGE_MS = 2.0
 #: extra service time per failed, un-latched node contribution: the wave
@@ -113,7 +117,7 @@ class ServerConfig:
     bucket_capacity: float = 32.0
     bucket_refill_per_s: float = 100.0
     #: deadline assigned when a request does not carry one (relative ms)
-    default_deadline_ms: float = 250.0
+    default_deadline_ms: float = DEFAULT_DEADLINE_MS
     #: coverage SLA stamped on requests that do not carry one
     default_min_coverage: float = 0.0
     #: pending requests any one client may hold in the queue (None = no
@@ -195,7 +199,7 @@ class QueryRequest:
     #: execution attempt (0 = first; >0 = server-side SLA re-execution)
     attempt: int = 0
     #: the relative deadline re-executions are restamped with
-    relative_deadline_ms: float = 250.0
+    relative_deadline_ms: float = DEFAULT_DEADLINE_MS
 
     def coalesce_key(self) -> tuple:
         """Requests with equal keys can share one batched scan."""

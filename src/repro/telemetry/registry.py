@@ -20,7 +20,7 @@ Metric naming scheme (see DESIGN.md "Telemetry & tracing"):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.telemetry.health.sketch import QuantileSketch
@@ -92,10 +92,11 @@ class Histogram:
                 return i
         return len(self.edges)
 
-    def observe(self, value: float) -> None:
-        self.counts[self.bucket_index(value)] += 1
-        self.total += value
-        self.n += 1
+    def observe(self, value: float, n: int = 1) -> None:
+        """Record ``value`` (``n`` times)."""
+        self.counts[self.bucket_index(value)] += n
+        self.total += value * n
+        self.n += n
         self.min_value = min(self.min_value, value)
         self.max_value = max(self.max_value, value)
 
@@ -147,21 +148,38 @@ class MetricsRegistry:
         key = (name, label_key(labels))
         self._counters[key] = self._counters.get(key, 0.0) + value
 
+    def inc_each(self, name: str, values: Iterable[float]) -> None:
+        """``inc(name, value)`` on the unlabelled series, for each value.
+
+        The sum runs one value at a time, so the counter holds the same
+        float as after the separate calls.
+        """
+        key = (name, ())
+        total = self._counters.get(key, 0.0)
+        for value in values:
+            if value < 0:
+                raise ConfigurationError(f"counter {name} cannot decrease")
+            total += value
+        self._counters[key] = total
+
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self._gauges[(name, label_key(labels))] = float(value)
 
-    def observe(self, name: str, value: float, **labels: object) -> None:
+    def observe(
+        self, name: str, value: float, n: int = 1, **labels: object
+    ) -> None:
+        """Record ``value`` (``n`` times) in the histogram and the sketch."""
         key = (name, label_key(labels))
         hist = self._histograms.get(key)
         if hist is None:
             hist = self._histograms[key] = Histogram(DEFAULT_BUCKET_EDGES)
-        hist.observe(value)
+        hist.observe(value, n)
         sketch = self._sketches.get(key)
         if sketch is None:
             sketch = self._sketches[key] = QuantileSketch(
                 relative_accuracy=self.sketch_accuracy
             )
-        sketch.observe(value)
+        sketch.observe(value, n)
 
     # -- reads --------------------------------------------------------------------
 

@@ -276,8 +276,12 @@ class TestDuplicateSuppression:
         link.attach(0, lambda p: None)
         link.attach(1, seen.append)
 
-        # data always arrives; every ACK is destroyed on the way back
+        # data always arrives; every ACK is destroyed on the way back, so
+        # no packet's frames all cross clean
         class AckKiller(BitErrorChannel):
+            def passes_clean(self, payload_bytes):
+                return False
+
             def transmit(self, packet):
                 if packet.header.kind is PayloadKind.CONTROL:
                     wire = bytearray(packet.to_wire())

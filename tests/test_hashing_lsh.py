@@ -1,5 +1,7 @@
 """Tests for the LSH family, EMD hash, and collision checking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ class TestLSHConfig:
             LSHConfig(n_components=4, min_matching=5)
 
     def test_for_measure_overrides(self):
-        fam = LSHFamily.for_measure("dtw", ngram=6)
+        fam = LSHFamily(replace(MEASURE_PRESETS["dtw"], ngram=6))
         assert fam.config.ngram == 6
 
 

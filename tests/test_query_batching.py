@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 from repro.apps.queries import TEMPLATE_MEMO_SIZE, QueryEngine, QuerySpec
 from repro.errors import ConfigurationError
 from repro.hashing import minhash
-from repro.hashing.lsh import SUPPORTED_MEASURES, LSHConfig, LSHFamily
+from repro.hashing.lsh import (
+    MEASURE_PRESETS,
+    SUPPORTED_MEASURES,
+    LSHConfig,
+    LSHFamily,
+)
 from repro.storage.controller import StorageController
 from repro.storage.nvm import PAGE_BYTES, NVMDevice
 from tests import minhash_oracle
@@ -42,6 +47,11 @@ def _windows(seed: int, n: int, length: int) -> np.ndarray:
 # --- kernel equivalence: the min-hash kernel == the scalar oracle -------------
 
 SKETCH_MEASURES = tuple(m for m in SUPPORTED_MEASURES if m != "emd")
+
+
+def _family(measure: str, ngram: int) -> LSHFamily:
+    """The measure's preset family at another n-gram size."""
+    return LSHFamily(dataclasses.replace(MEASURE_PRESETS[measure], ngram=ngram))
 
 
 def _assert_matches_oracle(family: LSHFamily, batch: np.ndarray) -> None:
@@ -84,7 +94,7 @@ class TestHashBatchEquivalence:
     )
     def test_every_ngram_size_matches_oracle(self, seed, measure, ngram, n):
         # 13..16-grams have more than 4 096 possible shingle values
-        family = LSHFamily.for_measure(measure, ngram=ngram)
+        family = _family(measure, ngram)
         length = family.config.sketch_window + ngram + 40
         _assert_matches_oracle(family, _windows(seed, n, length))
 
@@ -95,7 +105,7 @@ class TestHashBatchEquivalence:
         ngram=st.integers(1, 12),
     )
     def test_constant_rows_match_oracle(self, measure, level, ngram):
-        family = LSHFamily.for_measure(measure, ngram=ngram)
+        family = _family(measure, ngram)
         length = family.config.sketch_window + 60
         batch = np.stack([np.full(length, level), np.zeros(length)])
         _assert_matches_oracle(family, batch)
@@ -108,7 +118,7 @@ class TestHashBatchEquivalence:
         data=st.data(),
     )
     def test_sketch_shorter_than_ngram(self, seed, measure, ngram, data):
-        family = LSHFamily.for_measure(measure, ngram=ngram)
+        family = _family(measure, ngram)
         # a differenced sketch has ``length - sketch_window`` bits
         short = data.draw(st.integers(0, ngram - 1))
         batch = _windows(seed, 3, family.config.sketch_window + short)
@@ -123,7 +133,7 @@ class TestHashBatchEquivalence:
         copies=st.integers(2, 4),
     )
     def test_duplicate_rows_match_oracle(self, seed, measure, ngram, copies):
-        family = LSHFamily.for_measure(measure, ngram=ngram)
+        family = _family(measure, ngram)
         rows = _windows(seed, 2, family.config.sketch_window + 50)
         batch = np.concatenate([rows] * copies)
         _assert_matches_oracle(family, batch)
@@ -138,7 +148,7 @@ class TestHashBatchEquivalence:
         monkeypatch.setattr(minhash_oracle, "_uniform01", coarse)
         monkeypatch.setattr(minhash, "_TABLES", {})
         for ngram in (1, 3, 8, 12):
-            family = LSHFamily.for_measure("dtw", ngram=ngram)
+            family = _family("dtw", ngram)
             _assert_matches_oracle(family, _windows(ngram, 6, 120))
 
     @settings(max_examples=15, deadline=None)
@@ -149,8 +159,8 @@ class TestHashBatchEquivalence:
         n_b=st.integers(1, 4),
     )
     def test_seed_table_cache_is_order_independent(self, seed, ngram, n_a, n_b):
-        first = LSHFamily.for_measure("dtw", ngram=ngram)
-        second = LSHFamily.for_measure("dtw", ngram=ngram)
+        first = _family("dtw", ngram)
+        second = _family("dtw", ngram)
         batch_a = _windows(seed, n_a, 120)
         batch_b = _windows(seed + 1, n_b, 120)
         minhash._TABLES.clear()
