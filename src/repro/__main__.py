@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ScaloError
+from repro.units import DEFAULT_DEADLINE_MS
 
 
 def _table1(args) -> None:
@@ -753,7 +754,8 @@ def _opt_serve(parser: argparse.ArgumentParser) -> None:
                         help="admission queue bound")
     parser.add_argument("--serial", action="store_true",
                         help="disable coalescing")
-    parser.add_argument("--deadline-ms", type=_positive_float, default=250.0,
+    parser.add_argument("--deadline-ms", type=_positive_float,
+                        default=DEFAULT_DEADLINE_MS,
                         help="relative request deadline (simulated ms)")
     parser.add_argument("--fault-plan", default=None,
                         choices=("none", "mild", "moderate", "severe",

@@ -85,7 +85,6 @@ def build_system(
     measure: str = "dtw",
     seed: int = 0,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    **overrides,
 ) -> ScaloSystem:
     """Assemble a :class:`~repro.core.system.ScaloSystem` fleet.
 
@@ -97,8 +96,6 @@ def build_system(
         seed: fleet-wide seed (network jitter, clock offsets).
         telemetry: optional live :class:`~repro.telemetry.Telemetry`
             handle; metrics and spans from every layer land on it.
-        **overrides: any further :class:`ScaloSystem` field (``tdma``,
-            ``arq``, ``power_cap_mw``, ...).
     """
     return ScaloSystem(
         n_nodes=n_nodes,
@@ -106,7 +103,6 @@ def build_system(
         lsh_measure=measure,
         seed=seed,
         telemetry=telemetry,
-        **overrides,
     )
 
 

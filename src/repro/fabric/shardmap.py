@@ -8,7 +8,7 @@ possible (a moved tenant loses its fleet's signature-cache locality and
 retained results).  The classic answer is a consistent-hash ring with
 virtual nodes:
 
-* each fleet contributes ``vnodes`` points on a 64-bit ring, hashed
+* each fleet contributes :data:`VNODES` points on a 64-bit ring, hashed
   from ``(seed, fleet_id, replica)`` with BLAKE2b (process-stable,
   unlike Python's ``hash``);
 * a tenant hashes to one point and is owned by the first fleet point
@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
+#: Virtual nodes (ring points) per fleet.
+VNODES = 64
+
 
 def _ring_hash(seed: int, *parts: object) -> int:
     """A 64-bit ring point from seed-salted BLAKE2b (process-stable)."""
@@ -47,14 +50,11 @@ class ShardMap:
     """
 
     fleet_ids: tuple[int, ...] = (0,)
-    vnodes: int = 64
     seed: int = 0
     _points: list[int] = field(default_factory=list, repr=False)
     _owners: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        if self.vnodes < 1:
-            raise ConfigurationError("need at least one virtual node")
         if not self.fleet_ids:
             raise ConfigurationError("shard map needs at least one fleet")
         self._fleets: set[int] = set()
@@ -70,7 +70,7 @@ class ShardMap:
         ring = sorted(
             (_ring_hash(self.seed, "fleet", fleet_id, replica), fleet_id)
             for fleet_id in self._fleets
-            for replica in range(self.vnodes)
+            for replica in range(VNODES)
         )
         self._points = [point for point, _ in ring]
         self._owners = [fleet_id for _, fleet_id in ring]

@@ -51,6 +51,9 @@ class FaultKind(enum.Enum):
 
 #: ``magnitude`` codes for ``PARTITION_START`` events, in draw order.
 PARTITION_MODES = ("both", "a_to_b", "b_to_a")
+#: Size of a generated clock-drift spike, in microseconds (the sign is
+#: drawn per spike).
+DRIFT_SPIKE_US = 50.0
 
 
 #: Stable intra-round ordering (reboots before crashes would be wrong, etc.).
@@ -198,18 +201,16 @@ class FaultPlan:
         n_bit_rot: int = 0,
         rot_bits: int = 8,
         n_drift_spikes: int = 0,
-        drift_spike_us: float = 50.0,
         n_partitions: int = 0,
         partition_rounds: int = 6,
-        partition_asymmetric: bool = True,
     ) -> "FaultPlan":
         """Draw a plan from a seeded RNG — the reproducible entry point.
 
         Crashes hit distinct nodes (a node cannot crash while down); with
         ``reboot_after`` set, each crashed node reboots that many rounds
         later (if the horizon allows).  Outage windows, bit-rot, and drift
-        spikes land uniformly over rounds and nodes.  Partitions draw a
-        cut index and (when ``partition_asymmetric``) a directionality
+        spikes (:data:`DRIFT_SPIKE_US` each) land uniformly over rounds
+        and nodes.  Partitions draw a cut index and a directionality
         uniformly, each split healing ``partition_rounds`` later when the
         horizon allows; split windows are spaced so at most one split is
         active at a time (one fabric, one cut).
@@ -257,7 +258,7 @@ class FaultPlan:
                     int(rng.integers(0, n_rounds)),
                     int(rng.integers(0, n_nodes)),
                     FaultKind.CLOCK_DRIFT_SPIKE,
-                    magnitude=sign * drift_spike_us,
+                    magnitude=sign * DRIFT_SPIKE_US,
                 )
             )
 
@@ -277,11 +278,7 @@ class FaultPlan:
                 span = max(1, segment - partition_rounds)
                 start = lo + int(rng.integers(0, span))
                 cut = int(rng.integers(0, n_nodes - 1))
-                mode = (
-                    int(rng.integers(0, len(PARTITION_MODES)))
-                    if partition_asymmetric
-                    else 0
-                )
+                mode = int(rng.integers(0, len(PARTITION_MODES)))
                 events.append(
                     FaultEvent(
                         start, cut, FaultKind.PARTITION_START,

@@ -10,25 +10,25 @@ noisy channel, and unacknowledged targets are retransmitted with a
 bounded retry budget and a backoff expressed in TDMA slots.
 
 Accounting is honest: every retransmission and every ACK spends real
-airtime in the network's :class:`~repro.network.network.DeliveryStats`,
-so throughput numbers measured above this layer include the recovery
+airtime (``network.airtime_ms`` and ``arq.ack_airtime_ms``), so
+throughput numbers measured above this layer include the recovery
 overhead.  Receivers attached through :meth:`ReliableLink.attach` are
 wrapped with per-(src, seq) duplicate suppression, because a lost ACK
 makes the sender retransmit a packet the application already saw.
 
 Observability: the link shares the network's injectable telemetry
-handle.  Every counter in :class:`ARQStats` is mirrored into the metrics
-registry under the ``arq.*`` namespace (``arq.retries``,
-``arq.acks_lost``, ``arq.backoff_ms``, the ``arq.attempts`` histogram),
-and each retransmission opens an ``arq-retry`` span covering its backoff
-and burst, so recovery cost shows up inside the owning query's trace.
+handle, and its metrics registry is the link's only ledger.  The link
+books under the ``arq.*`` namespace (``arq.retries``, ``arq.acks_lost``,
+``arq.backoff_ms``, the ``arq.attempts`` histogram), and each
+retransmission opens an ``arq-retry`` span covering its backoff and
+burst, so recovery cost shows up inside the owning query's trace.
 
 Cost: at the Fig. 12 BERs almost every packet crosses clean on the first
 try.  :meth:`ReliableLink.send_many` is the one send path (:meth:`~
 ReliableLink.send` hands it one packet).  It draws each unicast packet's
 data and ACK frames ahead, books a run of clean packets in bulk, and
-sends only the others through the per-frame stop-and-wait path.  Stats,
-registry counters and key order, the clock, the ``arq.attempts``
+sends only the others through the per-frame stop-and-wait path.
+Registry counters and key order, the clock, the ``arq.attempts``
 histogram, the dedup memory and the deliveries all end as one per-frame
 send per packet leaves them; ``tests/arq_oracle.py`` keeps that loop as
 the reference.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RetryExhausted
 from repro.network.network import Receiver, WirelessNetwork
@@ -86,23 +86,6 @@ def backoff_slots(retry: int) -> int:
 
 
 @dataclass
-class ARQStats:
-    """Counters for one reliable link's lifetime."""
-
-    packets: int = 0
-    delivered_first_try: int = 0
-    recovered: int = 0
-    failed: int = 0
-    retransmissions: int = 0
-    acks_sent: int = 0
-    acks_lost: int = 0
-    duplicates_suppressed: int = 0
-    dedup_evictions: int = 0
-    ack_airtime_ms: float = 0.0
-    backoff_ms: float = 0.0
-
-
-@dataclass
 class ARQResult:
     """Outcome of one reliable send."""
 
@@ -124,7 +107,6 @@ class ReliableLink:
     """Stop-and-wait ARQ endpoint manager over one wireless network."""
 
     network: WirelessNetwork
-    stats: ARQStats = field(default_factory=ARQStats)
 
     def __post_init__(self) -> None:
         # (src, dst, kind, seq) already handed to the application; kind is
@@ -156,7 +138,6 @@ class ReliableLink:
                 # a live stream stays resident: refresh on every hit
                 self._seen[key] = self._accept_tick
                 self._seen.move_to_end(key)
-                self.stats.duplicates_suppressed += 1
                 self.telemetry.inc("arq.duplicates_suppressed")
                 return
             self._accept_tick += 1
@@ -167,7 +148,6 @@ class ReliableLink:
                 >= DEDUP_WINDOW
             ):
                 self._seen.popitem(last=False)
-                self.stats.dedup_evictions += 1
             receiver(packet)
 
         self.network.register(node_id, deduped)
@@ -192,7 +172,7 @@ class ReliableLink:
 
         The ACK is a minimal CONTROL packet; if it arrives corrupted the
         sender must assume loss (a NACK by timeout) and retransmit.  Its
-        airtime lands in the network stats like any other transmission.
+        airtime is booked like any other transmission's.
         ``acks`` holds the ACK each target has built for this send, so a
         retry re-sends the same frame instead of building it again.
         """
@@ -205,19 +185,15 @@ class ReliableLink:
                 packet.header.seq.to_bytes(ACK_PAYLOAD_BYTES, "big"),
                 seq=packet.header.seq,
             )
-        airtime = self.network.tdma.packet_airtime_ms(len(ack.payload))
-        self.network.stats.airtime_ms += airtime
-        self.stats.acks_sent += 1
-        self.stats.ack_airtime_ms += airtime
         tel = self.telemetry
         if tel.enabled:
+            airtime = self.network.tdma.packet_airtime_ms(len(ack.payload))
             tel.inc("arq.acks_sent")
             tel.inc("arq.ack_airtime_ms", airtime)
             tel.advance_ms(airtime)
         received, _ = self.network.channel.transmit(ack)
         if received.intact:
             return True
-        self.stats.acks_lost += 1
         tel.inc("arq.acks_lost")
         return False
 
@@ -281,56 +257,40 @@ class ReliableLink:
         """Book packets whose data and ACK frames crossed clean.
 
         Each receiver runs in order with the clock at its packet's
-        arrival; float sums (airtime, the clock) add one frame at a time,
-        data and ACK interleaved, and registry keys are created in the
-        order one clean send touches them.
+        arrival; float sums (each airtime counter, the clock) add one
+        frame at a time, the clock's data and ACK interleaved, and
+        registry keys are created in the order one clean send touches
+        them.
         """
-        network = self.network
-        tdma = network.tdma
+        results = [
+            ARQResult(p.header.seq, {p.header.dst: 1}, []) for p, _ in run
+        ]
+        tel = self.telemetry
+        if not tel.enabled:
+            for packet, receiver in run:
+                receiver(packet)
+            return results
+        tdma = self.network.tdma
         ack_ms = tdma.packet_airtime_ms(ACK_PAYLOAD_BYTES)
         data_ms = [tdma.packet_airtime_ms(len(p.payload)) for p, _ in run]
-        tel = self.telemetry
-        live = tel.enabled
-        if live:
-            for name in _CLEAN_KEYS_BEFORE_DELIVERY:
-                tel.inc(name, 0.0)
-        airtime = network.stats.airtime_ms
-        ack_airtime = self.stats.ack_airtime_ms
-        results: list[ARQResult] = []
-        for (packet, receiver), data in zip(run, data_ms):
-            airtime += data
-            if live:
-                tel.advance_ms(data)
+        for name in _CLEAN_KEYS_BEFORE_DELIVERY:
+            tel.inc(name, 0.0)
+        for i, ((packet, receiver), data) in enumerate(zip(run, data_ms)):
+            tel.advance_ms(data)
             receiver(packet)
-            if live and not results:
+            if i == 0:
                 for name in _CLEAN_KEYS_AFTER_DELIVERY:
                     tel.inc(name, 0.0)
-            airtime += ack_ms
-            ack_airtime += ack_ms
-            if live:
-                tel.advance_ms(ack_ms)
-            header = packet.header
-            results.append(ARQResult(header.seq, {header.dst: 1}, []))
+            tel.advance_ms(ack_ms)
         n = len(run)
-        network.stats.sent += n
-        network.stats.delivered += n
-        network.stats.airtime_ms = airtime
-        stats = self.stats
-        stats.packets += n
-        stats.acks_sent += n
-        stats.delivered_first_try += n
-        stats.ack_airtime_ms = ack_airtime
-        if live:
-            registry = tel.registry
-            for name in ("arq.packets", "network.packets_sent",
-                         "network.delivered", "arq.acks_sent",
-                         "arq.delivered_first_try"):
-                tel.inc(name, n)
-            tel.inc("network.payload_bytes",
-                    sum(len(p.payload) for p, _ in run))
-            registry.inc_each("network.airtime_ms", data_ms)
-            registry.inc_each("arq.ack_airtime_ms", [ack_ms] * n)
-            tel.observe("arq.attempts", 1, n=n)
+        for name in ("arq.packets", "network.packets_sent",
+                     "network.delivered", "arq.acks_sent",
+                     "arq.delivered_first_try"):
+            tel.inc(name, n)
+        tel.inc("network.payload_bytes", sum(len(p.payload) for p, _ in run))
+        tel.registry.inc_each("network.airtime_ms", data_ms)
+        tel.registry.inc_each("arq.ack_airtime_ms", [ack_ms] * n)
+        tel.observe("arq.attempts", 1, n=n)
         return results
 
     def _send_one(self, packet: Packet, raise_on_failure: bool) -> ARQResult:
@@ -341,7 +301,6 @@ class ReliableLink:
             ]
         else:
             pending = [packet.header.dst]
-        self.stats.packets += 1
         tel = self.telemetry
         tel.inc("arq.packets")
         delivered: dict[int, int] = {}
@@ -354,10 +313,8 @@ class ReliableLink:
             attempts_used = attempt
             if attempt > 1:
                 needed_retry = True
-                self.stats.retransmissions += 1
-                backoff_ms = backoff_slots(attempt - 1) * slot_ms
-                self.stats.backoff_ms += backoff_ms
                 if tel.enabled:
+                    backoff_ms = backoff_slots(attempt - 1) * slot_ms
                     tel.inc("arq.retries")
                     tel.inc("arq.backoff_ms", backoff_ms)
                     tel.advance_ms(backoff_ms)
@@ -383,13 +340,10 @@ class ReliableLink:
 
         if needed_retry:
             if pending:
-                self.stats.failed += 1
                 tel.inc("arq.failed")
             else:
-                self.stats.recovered += 1
                 tel.inc("arq.recovered")
         else:
-            self.stats.delivered_first_try += 1
             tel.inc("arq.delivered_first_try")
         tel.observe("arq.attempts", attempts_used)
         result = ARQResult(packet.header.seq, delivered, sorted(pending))

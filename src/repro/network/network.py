@@ -8,8 +8,11 @@ since it cannot be routed (paper §3.4, §6.6).
 
 Fault-injection hooks: endpoints can be :meth:`unregistered
 <WirelessNetwork.unregister>` (a crashed implant) or put into a radio
-outage (registered but deaf and mute).  Every transmit reports a per-target :class:`DeliveryOutcome`, which is
-what the ARQ layer in :mod:`repro.network.arq` builds on.
+outage (registered but deaf and mute).  Every transmit reports a
+per-target :class:`DeliveryOutcome`, which is what the ARQ layer in
+:mod:`repro.network.arq` builds on.  Bursts, deliveries, drops and
+airtime are booked only as ``network.*`` counters in the telemetry
+registry.
 """
 
 from __future__ import annotations
@@ -57,26 +60,6 @@ class DeliveryOutcome(enum.Enum):
         )
 
 
-@dataclass
-class DeliveryStats:
-    """Counters for one network's lifetime.
-
-    Retransmission counts live with the ARQ layer that causes them
-    (:class:`~repro.network.arq.ARQStats` and the ``arq.retries``
-    registry counter) — this struct only books what the medium itself
-    sees: bursts, deliveries, drops, and airtime.
-    """
-
-    sent: int = 0
-    delivered: int = 0
-    dropped_header: int = 0
-    dropped_payload: int = 0
-    dropped_outage: int = 0
-    dropped_partition: int = 0
-    delivered_corrupted: int = 0
-    airtime_ms: float = 0.0
-
-
 Receiver = Callable[[Packet], None]
 
 
@@ -94,9 +77,11 @@ class WirelessNetwork:
     seed: int = 0
     channel: BitErrorChannel = field(init=False)
     _receivers: dict[int, Receiver] = field(default_factory=dict)
-    stats: DeliveryStats = field(default_factory=DeliveryStats)
-    #: Injectable observability handle; the no-op default keeps the
-    #: transmit path byte-identical to an uninstrumented run.
+    #: Injectable observability handle and the medium's only ledger:
+    #: bursts, deliveries, drops and airtime are ``network.*`` counters
+    #: (retransmissions are the ARQ layer's ``arq.retries``).  The no-op
+    #: default keeps the transmit path byte-identical to an
+    #: uninstrumented run.
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
@@ -202,7 +187,7 @@ class WirelessNetwork:
         """Transmit a packet; deliveries follow the error policy.
 
         Returns the per-target outcomes (one entry per receiver for a
-        broadcast).  Routing errors are raised before any statistics are
+        broadcast).  Routing errors are raised before any counter is
         touched, so a rejected send leaves no phantom traffic behind.
         """
         if packet.header.src not in self._receivers:
@@ -224,11 +209,9 @@ class WirelessNetwork:
         subset of a broadcast.  Each call is one radio burst: it spends one
         packet's airtime regardless of how many receivers listen.
         """
-        airtime_ms = self.tdma.packet_airtime_ms(len(packet.payload))
-        self.stats.sent += 1
-        self.stats.airtime_ms += airtime_ms
         tel = self.telemetry
         if tel.enabled:
+            airtime_ms = self.tdma.packet_airtime_ms(len(packet.payload))
             tel.inc("network.packets_sent")
             tel.inc("network.airtime_ms", airtime_ms)
             tel.inc("network.payload_bytes", len(packet.payload))
@@ -240,11 +223,9 @@ class WirelessNetwork:
             if target not in self._receivers:
                 raise NetworkError(f"unknown destination {target}")
             if src_dark or target in self._outages:
-                self.stats.dropped_outage += 1
                 outcomes[target] = DeliveryOutcome.DROPPED_OUTAGE
                 continue
             if not self.can_reach(src, target):
-                self.stats.dropped_partition += 1
                 outcomes[target] = DeliveryOutcome.DROPPED_PARTITION
                 continue
             received, _ = self.channel.transmit(packet)
@@ -268,15 +249,11 @@ class WirelessNetwork:
 
     def _deliver(self, target: int, packet: Packet) -> DeliveryOutcome:
         if not packet.header_ok:
-            self.stats.dropped_header += 1
             return DeliveryOutcome.DROPPED_HEADER
         outcome = DeliveryOutcome.DELIVERED
         if not packet.payload_ok:
             if packet.header.kind in DROP_ON_ERROR:
-                self.stats.dropped_payload += 1
                 return DeliveryOutcome.DROPPED_PAYLOAD
-            self.stats.delivered_corrupted += 1
             outcome = DeliveryOutcome.DELIVERED_CORRUPTED
-        self.stats.delivered += 1
         self._receivers[target](packet)
         return outcome

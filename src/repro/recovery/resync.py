@@ -52,7 +52,6 @@ class ResyncReport:
     failed_peers: list[int] = field(default_factory=list)
     batches_pulled: int = 0
     batches_pushed: int = 0
-    batches_skipped: int = 0
 
 
 def _deliver(system: "ScaloSystem", packet: Packet) -> bool:
@@ -120,7 +119,6 @@ def resync_node(
             for window in served:
                 payload = _pack_batch(system, peer, window)
                 if payload is None:
-                    report.batches_skipped += 1
                     tel.inc("recovery.resync_skipped")
                     continue
                 batch = Packet.build(
@@ -143,7 +141,6 @@ def resync_node(
             for window in own:
                 payload = _pack_batch(system, node_id, window)
                 if payload is None:
-                    report.batches_skipped += 1
                     tel.inc("recovery.resync_skipped")
                     continue
                 batch = Packet.build(

@@ -40,14 +40,9 @@ from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, QueryRejected
 from repro.serving.reliability import RetryPolicy
-from repro.serving.server import (
-    DEFAULT_DEADLINE_MS,
-    QueryResponse,
-    QueryServer,
-    ServerConfig,
-)
+from repro.serving.server import QueryResponse, QueryServer, ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
-from repro.units import ROUND_MS, WINDOW_SAMPLES
+from repro.units import DEFAULT_DEADLINE_MS, ROUND_MS, WINDOW_SAMPLES
 
 #: q1/q2/q3 mix of every load (normalised at draw time)
 KIND_WEIGHTS = (0.25, 0.5, 0.25)

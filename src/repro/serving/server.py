@@ -83,11 +83,8 @@ from repro.serving.reliability import (
     RetryPolicy,
 )
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
+from repro.units import DEFAULT_DEADLINE_MS
 
-#: relative deadline of a request that carries none (ms after arrival):
-#: the server's default, a request's restamp on re-execution, and the
-#: load generator's stamp
-DEFAULT_DEADLINE_MS = 250.0
 #: response-assembly charge per coalesced member beyond the first (ms)
 COALESCE_MERGE_MS = 2.0
 #: extra service time per failed, un-latched node contribution: the wave

@@ -53,6 +53,11 @@ WINDOW_BYTES = WINDOW_SAMPLES * ADC_BITS_PER_SAMPLE // 8  # 240
 #: fault injector steps a plan and the health engine samples the registry.
 ROUND_MS = 50.0
 
+#: Relative deadline of a query that carries none (ms after arrival): the
+#: server's default, a request's restamp on re-execution, the load
+#: generator's stamp and the CLI's ``--deadline-ms`` default.
+DEFAULT_DEADLINE_MS = 250.0
+
 # --- throughput metric -------------------------------------------------------
 
 

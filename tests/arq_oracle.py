@@ -30,7 +30,6 @@ def send(
         pending = [n for n in network.node_ids if n != packet.header.src]
     else:
         pending = [packet.header.dst]
-    link.stats.packets += 1
     tel = link.telemetry
     tel.inc("arq.packets")
     delivered: dict[int, int] = {}
@@ -43,10 +42,8 @@ def send(
         attempts_used = attempt
         if attempt > 1:
             needed_retry = True
-            link.stats.retransmissions += 1
-            backoff_ms = backoff_slots(attempt - 1) * slot_ms
-            link.stats.backoff_ms += backoff_ms
             if tel.enabled:
+                backoff_ms = backoff_slots(attempt - 1) * slot_ms
                 tel.inc("arq.retries")
                 tel.inc("arq.backoff_ms", backoff_ms)
                 tel.advance_ms(backoff_ms)
@@ -72,13 +69,10 @@ def send(
 
     if needed_retry:
         if pending:
-            link.stats.failed += 1
             tel.inc("arq.failed")
         else:
-            link.stats.recovered += 1
             tel.inc("arq.recovered")
     else:
-        link.stats.delivered_first_try += 1
         tel.inc("arq.delivered_first_try")
     tel.observe("arq.attempts", attempts_used)
     result = ARQResult(packet.header.seq, delivered, sorted(pending))
@@ -116,18 +110,14 @@ def _ack_roundtrip_ok(
             seq=packet.header.seq,
         )
     network = link.network
-    airtime = network.tdma.packet_airtime_ms(len(ack.payload))
-    network.stats.airtime_ms += airtime
-    link.stats.acks_sent += 1
-    link.stats.ack_airtime_ms += airtime
     tel = link.telemetry
     if tel.enabled:
+        airtime = network.tdma.packet_airtime_ms(len(ack.payload))
         tel.inc("arq.acks_sent")
         tel.inc("arq.ack_airtime_ms", airtime)
         tel.advance_ms(airtime)
     received, _ = network.channel.transmit(ack)
     if received.intact:
         return True
-    link.stats.acks_lost += 1
     tel.inc("arq.acks_lost")
     return False

@@ -113,6 +113,26 @@ print(len(names))
     assert int(proc.stdout) >= 20
 
 
+def test_cli_module_imports_no_subsystem_at_top():
+    """``repro.__main__`` loads only ``errors`` and ``units`` up front;
+    each command imports its subsystem when it runs."""
+    script = """
+import sys
+import repro.__main__
+print(" ".join(sorted(m for m in sys.modules if m.startswith("repro"))))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "repro", "repro.__main__", "repro.errors", "repro.units",
+    ]
+
+
 #: The two package ``__init__``s that may import: ``repro.telemetry``
 #: defines the handles, and ``bench/workloads.py`` imports the two
 #: fabric configs from ``repro.fabric``.

@@ -9,17 +9,23 @@ from repro.errors import ConfigurationError, NetworkError, RetryExhausted
 from repro.network import arq
 from repro.network.arq import MAX_RETRIES, ReliableLink, backoff_slots
 from repro.network.channel import BitErrorChannel, flip_bits
-from repro.network.network import DeliveryOutcome, DeliveryStats, WirelessNetwork
+from repro.network.network import DeliveryOutcome, WirelessNetwork
 from repro.network.packet import BROADCAST, Packet, PayloadKind
 from repro.network.radio import LOW_POWER
 from repro.network.tdma import TDMAConfig
 from repro.telemetry import Telemetry
 
 
-def _network(ber=0.0, seed=0, telemetry=None):
+def _network(ber=0.0, seed=0):
     radio = replace(LOW_POWER, bit_error_rate=ber)
-    kwargs = {} if telemetry is None else {"telemetry": telemetry}
-    return WirelessNetwork(tdma=TDMAConfig(radio=radio), seed=seed, **kwargs)
+    return WirelessNetwork(
+        tdma=TDMAConfig(radio=radio), seed=seed, telemetry=Telemetry()
+    )
+
+
+def _count(network, name, **labels):
+    """One registry counter of the network's live telemetry."""
+    return network.telemetry.registry.counter(name, **labels)
 
 
 def _packet(src=0, dst=1, payload=bytes(48), seq=0, kind=PayloadKind.HASHES):
@@ -79,14 +85,14 @@ class TestSendValidation:
         network.register(0, lambda p: None)
         with pytest.raises(NetworkError):
             network.send(_packet(0, 9))
-        assert network.stats == DeliveryStats()
+        assert network.telemetry.snapshot() == Telemetry().snapshot()
 
     def test_unknown_source_leaves_stats_untouched(self):
         network = _network()
         network.register(1, lambda p: None)
         with pytest.raises(NetworkError):
             network.send(_packet(0, 1))
-        assert network.stats == DeliveryStats()
+        assert network.telemetry.snapshot() == Telemetry().snapshot()
 
     def test_good_send_counts_once(self):
         network = _network()
@@ -94,9 +100,9 @@ class TestSendValidation:
         network.register(1, lambda p: None)
         outcomes = network.send(_packet(0, 1))
         assert outcomes == {1: DeliveryOutcome.DELIVERED}
-        assert network.stats.sent == 1
-        assert network.stats.delivered == 1
-        assert network.stats.airtime_ms > 0
+        assert _count(network, "network.packets_sent") == 1
+        assert _count(network, "network.delivered") == 1
+        assert _count(network, "network.airtime_ms") > 0
 
 
 class TestUnregister:
@@ -123,7 +129,7 @@ class TestUnregister:
         network.send(_packet(0, BROADCAST))
         assert not inboxes[1]
         assert len(inboxes[2]) == 1
-        assert network.stats.delivered == 1
+        assert _count(network, "network.delivered") == 1
 
     def test_direct_send_to_unregistered_raises(self):
         network = _network()
@@ -154,7 +160,7 @@ class TestOutages:
         network.set_outage(0)
         out = network.send(_packet(0, 1))  # dark source transmits nowhere
         assert out == {1: DeliveryOutcome.DROPPED_OUTAGE}
-        assert network.stats.dropped_outage == 2
+        assert _count(network, "network.dropped", reason="outage") == 2
         assert not inboxes[1]
 
     def test_outage_on_unknown_node_raises(self):
@@ -171,9 +177,10 @@ class TestARQRecovery:
         for i in range(20):
             result = link.send(_packet(seq=i))
             assert result.ok and result.attempts == 1
-        assert link.stats.delivered_first_try == 20
-        assert link.stats.retransmissions == 0
-        assert link.stats.recovered == link.stats.failed == 0
+        assert _count(network, "arq.delivered_first_try") == 20
+        assert _count(network, "arq.retries") == 0
+        assert _count(network, "arq.recovered") == 0
+        assert _count(network, "arq.failed") == 0
 
     def test_recovers_99_pct_of_crc_drops_at_ber_1e_4(self):
         """The acceptance criterion: >=99% of dropped hash packets recovered."""
@@ -185,35 +192,37 @@ class TestARQRecovery:
         n_packets = 400
         for i in range(n_packets):
             link.send(_packet(seq=i))
-        stats = link.stats
-        assert stats.delivered_first_try < n_packets  # channel did bite
-        assert stats.recovered + stats.failed > 0
-        assert stats.recovered / (stats.recovered + stats.failed) >= 0.99
-        assert len(delivered) == stats.delivered_first_try + stats.recovered
+        first_try = _count(network, "arq.delivered_first_try")
+        recovered = _count(network, "arq.recovered")
+        failed = _count(network, "arq.failed")
+        assert first_try < n_packets  # channel did bite
+        assert recovered + failed > 0
+        assert recovered / (recovered + failed) >= 0.99
+        assert len(delivered) == first_try + recovered
 
     def test_retransmissions_and_acks_spend_airtime(self):
-        tel = Telemetry()
-        network = _network(ber=1e-3, seed=2, telemetry=tel)
+        network = _network(ber=1e-3, seed=2)
         link = ReliableLink(network)
         link.attach(0, lambda p: None)
         link.attach(1, lambda p: None)
         for i in range(60):
             link.send(_packet(seq=i))
-        assert link.stats.retransmissions > 0
-        # retransmission counts live in the arq.* registry namespace now,
-        # not duplicated into DeliveryStats
-        assert tel.registry.counter("arq.retries") == link.stats.retransmissions
+        retries = _count(network, "arq.retries")
+        acks = _count(network, "arq.acks_sent")
+        assert retries > 0
         # sent counts every burst, so it exceeds the application packet count
-        assert network.stats.sent == 60 + link.stats.retransmissions
-        assert link.stats.ack_airtime_ms > 0
-        assert network.stats.airtime_ms > link.stats.ack_airtime_ms
-        # the registry mirrors both airtime flavours
-        assert tel.registry.counter("arq.ack_airtime_ms") == pytest.approx(
-            link.stats.ack_airtime_ms
-        )
-        assert tel.registry.counter("network.airtime_ms") + tel.registry.counter(
-            "arq.ack_airtime_ms"
-        ) == pytest.approx(network.stats.airtime_ms)
+        bursts = _count(network, "network.packets_sent")
+        assert bursts == 60 + retries
+        assert acks >= 60
+        # every burst and every ACK spends one frame's airtime
+        tdma = network.tdma
+        data_ms = bursts * tdma.packet_airtime_ms(48)
+        ack_ms = acks * tdma.packet_airtime_ms(arq.ACK_PAYLOAD_BYTES)
+        assert _count(network, "network.airtime_ms") == pytest.approx(data_ms)
+        assert _count(network, "arq.ack_airtime_ms") == pytest.approx(ack_ms)
+        assert _count(network, "network.airtime_ms") + _count(
+            network, "arq.ack_airtime_ms"
+        ) == pytest.approx(data_ms + ack_ms)
 
     def test_retry_exhaustion(self):
         network = _network()
@@ -224,8 +233,8 @@ class TestARQRecovery:
         result = link.send(_packet(seq=5))
         assert not result.ok
         assert result.failed == [1]
-        assert link.stats.failed == 1
-        assert link.stats.retransmissions == MAX_RETRIES
+        assert _count(network, "arq.failed") == 1
+        assert _count(network, "arq.retries") == MAX_RETRIES
         with pytest.raises(RetryExhausted) as exc:
             link.send(_packet(seq=6), raise_on_failure=True)
         assert exc.value.seq == 6
@@ -245,7 +254,7 @@ class TestARQRecovery:
         # node 1 ACKed on attempt 1; the retries went to node 2 alone,
         # so node 1 saw exactly one copy even without dedupe kicking in
         assert len(inboxes[1]) == 1
-        assert link.stats.duplicates_suppressed == 0
+        assert _count(network, "arq.duplicates_suppressed") == 0
 
 
 class TestARQBackoff:
@@ -259,7 +268,7 @@ class TestARQBackoff:
         link.send(_packet(seq=0))
         slot_ms = network.tdma.slot_ms()
         # retries 1, 2, 3 wait 1, 2, 4 slots
-        assert link.stats.backoff_ms == pytest.approx(7 * slot_ms)
+        assert _count(network, "arq.backoff_ms") == pytest.approx(7 * slot_ms)
 
     def test_exponential_schedule(self):
         assert [backoff_slots(r) for r in (1, 2, 3, 4)] == [1, 2, 4, 8]
@@ -293,8 +302,8 @@ class TestDuplicateSuppression:
         result = link.send(_packet(seq=3))
         assert not result.ok  # sender never saw an ACK
         assert len(seen) == 1  # but the application saw exactly one copy
-        assert link.stats.duplicates_suppressed == 2
-        assert link.stats.acks_lost == 3
+        assert _count(network, "arq.duplicates_suppressed") == 2
+        assert _count(network, "arq.acks_lost") == 3
 
     def test_distinct_sequences_not_suppressed(self):
         network = _network()
@@ -305,7 +314,7 @@ class TestDuplicateSuppression:
         for i in range(5):
             link.send(_packet(seq=i))
         assert len(seen) == 5
-        assert link.stats.duplicates_suppressed == 0
+        assert _count(network, "arq.duplicates_suppressed") == 0
 
 
 class TestDedupWindowBound:
@@ -329,12 +338,13 @@ class TestDedupWindowBound:
         for seq in range(1, 5):
             link.send(_packet(seq=seq))
         # seq 0's entry aged out of the 4-deep window...
-        assert link.stats.dedup_evictions >= 1
+        assert len(link._seen) <= 4
+        assert all(key[3] != 0 for key in link._seen)
         before = len(seen)
         link.send(_packet(seq=0))
         # ...so a late copy is redelivered rather than suppressed
         assert len(seen) == before + 1
-        assert link.stats.duplicates_suppressed == 0
+        assert _count(link.network, "arq.duplicates_suppressed") == 0
 
     def test_hit_refreshes_recency(self, window):
         link, seen = window(3)
@@ -344,14 +354,15 @@ class TestDedupWindowBound:
         link.send(_packet(seq=2))  # tick 3
         link.send(_packet(seq=3))  # tick 4: without the refresh, seq 0
         link.send(_packet(seq=0))  # (tick 1) would have been evicted
-        assert link.stats.duplicates_suppressed == 2
+        assert _count(link.network, "arq.duplicates_suppressed") == 2
 
     def test_memory_stays_bounded(self, window):
         link, _ = window(16)
         for seq in range(500):
             link.send(_packet(seq=seq & 0xFFFF))
         assert len(link._seen) <= 16
-        assert link.stats.dedup_evictions == 500 - len(link._seen)
+        # exactly the 16 newest accepts stay resident, oldest first
+        assert [key[3] for key in link._seen] == list(range(484, 500))
 
     def test_forget_drops_only_that_receiver(self, monkeypatch):
         monkeypatch.setattr(arq, "DEDUP_WINDOW", 64)
@@ -365,4 +376,4 @@ class TestDedupWindowBound:
         link.send(_packet(dst=BROADCAST, seq=9))
         assert len(inboxes[1]) == 2  # redelivered after the reboot
         assert len(inboxes[2]) == 1  # peer still suppresses
-        assert link.stats.duplicates_suppressed == 1
+        assert _count(link.network, "arq.duplicates_suppressed") == 1

@@ -27,12 +27,15 @@ from repro.scheduler.model import (
 )
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
+from repro.telemetry import Telemetry
 
 
 class TestNetworkUnderFire:
     def _network(self, ber: float):
         radio = replace(LOW_POWER, bit_error_rate=ber)
-        network = WirelessNetwork(tdma=TDMAConfig(radio=radio), seed=1)
+        network = WirelessNetwork(
+            tdma=TDMAConfig(radio=radio), seed=1, telemetry=Telemetry()
+        )
         inbox: list[Packet] = []
         network.register(0, lambda p: None)
         network.register(1, inbox.append)
@@ -44,7 +47,11 @@ class TestNetworkUnderFire:
             network.send(Packet.build(0, 1, PayloadKind.HASHES, bytes(100),
                                       seq=i))
         # heavy loss, but every delivered packet passed its CRC
-        assert network.stats.dropped_payload + network.stats.dropped_header > 50
+        registry = network.telemetry.registry
+        assert sum(
+            registry.counter("network.dropped", reason=reason)
+            for reason in ("payload", "header")
+        ) > 50
         assert all(p.payload_ok for p in inbox)
 
     def test_signal_packets_always_flow(self):

@@ -17,6 +17,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.hashing.lsh import LSHFamily
 from repro.scheduler.ilp import Flow
 from repro.scheduler.model import seizure_detection_task
+from repro.telemetry import Telemetry
 from repro.units import WINDOW_SAMPLES
 
 
@@ -94,7 +95,9 @@ class TestFaultPlan:
 
 class TestFaultInjectorDeterminism:
     def _run_once(self):
-        system = _small_system()
+        system = ScaloSystem(
+            n_nodes=4, electrodes_per_node=4, telemetry=Telemetry()
+        )
         plan = FaultPlan.generate(
             4, 30, seed=7, n_crashes=1, reboot_after=8, n_outages=1,
             outage_rounds=4, n_bit_rot=2, rot_bits=4, n_drift_spikes=1,
@@ -111,13 +114,17 @@ class TestFaultInjectorDeterminism:
                 if system.network.in_outage(src):
                     continue
                 system.broadcast_hashes(src, signatures[src], seq=round_index)
-        return injector.event_log(), system.network.stats
+        return injector.event_log(), (
+            system.network.channel._rng.bit_generator.state,
+            [node.storage.state_digest() for node in system.nodes],
+            system.telemetry.snapshot(),
+        )
 
     def test_same_seed_gives_byte_identical_logs_and_stats(self):
-        log_a, stats_a = self._run_once()
-        log_b, stats_b = self._run_once()
+        log_a, state_a = self._run_once()
+        log_b, state_b = self._run_once()
         assert log_a.encode() == log_b.encode()
-        assert stats_a == stats_b
+        assert state_a == state_b
 
 
 class TestFaultInjectorEffects:
@@ -176,7 +183,9 @@ class TestFaultInjectorEffects:
         assert system.clocks[0].offset_us == pytest.approx(offset_before + 75.0)
 
     def test_outage_drops_traffic_but_node_survives(self):
-        system = _small_system()
+        system = ScaloSystem(
+            n_nodes=4, electrodes_per_node=4, telemetry=Telemetry()
+        )
         plan = FaultPlan(
             n_nodes=4, n_rounds=6,
             events=[
@@ -190,7 +199,9 @@ class TestFaultInjectorEffects:
             np.zeros((4, system.electrodes_per_node, WINDOW_SAMPLES))
         )
         system.broadcast_hashes(0, signatures[0])
-        assert system.network.stats.dropped_outage == 1  # node 1 deaf
+        assert system.telemetry.registry.counter(
+            "network.dropped", reason="outage"
+        ) == 1  # node 1 deaf
         assert len(system.drain_inbox(2)) == 1
         injector.run(5)
         assert system.is_alive(1)

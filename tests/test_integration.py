@@ -16,6 +16,7 @@ from repro.apps.stimulation import Stimulator
 from repro.apps.streaming import Codec, TelemetryOffloader, TelemetryReceiver
 from repro.core.system import ScaloSystem
 from repro.datasets.synthetic_ieeg import generate_ieeg
+from repro.telemetry import Telemetry
 from tests.dtw_oracle import dtw_distance
 
 
@@ -28,7 +29,9 @@ def scenario():
     detector = train_detector_from_recording(
         recording, max_windows_per_node=150, seed=0
     )
-    system = ScaloSystem(n_nodes=3, electrodes_per_node=4)
+    system = ScaloSystem(
+        n_nodes=3, electrodes_per_node=4, telemetry=Telemetry()
+    )
     return recording, detector, system
 
 
@@ -100,8 +103,9 @@ class TestClosedLoop:
 
     def test_network_stats_accumulated(self, run):
         ((_, _, system), _) = run
-        assert system.network.stats.sent > 0
-        assert system.network.stats.delivered > 0
+        registry = system.telemetry.registry
+        assert registry.counter("network.packets_sent") > 0
+        assert registry.counter("network.delivered") > 0
 
     def test_windows_retrievable_from_nvm(self, run):
         ((recording, _, system), _) = run

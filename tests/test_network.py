@@ -22,6 +22,7 @@ from repro.network.packet import (
 )
 from repro.network.radio import LOW_POWER, RADIO_CATALOG
 from repro.network.tdma import TDMAConfig, TDMASchedule
+from repro.telemetry import Telemetry
 from tests import crc_oracle, packet_oracle
 
 
@@ -261,7 +262,9 @@ class TestWirelessNetwork:
         from dataclasses import replace
 
         radio = replace(LOW_POWER, bit_error_rate=ber)
-        net = WirelessNetwork(tdma=TDMAConfig(radio=radio), seed=3)
+        net = WirelessNetwork(
+            tdma=TDMAConfig(radio=radio), seed=3, telemetry=Telemetry()
+        )
         inboxes = {0: [], 1: [], 2: []}
         for node in inboxes:
             net.register(node, lambda p, n=node: inboxes[n].append(p))
@@ -283,8 +286,9 @@ class TestWirelessNetwork:
         for i in range(50):
             net.send(Packet.build(0, 1, PayloadKind.HASHES, bytes(100), seq=i))
             net.send(Packet.build(0, 1, PayloadKind.SIGNAL, bytes(100), seq=i))
-        assert net.stats.dropped_payload > 0
-        assert net.stats.delivered_corrupted > 0
+        registry = net.telemetry.registry
+        assert registry.counter("network.dropped", reason="payload") > 0
+        assert registry.counter("network.delivered", corrupted="true") > 0
         # every dropped packet was a hash packet; corrupted signals arrive
         kinds = {p.header.kind for p in inboxes[1]}
         assert PayloadKind.SIGNAL in kinds

@@ -70,7 +70,7 @@ class TestPartitionMatrix:
 
 class TestNetworkPartition:
     def _network(self):
-        network = WirelessNetwork()
+        network = WirelessNetwork(telemetry=Telemetry())
         inboxes = {n: [] for n in range(4)}
         for node, inbox in inboxes.items():
             network.register(node, inbox.append)
@@ -81,7 +81,9 @@ class TestNetworkPartition:
         network.set_partition(PartitionMatrix.split(4, cut=1, mode="both"))
         network.send(Packet.build(0, 3, PayloadKind.HASHES, bytes(8), seq=0))
         network.send(Packet.build(0, 1, PayloadKind.HASHES, bytes(8), seq=1))
-        assert network.stats.dropped_partition == 1
+        assert network.telemetry.registry.counter(
+            "network.dropped", reason="partition"
+        ) == 1
         assert [p.header.seq for p in inboxes[1]] == [1]
         assert inboxes[3] == []
 
@@ -92,7 +94,9 @@ class TestNetworkPartition:
         network.send(Packet.build(2, 0, PayloadKind.HASHES, bytes(8), seq=1))
         assert inboxes[2] == []  # A -> B blocked
         assert [p.header.seq for p in inboxes[0]] == [1]  # B -> A clear
-        assert network.stats.dropped_partition == 1
+        assert network.telemetry.registry.counter(
+            "network.dropped", reason="partition"
+        ) == 1
 
     def test_clear_partition_restores_delivery(self):
         network, inboxes = self._network()
@@ -106,8 +110,7 @@ class TestNetworkPartition:
 
 class TestPartitionPlan:
     def test_generation_is_deterministic(self):
-        kwargs = dict(n_partitions=3, partition_rounds=8,
-                      partition_asymmetric=True)
+        kwargs = dict(n_partitions=3, partition_rounds=8)
         a = FaultPlan.generate(7, 64, seed=5, **kwargs)
         b = FaultPlan.generate(7, 64, seed=5, **kwargs)
         assert a.events == b.events
@@ -125,13 +128,6 @@ class TestPartitionPlan:
         assert len(heals) == 2
         for start, heal in zip(starts, heals):
             assert heal.round > start.round
-
-    def test_symmetric_only_generation(self):
-        plan = FaultPlan.generate(7, 64, seed=3, n_partitions=2,
-                                  partition_asymmetric=False)
-        for event in plan.events:
-            if event.kind is FaultKind.PARTITION_START:
-                assert int(event.magnitude) == 0  # mode "both"
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -25,6 +25,12 @@ Config fields: every field of a config dataclass under ``src/repro``
 real run sets is a module constant instead, so tests and benchmarks
 never cover values that nothing runs.  :data:`CONFIG_FIELDS_ALLOWED`
 lists the few kept settable anyway.
+
+Augmented attributes: every attribute ``src/repro`` augments (``x.attr
++= ...``) is *read* in ``src/``, ``examples/``, ``bench/`` or
+``benchmarks/`` (an ``ast.Attribute`` load, bare-name match).  A counter
+nothing reads is a second ledger beside the metrics registry, or no
+ledger at all.  :data:`WRITE_ONLY_ALLOWED` lists the few kept anyway.
 """
 
 from __future__ import annotations
@@ -89,6 +95,24 @@ CONFIG_FIELDS_ALLOWED = {
         "parsed in place from the program's scalo_set_comm lines (§3.7)",
     "repro.network.tdma.TDMAConfig.guard_ms":
         "§3.6: the slot guard microsecond clock sync allows, beside the radio",
+}
+
+#: Augmented attributes that no file outside ``tests/`` reads, each with
+#: why it stays.  The list only shrinks: an entry that is no longer
+#: augmented, or that a file outside ``tests/`` now reads, fails
+#: :func:`test_write_only_allow_list_is_current`.
+_NVM_LEDGER = (
+    "NVMStats, the device's own ledger beside the storage.* registry "
+    "series, until storage metering keeps one ledger (ROADMAP item 6)"
+)
+WRITE_ONLY_ALLOWED = {
+    "repro.storage.nvm.NVMStats.page_writes": _NVM_LEDGER,
+    "repro.storage.nvm.NVMStats.block_erases": _NVM_LEDGER,
+    "repro.storage.nvm.NVMStats.ecc_corrected": _NVM_LEDGER,
+    "repro.storage.nvm.NVMStats.ecc_uncorrectable": _NVM_LEDGER,
+    "repro.apps.seizure.SimulationResult.hash_rounds_lost":
+        "a field of the result run() returns: detections whose hash "
+        "round the radio lost, so they stayed local (§6.6)",
 }
 
 
@@ -357,3 +381,59 @@ def test_config_allow_list_is_current():
     assert all(reason for reason in CONFIG_FIELDS_ALLOWED.values())
     assert sorted(set(CONFIG_FIELDS_ALLOWED) - config_field_names()) == []
     assert sorted(set(CONFIG_FIELDS_ALLOWED) & fields_set_outside_tests()) == []
+
+
+def augmented_attributes() -> dict[str, str]:
+    """Qualified name -> bare name of every attribute ``src/repro``
+    augments: ``module.Class.attr`` for each class of the augmenting
+    module that declares ``attr`` as a field, else ``module.attr``."""
+    found: dict[str, str] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path)
+        tree = ast.parse(path.read_text())
+        declared: dict[str, list[str]] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(
+                        sub.target, ast.Name
+                    ):
+                        declared.setdefault(sub.target.id, []).append(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(
+                node.target, ast.Attribute
+            ):
+                attr = node.target.attr
+                for owner in declared.get(attr, [None]):
+                    qualname = ".".join(filter(None, (module, owner, attr)))
+                    found[qualname] = attr
+    return found
+
+
+def attributes_read_outside_tests() -> set[str]:
+    """Every attribute name a file outside ``tests/`` loads."""
+    return {
+        node.attr
+        for folder in NAMING_ROOTS
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_augmented_attribute_is_read_outside_tests():
+    reads = attributes_read_outside_tests()
+    unread = {
+        qualname
+        for qualname, attr in augmented_attributes().items()
+        if attr not in reads
+    }
+    assert sorted(unread - set(WRITE_ONLY_ALLOWED)) == []
+
+
+def test_write_only_allow_list_is_current():
+    augmented = augmented_attributes()
+    reads = attributes_read_outside_tests()
+    assert all(reason for reason in WRITE_ONLY_ALLOWED.values())
+    assert sorted(set(WRITE_ONLY_ALLOWED) - set(augmented)) == []
+    assert sorted(q for q in WRITE_ONLY_ALLOWED if augmented[q] in reads) == []

@@ -258,18 +258,23 @@ def _faulted_session(telemetry):
                     src, batches[src], seq=(round_index * 4 + src) & 0xFFFF
                 )
     assert system.link is not None
-    return injector.event_log(), system.network.stats, system.link.stats
+    return (
+        injector.event_log(),
+        system.network.channel._rng.bit_generator.state,
+        [node.storage.state_digest() for node in system.nodes],
+        list(system.link._seen.items()),
+    )
 
 
 class TestNullTelemetryZeroImpact:
     """Attaching telemetry must not perturb a seeded scenario at all."""
 
     def test_event_logs_byte_identical_with_and_without_telemetry(self):
-        log_null, stats_null, arq_null = _faulted_session(NULL_TELEMETRY)
-        log_live, stats_live, arq_live = _faulted_session(Telemetry())
+        log_null, *state_null = _faulted_session(NULL_TELEMETRY)
+        log_live, *state_live = _faulted_session(Telemetry())
         assert log_null == log_live  # byte-identical event logs
-        assert stats_null == stats_live
-        assert arq_null == arq_live
+        # the same channel noise, stored state and ARQ dedup memory
+        assert state_null == state_live
 
     def test_null_telemetry_is_inert(self):
         null = NullTelemetry()
