@@ -27,7 +27,6 @@ import numpy as np
 from repro.datasets.synthetic_ieeg import SyntheticIEEG
 from repro.errors import ConfigurationError
 from repro.decoders.svm import LinearSVM, train_linear_svm
-from repro.faults.plan import FaultPlan
 from repro.hashing.collision import CollisionChecker, RecentHashStore
 from repro.hashing.lsh import LSHFamily
 from repro.similarity.dtw import dtw_rows
@@ -128,21 +127,6 @@ class SimulationResult:
     hash_rounds_lost: int = 0
     signal_exchanges: int = 0
     stimulations: list[tuple[int, int]] = field(default_factory=list)
-    #: node-windows skipped because the node was down (fault plan)
-    node_windows_skipped: int = 0
-    #: total node-windows the run covered (alive or not)
-    node_windows_total: int = 0
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of node-windows actually processed."""
-        if self.node_windows_total == 0:
-            return 1.0
-        return 1.0 - self.node_windows_skipped / self.node_windows_total
-
-    @property
-    def degraded(self) -> bool:
-        return self.node_windows_skipped > 0
 
 
 @dataclass
@@ -159,12 +143,6 @@ class SeizurePropagationSimulator:
         packet_loss_rate: probability a node's per-window hash packet is
             lost entirely (Fig. 15b: one packet carries all the node's
             hashes, so a hit loses the whole round).
-        fault_plan: optional :class:`~repro.faults.plan.FaultPlan` mapped
-            window-index -> TDMA round.  A down node neither hashes nor
-            detects; an alive node in a radio outage keeps working
-            locally but cannot broadcast or receive.  The run proceeds
-            over survivors and reports ``coverage``/``degraded`` instead
-            of raising.
         seed: RNG seed for the error processes.
     """
 
@@ -177,7 +155,6 @@ class SeizurePropagationSimulator:
     dtw_band: int = 10
     hash_error_rate: float = 0.0
     packet_loss_rate: float = 0.0
-    fault_plan: FaultPlan | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -213,33 +190,16 @@ class SeizurePropagationSimulator:
             start = w * self.window_samples
             now_ms = (w + 1) * window_ms
             windows = rec.data[:, :, start : start + self.window_samples]
-            # the fault plan is scheduled in TDMA rounds; one window = one round
-            alive = [
-                self.fault_plan is None or self.fault_plan.node_alive(n, w)
-                for n in range(rec.n_nodes)
-            ]
-            connected = [
-                alive[n]
-                and (self.fault_plan is None or self.fault_plan.radio_ok(n, w))
-                for n in range(rec.n_nodes)
-            ]
-            result.node_windows_total += rec.n_nodes
-            result.node_windows_skipped += rec.n_nodes - sum(alive)
-
-            # 1. every live node hashes and stores its window (always-on);
-            # one batch for all live nodes, walked in node then electrode
-            # order so the hash-error draws keep their sequence
-            live = [node for node in range(rec.n_nodes) if alive[node]]
+            # 1. every node hashes and stores its window (always-on); one
+            # batch for all nodes, walked in node then electrode order so
+            # the hash-error draws keep their sequence
             hashed = iter(
                 self.lsh.hash_windows(
-                    windows[live].reshape(-1, windows.shape[-1])
+                    windows.reshape(-1, windows.shape[-1])
                 ).tolist()
             )
             node_hashes: list[list[tuple[int, ...]]] = []
             for node in range(rec.n_nodes):
-                if not alive[node]:
-                    node_hashes.append([])
-                    continue
                 signatures = []
                 for _ in range(rec.n_electrodes):
                     sig = tuple(next(hashed))
@@ -259,8 +219,6 @@ class SeizurePropagationSimulator:
             # 2. local detection (cheap proxy: the node's mean channel)
             detecting = []
             for node in range(rec.n_nodes):
-                if not alive[node]:
-                    continue
                 mean_channel = windows[node].mean(axis=0)
                 if self.detector.detect_window(mean_channel):
                     detecting.append(node)
@@ -269,10 +227,6 @@ class SeizurePropagationSimulator:
             # 3. detecting nodes broadcast hashes; receivers collision-check
             for src in detecting:
                 result.hash_broadcasts += 1
-                if not connected[src]:
-                    # radio dark: the round is lost, detection stays local
-                    result.hash_rounds_lost += 1
-                    continue
                 if (
                     self.packet_loss_rate
                     and self._rng.random() < self.packet_loss_rate
@@ -280,7 +234,7 @@ class SeizurePropagationSimulator:
                     result.hash_rounds_lost += 1
                     continue
                 for dst in range(rec.n_nodes):
-                    if dst == src or not connected[dst]:
+                    if dst == src:
                         continue
                     local = stores[dst].recent(now_ms)
                     collisions = checker.check(node_hashes[src], local)

@@ -58,10 +58,6 @@ class BitReader:
         if self._limit > 8 * len(data):
             raise ConfigurationError("bit_length exceeds the data")
 
-    @property
-    def remaining(self) -> int:
-        return self._limit - self._pos
-
     def read_bit(self) -> int:
         if self._pos >= self._limit:
             raise ConfigurationError("bit stream exhausted")

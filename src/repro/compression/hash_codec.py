@@ -98,9 +98,3 @@ def dcomp_decompress(blob: bytes) -> list[int]:
             f"decoded {len(indexes)} symbols, header said {n_symbols}"
         )
     return dictionary_decode(indexes, dictionary)
-
-
-def compression_ratio(hashes: list[int]) -> float:
-    """Raw size over compressed size for a hash stream."""
-    compressed = hcomp_compress(hashes)
-    return len(hashes) / len(compressed)

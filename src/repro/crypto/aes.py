@@ -3,9 +3,10 @@
 HALO/SCALO encrypt neural data before streaming it off-implant over the
 external radio — brain data is protected health information.  The AES PE
 appears in Table 1 (5 MHz, data-dependent latency); this is its software
-twin: FIPS-197 AES-128 with ECB block primitives and CTR mode for
+twin: the FIPS-197 AES-128 forward block cipher and CTR mode for
 streaming (CTR needs only the forward cipher and no padding, which is
-what a transmit-side hardware pipe wants).
+what a transmit-side hardware pipe wants).  The inverse cipher, which
+checks the block round trip, is ``tests/aes_oracle.py``.
 
 Implemented from the specification — S-box generated from the finite
 field inverse, key schedule, the four round transformations — and tested
@@ -38,7 +39,7 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[list[int], list[int]]:
+def _build_sbox() -> list[int]:
     # multiplicative inverses in GF(2^8) via exp/log tables on generator 3
     exp = [0] * 256
     log = [0] * 256
@@ -62,13 +63,10 @@ def _build_sbox() -> tuple[list[int], list[int]]:
             inv = ((inv << 1) | (inv >> 7)) & 0xFF
             s ^= inv
         sbox[value] = s ^ 0x63
-    inv_sbox = [0] * 256
-    for i, s in enumerate(sbox):
-        inv_sbox[s] = i
-    return sbox, inv_sbox
+    return sbox
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
@@ -108,14 +106,6 @@ def _shift_rows(state: list[int]) -> None:
             state[4 * c + r] = row[c]
 
 
-def _inv_shift_rows(state: list[int]) -> None:
-    for r in range(1, 4):
-        row = [state[4 * c + r] for c in range(4)]
-        row = row[-r:] + row[:-r]
-        for c in range(4):
-            state[4 * c + r] = row[c]
-
-
 def _mix_columns(state: list[int]) -> None:
     for c in range(4):
         col = state[4 * c : 4 * c + 4]
@@ -123,19 +113,6 @@ def _mix_columns(state: list[int]) -> None:
         state[4 * c + 1] = col[0] ^ _gf_mul(col[1], 2) ^ _gf_mul(col[2], 3) ^ col[3]
         state[4 * c + 2] = col[0] ^ col[1] ^ _gf_mul(col[2], 2) ^ _gf_mul(col[3], 3)
         state[4 * c + 3] = _gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ _gf_mul(col[3], 2)
-
-
-def _inv_mix_columns(state: list[int]) -> None:
-    for c in range(4):
-        col = state[4 * c : 4 * c + 4]
-        state[4 * c + 0] = (_gf_mul(col[0], 14) ^ _gf_mul(col[1], 11)
-                            ^ _gf_mul(col[2], 13) ^ _gf_mul(col[3], 9))
-        state[4 * c + 1] = (_gf_mul(col[0], 9) ^ _gf_mul(col[1], 14)
-                            ^ _gf_mul(col[2], 11) ^ _gf_mul(col[3], 13))
-        state[4 * c + 2] = (_gf_mul(col[0], 13) ^ _gf_mul(col[1], 9)
-                            ^ _gf_mul(col[2], 14) ^ _gf_mul(col[3], 11))
-        state[4 * c + 3] = (_gf_mul(col[0], 11) ^ _gf_mul(col[1], 13)
-                            ^ _gf_mul(col[2], 9) ^ _gf_mul(col[3], 14))
 
 
 def encrypt_block(block: bytes, round_keys: list[list[int]]) -> bytes:
@@ -155,23 +132,6 @@ def encrypt_block(block: bytes, round_keys: list[list[int]]) -> bytes:
     return bytes(state)
 
 
-def decrypt_block(block: bytes, round_keys: list[list[int]]) -> bytes:
-    """Decrypt one 16-byte block."""
-    if len(block) != BLOCK_BYTES:
-        raise ConfigurationError("AES block must be 16 bytes")
-    state = list(block)
-    _add_round_key(state, round_keys[N_ROUNDS])
-    for round_index in range(N_ROUNDS - 1, 0, -1):
-        _inv_shift_rows(state)
-        _sub_bytes(state, _INV_SBOX)
-        _add_round_key(state, round_keys[round_index])
-        _inv_mix_columns(state)
-    _inv_shift_rows(state)
-    _sub_bytes(state, _INV_SBOX)
-    _add_round_key(state, round_keys[0])
-    return bytes(state)
-
-
 class AES128:
     """AES-128 with CTR-mode streaming (the transmit-path configuration).
 
@@ -188,9 +148,6 @@ class AES128:
 
     def encrypt_block(self, block: bytes) -> bytes:
         return encrypt_block(block, self._round_keys)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        return decrypt_block(block, self._round_keys)
 
     def _keystream(self, nonce: bytes, n_bytes: int) -> bytes:
         if len(nonce) != 8:

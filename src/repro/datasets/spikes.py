@@ -75,11 +75,6 @@ class SpikeDataset:
     def n_spikes(self) -> int:
         return self.spike_times.shape[0]
 
-    def snippet(self, spike_index: int) -> np.ndarray:
-        """The multichannel waveform around one spike."""
-        t = int(self.spike_times[spike_index])
-        return self.data[:, t : t + SPIKE_SAMPLES]
-
 
 def _template_waveform(rng: np.random.Generator) -> np.ndarray:
     """One neuron's canonical single-channel waveshape, peak-normalised."""

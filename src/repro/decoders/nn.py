@@ -82,15 +82,6 @@ class PartialNN:
         x = PostOp(normalise=True, mean=self.input_mean, std=self.input_std).apply(x)
         return x @ self.w_hidden_cols.T
 
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes shipped per decision: one fp/fixed value per hidden unit.
-
-        The paper's MI-NN transmits 1024 B per node — a 256-unit hidden
-        layer at 4 B per value.
-        """
-        return 4 * self.w_hidden_cols.shape[0]
-
 
 def decompose_nn(nn: ShallowNN, n_nodes: int) -> list[PartialNN]:
     """Split the input dimension of the hidden layer across nodes."""

@@ -78,11 +78,6 @@ class PartialSVM:
             )
         return local_features @ self.weights.T
 
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes this node transmits per decision (4 B per class score)."""
-        return 4 * self.weights.shape[0]
-
 
 def decompose_svm(svm: LinearSVM, n_nodes: int) -> list[PartialSVM]:
     """Split an SVM's feature dimension across ``n_nodes`` implants."""

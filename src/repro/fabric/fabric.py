@@ -135,11 +135,6 @@ class FleetAnswer:
     def ok(self) -> bool:
         return self.response is not None
 
-    @property
-    def coverage(self) -> float:
-        """Node-local coverage; a shed fleet contributes nothing."""
-        return self.response.coverage if self.response is not None else 0.0
-
 
 @dataclass(frozen=True)
 class PopulationResult:
@@ -175,10 +170,6 @@ class PopulationResult:
         return tuple(a.fleet_id for a in self.answers if not a.ok)
 
     @property
-    def degraded(self) -> bool:
-        return any(not a.ok or a.response.degraded for a in self.answers)
-
-    @property
     def sla_met(self) -> bool:
         return self.coverage >= self.min_coverage
 
@@ -205,7 +196,6 @@ class FleetFabric:
             fleet_id: build_fleet_shard(fleet_id, self.config, self.telemetry)
             for fleet_id in range(self.config.n_fleets)
         }
-        self._next_fleet_id = self.config.n_fleets
         self.population_log: list[str] = []
         self.population_results: list[PopulationResult] = []
 
@@ -226,25 +216,6 @@ class FleetFabric:
 
     def shard_for(self, tenant: str) -> FleetShard:
         return self.shards[self.fleet_for(tenant)]
-
-    def add_fleet(self) -> int:
-        """Bring one more fleet online; returns its id.
-
-        Only tenants whose ring arcs the new fleet claims move to it —
-        everyone else keeps their fleet, cache, and retained results.
-        """
-        fleet_id = self._next_fleet_id
-        self._next_fleet_id += 1
-        self.shards[fleet_id] = build_fleet_shard(
-            fleet_id, self.config, self.telemetry
-        )
-        self.shard_map.add_fleet(fleet_id)
-        return fleet_id
-
-    def remove_fleet(self, fleet_id: int) -> None:
-        """Retire one fleet; its tenants fall to their ring successors."""
-        self.shard_map.remove_fleet(fleet_id)
-        del self.shards[fleet_id]
 
     # -- per-tenant serving ------------------------------------------------------
 

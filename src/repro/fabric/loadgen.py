@@ -113,10 +113,6 @@ class TenantStats:
     #: LRU: a neighbour's churn can never show up here)
     results_evicted: int
 
-    @property
-    def availability(self) -> float:
-        return self.completed / self.offered if self.offered else 1.0
-
 
 @dataclass
 class FabricReport:

@@ -3,17 +3,17 @@
 One fabric runs many patient fleets; every tenant must land on exactly
 one of them, the assignment must be a pure function of ``(seed, tenant,
 fleet set)`` — no ``PYTHONHASHSEED`` dependence, no insertion-order
-dependence — and adding or removing a fleet must move as few tenants as
-possible (a moved tenant loses its fleet's signature-cache locality and
-retained results).  The classic answer is a consistent-hash ring with
-virtual nodes:
+dependence — and a fleet set that gains or loses one fleet must route as
+few tenants differently as possible (a moved tenant would lose its
+fleet's signature-cache locality and retained results).  The classic
+answer is a consistent-hash ring with virtual nodes:
 
 * each fleet contributes :data:`VNODES` points on a 64-bit ring, hashed
   from ``(seed, fleet_id, replica)`` with BLAKE2b (process-stable,
   unlike Python's ``hash``);
 * a tenant hashes to one point and is owned by the first fleet point
   clockwise from it;
-* removing a fleet deletes only that fleet's points, so only tenants
+* dropping a fleet deletes only that fleet's points, so only tenants
   that mapped to those arcs move — expected movement is ``1 / n_fleets``
   of the keyspace, not a full reshuffle.
 
@@ -43,10 +43,9 @@ def _ring_hash(seed: int, *parts: object) -> int:
 class ShardMap:
     """The tenant → fleet routing table for one fabric.
 
-    ``fleet_ids`` seeds the ring; :meth:`add_fleet` / :meth:`remove_fleet`
-    rebalance it.  :meth:`owner` is total (every tenant string maps to
-    some fleet while at least one fleet exists) and deterministic for a
-    given ``(seed, fleet set)``.
+    ``fleet_ids`` fixes the ring.  :meth:`owner` is total (every tenant
+    string maps to some fleet) and deterministic for a given ``(seed,
+    fleet set)``.
     """
 
     fleet_ids: tuple[int, ...] = (0,)
@@ -57,39 +56,13 @@ class ShardMap:
     def __post_init__(self) -> None:
         if not self.fleet_ids:
             raise ConfigurationError("shard map needs at least one fleet")
-        self._fleets: set[int] = set()
-        for fleet_id in self.fleet_ids:
-            self.add_fleet(fleet_id)
-
-    @property
-    def fleets(self) -> tuple[int, ...]:
-        """Current fleet ids, sorted."""
-        return tuple(sorted(self._fleets))
-
-    def _rebuild(self) -> None:
         ring = sorted(
             (_ring_hash(self.seed, "fleet", fleet_id, replica), fleet_id)
-            for fleet_id in self._fleets
+            for fleet_id in self.fleet_ids
             for replica in range(VNODES)
         )
         self._points = [point for point, _ in ring]
         self._owners = [fleet_id for _, fleet_id in ring]
-
-    def add_fleet(self, fleet_id: int) -> None:
-        """Add one fleet's virtual nodes to the ring."""
-        if fleet_id in self._fleets:
-            raise ConfigurationError(f"fleet {fleet_id} already in shard map")
-        self._fleets.add(fleet_id)
-        self._rebuild()
-
-    def remove_fleet(self, fleet_id: int) -> None:
-        """Drop one fleet's virtual nodes; its arcs fall to the successors."""
-        if fleet_id not in self._fleets:
-            raise ConfigurationError(f"fleet {fleet_id} not in shard map")
-        if len(self._fleets) == 1:
-            raise ConfigurationError("cannot remove the last fleet")
-        self._fleets.discard(fleet_id)
-        self._rebuild()
 
     def owner(self, tenant: str) -> int:
         """The fleet owning ``tenant``: first ring point clockwise."""
@@ -98,7 +71,3 @@ class ShardMap:
         if index == len(self._points):
             index = 0  # wrap: past the last point, the ring restarts
         return self._owners[index]
-
-    def assignments(self, tenants) -> dict[str, int]:
-        """Route a batch of tenants; a plain dict for tests and reports."""
-        return {tenant: self.owner(tenant) for tenant in tenants}

@@ -83,11 +83,6 @@ class HealthMonitor:
     def dead_nodes(self) -> list[int]:
         return sorted(self._dead)
 
-    @property
-    def coverage(self) -> float:
-        """Fraction of the fleet currently believed alive."""
-        return len(self.alive_nodes) / self.n_nodes
-
 
 @dataclass
 class FleetBelief:

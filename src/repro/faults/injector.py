@@ -118,12 +118,6 @@ class FaultInjector:
                 ) and net.can_reach(observer, sender):
                     self.belief.heartbeat(observer, sender, r)
 
-    def run(self, n_rounds: int | None = None) -> "FaultInjector":
-        """Step through ``n_rounds`` (default: the whole plan)."""
-        for _ in range(self.plan.n_rounds if n_rounds is None else n_rounds):
-            self.step()
-        return self
-
     def event_log(self) -> str:
         """The applied-action log (deterministic for a given plan + system)."""
         return "\n".join(self.log)

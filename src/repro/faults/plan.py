@@ -118,35 +118,6 @@ class FaultPlan:
                     )
         self.events = sorted(self.events, key=_sort_key)
         self._rounds = [e.round for e in self.events]
-        self._alive_transitions = self._transitions(
-            up_kind=FaultKind.NODE_REBOOT, down_kind=FaultKind.NODE_CRASH
-        )
-        self._radio_transitions = self._transitions(
-            up_kind=FaultKind.RADIO_OUTAGE_END,
-            down_kind=FaultKind.RADIO_OUTAGE_START,
-        )
-
-    def _transitions(
-        self, up_kind: FaultKind, down_kind: FaultKind
-    ) -> dict[int, list[tuple[int, bool]]]:
-        table: dict[int, list[tuple[int, bool]]] = {
-            n: [] for n in range(self.n_nodes)
-        }
-        for event in self.events:
-            if event.kind is down_kind:
-                table[event.node].append((event.round, False))
-            elif event.kind is up_kind:
-                table[event.node].append((event.round, True))
-        return table
-
-    @staticmethod
-    def _state_at(transitions: list[tuple[int, bool]], round_index: int) -> bool:
-        state = True
-        for when, up in transitions:
-            if when > round_index:
-                break
-            state = up
-        return state
 
     # -- queries ------------------------------------------------------------------
 
@@ -155,14 +126,6 @@ class FaultPlan:
         lo = bisect_right(self._rounds, round_index - 1)
         hi = bisect_right(self._rounds, round_index)
         return self.events[lo:hi]
-
-    def node_alive(self, node: int, round_index: int) -> bool:
-        """Is the node up at this round (crashes take effect same-round)?"""
-        return self._state_at(self._alive_transitions[node], round_index)
-
-    def radio_ok(self, node: int, round_index: int) -> bool:
-        """Is the node's radio outside any outage window at this round?"""
-        return self._state_at(self._radio_transitions[node], round_index)
 
     @property
     def has_partitions(self) -> bool:

@@ -126,15 +126,10 @@ def get_pe(name: str) -> PESpec:
         raise UnknownPEError(name) from None
 
 
-def catalog_names() -> list[str]:
-    """All PE names in paper order."""
-    return list(PE_CATALOG)
-
-
 def total_area_kge(names: list[str] | None = None) -> float:
     """Sum of PE areas (KGE) for ``names`` (default: the whole catalog)."""
     if names is None:
-        names = catalog_names()
+        names = list(PE_CATALOG)
     return sum(get_pe(n).area_kge for n in names)
 
 

@@ -76,7 +76,3 @@ class Fabric:
         for src, dst in zip(ids, ids[1:]):
             self.connect(src, dst)
         return self.pipeline(name, ids)
-
-    def topological_order(self) -> list[str]:
-        """Instances in dataflow order."""
-        return self.graph.topological_order()

@@ -34,11 +34,6 @@ class ClockDomain:
         if self.divider < 1 or int(self.divider) != self.divider:
             raise ConfigurationError("clock divider must be a positive integer")
 
-    @property
-    def freq_mhz(self) -> float:
-        """Effective clock frequency after division."""
-        return self.max_freq_mhz / self.divider
-
     def slowest_divider_for(self, required_freq_mhz: float) -> int:
         """Largest integer divider whose output still meets ``required_freq_mhz``.
 
@@ -66,14 +61,6 @@ class ProcessingElement:
         if self.clock is None:
             self.clock = ClockDomain(self.spec.max_freq_mhz)
 
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def freq_mhz(self) -> float:
-        return self.clock.freq_mhz
-
     # -- latency ---------------------------------------------------------------
 
     @property
@@ -87,10 +74,7 @@ class ProcessingElement:
         """
         if self.spec.latency_ms is None:
             raise ConfigurationError(
-                f"{self.name} has data-dependent latency; "
+                f"{self.spec.name} has data-dependent latency; "
                 "compute it from the workload instead"
             )
         return self.spec.latency_ms
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProcessingElement({self.name}, {self.freq_mhz:g} MHz)"

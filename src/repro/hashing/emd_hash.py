@@ -60,11 +60,6 @@ class EMDHash:
         self._offsets = [float(rng.uniform(0, self.bucket_width))
                          for _ in range(self.n_components)]
 
-    def hash_window(self, window: np.ndarray) -> tuple[int, ...]:
-        """Hash one signal window: the one-row :meth:`hash_windows`."""
-        window = np.asarray(window, dtype=float)
-        return tuple(self.hash_windows(window[None])[0].tolist())
-
     def hash_windows(self, windows: np.ndarray) -> np.ndarray:
         """Hash ``(n_windows, samples)`` rows into ``n_components`` buckets each.
 
@@ -106,9 +101,3 @@ class EMDHash:
                 (values + offset) / self.bucket_width
             ).astype(np.int64)
         return out
-
-    def collision(self, sig_a: tuple[int, ...], sig_b: tuple[int, ...]) -> bool:
-        """OR-construction match: any component equal."""
-        if len(sig_a) != len(sig_b):
-            raise ConfigurationError("signature lengths differ")
-        return any(a == b for a, b in zip(sig_a, sig_b))

@@ -42,9 +42,3 @@ class QueryChain:
     @property
     def call_names(self) -> list[str]:
         return [c.name for c in self.calls]
-
-    def call(self, name: str) -> Call:
-        for c in self.calls:
-            if c.name == name:
-                return c
-        raise KeyError(name)

@@ -93,14 +93,6 @@ class ARQResult:
     delivered: dict[int, int]  # target -> attempts needed
     failed: list[int]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-    @property
-    def attempts(self) -> int:
-        return max(self.delivered.values(), default=0)
-
 
 @dataclass
 class ReliableLink:

@@ -226,11 +226,3 @@ class Packet:
         if len(raw) < FRAME_OVERHEAD_BYTES:
             return None
         return cls.from_wire(raw)
-
-
-def packet_airtime_ms(payload_bytes: int, rate_mbps: float) -> float:
-    """Time on air for one packet at ``rate_mbps``."""
-    if payload_bytes < 0 or payload_bytes > MAX_PAYLOAD_BYTES:
-        raise NetworkError(f"invalid payload size {payload_bytes}")
-    bits = PACKET_OVERHEAD_BITS + 8 * payload_bytes
-    return bits / (rate_mbps * 1e3)

@@ -192,12 +192,6 @@ class ConstraintSystem:
             row.utilisation(e) for row, e in zip(self.rows, electrodes)
         )
 
-    def nvm_rate(self, electrodes: Sequence[float]) -> float:
-        """NVM traffic (bytes/ms) of the electrode-linear flows."""
-        return sum(
-            row.nvm_per_ms * e for row, e in zip(self.rows, electrodes)
-        )
-
     # -- verification -------------------------------------------------------------
 
     def verify(
@@ -239,7 +233,7 @@ class ConstraintSystem:
                 f"medium utilisation {util:.6g} over cap "
                 f"{NETWORK_UTILISATION_CAP:.6g}"
             )
-        nvm = self.nvm_rate(electrodes)
+        nvm = sum(row.nvm_per_ms * e for row, e in zip(self.rows, electrodes))
         if nvm > self.nvm_budget_bytes_per_ms * (1 + tol) + tol:
             violations.append(
                 f"NVM traffic {nvm:.6g} B/ms over bandwidth "

@@ -55,15 +55,6 @@ class Operator:
     params: dict = field(default_factory=dict, hash=False, compare=False)
 
     @property
-    def pe_name(self) -> str:
-        try:
-            return OPERATOR_PES[self.name]
-        except KeyError:
-            raise CompilationError(
-                f"operator {self.name!r} has no PE mapping"
-            ) from None
-
-    @property
     def runs_on_mc(self) -> bool:
         return OPERATOR_PES.get(self.name) == "MC"
 
@@ -91,21 +82,9 @@ class DataflowGraph:
                 "dataflow must stay acyclic (SCALO has no loops)"
             )
 
-    def chain(self, names: list[str]) -> list[Operator]:
-        """Add and wire a linear chain of operators."""
-        ops = [self.add_operator(name) for name in names]
-        for a, b in zip(ops, ops[1:]):
-            self.connect(a, b)
-        return ops
-
     @property
     def operators(self) -> list[Operator]:
         return self.graph.topological_order()
-
-    @property
-    def pe_names(self) -> list[str]:
-        """The PEs this graph needs, in dataflow order (MC ops excluded)."""
-        return [op.pe_name for op in self.operators if not op.runs_on_mc]
 
     def validate(self) -> None:
         """Raise if the graph is empty or disconnected."""

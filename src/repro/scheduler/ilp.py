@@ -121,12 +121,6 @@ class Schedule:
             a.flow.weight * a.aggregate_mbps for a in self.allocations
         ) / total_weight
 
-    def allocation(self, task_name: str) -> FlowAllocation:
-        for a in self.allocations:
-            if a.flow.task.name == task_name:
-                return a
-        raise SchedulingError(f"no allocation for task {task_name!r}")
-
 
 @dataclass
 class SchedulerProblem:

@@ -386,10 +386,6 @@ class QueryServer:
 
     # -- admission ---------------------------------------------------------------
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._pending)
-
     def _current_tier(self) -> int:
         if self.brownout is None:
             return TIER_HEALTHY

@@ -25,10 +25,8 @@ BLOCK_BYTES = 1024 * 1024
 PAGES_PER_BLOCK = BLOCK_BYTES // PAGE_BYTES
 READ_UNIT_BYTES = 8
 
-#: Timing (paper §5 / industrial SLC NAND datasheets).
-ERASE_MS = 1.5
-PROGRAM_MS = 0.350
-#: SLC NAND page read-to-register time (tR).
+#: SLC NAND page read-to-register time (tR; paper §5 / industrial SLC
+#: NAND datasheets).
 READ_PAGE_MS = 0.025
 
 #: NVSim energy estimates (paper §5).
@@ -51,7 +49,6 @@ class NVMStats:
     page_reads: int = 0
     page_writes: int = 0
     block_erases: int = 0
-    busy_ms: float = 0.0
     dynamic_energy_nj: float = 0.0
     #: single-bit errors the SECDED engine corrected on access/scrub
     ecc_corrected: int = 0
@@ -134,7 +131,6 @@ class NVMDevice:
             self._poisoned.discard(page)
             self._clean.discard(page)
         self.stats.block_erases += 1
-        self.stats.busy_ms += ERASE_MS
         # erase energy folded into the write figure, as NVSim reports
 
     def program_page(self, page_index: int, data: bytes) -> None:
@@ -213,7 +209,6 @@ class NVMDevice:
         stats = self.stats
         for _ in pieces:
             stats.page_writes += 1
-            stats.busy_ms += PROGRAM_MS
             stats.dynamic_energy_nj += WRITE_NJ_PER_PAGE
 
     def rewrite_range(self, page_index: int, offset: int, chunk: bytes) -> None:
@@ -276,7 +271,6 @@ class NVMDevice:
                 aligned_len = min(units * READ_UNIT_BYTES, PAGE_BYTES - aligned)
                 self._check_page(page)
                 stats.page_reads += 1
-                stats.busy_ms += READ_PAGE_MS
                 stats.dynamic_energy_nj += READ_NJ_PER_PAGE * aligned_len / PAGE_BYTES
                 content = fetched.get(page)
                 if content is None:
@@ -324,7 +318,6 @@ class NVMDevice:
         if page_index in self._poisoned:
             return 0, True
         self.stats.page_reads += 1
-        self.stats.busy_ms += READ_PAGE_MS
         self.stats.dynamic_energy_nj += READ_NJ_PER_PAGE
         if page_index in self._clean:
             return 0, False

@@ -142,9 +142,5 @@ class Telemetry:
     def snapshot(self) -> dict:
         return telemetry_json(self.registry, self.tracer)
 
-    def spans_named(self, name: str) -> list[Span]:
-        return self.tracer.spans_named(name)
-
-
 #: What instrumented dataclass fields accept.
 TelemetryLike = Telemetry | NullTelemetry

@@ -130,11 +130,6 @@ class HealthEngine:
         in."""
         server.recorder = self.recorder
 
-    def attach_failover(self, manager) -> None:
-        """Feed a :class:`~repro.recovery.failover.FailoverManager`'s
-        handovers in."""
-        manager.recorder = self.recorder
-
     # -- sampling ------------------------------------------------------------------
 
     def observe_to(self, t_ms: float) -> list[Alert]:

@@ -170,10 +170,6 @@ class QuantileSketch:
 
     # -- reads ---------------------------------------------------------------------
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float:
         """The nearest-rank ``q``-quantile estimate, ``q`` in [0, 1].
 

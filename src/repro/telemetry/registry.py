@@ -189,22 +189,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: object) -> float:
         return self._gauges.get((name, label_key(labels)), 0.0)
 
-    def histogram(self, name: str, **labels: object) -> Histogram | None:
-        return self._histograms.get((name, label_key(labels)))
-
-    def sketch(self, name: str, **labels: object) -> QuantileSketch | None:
-        return self._sketches.get((name, label_key(labels)))
-
-    def quantile(self, name: str, q: float, **labels: object) -> float:
-        """The ``q``-quantile of one series, from its sketch.
-
-        Every ``observe()`` feeds the sketch, so it is the only quantile
-        source; the answer is within the registry's relative-error
-        bound.  Returns 0.0 for unknown series.
-        """
-        sketch = self.sketch(name, **labels)
-        return sketch.quantile(q) if sketch is not None else 0.0
-
     def counters(self) -> Iterator[tuple[str, LabelKey, float]]:
         for (name, labels), value in sorted(self._counters.items()):
             yield name, labels, value

@@ -133,10 +133,3 @@ class Tracer:
     def current_context(self) -> TraceContext | None:
         """The innermost open span's context (for packet metadata)."""
         return self._stack[-1].context if self._stack else None
-
-    def trace(self, trace_id: int) -> list[Span]:
-        """All spans of one trace, in creation (deterministic) order."""
-        return [s for s in self.spans if s.trace_id == trace_id]
-
-    def spans_named(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]

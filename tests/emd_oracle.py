@@ -54,7 +54,8 @@ def zscore(window: np.ndarray) -> np.ndarray:
 
 
 def hash_window(hasher: EMDHash, window: np.ndarray) -> tuple[int, ...]:
-    """What ``hasher.hash_window(window)`` must return, one component at a time."""
+    """What row ``i`` of ``hasher.hash_windows(windows)`` must be, for
+    ``window = windows[i]``, one component at a time."""
     window = np.asarray(window, dtype=float)
     if hasher.normalise:
         window = zscore(window)

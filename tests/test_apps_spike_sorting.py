@@ -19,6 +19,12 @@ from repro.similarity.emd import signal_to_histogram
 from tests import emd_oracle
 
 
+def _snippet(dataset, spike_index: int) -> np.ndarray:
+    """The multichannel waveform around one spike."""
+    t = int(dataset.spike_times[spike_index])
+    return dataset.data[:, t : t + SPIKE_SAMPLES]
+
+
 class TestDetection:
     def test_recall_high_on_clean_data(self, spike_dataset):
         times = detect_spikes(spike_dataset.data)
@@ -59,7 +65,7 @@ class TestTemplateMatcher:
         agree = 0
         n = min(60, spike_dataset.n_spikes)
         for i in range(n):
-            snippet = spike_dataset.snippet(i)
+            snippet = _snippet(spike_dataset, i)
             hashed, _ = matcher.classify_hashed(snippet)
             agree += hashed == matcher.classify_exact(snippet)
         assert agree / n > 0.8
@@ -67,7 +73,7 @@ class TestTemplateMatcher:
     def test_costs_match_pairwise_oracle(self, spike_dataset):
         matcher = TemplateMatcher(spike_dataset.templates)
         for i in range(min(40, spike_dataset.n_spikes)):
-            snippet = spike_dataset.snippet(i)
+            snippet = _snippet(spike_dataset, i)
             wave = matcher._snippet_wave(snippet)
             costs = [
                 emd_oracle.emd_signal(wave, t, _WAVE_BINS, _WAVE_RANGE)
@@ -86,7 +92,7 @@ class TestTemplateMatcher:
         monkeypatch.setattr(emd_hash, "signal_to_histogram", spy)
         matcher = TemplateMatcher(spike_dataset.templates)
         assert binned == [(matcher.n_neurons, SPIKE_SAMPLES)]
-        snippet = spike_dataset.snippet(0)
+        snippet = _snippet(spike_dataset, 0)
         for classify in (matcher.classify_exact, matcher.classify_hashed):
             binned.clear()
             classify(snippet)

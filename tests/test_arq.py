@@ -176,7 +176,7 @@ class TestARQRecovery:
         link.attach(1, lambda p: None)
         for i in range(20):
             result = link.send(_packet(seq=i))
-            assert result.ok and result.attempts == 1
+            assert not result.failed and result.delivered == {1: 1}
         assert _count(network, "arq.delivered_first_try") == 20
         assert _count(network, "arq.retries") == 0
         assert _count(network, "arq.recovered") == 0
@@ -231,7 +231,6 @@ class TestARQRecovery:
         link.attach(1, lambda p: None)
         network.set_outage(1)  # nothing will ever arrive
         result = link.send(_packet(seq=5))
-        assert not result.ok
         assert result.failed == [1]
         assert _count(network, "arq.failed") == 1
         assert _count(network, "arq.retries") == MAX_RETRIES
@@ -300,7 +299,7 @@ class TestDuplicateSuppression:
 
         network.channel = AckKiller(0.0)
         result = link.send(_packet(seq=3))
-        assert not result.ok  # sender never saw an ACK
+        assert result.failed  # sender never saw an ACK
         assert len(seen) == 1  # but the application saw exactly one copy
         assert _count(network, "arq.duplicates_suppressed") == 2
         assert _count(network, "arq.acks_lost") == 3

@@ -48,7 +48,10 @@ class TestRoundTrip:
         chain = list(seizure_detection_task().pe_names)
         assert detect.route == list(zip(chain, chain[1:]))
         assert detect.electrodes == int(
-            schedule.allocation("seizure_detection").electrodes_per_node
+            next(
+                a.electrodes_per_node for a in schedule.allocations
+                if a.flow.task.name == "seizure_detection"
+            )
         )
 
     def test_comm_pattern_survives(self, toolchain):
@@ -66,7 +69,7 @@ class TestRoundTrip:
     def test_fabric_is_wired_and_powered(self, toolchain):
         _, _, program = toolchain
         loaded = load_config_program(program)
-        order = loaded.fabric.topological_order()
+        order = loaded.fabric.graph.topological_order()
         assert order.index("FFT") < order.index("SVM")
         assert {
             name: pe.clock.divider for name, pe in loaded.fabric.pes.items()

@@ -93,7 +93,7 @@ def test_fabric_matches_networkx(ops):
 
     def check(reference):
         named = nx.relabel_nodes(reference, ids)
-        _assert_same(fabric.graph, named, fabric.topological_order())
+        _assert_same(fabric.graph, named, fabric.graph.topological_order())
 
     _replay(ops, add_node, connect, check)
 

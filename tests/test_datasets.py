@@ -102,8 +102,9 @@ class TestSpikeDatasets:
 
     def test_snippet_contains_spike_energy(self, spike_dataset):
         ds = spike_dataset
-        snippet = ds.snippet(0)
-        noise = ds.data[:, : int(ds.spike_times[0]) - SPIKE_SAMPLES]
+        t = int(ds.spike_times[0])
+        snippet = ds.data[:, t : t + SPIKE_SAMPLES]
+        noise = ds.data[:, : t - SPIKE_SAMPLES]
         assert np.abs(snippet).max() > 4 * noise.std()
 
     def test_deterministic_for_seed(self):

@@ -49,7 +49,10 @@ class TestLinearSVM:
     def test_partial_wire_bytes(self, rng):
         svm = LinearSVM(rng.normal(size=(9, 12)), rng.normal(size=9))
         partials = decompose_svm(svm, 3)
-        assert all(p.wire_bytes == 36 for p in partials)
+        # each node ships one 4 B score per class
+        for partial in partials:
+            scores = partial.partial_scores(rng.normal(size=4))
+            assert 4 * scores.size == 36
 
     def test_partial_scores_sum_to_full(self, rng):
         svm = LinearSVM(rng.normal(size=(2, 10)), rng.normal(size=2))
@@ -102,7 +105,9 @@ class TestShallowNN:
             rng.normal(size=(2, 256)), np.zeros(2),
         )
         partial = decompose_nn(nn, 2)[0]
-        assert partial.wire_bytes == 1024  # the paper's MI-NN payload
+        # one 4 B value per hidden unit: the paper's MI-NN payload
+        local = rng.normal(size=4)
+        assert 4 * partial.partial_preactivation(local).size == 1024
 
     def test_training_learns_linear_map(self, rng):
         x = rng.normal(size=(300, 6))

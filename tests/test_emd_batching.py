@@ -181,4 +181,6 @@ class TestEMDHashKernel:
         batch[0] = level  # a constant row at an arbitrary level
         expected = [emd_oracle.hash_window(hasher, row) for row in batch]
         assert [tuple(r) for r in hasher.hash_windows(batch).tolist()] == expected
-        assert [hasher.hash_window(row) for row in batch] == expected
+        assert [
+            tuple(hasher.hash_windows(row[None])[0].tolist()) for row in batch
+        ] == expected

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import UnknownPEError
 from repro.hardware.catalog import (
     PE_CATALOG,
-    catalog_names,
     format_table1,
     get_pe,
     total_area_kge,
@@ -56,7 +55,7 @@ def test_unknown_pe_raises():
 
 
 def test_catalog_names_order_matches_paper():
-    names = catalog_names()
+    names = list(PE_CATALOG)
     assert names[0] == "ADD"
     assert names[-1] == "XCOR"
 
@@ -64,12 +63,12 @@ def test_catalog_names_order_matches_paper():
 def test_total_area_positive_and_additive():
     total = total_area_kge()
     assert total == pytest.approx(
-        sum(get_pe(n).area_kge for n in catalog_names())
+        sum(get_pe(n).area_kge for n in PE_CATALOG)
     )
     assert total_area_kge(["ADD", "SUB"]) == pytest.approx(68 + 69)
 
 
 def test_format_table1_contains_every_pe():
     text = format_table1()
-    for name in catalog_names():
+    for name in PE_CATALOG:
         assert name in text

@@ -27,7 +27,7 @@ class TestFabric:
     def test_wire_chain_builds_pipeline(self):
         fabric = Fabric()
         pipe = fabric.wire_chain("detect", ["FFT", "BBF", "SVM"])
-        assert [stage.pe.name for stage in pipe.stages] == ["FFT", "BBF", "SVM"]
+        assert [stage.pe.spec.name for stage in pipe.stages] == ["FFT", "BBF", "SVM"]
         assert len(fabric.pes) == 3
 
     def test_duplicate_instances_get_distinct_ids(self):
@@ -66,5 +66,5 @@ class TestFabric:
     def test_topological_order_respects_edges(self):
         fabric = Fabric()
         pipe = fabric.wire_chain("p", ["GATE", "FFT", "SVM"])
-        order = fabric.topological_order()
+        order = fabric.graph.topological_order()
         assert order.index("GATE") < order.index("FFT") < order.index("SVM")

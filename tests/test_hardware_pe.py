@@ -9,8 +9,8 @@ from repro.hardware.pe import ClockDomain, ProcessingElement
 
 class TestClockDomain:
     def test_divider_scales_frequency(self):
-        clock = ClockDomain(max_freq_mhz=16.0, divider=4)
-        assert clock.freq_mhz == 4.0
+        # f_max / k for k = 4 exactly meets a quarter-rate requirement
+        assert ClockDomain(max_freq_mhz=16.0).slowest_divider_for(4.0) == 4
 
     def test_slowest_divider_meets_requirement(self):
         clock = ClockDomain(max_freq_mhz=50.0)

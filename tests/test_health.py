@@ -46,7 +46,6 @@ class TestQuantileSketch:
         sk = QuantileSketch()
         assert sk.count == 0
         assert sk.quantile(0.5) == 0.0
-        assert sk.mean == 0.0
 
     def test_single_value(self):
         sk = QuantileSketch()
@@ -384,12 +383,10 @@ class TestRegistrySketches:
         reg = MetricsRegistry()
         for v in (1.0, 2.0, 3.0):
             reg.observe("m", v, node=0)
-        sk = reg.sketch("m", node=0)
-        assert sk is not None and sk.count == 3
-        assert reg.quantile("m", 0.5, node=0) == pytest.approx(2.0, rel=0.02)
-
-    def test_quantile_unknown_metric_is_zero(self):
-        assert MetricsRegistry().quantile("nope", 0.5) == 0.0
+        ((name, labels, sk),) = reg.sketches()
+        assert (name, labels) == ("m", (("node", "0"),))
+        assert sk.count == 3
+        assert sk.quantile(0.5) == pytest.approx(2.0, rel=0.02)
 
     def test_snapshot_includes_sketches(self):
         reg = MetricsRegistry()

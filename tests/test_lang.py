@@ -24,14 +24,14 @@ class TestParser:
         chain = parse_query(LISTING_1)
         assert chain.var_name == "movements"
         assert chain.call_names == ["window", "sbp", "kf", "call_runtime"]
-        wsize = chain.call("window").kwarg("wsize")
+        wsize = chain.calls[chain.call_names.index("window")].kwarg("wsize")
         assert wsize.kind == "duration_ms" and wsize.number == 50.0
 
     def test_listing_2(self):
         chain = parse_query(LISTING_2)
         assert chain.var_name == "seizure_data"
         assert chain.call_names == ["Map", "window", "select", "select"]
-        wsize = chain.call("window").kwarg("wsize")
+        wsize = chain.calls[chain.call_names.index("window")].kwarg("wsize")
         assert wsize.number == 4.0
 
     def test_lambda_captured_verbatim(self):
@@ -42,11 +42,11 @@ class TestParser:
 
     def test_duration_units(self):
         chain = parse_query("stream.window(wsize=2s)")
-        assert chain.call("window").kwarg("wsize").number == 2000.0
+        assert chain.calls[chain.call_names.index("window")].kwarg("wsize").number == 2000.0
 
     def test_plain_number(self):
         chain = parse_query("stream.thr(level=3.5)")
-        value = chain.call("thr").kwarg("level")
+        value = chain.calls[chain.call_names.index("thr")].kwarg("level")
         assert value.kind == "number" and value.number == 3.5
 
     def test_string_argument(self):

@@ -18,7 +18,6 @@ from repro.network.packet import (
     Header,
     Packet,
     PayloadKind,
-    packet_airtime_ms,
 )
 from repro.network.radio import LOW_POWER, RADIO_CATALOG
 from repro.network.tdma import TDMAConfig, TDMASchedule
@@ -138,9 +137,10 @@ class TestPacket:
         assert packet.wire_bits == PACKET_OVERHEAD_BITS + 32
 
     def test_airtime(self):
-        # 256 B + overhead at 7 Mbps
-        expected = (PACKET_OVERHEAD_BITS + 2048) / 7000
-        assert packet_airtime_ms(256, 7.0) == pytest.approx(expected)
+        # 256 B + overhead at the low-power radio's rate
+        expected = (PACKET_OVERHEAD_BITS + 2048) / (LOW_POWER.data_rate_mbps * 1e3)
+        config = TDMAConfig(radio=LOW_POWER)
+        assert config.packet_airtime_ms(256) == pytest.approx(expected)
 
     @pytest.mark.parametrize("bit", _HEADER_PAD)
     def test_flipped_header_pad_bit_is_invisible(self, bit):

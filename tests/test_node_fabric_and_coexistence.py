@@ -42,7 +42,10 @@ class TestQueryCoexistence:
         ).solve()
 
         # detection keeps running at a meaningful rate during the query
-        detect = with_query.allocation("seizure_detection")
+        detect = next(
+            a for a in with_query.allocations
+            if a.flow.task.name == "seizure_detection"
+        )
         assert detect.electrodes_per_node > 48
         # and the degradation is graceful, not a collapse
         assert with_query.weighted_mbps() > 0.5 * baseline.weighted_mbps()

@@ -158,7 +158,8 @@ class TestFleetBelief:
             FaultEvent(2, 1, FaultKind.PARTITION_START),  # {0,1} | {2,3,4}
         ])
         injector = FaultInjector(system, plan)
-        injector.run(12)
+        for _ in range(12):
+            injector.step()
         belief = injector.belief
         # A-side view: B dead; B-side view: A dead — and vice versa
         assert belief.view(0).alive_nodes == [0, 1]
@@ -172,7 +173,8 @@ class TestFleetBelief:
             FaultEvent(2, 1, FaultKind.PARTITION_START, magnitude=1.0),
         ])
         injector = FaultInjector(system, plan)
-        injector.run(12)
+        for _ in range(12):
+            injector.step()
         assert injector.belief.view(0).alive_nodes == [0, 1]
         assert injector.belief.view(2).alive_nodes == [2, 3, 4]
 
@@ -201,7 +203,8 @@ class TestQuorumFailover:
         injector = FaultInjector(system, plan)
         manager = system.attach_failover(views=injector.belief)
         injector.failover = manager
-        injector.run(plan.n_rounds)
+        for _ in range(plan.n_rounds):
+            injector.step()
         return injector, manager
 
     def test_split_deposes_minority_coordinator_and_heals(self):
@@ -285,7 +288,8 @@ class TestQuorumFailover:
         manager = system.attach_failover(views=injector.belief)
         injector.failover = manager
         _ingest_rounds(system, 1)
-        injector.run(12)  # mid-split: node 3 coordinates at epoch 2
+        for _ in range(12):  # mid-split: node 3 coordinates at epoch 2
+            injector.step()
         assert (manager.coordinator, manager.epoch) == (3, 2)
         # a query succeeds under the new coordinator at the new epoch
         result = system.query_distributed(

@@ -33,12 +33,9 @@ from repro.recovery.journal import (
 from repro.recovery.scrub import Scrubber
 from repro.storage.controller import StorageController
 from repro.storage.nvm import (
-    ERASE_MS,
     PAGE_BYTES,
     PAGES_PER_BLOCK,
-    PROGRAM_MS,
     READ_NJ_PER_PAGE,
-    READ_PAGE_MS,
     WRITE_NJ_PER_PAGE,
     NVMDevice,
     NVMStats,
@@ -170,7 +167,6 @@ class _PlainDevice:
 
     def _book_write(self) -> None:
         self.stats.page_writes += 1
-        self.stats.busy_ms += PROGRAM_MS
         self.stats.dynamic_energy_nj += WRITE_NJ_PER_PAGE
 
     def erase_block(self, block: int) -> None:
@@ -180,7 +176,6 @@ class _PlainDevice:
             self.ecc.pop(page, None)
             self.poisoned.discard(page)
         self.stats.block_erases += 1
-        self.stats.busy_ms += ERASE_MS
 
     def program_page(self, page: int, data: bytes) -> None:
         if page in self.pages:
@@ -225,7 +220,6 @@ class _PlainDevice:
 
     def read(self, page: int, offset: int, length: int) -> bytes:
         self.stats.page_reads += 1
-        self.stats.busy_ms += READ_PAGE_MS
         self.stats.dynamic_energy_nj += READ_NJ_PER_PAGE * length / PAGE_BYTES
         if page not in self.pages:
             return (b"\xff" * PAGE_BYTES)[offset:offset + length]
@@ -242,7 +236,6 @@ class _PlainDevice:
         if page in self.poisoned:
             return 0, True
         self.stats.page_reads += 1
-        self.stats.busy_ms += READ_PAGE_MS
         self.stats.dynamic_energy_nj += READ_NJ_PER_PAGE
         result = self._decode(page)
         return result.corrected_bits, not result.ok
@@ -733,9 +726,9 @@ class TestRecoverySessionEndToEnd:
 
         # one complete recovery trace: the span exists and its children
         # (replay, resync per peer) joined the same trace
-        (recovery_span,) = faulted_tel.tracer.spans_named("recovery")
+        (recovery_span,) = [s for s in faulted_tel.tracer.spans if s.name == "recovery"]
         for child in ("replay", "resync"):
-            spans = faulted_tel.tracer.spans_named(child)
+            spans = [s for s in faulted_tel.tracer.spans if s.name == child]
             assert spans, f"missing {child} span"
             assert all(s.trace_id == recovery_span.trace_id for s in spans)
 

@@ -175,8 +175,13 @@ class TestMultiFlow:
         # tighten power so the flows genuinely compete
         a = SchedulerProblem(8, flows_a, power_budget_mw=8.0).solve()
         b = SchedulerProblem(8, flows_b, power_budget_mw=8.0).solve()
-        det_a = a.allocation("seizure_detection").electrodes_per_node
-        det_b = b.allocation("seizure_detection").electrodes_per_node
+        det_a, det_b = (
+            next(
+                x.electrodes_per_node for x in s.allocations
+                if x.flow.task.name == "seizure_detection"
+            )
+            for s in (a, b)
+        )
         assert det_a > det_b
 
     def test_power_budget_respected(self):
@@ -199,13 +204,6 @@ class TestMultiFlow:
     def test_non_positive_or_non_finite_budget_rejected(self, budget):
         with pytest.raises(SchedulingError, match="power budget"):
             SchedulerProblem(4, [Flow(spike_sorting_task())], budget)
-
-    def test_missing_allocation_lookup_raises(self):
-        schedule = SchedulerProblem(
-            2, [Flow(spike_sorting_task())]
-        ).solve()
-        with pytest.raises(SchedulingError):
-            schedule.allocation("ghost")
 
     def test_weighted_metric_normalises(self):
         flows = [
@@ -264,7 +262,7 @@ class TestSchedulerTelemetry:
         tel = Telemetry()
         max_throughput_mbps(seizure_detection_task(), 4, 15.0, telemetry=tel)
         assert tel.registry.counter("scheduler.solves") == 1.0
-        (span,) = tel.spans_named("ilp-solve")
+        (span,) = [s for s in tel.tracer.spans if s.name == "ilp-solve"]
         assert span.attrs == {"n_nodes": 4, "n_flows": 1}
 
     def test_sweep_books_one_solve_per_cell(self):
@@ -535,7 +533,7 @@ class TestSingleFlowClosedForm:
         with pytest.raises(SchedulingError, match="static power"):
             problem.solve()
         assert tel.registry.counter("scheduler.solves") == 0.0
-        assert tel.spans_named("ilp-solve") == []
+        assert [s for s in tel.tracer.spans if s.name == "ilp-solve"] == []
 
     @pytest.mark.parametrize("flows", (
         [Flow(seizure_detection_task())],
@@ -547,7 +545,7 @@ class TestSingleFlowClosedForm:
         tel = Telemetry()
         SchedulerProblem(8, flows, telemetry=tel).solve()
         assert tel.registry.counter("scheduler.solves") == 1.0
-        (span,) = tel.spans_named("ilp-solve")
+        (span,) = [s for s in tel.tracer.spans if s.name == "ilp-solve"]
         assert span.attrs == {"n_nodes": 8, "n_flows": len(flows)}
 
     def test_single_flow_sweep_never_imports_scipy(self):

@@ -143,4 +143,3 @@ class TestPaperTasks:
         assert cs.rows[0].nvm_per_ms == pytest.approx(
             task.nvm_bytes_per_electrode_period / task.period_ms
         )
-        assert cs.nvm_rate([200.0]) == pytest.approx(2 * cs.nvm_rate([100.0]))

@@ -54,27 +54,40 @@ class TestMaterialise:
         assert materialised.dividers["SC"] == clock_divider_for_load("SC", heavy)
 
 
+def _chain(graph: DataflowGraph, names: list[str]) -> list:
+    """Add and wire a linear chain of operators."""
+    ops = [graph.add_operator(name) for name in names]
+    for a, b in zip(ops, ops[1:]):
+        graph.connect(a, b)
+    return ops
+
+
 class TestDataflow:
     def test_chain_and_order(self):
         graph = DataflowGraph()
-        ops = graph.chain(["window", "fft", "svm"])
+        ops = _chain(graph, ["window", "fft", "svm"])
         assert graph.operators == ops
         assert [op.name for op in ops] == ["window", "fft", "svm"]
 
     def test_pe_mapping(self):
         graph = DataflowGraph()
-        graph.chain(["window", "fft", "svm"])
-        assert graph.pe_names == ["GATE", "FFT", "SVM"]
+        _chain(graph, ["window", "fft", "svm"])
+        pes = [OPERATOR_PES[op.name] for op in graph.operators]
+        assert pes == ["GATE", "FFT", "SVM"]
 
     def test_mc_operators_excluded_from_pes(self):
         graph = DataflowGraph()
-        graph.chain(["window", "emd"])
-        assert graph.pe_names == ["GATE"]
+        _chain(graph, ["window", "emd"])
+        pes = [
+            OPERATOR_PES[op.name] for op in graph.operators
+            if not op.runs_on_mc
+        ]
+        assert pes == ["GATE"]
         assert OPERATOR_PES["emd"] == "MC"
 
     def test_cycle_rejected(self):
         graph = DataflowGraph()
-        a, b = graph.chain(["window", "fft"])
+        a, b = _chain(graph, ["window", "fft"])
         with pytest.raises(CompilationError):
             graph.connect(b, a)
 

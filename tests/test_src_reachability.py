@@ -12,12 +12,16 @@ or benchmark runs.
 Functions and constants: every public module-level function, public
 method of a public class and public module-level constant is *named*
 in ``src/``, ``examples/``, ``bench/`` or ``benchmarks/``: as an
-``ast.Name`` read, an ``ast.Attribute``, an import alias, a member of
-``repro.api.__all__``, or a word of a string in ``bench/layer_tracer.py``
-(its ``ENTRY_POINTS`` wrap functions by qualname).  Docstrings and
-comments do not count.  Names match bare, so a method counts as named
-when any attribute of that name is read.  :data:`UNNAMED_ALLOWED` lists
-the few kept although only tests call them.
+``ast.Attribute``, an import alias, a member of ``repro.api.__all__``,
+or a word of a string in ``bench/layer_tracer.py`` (its
+``ENTRY_POINTS`` wrap functions by qualname).  A module-level function
+or constant is also named by an ``ast.Name`` read; a method is not, so
+a local variable that shares a method's name does not keep the method.
+Docstrings and comments do not count.  Attributes still match bare, so
+a method counts as named when any attribute of that name is read;
+``tests/audit_reachability.py`` checks by code object what this check
+matches by name.  :data:`UNNAMED_ALLOWED` lists the few kept although
+only tests call them.
 
 Config fields: every field of a config dataclass under ``src/repro``
 (a ``*Config`` or ``*Policy`` class, or ``StormLevel``) is *set* in
@@ -180,11 +184,11 @@ def test_every_src_module_is_reached_from_an_entry_point():
     assert sorted(modules - reached_modules()) == []
 
 
-def public_definitions() -> dict[str, str]:
-    """Qualified name -> bare name of every public module-level function,
-    public method of a public top-level class and public module-level
-    constant under ``src/repro``."""
-    found: dict[str, str] = {}
+def public_definitions() -> dict[str, tuple[str, bool]]:
+    """Qualified name -> (bare name, is a method) of every public
+    module-level function, public method of a public top-level class and
+    public module-level constant under ``src/repro``."""
+    found: dict[str, tuple[str, bool]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         module = _module_name(path)
         for node in ast.parse(path.read_text()).body:
@@ -210,7 +214,7 @@ def public_definitions() -> dict[str, str]:
                 continue
             for qualname, name in members:
                 if not name.startswith("_"):
-                    found[f"{module}.{qualname}"] = name
+                    found[f"{module}.{qualname}"] = (name, qualname != name)
     return found
 
 
@@ -225,16 +229,19 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return found
 
 
-def names_outside_tests() -> set[str]:
-    """Every name :func:`public_definitions` entries may be matched by."""
+def names_outside_tests() -> tuple[set[str], set[str]]:
+    """``(attributes, reads)``: every name a method may be matched by,
+    and the bare ``ast.Name`` reads that also match a module-level
+    function or constant."""
     names: set[str] = set()
+    reads: set[str] = set()
     for folder in NAMING_ROOTS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             tree = ast.parse(path.read_text())
             docstrings = _docstrings(tree) if path == TRACER else set()
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names.add(node.id)
+                    reads.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
@@ -253,25 +260,29 @@ def names_outside_tests() -> set[str]:
             for target in node.targets
         ):
             names.update(ast.literal_eval(node.value))
-    return names
+    return names, reads
+
+
+def unnamed_definitions() -> set[str]:
+    """Qualified names of the public definitions nothing outside
+    ``tests/`` names."""
+    attributes, reads = names_outside_tests()
+    unnamed = set()
+    for qualname, (name, method) in public_definitions().items():
+        if name not in attributes and (method or name not in reads):
+            unnamed.add(qualname)
+    return unnamed
 
 
 def test_every_public_definition_is_named_outside_tests():
-    names = names_outside_tests()
-    unnamed = {
-        qualname
-        for qualname, name in public_definitions().items()
-        if name not in names
-    }
-    assert sorted(unnamed - set(UNNAMED_ALLOWED)) == []
+    assert sorted(unnamed_definitions() - set(UNNAMED_ALLOWED)) == []
 
 
 def test_unnamed_allow_list_is_current():
     definitions = public_definitions()
-    names = names_outside_tests()
     assert all(reason for reason in UNNAMED_ALLOWED.values())
     assert sorted(set(UNNAMED_ALLOWED) - set(definitions)) == []
-    assert sorted(q for q in UNNAMED_ALLOWED if definitions[q] in names) == []
+    assert sorted(set(UNNAMED_ALLOWED) - unnamed_definitions()) == []
 
 
 def config_fields() -> dict[str, tuple[str, list[str]]]:

@@ -57,7 +57,6 @@ class TestNVMDevice:
         device.read(0, 0, PAGE_BYTES)
         assert device.stats.page_writes == 1
         assert device.stats.page_reads == 1
-        assert device.stats.busy_ms > 0
         assert device.stats.dynamic_energy_nj > 0
 
     def test_bad_capacity_rejected(self):

@@ -293,8 +293,8 @@ class TestEndToEndQueryTrace:
 
     def test_query_trace_covers_all_stages(self):
         tel = run_scenario("seizure", seed=QUERY_RETRY_SEED)
-        (query,) = tel.spans_named("query")
-        trace = tel.tracer.trace(query.trace_id)
+        (query,) = [s for s in tel.tracer.spans if s.name == "query"]
+        trace = [s for s in tel.tracer.spans if s.trace_id == query.trace_id]
         names = [s.name for s in trace]
         assert names.count("lookup") == 4
         assert "arq-retry" in names
@@ -304,8 +304,8 @@ class TestEndToEndQueryTrace:
 
     def test_trace_ids_propagate_through_packet_metadata(self):
         tel = run_scenario("seizure", seed=QUERY_RETRY_SEED)
-        (query,) = tel.spans_named("query")
-        trace = tel.tracer.trace(query.trace_id)
+        (query,) = [s for s in tel.tracer.spans if s.name == "query"]
+        trace = [s for s in tel.tracer.spans if s.trace_id == query.trace_id]
         broadcast = next(s for s in trace if s.name == "broadcast")
         lookups = [s for s in trace if s.name == "lookup"]
         # the coordinator's lookup nests under the local query span; every
@@ -325,7 +325,7 @@ class TestEndToEndQueryTrace:
         path = write_chrome_trace(tel.tracer, tmp_path / "out.trace.json")
         doc = json.loads(path.read_text())
         complete = _validate_chrome_trace(doc)
-        (query,) = tel.spans_named("query")
+        (query,) = [s for s in tel.tracer.spans if s.name == "query"]
         in_trace = {
             e["name"]
             for e in complete
