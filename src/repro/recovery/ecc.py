@@ -24,15 +24,12 @@ The syndrome is computed a byte at a time from 256-entry tables rather
 than bit by bit.  Bits 0-6 of byte ``i`` sit at indices ``8i + k + 1``
 with ``k + 1 < 8``, so together they contribute the XOR of their
 ``k + 1`` values plus ``8i`` when their count is odd; bit 7 contributes
-``8(i + 1)``; parity is the XOR of per-byte popcount parities.  Both
-words are linear over GF(2), so :func:`update_ecc` re-encodes a
-partial-page rewrite from the changed bytes alone:
-``syndrome ^= syn_at(old_chunk, offset) ^ syn_at(new_chunk, offset)``,
-which is the syndrome of the flipped bits ``old_chunk ^ new_chunk``.
-That is only sound when the stored words describe the old bytes, i.e.
-the page was verified clean (or corrected) first; a page with
-uncorrectable damage must be re-encoded in full with
-:func:`compute_ecc`.  The CRC is always recomputed over the whole page.
+``8(i + 1)``; parity is the XOR of per-byte popcount parities.
+
+The engine is hardware, priced by NVSim, so the device runs
+:func:`compute_ecc` only when it must hold a page's words apart from its
+bytes: when bit rot first changes a page it has verified (see
+:class:`repro.storage.nvm.NVMDevice`).
 
 A 4 KB page has 32768 bit positions, so 1-based indices fit a 16-bit
 syndrome: the spare-area cost is 16 syndrome bits + 1 parity bit + 32 CRC
@@ -87,14 +84,12 @@ def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _LOW, _ODD_MASK, _BIT7_MASK = _byte_tables()
 
 
-def _syndrome_parity(
-    data: bytes | np.ndarray, offset: int = 0
-) -> tuple[int, int]:
-    """Syndrome and parity of ``data`` placed ``offset`` bytes into a page."""
+def _syndrome_parity(data: bytes) -> tuple[int, int]:
+    """Syndrome and parity of one page's bytes."""
     values = np.frombuffer(data, dtype=np.uint8)
     if values.size == 0:
         return 0, 0
-    pos = 8 * np.arange(offset, offset + values.size, dtype=np.int64)
+    pos = 8 * np.arange(values.size, dtype=np.int64)
     words = _LOW.take(values)
     words ^= _ODD_MASK.take(values) & pos
     words ^= _BIT7_MASK.take(values) & (pos + 8)
@@ -106,27 +101,6 @@ def compute_ecc(data: bytes) -> PageECC:
     """Encode one page's spare-area ECC words."""
     syndrome, parity = _syndrome_parity(data)
     return PageECC(syndrome, parity, zlib.crc32(data))
-
-
-def update_ecc(
-    ecc: PageECC, offset: int, old_chunk: bytes, new_chunk: bytes,
-    page: bytes,
-) -> PageECC:
-    """Re-encode a page whose bytes at ``offset`` went from old to new.
-
-    ``ecc`` must be the words of the page *before* the rewrite (verified
-    clean or corrected), and ``page`` the page after it; the result
-    equals ``compute_ecc(page)`` at the cost of the chunk, plus one CRC.
-    """
-    # linear over GF(2): the flipped bits alone carry the whole change
-    flipped = np.bitwise_xor(
-        np.frombuffer(old_chunk, dtype=np.uint8),
-        np.frombuffer(new_chunk, dtype=np.uint8),
-    )
-    syndrome, parity = _syndrome_parity(flipped, offset)
-    return PageECC(
-        ecc.syndrome ^ syndrome, ecc.parity ^ parity, zlib.crc32(page)
-    )
 
 
 def decode_page(data: bytes, ecc: PageECC) -> DecodeResult:

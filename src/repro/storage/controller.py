@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError, StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hashing.lsh import LSHFamily
-from repro.recovery.journal import RecordType, WriteAheadJournal
+from repro.recovery.journal import RecordType, WriteAheadJournal, new_frames
 from repro.storage.layout import (
     CHUNKED_READ_MS_PER_WINDOW,
     CHUNKED_WRITE_MS_PER_WINDOW,
@@ -50,6 +50,16 @@ _WINDOW_REC = struct.Struct("<HIQIQ")  # electrode, window, addr, len, head
 _HASH_REC = struct.Struct("<IQIdHHQ")  # window, addr, len, time, nsig, ncomp, head
 _APPDATA_REC = struct.Struct("<QIQ")  # addr, len, head (key prefixed)
 _CKPT_MAGIC = b"SCK2"
+
+
+def _window_fields(n_components: int) -> tuple[tuple, ...]:
+    """A WINDOW record as packed structured fields: ``_WINDOW_REC``, then
+    the signature tail's ``<H`` count and ``n_components`` ``<i``."""
+    return (
+        ("electrode", "<u2"), ("window", "<u4"), ("address", "<u8"),
+        ("length", "<u4"), ("head", "<u8"), ("n_components", "<u2"),
+        ("signature", "<i4", (n_components,)),
+    )
 
 
 @dataclass
@@ -120,48 +130,70 @@ class StorageController:
     def _append_objects(
         self,
         partition: str,
-        blobs: Sequence[bytes],
-        commit: Callable[[int, int, int], None],
+        data: bytes,
+        length: int,
+        count: int,
+        commit: Callable[[slice, list[int], list[int]], None],
+        step_ms: float,
         counter: str | None = None,
     ) -> None:
-        """Append ``blobs`` to ``partition`` in order; the one write path.
+        """Append ``count`` blobs of ``length`` bytes from ``data``; the one
+        write path.
 
-        Per blob, in order: reserve its address, ``commit(i, address,
-        write_head)`` (journal record, metadata, SC latency), meter it as
-        ``counter``, and checkpoint when one is due, so a checkpoint that
-        falls mid-batch serialises the state as of its blob.  The device
-        programs whole pages: the SRAM buffer folds the blobs into ordered
-        ``(offset, chunk)`` pieces per page, and each touched page takes
-        one :meth:`~repro.storage.nvm.NVMDevice.merge_page` after the loop
+        The batch is one step, cut after the blob where a checkpoint
+        falls, so the checkpoint serialises the state as of that blob.
+        Per segment: reserve the blobs' addresses, set the last-written
+        page, ``commit(segment, addresses, write_heads)`` their journal
+        records and metadata, and book ``step_ms`` of SC latency per blob
+        as sequential float additions; with live telemetry each blob is
+        metered as ``counter``.  The device programs whole pages: the SRAM
+        buffer folds the blobs into ordered ``(offset, chunk)`` pieces per
+        page, and each touched page takes one
+        :meth:`~repro.storage.nvm.NVMDevice.merge_page` after the batch
         (or at an error), which books one program per piece.
         """
+        if not count:
+            return
         part = self.table[partition]
         metered = counter is not None and self.telemetry.enabled
         # the device books WRITE_NJ_PER_PAGE per piece; the per-blob
         # energy gauge reads the same running sum before the merges land
         energy = self.device.stats.dynamic_energy_nj
         merges: dict[int, list[tuple[int, bytes]]] = {}
+        done = 0
         try:
-            for i, data in enumerate(blobs):
-                busy0 = self.busy_ms
-                address = part.append(len(data))
-                page, offset = divmod(address, PAGE_BYTES)
-                cursor = pieces = 0
-                while cursor < len(data):
-                    take = min(PAGE_BYTES - offset, len(data) - cursor)
-                    merges.setdefault(page, []).append(
-                        (offset, data[cursor : cursor + take])
-                    )
-                    self.last_written_page = page
-                    cursor += take
-                    pieces += 1
-                    page += 1
-                    offset = 0
-                commit(i, address, part.write_head)
-                if metered:
-                    for _ in range(pieces):
-                        energy += WRITE_NJ_PER_PAGE
-                    self._meter(counter, busy0, 0, pieces, energy)
+            while done < count:
+                pending = (
+                    self.journal.records_appended - self._records_at_checkpoint
+                )
+                take = min(count - done, max(1, CHECKPOINT_EVERY_RECORDS - pending))
+                addresses, heads = part.reserve(length, take)
+                cursor = done * length
+                for address in addresses:
+                    page, offset = divmod(address, PAGE_BYTES)
+                    end = cursor + length
+                    while cursor < end:
+                        piece = min(PAGE_BYTES - offset, end - cursor)
+                        merges.setdefault(page, []).append(
+                            (offset, data[cursor : cursor + piece])
+                        )
+                        cursor += piece
+                        page += 1
+                        offset = 0
+                self.last_written_page = (addresses[-1] + length - 1) // PAGE_BYTES
+                commit(slice(done, done + take), addresses, heads)
+                for address in addresses:
+                    busy0 = self.busy_ms
+                    self.busy_ms += step_ms
+                    if metered:
+                        pieces = (
+                            (address + length - 1) // PAGE_BYTES
+                            - address // PAGE_BYTES + 1
+                        )
+                        for _ in range(pieces):
+                            energy += WRITE_NJ_PER_PAGE
+                        self._meter(counter, busy0, 0, pieces, energy)
+                done += take
                 self._maybe_checkpoint()
         finally:
             for page, page_pieces in merges.items():
@@ -178,26 +210,28 @@ class StorageController:
         windows: np.ndarray,
         quantised: np.ndarray,
         signatures: Sequence[Sequence[int]] | None,
-    ) -> list[tuple[int, ...] | None]:
+    ) -> np.ndarray | None:
         """The cache entries of a batch: hashes of what reads return.
 
-        The caller's ``signatures`` hash ``windows`` as given, which is
-        what :meth:`read_window` returns only when the rows are
-        int16-exact; otherwise the quantised rows are hashed here.
+        One int64 row per window, or ``None`` when the batch has no
+        signatures.  The caller's ``signatures`` hash ``windows`` as
+        given, which is what :meth:`read_window` returns only when the
+        rows are int16-exact; otherwise the quantised rows are hashed
+        here.
         """
         if signatures is not None and len(signatures) != len(quantised):
             raise StorageError("expected one signature per window")
+        if quantised.shape[0] == 0:
+            return None
         if signatures is not None and np.array_equal(quantised, windows):
-            rows = np.asarray(signatures, dtype=np.int64).tolist()
-            return [tuple(row) for row in rows]
-        if self.lsh is None or quantised.shape[0] == 0:
-            return [None] * quantised.shape[0]
+            return np.asarray(signatures, dtype=np.int64)
+        if self.lsh is None:
+            return None
         try:
-            hashed = self.lsh.hash_windows(quantised.astype(float))
+            return self.lsh.hash_windows(quantised.astype(float))
         except ConfigurationError:
             # window shorter than the hash geometry
-            return [None] * quantised.shape[0]
-        return [tuple(row) for row in hashed.tolist()]
+            return None
 
     def _store_windows(
         self,
@@ -210,35 +244,35 @@ class StorageController:
         row_bytes = quantised.shape[1] * quantised.itemsize
         if keys and row_bytes > SC_BUFFER_BYTES:
             raise StorageError("window larger than the SC write buffer")
-        cache = self._window_signatures(windows, quantised, signatures)
-        data = quantised.tobytes()
+        hashes = self._window_signatures(windows, quantised, signatures)
+        width = 0 if hashes is None else hashes.shape[1]
+        frames = new_frames(RecordType.WINDOW, _window_fields(width), len(keys))
+        frames["electrode"] = [electrode for electrode, _ in keys]
+        frames["window"] = [window_index for _, window_index in keys]
+        frames["length"] = row_bytes
+        if hashes is not None:
+            frames["n_components"] = width
+            frames["signature"] = hashes
+            cache = [tuple(row) for row in hashes.tolist()]
 
-        def commit(i: int, address: int, head: int) -> None:
-            electrode, window_index = key = keys[i]
-            signature = cache[i]
-            sig_tail = (
-                struct.pack("<H", 0)
-                if signature is None
-                else struct.pack(f"<H{len(signature)}i", len(signature), *signature)
-            )
-            self.journal.append(
-                RecordType.WINDOW,
-                _WINDOW_REC.pack(
-                    electrode, window_index, address, row_bytes, head
-                )
-                + sig_tail,
-            )
-            self._windows[key] = _StoredObject(address, row_bytes)
-            if signature is not None:
-                self._signatures[key] = signature
+        def commit(segment: slice, addresses: list[int], heads: list[int]) -> None:
+            run = frames[segment]
+            run["address"] = addresses
+            run["head"] = heads
+            self.journal.append_frames(run)
+            stored = keys[segment]
+            self._windows.update(zip(stored, [
+                _StoredObject(address, row_bytes) for address in addresses
+            ]))
+            if hashes is not None:
+                self._signatures.update(zip(stored, cache[segment]))
             else:
-                self._signatures.pop(key, None)
-            self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_WRITE_MS_PER_WINDOW
+                for key in stored:
+                    self._signatures.pop(key, None)
 
         self._append_objects(
-            "signals",
-            [data[i * row_bytes : (i + 1) * row_bytes] for i in range(len(keys))],
-            commit,
+            "signals", quantised.tobytes(), row_bytes, len(keys), commit,
+            SC_LATENCY_FREE_MS + CHUNKED_WRITE_MS_PER_WINDOW,
             "storage.windows_stored",
         )
 
@@ -386,23 +420,20 @@ class StorageController:
         flat = [component for sig in signatures for component in sig]
         data = np.asarray(flat, dtype="<u2").tobytes()
 
-        def commit(_: int, address: int, head: int) -> None:
-            self.journal.append(
-                RecordType.HASH_BATCH,
-                _HASH_REC.pack(
-                    window_index, address, len(data), time_ms,
-                    len(signatures), n_components, head,
-                ),
-            )
-            self._hashes[window_index] = _StoredObject(address, len(data))
+        def commit(_: slice, addresses: list[int], heads: list[int]) -> None:
+            self.journal.append(RecordType.HASH_BATCH, _HASH_REC.pack(
+                window_index, addresses[0], len(data), time_ms,
+                len(signatures), n_components, heads[0],
+            ))
+            self._hashes[window_index] = _StoredObject(addresses[0], len(data))
             self._hash_meta[window_index] = (
                 time_ms, len(signatures), n_components,
             )
             self._hash_times.append(time_ms)
-            self.busy_ms += SC_LATENCY_FREE_MS
 
         self._append_objects(
-            "hashes", [data], commit, "storage.hash_batches_stored"
+            "hashes", data, len(data), 1, commit, SC_LATENCY_FREE_MS,
+            "storage.hash_batches_stored",
         )
 
     def read_hash_batch(self, window_index: int) -> list[tuple[int, ...]]:
@@ -442,17 +473,18 @@ class StorageController:
         if not data:
             raise StorageError("refusing to store an empty object")
 
-        def commit(_: int, address: int, head: int) -> None:
+        def commit(_: slice, addresses: list[int], heads: list[int]) -> None:
             encoded = key.encode("utf-8")
             self.journal.append(
                 RecordType.APPDATA,
                 struct.pack("<H", len(encoded)) + encoded
-                + _APPDATA_REC.pack(address, len(data), head),
+                + _APPDATA_REC.pack(addresses[0], len(data), heads[0]),
             )
-            self._templates[key] = _StoredObject(address, len(data))
-            self.busy_ms += SC_LATENCY_FREE_MS
+            self._templates[key] = _StoredObject(addresses[0], len(data))
 
-        self._append_objects("appdata", [data], commit)
+        self._append_objects(
+            "appdata", data, len(data), 1, commit, SC_LATENCY_FREE_MS
+        )
 
     def read_appdata(self, key: str) -> bytes:
         try:

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError, UncorrectableError
-from repro.recovery.ecc import PageECC, compute_ecc, decode_page, update_ecc
+from repro.recovery.ecc import PageECC, compute_ecc, decode_page
 
 #: Device geometry (paper §5).
 PAGE_BYTES = 4 * 1024
@@ -73,17 +73,22 @@ class NVMDevice:
     rewritten in full, like a real device's grown-bad-page handling.
 
     The SECDED engine is hardware: NVSim's per-page costs already price
-    it, so the software decode below changes no simulated time, only
-    the simulator's.  The device therefore remembers which pages it has
-    verified since their last mutation (the *clean set*) and skips
-    re-decoding them: a page joins on every write (``merge_page``, and
-    its one-piece forms ``program_page`` and ``rewrite_range``) and every
-    clean or corrected decode, and leaves on ``inject_bit_rot`` and
-    ``erase_block``, the only other ways stored bytes change.  A
-    partial rewrite of a page verified clean or corrected re-encodes its
-    ECC from the changed bytes alone; one that failed to decode is
-    re-encoded in full.  Stored words, decode outcomes and every counter
-    are exactly those of a device that decodes on every access.
+    it, so the software encode and decode below change no simulated
+    time, only the simulator's.  The device therefore remembers which
+    pages it has verified since their last mutation (the *clean set*):
+    a page joins on every write (``merge_page``, and its one-piece forms
+    ``program_page`` and ``rewrite_range``) and every clean or corrected
+    decode, and leaves on ``inject_bit_rot`` and ``erase_block``, the
+    only other ways stored bytes change.  Reads of a clean page skip the
+    decode, and a clean page's spare words are by definition the
+    encoding of its bytes, so they are not stored: ``_ecc`` holds words
+    only for programmed pages outside the clean set.  They are encoded
+    when rot first takes a clean page out of the set (from the bytes
+    before the flips, which is what the engine wrote), kept through
+    further rot, and dropped on the next write or clean or corrected
+    decode.  Stored words, decode outcomes and every counter are exactly
+    those of a device that encodes on every write and decodes on every
+    access.
     """
 
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES
@@ -91,10 +96,11 @@ class NVMDevice:
     stats: NVMStats = field(default_factory=NVMStats)
     _pages: dict[int, bytes] = field(default_factory=dict)
     _programmed: set[int] = field(default_factory=set)
+    #: spare words of the programmed pages outside the clean set
     _ecc: dict[int, PageECC] = field(default_factory=dict, repr=False)
     _poisoned: set[int] = field(default_factory=set, repr=False)
     #: pages whose bytes were verified (or written) since their last
-    #: mutation, so their stored ECC words describe them exactly
+    #: mutation, so their spare words are the encoding of their bytes
     _clean: set[int] = field(default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
@@ -155,9 +161,9 @@ class NVMDevice:
         rest of it reads as 0xFF) and each later piece is a
         :meth:`rewrite_range`.  Only the first piece can verify the
         existing content, since every piece leaves the page clean; a
-        poison is cleared by a piece that covers the whole page.  The ECC
-        words are updated once from the changed span (the code is linear
-        over GF(2)), and each piece books one program.
+        poison is cleared by a piece that covers the whole page.  The
+        merged page joins the clean set, so it needs no encode, and each
+        piece books one program.
         """
         self._check_page(page_index)
         if not pieces:
@@ -167,11 +173,9 @@ class NVMDevice:
                 raise StorageError("rewrite range outside the page")
         programmed = page_index in self._programmed
         existing = self._pages[page_index] if programmed else _ERASED_PAGE
-        # the stored words describe ``existing`` once it is verified
-        verified = programmed and page_index in self._clean
         first_offset, first_chunk = pieces[0]
         if (
-            self.ecc_enabled and programmed and not verified
+            self.ecc_enabled and programmed and page_index not in self._clean
             and not (first_offset == 0 and len(first_chunk) == PAGE_BYTES)
         ):
             result = decode_page(existing, self._ecc[page_index])
@@ -181,35 +185,26 @@ class NVMDevice:
             elif not result.ok and page_index not in self._poisoned:
                 self.stats.ecc_uncorrectable += 1
                 self._poisoned.add(page_index)
-            verified = result.ok
         buffer = bytearray(existing)
-        low, high, whole_page = PAGE_BYTES, 0, False
+        whole_page = False
         for offset, chunk in pieces:
-            end = offset + len(chunk)
-            buffer[offset:end] = chunk
-            low, high = min(low, offset), max(high, end)
-            whole_page = whole_page or (offset == 0 and end == PAGE_BYTES)
-        merged = bytes(buffer)
-        self._pages[page_index] = merged
+            buffer[offset : offset + len(chunk)] = chunk
+            if len(chunk) == PAGE_BYTES:
+                whole_page = True
+        self._pages[page_index] = bytes(buffer)
         self._programmed.add(page_index)
-        if self.ecc_enabled:
-            if verified:
-                self._ecc[page_index] = update_ecc(
-                    self._ecc[page_index], low, existing[low:high],
-                    merged[low:high], merged,
-                )
-            else:
-                # an erased page, or a failed decode whose rotten bytes
-                # around the pieces stay on the page: encode what is
-                # actually there
-                self._ecc[page_index] = compute_ecc(merged)
+        # a failed decode leaves its rotten bytes around the pieces; the
+        # engine encodes the merged page as it is, so it is clean all the same
+        self._ecc.pop(page_index, None)
         self._clean.add(page_index)
         if whole_page:
             self._poisoned.discard(page_index)
         stats = self.stats
+        stats.page_writes += len(pieces)
+        energy = stats.dynamic_energy_nj
         for _ in pieces:
-            stats.page_writes += 1
-            stats.dynamic_energy_nj += WRITE_NJ_PER_PAGE
+            energy += WRITE_NJ_PER_PAGE
+        stats.dynamic_energy_nj = energy
 
     def rewrite_range(self, page_index: int, offset: int, chunk: bytes) -> None:
         """In-place partial-page update through the SC's SRAM buffer.
@@ -221,9 +216,8 @@ class NVMDevice:
         beyond SECDED marks the page poisoned (the write itself still
         lands — the surrounding old bytes are what was lost).  A rewrite
         covering the whole page replaces everything and clears the poison.
-        A page in the clean set skips the verify, and the ECC words of a
-        verified page are updated from the changed bytes alone.  The
-        one-piece :meth:`merge_page` of a programmed page.
+        A page in the clean set skips the verify.  The one-piece
+        :meth:`merge_page` of a programmed page.
         """
         self._check_page(page_index)
         if page_index not in self._programmed:
@@ -285,25 +279,23 @@ class NVMDevice:
 
     def _verify_on_access(self, page_index: int, page: bytes) -> bytes:
         """Run the SECDED engine on a page transfer; raise on bad pages."""
-        if not self.ecc_enabled or page_index not in self._ecc:
+        if not self.ecc_enabled or page_index not in self._programmed:
             return page
         if page_index in self._poisoned:
             raise UncorrectableError(page_index, "page poisoned")
         if page_index in self._clean:
             return page
         result = decode_page(page, self._ecc[page_index])
-        if result.corrected_bits:
-            # scrub-on-read: commit the corrected content back
-            self.stats.ecc_corrected += result.corrected_bits
-            self._pages[page_index] = result.data
-            self._clean.add(page_index)
-            return result.data
         if not result.ok:
             self.stats.ecc_uncorrectable += 1
             self._poisoned.add(page_index)
             raise UncorrectableError(page_index, result.detail)
-        self._clean.add(page_index)
-        return page
+        if result.corrected_bits:
+            # scrub-on-read: commit the corrected content back
+            self.stats.ecc_corrected += result.corrected_bits
+            self._pages[page_index] = result.data
+        self._mark_clean(page_index)
+        return result.data
 
     def check_page(self, page_index: int) -> tuple[int, bool]:
         """One scrubber visit: verify and repair a page in place.
@@ -313,7 +305,7 @@ class NVMDevice:
         transition) and subsequent reads raise.
         """
         self._check_page(page_index)
-        if not self.ecc_enabled or page_index not in self._ecc:
+        if not self.ecc_enabled or page_index not in self._programmed:
             return 0, False
         if page_index in self._poisoned:
             return 0, True
@@ -322,17 +314,21 @@ class NVMDevice:
         if page_index in self._clean:
             return 0, False
         result = decode_page(self._pages[page_index], self._ecc[page_index])
-        if result.corrected_bits:
-            self.stats.ecc_corrected += result.corrected_bits
-            self._pages[page_index] = result.data
-            self._clean.add(page_index)
-            return result.corrected_bits, False
         if not result.ok:
             self.stats.ecc_uncorrectable += 1
             self._poisoned.add(page_index)
             return 0, True
+        if result.corrected_bits:
+            self.stats.ecc_corrected += result.corrected_bits
+            self._pages[page_index] = result.data
+        self._mark_clean(page_index)
+        return result.corrected_bits, False
+
+    def _mark_clean(self, page_index: int) -> None:
+        """A decode came back clean or corrected: the page's bytes are
+        what the engine encoded, so its words need not be kept."""
+        del self._ecc[page_index]
         self._clean.add(page_index)
-        return 0, False
 
     @property
     def poisoned_pages(self) -> list[int]:
@@ -366,8 +362,14 @@ class NVMDevice:
         idx = np.atleast_1d(np.asarray(bit_indices, dtype=np.int64))
         if idx.size == 0:
             return 0
-        self._pages[page_index] = flip_bits(self._pages[page_index], idx)
-        self._clean.discard(page_index)
+        page = self._pages[page_index]
+        if page_index in self._clean:
+            # the words the engine wrote describe the bytes before the
+            # first flip; a page already out of the set keeps its words
+            if self.ecc_enabled:
+                self._ecc[page_index] = compute_ecc(page)
+            self._clean.discard(page_index)
+        self._pages[page_index] = flip_bits(page, idx)
         return int(idx.size)
 
     # -- derived rates ------------------------------------------------------------

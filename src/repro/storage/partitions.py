@@ -34,11 +34,15 @@ class Partition:
     size_bytes: int
     write_head: int = 0  # bytes written since creation (monotonic)
 
-    def append(self, n_bytes: int) -> int:
-        """Reserve space for ``n_bytes``; returns the device byte address.
+    def reserve(self, n_bytes: int, count: int) -> tuple[list[int], list[int]]:
+        """Reserve ``count`` objects of ``n_bytes`` each, in order.
 
-        Wrap-around (overwriting the oldest data) is the paper's policy
-        when a partition fills.
+        Returns each object's device byte address and the write head
+        just after it.  Wrap-around (overwriting the oldest data) is the
+        paper's policy when a partition fills: an object that would
+        straddle the ring's end skips the tail fragment and starts the
+        next lap, so objects stay contiguous.  Within a lap the addresses
+        are an arithmetic run.
         """
         if n_bytes <= 0:
             raise StorageError("append size must be positive")
@@ -46,14 +50,22 @@ class Partition:
             raise StorageError(
                 f"object of {n_bytes} B larger than partition {self.name}"
             )
-        offset = self.write_head % self.size_bytes
-        if offset + n_bytes > self.size_bytes:
-            # skip the tail fragment so objects stay contiguous
-            self.write_head += self.size_bytes - offset
-            offset = 0
-        address = self.start_byte + offset
-        self.write_head += n_bytes
-        return address
+        addresses: list[int] = []
+        heads: list[int] = []
+        head = self.write_head
+        while len(addresses) < count:
+            offset = head % self.size_bytes
+            fit = (self.size_bytes - offset) // n_bytes
+            if not fit:
+                head += self.size_bytes - offset
+                offset, fit = 0, self.size_bytes // n_bytes
+            take = min(fit, count - len(addresses))
+            first = self.start_byte + offset
+            addresses += range(first, first + take * n_bytes, n_bytes)
+            heads += range(head + n_bytes, head + (take + 1) * n_bytes, n_bytes)
+            head += take * n_bytes
+        self.write_head = head
+        return addresses, heads
 
 
 @dataclass

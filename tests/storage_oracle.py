@@ -5,12 +5,14 @@ The definition the batched paths of
 Every object is appended on its own: each page piece of a window is a
 ``program_page`` (erased page, 0xFF-padded) or a ``rewrite_range``
 (programmed page), each read piece is one 8-byte-aligned
-``NVMDevice.read``, and the registry is metered from the device's
-counter deltas around each object.  A window's signature cache entry is
+``NVMDevice.read``, each object reserves its address with the ring rule
+on its own, and the registry is metered from the device's counter deltas
+around each object.  A window's signature cache entry is
 always the hash of its quantised samples, never a caller's hash.  It
-never calls ``_append_objects``, ``merge_page`` with more than one piece
-or ``read_spans`` with more than one span, so it does not call the code
-it checks.  Slow by design; used only by tests.
+never calls ``_append_objects``, ``Partition.reserve``,
+``WriteAheadJournal.append_many``, ``merge_page`` with more than one
+piece or ``read_spans`` with more than one span, so it does not call the
+code it checks.  Slow by design; used only by tests.
 """
 
 from __future__ import annotations
@@ -59,10 +61,28 @@ def _meter(
     tel.set_gauge("storage.nvm_energy_nj", stats.dynamic_energy_nj)
 
 
+def _reserve(controller: StorageController, partition: str, n_bytes: int) -> int:
+    """The ring rule one object at a time: skip a tail fragment the
+    object would straddle, so it stays contiguous."""
+    part = controller.table[partition]
+    if n_bytes <= 0:
+        raise StorageError("append size must be positive")
+    if n_bytes > part.size_bytes:
+        raise StorageError(
+            f"object of {n_bytes} B larger than partition {part.name}"
+        )
+    offset = part.write_head % part.size_bytes
+    if offset + n_bytes > part.size_bytes:
+        part.write_head += part.size_bytes - offset
+        offset = 0
+    part.write_head += n_bytes
+    return part.start_byte + offset
+
+
 def _append_bytes(
     controller: StorageController, partition: str, data: bytes
 ) -> int:
-    address = controller.table[partition].append(len(data))
+    address = _reserve(controller, partition, len(data))
     page, offset = divmod(address, PAGE_BYTES)
     cursor = 0
     while cursor < len(data):

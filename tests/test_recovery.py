@@ -23,7 +23,6 @@ from repro.recovery.ecc import (
     _syndrome_parity,
     compute_ecc,
     decode_page,
-    update_ecc,
 )
 from repro.recovery.journal import (
     JournalRecord,
@@ -124,39 +123,15 @@ class TestByteTableSyndrome:
             data = bytes([value])
             assert _syndrome_parity(data) == _reference_syndrome_parity(data)
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.binary(min_size=0, max_size=600),
-           offset=st.integers(0, 5000))
-    def test_offset_matches_zero_padded_reference(self, data, offset):
-        # leading zero bytes set no bits, so they only shift positions
-        assert _syndrome_parity(data, offset) == _reference_syndrome_parity(
-            bytes(offset) + data
-        )
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           offset=st.integers(0, PAGE_BYTES - 1),
-           length=st.integers(1, PAGE_BYTES))
-    def test_incremental_update_equals_full_recompute(self, seed, offset,
-                                                      length):
-        length = min(length, PAGE_BYTES - offset)
-        page = _page(seed)
-        chunk = _page(seed + 1, length)
-        merged = page[:offset] + chunk + page[offset + length:]
-        updated = update_ecc(
-            compute_ecc(page), offset, page[offset:offset + length], chunk,
-            merged,
-        )
-        assert updated == compute_ecc(merged) == _reference_ecc(merged)
-
 
 class _PlainDevice:
     """Reference NVM device without fast paths.
 
-    Every access decodes and every write re-encodes the whole page with
-    the oracle syndrome: the behaviour the clean set and the incremental
-    encode of :class:`NVMDevice` must reproduce exactly.  Only the ECC
-    path is modelled; range checks are left to the device under test.
+    Every access decodes and every write encodes the whole page with the
+    oracle syndrome, and every programmed page keeps its spare words: the
+    behaviour the clean set and the on-demand encode of
+    :class:`NVMDevice` must reproduce exactly.  Only the ECC path is
+    modelled; range checks are left to the device under test.
     """
 
     def __init__(self) -> None:
@@ -245,6 +220,13 @@ class _PlainDevice:
             return 0
         self.pages[page] = flip_bits(self.pages[page], np.asarray(bits))
         return len(bits)
+
+
+def _spare_words(device: NVMDevice, page: int) -> PageECC:
+    """The spare-area words a device's engine holds for ``page``."""
+    if page in device._ecc:
+        return device._ecc[page]
+    return compute_ecc(device._pages[page])
 
 
 #: two pages in block 0 and one in block 1, so erases hit a subset
@@ -339,7 +321,13 @@ class DeviceEquivalence(RuleBasedStateMachine):
     @invariant()
     def same_state(self):
         assert self.fast._pages == self.plain.pages
-        assert self.fast._ecc == self.plain.ecc
+        # words are stored only off the clean set; a clean page's words
+        # are the encoding of its bytes
+        assert set(self.fast._ecc) == self.fast._programmed - self.fast._clean
+        assert {
+            page: _spare_words(self.fast, page)
+            for page in self.fast.programmed_pages
+        } == self.plain.ecc
         assert self.fast.stats == self.plain.stats
         assert self.fast.poisoned_pages == sorted(self.plain.poisoned)
 
@@ -366,13 +354,17 @@ class TestCleanSet:
         assert device.stats.ecc_uncorrectable == 1
 
     def test_failed_merge_encodes_the_rotten_bytes(self):
-        # an incremental update from the stored words would encode the
-        # pre-rot bytes; the page must be re-encoded as it actually is
+        # the words from before the rot must not outlive the merge: the
+        # page is encoded as it actually is, rotten bytes included
         device = NVMDevice(capacity_bytes=2 * 1024 * 1024)
         device.program_page(0, _page(2))
         device.inject_bit_rot(0, [3, 77])
         device.rewrite_range(0, 1024, b"chunk")
-        assert device._ecc[0] == _reference_ecc(device._pages[0])
+        assert 0 not in device._ecc and 0 in device._clean
+        assert _spare_words(device, 0) == _reference_ecc(device._pages[0])
+        rotten = device._pages[0]
+        device.inject_bit_rot(0, [9])
+        assert device._ecc[0] == _reference_ecc(rotten)
 
     def test_rot_invalidates_a_verified_page(self):
         device = NVMDevice(capacity_bytes=2 * 1024 * 1024)
@@ -382,6 +374,37 @@ class TestCleanSet:
         device.inject_bit_rot(0, [12345])
         assert device.read(0, 0, PAGE_BYTES) == data
         assert device.stats.ecc_corrected == 1
+
+    def test_rot_twice_before_access_is_uncorrectable(self):
+        # the second rot must keep the words of the unrotted page: words
+        # encoded from the once-rotten bytes would "correct" the page to
+        # them and return wrong data without an error
+        device = NVMDevice(capacity_bytes=2 * 1024 * 1024)
+        data = _page(4)
+        device.program_page(0, data)
+        device.inject_bit_rot(0, [100])
+        device.inject_bit_rot(0, [2000])
+        assert device._ecc[0] == _reference_ecc(data)
+        with pytest.raises(UncorrectableError, match="double-bit error"):
+            device.read(0, 0, 8)
+        assert device.poisoned_pages == [0]
+        assert device.stats.ecc_uncorrectable == 1
+
+    def test_corrected_read_then_rot(self):
+        # a corrected read rejoins the clean set and drops the words; the
+        # next rot encodes the corrected bytes afresh
+        device = NVMDevice(capacity_bytes=2 * 1024 * 1024)
+        data = _page(5)
+        device.program_page(0, data)
+        device.inject_bit_rot(0, [77])
+        assert device.read(0, 0, PAGE_BYTES) == data
+        assert 0 not in device._ecc and 0 in device._clean
+        device.inject_bit_rot(0, [31000])
+        assert device._ecc[0] == _reference_ecc(data)
+        assert device.check_page(0) == (1, False)
+        assert device.read(0, 0, PAGE_BYTES) == data
+        assert device._ecc == {}
+        assert device.stats.ecc_corrected == 2
 
 
 class TestWriteAheadJournal:

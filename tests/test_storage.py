@@ -88,15 +88,16 @@ class TestPartitions:
     def test_ring_wraps_over_oldest(self):
         table = PartitionTable(capacity_bytes=64 * 1024 * 1024)
         partition = table["mc"]
-        first = partition.append(partition.size_bytes - 10)
+        (first,), _ = partition.reserve(partition.size_bytes - 10, 1)
         assert first == partition.start_byte
-        second = partition.append(100)  # forces wrap
+        (second,), (head,) = partition.reserve(100, 1)  # forces wrap
         assert second == partition.start_byte
+        assert head == partition.write_head == partition.size_bytes + 100
 
     def test_oversized_object_rejected(self):
         table = PartitionTable(capacity_bytes=64 * 1024 * 1024)
         with pytest.raises(StorageError):
-            table["mc"].append(table["mc"].size_bytes + 1)
+            table["mc"].reserve(table["mc"].size_bytes + 1, 1)
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(StorageError):

@@ -29,15 +29,17 @@ from repro.errors import StorageError, UncorrectableError
 from repro.hashing.lsh import LSHFamily
 from repro.recovery.journal import WriteAheadJournal
 from repro.storage.controller import (
+    _WINDOW_REC,
     CHECKPOINT_EVERY_RECORDS,
     SC_BUFFER_BYTES,
     StorageController,
 )
 from repro.storage.nvm import BLOCK_BYTES, PAGE_BYTES, NVMDevice
 from repro.storage.partitions import PartitionTable
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from tests.minhash_oracle import oracle_hash_window
 from tests.storage_oracle import (
+    _reserve,
     oracle_read_hash_batch,
     oracle_read_window,
     oracle_store_appdata,
@@ -88,11 +90,11 @@ def _outcome(call):
     return "ok", result
 
 
-def _controller() -> StorageController:
+def _controller(live: bool = True) -> StorageController:
     return StorageController(
         device=NVMDevice(capacity_bytes=SMALL_CAPACITY),
         table=PartitionTable(SMALL_CAPACITY, fractions=dict(SMALL_FRACTIONS)),
-        telemetry=Telemetry(),
+        telemetry=Telemetry() if live else NULL_TELEMETRY,
         lsh=LSH,
     )
 
@@ -115,11 +117,16 @@ _ORACLE = {
 
 
 class _Pair:
-    """A batched controller and a per-window reference, driven alike."""
+    """A batched controller and a per-window reference, driven alike.
 
-    def __init__(self) -> None:
-        self.batched = _controller()
-        self.reference = _controller()
+    ``live`` attaches a live telemetry handle to each, so every stored
+    object is metered; without it the controllers take the unmetered
+    path, which books SC latency without the registry.
+    """
+
+    def __init__(self, live: bool = True) -> None:
+        self.batched = _controller(live)
+        self.reference = _controller(live)
 
     def both(self, name: str, *args):
         batched = _outcome(lambda: getattr(self.batched, name)(*args))
@@ -149,8 +156,13 @@ class _Pair:
         assert new.device._pages == ref.device._pages
         assert new.device._ecc == ref.device._ecc
         assert new.device.poisoned_pages == ref.device.poisoned_pages
+        if not new.telemetry.enabled:
+            return
         assert (new.telemetry.registry.snapshot()
                 == ref.telemetry.registry.snapshot())
+        for cells in ("_counters", "_gauges"):  # key order: first-write order
+            assert (list(getattr(new.telemetry.registry, cells))
+                    == list(getattr(ref.telemetry.registry, cells)))
         assert new.telemetry.clock.now_us == ref.telemetry.clock.now_us
 
 
@@ -161,12 +173,13 @@ class StorageEquivalence(RuleBasedStateMachine):
     ingest hash), single windows, hash batches, app data, batched and
     single reads (missing keys included), 1- and 2-bit rot, and crashes
     with torn journal tails, over one-block partitions that wrap and a
-    journal filled so that the first checkpoint falls inside a batch.
+    journal filled so that the first checkpoint falls inside a batch,
+    with live or null telemetry.
     """
 
-    @initialize(headroom=st.integers(1, 5))
-    def setup(self, headroom):
-        self.pair = _Pair()
+    @initialize(headroom=st.integers(1, 5), live=st.booleans())
+    def setup(self, headroom, live):
+        self.pair = _Pair(live)
         for i in range(CHECKPOINT_EVERY_RECORDS - headroom):
             self.pair.both("store_appdata", f"k{i}", bytes([i % 251]) * (1 + i % 40))
 
@@ -242,8 +255,97 @@ def _walk(seed: int, width: int, length: int) -> np.ndarray:
     return _rows("exact", seed, width, length)
 
 
+def _fill_journal(pair: _Pair, records: int) -> None:
+    """Append ``records`` one-byte app objects through both controllers."""
+    for i in range(records):
+        pair.both("store_appdata", f"k{i}", b"x")
+
+
 class TestBatchEdges:
     """The cases a random walk reaches too rarely to rely on."""
+
+    @pytest.mark.parametrize("live", [True, False], ids=["metered", "null"])
+    @pytest.mark.parametrize("blob", [0, 5], ids=["first", "last"])
+    def test_checkpoint_on_a_batch_edge(self, blob, live):
+        # the checkpoint falls on the batch's first or last WINDOW record
+        pair = _Pair(live)
+        _fill_journal(pair, CHECKPOINT_EVERY_RECORDS - 1 - blob)
+        pair.both("store_channel_windows", 0, _walk(0, 6, 300))
+        pair.check()
+        journal = pair.batched.journal
+        assert journal.records_appended == CHECKPOINT_EVERY_RECORDS + 5 - blob
+        assert len(journal.replay().records) == 5 - blob
+        pair.crash(0)
+        pair.check()
+        pair.both("store_channel_windows", 1, _walk(1, 6, 300))
+        pair.check()
+
+    def test_hash_batch_is_the_checkpoint_record(self):
+        pair = _Pair()
+        _fill_journal(pair, CHECKPOINT_EVERY_RECORDS - 1)
+        pair.both("store_hash_batch", 0, 0.0, [(1, 2, 3), (4, 5, 6)])
+        pair.check()
+        replayed = pair.batched.journal.replay()
+        assert replayed.checkpoint is not None and replayed.records == []
+        pair.crash(0)
+        pair.check()
+        pair.both("read_hash_batch", 0)
+        pair.check()
+
+    @pytest.mark.parametrize("live", [True, False], ids=["metered", "null"])
+    def test_ring_wrap_on_the_first_blob_of_a_batch(self, live):
+        pair = _Pair(live)
+        length = 6001  # samples; 12 002 B does not divide the ring
+        row_bytes = 2 * length
+        part = pair.batched.table["signals"]
+        index = 0
+        # fill the ring until a window no longer fits before its end
+        while part.size_bytes - part.write_head % part.size_bytes >= row_bytes:
+            room = part.size_bytes - part.write_head % part.size_bytes
+            width = min(6, room // row_bytes)
+            pair.both("store_channel_windows", index, _walk(index, width, length))
+            index += 1
+        head = part.write_head
+        assert head % part.size_bytes  # a tail fragment to skip
+        pair.both("store_channel_windows", index, _walk(index, 6, length))
+        pair.check()
+        # the batch's first blob skipped the tail and opened the next lap
+        assert pair.batched._windows[(0, index)].address == part.start_byte
+        assert part.write_head == (
+            head + part.size_bytes - head % part.size_bytes + 6 * row_bytes
+        )
+        pair.both("read_windows", [(e, index) for e in range(6)])
+        pair.check()
+
+    @pytest.mark.parametrize("fill", [0, CHECKPOINT_EVERY_RECORDS - 3],
+                             ids=["log-only", "checkpoint-inside"])
+    def test_torn_crash_at_every_record_boundary_of_a_batch(self, fill):
+        width = 6
+
+        def pair_with_batch() -> _Pair:
+            pair = _Pair()
+            _fill_journal(pair, fill)
+            pair.both("store_channel_windows", 0, _walk(0, 2, 300))
+            pair.both("store_channel_windows", 1, _walk(1, width, 300))
+            return pair
+
+        # the batch's records in the log, after any checkpoint; one size
+        logged = [
+            record.payload
+            for record in pair_with_batch().batched.journal.replay().records
+            if _WINDOW_REC.unpack_from(record.payload)[1] == 1
+        ]
+        assert len(logged) == (width if not fill else width - 1)
+        (payload_bytes,) = {len(payload) for payload in logged}
+        frame = 7 + payload_bytes + 4  # header, payload, CRC
+        for lost in range(len(logged) + 1):
+            pair = pair_with_batch()
+            pair.crash(lost * frame)
+            pair.check()
+            kept = [key for key in pair.batched.stored_windows() if key[1] == 1]
+            assert kept == [(electrode, 1) for electrode in range(width - lost)]
+            pair.both("store_channel_windows", 2, _walk(2, width, 300))
+            pair.check()
 
     def test_checkpoint_inside_a_batch(self):
         pair = _Pair()
@@ -290,6 +392,32 @@ class TestBatchEdges:
         pair.check()
         assert pair.batched.device.poisoned_pages == [page]
         pair.both("read_windows", [(0, 2)])
+
+class TestReserve:
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from((1, PAGE_BYTES, BLOCK_BYTES // 3,
+                                       BLOCK_BYTES)),
+                      st.integers(1, BLOCK_BYTES)),
+            st.integers(0, 40),
+        ),
+        max_size=8,
+    ))
+    def test_matches_the_one_object_ring_rule(self, steps):
+        # counts up to 40 of objects up to a whole ring: several laps and
+        # several skipped tail fragments in one call
+        batched, reference = _controller(), _controller()
+        for n_bytes, count in steps:
+            addresses, heads = batched.table["hashes"].reserve(n_bytes, count)
+            expected = []
+            for _ in range(count):
+                address = _reserve(reference, "hashes", n_bytes)
+                expected.append((address, reference.table["hashes"].write_head))
+            assert list(zip(addresses, heads)) == expected
+            assert (batched.table["hashes"].write_head
+                    == reference.table["hashes"].write_head)
+
 
 # --- hash once ------------------------------------------------------------------
 
