@@ -1,11 +1,17 @@
-"""Golden stdout digests for every CLI target.
+"""Golden stdout and export digests for every CLI target.
 
 Each figure, table and scenario target runs in process through
 :func:`repro.__main__.main`, and the SHA-256 of what it prints is
 compared with ``tests/golden/cli.json``.  Every printed value is
 fixed-precision, so the digests are platform-stable; a change that
 moves any figure, table, serving report or telemetry summary fails
-here.  After an intended output change, regenerate the file with::
+here.  The telemetry scenarios also write every file they accept
+(``--csv`` metrics, ``--export`` Chrome trace, ``--health-report``);
+the SHA-256 of each file's bytes is compared with
+``tests/golden/exports.json``, so the registry, the spans and the
+health verdicts are pinned byte for byte, not only their printed
+summaries.  After an intended output change, regenerate both files
+with::
 
     PYTHONPATH=src python tests/update_golden.py
 
@@ -31,6 +37,7 @@ import pytest
 from repro.__main__ import main
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "cli.json"
+EXPORTS_GOLDEN_PATH = GOLDEN_PATH.with_name("exports.json")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Command lines whose stdout is pinned, fast ones first.
@@ -44,13 +51,39 @@ TARGETS: tuple[tuple[str, ...], ...] = (
     ("chaos", "partition", "--seed", "0"),
     ("fabric", "--seed", "0"),
     ("trace", "seizure", "--seed", "0"),
+    ("trace", "queries", "--seed", "0"),
+    ("trace", "fig9a", "--seed", "0"),
+    ("trace", "recover", "--seed", "0"),
+    ("trace", "serve", "--seed", "0"),
+    ("trace", "chaos", "--seed", "0"),
     ("resilience",),
     ("fig11",), ("fig12",), ("fig14",),
 )
 
 
+#: Command lines whose written files are pinned, with every file flag
+#: each accepts.
+EXPORTS: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = (
+    (("serve", "--seed", "0"), ("--csv", "--health-report")),
+    (("chaos", "--seed", "0"), ("--csv", "--health-report")),
+    (("chaos", "partition", "--seed", "0"), ("--csv", "--health-report")),
+    (("fabric", "--seed", "0"), ("--csv", "--health-report")),
+    (("health", "moderate", "--seed", "0"), ("--health-report",)),
+    (("recover", "--seed", "0"), ("--export", "--csv")),
+    *(
+        (("trace", scenario, "--seed", "0"), ("--export", "--csv"))
+        for scenario in ("seizure", "queries", "fig9a", "recover", "serve",
+                         "chaos")
+    ),
+)
+
+
 def target_key(argv: tuple[str, ...]) -> str:
     return " ".join(argv)
+
+
+def export_keys(argv: tuple[str, ...], flags: tuple[str, ...]) -> list[str]:
+    return [f"{target_key(argv)} {flag}" for flag in flags]
 
 
 def stdout_digest(argv: tuple[str, ...]) -> str:
@@ -63,9 +96,33 @@ def stdout_digest(argv: tuple[str, ...]) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def export_digests(
+    argv: tuple[str, ...], flags: tuple[str, ...], directory: Path
+) -> dict[str, str]:
+    """SHA-256 of each file one target writes, keyed by target and flag
+    (raises if the target fails)."""
+    paths = [directory / f"out{flag.replace('-', '_')}" for flag in flags]
+    args = list(argv)
+    for flag, path in zip(flags, paths):
+        args += [flag, str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    if code != 0:
+        raise RuntimeError(f"{target_key(argv)!r} exited with {code}")
+    return {
+        key: hashlib.sha256(path.read_bytes()).hexdigest()
+        for key, path in zip(export_keys(argv, flags), paths)
+    }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_exports() -> dict[str, str]:
+    return json.loads(EXPORTS_GOLDEN_PATH.read_text())
 
 
 def test_golden_file_covers_every_target(golden):
@@ -75,6 +132,20 @@ def test_golden_file_covers_every_target(golden):
 @pytest.mark.parametrize("argv", TARGETS, ids=target_key)
 def test_stdout_matches_golden(argv, golden):
     assert stdout_digest(argv) == golden[target_key(argv)]
+
+
+def test_exports_golden_file_covers_every_export(golden_exports):
+    assert sorted(golden_exports) == sorted(
+        key for argv, flags in EXPORTS for key in export_keys(argv, flags)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,flags", EXPORTS, ids=[target_key(argv) for argv, _ in EXPORTS]
+)
+def test_exports_match_golden(argv, flags, golden_exports, tmp_path):
+    digests = export_digests(argv, flags, tmp_path)
+    assert digests == {key: golden_exports[key] for key in digests}
 
 
 @pytest.mark.parametrize("threads", ("1", "2"))
