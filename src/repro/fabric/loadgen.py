@@ -199,7 +199,7 @@ def fabric_session(
             mean_latency_ms=float(np.mean(latencies)) if latencies else 0.0,
             p50_latency_ms=percentile(latencies, 50.0),
             p99_latency_ms=percentile(latencies, 99.0),
-            results_evicted=shard.server.stats.results_evicted_by_client.get(
+            results_evicted=shard.server.results_evicted_by_client.get(
                 tenant, 0
             ),
         )

@@ -39,7 +39,7 @@ import numpy as np
 from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, QueryRejected
-from repro.serving.reliability import RetryPolicy
+from repro.serving.reliability import TIER_NAMES, RetryPolicy
 from repro.serving.server import QueryResponse, QueryServer, ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 from repro.units import DEFAULT_DEADLINE_MS, ROUND_MS, WINDOW_SAMPLES
@@ -212,6 +212,15 @@ def final_responses(server: QueryServer) -> list[QueryResponse]:
     return [final[rid] for rid in sorted(final)]
 
 
+def _cells(server: QueryServer, name: str) -> dict[tuple, int]:
+    """Each label cell of one of the server's ``serving.*`` counters."""
+    return {
+        labels: int(value)
+        for (metric, labels), value in server.counts.items()
+        if metric == name
+    }
+
+
 def summarise(
     server: QueryServer,
     offered_qps: float,
@@ -224,7 +233,11 @@ def summarise(
     latencies = sorted(r.latency_ms for r in finals)
     wave_ids = {r.wave_id for r in server.responses}
     coalesced = sum(1 for r in finals if r.wave_size > 1)
-    stats = server.stats
+    tiers = {name: tier for tier, name in TIER_NAMES.items()}
+
+    def total(name: str) -> int:
+        return sum(_cells(server, name).values())
+
     return ServeReport(
         offered_qps=offered_qps,
         n_offered=n_offered,
@@ -240,16 +253,22 @@ def summarise(
         degraded_responses=sum(r.degraded for r in finals),
         response_log=server.response_log(),
         client_retries=client_retries,
-        server_retries=stats.retries,
-        sla_violations_initial=stats.sla_violations,
+        server_retries=total("serving.retries"),
+        sla_violations_initial=total("serving.sla_violation"),
         sla_violations_final=sum(not r.sla_met for r in finals),
-        breaker_opened=stats.breaker_opened,
-        breaker_half_open=stats.breaker_half_open,
-        breaker_closed=stats.breaker_closed,
-        brownout_waves=dict(sorted(stats.brownout_waves.items())),
-        brownout_rejections=stats.brownout_rejections,
-        timeouts_charged=stats.timeouts_charged,
-        results_evicted=stats.results_evicted,
+        breaker_opened=total("serving.breaker.opened"),
+        breaker_half_open=total("serving.breaker.half_open"),
+        breaker_closed=total("serving.breaker.closed"),
+        brownout_waves=dict(sorted(
+            (tiers[dict(labels)["tier"]], n)
+            for labels, n in _cells(server, "serving.brownout.waves").items()
+        )),
+        brownout_rejections=sum(
+            n for labels, n in _cells(server, "serving.shed").items()
+            if ("reason", "brownout") in labels
+        ),
+        timeouts_charged=total("serving.timeouts"),
+        results_evicted=total("serving.results.evicted"),
     )
 
 

@@ -52,6 +52,14 @@ per-extra-member merge charge, plus the timeout charges above.  The
 server keeps its own ``now_ms``; telemetry is observational only, so
 runs with ``NULL_TELEMETRY`` and runs with a live handle produce
 byte-identical response logs.
+
+Every ``serving.*`` counter lives in one table, :attr:`QueryServer.counts`
+(``(name, LabelKey) -> float``, keyed like the metrics registry).  The
+server adds to it whatever handle it holds, :func:`summarise` folds it
+into a report, and a live handle reads it in place
+(:meth:`~repro.telemetry.registry.MetricsRegistry.collect`), so each
+event is counted once.  Gauges, histograms, spans and instants are
+still pushed to the handle.
 """
 
 from __future__ import annotations
@@ -83,6 +91,7 @@ from repro.serving.reliability import (
     RetryPolicy,
 )
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
+from repro.telemetry.registry import LabelKey, label_key
 from repro.units import DEFAULT_DEADLINE_MS
 
 #: response-assembly charge per coalesced member beyond the first (ms)
@@ -152,32 +161,6 @@ class ServerConfig:
             and self.per_client_queue_quota < 1
         ):
             raise ConfigurationError("per-client queue quota must be positive")
-
-
-@dataclass
-class ServingStats:
-    """Plain deterministic counters (independent of the telemetry handle).
-
-    The serving determinism contract forbids reading state back from
-    telemetry, so everything the reports and gates need is booked here
-    as well; the ``serving.*`` metrics mirror these numbers when a live
-    handle is attached.
-    """
-
-    retries: int = 0
-    sla_violations: int = 0
-    breaker_opened: int = 0
-    breaker_half_open: int = 0
-    breaker_closed: int = 0
-    timeouts_charged: int = 0
-    results_evicted: int = 0
-    brownout_rejections: int = 0
-    #: waves served at each brownout tier
-    brownout_waves: dict[int, int] = field(default_factory=dict)
-    #: retained results evicted, per client (only populated when the
-    #: retention LRU is partitioned by client — the isolation gate's
-    #: "zero victim evictions" evidence)
-    results_evicted_by_client: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -279,7 +262,13 @@ class QueryServer:
         self.now_ms = 0.0
         self.max_queue_depth = 0
         self.responses: list[QueryResponse] = []
-        self.stats = ServingStats()
+        #: every ``serving.*`` counter cell, whatever the handle
+        self.counts: dict[tuple[str, LabelKey], float] = {}
+        self.telemetry.collect(self.counts)
+        #: retained results evicted, per client (only populated when the
+        #: retention LRU is partitioned by client — the isolation gate's
+        #: "zero victim evictions" evidence)
+        self.results_evicted_by_client: dict[str, int] = {}
         self._admission = AdmissionController(
             max_queue=self.config.max_queue,
             bucket_capacity=self.config.bucket_capacity,
@@ -305,6 +294,11 @@ class QueryServer:
         #: the quorum/epoch authority steering this server, when the
         #: partition wiring attached one (chaos gates audit it)
         self.failover = None
+
+    def _count(self, name: str, value: float = 1.0, **labels: object) -> None:
+        """Add ``value`` to one cell of :attr:`counts`."""
+        key = (name, label_key(labels))
+        self.counts[key] = self.counts.get(key, 0.0) + value
 
     # -- health ------------------------------------------------------------------
 
@@ -346,10 +340,10 @@ class QueryServer:
         self._has_quorum = has_quorum
         state = "regained" if has_quorum else "lost"
         self._log.append(f"quorum t={self.now_ms:012.3f} state={state}")
+        self._count(f"serving.quorum.{state}")
         tel = self.telemetry
         if tel.enabled:
             tel.set_gauge("serving.quorum", int(has_quorum))
-            tel.inc(f"serving.quorum.{state}")
             tel.instant("quorum-transition", state=state)
         if self.recorder is not None:
             self.recorder.record("quorum", self.now_ms, state=state)
@@ -363,7 +357,6 @@ class QueryServer:
             return
         parked = sorted(self._parked, key=lambda r: (r.request_id, r.attempt))
         self._parked = []
-        tel = self.telemetry
         for request in parked:
             delay = retry.backoff_ms(request.request_id, request.attempt)
             arrival = self.now_ms + delay
@@ -375,13 +368,11 @@ class QueryServer:
                     attempt=request.attempt + 1,
                 )
             )
-            self.stats.retries += 1
             self._log.append(
                 f"retry t={arrival:012.3f} id={request.request_id:06d} "
                 f"try={request.attempt + 1} backoff={delay:.3f}"
             )
-            if tel.enabled:
-                tel.inc("serving.retries", kind=request.spec.kind)
+            self._count("serving.retries", kind=request.spec.kind)
         self.max_queue_depth = max(self.max_queue_depth, len(self._pending))
 
     # -- admission ---------------------------------------------------------------
@@ -395,9 +386,7 @@ class QueryServer:
         self, client: str, spec: QuerySpec, at: float, reason: str,
         retry_after: float,
     ) -> QueryRejected:
-        tel = self.telemetry
-        if tel.enabled:
-            tel.inc("serving.shed", kind=spec.kind, reason=reason)
+        self._count("serving.shed", kind=spec.kind, reason=reason)
         if self.recorder is not None:
             self.recorder.record(
                 "shed", at, client=client, query=spec.kind, reason=reason
@@ -442,7 +431,6 @@ class QueryServer:
         if shed is not None:
             raise self._shed(client, spec, at, *shed)
         if self.brownout is not None and self._current_tier() >= TIER_REJECT:
-            self.stats.brownout_rejections += 1
             raise self._shed(
                 client, spec, at, "brownout",
                 BROWNOUT_RETRY_AFTER_MS,
@@ -471,9 +459,9 @@ class QueryServer:
         self._next_id += 1
         self._pending.append(request)
         self.max_queue_depth = max(self.max_queue_depth, len(self._pending))
+        self._count("serving.submitted", kind=spec.kind)
         tel = self.telemetry
         if tel.enabled:
-            tel.inc("serving.submitted", kind=spec.kind)
             tel.set_gauge("serving.queue_depth", len(self._pending))
         return request.request_id
 
@@ -511,23 +499,17 @@ class QueryServer:
         return (stop - keep, stop), keep / span
 
     def _drain_breaker_events(self, tier_label: str) -> None:
-        """Book breaker transitions into stats and telemetry."""
+        """Book breaker transitions into the counts and telemetry."""
         tel = self.telemetry
         for node, when, src, dst in self.breakers.pop_events():
-            if dst == "open":
-                self.stats.breaker_opened += 1
-            elif dst == "half_open":
-                self.stats.breaker_half_open += 1
-            elif dst == "closed":
-                self.stats.breaker_closed += 1
             if self.recorder is not None:
                 self.recorder.record(
                     "breaker", when, node=node, src=src, dst=dst,
                     tier=tier_label,
                 )
+            metric = "opened" if dst == "open" else dst
+            self._count(f"serving.breaker.{metric}", node=node)
             if tel.enabled:
-                metric = "opened" if dst == "open" else dst
-                tel.inc(f"serving.breaker.{metric}", node=node)
                 tel.instant(
                     "breaker-transition", node=node, src=src, dst=dst,
                     tier=tier_label,
@@ -615,15 +597,11 @@ class QueryServer:
                 for node in result.queried_nodes:
                     self.breakers.breaker(node).record_success(start)
                 self._drain_breaker_events(TIER_NAMES[tier])
-            self.stats.timeouts_charged += len(timeout_nodes)
             tel.advance_ms(service)
         finish = start + service
         self.now_ms = finish
         done = {r.request_id for r in wave}
         self._pending = [r for r in self._pending if r.request_id not in done]
-        self.stats.brownout_waves[tier] = (
-            self.stats.brownout_waves.get(tier, 0) + 1
-        )
 
         rows_crc = zlib.crc32(
             b"".join(
@@ -657,30 +635,28 @@ class QueryServer:
             if self.brownout is not None:
                 self.brownout.record_completion(response.deadline_missed)
             if not response.sla_met:
-                self.stats.sla_violations += 1
-                if tel.enabled:
-                    tel.inc("serving.sla_violation", kind=request.spec.kind)
+                self._count("serving.sla_violation", kind=request.spec.kind)
                 if self.config.retry is not None and self.config.retry.allows(
                     request.attempt
                 ):
                     self._parked.append(request)
+            self._count("serving.completed", kind=request.spec.kind)
+            if response.deadline_missed:
+                self._count("serving.deadline_miss", kind=request.spec.kind)
+            if response.degraded:
+                self._count("serving.degraded_responses")
             if tel.enabled:
-                tel.inc("serving.completed", kind=request.spec.kind)
                 tel.observe("serving.latency_ms", response.latency_ms)
                 tel.observe("serving.wait_ms", response.wait_ms)
-                if response.deadline_missed:
-                    tel.inc("serving.deadline_miss", kind=request.spec.kind)
-                if response.degraded:
-                    tel.inc("serving.degraded_responses")
+        self._count("serving.waves", kind=lead.spec.kind)
+        self._count("serving.brownout.waves", tier=TIER_NAMES[tier])
+        if timeout_nodes:
+            self._count("serving.timeouts", len(timeout_nodes))
+        if size > 1:
+            self._count("serving.coalesced_batches")
+            self._count("serving.coalesced_requests", size)
         if tel.enabled:
-            tel.inc("serving.waves", kind=lead.spec.kind)
-            tel.inc("serving.brownout.waves", tier=TIER_NAMES[tier])
             tel.observe("serving.service_ms", service)
-            if timeout_nodes:
-                tel.inc("serving.timeouts", len(timeout_nodes))
-            if size > 1:
-                tel.inc("serving.coalesced_batches")
-                tel.inc("serving.coalesced_requests", size)
             tel.set_gauge("serving.queue_depth", len(self._pending))
         return responses
 
@@ -732,13 +708,11 @@ class QueryServer:
             evicted_id = next(iter(store))
             del store[evicted_id]
             self._evicted.add(evicted_id)
-            self.stats.results_evicted += 1
+            self._count("serving.results.evicted")
             if self.config.partition_results_by_client:
                 self._client_of.pop(evicted_id, None)
-                by_client = self.stats.results_evicted_by_client
+                by_client = self.results_evicted_by_client
                 by_client[client] = by_client.get(client, 0) + 1
-            if self.telemetry.enabled:
-                self.telemetry.inc("serving.results.evicted")
 
     def result_for(self, request_id: int) -> DistributedQueryResult:
         """The full query answer backing one response.

@@ -64,6 +64,9 @@ class NullTelemetry:
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         pass
 
+    def collect(self, table: dict) -> None:
+        pass
+
     def observe(self, name: str, value: float, **labels: object) -> None:
         pass
 
@@ -96,13 +99,14 @@ class Telemetry:
     The metric and clock writes run on the serving hot path, so each
     instance binds them straight to their targets instead of through a
     delegating method: ``inc(name, value=1.0, **labels)``,
-    ``set_gauge(name, value, **labels)`` and ``observe(name, value,
-    **labels)`` are the registry's, ``advance_us(delta_us)`` and
-    ``advance_ms(delta_ms)`` the clock's.
+    ``set_gauge(name, value, **labels)``, ``observe(name, value,
+    **labels)`` and ``collect(table)`` are the registry's,
+    ``advance_us(delta_us)`` and ``advance_ms(delta_ms)`` the clock's.
     """
 
     enabled = True
     inc: Callable[..., None]
+    collect: Callable[[dict], None]
     set_gauge: Callable[..., None]
     observe: Callable[..., None]
     advance_us: Callable[[float], None]
@@ -115,6 +119,7 @@ class Telemetry:
         self.inc = self.registry.inc
         self.set_gauge = self.registry.set_gauge
         self.observe = self.registry.observe
+        self.collect = self.registry.collect
         self.advance_us = self.clock.advance_us
         self.advance_ms = self.clock.advance_ms
 

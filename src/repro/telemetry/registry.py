@@ -15,6 +15,14 @@ Metric naming scheme (see DESIGN.md "Telemetry & tracing"):
   events.  Every time quantity is simulated time from the scenario's
   :class:`~repro.telemetry.clock.SimClock`, so a snapshot depends only
   on the seed; no registry value reads the host clock.
+
+Counters reach the registry two ways.  Most components push each event
+with :meth:`MetricsRegistry.inc`.  A component that already counts an
+event for its own use keeps one table keyed like the registry,
+``(name, LabelKey) -> float``, and hands it over once with
+:meth:`MetricsRegistry.collect`; every counter read then sees that
+table's cells as well, so the event is counted once, not once per
+ledger.  The query server's ``serving.*`` counters arrive this way.
 """
 
 from __future__ import annotations
@@ -136,6 +144,10 @@ class MetricsRegistry:
     _sketches: dict[tuple[str, LabelKey], QuantileSketch] = field(
         default_factory=dict
     )
+    #: component-owned counter tables, read in place (see :meth:`collect`)
+    _tables: list[dict[tuple[str, LabelKey], float]] = field(
+        default_factory=list
+    )
     #: relative-error bound for newly created sketches
     sketch_accuracy: float = 0.01
 
@@ -162,6 +174,15 @@ class MetricsRegistry:
             total += value
         self._counters[key] = total
 
+    def collect(self, table: dict[tuple[str, LabelKey], float]) -> None:
+        """Read ``table``'s cells as counters from now on.
+
+        The owner keeps adding to ``table``; every counter read below
+        sums its cells with the registry's own and those of the other
+        collected tables, key by key.
+        """
+        self._tables.append(table)
+
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self._gauges[(name, label_key(labels))] = float(value)
 
@@ -183,21 +204,32 @@ class MetricsRegistry:
 
     # -- reads --------------------------------------------------------------------
 
+    def _counter_cells(self) -> dict[tuple[str, LabelKey], float]:
+        """The registry's own counter cells merged with every collected
+        table's: the one view all counter reads go through."""
+        if not self._tables:
+            return self._counters
+        cells = dict(self._counters)
+        for table in self._tables:
+            for key, value in table.items():
+                cells[key] = cells.get(key, 0.0) + value
+        return cells
+
     def counter(self, name: str, **labels: object) -> float:
-        return self._counters.get((name, label_key(labels)), 0.0)
+        return self._counter_cells().get((name, label_key(labels)), 0.0)
 
     def gauge(self, name: str, **labels: object) -> float:
         return self._gauges.get((name, label_key(labels)), 0.0)
 
     def counters(self) -> Iterator[tuple[str, LabelKey, float]]:
-        for (name, labels), value in sorted(self._counters.items()):
+        for (name, labels), value in sorted(self._counter_cells().items()):
             yield name, labels, value
 
     def counter_items(self) -> Iterator[tuple[str, LabelKey, float]]:
-        """Counters in insertion order — for aggregating readers (the
+        """Counters in no set order — for aggregating readers (the
         health engine sums these every round) that don't need the
         sorted view and shouldn't pay for one."""
-        for (name, labels), value in self._counters.items():
+        for (name, labels), value in self._counter_cells().items():
             yield name, labels, value
 
     def gauges(self) -> Iterator[tuple[str, LabelKey, float]]:
@@ -215,7 +247,7 @@ class MetricsRegistry:
     def series(self, name: str) -> dict[LabelKey, float]:
         """All labelled cells of one counter/gauge name, deterministic order."""
         out: dict[LabelKey, float] = {}
-        for store in (self._counters, self._gauges):
+        for store in (self._counter_cells(), self._gauges):
             for (metric, labels), value in sorted(store.items()):
                 if metric == name:
                     out[labels] = value

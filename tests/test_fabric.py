@@ -213,7 +213,7 @@ def test_partitioned_result_lru_never_crosses_tenants(monkeypatch):
         shard.server.submit("churner", spec, shard.window_range, arrival_ms=t)
     shard.server.drain()
 
-    evicted = shard.server.stats.results_evicted_by_client
+    evicted = shard.server.results_evicted_by_client
     assert evicted.get("churner", 0) >= 1
     assert evicted.get("quiet", 0) == 0
     shard.server.result_for(quiet_id)  # the quiet tenant's answer survived

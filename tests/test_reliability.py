@@ -69,6 +69,13 @@ def _server(config=None, telemetry=None):
     return server, template
 
 
+def _total(server, name):
+    """One of the server's ``serving.*`` counters, over every label cell."""
+    return sum(
+        value for (metric, _), value in server.counts.items() if metric == name
+    )
+
+
 class TestRetryPolicy:
     def test_backoff_is_pure_function_of_inputs(self):
         policy = RetryPolicy(seed=7)
@@ -226,8 +233,8 @@ class TestServerBreakers:
         assert services[0] == pytest.approx(solo + 25.0)
         assert services[1] == pytest.approx(solo + 25.0)
         assert services[2] == pytest.approx(solo)
-        assert server.stats.breaker_opened == 1
-        assert server.stats.timeouts_charged == 2
+        assert _total(server, "serving.breaker.opened") == 1
+        assert _total(server, "serving.timeouts") == 2
 
     def test_breaker_transitions_land_in_telemetry(self):
         tel = Telemetry()
@@ -253,7 +260,7 @@ class TestServerBreakers:
         server.submit("b", QuerySpec("q3", 16.0), (0, N_WINDOWS))
         (healed,) = server.step()
         assert healed.coverage == pytest.approx(1.0)
-        assert server.stats.breaker_closed == 1
+        assert _total(server, "serving.breaker.closed") == 1
 
 
 class TestServerBrownout:
@@ -314,7 +321,9 @@ class TestServerBrownout:
                           arrival_ms=6.0)
         assert exc.value.reason == "brownout"
         assert exc.value.retry_after_ms > 0
-        assert server.stats.brownout_rejections == 1
+        assert server.counts[
+            ("serving.shed", (("kind", "q3"), ("reason", "brownout")))
+        ] == 1
         assert "reason=brownout" in server.response_log()
 
     def test_brownout_disabled_serves_tier_zero(self):
@@ -322,7 +331,12 @@ class TestServerBrownout:
         server.submit("a", QuerySpec("q3", 16.0), (0, N_WINDOWS))
         (response,) = server.step()
         assert response.tier == TIER_HEALTHY
-        assert server.stats.brownout_waves == {TIER_HEALTHY: 1}
+        assert server.counts == {
+            ("serving.submitted", (("kind", "q3"),)): 1.0,
+            ("serving.completed", (("kind", "q3"),)): 1.0,
+            ("serving.waves", (("kind", "q3"),)): 1.0,
+            ("serving.brownout.waves", (("tier", "healthy"),)): 1.0,
+        }
 
 
 class TestResultRetention:
@@ -338,7 +352,7 @@ class TestResultRetention:
                               arrival_ms=float(i))
             )
         server.drain()
-        assert server.stats.results_evicted == 1
+        assert _total(server, "serving.results.evicted") == 1
         assert tel.registry.counter("serving.results.evicted") == 1.0
         server.result_for(ids[1])
         server.result_for(ids[2])
@@ -394,13 +408,13 @@ class TestCoverageSLA:
         (first,) = server.step()
         assert not first.sla_met and first.attempt == 0
         server.set_dead_nodes(set())  # the recovery signal
-        assert server.stats.retries == 1
+        assert _total(server, "serving.retries") == 1
         assert "retry" in server.response_log()
         server.drain()
         final = [r for r in server.responses if r.request_id == rid]
         assert final[-1].attempt == 1
         assert final[-1].sla_met
-        assert server.stats.sla_violations == 1  # only the first attempt
+        assert _total(server, "serving.sla_violation") == 1  # only the first attempt
 
     def test_no_retry_policy_means_no_parking(self):
         server, _ = _server()  # retry=None
@@ -410,7 +424,7 @@ class TestCoverageSLA:
         )
         server.step()
         server.set_dead_nodes(set())
-        assert server.stats.retries == 0
+        assert _total(server, "serving.retries") == 0
         server.drain()
         assert len(server.responses) == 1
 
@@ -425,10 +439,10 @@ class TestCoverageSLA:
         # fake recovery that does not actually help: node 2 dies instead
         server.set_dead_nodes({2})
         server.drain()
-        assert server.stats.retries == 1
+        assert _total(server, "serving.retries") == 1
         # the re-execution also violated, but max_attempts=2 stops there
         server.set_dead_nodes(set())
-        assert server.stats.retries == 1
+        assert _total(server, "serving.retries") == 1
 
     def test_sla_violation_counted_in_telemetry(self):
         tel = Telemetry()
