@@ -30,7 +30,7 @@ from repro.storage.layout import (
     CHUNKED_READ_MS_PER_WINDOW,
     CHUNKED_WRITE_MS_PER_WINDOW,
 )
-from repro.storage.nvm import NVMDevice, PAGE_BYTES, WRITE_NJ_PER_PAGE
+from repro.storage.nvm import NVMDevice, PAGE_BYTES
 from repro.storage.partitions import PARTITION_NAMES, PartitionTable
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 
@@ -96,17 +96,20 @@ class StorageController:
     lsh: "LSHFamily | None" = field(default=None, repr=False)
 
     def _meter(
-        self, counter: str, busy0: float, reads: int, writes: int,
-        energy_nj: float,
+        self, counter: str, n: int, reads: int, writes: int, energy_nj: float,
     ) -> None:
-        """Book one storage operation's deltas into the registry."""
+        """Book a batch of ``n`` storage operations into the registry.
+
+        One ``inc`` per count, and each gauge set once, to the value the
+        batch's last operation leaves.  The callers advance the clock per
+        operation, by its own ``busy_ms`` step.
+        """
         tel = self.telemetry
-        tel.inc(counter)
+        tel.inc(counter, n)
         if reads:
             tel.inc("storage.nvm_reads", reads)
         if writes:
             tel.inc("storage.nvm_writes", writes)
-        tel.advance_ms(self.busy_ms - busy0)
         tel.set_gauge("storage.busy_ms", self.busy_ms)
         tel.set_gauge("storage.nvm_energy_nj", energy_nj)
 
@@ -145,59 +148,57 @@ class StorageController:
         Per segment: reserve the blobs' addresses, set the last-written
         page, ``commit(segment, addresses, write_heads)`` their journal
         records and metadata, and book ``step_ms`` of SC latency per blob
-        as sequential float additions; with live telemetry each blob is
-        metered as ``counter``.  The device programs whole pages: the SRAM
-        buffer folds the blobs into ordered ``(offset, chunk)`` pieces per
-        page, and each touched page takes one
-        :meth:`~repro.storage.nvm.NVMDevice.merge_page` after the batch
-        (or at an error), which books one program per piece.
+        as sequential float additions; with live telemetry the clock
+        advances per blob and the segment is metered once as ``counter``.
+        The device programs whole pages: the SRAM buffer folds the blobs
+        into ordered ``(offset, chunk)`` pieces per page, and each page
+        the segment touches takes one
+        :meth:`~repro.storage.nvm.NVMDevice.merge_page` after the commit
+        (or at its error), which books one program per piece.
         """
         if not count:
             return
         part = self.table[partition]
-        metered = counter is not None and self.telemetry.enabled
-        # the device books WRITE_NJ_PER_PAGE per piece; the per-blob
-        # energy gauge reads the same running sum before the merges land
-        energy = self.device.stats.dynamic_energy_nj
-        merges: dict[int, list[tuple[int, bytes]]] = {}
+        stats = self.device.stats
+        tel = self.telemetry
+        metered = counter is not None and tel.enabled
         done = 0
-        try:
-            while done < count:
-                pending = (
-                    self.journal.records_appended - self._records_at_checkpoint
-                )
-                take = min(count - done, max(1, CHECKPOINT_EVERY_RECORDS - pending))
-                addresses, heads = part.reserve(length, take)
-                cursor = done * length
-                for address in addresses:
-                    page, offset = divmod(address, PAGE_BYTES)
-                    end = cursor + length
-                    while cursor < end:
-                        piece = min(PAGE_BYTES - offset, end - cursor)
-                        merges.setdefault(page, []).append(
-                            (offset, data[cursor : cursor + piece])
-                        )
-                        cursor += piece
-                        page += 1
-                        offset = 0
-                self.last_written_page = (addresses[-1] + length - 1) // PAGE_BYTES
+        while done < count:
+            pending = self.journal.records_appended - self._records_at_checkpoint
+            take = min(count - done, max(1, CHECKPOINT_EVERY_RECORDS - pending))
+            addresses, heads = part.reserve(length, take)
+            merges: dict[int, list[tuple[int, bytes]]] = {}
+            cursor = done * length
+            for address in addresses:
+                page, offset = divmod(address, PAGE_BYTES)
+                end = cursor + length
+                while cursor < end:
+                    piece = min(PAGE_BYTES - offset, end - cursor)
+                    merges.setdefault(page, []).append(
+                        (offset, data[cursor : cursor + piece])
+                    )
+                    cursor += piece
+                    page += 1
+                    offset = 0
+            self.last_written_page = (addresses[-1] + length - 1) // PAGE_BYTES
+            writes0 = stats.page_writes
+            try:
                 commit(slice(done, done + take), addresses, heads)
-                for address in addresses:
-                    busy0 = self.busy_ms
-                    self.busy_ms += step_ms
-                    if metered:
-                        pieces = (
-                            (address + length - 1) // PAGE_BYTES
-                            - address // PAGE_BYTES + 1
-                        )
-                        for _ in range(pieces):
-                            energy += WRITE_NJ_PER_PAGE
-                        self._meter(counter, busy0, 0, pieces, energy)
-                done += take
-                self._maybe_checkpoint()
-        finally:
-            for page, page_pieces in merges.items():
-                self.device.merge_page(page, page_pieces)
+            finally:
+                for page, page_pieces in merges.items():
+                    self.device.merge_page(page, page_pieces)
+            for _ in addresses:
+                busy0 = self.busy_ms
+                self.busy_ms += step_ms
+                if metered:
+                    tel.advance_ms(self.busy_ms - busy0)
+            if metered:
+                self._meter(
+                    counter, take, 0, stats.page_writes - writes0,
+                    stats.dynamic_energy_nj,
+                )
+            done += take
+            self._maybe_checkpoint()
 
     def _read_object(self, obj: _StoredObject) -> bytes:
         (data,) = self.device.read_spans(((obj.address, obj.length),))
@@ -337,7 +338,9 @@ class StorageController:
         Returns one int64 row per key.  Costs are booked per window and
         per page piece exactly as one :meth:`read_window` per key books
         them, and an error is raised at the same key with the same costs
-        already booked; the device fetches each touched page once.
+        already booked; the device fetches each touched page once.  With
+        live telemetry the clock advances per window and the windows read
+        are metered once, at the end or at the error.
         """
         objects: list[_StoredObject] = []
         missing = None
@@ -348,20 +351,26 @@ class StorageController:
                 break
             objects.append(obj)
         stats = self.device.stats
-        metered = self.telemetry.enabled
+        tel = self.telemetry
+        reads0 = reads = stats.page_reads
+        energy = stats.dynamic_energy_nj
         reader = self.device.read_spans(
             [(obj.address, obj.length) for obj in objects]
         )
         chunks = []
-        for _ in objects:
-            if metered:
-                busy0, reads0 = self.busy_ms, stats.page_reads
-            chunks.append(next(reader))
-            self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_READ_MS_PER_WINDOW
-            if metered:
+        try:
+            for _ in objects:
+                chunks.append(next(reader))
+                busy0 = self.busy_ms
+                self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_READ_MS_PER_WINDOW
+                if tel.enabled:
+                    tel.advance_ms(self.busy_ms - busy0)
+                    reads, energy = stats.page_reads, stats.dynamic_energy_nj
+        finally:
+            if chunks and tel.enabled:
                 self._meter(
-                    "storage.windows_read", busy0, stats.page_reads - reads0,
-                    0, stats.dynamic_energy_nj,
+                    "storage.windows_read", len(chunks), reads - reads0, 0,
+                    energy,
                 )
         if missing is not None:
             electrode, window_index = missing
@@ -448,9 +457,10 @@ class StorageController:
         flat = np.frombuffer(data, dtype="<u2")
         self.busy_ms += SC_LATENCY_FREE_MS
         if self.telemetry.enabled:
+            self.telemetry.advance_ms(self.busy_ms - busy0)
             self._meter(
-                "storage.hash_batches_read", busy0, stats.page_reads - reads0,
-                0, stats.dynamic_energy_nj,
+                "storage.hash_batches_read", 1, stats.page_reads - reads0, 0,
+                stats.dynamic_energy_nj,
             )
         return [
             tuple(int(x) for x in flat[i * n_components : (i + 1) * n_components])

@@ -48,12 +48,7 @@ class NVMStats:
 
     page_reads: int = 0
     page_writes: int = 0
-    block_erases: int = 0
     dynamic_energy_nj: float = 0.0
-    #: single-bit errors the SECDED engine corrected on access/scrub
-    ecc_corrected: int = 0
-    #: pages found damaged beyond SECDED (multi-bit rot)
-    ecc_uncorrectable: int = 0
 
 
 @dataclass
@@ -136,7 +131,6 @@ class NVMDevice:
             self._ecc.pop(page, None)
             self._poisoned.discard(page)
             self._clean.discard(page)
-        self.stats.block_erases += 1
         # erase energy folded into the write figure, as NVSim reports
 
     def program_page(self, page_index: int, data: bytes) -> None:
@@ -180,10 +174,8 @@ class NVMDevice:
         ):
             result = decode_page(existing, self._ecc[page_index])
             if result.corrected_bits:
-                self.stats.ecc_corrected += result.corrected_bits
                 existing = result.data
-            elif not result.ok and page_index not in self._poisoned:
-                self.stats.ecc_uncorrectable += 1
+            elif not result.ok:
                 self._poisoned.add(page_index)
         buffer = bytearray(existing)
         whole_page = False
@@ -287,12 +279,10 @@ class NVMDevice:
             return page
         result = decode_page(page, self._ecc[page_index])
         if not result.ok:
-            self.stats.ecc_uncorrectable += 1
             self._poisoned.add(page_index)
             raise UncorrectableError(page_index, result.detail)
         if result.corrected_bits:
             # scrub-on-read: commit the corrected content back
-            self.stats.ecc_corrected += result.corrected_bits
             self._pages[page_index] = result.data
         self._mark_clean(page_index)
         return result.data
@@ -301,8 +291,7 @@ class NVMDevice:
         """One scrubber visit: verify and repair a page in place.
 
         Books one page read.  Returns ``(bits_corrected, uncorrectable)``;
-        an uncorrectable page is poisoned (counted once, at the
-        transition) and subsequent reads raise.
+        an uncorrectable page is poisoned and subsequent reads raise.
         """
         self._check_page(page_index)
         if not self.ecc_enabled or page_index not in self._programmed:
@@ -315,11 +304,9 @@ class NVMDevice:
             return 0, False
         result = decode_page(self._pages[page_index], self._ecc[page_index])
         if not result.ok:
-            self.stats.ecc_uncorrectable += 1
             self._poisoned.add(page_index)
             return 0, True
         if result.corrected_bits:
-            self.stats.ecc_corrected += result.corrected_bits
             self._pages[page_index] = result.data
         self._mark_clean(page_index)
         return result.corrected_bits, False

@@ -335,7 +335,9 @@ class TestNVMBitRot:
         device.program_page(0, b"\x00" * 64)
         assert device.inject_bit_rot(0, np.array([0])) == 1
         assert device.read(0, 0, 8)[0] == 0x00  # SECDED repaired it
-        assert device.stats.ecc_corrected == 1
+        # the repair was written back: a scrub finds nothing left
+        assert device.check_page(0) == (0, False)
+        assert device.poisoned_pages == []
 
     def test_rot_is_invisible_to_stats(self):
         from repro.storage.nvm import NVMDevice

@@ -150,7 +150,6 @@ class _PlainDevice:
             self.pages.pop(page, None)
             self.ecc.pop(page, None)
             self.poisoned.discard(page)
-        self.stats.block_erases += 1
 
     def program_page(self, page: int, data: bytes) -> None:
         if page in self.pages:
@@ -170,10 +169,8 @@ class _PlainDevice:
         if not whole_page:
             result = decode_page(existing, self.ecc[page])
             if result.corrected_bits:
-                self.stats.ecc_corrected += result.corrected_bits
                 existing = result.data
-            elif not result.ok and page not in self.poisoned:
-                self.stats.ecc_uncorrectable += 1
+            elif not result.ok:
                 self.poisoned.add(page)
         merged = bytearray(existing)
         merged[offset:offset + len(chunk)] = chunk
@@ -186,10 +183,8 @@ class _PlainDevice:
     def _decode(self, page: int):
         result = decode_page(self.pages[page], self.ecc[page])
         if result.corrected_bits:
-            self.stats.ecc_corrected += result.corrected_bits
             self.pages[page] = result.data
         elif not result.ok:
-            self.stats.ecc_uncorrectable += 1
             self.poisoned.add(page)
         return result
 
@@ -351,7 +346,7 @@ class TestCleanSet:
         with pytest.raises(UncorrectableError):
             device.read(0, 0, 8)
         assert device.check_page(0) == (0, True)
-        assert device.stats.ecc_uncorrectable == 1
+        assert device.poisoned_pages == [0]
 
     def test_failed_merge_encodes_the_rotten_bytes(self):
         # the words from before the rot must not outlive the merge: the
@@ -373,7 +368,9 @@ class TestCleanSet:
         assert device.read(0, 0, PAGE_BYTES) == data
         device.inject_bit_rot(0, [12345])
         assert device.read(0, 0, PAGE_BYTES) == data
-        assert device.stats.ecc_corrected == 1
+        # the read wrote the correction back: a scrub finds nothing left
+        assert device.check_page(0) == (0, False)
+        assert device._pages[0] == data
 
     def test_rot_twice_before_access_is_uncorrectable(self):
         # the second rot must keep the words of the unrotted page: words
@@ -388,7 +385,9 @@ class TestCleanSet:
         with pytest.raises(UncorrectableError, match="double-bit error"):
             device.read(0, 0, 8)
         assert device.poisoned_pages == [0]
-        assert device.stats.ecc_uncorrectable == 1
+        with pytest.raises(UncorrectableError, match="page poisoned"):
+            device.read(0, 0, 8)
+        assert device.check_page(0) == (0, True)
 
     def test_corrected_read_then_rot(self):
         # a corrected read rejoins the clean set and drops the words; the
@@ -404,7 +403,7 @@ class TestCleanSet:
         assert device.check_page(0) == (1, False)
         assert device.read(0, 0, PAGE_BYTES) == data
         assert device._ecc == {}
-        assert device.stats.ecc_corrected == 2
+        assert device.check_page(0) == (0, False)
 
 
 class TestWriteAheadJournal:
