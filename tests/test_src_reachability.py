@@ -40,6 +40,7 @@ ledger at all.  :data:`WRITE_ONLY_ALLOWED` lists the few kept anyway.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -105,19 +106,17 @@ CONFIG_FIELDS_ALLOWED = {
 #: why it stays.  The list only shrinks: an entry that is no longer
 #: augmented, or that a file outside ``tests/`` now reads, fails
 #: :func:`test_write_only_allow_list_is_current`.
-_NVM_LEDGER = (
-    "NVMStats, the device's own ledger beside the storage.* registry "
-    "series, until storage metering keeps one ledger (ROADMAP item 6)"
-)
 WRITE_ONLY_ALLOWED = {
-    "repro.storage.nvm.NVMStats.page_writes": _NVM_LEDGER,
-    "repro.storage.nvm.NVMStats.block_erases": _NVM_LEDGER,
-    "repro.storage.nvm.NVMStats.ecc_corrected": _NVM_LEDGER,
-    "repro.storage.nvm.NVMStats.ecc_uncorrectable": _NVM_LEDGER,
     "repro.apps.seizure.SimulationResult.hash_rounds_lost":
         "a field of the result run() returns: detections whose hash "
         "round the radio lost, so they stayed local (§6.6)",
 }
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    """The parse of one file, shared by every guard (none mutates it)."""
+    return ast.parse(path.read_text())
 
 
 def _path(module: str) -> Path | None:
@@ -135,7 +134,7 @@ def _resolve(module: str, name: str) -> str:
         return f"{module}.{name}"
     path = _path(module)
     if path is not None and path.name == "__init__.py":
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(_tree(path)):
             if isinstance(node, ast.ImportFrom) and node.module and any(
                 (alias.asname or alias.name) == name for alias in node.names
             ):
@@ -145,7 +144,7 @@ def _resolve(module: str, name: str) -> str:
 
 def _imports(path: Path) -> set[str]:
     found: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
@@ -191,7 +190,7 @@ def public_definitions() -> dict[str, tuple[str, bool]]:
     found: dict[str, tuple[str, bool]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         module = _module_name(path)
-        for node in ast.parse(path.read_text()).body:
+        for node in _tree(path).body:
             if isinstance(node, ast.FunctionDef):
                 members = [(node.name, node.name)]
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
@@ -237,7 +236,7 @@ def names_outside_tests() -> tuple[set[str], set[str]]:
     reads: set[str] = set()
     for folder in NAMING_ROOTS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text())
+            tree = _tree(path)
             docstrings = _docstrings(tree) if path == TRACER else set()
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -253,7 +252,7 @@ def names_outside_tests() -> tuple[set[str], set[str]]:
                     and id(node) not in docstrings
                 ):
                     names.update(re.split(r"[\s.]+", node.value))
-    api = ast.parse((SRC / "repro" / "api.py").read_text())
+    api = _tree(SRC / "repro" / "api.py")
     for node in api.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__"
@@ -290,7 +289,7 @@ def config_fields() -> dict[str, tuple[str, list[str]]]:
     config dataclass under ``src/repro``."""
     found: dict[str, tuple[str, list[str]]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in _tree(path).body:
             if not (
                 isinstance(node, ast.ClassDef)
                 and CONFIG_CLASS.fullmatch(node.name)
@@ -347,7 +346,7 @@ def fields_set_outside_tests() -> set[str]:
     found: set[str] = set()
     for folder in NAMING_ROOTS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            nodes = list(ast.walk(ast.parse(path.read_text())))
+            nodes = list(ast.walk(_tree(path)))
             dicts = {
                 target.id: node.value
                 for node in nodes
@@ -401,7 +400,7 @@ def augmented_attributes() -> dict[str, str]:
     found: dict[str, str] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         module = _module_name(path)
-        tree = ast.parse(path.read_text())
+        tree = _tree(path)
         declared: dict[str, list[str]] = {}
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
@@ -427,7 +426,7 @@ def attributes_read_outside_tests() -> set[str]:
         node.attr
         for folder in NAMING_ROOTS
         for path in sorted((ROOT / folder).rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
 
