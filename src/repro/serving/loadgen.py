@@ -212,15 +212,6 @@ def final_responses(server: QueryServer) -> list[QueryResponse]:
     return [final[rid] for rid in sorted(final)]
 
 
-def _cells(server: QueryServer, name: str) -> dict[tuple, int]:
-    """Each label cell of one of the server's ``serving.*`` counters."""
-    return {
-        labels: int(value)
-        for (metric, labels), value in server.counts.items()
-        if metric == name
-    }
-
-
 def summarise(
     server: QueryServer,
     offered_qps: float,
@@ -233,10 +224,13 @@ def summarise(
     latencies = sorted(r.latency_ms for r in finals)
     wave_ids = {r.wave_id for r in server.responses}
     coalesced = sum(1 for r in finals if r.wave_size > 1)
-    tiers = {name: tier for tier, name in TIER_NAMES.items()}
 
-    def total(name: str) -> int:
-        return sum(_cells(server, name).values())
+    def total(name: str, **labels: str) -> int:
+        """One ``serving.*`` counter, over the cells carrying ``labels``."""
+        return int(sum(
+            value for (metric, cell), value in server.counts.items()
+            if metric == name and set(labels.items()) <= set(cell)
+        ))
 
     return ServeReport(
         offered_qps=offered_qps,
@@ -259,14 +253,11 @@ def summarise(
         breaker_opened=total("serving.breaker.opened"),
         breaker_half_open=total("serving.breaker.half_open"),
         breaker_closed=total("serving.breaker.closed"),
-        brownout_waves=dict(sorted(
-            (tiers[dict(labels)["tier"]], n)
-            for labels, n in _cells(server, "serving.brownout.waves").items()
-        )),
-        brownout_rejections=sum(
-            n for labels, n in _cells(server, "serving.shed").items()
-            if ("reason", "brownout") in labels
-        ),
+        brownout_waves={
+            tier: n for tier, label in TIER_NAMES.items()
+            if (n := total("serving.brownout.waves", tier=label))
+        },
+        brownout_rejections=total("serving.shed", reason="brownout"),
         timeouts_charged=total("serving.timeouts"),
         results_evicted=total("serving.results.evicted"),
     )

@@ -53,13 +53,10 @@ server keeps its own ``now_ms``; telemetry is observational only, so
 runs with ``NULL_TELEMETRY`` and runs with a live handle produce
 byte-identical response logs.
 
-Every ``serving.*`` counter lives in one table, :attr:`QueryServer.counts`
-(``(name, LabelKey) -> float``, keyed like the metrics registry).  The
-server adds to it whatever handle it holds, :func:`summarise` folds it
-into a report, and a live handle reads it in place
-(:meth:`~repro.telemetry.registry.MetricsRegistry.collect`), so each
-event is counted once.  Gauges, histograms, spans and instants are
-still pushed to the handle.
+The ``serving.*`` counters live only in :attr:`QueryServer.counts`, keyed
+like the metrics registry, which a live handle reads in place
+(:meth:`~repro.telemetry.registry.MetricsRegistry.collect`); gauges,
+histograms, spans and instants are pushed to the handle.
 """
 
 from __future__ import annotations
@@ -265,9 +262,8 @@ class QueryServer:
         #: every ``serving.*`` counter cell, whatever the handle
         self.counts: dict[tuple[str, LabelKey], float] = {}
         self.telemetry.collect(self.counts)
-        #: retained results evicted, per client (only populated when the
-        #: retention LRU is partitioned by client — the isolation gate's
-        #: "zero victim evictions" evidence)
+        #: retained results evicted per client, when retention is
+        #: partitioned by client (the isolation gate's evidence)
         self.results_evicted_by_client: dict[str, int] = {}
         self._admission = AdmissionController(
             max_queue=self.config.max_queue,
@@ -312,9 +308,7 @@ class QueryServer:
         new_dead = set(nodes)
         recovered = self._dead - new_dead
         self._dead = new_dead
-        tel = self.telemetry
-        if tel.enabled:
-            tel.set_gauge("serving.dead_nodes", len(self._dead))
+        self.telemetry.set_gauge("serving.dead_nodes", len(self._dead))
         if recovered:
             # Recovery evidence outranks the hold-off timer: the next
             # wave probes the node instead of waiting out an open
@@ -341,10 +335,8 @@ class QueryServer:
         state = "regained" if has_quorum else "lost"
         self._log.append(f"quorum t={self.now_ms:012.3f} state={state}")
         self._count(f"serving.quorum.{state}")
-        tel = self.telemetry
-        if tel.enabled:
-            tel.set_gauge("serving.quorum", int(has_quorum))
-            tel.instant("quorum-transition", state=state)
+        self.telemetry.set_gauge("serving.quorum", int(has_quorum))
+        self.telemetry.instant("quorum-transition", state=state)
         if self.recorder is not None:
             self.recorder.record("quorum", self.now_ms, state=state)
         if has_quorum:
@@ -460,9 +452,7 @@ class QueryServer:
         self._pending.append(request)
         self.max_queue_depth = max(self.max_queue_depth, len(self._pending))
         self._count("serving.submitted", kind=spec.kind)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.set_gauge("serving.queue_depth", len(self._pending))
+        self.telemetry.set_gauge("serving.queue_depth", len(self._pending))
         return request.request_id
 
     # -- dispatch ----------------------------------------------------------------
@@ -509,11 +499,10 @@ class QueryServer:
                 )
             metric = "opened" if dst == "open" else dst
             self._count(f"serving.breaker.{metric}", node=node)
-            if tel.enabled:
-                tel.instant(
-                    "breaker-transition", node=node, src=src, dst=dst,
-                    tier=tier_label,
-                )
+            tel.instant(
+                "breaker-transition", node=node, src=src, dst=dst,
+                tier=tier_label,
+            )
 
     def _note_tier_change(self, src: int, dst: int, at: float) -> None:
         """Book one brownout tier transition (observational only)."""
@@ -524,13 +513,11 @@ class QueryServer:
                 "brownout", at, src=TIER_NAMES[src], dst=TIER_NAMES[dst],
             )
         tel = self.telemetry
-        if tel.enabled:
-            tel.instant(
-                "brownout-transition",
-                src=TIER_NAMES[src], dst=TIER_NAMES[dst],
-            )
-            tel.instant("brownout-tier", counter=True, tier=dst)
-            tel.set_gauge("serving.brownout.tier", dst)
+        tel.instant(
+            "brownout-transition", src=TIER_NAMES[src], dst=TIER_NAMES[dst],
+        )
+        tel.instant("brownout-tier", counter=True, tier=dst)
+        tel.set_gauge("serving.brownout.tier", dst)
 
     def step(self) -> list[QueryResponse]:
         """Dispatch one wave; empty list when the queue is idle."""

@@ -98,12 +98,9 @@ class StorageController:
     def _meter(
         self, counter: str, n: int, reads: int, writes: int, energy_nj: float,
     ) -> None:
-        """Book a batch of ``n`` storage operations into the registry.
-
-        One ``inc`` per count, and each gauge set once, to the value the
-        batch's last operation leaves.  The callers advance the clock per
-        operation, by its own ``busy_ms`` step.
-        """
+        """Book ``n`` storage operations at once: one ``inc`` per count, and
+        each gauge set to what the last one leaves (callers advance the
+        clock per operation)."""
         tel = self.telemetry
         tel.inc(counter, n)
         if reads:
@@ -338,9 +335,8 @@ class StorageController:
         Returns one int64 row per key.  Costs are booked per window and
         per page piece exactly as one :meth:`read_window` per key books
         them, and an error is raised at the same key with the same costs
-        already booked; the device fetches each touched page once.  With
-        live telemetry the clock advances per window and the windows read
-        are metered once, at the end or at the error.
+        already booked; the device fetches each touched page once.  The
+        registry is metered once, at the end or at the error.
         """
         objects: list[_StoredObject] = []
         missing = None

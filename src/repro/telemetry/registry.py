@@ -16,13 +16,9 @@ Metric naming scheme (see DESIGN.md "Telemetry & tracing"):
   :class:`~repro.telemetry.clock.SimClock`, so a snapshot depends only
   on the seed; no registry value reads the host clock.
 
-Counters reach the registry two ways.  Most components push each event
-with :meth:`MetricsRegistry.inc`.  A component that already counts an
-event for its own use keeps one table keyed like the registry,
-``(name, LabelKey) -> float``, and hands it over once with
-:meth:`MetricsRegistry.collect`; every counter read then sees that
-table's cells as well, so the event is counted once, not once per
-ledger.  The query server's ``serving.*`` counters arrive this way.
+Counters are pushed with :meth:`MetricsRegistry.inc`, or kept by their
+component in a table keyed like the registry and read in place
+(:meth:`MetricsRegistry.collect`), so no event is counted twice.
 """
 
 from __future__ import annotations
@@ -145,9 +141,7 @@ class MetricsRegistry:
         default_factory=dict
     )
     #: component-owned counter tables, read in place (see :meth:`collect`)
-    _tables: list[dict[tuple[str, LabelKey], float]] = field(
-        default_factory=list
-    )
+    _tables: list[dict[tuple[str, LabelKey], float]] = field(default_factory=list)
     #: relative-error bound for newly created sketches
     sketch_accuracy: float = 0.01
 
@@ -175,12 +169,9 @@ class MetricsRegistry:
         self._counters[key] = total
 
     def collect(self, table: dict[tuple[str, LabelKey], float]) -> None:
-        """Read ``table``'s cells as counters from now on.
-
-        The owner keeps adding to ``table``; every counter read below
-        sums its cells with the registry's own and those of the other
-        collected tables, key by key.
-        """
+        """Read ``table``'s cells, which its owner keeps adding to, as
+        counters: each counter read sums them key by key with the
+        registry's own cells and the other collected tables'."""
         self._tables.append(table)
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
