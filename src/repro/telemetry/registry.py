@@ -217,7 +217,7 @@ class MetricsRegistry:
             yield name, labels, value
 
     def counter_items(self) -> Iterator[tuple[str, LabelKey, float]]:
-        """Counters in no set order — for aggregating readers (the
+        """Counters unsorted — for aggregating readers (the
         health engine sums these every round) that don't need the
         sorted view and shouldn't pay for one."""
         for (name, labels), value in self._counter_cells().items():
