@@ -348,6 +348,7 @@ class StorageController:
             objects.append(obj)
         stats = self.device.stats
         tel = self.telemetry
+        metered = tel.enabled
         reads0 = reads = stats.page_reads
         energy = stats.dynamic_energy_nj
         reader = self.device.read_spans(
@@ -359,11 +360,11 @@ class StorageController:
                 chunks.append(next(reader))
                 busy0 = self.busy_ms
                 self.busy_ms += SC_LATENCY_FREE_MS + CHUNKED_READ_MS_PER_WINDOW
-                if tel.enabled:
+                if metered:
                     tel.advance_ms(self.busy_ms - busy0)
                     reads, energy = stats.page_reads, stats.dynamic_energy_nj
         finally:
-            if chunks and tel.enabled:
+            if chunks and metered:
                 self._meter(
                     "storage.windows_read", len(chunks), reads - reads0, 0,
                     energy,
