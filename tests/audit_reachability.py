@@ -108,7 +108,6 @@ KEEP: dict[str, str] = {
     # telemetry
     "repro.telemetry.NullTelemetry.advance_us": _NULL,
     "repro.telemetry.NullTelemetry.instant": _NULL,
-    "repro.telemetry.NullTelemetry.set_gauge": _NULL,
     "repro.telemetry.Telemetry.snapshot": _SNAPSHOT,
     "repro.telemetry.exporters.telemetry_json": _SNAPSHOT,
     "repro.telemetry.registry.MetricsRegistry.snapshot": _SNAPSHOT,
