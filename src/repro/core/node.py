@@ -60,37 +60,44 @@ class ScaloNode:
         return (self.n_electrodes, self.window_samples)
 
     def ingest_window(
-        self, windows: np.ndarray, signatures: list[tuple[int, ...]]
+        self,
+        windows: np.ndarray,
+        signatures: np.ndarray | list[tuple[int, ...]],
     ) -> list[tuple[int, ...]]:
         """Store one multi-electrode window and record its hashes.
 
         Args:
             windows: ``(n_electrodes, window_samples)``.
-            signatures: the LSH signature of each row of ``windows``
-                (:meth:`~repro.hashing.lsh.LSHFamily.hash_channels`);
-                :meth:`~repro.core.system.ScaloSystem.ingest` hashes every
-                node's rows in one batch.
+            signatures: the LSH signature of each row of ``windows``: an
+                int64 ``(n_electrodes, components)`` block, such as this
+                node's slice of the fleet hash
+                :meth:`~repro.core.system.ScaloSystem.ingest` computes in
+                one batch, or one tuple per row.
 
         Returns:
-            ``signatures``, the per-electrode hashes of this window.
+            The per-electrode hashes of this window as tuples of ``int``.
+            They are built once and shared by the signature cache and the
+            recent-hash store; the block goes to storage as it is.
         """
         windows = np.asarray(windows)
         if windows.shape != self.window_shape:
             raise ConfigurationError(
                 f"expected {self.window_shape}, got {windows.shape}"
             )
-        if len(signatures) != self.n_electrodes:
+        block = np.asarray(signatures, dtype=np.int64)
+        if block.ndim != 2 or block.shape[0] != self.n_electrodes:
             raise ConfigurationError("expected one signature per electrode")
+        rows = [tuple(row) for row in block.tolist()]
         index = self._window_index
         self._window_index += 1
         time_ms = self.now_ms
 
         # int16-exact rows reuse these hashes for the signature cache
-        self.storage.store_channel_windows(index, windows, signatures)
-        self.storage.store_hash_batch(index, time_ms, signatures)
-        self.hash_store.add_batch(time_ms, signatures)
+        self.storage.store_channel_windows(index, windows, block, tuples=rows)
+        self.storage.store_hash_batch(index, time_ms, block)
+        self.hash_store.add_batch(time_ms, rows)
         self.hash_store.evict_before(time_ms - 4 * self.hash_horizon_ms)
-        return signatures
+        return rows
 
     # -- crash / recovery -------------------------------------------------------------
 

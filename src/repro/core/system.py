@@ -324,7 +324,8 @@ class ScaloSystem:
         is skipped (its ADC is not sampling) and its slot in the returned
         list is an empty signature batch, keeping positions aligned.  The
         nodes share :attr:`lsh`, so every surviving node's rows are hashed
-        in one batch and each node stores its slice of the signatures.
+        in one batch, and each node takes its slice of the int64 hash
+        block as one ``(electrodes, components)`` array.
         """
         windows = np.asarray(windows)
         if windows.shape[0] != self.n_nodes:
@@ -340,13 +341,10 @@ class ScaloSystem:
             batches: list[list[tuple[int, ...]]] = [[] for _ in self.nodes]
             if alive:
                 rows = windows[[node.node_id for node in alive]]
-                hashed = self.lsh.hash_windows(
-                    rows.reshape(-1, shape[1])
-                ).tolist()
+                hashed = self.lsh.hash_windows(rows.reshape(-1, shape[1]))
                 for k, node in enumerate(alive):
-                    signatures = hashed[k * shape[0] : (k + 1) * shape[0]]
                     batches[node.node_id] = node.ingest_window(
-                        rows[k], [tuple(row) for row in signatures]
+                        rows[k], hashed[k * shape[0] : (k + 1) * shape[0]]
                     )
         tel.inc("system.windows_ingested", len(alive))
         return batches

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class HashRecord:
+class HashRecord(NamedTuple):
     """One stored hash: which electrode produced it and when."""
 
     time_ms: float
@@ -39,17 +40,16 @@ class RecentHashStore:
     horizon_ms: float = 100.0
     _records: list[HashRecord] = field(default_factory=list)
 
-    def add(self, record: HashRecord) -> None:
-        if self._records and record.time_ms < self._records[-1].time_ms:
-            raise ConfigurationError("hash records must be appended in time order")
-        self._records.append(record)
-
     def add_batch(
         self, time_ms: float, signatures: list[tuple[int, ...]]
     ) -> None:
-        """Store one hash per electrode for a single window time."""
-        for electrode, signature in enumerate(signatures):
-            self.add(HashRecord(time_ms, electrode, signature))
+        """Store one hash per electrode (in index order) for a single
+        window time, which must not precede the last stored record's."""
+        if not signatures:
+            return
+        if self._records and time_ms < self._records[-1].time_ms:
+            raise ConfigurationError("hash records must be appended in time order")
+        self._records.extend(map(HashRecord, repeat(time_ms), count(), signatures))
 
     def recent(self, now_ms: float) -> list[HashRecord]:
         """Records within the horizon ending at ``now_ms``."""

@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.emd_hash import EMDHash
-from repro.hashing.minhash import MAX_SHINGLE_BITS, minhash_signature_batch
-from repro.hashing.ngram import ngram_value_matrix
+from repro.hashing.minhash import minhash_signature_batch
+from repro.hashing.ngram import MAX_SHINGLE_BITS, ngram_value_matrix
 from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 
 #: Measures the family supports.

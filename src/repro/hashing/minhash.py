@@ -18,6 +18,7 @@ import struct
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.hashing.ngram import MAX_SHINGLE_BITS
 
 
 def _uniform01(value: int, seed: int) -> float:
@@ -44,9 +45,6 @@ def finalize_hash(sample: int, seed: int, bits: int) -> int:
     return int.from_bytes(digest, "little") & ((1 << bits) - 1)
 
 
-#: shingle values are codes of at most this many bits (n-grams of a 0/1
-#: sketch), so a seed table looks a value up by direct index
-MAX_SHINGLE_BITS = 16
 #: a seed table holds ``u ** (1 / w)`` for weights up to this; a heavier
 #: run (under 0.01 % of the runs of random-walk windows' 8-grams) is
 #: scored on the spot, which keeps a 16-bit table's scores under 51 MB
@@ -150,15 +148,18 @@ def minhash_signature_batch(
         values: ``(n_windows, n_shingles)`` packed shingle values, one
             row per window (see
             :func:`~repro.hashing.ngram.ngram_value_matrix`); a value's
-            weight in a row is its number of occurrences there.
+            weight in a row is its number of occurrences there.  Other
+            integer dtypes than uint16 must hold
+            :data:`~repro.hashing.ngram.MAX_SHINGLE_BITS`-bit codes.
         seeds: one seed per signature component.
         bits: width of each component.
 
     Returns:
         ``(n_windows, len(seeds))`` int64 signature components.
 
-    Each row is sorted, so a value's occurrences form one run whose
-    length is its weight, and runs ascend by value.  Only the first
+    Each row is sorted as 2-byte codes, so a value's occurrences form
+    one run whose length is its weight, and runs ascend by value; only
+    the run starts are widened to seed-table indices.  Only the first
     element of each run — one per ``(row, value)`` pair present — scores
     ``u ** (1 / weight)``, gathered from the shared per-``(seeds, bits)``
     table that indexes values directly; the rest score -1.  ``argmax``
@@ -172,16 +173,16 @@ def minhash_signature_batch(
     n_rows, n_shingles = values.shape
     if n_shingles == 0:
         raise ConfigurationError("cannot min-hash an empty n-gram profile")
+    if values.dtype != np.uint16:
+        if n_rows and (
+            values.min() < 0 or values.max() >= 1 << MAX_SHINGLE_BITS
+        ):
+            raise ConfigurationError(
+                f"shingle values must be {MAX_SHINGLE_BITS}-bit codes"
+            )
+        values = values.astype(np.uint16)
     table = _seed_table(seeds, bits)
-    ordered = np.sort(values, axis=1)
-    if n_rows and (
-        ordered[:, 0].min() < 0
-        or ordered[:, -1].max() >= 1 << MAX_SHINGLE_BITS
-    ):
-        raise ConfigurationError(
-            f"shingle values must be {MAX_SHINGLE_BITS}-bit codes"
-        )
-    ordered = ordered.ravel()
+    ordered = np.sort(values, axis=1).ravel()
     size = ordered.shape[0]
     # run boundaries, plus one past the end so every run has a successor
     bound = np.empty(size + 1, dtype=bool)
@@ -191,7 +192,7 @@ def minhash_signature_batch(
     edges = np.flatnonzero(bound)
     starts = edges[:-1]
     weights = edges[1:] - starts
-    rows = table.rows(ordered[starts])
+    rows = table.rows(ordered[starts].astype(np.intp))
     # each position's column of ``table.powered``: its run's score at the
     # run's first position, column 0 (-1) everywhere else
     columns = np.zeros(size, dtype=np.intp)

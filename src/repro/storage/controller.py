@@ -207,42 +207,52 @@ class StorageController:
         self,
         windows: np.ndarray,
         quantised: np.ndarray,
-        signatures: Sequence[Sequence[int]] | None,
-    ) -> np.ndarray | None:
+        signatures: np.ndarray | Sequence[Sequence[int]] | None,
+        tuples: list[tuple[int, ...]] | None,
+    ) -> tuple[np.ndarray, list[tuple[int, ...]]] | tuple[None, None]:
         """The cache entries of a batch: hashes of what reads return.
 
-        One int64 row per window, or ``None`` when the batch has no
-        signatures.  The caller's ``signatures`` hash ``windows`` as
-        given, which is what :meth:`read_window` returns only when the
-        rows are int16-exact; otherwise the quantised rows are hashed
-        here.
+        One int64 row per window in a block, and the same rows as tuples
+        of ``int``; ``(None, None)`` when the batch has no signatures.
+        The caller's ``signatures`` hash ``windows`` as given, which is
+        what :meth:`read_window` returns only when the rows are
+        int16-exact: the block is then taken as it is, with ``tuples``
+        when the caller holds them.  Otherwise the quantised rows are
+        hashed here.
         """
         if signatures is not None and len(signatures) != len(quantised):
             raise StorageError("expected one signature per window")
         if quantised.shape[0] == 0:
-            return None
+            return None, None
         if signatures is not None and np.array_equal(quantised, windows):
-            return np.asarray(signatures, dtype=np.int64)
+            block = np.asarray(signatures, dtype=np.int64)
+            if tuples is None:
+                tuples = [tuple(row) for row in block.tolist()]
+            return block, tuples
         if self.lsh is None:
-            return None
+            return None, None
         try:
-            return self.lsh.hash_windows(quantised.astype(float))
+            block = self.lsh.hash_windows(quantised.astype(float))
         except ConfigurationError:
             # window shorter than the hash geometry
-            return None
+            return None, None
+        return block, [tuple(row) for row in block.tolist()]
 
     def _store_windows(
         self,
         keys: Sequence[tuple[int, int]],
         windows: np.ndarray,
-        signatures: Sequence[Sequence[int]] | None,
+        signatures: np.ndarray | Sequence[Sequence[int]] | None,
+        tuples: list[tuple[int, ...]] | None = None,
     ) -> None:
         """Persist row ``i`` of ``(rows, samples)`` as window ``keys[i]``."""
         quantised = windows.astype("<i2")
         row_bytes = quantised.shape[1] * quantised.itemsize
         if keys and row_bytes > SC_BUFFER_BYTES:
             raise StorageError("window larger than the SC write buffer")
-        hashes = self._window_signatures(windows, quantised, signatures)
+        hashes, cache = self._window_signatures(
+            windows, quantised, signatures, tuples
+        )
         width = 0 if hashes is None else hashes.shape[1]
         frames = new_frames(RecordType.WINDOW, _window_fields(width), len(keys))
         frames["electrode"] = [electrode for electrode, _ in keys]
@@ -251,7 +261,6 @@ class StorageController:
         if hashes is not None:
             frames["n_components"] = width
             frames["signature"] = hashes
-            cache = [tuple(row) for row in hashes.tolist()]
 
         def commit(segment: slice, addresses: list[int], heads: list[int]) -> None:
             run = frames[segment]
@@ -303,7 +312,9 @@ class StorageController:
         self,
         window_index: int,
         windows: np.ndarray,
-        signatures: Sequence[Sequence[int]] | None = None,
+        signatures: np.ndarray | Sequence[Sequence[int]] | None = None,
+        *,
+        tuples: list[tuple[int, ...]] | None = None,
     ) -> None:
         """Persist one window per electrode from ``(channels, samples)``.
 
@@ -314,9 +325,14 @@ class StorageController:
 
         Args:
             signatures: the per-row LSH signatures of ``windows`` as given
-                (the ingest hash).  They are reused when the rows are
-                int16-exact, which makes them the hashes of the stored
-                samples; otherwise the quantised rows are hashed here.
+                (the ingest hash): an int64 ``(channels, components)``
+                block, or one tuple per row.  They are reused when the
+                rows are int16-exact, which makes them the hashes of the
+                stored samples; otherwise the quantised rows are hashed
+                here.
+            tuples: ``signatures`` as tuples of ``int``, when the caller
+                already built them; the signature cache then holds these
+                instead of converting the block again.
         """
         windows = np.asarray(windows)
         if windows.ndim != 2:
@@ -325,6 +341,7 @@ class StorageController:
             [(electrode, window_index) for electrode in range(windows.shape[0])],
             windows,
             signatures,
+            tuples,
         )
 
     def read_windows(
@@ -346,6 +363,8 @@ class StorageController:
                 missing = key
                 break
             objects.append(obj)
+        if missing is None and not objects:
+            return []
         stats = self.device.stats
         tel = self.telemetry
         metered = tel.enabled
@@ -374,8 +393,6 @@ class StorageController:
             raise StorageError(
                 f"no stored window (electrode={electrode}, index={window_index})"
             )
-        if not objects:
-            return []
         samples = np.frombuffer(b"".join(chunks), dtype="<i2").astype(np.int64)
         lengths = [obj.length // 2 for obj in objects]
         if len(set(lengths)) == 1:
@@ -415,25 +432,37 @@ class StorageController:
     # -- hashes ----------------------------------------------------------------------
 
     def store_hash_batch(
-        self, window_index: int, time_ms: float, signatures: list[tuple[int, ...]]
+        self,
+        window_index: int,
+        time_ms: float,
+        signatures: np.ndarray | Sequence[Sequence[int]],
     ) -> None:
-        """Persist one window's hashes for all electrodes."""
-        if not signatures:
+        """Persist one window's hashes for all electrodes.
+
+        ``signatures`` is an int64 ``(electrodes, components)`` block or
+        one tuple per electrode; each component is stored as ``<u2``, and
+        one outside that range raises :class:`OverflowError`.
+        """
+        if len(signatures) == 0:
             raise StorageError("empty hash batch")
-        n_components = len(signatures[0])
-        if any(len(sig) != n_components for sig in signatures):
-            raise StorageError("mixed signature widths in one batch")
-        flat = [component for sig in signatures for component in sig]
-        data = np.asarray(flat, dtype="<u2").tobytes()
+        if not isinstance(signatures, np.ndarray):
+            width = len(signatures[0])
+            if any(len(sig) != width for sig in signatures):
+                raise StorageError("mixed signature widths in one batch")
+        block = np.asarray(signatures, dtype=np.int64)
+        if block.size and (block.min() < 0 or block.max() > 0xFFFF):
+            raise OverflowError("hash component out of the uint16 range")
+        data = block.astype("<u2").tobytes()
+        n_signatures, n_components = block.shape
 
         def commit(_: slice, addresses: list[int], heads: list[int]) -> None:
             self.journal.append(RecordType.HASH_BATCH, _HASH_REC.pack(
                 window_index, addresses[0], len(data), time_ms,
-                len(signatures), n_components, heads[0],
+                n_signatures, n_components, heads[0],
             ))
             self._hashes[window_index] = _StoredObject(addresses[0], len(data))
             self._hash_meta[window_index] = (
-                time_ms, len(signatures), n_components,
+                time_ms, n_signatures, n_components,
             )
             self._hash_times.append(time_ms)
 

@@ -61,13 +61,11 @@ def sketch_length(window_len: int, w: int, stride: int = 1) -> int:
 
 
 
-def ngram_counts(bits: np.ndarray, n: int) -> dict[int, int]:
-    """Histogram of the n-bit shingles of a 0/1 bit array.
+def shingle_values(bits: np.ndarray, n: int) -> np.ndarray:
+    """The n-bit shingles of a 0/1 bit array, in stream order.
 
-    Each shingle is packed into an integer key (MSB first).
-
-    Returns:
-        Mapping shingle-value -> occurrence count, in ascending key order.
+    Each shingle is packed into an int64 (MSB first) by a dot product
+    with the powers of two.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1:
@@ -77,11 +75,21 @@ def ngram_counts(bits: np.ndarray, n: int) -> dict[int, int]:
     if np.any((bits != 0) & (bits != 1)):
         raise ConfigurationError("sketch must contain only 0/1 bits")
     if bits.shape[0] < n:
-        return {}
+        return np.empty(0, dtype=np.int64)
     weights = 1 << np.arange(n - 1, -1, -1)
     shingles = np.lib.stride_tricks.sliding_window_view(bits.astype(np.int64), n)
-    values = shingles @ weights
-    uniques, counts = np.unique(values, return_counts=True)
+    return shingles @ weights
+
+
+def ngram_counts(bits: np.ndarray, n: int) -> dict[int, int]:
+    """Histogram of the n-bit shingles of a 0/1 bit array.
+
+    Each shingle is packed into an integer key (MSB first).
+
+    Returns:
+        Mapping shingle-value -> occurrence count, in ascending key order.
+    """
+    uniques, counts = np.unique(shingle_values(bits, n), return_counts=True)
     return {int(v): int(c) for v, c in zip(uniques, counts)}
 
 

@@ -131,9 +131,9 @@ class TestEMDHash:
 class TestRecentHashStore:
     def test_recent_respects_horizon(self):
         store = RecentHashStore(horizon_ms=10.0)
-        store.add(HashRecord(0.0, 0, (1,)))
-        store.add(HashRecord(5.0, 0, (2,)))
-        store.add(HashRecord(20.0, 0, (3,)))
+        store.add_batch(0.0, [(1,)])
+        store.add_batch(5.0, [(2,)])
+        store.add_batch(20.0, [(3,)])
         recent = store.recent(now_ms=21.0)
         assert [r.signature for r in recent] == [(3,)]
         recent = store.recent(now_ms=12.0)
@@ -141,9 +141,21 @@ class TestRecentHashStore:
 
     def test_out_of_order_rejected(self):
         store = RecentHashStore()
-        store.add(HashRecord(5.0, 0, (1,)))
+        store.add_batch(5.0, [(1,)])
         with pytest.raises(ConfigurationError):
-            store.add(HashRecord(1.0, 0, (2,)))
+            store.add_batch(1.0, [(2,), (3,)])
+        assert len(store) == 1
+
+    def test_batch_records_one_per_electrode(self):
+        store = RecentHashStore()
+        store.add_batch(2.0, [(4, 5), (6, 7)])
+        store.add_batch(2.0, [(8, 9)])
+        store.add_batch(3.0, [])
+        assert store.recent(now_ms=3.0) == [
+            HashRecord(2.0, 0, (4, 5)),
+            HashRecord(2.0, 1, (6, 7)),
+            HashRecord(2.0, 0, (8, 9)),
+        ]
 
     def test_evict(self):
         store = RecentHashStore()

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError
-from repro.hashing.minhash import _power, finalize_hash
+from repro.hashing.minhash import (
+    _power,
+    finalize_hash,
+    minhash_signature_batch,
+)
+from repro.hashing.ngram import MAX_SHINGLE_BITS, ngram_value_matrix
 from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 from tests.minhash_oracle import (
     minhash_signature,
     ngram_counts,
     profile_similarity,
+    shingle_values,
     sign_sketch,
     sketch_length,
     weighted_minhash_sample,
@@ -127,6 +134,58 @@ class TestNgrams:
 
     def test_disjoint_profiles_zero(self):
         assert profile_similarity({1: 3}, {2: 5}) == 0.0
+
+
+class TestShingleCodes:
+    """NGRAM shingle codes are uint16 and equal the oracle's int64 ones."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, MAX_SHINGLE_BITS),
+        fill=st.sampled_from(("random", "ones")),
+        data=st.data(),
+    )
+    def test_codes_match_oracle_shingles(self, n, fill, data):
+        n_rows = data.draw(st.integers(0, 4))
+        length = data.draw(st.integers(0, 48))
+        if fill == "ones":
+            bits = np.ones((n_rows, length), dtype=np.uint8)
+        else:
+            bits = data.draw(arrays(np.uint8, (n_rows, length),
+                                    elements=st.integers(0, 1)))
+        values = ngram_value_matrix(bits, n)
+        assert values.dtype == np.uint16
+        assert values.shape == (n_rows, max(length - n + 1, 0))
+        for row, row_bits in zip(values, bits):
+            assert row.tolist() == shingle_values(row_bits, n).tolist()
+
+    def test_all_ones_at_sixteen_bits_is_the_top_code(self):
+        bits = np.ones((2, 20), dtype=np.uint8)
+        values = ngram_value_matrix(bits, 16)
+        assert values.tolist() == [[65_535] * 5] * 2
+        seeds = [11, 12, 13]
+        assert minhash_signature_batch(values, seeds, 4).tolist() == [
+            list(minhash_signature({65_535: 5}, seeds, 4))
+        ] * 2
+
+    def test_wider_than_sixteen_bits_rejected(self):
+        with pytest.raises(ConfigurationError, match="between 1 and 16"):
+            ngram_value_matrix(np.ones((1, 40), dtype=np.uint8), 17)
+
+    @pytest.mark.parametrize("bad", [-1, -(1 << 40), 1 << 16, (1 << 16) + 7])
+    def test_min_hash_rejects_int64_codes_outside_sixteen_bits(self, bad):
+        values = np.array([[0, 5, 65_535, bad]], dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="16-bit codes"):
+            minhash_signature_batch(values, [1, 2], 4)
+
+    def test_min_hash_of_int64_codes_equals_uint16(self, rng):
+        values = rng.integers(0, 1 << 16, (6, 30))
+        values[0] = 65_535
+        seeds = [3, 4, 5]
+        assert np.array_equal(
+            minhash_signature_batch(values, seeds, 8),
+            minhash_signature_batch(values.astype(np.uint16), seeds, 8),
+        )
 
 
 class TestMinhash:

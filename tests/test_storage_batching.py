@@ -9,6 +9,7 @@ int16-exact rows, so a cached signature is always the hash of what
 ``read_window`` returns.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -468,8 +469,10 @@ class TestHashOnce:
 
 class TestFleetIngest:
     """``ScaloSystem.ingest`` hashes the fleet in one batch; each node
-    then stores its slice.  The reference hashes node by node with
-    ``hash_channels`` and stores the same way."""
+    then stores its slice as one int64 block.  The reference hashes node
+    by node with ``hash_channels`` and hands ``ingest_window`` the
+    tuples; both must leave the same storage, journal, NVM and
+    recent-hash state and return the same ``int`` tuples."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -509,10 +512,25 @@ class TestFleetIngest:
                 for node in reference.nodes
             ]
             assert got == expected
+            assert all(
+                type(signature) is tuple
+                and all(type(component) is int for component in signature)
+                for batch in got for signature in batch
+            )
         for mine, theirs in zip(fleet.nodes, reference.nodes):
             assert mine.storage.state_digest() == theirs.storage.state_digest()
+            assert (mine.storage.journal.snapshot()
+                    == theirs.storage.journal.snapshot())
+            assert mine.storage.device._pages == theirs.storage.device._pages
+            assert mine.storage.device.stats == theirs.storage.device.stats
+            assert mine.storage.busy_ms == theirs.storage.busy_ms
             assert mine.hash_store._records == theirs.hash_store._records
+            assert (mine.hash_store.recent(mine.now_ms)
+                    == theirs.hash_store.recent(theirs.now_ms))
             assert mine.now_ms == theirs.now_ms
+            for key in mine.storage.stored_windows():
+                assert (mine.storage.window_signature(*key)
+                        == theirs.storage.window_signature(*key))
 
 
 # --- read_windows ---------------------------------------------------------------
@@ -548,6 +566,21 @@ class TestReadWindows:
         reads = controller.device.stats.page_reads
         assert controller.read_windows([]) == []
         assert controller.device.stats.page_reads == reads
+
+    def test_empty_books_nothing_on_a_live_handle(self, controller):
+        tel = controller.telemetry = Telemetry()
+        controller.read_windows([(0, 0), (3, 2)])
+        stats = dataclasses.replace(controller.device.stats)
+        busy, now_us = controller.busy_ms, tel.clock.now_us
+        snapshot = tel.snapshot()
+        with mock.patch.object(NVMDevice, "read_spans") as reader:
+            for keys in ([], (), iter([])):
+                assert controller.read_windows(keys) == []
+        reader.assert_not_called()
+        assert controller.device.stats == stats
+        assert controller.busy_ms == busy
+        assert tel.clock.now_us == now_us
+        assert tel.snapshot() == snapshot
 
     def test_missing_key_raises_after_earlier_reads(self, controller):
         stats = controller.device.stats
