@@ -31,7 +31,7 @@ class RecoveryReport:
     node: int
     replay: object  # StorageRecovery
     scrub: object  # ScrubReport
-    resync: object | None  # ResyncReport
+    resync: object  # ResyncReport
 
 
 @dataclass
@@ -166,26 +166,21 @@ class ScaloSystem:
         self._register(node_id)
         return report
 
-    def recover_node(
-        self,
-        node_id: int,
-        resync: bool = True,
-        resync_horizon: int = 8,
-        max_batches: int = 64,
-    ):
+    def recover_node(self, node_id: int):
         """Full reboot path: replay + scrub + bounded anti-entropy.
 
         After :meth:`restore_node` re-materialises the durable state,
         the node scrubs its pages (downtime is retention time) and runs
         one :func:`~repro.recovery.resync.resync_node` round pulling the
-        last ``resync_horizon`` windows from each alive peer and pushing
-        its own unexchanged batches.  The whole path is one ``recovery``
-        span with ``replay``/``resync`` children.
+        last :data:`~repro.recovery.resync.RESYNC_HORIZON` windows from
+        each alive peer and pushing its own unexchanged batches.  The
+        whole path is one ``recovery`` span with ``replay``/``resync``
+        children.
 
         Returns:
             :class:`RecoveryReport` (or ``None`` when not down).
         """
-        from repro.recovery.resync import resync_node
+        from repro.recovery.resync import RESYNC_HORIZON, resync_node
         from repro.recovery.scrub import Scrubber
 
         self._check_node(node_id)
@@ -197,17 +192,14 @@ class ScaloSystem:
             scrub = Scrubber(
                 self.nodes[node_id].storage.device, telemetry=tel
             ).full_pass()
-            resync_report = None
-            if resync:
-                # the node cannot know how far the fleet got while it was
-                # down, so the pull range extends one horizon past its own
-                # replayed high-water mark
-                own_hi = self.nodes[node_id]._window_index
-                lo = max(0, own_hi - resync_horizon)
-                resync_report = resync_node(
-                    self, node_id, lo, own_hi + resync_horizon,
-                    max_batches=max_batches,
-                )
+            # the node cannot know how far the fleet got while it was
+            # down, so the pull range extends one horizon past its own
+            # replayed high-water mark
+            own_hi = self.nodes[node_id]._window_index
+            resync_report = resync_node(
+                self, node_id, max(0, own_hi - RESYNC_HORIZON),
+                own_hi + RESYNC_HORIZON,
+            )
             tel.inc("recovery.nodes_recovered")
         return RecoveryReport(node_id, replay, scrub, resync_report)
 

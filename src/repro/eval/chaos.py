@@ -229,8 +229,9 @@ class PartitionInvariants:
 
     Every number is read off the
     :class:`~repro.recovery.failover.FailoverManager` after the run —
-    deterministic counters, not telemetry — so the
-    split-brain gates hold with or without a live telemetry handle.
+    its claim log and its ``counts`` table, which fills whatever the
+    handle — so the split-brain gates hold with or without a live
+    telemetry handle.
     """
 
     #: most distinct coordinators that wrote an accepted checkpoint in
@@ -270,7 +271,11 @@ class PartitionInvariants:
 
 
 def _audit_coordination(manager) -> PartitionInvariants:
-    """Distill one manager's claim log and counters into the invariants."""
+    """Distill one manager's claim log and counts into the invariants."""
+
+    def count(name: str) -> int:
+        return int(manager.counts.get((name, ()), 0.0))
+
     per_round: dict[int, set[int]] = {}
     for round_index, coordinator, _epoch in manager.claim_log:
         per_round.setdefault(round_index, set()).add(coordinator)
@@ -280,14 +285,14 @@ def _audit_coordination(manager) -> PartitionInvariants:
             (len(claimants) for claimants in per_round.values()), default=0
         ),
         epochs_monotonic=all(a <= b for a, b in zip(epochs, epochs[1:])),
-        duplicate_query_seqs=manager.duplicate_seqs,
-        fencing_rejected=manager.fencing_rejected,
-        fencing_accepted_stale=manager.fencing_accepted_stale,
+        duplicate_query_seqs=count("recovery.duplicate_query_seq"),
+        fencing_rejected=count("recovery.fencing.rejected"),
+        fencing_accepted_stale=count("recovery.fencing.accepted_stale"),
         epoch=manager.epoch,
-        failovers=len(manager.history),
-        stepdowns=manager.stepdowns,
-        reconciliations=manager.reconciliations,
-        blind_fallbacks=manager.blind_fallbacks,
+        failovers=count("recovery.failovers"),
+        stepdowns=count("recovery.stepdowns"),
+        reconciliations=count("recovery.epoch_reconciled"),
+        blind_fallbacks=count("recovery.blind_fallback"),
     )
 
 

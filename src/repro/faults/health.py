@@ -4,8 +4,8 @@ Every TDMA round each healthy node's heartbeat reaches the monitor (in
 the real system it rides the node's scheduled slot; here the
 :class:`~repro.faults.injector.FaultInjector` reports on behalf of nodes
 that are up and in radio contact).  A node that misses
-``miss_threshold`` consecutive rounds is declared dead — the signal the
-query layer and the ILP re-scheduler use to route around it.  A
+:data:`MISS_THRESHOLD` consecutive rounds is declared dead — the signal
+the query layer and the ILP re-scheduler use to route around it.  A
 heartbeat from a declared-dead node (a reboot, an outage ending) revives
 it.
 """
@@ -16,21 +16,23 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
+#: Consecutive missed heartbeat rounds that declare a node dead.
+MISS_THRESHOLD = 3
+
 
 @dataclass
 class HealthMonitor:
     """Missed-heartbeat failure detector over ``n_nodes`` implants."""
 
     n_nodes: int
-    miss_threshold: int = 3
     #: (round, node, "dead" | "recovered") in detection order
-    history: list[tuple[int, int, str]] = field(default_factory=list)
+    history: list[tuple[int, int, str]] = field(
+        init=False, default_factory=list
+    )
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ConfigurationError("need at least one node")
-        if self.miss_threshold < 1:
-            raise ConfigurationError("miss threshold must be positive")
         self._last_seen: dict[int, int] = {n: -1 for n in range(self.n_nodes)}
         self._dead: set[int] = set()
 
@@ -62,7 +64,7 @@ class HealthMonitor:
             node
             for node in range(self.n_nodes)
             if node not in self._dead
-            and round_index - self._last_seen[node] >= self.miss_threshold
+            and round_index - self._last_seen[node] >= MISS_THRESHOLD
         ]
         for node in newly_dead:
             self._dead.add(node)
@@ -103,13 +105,12 @@ class FleetBelief:
     """
 
     n_nodes: int
-    miss_threshold: int = 3
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ConfigurationError("need at least one node")
         self._views: dict[int, HealthMonitor] = {
-            n: HealthMonitor(self.n_nodes, self.miss_threshold)
+            n: HealthMonitor(self.n_nodes)
             for n in range(self.n_nodes)
         }
 

@@ -30,30 +30,28 @@ class FaultInjector:
     system: ScaloSystem
     plan: FaultPlan
     health: HealthMonitor | None = None
-    round_index: int = 0
-    log: list[str] = field(default_factory=list)
     #: reboots run the full :meth:`~repro.core.system.ScaloSystem.recover_node`
     #: path (replay + scrub + anti-entropy) instead of a bare rejoin
     resync_on_reboot: bool = False
-    resync_horizon: int = 8
     #: optional :class:`~repro.recovery.scrub.FleetScrubber`, stepped
     #: once per round after the round's events land
     scrubber: object | None = None
+    round_index: int = field(init=False, default=0)
+    log: list[str] = field(init=False, default_factory=list)
     #: optional :class:`~repro.recovery.failover.FailoverManager`,
-    #: stepped after the health tick so handovers follow detection
-    failover: object | None = None
-    #: per-node liveness views, fed by round-trip probes; auto-created
-    #: when the plan schedules partitions (a fleet-shared belief cannot
+    #: stepped after the health tick so handovers follow detection;
+    #: attached after construction, since it is built over ``belief``
+    failover: object | None = field(init=False, default=None)
+    #: per-node liveness views, fed by round-trip probes; created when
+    #: the plan schedules partitions (a fleet-shared belief cannot
     #: represent the divergent views a split produces)
-    belief: FleetBelief | None = None
+    belief: FleetBelief | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.health is None:
             self.health = HealthMonitor(self.system.n_nodes)
-        if self.belief is None and self.plan.has_partitions:
-            self.belief = FleetBelief(
-                self.system.n_nodes, self.health.miss_threshold
-            )
+        if self.plan.has_partitions:
+            self.belief = FleetBelief(self.system.n_nodes)
 
     # -- stepping -----------------------------------------------------------------
 
@@ -142,15 +140,12 @@ class FaultInjector:
                 self._note(event, "skipped: already up")
                 return False
             if self.resync_on_reboot:
-                report = self.system.recover_node(
-                    node, resync_horizon=self.resync_horizon
-                )
-                pulled = report.resync.batches_pulled if report.resync else 0
+                report = self.system.recover_node(node)
                 self._note(
                     event,
                     f"applied: node recovered "
                     f"(replayed {report.replay.records_replayed} records, "
-                    f"pulled {pulled} batches)",
+                    f"pulled {report.resync.batches_pulled} batches)",
                 )
             else:
                 self.system.restore_node(node)

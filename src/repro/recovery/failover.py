@@ -49,7 +49,15 @@ replicated journal after every query, so a successor re-materialises
 it instead of restarting from zero — back-to-back queries across a
 failover keep distinct sequence numbers and are never suppressed as
 ARQ duplicates.  ``history``, the action log, and the claim log are
-all ring-bounded: long chaos runs must not grow memory without limit.
+all ring-bounded (:data:`MAX_HISTORY`, :data:`MAX_LOG`,
+:data:`MAX_CLAIMS`): long chaos runs must not grow memory without limit.
+
+The manager's ``recovery.*`` counts live only in its ``counts`` table,
+which a live registry reads in place (as it reads
+:attr:`~repro.serving.server.QueryServer.counts`), so the chaos audit
+and the health engine read one ledger, whatever the handle.  The
+``recovery.epoch`` gauge and the handover and stepdown instants are
+still pushed.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, NodeFailure
 from repro.recovery.journal import RecordType, WriteAheadJournal
+from repro.telemetry.registry import LabelKey
 
 if TYPE_CHECKING:
     from repro.core.system import ScaloSystem
@@ -67,6 +76,11 @@ if TYPE_CHECKING:
 
 #: Replicated coordinator checkpoint: coordinator id, epoch, query seq.
 _CKPT = struct.Struct("<HHI")
+
+#: Ring bounds: chaos runs step every round for thousands of rounds.
+MAX_HISTORY = 256
+MAX_LOG = 512
+MAX_CLAIMS = 4096
 
 
 @dataclass(frozen=True)
@@ -89,16 +103,12 @@ class FailoverManager:
     #: per-node views; attaching these switches on quorum gating,
     #: epochs, and fencing — the partition-safe mode
     views: "FleetBelief | None" = None
-    journal: WriteAheadJournal = field(default_factory=WriteAheadJournal)
-    history: list[FailoverEvent] = field(default_factory=list)
-    #: ring bounds — chaos runs step every round for thousands of rounds
-    max_history: int = 256
-    max_log: int = 512
-    max_claims: int = 4096
-    #: optional flight recorder fed handover events (observational)
-    recorder: object | None = field(default=None, repr=False)
+    journal: WriteAheadJournal = field(
+        init=False, default_factory=WriteAheadJournal
+    )
+    history: list[FailoverEvent] = field(init=False, default_factory=list)
     #: deterministic action log (stepdowns, fence rejections, fallbacks)
-    log: list[str] = field(default_factory=list)
+    log: list[str] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.health is not None and self.views is not None:
@@ -110,12 +120,10 @@ class FailoverManager:
         #: accepted checkpoint writes as (round, coordinator, epoch) —
         #: the evidence trail the split-brain chaos gate audits
         self.claim_log: list[tuple[int, int, int]] = []
-        self.fencing_rejected = 0
-        self.fencing_accepted_stale = 0
-        self.blind_fallbacks = 0
-        self.duplicate_seqs = 0
-        self.reconciliations = 0
-        self.stepdowns = 0
+        #: every ``recovery.*`` event the manager counts, whatever the
+        #: handle; a live registry reads it in place
+        self.counts: dict[tuple[str, LabelKey], float] = {}
+        self.system.telemetry.collect(self.counts)
         self._fence_epoch = 0
         self._round = -1
         self._seen_seqs: set[int] = set()
@@ -151,8 +159,7 @@ class FailoverManager:
             filtered = [n for n in alive if n in believed]
             if filtered:
                 return filtered
-            self.blind_fallbacks += 1
-            self.system.telemetry.inc("recovery.blind_fallback")
+            self._count("recovery.blind_fallback")
             self._note(
                 f"blind fallback: belief declares all "
                 f"{len(alive)} ground-truth-alive nodes dead; "
@@ -200,20 +207,18 @@ class FailoverManager:
     def _write_checkpoint(self, epoch: int, coordinator: int, seq: int) -> bool:
         """The epoch fence: the single gate every checkpoint write takes."""
         if epoch < self._fence_epoch:
-            self.fencing_rejected += 1
-            self.system.telemetry.inc("recovery.fencing.rejected")
+            self._count("recovery.fencing.rejected")
             return False
         if epoch < self.epoch:
             # a write below the current epoch slipped past the fence —
             # structurally impossible (the fence tracks the epoch), and
             # the chaos gate asserts this counter stays zero
-            self.fencing_accepted_stale += 1
-            self.system.telemetry.inc("recovery.fencing.accepted_stale")
+            self._count("recovery.fencing.accepted_stale")
         self._fence_epoch = epoch
         self.journal.write_checkpoint(_CKPT.pack(coordinator, epoch, seq))
         self.claim_log.append((self._round, coordinator, epoch))
-        if len(self.claim_log) > self.max_claims:
-            del self.claim_log[: len(self.claim_log) - self.max_claims]
+        if len(self.claim_log) > MAX_CLAIMS:
+            del self.claim_log[: len(self.claim_log) - MAX_CLAIMS]
         return True
 
     def note_broadcast(self, seq: int) -> None:
@@ -224,8 +229,7 @@ class FailoverManager:
         the duplicate counter stays zero.
         """
         if seq in self._seen_seqs:
-            self.duplicate_seqs += 1
-            self.system.telemetry.inc("recovery.duplicate_query_seq")
+            self._count("recovery.duplicate_query_seq")
         else:
             self._seen_seqs.add(seq)
 
@@ -269,7 +273,7 @@ class FailoverManager:
             if payload is not None:
                 _, _, restored_seq = _CKPT.unpack(payload)
                 self.system._query_seq = restored_seq
-        tel.inc("recovery.failovers")
+        self._count("recovery.failovers")
         tel.set_gauge("recovery.epoch", self.epoch)
         tel.instant("failover-handover", old=old, new=new, epoch=self.epoch)
         if (
@@ -296,16 +300,8 @@ class FailoverManager:
             self.epoch,
         )
         self.history.append(event)
-        if len(self.history) > self.max_history:
-            del self.history[: len(self.history) - self.max_history]
-        if self.recorder is not None:
-            clock = getattr(tel, "clock", None)
-            self.recorder.record(
-                "failover",
-                clock.now_ms if clock is not None else 0.0,
-                old=event.old_coordinator, new=new,
-                restored_seq=event.restored_query_seq, epoch=self.epoch,
-            )
+        if len(self.history) > MAX_HISTORY:
+            del self.history[: len(self.history) - MAX_HISTORY]
         return event
 
     def _stepdown(self) -> None:
@@ -315,8 +311,7 @@ class FailoverManager:
         assert old is not None
         tel = self.system.telemetry
         self.coordinator = None
-        self.stepdowns += 1
-        tel.inc("recovery.stepdowns")
+        self._count("recovery.stepdowns")
         tel.instant("failover-stepdown", old=old, epoch=self.epoch)
         if self.system.is_alive(old):
             self._stale_claimants[old] = self.epoch
@@ -324,13 +319,6 @@ class FailoverManager:
             f"coordinator {old:03d} steps down: no quorum in any view "
             f"(epoch {self.epoch})"
         )
-        if self.recorder is not None:
-            clock = getattr(tel, "clock", None)
-            self.recorder.record(
-                "stepdown",
-                clock.now_ms if clock is not None else 0.0,
-                old=old, epoch=self.epoch,
-            )
 
     def _replicate_stale(self) -> None:
         """One round of the deposed coordinators' doomed replication.
@@ -343,7 +331,6 @@ class FailoverManager:
         """
         if self.views is None or not self._stale_claimants:
             return
-        tel = self.system.telemetry
         for node in sorted(self._stale_claimants):
             stale_epoch = self._stale_claimants[node]
             if stale_epoch >= self.epoch and self.coordinator is None:
@@ -361,8 +348,7 @@ class FailoverManager:
             ).is_alive(node):
                 del self._stale_claimants[node]
                 self._stale_rejections.pop(node, None)
-                self.reconciliations += 1
-                tel.inc("recovery.epoch_reconciled")
+                self._count("recovery.epoch_reconciled")
                 self._note(
                     f"node {node:03d} reconciled epoch "
                     f"{stale_epoch} -> {self.epoch} via anti-entropy"
@@ -383,8 +369,13 @@ class FailoverManager:
 
     # -- bookkeeping ---------------------------------------------------------------
 
+    def _count(self, name: str) -> None:
+        """Add one to the unlabelled cell ``name`` of :attr:`counts`."""
+        key = (name, ())
+        self.counts[key] = self.counts.get(key, 0.0) + 1.0
+
     def _note(self, line: str) -> None:
         self.log.append(line)
-        if len(self.log) > self.max_log:
-            del self.log[: len(self.log) - self.max_log]
+        if len(self.log) > MAX_LOG:
+            del self.log[: len(self.log) - MAX_LOG]
 

@@ -40,6 +40,12 @@ if TYPE_CHECKING:
 #: RESYNC request payload: window_lo, window_hi, max batches (LE).
 REQUEST = struct.Struct("<IIH")
 
+#: Windows a rebooted node pulls below its replayed high-water mark,
+#: and past it (:meth:`~repro.core.system.ScaloSystem.recover_node`).
+RESYNC_HORIZON = 8
+#: Stored batches one peer serves per request, and the node pushes.
+RESYNC_MAX_BATCHES = 64
+
 
 @dataclass
 class ResyncReport:
@@ -80,7 +86,6 @@ def resync_node(
     node_id: int,
     window_lo: int,
     window_hi: int,
-    max_batches: int = 64,
 ) -> ResyncReport:
     """Run one pull+push anti-entropy round for a rebooted node."""
     tel = system.telemetry
@@ -88,7 +93,7 @@ def resync_node(
     report.peers = [p for p in system.alive_node_ids if p != node_id]
     if window_hi <= window_lo or not report.peers:
         return report
-    request_payload = REQUEST.pack(window_lo, window_hi, max_batches)
+    request_payload = REQUEST.pack(window_lo, window_hi, RESYNC_MAX_BATCHES)
 
     for peer in report.peers:
         with tel.span("resync", node=node_id, peer=peer):
@@ -115,7 +120,7 @@ def resync_node(
                 w
                 for w in system.nodes[peer].storage.stored_hash_windows()
                 if window_lo <= w < window_hi
-            )[:max_batches]
+            )[:RESYNC_MAX_BATCHES]
             for window in served:
                 payload = _pack_batch(system, peer, window)
                 if payload is None:
@@ -135,7 +140,7 @@ def resync_node(
         w
         for w in system.nodes[node_id].storage.stored_hash_windows()
         if window_lo <= w < window_hi
-    )[:max_batches]
+    )[:RESYNC_MAX_BATCHES]
     if own:
         with tel.span("resync-push", node=node_id, batches=len(own)):
             for window in own:

@@ -2,8 +2,8 @@
 
 Retention errors accumulate bit by bit; SECDED corrects one per page,
 so the race is to visit every page before a second bit rots.  The
-scrubber spends a fixed number of page visits per TDMA round (idle SC
-cycles), resuming where it left off, and repairs single-bit damage in
+scrubber spends :data:`PAGES_PER_ROUND` page visits per TDMA round
+(idle SC cycles), resuming where it left off, and repairs single-bit damage in
 place via :meth:`~repro.storage.nvm.NVMDevice.check_page`.  Pages
 damaged beyond SECDED are reported (and counted once by the device) —
 the scrubber cannot repair them, only surface them.
@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 
 if TYPE_CHECKING:
     from repro.core.system import ScaloSystem
     from repro.storage.nvm import NVMDevice
+
+#: Page visits each scrubber spends per TDMA round.
+PAGES_PER_ROUND = 8
 
 
 @dataclass
@@ -41,17 +43,14 @@ class Scrubber:
     """Round-robin patrol scrubber over one device's programmed pages."""
 
     device: "NVMDevice"
-    pages_per_round: int = 8
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
-        if self.pages_per_round < 1:
-            raise ConfigurationError("pages_per_round must be positive")
         self._cursor = -1  # last page index visited
 
     def step(self, budget: int | None = None) -> ScrubReport:
-        """Visit up to ``budget`` pages (default: the per-round budget)."""
-        budget = self.pages_per_round if budget is None else budget
+        """Visit up to ``budget`` pages (default :data:`PAGES_PER_ROUND`)."""
+        budget = PAGES_PER_ROUND if budget is None else budget
         report = ScrubReport()
         pages = self.device.programmed_pages
         if not pages:
@@ -91,16 +90,11 @@ class FleetScrubber:
     """One scrubber per implant, stepped together each TDMA round."""
 
     system: "ScaloSystem"
-    pages_per_round: int = 8
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
         self._scrubbers = {
-            node.node_id: Scrubber(
-                node.storage.device,
-                pages_per_round=self.pages_per_round,
-                telemetry=self.telemetry,
-            )
+            node.node_id: Scrubber(node.storage.device, telemetry=self.telemetry)
             for node in self.system.nodes
         }
 

@@ -59,9 +59,10 @@ class NVMDevice:
     any 8-byte-aligned range within a programmed page.  Contents of
     unprogrammed pages read as 0xFF, like real NAND.
 
-    With ``ecc_enabled`` (the default) every programmed page carries
-    SECDED Hamming ECC + CRC in a modelled spare area: reads verify and
-    transparently correct single-bit rot, and multi-bit damage raises a
+    Every programmed page carries SECDED Hamming ECC + CRC in a
+    modelled spare area (always on: there is no ECC-off mode): reads
+    verify and transparently correct single-bit rot, and multi-bit
+    damage raises a
     typed :class:`~repro.errors.UncorrectableError` instead of silently
     returning garbage.  A page found uncorrectable stays *poisoned*
     (reads keep raising) until its block is erased or the page is
@@ -87,16 +88,17 @@ class NVMDevice:
     """
 
     capacity_bytes: int = DEFAULT_CAPACITY_BYTES
-    ecc_enabled: bool = True
-    stats: NVMStats = field(default_factory=NVMStats)
-    _pages: dict[int, bytes] = field(default_factory=dict)
-    _programmed: set[int] = field(default_factory=set)
+    stats: NVMStats = field(init=False, default_factory=NVMStats)
+    _pages: dict[int, bytes] = field(init=False, default_factory=dict)
+    _programmed: set[int] = field(init=False, default_factory=set)
     #: spare words of the programmed pages outside the clean set
-    _ecc: dict[int, PageECC] = field(default_factory=dict, repr=False)
-    _poisoned: set[int] = field(default_factory=set, repr=False)
+    _ecc: dict[int, PageECC] = field(
+        init=False, default_factory=dict, repr=False
+    )
+    _poisoned: set[int] = field(init=False, default_factory=set, repr=False)
     #: pages whose bytes were verified (or written) since their last
     #: mutation, so their spare words are the encoding of their bytes
-    _clean: set[int] = field(default_factory=set, repr=False)
+    _clean: set[int] = field(init=False, default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes < BLOCK_BYTES:
@@ -169,7 +171,7 @@ class NVMDevice:
         existing = self._pages[page_index] if programmed else _ERASED_PAGE
         first_offset, first_chunk = pieces[0]
         if (
-            self.ecc_enabled and programmed and page_index not in self._clean
+            programmed and page_index not in self._clean
             and not (first_offset == 0 and len(first_chunk) == PAGE_BYTES)
         ):
             result = decode_page(existing, self._ecc[page_index])
@@ -271,7 +273,7 @@ class NVMDevice:
 
     def _verify_on_access(self, page_index: int, page: bytes) -> bytes:
         """Run the SECDED engine on a page transfer; raise on bad pages."""
-        if not self.ecc_enabled or page_index not in self._programmed:
+        if page_index not in self._programmed:
             return page
         if page_index in self._poisoned:
             raise UncorrectableError(page_index, "page poisoned")
@@ -294,7 +296,7 @@ class NVMDevice:
         an uncorrectable page is poisoned and subsequent reads raise.
         """
         self._check_page(page_index)
-        if not self.ecc_enabled or page_index not in self._programmed:
+        if page_index not in self._programmed:
             return 0, False
         if page_index in self._poisoned:
             return 0, True
@@ -353,8 +355,7 @@ class NVMDevice:
         if page_index in self._clean:
             # the words the engine wrote describe the bytes before the
             # first flip; a page already out of the set keeps its words
-            if self.ecc_enabled:
-                self._ecc[page_index] = compute_ecc(page)
+            self._ecc[page_index] = compute_ecc(page)
             self._clean.discard(page_index)
         self._pages[page_index] = flip_bits(page, idx)
         return int(idx.size)

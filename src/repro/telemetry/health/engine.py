@@ -178,30 +178,29 @@ class HealthEngine:
     def _sample_round(self, round_index: int, t_ms: float) -> list[Alert]:
         tel = self.telemetry
         totals = self._totals()
-        deltas = {
-            name: totals[name] - self._last_totals.get(name, 0.0)
-            for name in totals
-        }
+        last = self._last_totals
 
-        # evidence trail: the round's nonzero watched counter deltas
+        def delta(name: str) -> float:
+            return totals.get(name, 0.0) - last.get(name, 0.0)
+
+        # Counters never leave the registry, so every name of the last
+        # round is in ``totals``: one sorted pass over the watched names
+        # feeds both the evidence trail and the detector.
         watched = {
-            name: delta
-            for name, delta in sorted(deltas.items())
-            if delta and self.anomaly.watches(name)
+            name: totals[name] - last.get(name, 0.0)
+            for name in sorted(totals)
+            if self.anomaly.watches(name)
         }
-        if watched:
+        moved = {name: value for name, value in watched.items() if value}
+        if moved:
             self.recorder.record(
-                "metrics", t_ms, round=round_index, deltas=watched
+                "metrics", t_ms, round=round_index, deltas=moved
             )
 
         # anomaly detection over every watched counter ever seen (a
         # counter going quiet is as interesting as one spiking)
-        for name in sorted(self._last_totals | totals):
-            if not self.anomaly.watches(name):
-                continue
-            flagged = self.anomaly.observe(
-                name, round_index, t_ms, deltas.get(name, 0.0)
-            )
+        for name, value in watched.items():
+            flagged = self.anomaly.observe(name, round_index, t_ms, value)
             if flagged is not None:
                 detail = flagged.as_dict()
                 detail.pop("t_ms")
@@ -243,10 +242,8 @@ class HealthEngine:
                     )
                     total = 1
             else:
-                bad = int(round(sum(deltas.get(c, 0.0) for c in slo.bad_counters)))
-                total = int(
-                    round(sum(deltas.get(c, 0.0) for c in slo.total_counters))
-                )
+                bad = int(round(sum(delta(c) for c in slo.bad_counters)))
+                total = int(round(sum(delta(c) for c in slo.total_counters)))
                 bad = min(bad, total)
             fired.extend(
                 self.slo_engine.observe(slo.name, round_index, t_ms, bad, total)

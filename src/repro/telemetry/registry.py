@@ -127,23 +127,27 @@ class MetricsRegistry:
     :class:`Histogram` (the PR-2 export surface, kept byte-compatible)
     and into a mergeable
     :class:`~repro.telemetry.health.sketch.QuantileSketch`, the only
-    quantile source — its error is *relative* (±1 % by default at any
-    magnitude) rather than bucket-width bound, and sketches from
-    different nodes/labels merge exactly.
+    quantile source — its error is *relative* (±1 % at any magnitude)
+    rather than bucket-width bound, and sketches from different
+    nodes/labels merge exactly.
     """
 
-    _counters: dict[tuple[str, LabelKey], float] = field(default_factory=dict)
-    _gauges: dict[tuple[str, LabelKey], float] = field(default_factory=dict)
+    _counters: dict[tuple[str, LabelKey], float] = field(
+        init=False, default_factory=dict
+    )
+    _gauges: dict[tuple[str, LabelKey], float] = field(
+        init=False, default_factory=dict
+    )
     _histograms: dict[tuple[str, LabelKey], Histogram] = field(
-        default_factory=dict
+        init=False, default_factory=dict
     )
     _sketches: dict[tuple[str, LabelKey], QuantileSketch] = field(
-        default_factory=dict
+        init=False, default_factory=dict
     )
     #: component-owned counter tables, read in place (see :meth:`collect`)
-    _tables: list[dict[tuple[str, LabelKey], float]] = field(default_factory=list)
-    #: relative-error bound for newly created sketches
-    sketch_accuracy: float = 0.01
+    _tables: list[dict[tuple[str, LabelKey], float]] = field(
+        init=False, default_factory=list
+    )
 
     # -- writes -------------------------------------------------------------------
 
@@ -188,9 +192,7 @@ class MetricsRegistry:
         hist.observe(value, n)
         sketch = self._sketches.get(key)
         if sketch is None:
-            sketch = self._sketches[key] = QuantileSketch(
-                relative_accuracy=self.sketch_accuracy
-            )
+            sketch = self._sketches[key] = QuantileSketch()
         sketch.observe(value, n)
 
     # -- reads --------------------------------------------------------------------

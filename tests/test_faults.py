@@ -7,6 +7,7 @@ import pytest
 from repro.apps.queries import QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, NodeFailure, SchedulingError
+from repro.faults import health as health_module
 from repro.faults.health import HealthMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
@@ -180,8 +181,9 @@ class TestFaultInjectorEffects:
 
 
 class TestHealthMonitor:
-    def test_threshold_and_recovery(self):
-        monitor = HealthMonitor(n_nodes=2, miss_threshold=2)
+    def test_threshold_and_recovery(self, monkeypatch):
+        monkeypatch.setattr(health_module, "MISS_THRESHOLD", 2)
+        monitor = HealthMonitor(n_nodes=2)
         monitor.heartbeat(0, 0)
         monitor.heartbeat(1, 0)
         assert monitor.tick(0) == []
@@ -197,13 +199,12 @@ class TestHealthMonitor:
         with pytest.raises(ConfigurationError):
             HealthMonitor(n_nodes=0)
         with pytest.raises(ConfigurationError):
-            HealthMonitor(n_nodes=2, miss_threshold=0)
-        with pytest.raises(ConfigurationError):
             HealthMonitor(n_nodes=2).heartbeat(5, 0)
 
-    def test_flapping_die_reboot_die(self):
+    def test_flapping_die_reboot_die(self, monkeypatch):
         """Dead → alive → dead again: every transition lands in history."""
-        monitor = HealthMonitor(n_nodes=2, miss_threshold=2)
+        monkeypatch.setattr(health_module, "MISS_THRESHOLD", 2)
+        monitor = HealthMonitor(n_nodes=2)
         for r in range(3):
             monitor.heartbeat(0, r)
             monitor.heartbeat(1, r)
@@ -221,8 +222,9 @@ class TestHealthMonitor:
             (4, 1, "dead"), (5, 1, "recovered"), (7, 1, "dead"),
         ]
 
-    def test_stale_heartbeat_neither_revives_nor_rewinds(self):
-        monitor = HealthMonitor(n_nodes=1, miss_threshold=2)
+    def test_stale_heartbeat_neither_revives_nor_rewinds(self, monkeypatch):
+        monkeypatch.setattr(health_module, "MISS_THRESHOLD", 2)
+        monitor = HealthMonitor(n_nodes=1)
         monitor.heartbeat(0, 5)
         monitor.tick(5)
         assert monitor.tick(7) == [0]
@@ -321,12 +323,11 @@ class TestNVMBitRot:
     def test_rot_only_affects_programmed_pages(self):
         from repro.storage.nvm import NVMDevice
 
-        # without ECC the rotted byte is returned raw
-        device = NVMDevice(capacity_bytes=2 * 1024 * 1024, ecc_enabled=False)
+        device = NVMDevice(capacity_bytes=2 * 1024 * 1024)
         assert device.inject_bit_rot(0, np.array([0, 1, 2])) == 0
+        assert device.read(0, 0, 8) == b"\xff" * 8  # still erased
         device.program_page(0, b"\x00" * 64)
         assert device.inject_bit_rot(0, np.array([0])) == 1
-        assert device.read(0, 0, 8)[0] == 0x80
 
     def test_ecc_corrects_single_bit_rot_on_read(self):
         from repro.storage.nvm import NVMDevice

@@ -9,6 +9,7 @@ output byte) and the storm calibration (mild quiet, moderate alerting)
 are asserted directly.
 """
 
+import json
 import math
 import random
 
@@ -32,6 +33,8 @@ from repro.telemetry.health.recorder import FlightRecorder
 from repro.telemetry.health.sketch import QuantileSketch
 from repro.telemetry.health.slo import BurnRateWindow, SLO, SLOEngine
 from repro.telemetry.registry import MetricsRegistry
+from repro.units import ROUND_MS
+from tests.health_oracle import TwoPassHealthEngine
 
 
 def _true_quantile(values: list[float], q: float) -> float:
@@ -448,6 +451,114 @@ class TestHealthEngine:
         assert report["healthy"]
         assert report["alerts"] == []
         assert report["incidents"] == []
+
+
+#: counter names the detector watches, SLO counters among them
+_WATCHED = (
+    "serving.submitted", "serving.completed", "serving.shed",
+    "serving.sla_violation", "serving.deadline_miss",
+    "recovery.fencing.rejected", "recovery.fencing.accepted_stale",
+    "recovery.failovers", "arq.retries", "arq.backoff_ms",
+)
+#: names it does not watch (``health.*`` never enters the totals)
+_UNWATCHED = ("network.packets_sent", "storage.page_reads", "health.noise")
+_LABELS = ((), (("kind", "q1"),), (("kind", "q3"),), (("node", "2"),))
+
+
+@st.composite
+def _counter_streams(draw):
+    """Per-round counter increments of a few label cells.
+
+    Each cell starts at a random round (so names first appear mid-run),
+    may go quiet before the end, may carry one spike, and is either
+    pushed with ``inc`` or kept in a table the registry collects.
+    ``arq.backoff_ms`` moves by floats.
+    """
+    n_rounds = draw(st.integers(1, 40))
+    cells = draw(st.lists(
+        st.tuples(
+            st.sampled_from(_WATCHED + _UNWATCHED),
+            st.sampled_from(_LABELS),
+            st.booleans(),
+        ),
+        min_size=1, max_size=8, unique_by=lambda cell: cell[:2],
+    ))
+    rounds: list[list[tuple]] = [[] for _ in range(n_rounds)]
+    for name, labels, pulled in cells:
+        start = draw(st.integers(0, n_rounds - 1))
+        quiet = draw(st.integers(start + 1, n_rounds))
+        if name == "arq.backoff_ms":
+            rate = st.floats(0.0, 250.0, allow_nan=False)
+        else:
+            rate = st.integers(0, 6).map(float)
+        spike = draw(st.none() | st.tuples(
+            st.integers(start, quiet - 1), st.integers(20, 400)
+        ))
+        for r in range(start, quiet):
+            delta = draw(rate)
+            if spike is not None and spike[0] == r:
+                delta += spike[1]
+            rounds[r].append((name, labels, pulled, delta))
+    latencies = draw(st.lists(
+        st.lists(st.floats(1.0, 2000.0), max_size=3),
+        min_size=n_rounds, max_size=n_rounds,
+    ))
+    baseline = draw(st.integers(0, 50))
+    return rounds, latencies, baseline
+
+
+def _replay(engine_cls, stream):
+    rounds, latencies, baseline = stream
+    tel = Telemetry()
+    table: dict = {}
+    tel.collect(table)
+    if baseline:
+        tel.inc("serving.submitted", baseline)  # residue of an earlier run
+    engine = engine_cls(tel)
+    for r, (increments, observed) in enumerate(zip(rounds, latencies)):
+        for name, labels, pulled, delta in increments:
+            if pulled:
+                key = (name, labels)
+                table[key] = table.get(key, 0.0) + delta
+            else:
+                tel.inc(name, delta, **dict(labels))
+        for value in observed:
+            tel.observe("serving.latency_ms", value)
+        engine.observe_to((r + 1) * ROUND_MS)
+    engine.finalize((len(rounds) + 0.5) * ROUND_MS)
+    return tel, engine
+
+
+class TestOnePassSample:
+    """The one-pass round sample against the two-pass oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_counter_streams())
+    def test_matches_two_pass_oracle(self, stream):
+        tel, engine = _replay(HealthEngine, stream)
+        oracle_tel, oracle = _replay(TwoPassHealthEngine, stream)
+        # as JSON text, so the key order of every record counts too
+        assert json.dumps(list(engine.recorder._ring)) == json.dumps(
+            list(oracle.recorder._ring)
+        )
+        assert engine.anomaly.anomalies == oracle.anomaly.anomalies
+        assert engine.alerts == oracle.alerts
+        assert json.dumps(engine.report()) == json.dumps(oracle.report())
+        assert tel.snapshot() == oracle_tel.snapshot()
+
+    def test_stream_with_a_spike_flags_alike(self):
+        rounds = [
+            [("arq.retries", (), False, 1.0), ("serving.shed", (), True, 0.0)]
+            for _ in range(12)
+        ]
+        rounds[10][0] = ("arq.retries", (), False, 90.0)
+        rounds[11] = []  # every watched counter goes quiet
+        stream = (rounds, [[]] * 12, 0)
+        _, engine = _replay(HealthEngine, stream)
+        _, oracle = _replay(TwoPassHealthEngine, stream)
+        assert [a.metric for a in engine.anomaly.anomalies] == ["arq.retries"]
+        assert engine.anomaly.anomalies == oracle.anomaly.anomalies
+        assert list(engine.recorder._ring) == list(oracle.recorder._ring)
 
 
 class TestStormCalibration:

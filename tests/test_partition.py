@@ -7,21 +7,33 @@ import pytest
 from repro.apps.queries import QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, NodeFailure
+from repro.eval.chaos import (
+    _audit_coordination,
+    partition_config,
+    run_partition_storm,
+)
+from repro.faults import health as health_module
 from repro.faults.health import FleetBelief, HealthMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.network.network import WirelessNetwork
 from repro.network.packet import Packet, PayloadKind
 from repro.network.partition import PartitionMatrix
+from repro.recovery import failover
 from repro.recovery.failover import FailoverManager
 from repro.serving.loadgen import LoadGenConfig, serve_session
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.units import WINDOW_SAMPLES
 
 
-def _system(n_nodes=7, electrodes=2, seed=0):
+def _system(n_nodes=7, electrodes=2, seed=0, telemetry=NULL_TELEMETRY):
     return ScaloSystem(n_nodes=n_nodes, electrodes_per_node=electrodes,
-                       seed=seed)
+                       seed=seed, telemetry=telemetry)
+
+
+def _count(manager, name):
+    """One cell of the manager's ``recovery.*`` table (0 if never booked)."""
+    return manager.counts.get((name, ()), 0.0)
 
 
 def _ingest_rounds(system, n_rounds, seed=0):
@@ -178,8 +190,9 @@ class TestFleetBelief:
         assert injector.belief.view(0).alive_nodes == [0, 1]
         assert injector.belief.view(2).alive_nodes == [2, 3, 4]
 
-    def test_tick_reports_newly_dead_per_observer(self):
-        belief = FleetBelief(3, miss_threshold=2)
+    def test_tick_reports_newly_dead_per_observer(self, monkeypatch):
+        monkeypatch.setattr(health_module, "MISS_THRESHOLD", 2)
+        belief = FleetBelief(3)
         declared = {obs: [] for obs in range(3)}
         for r in range(3):
             for obs in range(3):
@@ -221,10 +234,10 @@ class TestQuorumFailover:
         assert manager.coordinator == 0
         assert manager.epoch == 3
         assert [e.new_coordinator for e in manager.history] == [3, 0]
-        assert manager.fencing_rejected > 0
-        assert manager.fencing_accepted_stale == 0
-        assert manager.reconciliations == 1
-        assert manager.duplicate_seqs == 0
+        assert _count(manager, "recovery.fencing.rejected") > 0
+        assert _count(manager, "recovery.fencing.accepted_stale") == 0
+        assert _count(manager, "recovery.epoch_reconciled") == 1
+        assert _count(manager, "recovery.duplicate_query_seq") == 0
         assert any("fence rejected" in line for line in manager.log)
 
     def test_at_most_one_coordinator_per_round(self):
@@ -250,7 +263,7 @@ class TestQuorumFailover:
         ])
         _, manager = self._run(system, plan)
         assert manager.coordinator is None
-        assert manager.stepdowns == 1
+        assert _count(manager, "recovery.stepdowns") == 1
         assert any("steps down" in line for line in manager.log)
         # a coordinator-less fleet refuses distributed queries outright
         _ingest_rounds(system, 1)
@@ -268,9 +281,9 @@ class TestQuorumFailover:
         ])
         _, manager = self._run(system, plan)
         assert manager.coordinator == 0
-        assert manager.stepdowns == 1
-        assert manager.fencing_accepted_stale == 0
-        assert manager.duplicate_seqs == 0
+        assert _count(manager, "recovery.stepdowns") == 1
+        assert _count(manager, "recovery.fencing.accepted_stale") == 0
+        assert _count(manager, "recovery.duplicate_query_seq") == 0
         # queries work again after the heal
         _ingest_rounds(system, 1)
         result = system.query_distributed(
@@ -296,7 +309,7 @@ class TestQuorumFailover:
             QuerySpec(kind="q3", time_range_ms=50.0), (0, 1)
         )
         assert result.coverage > 0
-        assert manager.duplicate_seqs == 0
+        assert _count(manager, "recovery.duplicate_query_seq") == 0
 
     def test_exclusive_belief_sources(self):
         system = _system(n_nodes=3)
@@ -306,24 +319,38 @@ class TestQuorumFailover:
 
 
 class TestFailoverSatellites:
-    def test_blind_fallback_is_explicit_logged_and_counted(self):
-        system = _system(n_nodes=3)
-        health = HealthMonitor(3, miss_threshold=2)
-        manager = system.attach_failover(health=health)
-        telemetry_before = manager.blind_fallbacks
-        # the belief loses faith in the whole fleet while ground truth
-        # still has three alive nodes: the fallback must announce itself
-        for r in range(3):
-            health.tick(r)
-        assert health.alive_nodes == []
-        assert manager.step() is None  # still coordinator 0, via fallback
-        assert manager.coordinator == 0
-        assert manager.blind_fallbacks > telemetry_before
-        assert any("blind fallback" in line for line in manager.log)
+    def test_blind_fallback_is_explicit_logged_and_counted(self, monkeypatch):
+        monkeypatch.setattr(health_module, "MISS_THRESHOLD", 2)
+        live = Telemetry()
+        booked = []
+        for telemetry in (live, NULL_TELEMETRY):
+            system = _system(n_nodes=3, telemetry=telemetry)
+            health = HealthMonitor(3)
+            manager = system.attach_failover(health=health)
+            before = _count(manager, "recovery.blind_fallback")
+            # the belief loses faith in the whole fleet while ground
+            # truth still has three alive nodes: the fallback must
+            # announce itself
+            for r in range(3):
+                health.tick(r)
+            assert health.alive_nodes == []
+            assert manager.step() is None  # still coordinator 0, via fallback
+            assert manager.coordinator == 0
+            assert _count(manager, "recovery.blind_fallback") > before
+            assert any("blind fallback" in line for line in manager.log)
+            booked.append(manager.counts)
+        # the table fills alike under both handles, and the live
+        # registry reads it in place
+        assert booked[0] == booked[1]
+        assert live.registry.counter("recovery.blind_fallback") == _count(
+            manager, "recovery.blind_fallback"
+        )
 
-    def test_history_log_and_claims_are_ring_bounded(self):
+    def test_history_log_and_claims_are_ring_bounded(self, monkeypatch):
+        monkeypatch.setattr(failover, "MAX_HISTORY", 2)
+        monkeypatch.setattr(failover, "MAX_CLAIMS", 3)
         system = _system(n_nodes=3)
-        manager = FailoverManager(system=system, max_history=2, max_claims=3)
+        manager = FailoverManager(system=system)
         for _ in range(5):
             system.fail_node(0)
             manager.step()
@@ -333,17 +360,19 @@ class TestFailoverSatellites:
         # the ring keeps the *newest* events
         assert manager.history[-1].new_coordinator == 0
         assert len(manager.claim_log) == 3
+        # the audit counts every handover, not the ring's survivors
+        assert _audit_coordination(manager).failovers == 10
         for i in range(600):
             manager._note(f"line {i}")
-        assert len(manager.log) == manager.max_log
+        assert len(manager.log) == failover.MAX_LOG
         assert manager.log[-1] == "line 599"
 
     def test_flapping_belief_causes_no_spurious_handover(self):
         # node 0 misses two consecutive probe rounds — under the
-        # miss_threshold=3 guard — then reappears: no handover, no
+        # MISS_THRESHOLD=3 guard — then reappears: no handover, no
         # stepdown, no epoch churn
         system = _system(n_nodes=5)
-        belief = FleetBelief(5, miss_threshold=3)
+        belief = FleetBelief(5)
         manager = FailoverManager(system=system, views=belief)
         assert (manager.coordinator, manager.epoch) == (0, 1)
         for r in range(8):
@@ -357,8 +386,43 @@ class TestFailoverSatellites:
             manager.step(round_index=r)
         assert (manager.coordinator, manager.epoch) == (0, 1)
         assert manager.history == []
-        assert manager.stepdowns == 0
-        assert manager.fencing_rejected == 0
+        assert _count(manager, "recovery.stepdowns") == 0
+        assert _count(manager, "recovery.fencing.rejected") == 0
+
+
+class TestRecoveryLedger:
+    """The manager's ``counts`` table is the one ledger of its events."""
+
+    @staticmethod
+    def _storm(telemetry, monkeypatch):
+        managers = []
+        attach = ScaloSystem.attach_failover
+
+        def capture(system, *args, **kwargs):
+            managers.append(attach(system, *args, **kwargs))
+            return managers[-1]
+
+        monkeypatch.setattr(ScaloSystem, "attach_failover", capture)
+        report = run_partition_storm(partition_config(0), telemetry)
+        (manager,) = managers
+        return report, manager
+
+    def test_table_fills_alike_under_both_handles(self, monkeypatch):
+        telemetry = Telemetry()
+        live, live_manager = self._storm(telemetry, monkeypatch)
+        null, null_manager = self._storm(NULL_TELEMETRY, monkeypatch)
+        assert live.invariants.row() == null.invariants.row()
+        assert live_manager.counts == null_manager.counts
+        assert _count(live_manager, "recovery.failovers") > 0
+        assert _count(live_manager, "recovery.fencing.rejected") > 0
+        registry = telemetry.registry
+        for (name, labels), value in live_manager.counts.items():
+            assert name.startswith("recovery.") and labels == ()
+            if name == "recovery.fencing.rejected":
+                # plus the receivers' discards of stale-epoch queries
+                assert registry.counter(name) >= value
+            else:
+                assert registry.counter(name) == value
 
 
 class TestQuorumServing:

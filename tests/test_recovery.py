@@ -16,6 +16,7 @@ from hypothesis.stateful import (
 from repro.apps.queries import QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, StorageError, UncorrectableError
+from repro.faults import health as health_module
 from repro.network.channel import flip_bits
 from repro.network.packet import PayloadKind
 from repro.recovery.ecc import (
@@ -29,6 +30,8 @@ from repro.recovery.journal import (
     RecordType,
     WriteAheadJournal,
 )
+from repro.recovery import resync as resync_module
+from repro.recovery import scrub as scrub_module
 from repro.recovery.scrub import Scrubber
 from repro.storage.controller import StorageController
 from repro.storage.nvm import (
@@ -593,10 +596,11 @@ class TestScrubber:
         assert report.uncorrectable_pages == 0
         assert [device.read(p, 0, PAGE_BYTES) for p in range(10)] == pristine
 
-    def test_round_budget_patrols_all_pages(self):
+    def test_round_budget_patrols_all_pages(self, monkeypatch):
+        monkeypatch.setattr(scrub_module, "PAGES_PER_ROUND", 2)
         device = self._device(n_pages=5)
         device.inject_bit_rot(4, np.array([17]))
-        scrubber = Scrubber(device, pages_per_round=2)
+        scrubber = Scrubber(device)
         reports = [scrubber.step() for _ in range(3)]
         assert [r.pages_scanned for r in reports] == [2, 2, 2]
         assert sum(r.bits_corrected for r in reports) == 1
@@ -638,7 +642,8 @@ def _ingest_exchange(system, rng, window):
 
 
 class TestResync:
-    def test_pull_and_push_after_reboot(self):
+    def test_pull_and_push_after_reboot(self, monkeypatch):
+        monkeypatch.setattr(resync_module, "RESYNC_HORIZON", 4)
         system = ScaloSystem(
             n_nodes=3, electrodes_per_node=2, seed=0, arq=True
         )
@@ -647,7 +652,7 @@ class TestResync:
             _ingest_exchange(system, rng, window)
         system.fail_node(1)
         _ingest_exchange(system, rng, 3)  # exchanged while node 1 is dark
-        report = system.recover_node(1, resync_horizon=4)
+        report = system.recover_node(1)
         assert report.replay.records_replayed > 0
         resync = report.resync
         assert resync.peers == [0, 2]
@@ -702,11 +707,12 @@ class TestFailover:
         assert manager.history == [event]
         assert manager.step() is None  # stable: no repeated handover
 
-    def test_health_belief_drives_election(self):
+    def test_health_belief_drives_election(self, monkeypatch):
         from repro.faults.health import HealthMonitor
 
+        monkeypatch.setattr(health_module, "MISS_THRESHOLD", 2)
         system = ScaloSystem(n_nodes=3, electrodes_per_node=2, seed=0)
-        health = HealthMonitor(3, miss_threshold=2)
+        health = HealthMonitor(3)
         manager = system.attach_failover(health=health)
         assert manager.coordinator == 0
         # the monitor loses faith in node 0 even though it never crashed:

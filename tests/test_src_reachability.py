@@ -23,12 +23,15 @@ a method counts as named when any attribute of that name is read;
 matches by name.  :data:`UNNAMED_ALLOWED` lists the few kept although
 only tests call them.
 
-Config fields: every field of a config dataclass under ``src/repro``
-(a ``*Config`` or ``*Policy`` class, or ``StormLevel``) is *set* in
-``src/``, ``examples/``, ``bench/`` or ``benchmarks/``.  A field no
-real run sets is a module constant instead, so tests and benchmarks
-never cover values that nothing runs.  :data:`CONFIG_FIELDS_ALLOWED`
-lists the few kept settable anyway.
+Config fields: every constructor field of a config dataclass under
+``src/repro`` (a ``*Config`` or ``*Policy`` class, ``StormLevel``, or
+one of the fault, recovery and telemetry components in
+:data:`COMPONENT_CLASSES`) is *set* in ``src/``, ``examples/``,
+``bench/`` or ``benchmarks/``.  A field no real run sets is a module
+constant instead, so tests and benchmarks never cover values that
+nothing runs.  State fields are ``field(init=False)``, which no caller
+can set, and are skipped.  :data:`CONFIG_FIELDS_ALLOWED` lists the few
+kept settable anyway.
 
 Augmented attributes: every attribute ``src/repro`` augments (``x.attr
 += ...``) is *read* in ``src/``, ``examples/``, ``bench/`` or
@@ -84,8 +87,15 @@ UNNAMED_ALLOWED = {
 }
 
 
+#: Component dataclasses whose constructor fields are knobs too.
+COMPONENT_CLASSES = (
+    "HealthMonitor", "FleetBelief", "FaultInjector", "Scrubber",
+    "FleetScrubber", "FailoverManager", "NVMDevice", "MetricsRegistry",
+)
 #: Config dataclasses: the classes whose fields are knobs.
-CONFIG_CLASS = re.compile(r"\w*(Config|Policy)|StormLevel")
+CONFIG_CLASS = re.compile(
+    r"\w*(Config|Policy)|StormLevel|" + "|".join(COMPONENT_CLASSES)
+)
 
 #: Config fields that no file outside ``tests/`` sets, each with why it
 #: stays settable.  The list only shrinks: an entry that is no longer a
@@ -284,9 +294,19 @@ def test_unnamed_allow_list_is_current():
     assert sorted(set(UNNAMED_ALLOWED) - unnamed_definitions()) == []
 
 
+def _init_false(value: ast.expr | None) -> bool:
+    """Whether a field's default is ``field(..., init=False, ...)``."""
+    return isinstance(value, ast.Call) and any(
+        keyword.arg == "init"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is False
+        for keyword in value.keywords
+    )
+
+
 def config_fields() -> dict[str, tuple[str, list[str]]]:
-    """Class name -> (module, fields in declaration order) of every
-    config dataclass under ``src/repro``."""
+    """Class name -> (module, constructor fields in declaration order)
+    of every config dataclass under ``src/repro``."""
     found: dict[str, tuple[str, list[str]]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         for node in _tree(path).body:
@@ -304,6 +324,7 @@ def config_fields() -> dict[str, tuple[str, list[str]]]:
                     for sub in node.body
                     if isinstance(sub, ast.AnnAssign)
                     and isinstance(sub.target, ast.Name)
+                    and not _init_false(sub.value)
                 ],
             )
     return found
