@@ -222,6 +222,9 @@ class DistributedQueryResult:
 #: distinct Q2 templates whose signatures one :class:`QueryEngine` keeps
 TEMPLATE_MEMO_SIZE = 64
 
+#: Sakoe-Chiba band (samples) of the exact-DTW Q2 scan
+DTW_BAND = 10
+
 
 @dataclass
 class QueryEngine:
@@ -243,7 +246,6 @@ class QueryEngine:
     lsh: LSHFamily
     seizure_flags: dict[int, set[int]] = field(default_factory=dict)
     dtw_threshold: float = 60.0
-    dtw_band: int = 10
     #: observability handle: per-node ``lookup`` spans, a ``merge`` span,
     #: and the ``query.*`` counters land here
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
@@ -349,7 +351,7 @@ class QueryEngine:
                 batch = np.stack([samples[pair] for pair in group]).astype(
                     float
                 )
-                distances = dtw_rows(batch, reference, self.dtw_band)
+                distances = dtw_rows(batch, reference, DTW_BAND)
                 for pair, cost in zip(group, distances):
                     costs[pair] = float(cost)
             pairs = [pair for pair in pairs if costs[pair] <= self.dtw_threshold]

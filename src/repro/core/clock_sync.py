@@ -22,6 +22,13 @@ TARGET_PRECISION_US = 5.0
 #: SNTP message payload (4 timestamps x 8 B, as in RFC 1769).
 SNTP_PAYLOAD_BYTES = 32
 
+#: Per-message path-delay asymmetry (us): twice the standard deviation
+#: of each exchange's draw.
+SYNC_JITTER_US = 2.0
+
+#: Exchange rounds after which a pass reports whatever it reached.
+MAX_SYNC_ROUNDS = 20
+
 
 @dataclass
 class NodeClock:
@@ -57,8 +64,6 @@ class SNTPSynchroniser:
     """Run SNTP rounds between a server node and its clients."""
 
     tdma: TDMAConfig = field(default_factory=TDMAConfig)
-    jitter_us: float = 2.0  # per-message path-delay asymmetry
-    max_rounds: int = 20
     seed: int = 0
 
     def synchronise(self, clocks: list[NodeClock], server_index: int = 0
@@ -78,13 +83,13 @@ class SNTPSynchroniser:
         message_ms = 2 * self.tdma.slot_ms(SNTP_PAYLOAD_BYTES)
 
         airtime_ms = 0.0
-        for round_index in range(1, self.max_rounds + 1):
+        for round_index in range(1, MAX_SYNC_ROUNDS + 1):
             done = True
             for i, clock in enumerate(clocks):
                 if i == server_index:
                     continue
                 airtime_ms += message_ms
-                asymmetry = rng.normal(0.0, self.jitter_us / 2)
+                asymmetry = rng.normal(0.0, SYNC_JITTER_US / 2)
                 measured_offset = (clock.offset_us - server.offset_us) + asymmetry
                 clock.offset_us -= measured_offset
                 if abs(clock.offset_us - server.offset_us) > TARGET_PRECISION_US:
@@ -95,4 +100,4 @@ class SNTPSynchroniser:
                 ]
                 return SyncReport(round_index, relative, airtime_ms)
         relative = [c.offset_us - server.offset_us for c in clocks]
-        return SyncReport(self.max_rounds, relative, airtime_ms)
+        return SyncReport(MAX_SYNC_ROUNDS, relative, airtime_ms)

@@ -19,6 +19,13 @@ from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
 from repro.units import ELECTRODES_PER_NODE, WINDOW_SAMPLES
 
+#: Functional NVM per implant, scaled down from the paper's 128 GB.
+NVM_CAPACITY_BYTES = 256 * 1024 * 1024
+
+#: Collision-check horizon (ms): recent hashes older than four horizons
+#: are evicted.
+HASH_HORIZON_MS = 100.0
+
 
 @dataclass
 class ScaloNode:
@@ -27,18 +34,15 @@ class ScaloNode:
     node_id: int
     n_electrodes: int = ELECTRODES_PER_NODE
     lsh: LSHFamily = field(default_factory=lambda: LSHFamily.for_measure("dtw"))
-    nvm_capacity_bytes: int = 256 * 1024 * 1024  # scaled-down functional NVM
-    window_samples: int = WINDOW_SAMPLES
-    hash_horizon_ms: float = 100.0
 
     def __post_init__(self) -> None:
         if self.n_electrodes < 1:
             raise ConfigurationError("need at least one electrode")
         self.storage = StorageController(
-            device=NVMDevice(capacity_bytes=self.nvm_capacity_bytes),
+            device=NVMDevice(capacity_bytes=NVM_CAPACITY_BYTES),
             lsh=self.lsh,
         )
-        self.hash_store = RecentHashStore(self.hash_horizon_ms)
+        self.hash_store = RecentHashStore(HASH_HORIZON_MS)
         self.checker = CollisionChecker(self.lsh.config.min_matching)
         self._window_index = 0
 
@@ -48,7 +52,7 @@ class ScaloNode:
     def window_ms(self) -> float:
         from repro.units import ADC_SAMPLE_RATE_HZ
 
-        return self.window_samples * 1e3 / ADC_SAMPLE_RATE_HZ
+        return WINDOW_SAMPLES * 1e3 / ADC_SAMPLE_RATE_HZ
 
     @property
     def now_ms(self) -> float:
@@ -56,8 +60,8 @@ class ScaloNode:
 
     @property
     def window_shape(self) -> tuple[int, int]:
-        """``(n_electrodes, window_samples)``: one ingested window."""
-        return (self.n_electrodes, self.window_samples)
+        """``(n_electrodes, WINDOW_SAMPLES)``: one ingested window."""
+        return (self.n_electrodes, WINDOW_SAMPLES)
 
     def ingest_window(
         self,
@@ -67,7 +71,7 @@ class ScaloNode:
         """Store one multi-electrode window and record its hashes.
 
         Args:
-            windows: ``(n_electrodes, window_samples)``.
+            windows: ``(n_electrodes, WINDOW_SAMPLES)``.
             signatures: the LSH signature of each row of ``windows``: an
                 int64 ``(n_electrodes, components)`` block, such as this
                 node's slice of the fleet hash
@@ -96,7 +100,7 @@ class ScaloNode:
         self.storage.store_channel_windows(index, windows, block, tuples=rows)
         self.storage.store_hash_batch(index, time_ms, block)
         self.hash_store.add_batch(time_ms, rows)
-        self.hash_store.evict_before(time_ms - 4 * self.hash_horizon_ms)
+        self.hash_store.evict_before(time_ms - 4 * HASH_HORIZON_MS)
         return rows
 
     # -- crash / recovery -------------------------------------------------------------
@@ -109,7 +113,7 @@ class ScaloNode:
         the journal survive for :meth:`recover` to replay.
         """
         self._window_index = 0
-        self.hash_store = RecentHashStore(self.hash_horizon_ms)
+        self.hash_store = RecentHashStore(HASH_HORIZON_MS)
         self.storage.lose_sram()
 
     def recover(self):
@@ -129,7 +133,7 @@ class ScaloNode:
         report = self.storage.recover()
         stored = self.storage.stored_hash_windows()
         self._window_index = max(stored) + 1 if stored else 0
-        horizon = (self.now_ms - 4 * self.hash_horizon_ms, self.now_ms)
+        horizon = (self.now_ms - 4 * HASH_HORIZON_MS, self.now_ms)
         for window in stored:
             time_ms = self.storage.hash_batch_time(window)
             if time_ms is None or not horizon[0] <= time_ms <= horizon[1]:

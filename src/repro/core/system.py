@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.clock_sync import NodeClock, SNTPSynchroniser, SyncReport
 from repro.core.node import ScaloNode
-from repro.core.thermal import DEFAULT_SPACING_MM, PlacementCheck, check_placement
+from repro.core.thermal import PlacementCheck, check_placement
 from repro.errors import ConfigurationError, NodeFailure
 from repro.hashing.lsh import LSHFamily
 from repro.network.arq import ReliableLink
@@ -40,8 +40,6 @@ class ScaloSystem:
 
     n_nodes: int
     electrodes_per_node: int = ELECTRODES_PER_NODE
-    spacing_mm: float = DEFAULT_SPACING_MM
-    power_cap_mw: float = NODE_POWER_CAP_MW
     tdma: TDMAConfig = field(default_factory=TDMAConfig)
     lsh_measure: str = "dtw"
     seed: int = 0
@@ -227,7 +225,7 @@ class ScaloSystem:
             n_nodes=n_alive,
             flows=list(flows),
             power_budget_mw=(
-                self.power_cap_mw if power_budget_mw is None else power_budget_mw
+                NODE_POWER_CAP_MW if power_budget_mw is None else power_budget_mw
             ),
             tdma=self.tdma,
             telemetry=self.telemetry,
@@ -236,7 +234,7 @@ class ScaloSystem:
     # -- placement / maintenance ------------------------------------------------------
 
     def thermal_check(self) -> PlacementCheck:
-        return check_placement(self.n_nodes, self.power_cap_mw, self.spacing_mm)
+        return check_placement(self.n_nodes)
 
     def synchronise_clocks(self) -> SyncReport:
         return SNTPSynchroniser(tdma=self.tdma, seed=self.seed).synchronise(

@@ -2,8 +2,8 @@
 
 Besides the generic :func:`format_table`, this module renders telemetry:
 :func:`telemetry_summary` turns a metrics registry into counter/gauge/
-histogram tables and :func:`span_summary` aggregates a tracer's spans by
-name — the text the ``python -m repro trace`` CLI prints.
+observed-series tables and :func:`span_summary` aggregates a tracer's
+spans by name — the text the ``python -m repro trace`` CLI prints.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ def format_table(
 
 
 def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
-    """Render a registry as counter / gauge / histogram tables."""
+    """Render a registry as counter / gauge / observed-series tables.
+
+    Each observed series prints its sketch's count, mean, min and max
+    under the ``histograms`` heading.
+    """
     from repro.telemetry.registry import format_metric
 
     sections: list[str] = []
@@ -65,12 +69,12 @@ def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
     hist_rows = [
         (
             format_metric(name, labels),
-            hist.n,
-            hist.mean,
-            hist.min_value if hist.n else 0.0,
-            hist.max_value if hist.n else 0.0,
+            sketch.count,
+            sketch.total / sketch.count,
+            sketch.min_value,
+            sketch.max_value,
         )
-        for name, labels, hist in registry.histograms()
+        for name, labels, sketch in registry.sketches()
     ]
     if hist_rows:
         sections.append("== histograms ==\n" + format_table(

@@ -29,13 +29,14 @@ class FaultInjector:
 
     system: ScaloSystem
     plan: FaultPlan
-    health: HealthMonitor | None = None
     #: reboots run the full :meth:`~repro.core.system.ScaloSystem.recover_node`
     #: path (replay + scrub + anti-entropy) instead of a bare rejoin
     resync_on_reboot: bool = False
     #: optional :class:`~repro.recovery.scrub.FleetScrubber`, stepped
     #: once per round after the round's events land
     scrubber: object | None = None
+    #: one heartbeat monitor over ``system``'s nodes
+    health: HealthMonitor = field(init=False)
     round_index: int = field(init=False, default=0)
     log: list[str] = field(init=False, default_factory=list)
     #: optional :class:`~repro.recovery.failover.FailoverManager`,
@@ -48,8 +49,7 @@ class FaultInjector:
     belief: FleetBelief | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.health is None:
-            self.health = HealthMonitor(self.system.n_nodes)
+        self.health = HealthMonitor(self.system.n_nodes)
         if self.plan.has_partitions:
             self.belief = FleetBelief(self.system.n_nodes)
 
@@ -57,7 +57,6 @@ class FaultInjector:
 
     def step(self) -> list[FaultEvent]:
         """Apply one round: scheduled events, then heartbeats and the tick."""
-        assert self.health is not None
         r = self.round_index
         applied: list[FaultEvent] = []
         for event in self.plan.events_at(r):

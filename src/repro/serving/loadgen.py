@@ -482,12 +482,9 @@ def serve_session(
     on_advance = None
     finalize = None
     if fault_plan is not None:
-        from repro.faults.health import HealthMonitor
         from repro.faults.injector import FaultInjector
 
-        injector = FaultInjector(
-            system, fault_plan, health=HealthMonitor(n_nodes)
-        )
+        injector = FaultInjector(system, fault_plan)
         # Partition plans switch on the quorum stack: per-node views
         # (the injector auto-created them), an epoch-fenced failover
         # manager over those views, and quorum-aware serving.  Plans

@@ -6,7 +6,7 @@ host clock; wall-clock cost is measured from outside, by the bench's
 layer tracer):
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges,
-  fixed-bucket histograms;
+  one quantile sketch per observed series;
 * :class:`~repro.telemetry.tracer.Tracer` — nested spans with trace-id
   propagation across node boundaries via packet metadata;
 * exporters — JSON, CSV, and Chrome trace-event format

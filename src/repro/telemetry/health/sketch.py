@@ -49,8 +49,9 @@ class QuantileSketch:
 
     Positive and negative values live in mirrored geometric stores;
     zeros (and magnitudes below :data:`MIN_INDEXABLE`) are counted
-    exactly.  ``sum``/``min``/``max`` ride along so means and extremes
-    survive export, exactly as the legacy histogram's did.
+    exactly.  ``sum``/``min``/``max`` ride along, kept from the values
+    as passed (an int series keeps int extremes), so means and extremes
+    survive export.
     """
 
     relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY
@@ -94,7 +95,6 @@ class QuantileSketch:
         """Record ``value`` (``n`` times)."""
         if n < 1:
             raise ConfigurationError("observation count must be positive")
-        value = float(value)
         if value != value:  # NaN
             raise ConfigurationError("cannot observe NaN")
         if abs(value) <= MIN_INDEXABLE:

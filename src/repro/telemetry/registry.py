@@ -1,4 +1,4 @@
-"""Label-aware metrics registry: counters, gauges, fixed-bucket histograms.
+"""Label-aware metrics registry: counters, gauges, quantile sketches.
 
 All values are keyed by ``(metric name, sorted label tuple)`` so that two
 call sites reporting ``pe.busy_us{pe=DTW}`` land in the same cell no
@@ -32,13 +32,6 @@ from repro.telemetry.health.sketch import QuantileSketch
 #: Label set canonicalised to a hashable, deterministically-ordered key.
 LabelKey = tuple[tuple[str, str], ...]
 
-#: Default histogram bucket edges: a geometric ladder wide enough for both
-#: microsecond spans and multi-second simulated intervals.
-DEFAULT_BUCKET_EDGES = (
-    0.01, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-)
-
 
 def label_key(labels: dict[str, object]) -> LabelKey:
     """Canonicalise a label dict: sorted, stringified.
@@ -63,82 +56,20 @@ def format_metric(name: str, labels: LabelKey) -> str:
 
 
 @dataclass
-class Histogram:
-    """A fixed-bucket histogram.
-
-    ``counts[i]`` holds observations ``v`` with
-    ``edges[i-1] < v <= edges[i]`` (``v <= edges[0]`` for the first
-    bucket); ``counts[-1]`` is the overflow bucket for ``v > edges[-1]``.
-    Sum/count/min/max ride along so means survive export.
-    """
-
-    edges: tuple[float, ...]
-    counts: list[int] = field(default_factory=list)
-    total: float = 0.0
-    n: int = 0
-    min_value: float = float("inf")
-    max_value: float = float("-inf")
-
-    def __post_init__(self) -> None:
-        if not self.edges:
-            raise ConfigurationError("histogram needs at least one edge")
-        if list(self.edges) != sorted(self.edges):
-            raise ConfigurationError("histogram edges must be ascending")
-        if len(set(self.edges)) != len(self.edges):
-            raise ConfigurationError("histogram edges must be distinct")
-        if not self.counts:
-            self.counts = [0] * (len(self.edges) + 1)
-
-    def bucket_index(self, value: float) -> int:
-        """First bucket whose upper edge admits ``value`` (last = overflow)."""
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                return i
-        return len(self.edges)
-
-    def observe(self, value: float, n: int = 1) -> None:
-        """Record ``value`` (``n`` times)."""
-        self.counts[self.bucket_index(value)] += n
-        self.total += value * n
-        self.n += n
-        self.min_value = min(self.min_value, value)
-        self.max_value = max(self.max_value, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "sum": self.total,
-            "count": self.n,
-            "min": self.min_value if self.n else None,
-            "max": self.max_value if self.n else None,
-        }
-
-
-@dataclass
 class MetricsRegistry:
-    """Counters, gauges, histograms, and quantile sketches for one run.
+    """Counters, gauges, and quantile sketches for one run.
 
-    ``observe()`` dual-writes every sample: into the fixed-bucket
-    :class:`Histogram` (the PR-2 export surface, kept byte-compatible)
-    and into a mergeable
-    :class:`~repro.telemetry.health.sketch.QuantileSketch`, the only
-    quantile source — its error is *relative* (±1 % at any magnitude)
-    rather than bucket-width bound, and sketches from different
-    nodes/labels merge exactly.
+    ``observe()`` writes each sample into its series' mergeable
+    :class:`~repro.telemetry.health.sketch.QuantileSketch`, the one
+    store of observed values.  Its count, sum, min and max feed the
+    exporters; its quantiles carry a *relative* error (±1 % at any
+    magnitude); sketches from different nodes/labels merge exactly.
     """
 
     _counters: dict[tuple[str, LabelKey], float] = field(
         init=False, default_factory=dict
     )
     _gauges: dict[tuple[str, LabelKey], float] = field(
-        init=False, default_factory=dict
-    )
-    _histograms: dict[tuple[str, LabelKey], Histogram] = field(
         init=False, default_factory=dict
     )
     _sketches: dict[tuple[str, LabelKey], QuantileSketch] = field(
@@ -184,16 +115,19 @@ class MetricsRegistry:
     def observe(
         self, name: str, value: float, n: int = 1, **labels: object
     ) -> None:
-        """Record ``value`` (``n`` times) in the histogram and the sketch."""
+        """Record ``value`` (``n`` times) in the series' sketch.
+
+        A new series' sketch is stored only once it holds a value, so
+        the exporters never meet an empty one.
+        """
         key = (name, label_key(labels))
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = Histogram(DEFAULT_BUCKET_EDGES)
-        hist.observe(value, n)
         sketch = self._sketches.get(key)
         if sketch is None:
-            sketch = self._sketches[key] = QuantileSketch()
-        sketch.observe(value, n)
+            sketch = QuantileSketch()
+            sketch.observe(value, n)
+            self._sketches[key] = sketch
+        else:
+            sketch.observe(value, n)
 
     # -- reads --------------------------------------------------------------------
 
@@ -229,10 +163,6 @@ class MetricsRegistry:
         for (name, labels), value in sorted(self._gauges.items()):
             yield name, labels, value
 
-    def histograms(self) -> Iterator[tuple[str, LabelKey, Histogram]]:
-        for (name, labels), hist in sorted(self._histograms.items()):
-            yield name, labels, hist
-
     def sketches(self) -> Iterator[tuple[str, LabelKey, QuantileSketch]]:
         for (name, labels), sketch in sorted(self._sketches.items()):
             yield name, labels, sketch
@@ -256,10 +186,6 @@ class MetricsRegistry:
             "gauges": {
                 format_metric(name, labels): value
                 for name, labels, value in self.gauges()
-            },
-            "histograms": {
-                format_metric(name, labels): hist.as_dict()
-                for name, labels, hist in self.histograms()
             },
             "sketches": {
                 format_metric(name, labels): sketch.as_dict()

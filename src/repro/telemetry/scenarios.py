@@ -183,7 +183,6 @@ def recovery_session(
     callers can assert the repaired run answers identically.
     """
     from repro.apps.queries import QuerySpec
-    from repro.faults.health import HealthMonitor
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
     from repro.recovery.scrub import FleetScrubber
@@ -205,7 +204,6 @@ def recovery_session(
     injector = FaultInjector(
         system,
         plan,
-        health=HealthMonitor(n_nodes),
         resync_on_reboot=True,
         scrubber=FleetScrubber(system, telemetry=telemetry),
     )

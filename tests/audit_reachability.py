@@ -111,7 +111,6 @@ KEEP: dict[str, str] = {
     "repro.telemetry.Telemetry.snapshot": _SNAPSHOT,
     "repro.telemetry.exporters.telemetry_json": _SNAPSHOT,
     "repro.telemetry.registry.MetricsRegistry.snapshot": _SNAPSHOT,
-    "repro.telemetry.registry.Histogram.as_dict": _SNAPSHOT,
     "repro.telemetry.health.sketch.QuantileSketch.as_dict": _SNAPSHOT,
     "repro.telemetry.health.sketch.QuantileSketch.merge":
         "HealthEngine._metric_sketch merges a latency metric's label "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.apps import queries
 from repro.apps.queries import (
     DistributedQueryResult,
     QueryEngine,
@@ -48,7 +49,7 @@ def _node_rows(
                 if not engine.lsh.matches(sig, template_sig):
                     continue
             elif dtw_distance(
-                samples.astype(float), template, engine.dtw_band
+                samples.astype(float), template, queries.DTW_BAND
             ) > engine.dtw_threshold:
                 continue
         rows.append(QueryResultRow(node, electrode, window_index, samples))

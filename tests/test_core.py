@@ -13,6 +13,7 @@ from repro.core.clock_sync import (
     SNTPSynchroniser,
     TARGET_PRECISION_US,
 )
+from repro.core import node as node_module
 from repro.core.node import ScaloNode
 from repro.core.system import ScaloSystem
 from repro.core.thermal import (
@@ -71,9 +72,11 @@ class TestClockSync:
 
 class TestScaloNode:
     @pytest.fixture()
-    def node(self):
-        return ScaloNode(node_id=0, n_electrodes=4,
-                         nvm_capacity_bytes=16 * 1024 * 1024)
+    def node(self, monkeypatch):
+        monkeypatch.setattr(
+            node_module, "NVM_CAPACITY_BYTES", 16 * 1024 * 1024
+        )
+        return ScaloNode(node_id=0, n_electrodes=4)
 
     def test_ingest_stores_and_hashes(self, node, rng):
         windows = rng.normal(size=(4, 120))

@@ -11,6 +11,7 @@ import pytest
 from dataclasses import replace
 
 from repro.apps.seizure import SeizurePropagationSimulator, train_detector_from_recording
+from repro.core import clock_sync
 from repro.core.clock_sync import TARGET_PRECISION_US, NodeClock, SNTPSynchroniser
 from repro.errors import SchedulingError, StorageError
 from repro.hashing.lsh import LSHFamily
@@ -168,17 +169,19 @@ class TestSchedulerInfeasibility:
 
 
 class TestClockSyncUnderJitter:
-    def test_huge_jitter_still_converges_or_reports(self):
+    def test_huge_jitter_still_converges_or_reports(self, monkeypatch):
+        monkeypatch.setattr(clock_sync, "SYNC_JITTER_US", 50.0)
         clocks = [NodeClock(offset_us=o) for o in (-5000.0, 0.0, 7000.0)]
-        report = SNTPSynchroniser(jitter_us=50.0, seed=0).synchronise(clocks)
+        report = SNTPSynchroniser(seed=0).synchronise(clocks)
         # with 50 us jitter the 5 us target may not be met; the report
         # must say so honestly rather than loop forever
         assert report.rounds <= 20
         if report.worst_offset_us > TARGET_PRECISION_US:
             assert report.worst_offset_us > 5.0
 
-    def test_low_jitter_converges_fast(self):
+    def test_low_jitter_converges_fast(self, monkeypatch):
+        monkeypatch.setattr(clock_sync, "SYNC_JITTER_US", 1.0)
         clocks = [NodeClock(offset_us=o) for o in (-5000.0, 0.0, 7000.0)]
-        report = SNTPSynchroniser(jitter_us=1.0, seed=0).synchronise(clocks)
+        report = SNTPSynchroniser(seed=0).synchronise(clocks)
         assert report.worst_offset_us <= TARGET_PRECISION_US
         assert report.rounds <= 3

@@ -9,6 +9,7 @@ output byte) and the storm calibration (mild quiet, moderate alerting)
 are asserted directly.
 """
 
+import csv
 import json
 import math
 import random
@@ -24,8 +25,13 @@ from repro.eval.chaos import (
     ChaosConfig,
     run_storm,
 )
+from repro.eval.reporting import telemetry_summary
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.exporters import chrome_trace_events, telemetry_json
+from repro.telemetry.exporters import (
+    chrome_trace_events,
+    telemetry_json,
+    write_metrics_csv,
+)
 from repro.telemetry.health import anomaly, recorder
 from repro.telemetry.health.anomaly import AnomalyDetector
 from repro.telemetry.health.engine import HealthEngine
@@ -382,14 +388,39 @@ class TestFlightRecorder:
 
 
 class TestRegistrySketches:
-    def test_observe_feeds_sketch_and_histogram(self):
+    def test_observe_feeds_one_sketch(self, tmp_path):
+        # int and float samples, some observed n > 1 times (as
+        # ``arq.attempts`` is): count, sum and extremes are the plain
+        # left fold of the values as passed, so an int extreme stays int
+        observations = [(3, 2), (1, 1), (2.5, 4), (2, 3)]
         reg = MetricsRegistry()
-        for v in (1.0, 2.0, 3.0):
-            reg.observe("m", v, node=0)
+        for v, n in observations:
+            reg.observe("m", v, n=n, node=0)
         ((name, labels, sk),) = reg.sketches()
         assert (name, labels) == ("m", (("node", "0"),))
-        assert sk.count == 3
-        assert sk.quantile(0.5) == pytest.approx(2.0, rel=0.02)
+        total, low, high = 0.0, math.inf, -math.inf
+        for v, n in observations:
+            total += v * n
+            low, high = min(low, v), max(high, v)
+        assert sk.count == sum(n for _, n in observations)
+        assert sk.total == total
+        assert (sk.min_value, sk.max_value) == (low, high) == (1, 3)
+        assert type(sk.min_value) is int and type(sk.max_value) is int
+        assert sk.quantile(0.5) == pytest.approx(2.5, rel=0.02)
+        path = write_metrics_csv(reg, tmp_path / "m.csv")
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert rows[1:] == [
+            ["histogram", "m{node=0}", repr(total), "10", "1", "3"]
+        ]
+
+    def test_rejected_first_observation_stores_no_sketch(self):
+        # the exporters divide by a series' count, so none may be empty
+        reg = MetricsRegistry()
+        for value, n in ((float("nan"), 1), (1.0, 0)):
+            with pytest.raises(ConfigurationError):
+                reg.observe("m", value, n=n)
+        assert list(reg.sketches()) == []
+        assert telemetry_summary(reg) == "(no metrics recorded)"
 
     def test_snapshot_includes_sketches(self):
         reg = MetricsRegistry()

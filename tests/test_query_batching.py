@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.queries import TEMPLATE_MEMO_SIZE, QueryEngine, QuerySpec
+from repro.apps.queries import (
+    DTW_BAND,
+    TEMPLATE_MEMO_SIZE,
+    QueryEngine,
+    QuerySpec,
+)
 from repro.errors import ConfigurationError
 from repro.hashing import minhash
 from repro.hashing.lsh import (
@@ -419,7 +424,7 @@ class TestEngineEquivalence:
         spec = QuerySpec("q2", 16.0, use_hash=False)
         engine, template = _fleet()
         samples = engine.controllers[0].read_window(1, 2).astype(float)
-        cost = dtw_distance(samples, template, engine.dtw_band)
+        cost = dtw_distance(samples, template, DTW_BAND)
         for threshold in (cost, np.nextafter(cost, -np.inf)):
             tight = dataclasses.replace(engine, dtw_threshold=threshold)
             reference = oracle_run(tight, spec, (0, 10), template=template)

@@ -91,6 +91,7 @@ UNNAMED_ALLOWED = {
 COMPONENT_CLASSES = (
     "HealthMonitor", "FleetBelief", "FaultInjector", "Scrubber",
     "FleetScrubber", "FailoverManager", "NVMDevice", "MetricsRegistry",
+    "QueryEngine", "SNTPSynchroniser", "ScaloNode", "ScaloSystem",
 )
 #: Config dataclasses: the classes whose fields are knobs.
 CONFIG_CLASS = re.compile(

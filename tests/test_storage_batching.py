@@ -38,6 +38,7 @@ from repro.storage.controller import (
 from repro.storage.nvm import BLOCK_BYTES, PAGE_BYTES, NVMDevice
 from repro.storage.partitions import PartitionTable
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.units import WINDOW_SAMPLES
 from tests.minhash_oracle import oracle_hash_window
 from tests.storage_oracle import (
     _reserve,
@@ -445,7 +446,7 @@ class TestHashOnce:
 
     def test_int16_exact_batch_is_hashed_once(self):
         node = ScaloNode(node_id=0, n_electrodes=4)
-        rows = _rows("exact", 3, 4, node.window_samples)
+        rows = _rows("exact", 3, 4, WINDOW_SAMPLES)
         with mock.patch.object(
             LSHFamily, "hash_windows", autospec=True,
             side_effect=LSHFamily.hash_windows,
@@ -456,7 +457,7 @@ class TestHashOnce:
 
     def test_non_integral_batch_is_rehashed_quantised(self):
         node = ScaloNode(node_id=0, n_electrodes=4)
-        rows = _rows("fraction", 3, 4, node.window_samples)
+        rows = _rows("fraction", 3, 4, WINDOW_SAMPLES)
         with mock.patch.object(
             LSHFamily, "hash_windows", autospec=True,
             side_effect=LSHFamily.hash_windows,
@@ -489,7 +490,7 @@ class TestFleetIngest:
         for system in (fleet, reference):
             for node_id in sorted(dead):
                 system.fail_node(node_id)
-        shape = (n_windows, 4, 3, fleet.nodes[0].window_samples)
+        shape = (n_windows, 4, 3, WINDOW_SAMPLES)
         batches = _rows(kind, seed, n_windows * 12, shape[-1]).reshape(shape)
         alive = 4 - len(dead)
         for windows in batches:

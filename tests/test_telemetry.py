@@ -1,10 +1,10 @@
 """Tests for the telemetry subsystem: registry, tracer, exporters, CLI.
 
-Covers the PR's acceptance criteria: histogram bucket-edge semantics,
-span nesting/ordering determinism under a fixed seed, Chrome-trace JSON
-schema validity, the NullTelemetry zero-impact regression (byte-identical
-event logs, per PR 1's determinism guarantee), and the end-to-end traced
-distributed query.
+Covers registry label canonicalisation, span nesting/ordering
+determinism under a fixed seed, Chrome-trace JSON schema validity, the
+NullTelemetry zero-impact regression (byte-identical event logs, per
+PR 1's determinism guarantee), and the end-to-end traced distributed
+query.
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.telemetry.clock import SimClock
 from repro.telemetry.exporters import chrome_trace_events, telemetry_json
 from repro.telemetry.registry import (
-    Histogram,
     MetricsRegistry,
     format_metric,
     label_key,
@@ -29,48 +28,6 @@ from repro.telemetry.tracer import Tracer
 #: end-to-end acceptance criterion needs retries *inside* the query
 #: trace, not merely somewhere in the session).
 QUERY_RETRY_SEED = 2
-
-
-class TestHistogramBuckets:
-    """Bucket-edge semantics: counts[i] holds edges[i-1] < v <= edges[i]."""
-
-    def test_edges_are_upper_inclusive(self):
-        hist = Histogram(edges=(1.0, 2.0, 4.0))
-        assert hist.bucket_index(0.5) == 0
-        assert hist.bucket_index(1.0) == 0  # on-edge lands below
-        assert hist.bucket_index(1.0000001) == 1
-        assert hist.bucket_index(2.0) == 1
-        assert hist.bucket_index(4.0) == 2
-        assert hist.bucket_index(4.0000001) == 3  # overflow
-
-    def test_counts_cover_edges_plus_overflow(self):
-        hist = Histogram(edges=(1.0, 2.0, 4.0))
-        assert len(hist.counts) == 4
-        for v in (0.5, 1.0, 3.0, 100.0):
-            hist.observe(v)
-        assert hist.counts == [2, 0, 1, 1]
-        assert hist.n == 4
-        assert hist.mean == pytest.approx((0.5 + 1.0 + 3.0 + 100.0) / 4)
-        assert hist.min_value == 0.5
-        assert hist.max_value == 100.0
-
-    def test_as_dict_round_trips_through_json(self):
-        hist = Histogram(edges=(1.0, 10.0))
-        hist.observe(5.0)
-        doc = json.loads(json.dumps(hist.as_dict()))
-        assert doc["counts"] == [0, 1, 0]
-        assert doc["count"] == 1
-
-    def test_empty_histogram_reports_none_extremes(self):
-        assert Histogram(edges=(1.0,)).as_dict()["min"] is None
-
-    def test_invalid_edges_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Histogram(edges=())
-        with pytest.raises(ConfigurationError):
-            Histogram(edges=(2.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            Histogram(edges=(1.0, 1.0))
 
 
 class TestRegistry:
