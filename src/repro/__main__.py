@@ -674,7 +674,11 @@ def _writable_path(text: str) -> str:
 
 
 def _window_range(text: str) -> tuple[int, int]:
-    """Parse a ``START:STOP`` window range for ``--range``."""
+    """Parse a ``START:STOP`` window range for ``--range``.
+
+    Checked for ``0 <= START < STOP`` at parse time, so an empty range
+    fails with usage before the fleet is built and ingested.
+    """
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(
@@ -686,6 +690,11 @@ def _window_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"window range bounds must be integers, got {text!r}"
         ) from None
+    if not 0 <= start < stop:
+        raise argparse.ArgumentTypeError(
+            f"window range {text!r} is empty or negative; "
+            "expected START:STOP with 0 <= START < STOP"
+        )
     return start, stop
 
 

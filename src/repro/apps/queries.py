@@ -25,8 +25,8 @@ import numpy as np
 from repro.errors import ConfigurationError, ScaloError
 from repro.hardware.catalog import get_pe
 from repro.hashing.lsh import LSHFamily
-from repro.network.radio import EXTERNAL_RADIO, RadioSpec
-from repro.similarity.dtw import dtw_rows
+from repro.network.radio import EXTERNAL_RADIO
+from repro.similarity.dtw import DTW_BAND, dtw_rows
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
@@ -104,7 +104,6 @@ class QueryCostModel:
 
     n_nodes: int = 11
     electrodes_per_node: int = ELECTRODES_PER_NODE
-    external_radio: RadioSpec = field(default_factory=lambda: EXTERNAL_RADIO)
     chunked_layout: bool = True
 
     def cost(self, spec: QuerySpec) -> QueryCost:
@@ -160,11 +159,11 @@ class QueryCostModel:
         matched_bytes = total_bytes * (
             spec.match_fraction if spec.kind != "q3" else 1.0
         )
-        transmit_ms = self.external_radio.airtime_ms(8 * matched_bytes)
+        transmit_ms = EXTERNAL_RADIO.airtime_ms(8 * matched_bytes)
 
         duty = transmit_ms / max(transmit_ms + scan_ms + QUERY_OVERHEAD_MS, 1e-9)
         power_mw = (
-            self.external_radio.power_mw * duty / self.n_nodes  # per node share
+            EXTERNAL_RADIO.power_mw * duty / self.n_nodes  # per node share
             + filter_power_mw
             + 0.26  # NVM leakage
         )
@@ -222,9 +221,6 @@ class DistributedQueryResult:
 #: distinct Q2 templates whose signatures one :class:`QueryEngine` keeps
 TEMPLATE_MEMO_SIZE = 64
 
-#: Sakoe-Chiba band (samples) of the exact-DTW Q2 scan
-DTW_BAND = 10
-
 
 @dataclass
 class QueryEngine:
@@ -255,9 +251,6 @@ class QueryEngine:
         field(default_factory=dict, init=False, repr=False, compare=False)
     )
 
-    def _stored_windows(self, node: int) -> list[tuple[int, int]]:
-        return self.controllers[node].stored_windows()
-
     def _template_signature(
         self, spec: QuerySpec, template: np.ndarray | None
     ) -> tuple[int, ...] | None:
@@ -278,6 +271,20 @@ class QueryEngine:
 
     # -- per-node scans --------------------------------------------------------------
 
+    def _scan_pairs(
+        self, node: int, spec: QuerySpec, window_range: tuple[int, int]
+    ) -> list[tuple[int, int]]:
+        """A node's stored ``(electrode, window)`` pairs in ``[start,
+        stop)``, only the seizure-flagged windows for Q1."""
+        start, stop = window_range
+        flags = self.seizure_flags.get(node, set())
+        return [
+            pair
+            for pair in self.controllers[node].stored_windows()
+            if start <= pair[1] < stop
+            and (spec.kind != "q1" or pair[1] in flags)
+        ]
+
     def _node_rows_batched(
         self,
         node: int,
@@ -297,16 +304,9 @@ class QueryEngine:
         ``(electrode, window)``) and row contents match the reference
         scan in ``tests/query_oracle.py`` exactly.
         """
-        start, stop = window_range
         controller = self.controllers[node]
-        flags = self.seizure_flags.get(node, set())
         tel = self.telemetry
-        pairs = [
-            pair
-            for pair in self._stored_windows(node)
-            if start <= pair[1] < stop
-            and (spec.kind != "q1" or pair[1] in flags)
-        ]
+        pairs = self._scan_pairs(node, spec, window_range)
         if tel.enabled:
             tel.inc("query.batch_windows", len(pairs), kind=spec.kind)
         if not pairs:
@@ -377,16 +377,9 @@ class QueryEngine:
         window) is exact; sample payloads are empty, which the response
         checksum treats as zero bytes deterministically.
         """
-        start, stop = window_range
         controller = self.controllers[node]
-        flags = self.seizure_flags.get(node, set())
         tel = self.telemetry
-        pairs = [
-            pair
-            for pair in self._stored_windows(node)
-            if start <= pair[1] < stop
-            and (spec.kind != "q1" or pair[1] in flags)
-        ]
+        pairs = self._scan_pairs(node, spec, window_range)
         if tel.enabled:
             tel.inc("query.cache_only_windows", len(pairs), kind=spec.kind)
         if spec.kind == "q2":

@@ -12,10 +12,9 @@ Two layers:
   confirmed match forecasts spread and triggers stimulation at the
   receiver (paper §3.1).
 
-The simulator exposes the two error knobs of the paper's Fig. 15
-experiments: a hash *encoding* error rate (a window hashes to garbage)
-and the network bit-error rate (a lost packet costs the whole round,
-recovered at the next window).
+The simulator exposes Fig. 15a's error knob, a hash *encoding* error
+rate (a window hashes to garbage).  Fig. 15b's network loss process
+replays a clean trace (:func:`repro.eval.delay.network_delay`).
 """
 
 from __future__ import annotations
@@ -24,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.node import HASH_HORIZON_MS
 from repro.datasets.synthetic_ieeg import SyntheticIEEG
 from repro.errors import ConfigurationError
 from repro.decoders.svm import LinearSVM, train_linear_svm
 from repro.hashing.collision import CollisionChecker, RecentHashStore
 from repro.hashing.lsh import LSHFamily
-from repro.similarity.dtw import dtw_rows
+from repro.similarity.dtw import DTW_BAND, dtw_rows
 from repro.units import WINDOW_SAMPLES
 
 
@@ -122,11 +122,10 @@ class SimulationResult:
     """Everything a propagation run produced."""
 
     detections: dict[int, list[int]] = field(default_factory=dict)
-    confirmations: list[PropagationEvent] = field(default_factory=list)
-    hash_broadcasts: int = 0
-    hash_rounds_lost: int = 0
-    signal_exchanges: int = 0
-    stimulations: list[tuple[int, int]] = field(default_factory=list)
+    confirmations: list[PropagationEvent] = field(init=False, default_factory=list)
+    hash_broadcasts: int = field(init=False, default=0)
+    signal_exchanges: int = field(init=False, default=0)
+    stimulations: list[tuple[int, int]] = field(init=False, default_factory=list)
 
 
 @dataclass
@@ -140,41 +139,29 @@ class SeizurePropagationSimulator:
         dtw_threshold: exact-comparison match threshold.
         hash_error_rate: probability an electrode-window's hash encodes to
             garbage (Fig. 15a's knob).
-        packet_loss_rate: probability a node's per-window hash packet is
-            lost entirely (Fig. 15b: one packet carries all the node's
-            hashes, so a hit loses the whole round).
-        seed: RNG seed for the error processes.
+        seed: RNG seed for the error process.
     """
 
     recording: SyntheticIEEG
     detector: SeizureDetector
     lsh: LSHFamily
-    window_samples: int = WINDOW_SAMPLES
-    horizon_ms: float = 100.0
     dtw_threshold: float = 60.0
-    dtw_band: int = 10
     hash_error_rate: float = 0.0
-    packet_loss_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.hash_error_rate <= 1:
             raise ConfigurationError("hash error rate must be in [0, 1]")
-        if not 0 <= self.packet_loss_rate < 1:
-            raise ConfigurationError("packet loss rate must be in [0, 1)")
         self._rng = np.random.default_rng(self.seed)
-
-    def _window_ms(self) -> float:
-        return self.window_samples * 1e3 / self.recording.fs_hz
 
     def run(self, max_windows: int | None = None) -> SimulationResult:
         rec = self.recording
-        n_windows = rec.n_samples // self.window_samples
+        n_windows = rec.n_samples // WINDOW_SAMPLES
         if max_windows is not None:
             n_windows = min(n_windows, max_windows)
-        window_ms = self._window_ms()
+        window_ms = WINDOW_SAMPLES * 1e3 / rec.fs_hz
 
-        stores = [RecentHashStore(self.horizon_ms) for _ in range(rec.n_nodes)]
+        stores = [RecentHashStore(HASH_HORIZON_MS) for _ in range(rec.n_nodes)]
         checker = CollisionChecker(self.lsh.config.min_matching)
         result = SimulationResult(
             detections={node: [] for node in range(rec.n_nodes)}
@@ -187,9 +174,9 @@ class SeizurePropagationSimulator:
         dst_windows: list[np.ndarray] = []
 
         for w in range(n_windows):
-            start = w * self.window_samples
+            start = w * WINDOW_SAMPLES
             now_ms = (w + 1) * window_ms
-            windows = rec.data[:, :, start : start + self.window_samples]
+            windows = rec.data[:, :, start : start + WINDOW_SAMPLES]
             # 1. every node hashes and stores its window (always-on); one
             # batch for all nodes, walked in node then electrode order so
             # the hash-error draws keep their sequence
@@ -213,7 +200,7 @@ class SeizurePropagationSimulator:
                         )
                     signatures.append(sig)
                 stores[node].add_batch(now_ms, signatures)
-                stores[node].evict_before(now_ms - 4 * self.horizon_ms)
+                stores[node].evict_before(now_ms - 4 * HASH_HORIZON_MS)
                 node_hashes.append(signatures)
 
             # 2. local detection (cheap proxy: the node's mean channel)
@@ -227,12 +214,6 @@ class SeizurePropagationSimulator:
             # 3. detecting nodes broadcast hashes; receivers collision-check
             for src in detecting:
                 result.hash_broadcasts += 1
-                if (
-                    self.packet_loss_rate
-                    and self._rng.random() < self.packet_loss_rate
-                ):
-                    result.hash_rounds_lost += 1
-                    continue
                 for dst in range(rec.n_nodes):
                     if dst == src:
                         continue
@@ -248,9 +229,9 @@ class SeizurePropagationSimulator:
                     dst_windows.append(windows[dst, record.electrode])
 
         costs = dtw_rows(
-            np.reshape(src_windows, (-1, self.window_samples)),
-            np.reshape(dst_windows, (-1, self.window_samples)),
-            self.dtw_band,
+            np.reshape(src_windows, (-1, WINDOW_SAMPLES)),
+            np.reshape(dst_windows, (-1, WINDOW_SAMPLES)),
+            DTW_BAND,
         )
         for (w, src, dst, n_collisions), cost in zip(exchanges, costs.tolist()):
             if cost <= self.dtw_threshold:

@@ -23,10 +23,13 @@ from repro.similarity.emd import emd_rows
 #: Boxcar width for NEO smoothing before thresholding (samples).
 NEO_SMOOTH_SAMPLES = 6
 
+#: Detection threshold: smoothed NEO energy above this many MAD-based
+#: noise sigmas.
+THRESHOLD_K_SIGMA = 10.0
+
 
 def detect_spikes(
     data: np.ndarray,
-    k_sigma: float = 10.0,
     refractory: int = 3 * SPIKE_SAMPLES // 4,
 ) -> np.ndarray:
     """Detect spike onsets across channels with smoothed NEO + threshold.
@@ -41,7 +44,7 @@ def detect_spikes(
     detections: list[int] = []
     for channel in data:
         energy = np.convolve(nonlinear_energy(channel), boxcar, mode="same")
-        threshold = adaptive_threshold(energy, k=k_sigma)
+        threshold = adaptive_threshold(energy, k=THRESHOLD_K_SIGMA)
         crossings = threshold_crossings(energy, threshold, refractory)
         detections.extend(int(c) for c in crossings)
     detections.sort()
@@ -171,19 +174,18 @@ class SpikeSorter:
     """Detection + template matching over a whole recording."""
 
     matcher: TemplateMatcher
-    k_sigma: float = 10.0
 
     @classmethod
-    def from_dataset(cls, dataset: SpikeDataset, **kwargs) -> "SpikeSorter":
+    def from_dataset(cls, dataset: SpikeDataset) -> "SpikeSorter":
         """Build with the dataset's ground-truth templates (offline-trained
         templates, per Rutishauser et al.)."""
-        return cls(TemplateMatcher(dataset.templates), **kwargs)
+        return cls(TemplateMatcher(dataset.templates))
 
     def sort(self, data: np.ndarray, method: str = "hash") -> SortingResult:
         if method not in ("hash", "exact"):
             raise ConfigurationError("method must be 'hash' or 'exact'")
         data = np.asarray(data, dtype=float)
-        times = detect_spikes(data, self.k_sigma)
+        times = detect_spikes(data)
         times = times[times + SPIKE_SAMPLES <= data.shape[1]]
         assignments = np.empty(times.shape[0], dtype=np.int64)
         comparisons = 0

@@ -70,6 +70,10 @@ class StimulationProtocol:
         return float(np.log10(charge) + np.log10(density))
 
 
+#: The train every stimulator delivers unless a call passes its own.
+DEFAULT_PROTOCOL = StimulationProtocol()
+
+
 def check_safety(
     protocol: StimulationProtocol,
     electrode_area_cm2: float = ELECTRODE_AREA_CM2,
@@ -94,11 +98,8 @@ class Stimulator:
 
     node_id: int
     n_electrodes: int
-    default_protocol: StimulationProtocol = field(
-        default_factory=StimulationProtocol
-    )
-    events: list[StimulationEvent] = field(default_factory=list)
-    _last_train_ms: dict[int, float] = field(default_factory=dict)
+    events: list[StimulationEvent] = field(init=False, default_factory=list)
+    _last_train_ms: dict[int, float] = field(init=False, default_factory=dict)
 
     def stimulate(
         self,
@@ -113,7 +114,7 @@ class Stimulator:
         """
         if not 0 <= electrode < self.n_electrodes:
             raise ConfigurationError(f"electrode {electrode} out of range")
-        protocol = protocol if protocol is not None else self.default_protocol
+        protocol = protocol if protocol is not None else DEFAULT_PROTOCOL
         if not check_safety(protocol):
             raise ConfigurationError(
                 f"protocol exceeds the Shannon limit "

@@ -15,7 +15,7 @@ radio rate and the achieved compression ratio.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from repro.errors import ConfigurationError
 from repro.network.packet import MAX_PAYLOAD_BYTES, Packet, PayloadKind
 from repro.network.radio import EXTERNAL_RADIO, RadioSpec
 from repro.units import ELECTRODE_RATE_BPS
+
+#: Source id the offload packets carry: the one implant that streams out.
+OFFLOAD_NODE_ID = 0
 
 
 class Codec(enum.Enum):
@@ -58,8 +61,6 @@ class TelemetryOffloader:
 
     key: bytes
     codec: Codec = Codec.LIC
-    node_id: int = 0
-    radio: RadioSpec = field(default_factory=lambda: EXTERNAL_RADIO)
 
     def __post_init__(self) -> None:
         self._cipher = AES128(self.key)
@@ -86,7 +87,7 @@ class TelemetryOffloader:
         for i in range(0, len(ciphertext), MAX_PAYLOAD_BYTES):
             packets.append(
                 Packet.build(
-                    self.node_id,
+                    OFFLOAD_NODE_ID,
                     0,
                     PayloadKind.SIGNAL,
                     ciphertext[i : i + MAX_PAYLOAD_BYTES],
@@ -101,7 +102,7 @@ class TelemetryOffloader:
     def airtime_ms(self, chunk: OffloadChunk) -> float:
         """External-radio time to ship the chunk."""
         bits = sum(p.wire_bits for p in chunk.packets)
-        return self.radio.airtime_ms(bits)
+        return EXTERNAL_RADIO.airtime_ms(bits)
 
 
 @dataclass

@@ -32,18 +32,14 @@ MAX_SYNC_ROUNDS = 20
 
 @dataclass
 class NodeClock:
-    """A node clock: offset from true time plus (negligible) drift.
+    """A node clock: its offset from true time.
 
     SCALO's pausable clock generators see only picoseconds of
-    uncertainty, and body temperature is stable, so the drift term is
-    tiny — the daily SNTP pass mainly trims accumulated offset.
+    uncertainty, and body temperature is stable, so drift is negligible:
+    the daily SNTP pass trims the accumulated offset.
     """
 
     offset_us: float
-    drift_ppm: float = 0.01
-
-    def advance(self, elapsed_s: float) -> None:
-        self.offset_us += self.drift_ppm * elapsed_s
 
 
 @dataclass

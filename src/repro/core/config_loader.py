@@ -100,11 +100,10 @@ def load_config_program(program: str) -> LoadedConfiguration:
     if not tdma_frame:
         raise CompilationError("empty TDMA frame")
 
-    # apply: instantiate each referenced PE once, set dividers, wire routes
+    # apply: instantiate each referenced PE once, wire routes
     fabric = Fabric()
-    for pe_name, divider in dividers.items():
-        instance = fabric.add_pe(pe_name)
-        fabric.pes[instance].clock.divider = divider
+    for pe_name in dividers:
+        fabric.add_pe(pe_name)
     for flow in flows.values():
         for src, dst in flow.route:
             for endpoint in (src, dst):

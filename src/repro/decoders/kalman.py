@@ -69,16 +69,12 @@ class KalmanFilter:
     """
 
     model: KalmanModel
-    state: np.ndarray = field(default=None)  # type: ignore[assignment]
-    covariance: np.ndarray = field(default=None)  # type: ignore[assignment]
+    state: np.ndarray = field(init=False)
+    covariance: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.state is None:
-            self.state = np.zeros(self.model.n_state)
-        if self.covariance is None:
-            self.covariance = np.eye(self.model.n_state)
-        self.state = np.asarray(self.state, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
+        self.state = np.zeros(self.model.n_state)
+        self.covariance = np.eye(self.model.n_state)
 
     def step(self, observation: np.ndarray) -> np.ndarray:
         """One predict + update cycle; returns the new state estimate."""

@@ -29,9 +29,11 @@ from repro.apps.seizure import (
     SeizurePropagationSimulator,
     train_detector_from_recording,
 )
+from repro.core.node import HASH_HORIZON_MS
 from repro.datasets.synthetic_ieeg import generate_ieeg
 from repro.hashing.lsh import LSHFamily
 from repro.network.packet import PACKET_OVERHEAD_BITS
+from repro.units import WINDOW_SAMPLES
 
 #: Hash-encoding error rates on the Fig. 15a x-axis.
 ENCODING_ERROR_RATES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -80,12 +82,11 @@ def build_trace(
         recording, max_windows_per_node=200, seed=seed
     )
     lsh = LSHFamily.for_measure("dtw")
-    simulator = SeizurePropagationSimulator(
+    result = SeizurePropagationSimulator(
         recording, detector, lsh, dtw_threshold=250.0
-    )
-    result = simulator.run()
+    ).run()
 
-    window_ms = 120 * 1e3 / recording.fs_hz
+    window_ms = WINDOW_SAMPLES * 1e3 / recording.fs_hz
     confirm_windows = sorted(
         {event.window_index for event in result.confirmations}
     )
@@ -94,7 +95,7 @@ def build_trace(
         multiplicity[event.window_index] = (
             multiplicity.get(event.window_index, 0) + event.n_collisions
         )
-    horizon_windows = int(simulator.horizon_ms / window_ms)
+    horizon_windows = int(HASH_HORIZON_MS / window_ms)
     payload_bytes = n_electrodes * lsh.config.hash_bytes
     return PropagationTrace(
         window_ms=window_ms,
@@ -213,8 +214,8 @@ def network_delay(
 class Fig15Result:
     """Both sweeps."""
 
-    encoding: dict[float, DelayStats] = field(default_factory=dict)
-    network: dict[float, DelayStats] = field(default_factory=dict)
+    encoding: dict[float, DelayStats] = field(init=False, default_factory=dict)
+    network: dict[float, DelayStats] = field(init=False, default_factory=dict)
 
 
 def fig15(n_reps: int = 200, seed: int = 0) -> Fig15Result:

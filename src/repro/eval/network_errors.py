@@ -16,7 +16,7 @@ import numpy as np
 from repro.datasets.synthetic_ieeg import generate_ieeg
 from repro.network.channel import BitErrorChannel
 from repro.network.packet import Packet, PayloadKind
-from repro.similarity.dtw import dtw_rows
+from repro.similarity.dtw import DTW_BAND, dtw_rows
 from repro.units import WINDOW_SAMPLES
 
 #: BER points on the Fig. 12 x-axis.
@@ -60,7 +60,6 @@ def _quantise(window: np.ndarray) -> np.ndarray:
 def network_errors(
     ber: float,
     n_packets: int = 400,
-    dtw_threshold_band: int = 10,
     seed: int = 0,
 ) -> NetworkErrorResult:
     """Run the Fig. 12 experiment at one BER."""
@@ -83,7 +82,7 @@ def network_errors(
     windows = _signal_windows(n_packets, seed)
     partner = np.roll(windows, 1, axis=0)
     signal_errors = 0
-    clean_costs = dtw_rows(windows, partner, dtw_threshold_band)
+    clean_costs = dtw_rows(windows, partner, DTW_BAND)
     threshold = float(np.median(clean_costs))
     # corrupted payloads that still route, scored in one call after the
     # loop: no channel draw depends on a cost
@@ -108,7 +107,7 @@ def network_errors(
         corrupted.append(payload / 1000.0)
     costs = dtw_rows(
         np.reshape(corrupted, (-1, WINDOW_SAMPLES)), partner[delivered],
-        dtw_threshold_band,
+        DTW_BAND,
     )
     clean_decision = clean_costs[delivered] <= threshold
     dtw_failures = int(np.count_nonzero(clean_decision != (costs <= threshold)))

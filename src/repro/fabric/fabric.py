@@ -96,7 +96,7 @@ class FleetShard(Fleet):
 
     fleet_id: int
     #: responses already folded into fabric counters (harvest cursor)
-    harvested: int = 0
+    harvested: int = field(init=False, default=0)
 
 
 def build_fleet_shard(

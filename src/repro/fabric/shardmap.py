@@ -50,8 +50,8 @@ class ShardMap:
 
     fleet_ids: tuple[int, ...] = (0,)
     seed: int = 0
-    _points: list[int] = field(default_factory=list, repr=False)
-    _owners: list[int] = field(default_factory=list, repr=False)
+    _points: list[int] = field(init=False, repr=False)
+    _owners: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.fleet_ids:

@@ -23,10 +23,10 @@ from repro.hardware.pipeline import Pipeline
 class Fabric:
     """A configurable collection of PE instances and switch connections."""
 
-    pes: dict[str, ProcessingElement] = field(default_factory=dict)
-    graph: DAG[str] = field(default_factory=DAG)
+    pes: dict[str, ProcessingElement] = field(init=False, default_factory=dict)
+    graph: DAG[str] = field(init=False, default_factory=DAG)
 
-    def add_pe(self, name: str, instance_id: str | None = None, **kwargs) -> str:
+    def add_pe(self, name: str, instance_id: str | None = None) -> str:
         """Instantiate catalog PE ``name``; returns the instance id.
 
         Multiple instances of the same PE type (e.g. the ten MAD units in
@@ -37,7 +37,7 @@ class Fabric:
             instance_id = f"{name}.{count}" if count or f"{name}" in self.pes else name
         if instance_id in self.pes:
             raise FabricError(f"duplicate PE instance id {instance_id!r}")
-        self.pes[instance_id] = ProcessingElement(spec=get_pe(name), **kwargs)
+        self.pes[instance_id] = ProcessingElement(get_pe(name))
         self.graph.add_node(instance_id)
         return instance_id
 
@@ -70,9 +70,9 @@ class Fabric:
             pipe.add(self.pes[instance_id])
         return pipe
 
-    def wire_chain(self, name: str, pe_names: list[str], **pe_kwargs) -> Pipeline:
+    def wire_chain(self, name: str, pe_names: list[str]) -> Pipeline:
         """Convenience: instantiate and connect a fresh chain of PEs."""
-        ids = [self.add_pe(pe_name, **pe_kwargs) for pe_name in pe_names]
+        ids = [self.add_pe(pe_name) for pe_name in pe_names]
         for src, dst in zip(ids, ids[1:]):
             self.connect(src, dst)
         return self.pipeline(name, ids)

@@ -10,7 +10,7 @@ catalog figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.hardware.catalog import PESpec
@@ -18,21 +18,19 @@ from repro.hardware.catalog import PESpec
 
 @dataclass
 class ClockDomain:
-    """A pausable per-PE clock running at ``max_freq_mhz / divider``.
+    """A pausable per-PE clock, divisible down from ``max_freq_mhz``.
 
     The divider is realised in hardware as a counter passing through every
     k-th pulse; it costs only microwatts (paper cites QDI constant-time
-    counters) so we ignore its power.
+    counters) so we ignore its power.  The compiled program carries the
+    chosen dividers (``scalo_set_clock_divider``).
     """
 
     max_freq_mhz: float
-    divider: int = 1
 
     def __post_init__(self) -> None:
         if self.max_freq_mhz <= 0:
             raise ConfigurationError("clock max frequency must be positive")
-        if self.divider < 1 or int(self.divider) != self.divider:
-            raise ConfigurationError("clock divider must be a positive integer")
 
     def slowest_divider_for(self, required_freq_mhz: float) -> int:
         """Largest integer divider whose output still meets ``required_freq_mhz``.
@@ -52,14 +50,9 @@ class ClockDomain:
 
 @dataclass
 class ProcessingElement:
-    """A live PE instance: a catalog spec plus a clock-domain configuration."""
+    """A live PE instance of a catalog spec."""
 
     spec: PESpec
-    clock: ClockDomain = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.clock is None:
-            self.clock = ClockDomain(self.spec.max_freq_mhz)
 
     # -- latency ---------------------------------------------------------------
 

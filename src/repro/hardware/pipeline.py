@@ -38,7 +38,7 @@ class Pipeline:
     """An ordered chain of PE stages with a latency roll-up."""
 
     name: str
-    stages: list[PipelineStage] = field(default_factory=list)
+    stages: list[PipelineStage] = field(init=False, default_factory=list)
 
     def add(
         self, pe: ProcessingElement, latency_override_ms: float | None = None

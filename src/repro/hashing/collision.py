@@ -38,7 +38,7 @@ class RecentHashStore:
     """
 
     horizon_ms: float = 100.0
-    _records: list[HashRecord] = field(default_factory=list)
+    _records: list[HashRecord] = field(init=False, default_factory=list)
 
     def add_batch(
         self, time_ms: float, signatures: list[tuple[int, ...]]

@@ -36,8 +36,8 @@ class Call:
 class QueryChain:
     """A full query: ``var name = stream.call1(...).call2(...)``."""
 
-    calls: list[Call] = field(default_factory=list)
-    var_name: str | None = None
+    calls: list[Call] = field(init=False, default_factory=list)
+    var_name: str | None = field(init=False, default=None)
 
     @property
     def call_names(self) -> list[str]:

@@ -76,7 +76,7 @@ class WirelessNetwork:
     tdma: TDMAConfig = field(default_factory=TDMAConfig)
     seed: int = 0
     channel: BitErrorChannel = field(init=False)
-    _receivers: dict[int, Receiver] = field(default_factory=dict)
+    _receivers: dict[int, Receiver] = field(init=False, default_factory=dict)
     #: Injectable observability handle and the medium's only ledger:
     #: bursts, deliveries, drops and airtime are ``network.*`` counters
     #: (retransmissions are the ARQ layer's ``arq.retries``).  The no-op

@@ -142,10 +142,10 @@ def _parse_frame(buf: bytes, offset: int) -> tuple[JournalRecord | None, int]:
 class WriteAheadJournal:
     """The durable log + double-buffered checkpoint of one node."""
 
-    _log: bytearray = field(default_factory=bytearray)
-    _checkpoints: list[bytes] = field(default_factory=lambda: [b"", b""])
-    _active: int = -1  # -1: no checkpoint committed yet
-    records_appended: int = 0
+    _log: bytearray = field(init=False, default_factory=bytearray)
+    _checkpoints: list[bytes] = field(init=False, default_factory=lambda: [b"", b""])
+    _active: int = field(init=False, default=-1)  # -1: no checkpoint committed yet
+    records_appended: int = field(init=False, default=0)
 
     # -- write side ---------------------------------------------------------------
 

@@ -54,10 +54,10 @@ class ResyncReport:
     node: int
     window_lo: int
     window_hi: int
-    peers: list[int] = field(default_factory=list)
-    failed_peers: list[int] = field(default_factory=list)
-    batches_pulled: int = 0
-    batches_pushed: int = 0
+    peers: list[int] = field(init=False, default_factory=list)
+    failed_peers: list[int] = field(init=False, default_factory=list)
+    batches_pulled: int = field(init=False, default=0)
+    batches_pushed: int = field(init=False, default=0)
 
 
 def _deliver(system: "ScaloSystem", packet: Packet) -> bool:

@@ -28,9 +28,9 @@ PAGES_PER_ROUND = 8
 class ScrubReport:
     """What one scrub step (or an aggregate of steps) found."""
 
-    pages_scanned: int = 0
-    bits_corrected: int = 0
-    uncorrectable_pages: int = 0
+    pages_scanned: int = field(init=False, default=0)
+    bits_corrected: int = field(init=False, default=0)
+    uncorrectable_pages: int = field(init=False, default=0)
 
     def merge(self, other: "ScrubReport") -> None:
         self.pages_scanned += other.pages_scanned

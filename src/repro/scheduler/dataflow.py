@@ -63,8 +63,8 @@ class Operator:
 class DataflowGraph:
     """A DAG of operators."""
 
-    graph: DAG[Operator] = field(default_factory=DAG)
-    _next_id: int = 0
+    graph: DAG[Operator] = field(init=False, default_factory=DAG)
+    _next_id: int = field(init=False, default=0)
 
     def add_operator(self, name: str, **params) -> Operator:
         if name not in OPERATOR_PES:

@@ -83,7 +83,9 @@ class AdmissionController:
     bucket_refill_per_s: float = 100.0
     #: pending requests any one client may hold (None = no quota)
     max_pending_per_client: int | None = None
-    _buckets: dict[str, TokenBucket] = field(default_factory=dict, repr=False)
+    _buckets: dict[str, TokenBucket] = field(
+        init=False, default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:

@@ -116,10 +116,10 @@ class CircuitBreaker:
     """
 
     config: BreakerConfig = field(default_factory=BreakerConfig)
-    state: BreakerState = BreakerState.CLOSED
-    consecutive_failures: int = 0
-    opened_at_ms: float = 0.0
-    transitions: list[tuple[float, str, str]] = field(default_factory=list)
+    state: BreakerState = field(init=False, default=BreakerState.CLOSED)
+    consecutive_failures: int = field(init=False, default=0)
+    opened_at_ms: float = field(init=False, default=0.0)
+    transitions: list[tuple[float, str, str]] = field(init=False, default_factory=list)
 
     def _move(self, now_ms: float, to: BreakerState) -> None:
         self.transitions.append((now_ms, self.state.value, to.value))
@@ -167,8 +167,8 @@ class BreakerBoard:
     """The fleet's breakers, one per node, created on first sight."""
 
     config: BreakerConfig = field(default_factory=BreakerConfig)
-    breakers: dict[int, CircuitBreaker] = field(default_factory=dict)
-    _cursors: dict[int, int] = field(default_factory=dict)
+    breakers: dict[int, CircuitBreaker] = field(init=False, default_factory=dict)
+    _cursors: dict[int, int] = field(init=False, default_factory=dict)
 
     def breaker(self, node: int) -> CircuitBreaker:
         breaker = self.breakers.get(node)
@@ -256,10 +256,10 @@ BROWNOUT_RETRY_AFTER_MS = 100.0
 class BrownoutController:
     """Maps (queue pressure, recent deadline misses) to a service tier."""
 
-    _recent_misses: list[bool] = field(default_factory=list)
+    _recent_misses: list[bool] = field(init=False, default_factory=list)
     #: tier transition log, ``(t_ms, old_tier, new_tier)`` — appended by
     #: the server at wave dispatch, consumed by health/export tooling
-    transitions: list[tuple[float, int, int]] = field(default_factory=list)
+    transitions: list[tuple[float, int, int]] = field(init=False, default_factory=list)
 
     def record_completion(self, missed: bool) -> None:
         self._recent_misses.append(missed)

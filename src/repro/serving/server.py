@@ -249,7 +249,7 @@ class QueryServer:
     #: optional :class:`~repro.telemetry.health.recorder.FlightRecorder` fed
     #: breaker/brownout/shed transitions (attached by a HealthEngine;
     #: append-only, so it cannot perturb the response log)
-    recorder: object | None = field(default=None, repr=False)
+    recorder: object | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.cost_model is None:

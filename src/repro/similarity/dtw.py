@@ -24,6 +24,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: The DTW PE's Sakoe-Chiba band (samples) on 120-sample windows: the
+#: one band every DTW comparison uses (Q2 scans, seizure confirmation,
+#: the similarity measure).
+DTW_BAND = 10
+
 
 def dtw_rows(
     windows: np.ndarray, templates: np.ndarray, band: int | None = None

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.similarity.dtw import dtw_rows
+from repro.similarity.dtw import DTW_BAND, dtw_rows
 from repro.similarity.emd import emd_signal, zscore_rows
 from repro.similarity.xcor import max_cross_correlation
 
@@ -73,8 +73,7 @@ def _pairwise(
 
 
 def _dtw_banded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # band 10 on 120-sample windows mirrors the PE's Sakoe-Chiba setting
-    return dtw_rows(a, b, band=10)
+    return dtw_rows(a, b, band=DTW_BAND)
 
 
 def _emd_normalised(a: np.ndarray, b: np.ndarray) -> float:
@@ -89,8 +88,8 @@ def _emd_normalised(a: np.ndarray, b: np.ndarray) -> float:
 
 def _xcor_lagged(a: np.ndarray, b: np.ndarray) -> float:
     # cross-correlation searches lags (propagating activity arrives with a
-    # site-to-site delay); +-10 samples matches the DTW band setting
-    return max_cross_correlation(a, b, max_lag=10)
+    # site-to-site delay); the lag window matches the DTW band
+    return max_cross_correlation(a, b, max_lag=DTW_BAND)
 
 
 MEASURES: dict[str, Measure] = {

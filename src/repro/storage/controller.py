@@ -82,12 +82,15 @@ class StorageController:
     """One node's storage controller plus its NVM device."""
 
     device: NVMDevice = field(default_factory=NVMDevice)
-    table: PartitionTable = field(default=None)  # type: ignore[assignment]
+    table: PartitionTable = field(init=False)
     #: accumulated SC + layout latency (ms) since reset
-    busy_ms: float = 0.0
-    #: injectable observability handle (``storage.*`` metrics); the SC's
-    #: simulated busy time advances the telemetry clock on each access
-    telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
+    busy_ms: float = field(init=False, default=0.0)
+    #: observability handle (``storage.*`` metrics), set by the system
+    #: that owns the node; the SC's simulated busy time advances the
+    #: telemetry clock on each access
+    telemetry: TelemetryLike = field(
+        init=False, default=NULL_TELEMETRY, repr=False
+    )
     #: optional hash family for the hash-on-write signature cache: when
     #: set, every stored window's LSH signature (of the *quantised* int16
     #: samples, i.e. exactly what ``read_window`` returns) is computed at
@@ -111,8 +114,7 @@ class StorageController:
         tel.set_gauge("storage.nvm_energy_nj", energy_nj)
 
     def __post_init__(self) -> None:
-        if self.table is None:
-            self.table = PartitionTable(self.device.capacity_bytes)
+        self.table = PartitionTable(self.device.capacity_bytes)
         self._windows: dict[tuple[int, int], _StoredObject] = {}
         self._signatures: dict[tuple[int, int], tuple[int, ...]] = {}
         self._hashes: dict[int, _StoredObject] = {}

@@ -46,9 +46,9 @@ DEFAULT_CAPACITY_BYTES = 128 * 1024**3
 class NVMStats:
     """Operation counters and accounting for one device."""
 
-    page_reads: int = 0
-    page_writes: int = 0
-    dynamic_energy_nj: float = 0.0
+    page_reads: int = field(init=False, default=0)
+    page_writes: int = field(init=False, default=0)
+    dynamic_energy_nj: float = field(init=False, default=0.0)
 
 
 @dataclass

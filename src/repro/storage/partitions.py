@@ -32,7 +32,8 @@ class Partition:
     name: str
     start_byte: int
     size_bytes: int
-    write_head: int = 0  # bytes written since creation (monotonic)
+    #: bytes written since creation (monotonic)
+    write_head: int = field(init=False, default=0)
 
     def reserve(self, n_bytes: int, count: int) -> tuple[list[int], list[int]]:
         """Reserve ``count`` objects of ``n_bytes`` each, in order.

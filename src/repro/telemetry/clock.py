@@ -10,14 +10,14 @@ start/end stamps.  Two runs of the same seeded scenario therefore produce
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass
 class SimClock:
     """Monotonic simulated time in microseconds."""
 
-    now_us: float = 0.0
+    now_us: float = field(init=False, default=0.0)
 
     def advance_us(self, delta_us: float) -> float:
         """Move time forward; negative deltas are clamped (time is monotonic)."""

@@ -61,17 +61,17 @@ class Anomaly:
 
 @dataclass
 class _SeriesState:
-    mean: float = 0.0
-    var: float = 0.0
-    rounds: int = 0
+    mean: float = field(init=False, default=0.0)
+    var: float = field(init=False, default=0.0)
+    rounds: int = field(init=False, default=0)
 
 
 @dataclass
 class AnomalyDetector:
     """Flags counters whose per-round delta leaves its EWMA band."""
 
-    _series: dict[str, _SeriesState] = field(default_factory=dict)
-    anomalies: list[Anomaly] = field(default_factory=list)
+    _series: dict[str, _SeriesState] = field(init=False, default_factory=dict)
+    anomalies: list[Anomaly] = field(init=False, default_factory=list)
 
     def watches(self, metric: str) -> bool:
         return metric.startswith(PREFIXES)

@@ -31,7 +31,7 @@ MAX_INCIDENTS = 16
 class FlightRecorder:
     """Bounded ring buffer of health evidence + incident bundles."""
 
-    bundles: list[dict] = field(default_factory=list)
+    bundles: list[dict] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         self._ring: deque[dict] = deque(maxlen=CAPACITY)

@@ -55,13 +55,13 @@ class QuantileSketch:
     """
 
     relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY
-    _positive: dict[int, int] = field(default_factory=dict)
-    _negative: dict[int, int] = field(default_factory=dict)
-    zero_count: int = 0
-    count: int = 0
-    total: float = 0.0
-    min_value: float = float("inf")
-    max_value: float = float("-inf")
+    _positive: dict[int, int] = field(init=False, default_factory=dict)
+    _negative: dict[int, int] = field(init=False, default_factory=dict)
+    zero_count: int = field(init=False, default=0)
+    count: int = field(init=False, default=0)
+    total: float = field(init=False, default=0.0)
+    min_value: float = field(init=False, default=float("inf"))
+    max_value: float = field(init=False, default=float("-inf"))
 
     def __post_init__(self) -> None:
         if not 0 < self.relative_accuracy < 1:

@@ -40,7 +40,7 @@ class Span:
     span_id: int
     parent_id: int | None
     start_us: float
-    end_us: float | None = None
+    end_us: float | None = field(init=False, default=None)
     attrs: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -68,7 +68,7 @@ class Tracer:
     """Collects spans against one simulated clock."""
 
     clock: SimClock = field(default_factory=SimClock)
-    spans: list[Span] = field(default_factory=list)
+    spans: list[Span] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         self._stack: list[Span] = []

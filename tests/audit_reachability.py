@@ -72,8 +72,6 @@ KEEP: dict[str, str] = {
     "repro.hashing.lsh.LSHFamily.hash_channels": _TWIN,
     "repro.core.system.ScaloSystem.reschedule": _TWIN,
     # the paper
-    "repro.core.clock_sync.NodeClock.advance":
-        "§3.6: the drift that the daily SNTP pass trims",
     "repro.compression.dictionary.dictionary_encode": _HCOMP,
     "repro.compression.dictionary.dictionary_decode": _HCOMP,
     "repro.compression.dictionary.frequency_dictionary": _HCOMP,

@@ -60,11 +60,6 @@ class TestClockSync:
         assert report.worst_offset_us <= TARGET_PRECISION_US
         assert report.airtime_ms > 0
 
-    def test_drift_accumulates(self):
-        clock = NodeClock(offset_us=0.0, drift_ppm=1.0)
-        clock.advance(3600.0)
-        assert clock.offset_us == pytest.approx(3600.0)
-
     def test_empty_clock_list_rejected(self):
         with pytest.raises(ConfigurationError):
             SNTPSynchroniser().synchronise([])

@@ -93,17 +93,6 @@ class TestProtocolUnderErrors:
         )
         return recording, detector
 
-    def test_total_packet_loss_still_detects_locally(self, scenario):
-        recording, detector = scenario
-        result = SeizurePropagationSimulator(
-            recording, detector, LSHFamily.for_measure("dtw"),
-            dtw_threshold=250.0, packet_loss_rate=0.999, seed=1,
-        ).run()
-        # no confirmations without a network, but detection never stops
-        assert result.hash_rounds_lost == result.hash_broadcasts
-        assert any(result.detections.values())
-        assert not result.confirmations
-
     def test_garbage_hashes_do_not_fabricate_confirmations(self, scenario):
         recording, detector = scenario
         result = SeizurePropagationSimulator(

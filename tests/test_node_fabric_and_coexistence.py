@@ -4,7 +4,8 @@ The scheduler and :class:`~repro.apps.queries.QueryCostModel` decide
 whether a query's power fits beside the seizure flows.
 """
 
-from repro.apps.queries import QueryCostModel, QuerySpec
+from repro.apps.queries import QueryCostModel, QuerySpec, query_data_bytes
+from repro.network.radio import EXTERNAL_RADIO
 from repro.scheduler.ilp import Flow, SchedulerProblem
 from repro.scheduler.model import (
     dtw_similarity_task,
@@ -53,8 +54,10 @@ class TestQueryCoexistence:
     def test_query_uses_the_external_radio_not_the_tdma_medium(self):
         # the intra-SCALO medium stays with the application flows: the
         # query's transmit leg rides the 46 Mbps external radio
-        model = QueryCostModel(n_nodes=11)
-        assert model.external_radio.data_rate_mbps == 46.0
+        cost = QueryCostModel(n_nodes=11).cost(QuerySpec("q3", 110.0, 1.0))
+        total_bytes = query_data_bytes(110.0, 11, ELECTRODES_PER_NODE)
+        assert EXTERNAL_RADIO.data_rate_mbps == 46.0
+        assert cost.transmit_ms == EXTERNAL_RADIO.airtime_ms(8 * total_bytes)
 
     def test_dtw_query_would_not_coexist(self):
         """The §6.4 point of hash-based querying: an exact-DTW Q2 needs

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.queries import (
-    DTW_BAND,
     TEMPLATE_MEMO_SIZE,
     QueryEngine,
     QuerySpec,
@@ -31,6 +30,7 @@ from repro.hashing.lsh import (
     LSHConfig,
     LSHFamily,
 )
+from repro.similarity.dtw import DTW_BAND
 from repro.storage.controller import StorageController
 from repro.storage.nvm import PAGE_BYTES, NVMDevice
 from tests import minhash_oracle

@@ -23,15 +23,18 @@ a method counts as named when any attribute of that name is read;
 matches by name.  :data:`UNNAMED_ALLOWED` lists the few kept although
 only tests call them.
 
-Config fields: every constructor field of a config dataclass under
-``src/repro`` (a ``*Config`` or ``*Policy`` class, ``StormLevel``, or
-one of the fault, recovery and telemetry components in
-:data:`COMPONENT_CLASSES`) is *set* in ``src/``, ``examples/``,
-``bench/`` or ``benchmarks/``.  A field no real run sets is a module
-constant instead, so tests and benchmarks never cover values that
-nothing runs.  State fields are ``field(init=False)``, which no caller
-can set, and are skipped.  :data:`CONFIG_FIELDS_ALLOWED` lists the few
-kept settable anyway.
+Config fields: every constructor field of every dataclass under
+``src/repro`` (inherited ones included) is *set* in ``src/``,
+``examples/``, ``bench/`` or ``benchmarks/``: by keyword or position in
+a call of the class (``cls(...)`` in its own body included), by a
+``**`` spread, or through ``dataclasses.replace``.  No list of classes
+is kept by hand, so a new dataclass is checked the day it lands.  A
+field no real run sets is a module constant instead, so tests and
+benchmarks never cover values that nothing runs.  State that code
+writes after construction is ``field(init=False)``, which no caller can
+set, and is skipped.  :data:`CONFIG_FIELDS_ALLOWED` lists the few kept
+settable anyway.  :func:`test_static_fields_match_runtime` checks the
+static view of each class against ``dataclasses.fields``.
 
 Augmented attributes: every attribute ``src/repro`` augments (``x.attr
 += ...``) is *read* in ``src/``, ``examples/``, ``bench/`` or
@@ -43,9 +46,14 @@ ledger at all.  :data:`WRITE_ONLY_ALLOWED` lists the few kept anyway.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import repro
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -87,17 +95,6 @@ UNNAMED_ALLOWED = {
 }
 
 
-#: Component dataclasses whose constructor fields are knobs too.
-COMPONENT_CLASSES = (
-    "HealthMonitor", "FleetBelief", "FaultInjector", "Scrubber",
-    "FleetScrubber", "FailoverManager", "NVMDevice", "MetricsRegistry",
-    "QueryEngine", "SNTPSynchroniser", "ScaloNode", "ScaloSystem",
-)
-#: Config dataclasses: the classes whose fields are knobs.
-CONFIG_CLASS = re.compile(
-    r"\w*(Config|Policy)|StormLevel|" + "|".join(COMPONENT_CLASSES)
-)
-
 #: Config fields that no file outside ``tests/`` sets, each with why it
 #: stays settable.  The list only shrinks: an entry that is no longer a
 #: field, or that a file outside ``tests/`` now sets, fails
@@ -111,17 +108,25 @@ CONFIG_FIELDS_ALLOWED = {
         "parsed in place from the program's scalo_set_comm lines (§3.7)",
     "repro.network.tdma.TDMAConfig.guard_ms":
         "§3.6: the slot guard microsecond clock sync allows, beside the radio",
+    "repro.apps.stimulation.StimulationProtocol.amplitude_ua":
+        "safety input: the per-phase charge check_safety holds to the "
+        "Shannon limit (§2.1)",
+    "repro.apps.stimulation.StimulationProtocol.phase_us":
+        "safety input: the per-phase charge check_safety holds to the "
+        "Shannon limit, and the no-overlap charge-balance check",
+    "repro.apps.stimulation.StimulationProtocol.frequency_hz":
+        "safety input: the no-overlap charge-balance check rejects a "
+        "pulse rate whose phases would overlap",
+    "repro.apps.stimulation.StimulationProtocol.train_ms":
+        "safety input: the positivity check, and the DAC energy a logged "
+        "train costs",
 }
 
 #: Augmented attributes that no file outside ``tests/`` reads, each with
 #: why it stays.  The list only shrinks: an entry that is no longer
 #: augmented, or that a file outside ``tests/`` now reads, fails
 #: :func:`test_write_only_allow_list_is_current`.
-WRITE_ONLY_ALLOWED = {
-    "repro.apps.seizure.SimulationResult.hash_rounds_lost":
-        "a field of the result run() returns: detections whose hash "
-        "round the radio lost, so they stayed local (§6.6)",
-}
+WRITE_ONLY_ALLOWED: dict[str, str] = {}
 
 
 @functools.cache
@@ -305,45 +310,72 @@ def _init_false(value: ast.expr | None) -> bool:
     )
 
 
-def config_fields() -> dict[str, tuple[str, list[str]]]:
-    """Class name -> (module, constructor fields in declaration order)
-    of every config dataclass under ``src/repro``."""
-    found: dict[str, tuple[str, list[str]]] = {}
+def _is_dataclass(node: ast.stmt) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        "dataclass" in ast.unparse(d) for d in node.decorator_list
+    )
+
+
+@functools.cache
+def config_fields() -> dict[str, tuple[str, list[str], list[str]]]:
+    """Class name -> (module, constructor fields, inherited constructor
+    fields) of every dataclass under ``src/repro``.  Fields come in the
+    order ``dataclasses.fields`` gives: a base class's first, an
+    overridden one in its base's place."""
+    classes: dict[str, tuple[str, ast.ClassDef]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         for node in _tree(path).body:
-            if not (
-                isinstance(node, ast.ClassDef)
-                and CONFIG_CLASS.fullmatch(node.name)
-                and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
-            ):
-                continue
-            assert node.name not in found, f"two config classes {node.name}"
-            found[node.name] = (
-                _module_name(path),
-                [
-                    sub.target.id
-                    for sub in node.body
-                    if isinstance(sub, ast.AnnAssign)
-                    and isinstance(sub.target, ast.Name)
-                    and not _init_false(sub.value)
-                ],
-            )
+            if _is_dataclass(node):
+                assert node.name not in classes, f"two dataclasses {node.name}"
+                classes[node.name] = (_module_name(path), node)
+
+    def bases(node: ast.ClassDef) -> list[str]:
+        """The dataclass bases whose fields ``node`` inherits, last
+        first (the order ``dataclasses`` collects them)."""
+        return [
+            base.id
+            for base in reversed(node.bases)
+            if isinstance(base, ast.Name) and base.id in classes
+        ]
+
+    @functools.cache
+    def init_flags(name: str) -> dict[str, bool]:
+        node = classes[name][1]
+        flags: dict[str, bool] = {}
+        for base in bases(node):
+            flags.update(init_flags(base))
+        for sub in node.body:
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                flags[sub.target.id] = not _init_false(sub.value)
+        return flags
+
+    found = {}
+    for name, (module, node) in classes.items():
+        flags = init_flags(name)
+        inherited = {field for base in bases(node) for field in init_flags(base)}
+        fields = [field for field, init in flags.items() if init]
+        found[name] = (
+            module, fields, [field for field in fields if field in inherited]
+        )
     return found
 
 
 def config_field_names() -> set[str]:
-    """``module.Class.field`` of every config field."""
+    """``module.Class.field`` of every constructor field of a dataclass
+    under ``src/repro``."""
     return {
         f"{module}.{cls}.{field}"
-        for cls, (module, fields) in config_fields().items()
+        for cls, (module, fields, _) in config_fields().items()
         for field in fields
     }
 
 
-def _keywords(call: ast.Call, dicts: dict[str, ast.Dict]) -> list[str]:
+def _keywords(call: ast.Call, dicts: dict[str, ast.Dict]) -> tuple[list[str], bool]:
     """The names a call passes by keyword, including the keys of a
-    literal dict passed as ``**``, inline or bound to a name."""
+    literal dict passed as ``**``, inline or bound to a name; and
+    whether it also spreads a mapping whose keys are not literal."""
     names = []
+    opaque = False
     for keyword in call.keywords:
         if keyword.arg is not None:
             names.append(keyword.arg)
@@ -355,20 +387,39 @@ def _keywords(call: ast.Call, dicts: dict[str, ast.Dict]) -> list[str]:
             names.extend(
                 key.value for key in spread.keys if isinstance(key, ast.Constant)
             )
-    return names
+        else:
+            opaque = True
+    return names, opaque
+
+
+def _calls(tree: ast.AST, owner: str | None = None):
+    """``(class name, call)`` for every call in ``tree``: the callee's
+    bare name, or the enclosing class's for a ``cls(...)`` call."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "id", getattr(child.func, "attr", None))
+            yield (owner if name == "cls" else name), child
+        yield from _calls(
+            child, child.name if isinstance(child, ast.ClassDef) else owner
+        )
 
 
 def fields_set_outside_tests() -> set[str]:
-    """``module.Class.field`` of every config field a file outside
-    ``tests/`` sets: by keyword or position in a call of the class, or
-    through ``dataclasses.replace``.  A ``replace`` call counts for each
-    config class the file names whose fields include every keyword the
-    call passes (``replace`` raises on any other class)."""
+    """``module.Class.field`` of every dataclass field a file outside
+    ``tests/`` sets: by keyword or position in a call of the class
+    (``cls(...)`` in the class's own body included), or through
+    ``dataclasses.replace``.  A ``**`` spread of a mapping whose keys
+    are not literal sets the fields the class inherits, the one shape
+    such a spread takes (``FleetShard(**vars(fleet), ...)``).  A
+    ``replace`` call counts for each dataclass the file names whose
+    fields include every keyword the call passes (``replace`` raises on
+    any other class)."""
     classes = config_fields()
     found: set[str] = set()
     for folder in NAMING_ROOTS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            nodes = list(ast.walk(_tree(path)))
+            tree = _tree(path)
+            nodes = list(ast.walk(tree))
             dicts = {
                 target.id: node.value
                 for node in nodes
@@ -383,21 +434,19 @@ def fields_set_outside_tests() -> set[str]:
                 for node in nodes
                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
             }
-            for call in nodes:
-                if not isinstance(call, ast.Call):
-                    continue
-                name = getattr(call.func, "id", getattr(call.func, "attr", None))
-                keywords = _keywords(call, dicts)
+            for name, call in _calls(tree):
+                keywords, opaque = _keywords(call, dicts)
                 if name in classes:
-                    module, fields = classes[name]
+                    module, fields, inherited = classes[name]
+                    spread = inherited if opaque else []
                     found.update(
                         f"{module}.{name}.{field}"
-                        for field in fields[: len(call.args)] + keywords
+                        for field in fields[: len(call.args)] + keywords + spread
                     )
                 elif name == "replace" and keywords:
                     found.update(
                         f"{module}.{cls}.{field}"
-                        for cls, (module, fields) in classes.items()
+                        for cls, (module, fields, _) in classes.items()
                         if cls in named and set(keywords) <= set(fields)
                         for field in keywords
                     )
@@ -407,6 +456,32 @@ def fields_set_outside_tests() -> set[str]:
 def test_every_config_field_is_set_outside_tests():
     unset = config_field_names() - fields_set_outside_tests()
     assert sorted(unset - set(CONFIG_FIELDS_ALLOWED)) == []
+
+
+def test_static_fields_match_runtime():
+    """The static view of every dataclass is what ``dataclasses.fields``
+    reports once its module is imported (``repro.__main__`` is not
+    imported: it parses ``sys.argv``)."""
+    runtime = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        for cls in vars(importlib.import_module(info.name)).values():
+            if (
+                isinstance(cls, type)
+                and dataclasses.is_dataclass(cls)
+                and cls.__module__ == info.name
+            ):
+                runtime[cls.__name__] = (
+                    info.name,
+                    [field.name for field in dataclasses.fields(cls) if field.init],
+                )
+    static = {
+        name: (module, fields)
+        for name, (module, fields, _) in config_fields().items()
+        if module != "repro.__main__"
+    }
+    assert runtime == static
 
 
 def test_config_allow_list_is_current():

@@ -9,7 +9,7 @@ int16-exact rows, so a cached signature is always the hash of what
 ``read_window`` returns.
 """
 
-import dataclasses
+import copy
 from unittest import mock
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.storage.controller import (
     StorageController,
 )
 from repro.storage.nvm import BLOCK_BYTES, PAGE_BYTES, NVMDevice
-from repro.storage.partitions import PartitionTable
+from repro.storage.partitions import DEFAULT_FRACTIONS
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.units import WINDOW_SAMPLES
 from tests.minhash_oracle import oracle_hash_window
@@ -93,12 +93,14 @@ def _outcome(call):
 
 
 def _controller(live: bool = True) -> StorageController:
-    return StorageController(
-        device=NVMDevice(capacity_bytes=SMALL_CAPACITY),
-        table=PartitionTable(SMALL_CAPACITY, fractions=dict(SMALL_FRACTIONS)),
-        telemetry=Telemetry() if live else NULL_TELEMETRY,
-        lsh=LSH,
-    )
+    # the controller lays out its own table from the default split, which
+    # the four-block device only fits split evenly
+    with mock.patch.dict(DEFAULT_FRACTIONS, SMALL_FRACTIONS):
+        controller = StorageController(
+            device=NVMDevice(capacity_bytes=SMALL_CAPACITY), lsh=LSH
+        )
+    controller.telemetry = Telemetry() if live else NULL_TELEMETRY
+    return controller
 
 
 #: each batched entry point and its per-window reference
@@ -571,7 +573,7 @@ class TestReadWindows:
     def test_empty_books_nothing_on_a_live_handle(self, controller):
         tel = controller.telemetry = Telemetry()
         controller.read_windows([(0, 0), (3, 2)])
-        stats = dataclasses.replace(controller.device.stats)
+        stats = copy.copy(controller.device.stats)
         busy, now_us = controller.busy_ms, tel.clock.now_us
         snapshot = tel.snapshot()
         with mock.patch.object(NVMDevice, "read_spans") as reader:
