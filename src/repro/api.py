@@ -21,8 +21,9 @@ many independent fleets behind one tenant-aware serving plane,
 fleet with partial-coverage merge, and :func:`fabric_session` drives a
 multi-tenant load through the whole fabric.
 
-Every facade query function checks its ``window_range`` the same way:
-``0 <= start < stop`` or :class:`~repro.errors.ConfigurationError`.
+:func:`run_query` checks its ``window_range``: ``0 <= start < stop`` or
+:class:`~repro.errors.ConfigurationError`.  The fabric queries cover
+each fleet's full ingested range.
 
 The deprecation policy covers exactly ``__all__``: the seven entry
 points and the types their signatures take, return or raise.  Every
@@ -82,7 +83,6 @@ def build_system(
     n_nodes: int = 4,
     electrodes_per_node: int = 8,
     *,
-    measure: str = "dtw",
     seed: int = 0,
     telemetry: TelemetryLike = NULL_TELEMETRY,
 ) -> ScaloSystem:
@@ -91,8 +91,6 @@ def build_system(
     Args:
         n_nodes: implant count.
         electrodes_per_node: electrodes per implant.
-        measure: similarity measure the shared LSH approximates
-            (``dtw`` | ``euclidean`` | ``xcor`` | ``emd``).
         seed: fleet-wide seed (network jitter, clock offsets).
         telemetry: optional live :class:`~repro.telemetry.Telemetry`
             handle; metrics and spans from every layer land on it.
@@ -100,7 +98,6 @@ def build_system(
     return ScaloSystem(
         n_nodes=n_nodes,
         electrodes_per_node=electrodes_per_node,
-        lsh_measure=measure,
         seed=seed,
         telemetry=telemetry,
     )
@@ -140,8 +137,11 @@ def run_query(
         rows plus degraded/coverage accounting for dead nodes.
     """
     spec = _resolve_spec(kind, window_range, time_range_ms, use_hash=use_hash)
-    run = system.query_distributed if distributed else system.query
-    return run(
+    if distributed:
+        return system.query_distributed(
+            spec, window_range, template=template, seizure_flags=seizure_flags
+        )
+    return system.query(
         spec, window_range, template=template, seizure_flags=seizure_flags
     )
 
@@ -150,10 +150,6 @@ def build_fabric(
     n_fleets: int = 4,
     nodes_per_fleet: int = 4,
     seed: int = 0,
-    *,
-    electrodes: int = 8,
-    n_windows: int = 4,
-    telemetry: TelemetryLike = NULL_TELEMETRY,
 ) -> FleetFabric:
     """Assemble a multi-tenant :class:`~repro.fabric.fabric.FleetFabric`.
 
@@ -166,19 +162,14 @@ def build_fabric(
         n_fleets: fleets (patient sites) in the fabric.
         nodes_per_fleet: implant count per fleet.
         seed: fabric seed; fleet ``i`` runs at ``seed + i``.
-        electrodes: electrodes per implant.
-        n_windows: pre-ingested windows per fleet.
-        telemetry: optional shared :class:`~repro.telemetry.Telemetry`
-            handle (per-tenant ``fabric.*`` counters land on it).
+
+    Each implant has :class:`~repro.fabric.fabric.FabricConfig`'s
+    electrode count and pre-ingested window count.
     """
     config = FabricConfig(
-        n_fleets=n_fleets,
-        nodes_per_fleet=nodes_per_fleet,
-        electrodes=electrodes,
-        n_windows=n_windows,
-        seed=seed,
+        n_fleets=n_fleets, nodes_per_fleet=nodes_per_fleet, seed=seed
     )
-    return FleetFabric(config=config, telemetry=telemetry)
+    return FleetFabric(config=config)
 
 
 def _resolve_spec(
@@ -212,15 +203,7 @@ def _resolve_spec(
 
 
 def run_fleet_query(
-    fabric: FleetFabric,
-    tenant: str,
-    kind: str | QuerySpec,
-    window_range: tuple[int, int] | None = None,
-    *,
-    template: np.ndarray | None = None,
-    deadline_ms: float | None = None,
-    min_coverage: float | None = None,
-    time_range_ms: float | None = None,
+    fabric: FleetFabric, tenant: str, kind: str | QuerySpec
 ) -> QueryResponse:
     """Run one tenant query through its owning fleet's serving plane.
 
@@ -228,18 +211,10 @@ def run_fleet_query(
     raises :class:`~repro.errors.QueryRejected` with the fleet's
     reason), dispatches, and returns the tenant's
     :class:`~repro.serving.server.QueryResponse`.  ``kind`` is a query kind
-    string or a pre-built :class:`QuerySpec`; ``window_range`` defaults
-    to the fleet's full ingested range.
+    string or a pre-built :class:`QuerySpec`; the query covers the
+    fleet's full ingested range.
     """
-    spec = _resolve_spec(kind, window_range, time_range_ms)
-    fleet_id, request_id = fabric.submit(
-        tenant,
-        spec,
-        window_range=window_range,
-        template=template,
-        deadline_ms=deadline_ms,
-        min_coverage=min_coverage,
-    )
+    fleet_id, request_id = fabric.submit(tenant, _resolve_spec(kind, None, None))
     shard = fabric.shards[fleet_id]
     shard.server.drain()
     return next(
@@ -252,26 +227,20 @@ def run_fleet_query(
 def run_population_query(
     fabric: FleetFabric,
     kind: str | QuerySpec,
-    window_range: tuple[int, int] | None = None,
     *,
     template: np.ndarray | None = None,
     min_coverage: float = 0.0,
-    fleets: tuple[int, ...] | None = None,
-    time_range_ms: float | None = None,
 ) -> PopulationResult:
     """Scatter one query across fleets, gather with coverage merge.
 
     The cross-fleet entry point: submits through every targeted fleet's
     serving plane concurrently and merges with node-weighted partial
     coverage (a shed or degraded fleet lowers ``coverage`` instead of
-    failing the query — gate on ``result.sla_met``).  ``window_range``
-    defaults to each fleet's full ingested range.
+    failing the query — gate on ``result.sla_met``).  The query covers
+    each fleet's full ingested range.
     """
-    spec = _resolve_spec(kind, window_range, time_range_ms)
     return fabric.population_query(
-        spec,
-        window_range=window_range,
+        _resolve_spec(kind, None, None),
         template=template,
         min_coverage=min_coverage,
-        fleets=fleets,
     )

@@ -26,6 +26,11 @@ from repro.decoders.svm import LinearSVM, distributed_predict, train_linear_svm
 from repro.errors import ConfigurationError
 from repro.signal.features import spike_band_power_multichannel
 
+#: Raw samples per electrode per step, the window the SBP PE reads.
+STEP_WINDOW_SAMPLES = 150
+#: Amplitude of the untuned noise added to every raw window.
+TUNING_NOISE = 0.05
+
 
 @dataclass
 class MovementSession:
@@ -85,8 +90,6 @@ def generate_movement_session(
     n_nodes: int = 4,
     electrodes_per_node: int = 24,
     n_steps: int = 400,
-    window_samples: int = 150,
-    tuning_noise: float = 0.05,
     seed: int = 0,
 ) -> MovementSession:
     """Generate one session of smooth 2-D reaching movements.
@@ -145,8 +148,10 @@ def generate_movement_session(
     features = np.zeros((n_steps, n_electrodes))
     for t in range(n_steps):
         drive = baseline + np.maximum(tuning @ states[t], 0.0)
-        raw = drive[:, None] * rng.standard_normal((n_electrodes, window_samples))
-        raw += tuning_noise * rng.standard_normal(raw.shape)
+        raw = drive[:, None] * rng.standard_normal(
+            (n_electrodes, STEP_WINDOW_SAMPLES)
+        )
+        raw += TUNING_NOISE * rng.standard_normal(raw.shape)
         features[t] = spike_band_power_multichannel(raw)
 
     return MovementSession(states, features, labels, n_nodes, electrodes_per_node)

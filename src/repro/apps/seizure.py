@@ -23,11 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.node import HASH_HORIZON_MS
 from repro.datasets.synthetic_ieeg import SyntheticIEEG
 from repro.errors import ConfigurationError
 from repro.decoders.svm import LinearSVM, train_linear_svm
-from repro.hashing.collision import CollisionChecker, RecentHashStore
+from repro.hashing.collision import (
+    HASH_HORIZON_MS,
+    CollisionChecker,
+    RecentHashStore,
+)
 from repro.hashing.lsh import LSHFamily
 from repro.similarity.dtw import DTW_BAND, dtw_rows
 from repro.units import WINDOW_SAMPLES
@@ -80,7 +83,6 @@ class SeizureDetector:
 
 def train_detector_from_recording(
     recording: SyntheticIEEG,
-    window_samples: int = WINDOW_SAMPLES,
     max_windows_per_node: int = 400,
     seed: int = 0,
 ) -> SeizureDetector:
@@ -88,15 +90,15 @@ def train_detector_from_recording(
     rng = np.random.default_rng(seed)
     all_windows = []
     all_labels = []
-    n_windows = recording.n_samples // window_samples
+    n_windows = recording.n_samples // WINDOW_SAMPLES
     for node in range(recording.n_nodes):
-        labels = recording.window_labels(window_samples, node)
+        labels = recording.window_labels(WINDOW_SAMPLES, node)
         pick = rng.permutation(n_windows)[:max_windows_per_node]
         for w in pick:
             electrode = int(rng.integers(recording.n_electrodes))
-            start = w * window_samples
+            start = w * WINDOW_SAMPLES
             all_windows.append(
-                recording.data[node, electrode, start : start + window_samples]
+                recording.data[node, electrode, start : start + WINDOW_SAMPLES]
             )
             all_labels.append(labels[w])
     return SeizureDetector.train(
@@ -161,7 +163,7 @@ class SeizurePropagationSimulator:
             n_windows = min(n_windows, max_windows)
         window_ms = WINDOW_SAMPLES * 1e3 / rec.fs_hz
 
-        stores = [RecentHashStore(HASH_HORIZON_MS) for _ in range(rec.n_nodes)]
+        stores = [RecentHashStore() for _ in range(rec.n_nodes)]
         checker = CollisionChecker(self.lsh.config.min_matching)
         result = SimulationResult(
             detections={node: [] for node in range(rec.n_nodes)}

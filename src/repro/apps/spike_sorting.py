@@ -16,22 +16,19 @@ import numpy as np
 from repro.datasets.spikes import SPIKE_SAMPLES, SpikeDataset
 from repro.errors import ConfigurationError
 from repro.hashing.emd_hash import EMDHash
-from repro.signal.features import adaptive_threshold, nonlinear_energy, threshold_crossings
+from repro.signal.features import (
+    REFRACTORY_SAMPLES,
+    adaptive_threshold,
+    nonlinear_energy,
+    threshold_crossings,
+)
 from repro.similarity.emd import emd_rows
 
 
 #: Boxcar width for NEO smoothing before thresholding (samples).
 NEO_SMOOTH_SAMPLES = 6
 
-#: Detection threshold: smoothed NEO energy above this many MAD-based
-#: noise sigmas.
-THRESHOLD_K_SIGMA = 10.0
-
-
-def detect_spikes(
-    data: np.ndarray,
-    refractory: int = 3 * SPIKE_SAMPLES // 4,
-) -> np.ndarray:
+def detect_spikes(data: np.ndarray) -> np.ndarray:
     """Detect spike onsets across channels with smoothed NEO + threshold.
 
     Returns sorted, deduplicated sample indexes (the start of each
@@ -44,13 +41,13 @@ def detect_spikes(
     detections: list[int] = []
     for channel in data:
         energy = np.convolve(nonlinear_energy(channel), boxcar, mode="same")
-        threshold = adaptive_threshold(energy, k=THRESHOLD_K_SIGMA)
-        crossings = threshold_crossings(energy, threshold, refractory)
+        threshold = adaptive_threshold(energy)
+        crossings = threshold_crossings(energy, threshold)
         detections.extend(int(c) for c in crossings)
     detections.sort()
     merged: list[int] = []
     for t in detections:
-        if merged and t - merged[-1] <= refractory:
+        if merged and t - merged[-1] <= REFRACTORY_SAMPLES:
             continue
         merged.append(t)
     # back up so the trough sits inside the snippet
@@ -201,11 +198,7 @@ class SpikeSorter:
         return SortingResult(times, assignments, comparisons, method)
 
 
-def sorting_accuracy(
-    dataset: SpikeDataset,
-    result: SortingResult,
-    tolerance: int = 3 * SPIKE_SAMPLES // 4,
-) -> float:
+def sorting_accuracy(dataset: SpikeDataset, result: SortingResult) -> float:
     """Fraction of *matched* detections assigned the right neuron.
 
     A detection matches the nearest ground-truth spike within the
@@ -225,17 +218,13 @@ def sorting_accuracy(
                 dist = abs(int(truth_times[j]) - int(t))
                 if best is None or dist < best[0]:
                     best = (dist, j)
-        if best is not None and best[0] <= tolerance:
+        if best is not None and best[0] <= REFRACTORY_SAMPLES:
             if dataset.spike_labels[best[1]] == neuron:
                 correct += 1
     return correct / result.n_sorted
 
 
-def detection_recall(
-    dataset: SpikeDataset,
-    result: SortingResult,
-    tolerance: int = 3 * SPIKE_SAMPLES // 4,
-) -> float:
+def detection_recall(dataset: SpikeDataset, result: SortingResult) -> float:
     """Fraction of ground-truth spikes with a nearby detection."""
     if dataset.n_spikes == 0:
         return 1.0
@@ -246,7 +235,7 @@ def detection_recall(
         for j in (idx - 1, idx):
             if 0 <= j < detected_times.shape[0] and abs(
                 int(detected_times[j]) - int(t)
-            ) <= tolerance:
+            ) <= REFRACTORY_SAMPLES:
                 found += 1
                 break
     return found / dataset.n_spikes

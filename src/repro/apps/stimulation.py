@@ -63,10 +63,11 @@ class StimulationProtocol:
         """Charge per phase (uC) — balanced by the opposite phase."""
         return self.amplitude_ua * self.phase_us * 1e-6
 
-    def shannon_k(self, electrode_area_cm2: float = ELECTRODE_AREA_CM2) -> float:
-        """The Shannon parameter k for this protocol."""
+    def shannon_k(self) -> float:
+        """The Shannon parameter k for this protocol on an electrode of
+        :data:`ELECTRODE_AREA_CM2`."""
         charge = self.charge_per_phase_uc
-        density = charge / electrode_area_cm2
+        density = charge / ELECTRODE_AREA_CM2
         return float(np.log10(charge) + np.log10(density))
 
 
@@ -74,12 +75,9 @@ class StimulationProtocol:
 DEFAULT_PROTOCOL = StimulationProtocol()
 
 
-def check_safety(
-    protocol: StimulationProtocol,
-    electrode_area_cm2: float = ELECTRODE_AREA_CM2,
-) -> bool:
+def check_safety(protocol: StimulationProtocol) -> bool:
     """True when the protocol sits below the Shannon damage threshold."""
-    return protocol.shannon_k(electrode_area_cm2) <= SHANNON_K_LIMIT
+    return protocol.shannon_k() <= SHANNON_K_LIMIT
 
 
 @dataclass(frozen=True)
@@ -138,12 +136,12 @@ def stimulate_from_confirmations(
     confirmations,
     stimulators: dict[int, Stimulator],
     window_ms: float,
-    electrode: int = 0,
 ) -> list[StimulationEvent]:
     """Drive stimulators from seizure-propagation confirmations.
 
-    Each confirmed propagation triggers a train at the confirming node
-    (the site anticipating spread), subject to safety and refractory.
+    Each confirmed propagation triggers a train on electrode 0 of the
+    confirming node (the site anticipating spread), subject to safety
+    and refractory.
     """
     executed = []
     for event in confirmations:
@@ -152,9 +150,7 @@ def stimulate_from_confirmations(
             raise ConfigurationError(
                 f"no stimulator for node {event.confirming_node}"
             )
-        result = stimulator.stimulate(
-            electrode, event.window_index * window_ms
-        )
+        result = stimulator.stimulate(0, event.window_index * window_ms)
         if result is not None:
             executed.append(result)
     return executed

@@ -25,7 +25,7 @@ from repro.compression.range_coder import rc_compress, rc_decompress
 from repro.crypto.aes import AES128
 from repro.errors import ConfigurationError
 from repro.network.packet import MAX_PAYLOAD_BYTES, Packet, PayloadKind
-from repro.network.radio import EXTERNAL_RADIO, RadioSpec
+from repro.network.radio import EXTERNAL_RADIO
 from repro.units import ELECTRODE_RATE_BPS
 
 #: Source id the offload packets carry: the one implant that streams out.
@@ -128,11 +128,7 @@ class TelemetryReceiver:
         return np.frombuffer(raw, dtype="<i2").astype(np.int64)
 
 
-def offload_budget(
-    compression_ratio: float,
-    radio: RadioSpec | None = None,
-    electrode_rate_bps: float = ELECTRODE_RATE_BPS,
-) -> float:
+def offload_budget(compression_ratio: float) -> float:
     """Electrodes whose raw stream the external radio sustains.
 
     HALO's headline 46 Mbps interfacing rate is exactly this quantity at
@@ -140,5 +136,7 @@ def offload_budget(
     """
     if compression_ratio <= 0:
         raise ConfigurationError("compression ratio must be positive")
-    radio = radio if radio is not None else EXTERNAL_RADIO
-    return radio.data_rate_mbps * 1e6 * compression_ratio / electrode_rate_bps
+    return (
+        EXTERNAL_RADIO.data_rate_mbps * 1e6 * compression_ratio
+        / ELECTRODE_RATE_BPS
+    )

@@ -20,6 +20,8 @@ _BOTTOM = 1 << 16
 
 #: Halve all frequencies when a context's total reaches this (adaptivity).
 _MAX_TOTAL = _BOTTOM - 256
+#: What one coded symbol adds to its context's frequency.
+_INCREMENT = 32
 
 
 class _Model:
@@ -39,9 +41,9 @@ class _Model:
             self._contexts[key] = table
         return table
 
-    def update(self, context: int, symbol: int, increment: int = 32) -> None:
+    def update(self, context: int, symbol: int) -> None:
         table = self.frequencies(context)
-        table[symbol] += increment
+        table[symbol] += _INCREMENT
         if sum(table) >= _MAX_TOTAL:
             for i in range(256):
                 table[i] = (table[i] + 1) >> 1

@@ -62,9 +62,10 @@ class SNTPSynchroniser:
     tdma: TDMAConfig = field(default_factory=TDMAConfig)
     seed: int = 0
 
-    def synchronise(self, clocks: list[NodeClock], server_index: int = 0
-                    ) -> SyncReport:
+    def synchronise(self, clocks: list[NodeClock]) -> SyncReport:
         """Iterate offset exchanges until all clients are within target.
+
+        The first clock is the server; every other one is a client.
 
         The classic SNTP estimate cancels the symmetric part of the path
         delay; the residual error per round is the delay *asymmetry*
@@ -72,18 +73,14 @@ class SNTPSynchroniser:
         """
         if not clocks:
             raise ConfigurationError("no clocks to synchronise")
-        if not 0 <= server_index < len(clocks):
-            raise ConfigurationError("bad server index")
         rng = np.random.default_rng(self.seed)
-        server = clocks[server_index]
+        server = clocks[0]
         message_ms = 2 * self.tdma.slot_ms(SNTP_PAYLOAD_BYTES)
 
         airtime_ms = 0.0
         for round_index in range(1, MAX_SYNC_ROUNDS + 1):
             done = True
-            for i, clock in enumerate(clocks):
-                if i == server_index:
-                    continue
+            for clock in clocks[1:]:
                 airtime_ms += message_ms
                 asymmetry = rng.normal(0.0, SYNC_JITTER_US / 2)
                 measured_offset = (clock.offset_us - server.offset_us) + asymmetry

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hashing.collision import CollisionChecker, HashRecord, RecentHashStore
+from repro.hashing.collision import (
+    HASH_HORIZON_MS,
+    CollisionChecker,
+    HashRecord,
+    RecentHashStore,
+)
 from repro.hashing.lsh import LSHFamily
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
@@ -21,10 +26,6 @@ from repro.units import ELECTRODES_PER_NODE, WINDOW_SAMPLES
 
 #: Functional NVM per implant, scaled down from the paper's 128 GB.
 NVM_CAPACITY_BYTES = 256 * 1024 * 1024
-
-#: Collision-check horizon (ms): recent hashes older than four horizons
-#: are evicted.
-HASH_HORIZON_MS = 100.0
 
 
 @dataclass
@@ -42,7 +43,7 @@ class ScaloNode:
             device=NVMDevice(capacity_bytes=NVM_CAPACITY_BYTES),
             lsh=self.lsh,
         )
-        self.hash_store = RecentHashStore(HASH_HORIZON_MS)
+        self.hash_store = RecentHashStore()
         self.checker = CollisionChecker(self.lsh.config.min_matching)
         self._window_index = 0
 
@@ -113,7 +114,7 @@ class ScaloNode:
         the journal survive for :meth:`recover` to replay.
         """
         self._window_index = 0
-        self.hash_store = RecentHashStore(HASH_HORIZON_MS)
+        self.hash_store = RecentHashStore()
         self.storage.lose_sram()
 
     def recover(self):
@@ -151,6 +152,3 @@ class ScaloNode:
         """CCHECK: match received hashes against the recent local store."""
         local = self.hash_store.recent(self.now_ms)
         return self.checker.check(signatures, local)
-
-    def read_window(self, electrode: int, window_index: int) -> np.ndarray:
-        return self.storage.read_window(electrode, window_index)

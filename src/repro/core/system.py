@@ -23,6 +23,9 @@ from repro.network.tdma import TDMAConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
 from repro.units import ELECTRODES_PER_NODE, NODE_POWER_CAP_MW
 
+#: the similarity measure the fleet's shared LSH approximates
+LSH_MEASURE = "dtw"
+
 
 @dataclass
 class RecoveryReport:
@@ -41,7 +44,6 @@ class ScaloSystem:
     n_nodes: int
     electrodes_per_node: int = ELECTRODES_PER_NODE
     tdma: TDMAConfig = field(default_factory=TDMAConfig)
-    lsh_measure: str = "dtw"
     seed: int = 0
     #: when set, hash/query dissemination runs over a stop-and-wait
     #: :class:`~repro.network.arq.ReliableLink` instead of fire-and-forget
@@ -54,7 +56,7 @@ class ScaloSystem:
         if self.n_nodes < 1:
             raise ConfigurationError("need at least one node")
         # one shared hash family: all implants must agree on seeds
-        self.lsh = LSHFamily.for_measure(self.lsh_measure)
+        self.lsh = LSHFamily.for_measure(LSH_MEASURE)
         self.nodes = [
             ScaloNode(
                 node_id=i,
@@ -90,8 +92,8 @@ class ScaloSystem:
     def _register(self, node_id: int) -> None:
         """Join the network, through the ARQ link when one is configured."""
 
-        def receiver(pkt: Packet, nid: int = node_id) -> None:
-            self._inboxes[nid].append(pkt)
+        def receiver(pkt: Packet) -> None:
+            self._inboxes[node_id].append(pkt)
 
         if self.link is not None:
             self.link.attach(node_id, receiver)
@@ -201,7 +203,7 @@ class ScaloSystem:
             tel.inc("recovery.nodes_recovered")
         return RecoveryReport(node_id, replay, scrub, resync_report)
 
-    def reschedule(self, flows, power_budget_mw: float | None = None):
+    def reschedule(self, flows):
         """Re-solve the schedule over the surviving nodes only.
 
         A dead node contributes neither PEs nor radio slots, so the
@@ -224,9 +226,7 @@ class ScaloSystem:
         return SchedulerProblem(
             n_nodes=n_alive,
             flows=list(flows),
-            power_budget_mw=(
-                NODE_POWER_CAP_MW if power_budget_mw is None else power_budget_mw
-            ),
+            power_budget_mw=NODE_POWER_CAP_MW,
             tdma=self.tdma,
             telemetry=self.telemetry,
         ).solve()
@@ -380,7 +380,6 @@ class ScaloSystem:
         window_range: tuple[int, int],
         template=None,
         seizure_flags: dict[int, set[int]] | None = None,
-        coordinator: int | None = None,
     ):
         """One end-to-end distributed query over the real network.
 
@@ -403,17 +402,14 @@ class ScaloSystem:
         alive = self.alive_node_ids
         if not alive:
             raise NodeFailure(-1, "no surviving nodes to query")
-        if coordinator is None:
-            if self.failover is not None:
-                # pick up any pending handover before coordinating
-                self.failover.step()
-                coordinator = self.failover.coordinator
-                if coordinator is None:
-                    raise NodeFailure(
-                        -1, "no quorum: coordination suspended"
-                    )
-            else:
-                coordinator = alive[0]
+        if self.failover is not None:
+            # pick up any pending handover before coordinating
+            self.failover.step()
+            coordinator = self.failover.coordinator
+            if coordinator is None:
+                raise NodeFailure(-1, "no quorum: coordination suspended")
+        else:
+            coordinator = alive[0]
         if not self.is_alive(coordinator):
             raise NodeFailure(coordinator, "coordinator is down")
 

@@ -72,12 +72,11 @@ def temperature_rise_c(power_mw: float, distance_mm: float) -> float:
     return peak * relative_temperature_rise(distance_mm)
 
 
-def max_implants(spacing_mm: float = DEFAULT_SPACING_MM,
-                 radius_mm: float = BRAIN_RADIUS_MM) -> int:
+def max_implants(spacing_mm: float = DEFAULT_SPACING_MM) -> int:
     """Implants fitting the hemispherical surface at the given spacing."""
-    if spacing_mm <= 0 or radius_mm <= 0:
-        raise ConfigurationError("spacing and radius must be positive")
-    surface = 2.0 * math.pi * radius_mm**2
+    if spacing_mm <= 0:
+        raise ConfigurationError("spacing must be positive")
+    surface = 2.0 * math.pi * BRAIN_RADIUS_MM**2
     return int(surface // (_PACKING_FACTOR * spacing_mm**2))
 
 

@@ -65,8 +65,7 @@ class SpikeDataset:
     """A generated recording with its ground truth."""
 
     profile: SpikeDatasetProfile
-    data: np.ndarray  # (n_channels, n_samples)
-    fs_hz: float
+    data: np.ndarray  # (n_channels, n_samples), at ADC_SAMPLE_RATE_HZ
     spike_times: np.ndarray  # sample index of each spike (sorted)
     spike_labels: np.ndarray  # neuron id of each spike
     templates: np.ndarray  # (n_neurons, n_channels, SPIKE_SAMPLES)
@@ -94,7 +93,6 @@ def _template_waveform(rng: np.random.Generator) -> np.ndarray:
 def generate_spikes(
     profile: str | SpikeDatasetProfile = "spikeforest",
     duration_s: float = 5.0,
-    fs_hz: float = ADC_SAMPLE_RATE_HZ,
     seed: int = 0,
 ) -> SpikeDataset:
     """Generate one recording for a dataset profile."""
@@ -106,7 +104,7 @@ def generate_spikes(
                 f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
             ) from None
     rng = np.random.default_rng(seed)
-    n_samples = int(round(duration_s * fs_hz))
+    n_samples = int(round(duration_s * ADC_SAMPLE_RATE_HZ))
     if n_samples < 4 * SPIKE_SAMPLES:
         raise ConfigurationError("recording too short for spikes")
 
@@ -149,7 +147,7 @@ def generate_spikes(
     )
     for t, neuron in zip(spike_times, spike_labels):
         jitter = 1.0 + profile.amplitude_jitter * rng.standard_normal()
-        drift = 1.0 + profile.drift_per_s * (t / fs_hz)
+        drift = 1.0 + profile.drift_per_s * (t / ADC_SAMPLE_RATE_HZ)
         data[:, t : t + SPIKE_SAMPLES] += (
             jitter * drift * templates[neuron]
         )
@@ -157,7 +155,6 @@ def generate_spikes(
     return SpikeDataset(
         profile=profile,
         data=data,
-        fs_hz=fs_hz,
         spike_times=spike_times,
         spike_labels=spike_labels,
         templates=templates,

@@ -23,6 +23,17 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.units import ADC_SAMPLE_RATE_HZ
 
+#: Fraction of non-onset nodes each seizure reaches (the rest stay
+#: seizure-free: the uncorrelated signals the hash check filters out).
+PROPAGATION_FRACTION = 1.0
+#: Peak seizure gain over the unit-variance background.
+SEIZURE_AMPLITUDE = 4.0
+#: Weight of the shared per-node source mixed into every electrode
+#: (0 = independent channels).
+SPATIAL_CORRELATION = 0.6
+#: Fundamental of the spike-wave discharge (Hz).
+SEIZURE_BASE_FREQ_HZ = 5.0
+
 
 @dataclass(frozen=True)
 class SeizureEvent:
@@ -76,27 +87,25 @@ class SyntheticIEEG:
         return labels
 
 
-def pink_noise(n_samples: int, rng: np.random.Generator, alpha: float = 1.0
-               ) -> np.ndarray:
-    """1/f^alpha noise via spectral shaping, unit variance."""
+def pink_noise(n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """1/f noise via spectral shaping, unit variance."""
     if n_samples < 2:
         raise ConfigurationError("need at least 2 samples")
     white = rng.standard_normal(n_samples)
     spectrum = np.fft.rfft(white)
     freqs = np.fft.rfftfreq(n_samples)
     freqs[0] = freqs[1]  # avoid div by zero at DC
-    spectrum /= freqs ** (alpha / 2.0)
+    spectrum /= freqs ** 0.5
     shaped = np.fft.irfft(spectrum, n=n_samples)
     return shaped / shaped.std()
 
 
 def _seizure_waveform(
-    n_samples: int, fs_hz: float, rng: np.random.Generator,
-    base_freq_hz: float = 5.0,
+    n_samples: int, fs_hz: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Spike-wave discharge: fundamental + harmonics with slow AM ramp."""
     t = np.arange(n_samples) / fs_hz
-    freq = base_freq_hz * (1.0 + 0.1 * rng.standard_normal())
+    freq = SEIZURE_BASE_FREQ_HZ * (1.0 + 0.1 * rng.standard_normal())
     phase = rng.uniform(0, 2 * np.pi)
     wave = (
         np.sin(2 * np.pi * freq * t + phase)
@@ -117,23 +126,12 @@ def generate_ieeg(
     n_seizures: int = 1,
     seizure_duration_s: float = 0.5,
     propagation_delay_ms: tuple[float, float] = (20.0, 100.0),
-    propagation_fraction: float = 1.0,
-    seizure_amplitude: float = 4.0,
-    spatial_correlation: float = 0.6,
     seed: int = 0,
 ) -> SyntheticIEEG:
-    """Generate a multi-node recording with propagating seizures.
-
-    Args:
-        propagation_fraction: fraction of non-onset nodes each seizure
-            reaches (the rest stay seizure-free — the uncorrelated signals
-            the hash check is meant to filter out).
-        spatial_correlation: weight of the shared per-node source mixed
-            into every electrode (0 = independent channels).
-    """
+    """Generate a multi-node recording with propagating seizures."""
     if n_nodes < 1 or n_electrodes < 1:
         raise ConfigurationError("need positive node and electrode counts")
-    if not 0 <= propagation_fraction <= 1:
+    if not 0 <= PROPAGATION_FRACTION <= 1:
         raise ConfigurationError("propagation fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     n_samples = int(round(duration_s * fs_hz))
@@ -145,8 +143,8 @@ def generate_ieeg(
         for electrode in range(n_electrodes):
             own = pink_noise(n_samples, rng)
             data[node, electrode] = (
-                spatial_correlation * shared
-                + (1 - spatial_correlation) * own
+                SPATIAL_CORRELATION * shared
+                + (1 - SPATIAL_CORRELATION) * own
             )
 
     seizures: list[SeizureEvent] = []
@@ -164,7 +162,7 @@ def generate_ieeg(
             arrivals = {onset_node: onset}
             others = [n for n in range(n_nodes) if n != onset_node]
             rng.shuffle(others)
-            n_reached = int(round(propagation_fraction * len(others)))
+            n_reached = int(round(PROPAGATION_FRACTION * len(others)))
             for node in others[:n_reached]:
                 delay = rng.uniform(*propagation_delay_ms)
                 arrivals[node] = onset + int(delay * fs_hz / 1e3)
@@ -176,7 +174,7 @@ def generate_ieeg(
                 if length <= 0:
                     continue
                 for electrode in range(n_electrodes):
-                    gain = seizure_amplitude * rng.uniform(0.7, 1.0)
+                    gain = SEIZURE_AMPLITUDE * rng.uniform(0.7, 1.0)
                     data[node, electrode, arrival:stop] += (
                         gain * waveform[:length]
                     )

@@ -18,6 +18,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.linalg.inverse import gauss_jordan_inverse
 
+#: Ridge added to the least-squares fits and the noise covariances.
+RIDGE = 1e-6
+
 
 @dataclass
 class KalmanModel:
@@ -106,8 +109,7 @@ class KalmanFilter:
         return np.stack([self.step(z) for z in observations])
 
 
-def fit_kalman(states: np.ndarray, observations: np.ndarray,
-               ridge: float = 1e-6) -> KalmanModel:
+def fit_kalman(states: np.ndarray, observations: np.ndarray) -> KalmanModel:
     """Fit A, W, H, Q by least squares from paired trajectories.
 
     Args:
@@ -122,7 +124,7 @@ def fit_kalman(states: np.ndarray, observations: np.ndarray,
         raise ConfigurationError("not enough steps to fit the model")
 
     x_prev, x_next = x[:-1], x[1:]
-    reg_s = ridge * np.eye(x.shape[1])
+    reg_s = RIDGE * np.eye(x.shape[1])
     a = np.linalg.solve(x_prev.T @ x_prev + reg_s, x_prev.T @ x_next).T
     w_resid = x_next - x_prev @ a.T
     w = w_resid.T @ w_resid / max(1, x_prev.shape[0] - 1)
@@ -131,6 +133,6 @@ def fit_kalman(states: np.ndarray, observations: np.ndarray,
     q_resid = z - x @ h.T
     q = q_resid.T @ q_resid / max(1, x.shape[0] - 1)
     # regularise the noise covariances so the filter stays invertible
-    w += ridge * np.eye(w.shape[0])
-    q += ridge * np.eye(q.shape[0])
+    w += RIDGE * np.eye(w.shape[0])
+    q += RIDGE * np.eye(q.shape[0])
     return KalmanModel(a, w, h, q)

@@ -20,6 +20,9 @@ from repro.errors import ConfigurationError
 from repro.linalg.mad import PostOp, mad
 from repro.linalg.tiling import split_even
 
+#: Gradient-descent step of :func:`train_shallow_nn`.
+LEARNING_RATE = 1e-2
+
 
 @dataclass
 class ShallowNN:
@@ -129,7 +132,6 @@ def train_shallow_nn(
     targets: np.ndarray,
     n_hidden: int = 32,
     epochs: int = 200,
-    lr: float = 1e-2,
     seed: int = 0,
 ) -> ShallowNN:
     """Train a regression network with plain full-batch gradient descent.
@@ -168,9 +170,9 @@ def train_shallow_nn(
         grad_hidden = (grad_out @ w2) * (pre > 0)
         grad_w1 = grad_hidden.T @ xn
         grad_b1 = grad_hidden.sum(axis=0)
-        w2 -= lr * grad_w2
-        b2 -= lr * grad_b2
-        w1 -= lr * grad_w1
-        b1 -= lr * grad_b1
+        w2 -= LEARNING_RATE * grad_w2
+        b2 -= LEARNING_RATE * grad_b2
+        w1 -= LEARNING_RATE * grad_w1
+        b1 -= LEARNING_RATE * grad_b1
 
     return ShallowNN(w1, b1, w2, b2, input_mean=mean, input_std=std)

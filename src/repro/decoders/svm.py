@@ -17,6 +17,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.linalg.tiling import split_even
 
+#: L2 weight decay, epoch count and initial step of :func:`train_linear_svm`.
+L2 = 1e-2
+EPOCHS = 60
+LEARNING_RATE = 0.05
+
 
 @dataclass
 class LinearSVM:
@@ -121,9 +126,6 @@ def train_linear_svm(
     features: np.ndarray,
     labels: np.ndarray,
     n_classes: int | None = None,
-    l2: float = 1e-2,
-    epochs: int = 60,
-    lr: float = 0.05,
     seed: int = 0,
 ) -> LinearSVM:
     """Train by SGD on the hinge loss (one-vs-rest for multi-class).
@@ -154,16 +156,16 @@ def train_linear_svm(
         target = np.where(y == (1 if rows == 1 else row), 1.0, -1.0)
         w = np.zeros(x.shape[1])
         b = 0.0
-        for epoch in range(epochs):
+        for epoch in range(EPOCHS):
             order = rng.permutation(x.shape[0])
-            step = lr / (1 + 0.1 * epoch)
+            step = LEARNING_RATE / (1 + 0.1 * epoch)
             for i in order:
                 margin = target[i] * (xn[i] @ w + b)
                 if margin < 1:
-                    w = (1 - step * l2) * w + step * target[i] * xn[i]
+                    w = (1 - step * L2) * w + step * target[i] * xn[i]
                     b += step * target[i]
                 else:
-                    w = (1 - step * l2) * w
+                    w = (1 - step * L2) * w
         weights[row] = w
         bias[row] = b
 

@@ -55,19 +55,6 @@ class NetworkError(ScaloError):
     """Invalid network operation (oversized packet, no TDMA slot, ...)."""
 
 
-class RetryExhausted(NetworkError):
-    """An ARQ transfer ran out of retries without an acknowledgement."""
-
-    def __init__(self, seq: int, attempts: int, targets: list[int] | None = None):
-        self.seq = seq
-        self.attempts = attempts
-        self.targets = targets or []
-        message = f"packet seq={seq} unacknowledged after {attempts} attempts"
-        if self.targets:
-            message = f"{message} (targets {self.targets})"
-        super().__init__(message)
-
-
 class NodeFailure(ScaloError):
     """An operation addressed a node that is down (crashed or dark)."""
 

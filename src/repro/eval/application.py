@@ -34,7 +34,6 @@ SPIKES_PER_ELECTRODE_HZ = 50.0
 def seizure_propagation_schedule(
     n_nodes: int,
     weights: tuple[float, float, float] = (1, 1, 1),
-    power_mw: float = NODE_POWER_CAP_MW,
     telemetry: TelemetryLike = NULL_TELEMETRY,
 ):
     """Solve the three-flow seizure-propagation allocation."""
@@ -47,19 +46,18 @@ def seizure_propagation_schedule(
              weight=weights[2], electrode_cap=ELECTRODES_PER_NODE),
     ]
     return SchedulerProblem(n_nodes=n_nodes, flows=flows,
-                            power_budget_mw=power_mw,
+                            power_budget_mw=NODE_POWER_CAP_MW,
                             telemetry=telemetry).solve()
 
 
-def fig9a(node_counts=FIG9_NODE_COUNTS, power_mw: float = NODE_POWER_CAP_MW
-          ) -> dict[str, dict[int, float]]:
+def fig9a(node_counts=FIG9_NODE_COUNTS) -> dict[str, dict[int, float]]:
     """Fig. 9a: weighted seizure-propagation throughput per weight triple."""
     out: dict[str, dict[int, float]] = {}
     for weights in FIG9A_WEIGHTS:
         label = ":".join(str(int(w)) for w in weights)
         series = {}
         for n in node_counts:
-            schedule = seizure_propagation_schedule(n, weights, power_mw)
+            schedule = seizure_propagation_schedule(n, weights)
             series[n] = schedule.weighted_mbps()
         out[label] = series
     return out
@@ -73,9 +71,7 @@ def _burst_ms(payload_bytes: float, tdma: TDMAConfig) -> float:
     return bits / (tdma.radio.data_rate_mbps * 1e3) + tdma.guard_ms
 
 
-def mi_intents_per_second(
-    decoder: str, n_nodes: int, tdma: TDMAConfig | None = None
-) -> float:
+def mi_intents_per_second(decoder: str, n_nodes: int) -> float:
     """Decoded intents per second for one movement pipeline.
 
     SVM/NN decode as fast as the partial-compute + all-to-one aggregation
@@ -83,7 +79,7 @@ def mi_intents_per_second(
     fixed 50 ms interval); KF keeps the conventional 20/s cadence because
     its filter step is tied to the 50 ms feature window.
     """
-    tdma = tdma if tdma is not None else TDMAConfig()
+    tdma = TDMAConfig()
     if decoder == "kf":
         return 20.0
     if decoder == "svm":
@@ -105,11 +101,11 @@ def mi_intents_per_second(
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
-def fig9b(node_counts=FIG9_NODE_COUNTS) -> dict[str, dict[int, float]]:
+def fig9b() -> dict[str, dict[int, float]]:
     """Fig. 9b: max movement intents per second vs node count."""
     return {
         decoder.upper(): {
-            n: mi_intents_per_second(decoder, n) for n in node_counts
+            n: mi_intents_per_second(decoder, n) for n in FIG9_NODE_COUNTS
         }
         for decoder in ("svm", "kf", "nn")
     }
@@ -118,14 +114,16 @@ def fig9b(node_counts=FIG9_NODE_COUNTS) -> dict[str, dict[int, float]]:
 # --- §6.3 scalars ---------------------------------------------------------------
 
 
-def spike_sorting_rate_per_node(power_mw: float = NODE_POWER_CAP_MW) -> float:
+def spike_sorting_rate_per_node() -> float:
     """Spikes sorted per second per node (paper: 12,250).
 
     The single-node, single-flow LP's electrode allocation times the
     assumed per-electrode spike rate.
     """
     problem = SchedulerProblem(
-        n_nodes=1, flows=[Flow(spike_sorting_task())], power_budget_mw=power_mw
+        n_nodes=1,
+        flows=[Flow(spike_sorting_task())],
+        power_budget_mw=NODE_POWER_CAP_MW,
     )
     allocation = problem.solve().allocations[0]
     return allocation.electrodes_per_node * SPIKES_PER_ELECTRODE_HZ

@@ -511,13 +511,12 @@ class ChaosReport:
 def chaos_sweep(
     config: ChaosConfig | None = None,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    levels: tuple[StormLevel, ...] = STORM_LEVELS,
 ) -> ChaosReport:
     """Run every storm level against the same seeded fleet and load."""
     config = config if config is not None else ChaosConfig()
     return ChaosReport(
         config=config,
-        results=[run_storm(level, config, telemetry) for level in levels],
+        results=[run_storm(level, config, telemetry) for level in STORM_LEVELS],
     )
 
 
@@ -640,8 +639,6 @@ class PartitionStormReport:
 def run_partition_storm(
     config: ChaosConfig | None = None,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    health: HealthEngine | None = None,
-    level: StormLevel = PARTITION,
 ) -> PartitionStormReport:
     """Run the split-brain storm and audit the coordination layer.
 
@@ -652,11 +649,6 @@ def run_partition_storm(
     and the epoch-fenced failover manager automatically).
     """
     config = config if config is not None else partition_config()
-    if level.n_partitions < 1:
-        raise ConfigurationError(
-            f"storm level {level.name!r} schedules no partitions; the "
-            "split-brain gates need at least one"
-        )
-    result = run_storm(level, config, telemetry, health)
+    result = run_storm(PARTITION, config, telemetry)
     assert result.coordination is not None
     return PartitionStormReport(config=config, result=result)

@@ -29,17 +29,25 @@ from repro.apps.seizure import (
     SeizurePropagationSimulator,
     train_detector_from_recording,
 )
-from repro.core.node import HASH_HORIZON_MS
 from repro.datasets.synthetic_ieeg import generate_ieeg
+from repro.hashing.collision import HASH_HORIZON_MS
 from repro.hashing.lsh import LSHFamily
 from repro.network.packet import PACKET_OVERHEAD_BITS
-from repro.units import WINDOW_SAMPLES
+from repro.units import ELECTRODES_PER_NODE, WINDOW_SAMPLES
 
 #: Hash-encoding error rates on the Fig. 15a x-axis.
 ENCODING_ERROR_RATES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 #: Network BERs on the Fig. 15b x-axis.
 NETWORK_BERS = (1e-6, 1e-5, 1e-4)
+
+#: The clean two-node run behind both sweeps: electrodes per node and
+#: seizure length (s).
+TRACE_ELECTRODES = 8
+TRACE_SEIZURE_S = 0.4
+
+#: HCOMP-compressed bytes per electrode hash on the wire (§6.7).
+WIRE_HASH_BYTES = 1
 
 
 @dataclass
@@ -62,19 +70,15 @@ class PropagationTrace:
     hash_packet_bits: int
 
 
-def build_trace(
-    n_electrodes: int = 8,
-    seizure_duration_s: float = 0.4,
-    seed: int = 0,
-) -> PropagationTrace:
+def build_trace(seed: int = 0) -> PropagationTrace:
     """Run the clean two-node simulation once and extract the trace."""
     recording = generate_ieeg(
         n_nodes=2,
-        n_electrodes=n_electrodes,
+        n_electrodes=TRACE_ELECTRODES,
         duration_s=1.5,
         fs_hz=6000,
         n_seizures=1,
-        seizure_duration_s=seizure_duration_s,
+        seizure_duration_s=TRACE_SEIZURE_S,
         propagation_delay_ms=(20.0, 60.0),
         seed=seed,
     )
@@ -96,16 +100,16 @@ def build_trace(
             multiplicity.get(event.window_index, 0) + event.n_collisions
         )
     horizon_windows = int(HASH_HORIZON_MS / window_ms)
-    payload_bytes = n_electrodes * lsh.config.hash_bytes
+    payload_bytes = TRACE_ELECTRODES * lsh.config.hash_bytes
     return PropagationTrace(
         window_ms=window_ms,
-        n_electrodes=n_electrodes,
+        n_electrodes=TRACE_ELECTRODES,
         hash_bits=lsh.config.bits,
         n_components=lsh.config.n_components,
         min_matching=lsh.config.min_matching,
         confirm_windows=confirm_windows,
         match_multiplicity=multiplicity,
-        store_size=horizon_windows * n_electrodes,
+        store_size=horizon_windows * TRACE_ELECTRODES,
         hash_packet_bits=PACKET_OVERHEAD_BITS + 8 * payload_bytes,
     )
 
@@ -178,13 +182,7 @@ def encoding_delay(
 
 
 def network_delay(
-    trace: PropagationTrace,
-    ber: float,
-    n_reps: int = 200,
-    seed: int = 0,
-    slot_airtime_ms: float | None = None,
-    deployment_electrodes: int = 96,
-    wire_hash_bytes: int = 1,
+    trace: PropagationTrace, ber: float, n_reps: int = 200, seed: int = 0
 ) -> DelayStats:
     """Fig. 15b: delay distribution at one network BER.
 
@@ -194,10 +192,9 @@ def network_delay(
     each — all of a node's hashes travel in one packet, paper §6.7).
     """
     rng = np.random.default_rng(seed)
-    packet_bits = PACKET_OVERHEAD_BITS + 8 * deployment_electrodes * wire_hash_bytes
+    packet_bits = PACKET_OVERHEAD_BITS + 8 * ELECTRODES_PER_NODE * WIRE_HASH_BYTES
     p_loss = 1.0 - (1.0 - ber) ** packet_bits
-    if slot_airtime_ms is None:
-        slot_airtime_ms = packet_bits / 7e3  # 7 Mbps radio
+    slot_airtime_ms = packet_bits / 7e3  # 7 Mbps radio
     delays = np.empty(n_reps)
     for rep in range(n_reps):
         losses = 0
@@ -218,12 +215,12 @@ class Fig15Result:
     network: dict[float, DelayStats] = field(init=False, default_factory=dict)
 
 
-def fig15(n_reps: int = 200, seed: int = 0) -> Fig15Result:
-    """Run both Fig. 15 sweeps on a shared trace."""
-    trace = build_trace(seed=seed)
+def fig15(n_reps: int = 200) -> Fig15Result:
+    """Run both Fig. 15 sweeps on a shared trace (seed 0)."""
+    trace = build_trace()
     result = Fig15Result()
     for rate in ENCODING_ERROR_RATES:
-        result.encoding[rate] = encoding_delay(trace, rate, n_reps, seed + 1)
+        result.encoding[rate] = encoding_delay(trace, rate, n_reps, 1)
     for ber in NETWORK_BERS:
-        result.network[ber] = network_delay(trace, ber, n_reps, seed + 2)
+        result.network[ber] = network_delay(trace, ber, n_reps, 2)
     return result

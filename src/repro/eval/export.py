@@ -81,11 +81,11 @@ def export_fig10(out: pathlib.Path) -> None:
            ["query", "time_range_ms", "match_fraction", "qps"], rows)
 
 
-def export_fig11(out: pathlib.Path, n_pairs: int = 400) -> None:
+def export_fig11(out: pathlib.Path) -> None:
     from repro.eval.hash_accuracy import fig11
 
     rows = []
-    for measure, result in fig11(n_pairs=n_pairs).items():
+    for measure, result in fig11(n_pairs=400).items():
         for center, error in zip(result.bin_centers_pct, result.error_pct):
             rows.append([measure, float(center), float(error),
                          result.total_error_pct])
@@ -93,13 +93,13 @@ def export_fig11(out: pathlib.Path, n_pairs: int = 400) -> None:
            ["measure", "margin_pct", "error_pct", "total_error_pct"], rows)
 
 
-def export_fig12(out: pathlib.Path, n_packets: int = 400) -> None:
+def export_fig12(out: pathlib.Path) -> None:
     from repro.eval.network_errors import fig12
 
     rows = [
         [ber, r.hash_packet_error_pct, r.signal_packet_error_pct,
          r.dtw_failure_pct]
-        for ber, r in fig12(n_packets=n_packets).items()
+        for ber, r in fig12(n_packets=400).items()
     ]
     _write(out / "fig12.csv",
            ["ber", "hash_err_pct", "signal_err_pct", "dtw_fail_pct"], rows)
@@ -116,11 +116,11 @@ def export_fig13(out: pathlib.Path) -> None:
     _write(out / "fig13.csv", ["radio", "app", "normalised"], rows)
 
 
-def export_fig14(out: pathlib.Path, n_pairs: int = 240) -> None:
+def export_fig14(out: pathlib.Path) -> None:
     from repro.eval.hash_params import fig14
 
     rows = []
-    for measure, result in fig14(n_pairs=n_pairs).items():
+    for measure, result in fig14(n_pairs=240).items():
         for (window, ngram), tpr in result.tpr.items():
             rows.append([
                 measure, window, ngram, tpr,
@@ -131,10 +131,10 @@ def export_fig14(out: pathlib.Path, n_pairs: int = 240) -> None:
            ["measure", "window", "ngram", "tpr", "best", "near_best"], rows)
 
 
-def export_fig15(out: pathlib.Path, n_reps: int = 500) -> None:
+def export_fig15(out: pathlib.Path) -> None:
     from repro.eval.delay import fig15
 
-    result = fig15(n_reps=n_reps)
+    result = fig15(n_reps=500)
     rows = [
         ["encoding", rate, stats.mean_ms, stats.max_ms]
         for rate, stats in result.encoding.items()

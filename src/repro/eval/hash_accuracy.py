@@ -57,6 +57,10 @@ def _window_pool(n_windows: int, seed: int) -> np.ndarray:
 #: Pair class labels.
 SIMILAR, DISSIMILAR, BOUNDARY = 0, 1, 2
 
+#: Where :func:`pick_threshold` sets a measure's threshold: this fraction
+#: of the way from the similar to the dissimilar median.
+THRESHOLD_POSITION = 0.3
+
 #: Pairs cycle through 9 similar, 10 dissimilar and 1 boundary; the first
 #: dissimilar pair is the tenth, and a threshold needs both classes.
 MIN_PAIRS = 10
@@ -127,12 +131,11 @@ def make_pairs(n_pairs: int = 400, seed: int = 0) -> PairSet:
 def hash_accuracy(
     measure_name: str,
     n_pairs: int = 400,
-    seed: int = 0,
 ) -> HashAccuracyResult:
-    """Run the Fig. 11 experiment for one measure."""
+    """Run the Fig. 11 experiment for one measure (seed 0)."""
     measure = get_measure(measure_name)
     family = LSHFamily.for_measure(measure_name)
-    pair_set = make_pairs(n_pairs, seed)
+    pair_set = make_pairs(n_pairs)
     sides = pair_set.sides()
 
     values = measure.rows(*sides)
@@ -180,29 +183,30 @@ def hash_pairs(
 
 
 def pick_threshold(
-    values: np.ndarray, labels: np.ndarray, position: float = 0.3
+    values: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
     """The clinician-style threshold, plus the class separation.
 
     The paper "sets a similarity threshold" per measure; a practitioner
     calibrating on annotated data places it between the correlated and
     uncorrelated populations, biased toward the correlated side
-    (``position`` of the way across) so that only confidently-correlated
-    pairs count as matches.
+    (:data:`THRESHOLD_POSITION` of the way across) so that only
+    confidently-correlated pairs count as matches.
 
     Returns:
         (threshold, |dissimilar median - similar median|).
     """
     similar_median = float(np.median(values[labels == SIMILAR]))
     dissimilar_median = float(np.median(values[labels == DISSIMILAR]))
-    threshold = similar_median + position * (dissimilar_median - similar_median)
+    threshold = similar_median + THRESHOLD_POSITION * (
+        dissimilar_median - similar_median
+    )
     return threshold, abs(dissimilar_median - similar_median)
 
 
-def fig11(n_pairs: int = 400, seed: int = 0
-          ) -> dict[str, HashAccuracyResult]:
-    """All four measures."""
+def fig11(n_pairs: int = 400) -> dict[str, HashAccuracyResult]:
+    """All four measures (seed 0)."""
     return {
-        name: hash_accuracy(name, n_pairs, seed)
+        name: hash_accuracy(name, n_pairs)
         for name in ("xcor", "emd", "dtw", "euclidean")
     }

@@ -40,11 +40,11 @@ class ParamSweepResult:
 def sweep_measure(
     measure_name: str,
     n_pairs: int = 300,
-    seed: int = 0,
 ) -> ParamSweepResult:
-    """Sweep (window, ngram) for one measure; returns TPR landscape."""
+    """Sweep (window, ngram) for one measure; returns TPR landscape
+    (seed 0)."""
     measure = get_measure(measure_name)
-    pair_set = make_pairs(n_pairs, seed)
+    pair_set = make_pairs(n_pairs)
     sides = pair_set.sides()
     values = measure.rows(*sides)
     threshold, _ = pick_threshold(values, pair_set.labels)
@@ -73,11 +73,10 @@ def sweep_measure(
     return ParamSweepResult(measure_name, tpr, best, sorted(near))
 
 
-def fig14(n_pairs: int = 300, seed: int = 0
-          ) -> dict[str, ParamSweepResult]:
-    """The three sketch-based measures (EMD has no window/n-gram)."""
+def fig14(n_pairs: int = 300) -> dict[str, ParamSweepResult]:
+    """The three sketch-based measures (EMD has no window/n-gram), seed 0."""
     return {
-        name: sweep_measure(name, n_pairs, seed)
+        name: sweep_measure(name, n_pairs)
         for name in ("xcor", "dtw", "euclidean")
     }
 

@@ -25,6 +25,9 @@ BER_POINTS = (1e-4, 1e-5, 1e-6)
 #: Hash payload: 96 electrodes x 1 B, HCOMP-compressed ~2x.
 HASH_PAYLOAD_BYTES = 48
 
+#: Seed of the Fig. 12 signal windows, payloads and channel.
+SEED = 0
+
 
 @dataclass
 class NetworkErrorResult:
@@ -57,16 +60,12 @@ def _quantise(window: np.ndarray) -> np.ndarray:
     return np.clip(np.round(window * scale), -32768, 32767).astype("<i2")
 
 
-def network_errors(
-    ber: float,
-    n_packets: int = 400,
-    seed: int = 0,
-) -> NetworkErrorResult:
-    """Run the Fig. 12 experiment at one BER."""
-    channel = BitErrorChannel(ber, seed=seed + 1)
+def network_errors(ber: float, n_packets: int = 400) -> NetworkErrorResult:
+    """Run the Fig. 12 experiment at one BER, seeded by :data:`SEED`."""
+    channel = BitErrorChannel(ber, seed=SEED + 1)
 
     # hash packets
-    payloads = np.random.default_rng(seed).integers(
+    payloads = np.random.default_rng(SEED).integers(
         0, 256, (n_packets, HASH_PAYLOAD_BYTES), dtype=np.uint8
     )
     hash_errors = 0
@@ -79,7 +78,7 @@ def network_errors(
             hash_errors += 1
 
     # signal packets + DTW decision flips
-    windows = _signal_windows(n_packets, seed)
+    windows = _signal_windows(n_packets, SEED)
     partner = np.roll(windows, 1, axis=0)
     signal_errors = 0
     clean_costs = dtw_rows(windows, partner, DTW_BAND)
@@ -120,8 +119,7 @@ def network_errors(
     )
 
 
-def fig12(n_packets: int = 400, seed: int = 0
-          ) -> dict[float, NetworkErrorResult]:
-    """All BER points."""
-    return {ber: network_errors(ber, n_packets, seed=seed)
+def fig12(n_packets: int = 400) -> dict[float, NetworkErrorResult]:
+    """All BER points (seed 0)."""
+    return {ber: network_errors(ber, n_packets)
             for ber in BER_POINTS}

@@ -19,6 +19,9 @@ TIME_RANGES_MS = (110.0, 400.0, 700.0, 1000.0)
 #: Match fractions evaluated for Q1/Q2.
 MATCH_FRACTIONS = (0.05, 0.50, 1.00)
 
+#: The paper's fleet: 11 implants.
+N_NODES = 11
+
 
 def _record_cell(
     registry: MetricsRegistry,
@@ -34,25 +37,16 @@ def _record_cell(
     registry.set_gauge("fig10.power_mw", cost.power_mw, **labels)
 
 
-def fig10_registry(
-    n_nodes: int = 11, registry: MetricsRegistry | None = None
-) -> MetricsRegistry:
-    """Record the full Fig. 10 grid into a metrics registry."""
-    registry = registry if registry is not None else MetricsRegistry()
-    model = QueryCostModel(n_nodes=n_nodes)
+def fig10() -> dict[str, dict[tuple[float, float], float]]:
+    """QPS per query: {query: {(time_range_ms, match_fraction): qps}},
+    recorded into a fresh registry and read back from it."""
+    registry = MetricsRegistry()
+    model = QueryCostModel(n_nodes=N_NODES)
     for time_range in TIME_RANGES_MS:
         for fraction in MATCH_FRACTIONS:
             _record_cell(registry, model, "Q1", time_range, fraction)
             _record_cell(registry, model, "Q2", time_range, fraction)
         _record_cell(registry, model, "Q3", time_range, 1.0)
-    return registry
-
-
-def fig10(
-    n_nodes: int = 11, registry: MetricsRegistry | None = None
-) -> dict[str, dict[tuple[float, float], float]]:
-    """QPS per query: {query: {(time_range_ms, match_fraction): qps}}."""
-    registry = fig10_registry(n_nodes, registry)
     out: dict[str, dict[tuple[float, float], float]] = {
         "Q1": {}, "Q2": {}, "Q3": {}
     }
@@ -64,10 +58,11 @@ def fig10(
     return out
 
 
-def q2_hash_vs_dtw(n_nodes: int = 11, time_range_ms: float = 110.0,
-                   match_fraction: float = 0.05) -> dict[str, dict[str, float]]:
-    """The §6.4 comparison: Q2 with hashes vs exact DTW (QPS and power)."""
-    model = QueryCostModel(n_nodes=n_nodes)
+def q2_hash_vs_dtw() -> dict[str, dict[str, float]]:
+    """The §6.4 comparison: Q2 with hashes vs exact DTW (QPS and power),
+    over the shortest time range at the lowest match fraction."""
+    model = QueryCostModel(n_nodes=N_NODES)
+    time_range_ms, match_fraction = TIME_RANGES_MS[0], MATCH_FRACTIONS[0]
     hash_cost = model.cost(QuerySpec("q2", time_range_ms, match_fraction,
                                      use_hash=True))
     dtw_cost = model.cost(QuerySpec("q2", time_range_ms, match_fraction,
@@ -80,8 +75,8 @@ def q2_hash_vs_dtw(n_nodes: int = 11, time_range_ms: float = 110.0,
     }
 
 
-def data_sizes_mb(n_nodes: int = 11) -> dict[float, float]:
+def data_sizes_mb() -> dict[float, float]:
     """Query data volumes per time range (the paper's 7/24/42/60 MB)."""
     return {
-        t: query_data_bytes(t, n_nodes) / 1e6 for t in TIME_RANGES_MS
+        t: query_data_bytes(t, N_NODES) / 1e6 for t in TIME_RANGES_MS
     }

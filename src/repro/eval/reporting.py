@@ -41,7 +41,7 @@ def format_table(
     return "\n".join(lines)
 
 
-def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
+def telemetry_summary(registry: "MetricsRegistry") -> str:
     """Render a registry as counter / gauge / observed-series tables.
 
     Each observed series prints its sketch's count, mean, min and max
@@ -56,7 +56,7 @@ def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
     ]
     if counter_rows:
         sections.append("== counters ==\n" + format_table(
-            ("counter", "value"), counter_rows, precision=precision
+            ("counter", "value"), counter_rows
         ))
     gauge_rows = [
         (format_metric(name, labels), value)
@@ -64,7 +64,7 @@ def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
     ]
     if gauge_rows:
         sections.append("== gauges ==\n" + format_table(
-            ("gauge", "value"), gauge_rows, precision=precision
+            ("gauge", "value"), gauge_rows
         ))
     hist_rows = [
         (
@@ -78,14 +78,12 @@ def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
     ]
     if hist_rows:
         sections.append("== histograms ==\n" + format_table(
-            ("histogram", "count", "mean", "min", "max"),
-            hist_rows,
-            precision=precision,
+            ("histogram", "count", "mean", "min", "max"), hist_rows
         ))
     return "\n\n".join(sections) if sections else "(no metrics recorded)"
 
 
-def span_summary(tracer: "Tracer", precision: int = 2) -> str:
+def span_summary(tracer: "Tracer") -> str:
     """Aggregate finished spans by name: count and simulated-time totals."""
     by_name: dict[str, list[float]] = {}
     n_traces = len({s.trace_id for s in tracer.spans})
@@ -105,6 +103,6 @@ def span_summary(tracer: "Tracer", precision: int = 2) -> str:
     if not rows:
         return "(no spans recorded)"
     table = format_table(
-        ("span", "count", "total_ms", "mean_ms"), rows, precision=precision
+        ("span", "count", "total_ms", "mean_ms"), rows
     )
     return f"== spans ({n_traces} traces) ==\n{table}"

@@ -29,7 +29,19 @@ from repro.network.network import WirelessNetwork
 from repro.network.packet import Packet, PayloadKind
 from repro.network.radio import LOW_POWER
 from repro.network.tdma import TDMAConfig
-from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetryLike
+from repro.telemetry import Telemetry
+
+#: The recovery curve's BERs: Fig. 12's x-axis plus 1e-3.
+SWEEP_BERS = (1e-3, *BER_POINTS)
+
+#: The crash scenarios' fleet: electrodes per implant, windows ingested,
+#: the implant that crashes, the windows ingested before it does, and
+#: the seed.
+CRASH_ELECTRODES = 4
+CRASH_WINDOWS = 6
+CRASH_NODE = 1
+CRASH_AFTER = 3
+CRASH_SEED = 0
 
 
 @dataclass
@@ -75,16 +87,14 @@ def arq_recovery(
     ber: float,
     n_packets: int = 400,
     seed: int = 0,
-    telemetry: Telemetry | None = None,
 ) -> ResilienceResult:
     """Send hash packets point-to-point under ARQ at one BER.
 
-    The result is read back from the telemetry registry — the single
+    The result is read back from a fresh telemetry registry — the single
     source of truth for ARQ/airtime accounting — rather than from ad-hoc
-    stat structs.  Pass an existing ``telemetry`` handle to accumulate
-    the run into a larger session (the sweep gives each point its own).
+    stat structs.
     """
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = Telemetry()
     radio = replace(LOW_POWER, bit_error_rate=ber)
     network = WirelessNetwork(
         tdma=TDMAConfig(radio=radio), seed=seed, telemetry=telemetry
@@ -120,50 +130,38 @@ def arq_recovery(
 
 
 def resilience_sweep(
-    bers: tuple[float, ...] = (1e-3, *BER_POINTS),
-    n_packets: int = 400,
-    seed: int = 0,
+    n_packets: int = 400, seed: int = 0
 ) -> dict[float, ResilienceResult]:
-    """The recovery-rate-vs-BER curve (Fig. 12's x-axis, plus 1e-3)."""
+    """The recovery-rate-vs-BER curve over :data:`SWEEP_BERS`."""
     return {
         ber: arq_recovery(ber, n_packets, seed=seed)
-        for ber in bers
+        for ber in SWEEP_BERS
     }
 
 
-def crash_query_degradation(
-    n_nodes: int = 4,
-    electrodes_per_node: int = 4,
-    n_windows: int = 6,
-    crash_node: int = 1,
-    seed: int = 0,
-    telemetry: TelemetryLike = NULL_TELEMETRY,
-) -> DistributedQueryResult:
+def crash_query_degradation(n_nodes: int = 4) -> DistributedQueryResult:
     """Lose one implant mid-session; show queries keep answering.
 
     Ingests a few windows fleet-wide, crashes one node, then runs a Q3
     time-range query over the survivors.  The returned result is tagged
     ``degraded`` with coverage ``(n_nodes - 1) / n_nodes`` — the paper's
-    availability story under a real node failure.  With a live
-    ``telemetry`` handle the degradation shows up as ``query.degraded``
-    and a sub-1.0 ``query.coverage`` gauge.
+    availability story under a real node failure.
     """
     system = ScaloSystem(
-        n_nodes=n_nodes, electrodes_per_node=electrodes_per_node, seed=seed,
-        telemetry=telemetry,
+        n_nodes=n_nodes, electrodes_per_node=CRASH_ELECTRODES, seed=CRASH_SEED
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CRASH_SEED)
     from repro.units import WINDOW_SAMPLES
 
-    for _ in range(n_windows):
+    for _ in range(CRASH_WINDOWS):
         system.ingest(
             rng.normal(
-                size=(n_nodes, electrodes_per_node, WINDOW_SAMPLES)
+                size=(n_nodes, CRASH_ELECTRODES, WINDOW_SAMPLES)
             ).astype(np.float32)
         )
-    system.fail_node(crash_node)
+    system.fail_node(CRASH_NODE)
     spec = QuerySpec(kind="q3", time_range_ms=100.0)
-    return system.query(spec, (0, n_windows))
+    return system.query(spec, (0, CRASH_WINDOWS))
 
 
 @dataclass
@@ -186,19 +184,11 @@ class RecoveryCoverageResult:
         return self.after.coverage
 
 
-def crash_recovery_coverage(
-    n_nodes: int = 4,
-    electrodes_per_node: int = 4,
-    n_windows: int = 6,
-    crash_node: int = 1,
-    crash_after: int = 3,
-    seed: int = 0,
-    telemetry: TelemetryLike = NULL_TELEMETRY,
-) -> RecoveryCoverageResult:
+def crash_recovery_coverage(n_nodes: int = 4) -> RecoveryCoverageResult:
     """Lose an implant, reboot it through recovery, regain full coverage.
 
-    The fleet ingests ``crash_after`` windows (hashes exchanged over an
-    ARQ link), then ``crash_node`` goes down and a Q3 query answers
+    The fleet ingests :data:`CRASH_AFTER` windows (hashes exchanged over
+    an ARQ link), then :data:`CRASH_NODE` goes down and a Q3 query answers
     degraded at ``(n_nodes - 1) / n_nodes`` coverage.  While the node is
     down one NVM bit rots (downtime is retention time).  The reboot runs
     the full :meth:`~repro.core.system.ScaloSystem.recover_node` path —
@@ -210,18 +200,18 @@ def crash_recovery_coverage(
     from repro.errors import ConfigurationError
     from repro.units import WINDOW_SAMPLES
 
-    if not 0 < crash_after <= n_windows:
-        raise ConfigurationError("crash_after must be in (0, n_windows]")
+    if not 0 < CRASH_AFTER <= CRASH_WINDOWS:
+        raise ConfigurationError("CRASH_AFTER must be in (0, CRASH_WINDOWS]")
     system = ScaloSystem(
-        n_nodes=n_nodes, electrodes_per_node=electrodes_per_node, seed=seed,
-        arq=True, telemetry=telemetry,
+        n_nodes=n_nodes, electrodes_per_node=CRASH_ELECTRODES,
+        seed=CRASH_SEED, arq=True,
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CRASH_SEED)
 
     def ingest_round(window: int) -> None:
         batch = system.ingest(
             rng.normal(
-                size=(n_nodes, electrodes_per_node, WINDOW_SAMPLES)
+                size=(n_nodes, CRASH_ELECTRODES, WINDOW_SAMPLES)
             ).astype(np.float32)
         )
         for src in system.alive_node_ids:
@@ -230,20 +220,20 @@ def crash_recovery_coverage(
         for node in system.alive_node_ids:
             system.drain_inbox(node)
 
-    for window in range(crash_after):
+    for window in range(CRASH_AFTER):
         ingest_round(window)
-    system.fail_node(crash_node)
+    system.fail_node(CRASH_NODE)
     # downtime is retention time: one bit rots before the reboot
-    device = system.nodes[crash_node].storage.device
+    device = system.nodes[CRASH_NODE].storage.device
     device.inject_bit_rot(device.programmed_pages[0], np.array([0]))
 
     spec = QuerySpec(kind="q3", time_range_ms=100.0)
-    before = system.query(spec, (0, crash_after))
+    before = system.query(spec, (0, CRASH_AFTER))
 
-    report = system.recover_node(crash_node)
-    for window in range(crash_after, n_windows):
+    report = system.recover_node(CRASH_NODE)
+    for window in range(CRASH_AFTER, CRASH_WINDOWS):
         ingest_round(window)
-    after = system.query(spec, (0, n_windows))
+    after = system.query(spec, (0, CRASH_WINDOWS))
     return RecoveryCoverageResult(
         before=before,
         after=after,

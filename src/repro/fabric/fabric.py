@@ -308,11 +308,8 @@ class FleetFabric:
         self,
         spec: QuerySpec,
         *,
-        window_range: tuple[int, int] | None = None,
         template: np.ndarray | None = None,
         min_coverage: float = 0.0,
-        fleets: tuple[int, ...] | None = None,
-        deadline_ms: float | None = None,
     ) -> PopulationResult:
         """Scatter one query to every fleet, gather with coverage merge.
 
@@ -321,15 +318,12 @@ class FleetFabric:
         gated like any tenant's) at the current fabric clock; fleets run
         concurrently, so the gathered finish time is the *max* fleet
         finish plus the gather charge — population latency scales with
-        the slowest fleet, not the fleet count.  ``window_range``
-        defaults to each fleet's full ingested range.
+        the slowest fleet, not the fleet count.  Each fleet answers over
+        its full ingested range.
         """
         if not 0 <= min_coverage <= 1:
             raise ConfigurationError("coverage SLA must be in [0, 1]")
-        targets = self.fleet_ids if fleets is None else tuple(fleets)
-        for fleet_id in targets:
-            if fleet_id not in self.shards:
-                raise ConfigurationError(f"no fleet {fleet_id} in fabric")
+        targets = self.fleet_ids
         if not targets:
             raise ConfigurationError("population query needs at least one fleet")
 
@@ -345,9 +339,8 @@ class FleetFabric:
                 request_id = shard.server.submit(
                     POPULATION_CLIENT,
                     spec,
-                    shard.window_range if window_range is None else window_range,
+                    shard.window_range,
                     template=template,
-                    deadline_ms=deadline_ms,
                     arrival_ms=start,
                 )
                 pending.append((shard, request_id, None))

@@ -15,25 +15,21 @@ from __future__ import annotations
 
 from repro.telemetry.health.slo import SLO
 
+#: The objective of each tenant's availability and deadline SLOs: looser
+#: than the fleet-wide serving SLOs, because a single tenant's sample is
+#: small, and the min-event guards keep a handful of early sheds from
+#: firing a page.
+TENANT_OBJECTIVE = 0.90
 
-def tenant_slos(
-    tenants,
-    *,
-    availability_objective: float = 0.90,
-    deadline_objective: float = 0.90,
-) -> tuple[SLO, ...]:
-    """One availability + one deadline SLO per tenant.
 
-    Objectives default looser than the fleet-wide serving SLOs: a
-    single tenant's sample is small, and the min-event guards keep a
-    handful of early sheds from firing a page.
-    """
+def tenant_slos(tenants) -> tuple[SLO, ...]:
+    """One availability + one deadline SLO per tenant."""
     slos: list[SLO] = []
     for tenant in tenants:
         slos.append(
             SLO(
                 name=f"fabric-{tenant}-availability",
-                objective=availability_objective,
+                objective=TENANT_OBJECTIVE,
                 bad_counters=(f"fabric.{tenant}.shed",),
                 total_counters=(f"fabric.{tenant}.submitted",),
                 window_rounds=(6, 32),
@@ -45,7 +41,7 @@ def tenant_slos(
         slos.append(
             SLO(
                 name=f"fabric-{tenant}-deadline",
-                objective=deadline_objective,
+                objective=TENANT_OBJECTIVE,
                 bad_counters=(f"fabric.{tenant}.deadline_miss",),
                 total_counters=(f"fabric.{tenant}.completed",),
                 window_rounds=(6, 32),

@@ -126,11 +126,9 @@ def get_pe(name: str) -> PESpec:
         raise UnknownPEError(name) from None
 
 
-def total_area_kge(names: list[str] | None = None) -> float:
-    """Sum of PE areas (KGE) for ``names`` (default: the whole catalog)."""
-    if names is None:
-        names = list(PE_CATALOG)
-    return sum(get_pe(n).area_kge for n in names)
+def total_area_kge() -> float:
+    """Sum of PE areas (KGE) over the whole catalog."""
+    return sum(pe.area_kge for pe in PE_CATALOG.values())
 
 
 def format_table1() -> str:

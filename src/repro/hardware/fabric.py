@@ -26,17 +26,14 @@ class Fabric:
     pes: dict[str, ProcessingElement] = field(init=False, default_factory=dict)
     graph: DAG[str] = field(init=False, default_factory=DAG)
 
-    def add_pe(self, name: str, instance_id: str | None = None) -> str:
+    def add_pe(self, name: str) -> str:
         """Instantiate catalog PE ``name``; returns the instance id.
 
         Multiple instances of the same PE type (e.g. the ten MAD units in
-        the LIN ALG cluster) get distinct ids like ``MAD.0``, ``MAD.1``.
+        the LIN ALG cluster) get distinct ids ``MAD``, ``MAD.1``, ...
         """
-        if instance_id is None:
-            count = sum(1 for key in self.pes if key.split(".")[0] == name)
-            instance_id = f"{name}.{count}" if count or f"{name}" in self.pes else name
-        if instance_id in self.pes:
-            raise FabricError(f"duplicate PE instance id {instance_id!r}")
+        count = sum(1 for key in self.pes if key.split(".")[0] == name)
+        instance_id = f"{name}.{count}" if count else name
         self.pes[instance_id] = ProcessingElement(get_pe(name))
         self.graph.add_node(instance_id)
         return instance_id

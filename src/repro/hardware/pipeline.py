@@ -16,20 +16,12 @@ from repro.hardware.pe import ProcessingElement
 
 @dataclass
 class PipelineStage:
-    """One stage of a pipeline: a PE plus an optional latency override.
-
-    ``latency_override_ms`` supplies the latency for data-dependent PEs
-    (e.g. the SC storage controller, whose latency depends on whether the
-    NVM is busy) or for PEs processing non-standard batch sizes.
-    """
+    """One stage of a pipeline: a PE."""
 
     pe: ProcessingElement
-    latency_override_ms: float | None = None
 
     @property
     def latency_ms(self) -> float:
-        if self.latency_override_ms is not None:
-            return self.latency_override_ms
         return self.pe.latency_ms
 
 
@@ -40,11 +32,9 @@ class Pipeline:
     name: str
     stages: list[PipelineStage] = field(init=False, default_factory=list)
 
-    def add(
-        self, pe: ProcessingElement, latency_override_ms: float | None = None
-    ) -> "Pipeline":
+    def add(self, pe: ProcessingElement) -> "Pipeline":
         """Append a stage; returns self for chaining."""
-        self.stages.append(PipelineStage(pe, latency_override_ms))
+        self.stages.append(PipelineStage(pe))
         return self
 
     @property

@@ -19,6 +19,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Collision-check horizon (ms): CCHECK compares against the local hashes
+#: of this past window; recent hashes older than four horizons are
+#: evicted.
+HASH_HORIZON_MS = 100.0
+
 
 class HashRecord(NamedTuple):
     """One stored hash: which electrode produced it and when."""
@@ -33,11 +38,10 @@ class RecentHashStore:
     """A bounded time-ordered store of local hashes (SRAM + NVM backed).
 
     Records are kept in insertion (time) order; lookups retrieve the window
-    ``[now - horizon, now]``, which is exactly the access pattern CCHECK
-    performs against the on-chip storage.
+    ``[now - HASH_HORIZON_MS, now]``, which is exactly the access pattern
+    CCHECK performs against the on-chip storage.
     """
 
-    horizon_ms: float = 100.0
     _records: list[HashRecord] = field(init=False, default_factory=list)
 
     def add_batch(
@@ -53,7 +57,7 @@ class RecentHashStore:
 
     def recent(self, now_ms: float) -> list[HashRecord]:
         """Records within the horizon ending at ``now_ms``."""
-        cutoff = now_ms - self.horizon_ms
+        cutoff = now_ms - HASH_HORIZON_MS
         times = [r.time_ms for r in self._records]
         lo = bisect.bisect_left(times, cutoff)
         hi = bisect.bisect_right(times, now_ms)

@@ -57,11 +57,10 @@ class CompiledQuery:
     pe_names: list[str]
     mc_operators: list[str]
 
-    def build_pipeline(self, fabric: Fabric | None = None) -> Pipeline:
-        """Wire the PE chain on a fabric and return the pipeline."""
-        fabric = fabric if fabric is not None else Fabric()
+    def build_pipeline(self) -> Pipeline:
+        """Wire the PE chain on a fresh fabric and return the pipeline."""
         name = self.chain.var_name or "query"
-        return fabric.wire_chain(name, self.pe_names)
+        return Fabric().wire_chain(name, self.pe_names)
 
 
 def compile_query(chain: QueryChain) -> CompiledQuery:

@@ -13,14 +13,16 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Pivots smaller than this (in absolute value) make the matrix
+#: effectively singular.
+PIVOT_TOL = 1e-12
 
-def gauss_jordan_inverse(matrix: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
+
+def gauss_jordan_inverse(matrix: np.ndarray) -> np.ndarray:
     """Invert a square matrix with Gauss-Jordan elimination.
 
     Args:
         matrix: square, non-singular.
-        pivot_tol: pivots smaller than this (in absolute value) make the
-            matrix effectively singular.
 
     Raises:
         ConfigurationError: for non-square or singular inputs.
@@ -35,7 +37,7 @@ def gauss_jordan_inverse(matrix: np.ndarray, pivot_tol: float = 1e-12) -> np.nda
         # partial pivoting: bring the largest remaining entry up
         pivot_row = col + int(np.argmax(np.abs(augmented[col:, col])))
         pivot = augmented[pivot_row, col]
-        if abs(pivot) < pivot_tol:
+        if abs(pivot) < PIVOT_TOL:
             raise ConfigurationError("matrix is singular to working precision")
         if pivot_row != col:
             augmented[[col, pivot_row]] = augmented[[pivot_row, col]]

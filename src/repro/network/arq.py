@@ -40,7 +40,6 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.errors import RetryExhausted
 from repro.network.network import Receiver, WirelessNetwork
 from repro.network.packet import (
     BROADCAST,
@@ -121,9 +120,9 @@ class ReliableLink:
     def attach(self, node_id: int, receiver: Receiver) -> None:
         """Register an endpoint behind duplicate suppression."""
 
-        def deduped(packet: Packet, _dst: int = node_id) -> None:
+        def deduped(packet: Packet) -> None:
             key = (
-                packet.header.src, _dst, packet.header.kind,
+                packet.header.src, node_id, packet.header.kind,
                 packet.header.seq,
             )
             if key in self._seen:
@@ -189,13 +188,11 @@ class ReliableLink:
         tel.inc("arq.acks_lost")
         return False
 
-    def send(self, packet: Packet, raise_on_failure: bool = False) -> ARQResult:
+    def send(self, packet: Packet) -> ARQResult:
         """Send one packet reliably: :meth:`send_many` with one packet."""
-        return self.send_many([packet], raise_on_failure)[0]
+        return self.send_many([packet])[0]
 
-    def send_many(
-        self, packets: Sequence[Packet], raise_on_failure: bool = False
-    ) -> list[ARQResult]:
+    def send_many(self, packets: Sequence[Packet]) -> list[ARQResult]:
         """Send packets in order, each retransmitted until ACKed or exhausted.
 
         Every ledger, draw and delivery is what one stop-and-wait send per
@@ -207,10 +204,10 @@ class ReliableLink:
         A run's receivers are called when the run ends, so they must not
         send on the network or change its links.
 
+        A target that never acknowledged within the retry budget is in
+        its result's ``failed`` list.
+
         Raises:
-            RetryExhausted: when ``raise_on_failure`` and at least one
-                target of a packet never acknowledged within the retry
-                budget; later packets are not sent.
             NetworkError: on routing errors (unknown source/destination),
                 exactly as :meth:`WirelessNetwork.send`.
         """
@@ -227,7 +224,7 @@ class ReliableLink:
             if run:
                 results.extend(self._book_clean(run))
                 run = []
-            results.append(self._send_one(packet, raise_on_failure))
+            results.append(self._send_one(packet))
         if run:
             results.extend(self._book_clean(run))
         return results
@@ -285,7 +282,7 @@ class ReliableLink:
         tel.observe("arq.attempts", 1, n=n)
         return results
 
-    def _send_one(self, packet: Packet, raise_on_failure: bool) -> ARQResult:
+    def _send_one(self, packet: Packet) -> ARQResult:
         """The per-frame stop-and-wait path for one packet."""
         if packet.header.dst == BROADCAST:
             pending = [
@@ -338,12 +335,7 @@ class ReliableLink:
         else:
             tel.inc("arq.delivered_first_try")
         tel.observe("arq.attempts", attempts_used)
-        result = ARQResult(packet.header.seq, delivered, sorted(pending))
-        if pending and raise_on_failure:
-            raise RetryExhausted(
-                packet.header.seq, MAX_RETRIES + 1, sorted(pending)
-            )
-        return result
+        return ARQResult(packet.header.seq, delivered, sorted(pending))
 
     def _attempt(
         self, packet: Packet, pending: list[int], acks: dict[int, Packet]

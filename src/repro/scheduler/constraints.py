@@ -194,18 +194,17 @@ class ConstraintSystem:
 
     # -- verification -------------------------------------------------------------
 
-    def verify(
-        self, electrodes: Sequence[float], tol: float = VERIFY_TOL
-    ) -> tuple[str, ...]:
-        """Check a solution against every exact row; return violations.
+    def verify(self, electrodes: Sequence[float]) -> tuple[str, ...]:
+        """Check a solution against every exact row, to :data:`VERIFY_TOL`;
+        return violations.
 
         An empty tuple means feasible.  The property tests call it on the
         LP's own output as an independent oracle.
         """
         violations: list[str] = []
         for row, e in zip(self.rows, electrodes):
-            slack = tol * max(1.0, row.cap)
-            if e < -tol:
+            slack = VERIFY_TOL * max(1.0, row.cap)
+            if e < -VERIFY_TOL:
                 violations.append(
                     f"{row.task.name}: negative allocation {e:.6g}"
                 )
@@ -216,25 +215,25 @@ class ConstraintSystem:
                 )
             if row.latency_rhs_ms is not None:
                 lhs = row.mult * row.airtime_slope_ms * e
-                if lhs > row.latency_rhs_ms * (1 + tol) + tol:
+                if lhs > row.latency_rhs_ms * (1 + VERIFY_TOL) + VERIFY_TOL:
                     violations.append(
                         f"{row.task.name}: airtime {lhs:.6g} ms over "
                         f"latency budget {row.latency_rhs_ms:.6g} ms"
                     )
         power = self.node_power_mw(electrodes)
-        if power > self.power_budget_mw * (1 + tol) + tol:
+        if power > self.power_budget_mw * (1 + VERIFY_TOL) + VERIFY_TOL:
             violations.append(
                 f"node power {power:.6g} mW over budget "
                 f"{self.power_budget_mw:.6g} mW"
             )
         util = self.utilisation(electrodes)
-        if util > NETWORK_UTILISATION_CAP * (1 + tol) + tol:
+        if util > NETWORK_UTILISATION_CAP * (1 + VERIFY_TOL) + VERIFY_TOL:
             violations.append(
                 f"medium utilisation {util:.6g} over cap "
                 f"{NETWORK_UTILISATION_CAP:.6g}"
             )
         nvm = sum(row.nvm_per_ms * e for row, e in zip(self.rows, electrodes))
-        if nvm > self.nvm_budget_bytes_per_ms * (1 + tol) + tol:
+        if nvm > self.nvm_budget_bytes_per_ms * (1 + VERIFY_TOL) + VERIFY_TOL:
             violations.append(
                 f"NVM traffic {nvm:.6g} B/ms over bandwidth "
                 f"{self.nvm_budget_bytes_per_ms:.6g} B/ms"

@@ -413,16 +413,13 @@ def max_throughput_mbps(
     task: TaskModel,
     n_nodes: int,
     power_budget_mw: float = NODE_POWER_CAP_MW,
-    electrode_cap: float | None = None,
     tdma: TDMAConfig | None = None,
-    telemetry: TelemetryLike = NULL_TELEMETRY,
 ) -> float:
     """Single-flow convenience: the paper's "maximum aggregate throughput"."""
     problem = SchedulerProblem(
         n_nodes=n_nodes,
-        flows=[Flow(task, electrode_cap=electrode_cap)],
+        flows=[Flow(task)],
         power_budget_mw=power_budget_mw,
         tdma=tdma if tdma is not None else TDMAConfig(),
-        telemetry=telemetry,
     )
     return problem.solve().aggregate_mbps

@@ -217,6 +217,9 @@ def spike_sorting_task() -> TaskModel:
 #: Movement stages operate on 50 ms windows.
 MOVEMENT_PERIOD_MS = 50.0
 
+#: Hidden width of the MI-NN decoder (the paper's 256 units).
+NN_HIDDEN_UNITS = 256
+
 
 def mi_svm_task() -> TaskModel:
     """Pipeline A: SBP features + partial SVM; 4 B per node on the wire.
@@ -245,12 +248,12 @@ def mi_svm_task() -> TaskModel:
     )
 
 
-def mi_nn_task(n_hidden: int = 256) -> TaskModel:
+def mi_nn_task() -> TaskModel:
     """Pipeline C: SBP + partial hidden layer; 4 B/hidden unit per node."""
-    # partial hidden layer: n_hidden MACs per local feature per period;
+    # partial hidden layer: NN_HIDDEN_UNITS MACs per local feature per period;
     # scale the BMUL per-electrode figure by the hidden width over the
     # 96-channel reference.
-    mac_uw = get_pe("BMUL").dyn_uw_per_electrode * n_hidden / 96.0
+    mac_uw = get_pe("BMUL").dyn_uw_per_electrode * NN_HIDDEN_UNITS / 96.0
     dyn = (
         ADC_UW_PER_ELECTRODE
         + NVM_LOG_UW_PER_ELECTRODE
@@ -262,7 +265,7 @@ def mi_nn_task(n_hidden: int = 256) -> TaskModel:
         pe_names=("SBP", "BMUL", "ADD", "NPACK", "UNPACK", "GATE", "SC"),
         dyn_uw_per_electrode=dyn,
         comm="all_one",
-        wire_bytes_fixed=4.0 * n_hidden,
+        wire_bytes_fixed=4.0 * NN_HIDDEN_UNITS,
         period_ms=MOVEMENT_PERIOD_MS,
         net_budget_ms=MOVEMENT_PERIOD_MS,
         nvm_bytes_per_electrode_period=WINDOW_BYTES,

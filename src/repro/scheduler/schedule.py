@@ -18,22 +18,20 @@ from repro.scheduler.ilp import Schedule
 from repro.units import ELECTRODES_PER_NODE
 
 
-def clock_divider_for_load(
-    pe_name: str, electrodes: float, reference_electrodes: float = ELECTRODES_PER_NODE
-) -> int:
+def clock_divider_for_load(pe_name: str, electrodes: float) -> int:
     """The power-optimal divider for a PE processing ``electrodes`` channels.
 
-    A PE at its maximum frequency sustains ``reference_electrodes``
+    A PE at its maximum frequency sustains ``ELECTRODES_PER_NODE``
     channels; the divider is the largest integer k with f_max/k still
     meeting the required rate (paper §3.2, "Optimal Power Tuning").
     """
-    if electrodes < 0 or reference_electrodes <= 0:
+    if electrodes < 0:
         raise SchedulingError("invalid electrode counts")
     spec = get_pe(pe_name)
     clock = ClockDomain(spec.max_freq_mhz)
     if electrodes == 0:
         return int(spec.max_freq_mhz // (spec.max_freq_mhz / 2**10)) or 1
-    load = min(1.0, electrodes / reference_electrodes)
+    load = min(1.0, electrodes / ELECTRODES_PER_NODE)
     return clock.slowest_divider_for(spec.max_freq_mhz * load)
 
 
@@ -46,16 +44,15 @@ class MaterialisedSchedule:
     tdma_frame: TDMASchedule
 
 
-def materialise(
-    schedule: Schedule, tdma: TDMAConfig | None = None
-) -> MaterialisedSchedule:
-    """Emit dividers and a TDMA frame from a solved schedule.
+def materialise(schedule: Schedule) -> MaterialisedSchedule:
+    """Emit dividers and a TDMA frame (default radio) from a solved
+    schedule.
 
     Slots are allocated round-robin, with each node's slot count
     proportional to the total per-period airtime of the flows (at least
     one slot per node so control traffic can flow).
     """
-    tdma = tdma if tdma is not None else TDMAConfig()
+    tdma = TDMAConfig()
 
     dividers: dict[str, int] = {}
     for allocation in schedule.allocations:

@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.datasets.spikes import SPIKE_SAMPLES
 from repro.errors import ConfigurationError
+
+#: THR's refractory period (samples): a channel does not re-trigger
+#: within it, so each spike yields one detection.
+REFRACTORY_SAMPLES = 3 * SPIKE_SAMPLES // 4
 
 
 def spike_band_power_multichannel(windows: np.ndarray) -> np.ndarray:
@@ -40,32 +45,36 @@ def nonlinear_energy(samples: np.ndarray) -> np.ndarray:
     return energy
 
 
-def threshold_crossings(
-    samples: np.ndarray, threshold: float, refractory: int = 30
-) -> np.ndarray:
+def threshold_crossings(samples: np.ndarray, threshold: float) -> np.ndarray:
     """THR PE: indices where ``samples`` crosses above ``threshold``.
 
-    A refractory period (samples) suppresses re-triggering inside a single
+    :data:`REFRACTORY_SAMPLES` suppresses re-triggering inside a single
     event — one detection per spike.
     """
     samples = np.asarray(samples, dtype=float)
-    if refractory < 0:
+    if REFRACTORY_SAMPLES < 0:
         raise ConfigurationError("refractory period cannot be negative")
     above = samples > threshold
     crossings = np.flatnonzero(above[1:] & ~above[:-1]) + 1
     if samples.size and above[0]:
         crossings = np.concatenate([[0], crossings])
-    if refractory == 0 or crossings.size == 0:
+    if REFRACTORY_SAMPLES == 0 or crossings.size == 0:
         return crossings
     kept = [int(crossings[0])]
     for idx in crossings[1:]:
-        if idx - kept[-1] > refractory:
+        if idx - kept[-1] > REFRACTORY_SAMPLES:
             kept.append(int(idx))
     return np.asarray(kept, dtype=np.int64)
 
 
-def adaptive_threshold(samples: np.ndarray, k: float = 4.0) -> float:
-    """Robust spike threshold: k times the MAD-based noise sigma estimate."""
+#: Spike detection threshold: smoothed NEO energy above this many
+#: MAD-based noise sigmas.
+THRESHOLD_K_SIGMA = 10.0
+
+
+def adaptive_threshold(samples: np.ndarray) -> float:
+    """Robust spike threshold: :data:`THRESHOLD_K_SIGMA` times the
+    MAD-based noise sigma estimate."""
     samples = np.asarray(samples, dtype=float)
     sigma = np.median(np.abs(samples - np.median(samples))) / 0.6745
-    return float(k * sigma)
+    return float(THRESHOLD_K_SIGMA * sigma)

@@ -20,6 +20,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Scale every histogram to unit mass before the EMD; without it the two
+#: must already carry equal mass.
+NORMALISE = True
+
 
 def zscore_rows(rows: np.ndarray) -> np.ndarray:
     """Z-score each row of ``(rows, samples)`` (or one 1-D window).
@@ -90,14 +94,12 @@ def signal_to_histogram(
     return counts.reshape(rows.shape[:-1] + (n_bins,))
 
 
-def emd_rows(
-    hist: np.ndarray, rows: np.ndarray, normalise: bool = True
-) -> np.ndarray:
+def emd_rows(hist: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """EMD from one histogram to each row of ``(k, bins)``, unit ground distance.
 
-    With ``normalise`` every histogram is scaled to unit mass first (the
-    usual definition for signatures of unequal total); without it they
-    must already have equal mass.
+    With :data:`NORMALISE` every histogram is scaled to unit mass first
+    (the usual definition for signatures of unequal total); without it
+    they must already have equal mass.
 
     Returns:
         ``(k,)`` float costs; entry ``i`` is ``emd_1d(hist, rows[i])``.
@@ -109,7 +111,7 @@ def emd_rows(
     if np.any(a < 0) or np.any(b < 0):
         raise ConfigurationError("histogram masses must be non-negative")
     mass_a, mass_b = a.sum(), b.sum(axis=1)
-    if normalise:
+    if NORMALISE:
         if mass_a == 0 or np.any(mass_b == 0):
             raise ConfigurationError("cannot normalise an empty histogram")
         a = a / mass_a
@@ -121,13 +123,13 @@ def emd_rows(
     return np.abs(np.cumsum(a - b, axis=1)).sum(axis=1)
 
 
-def emd_1d(hist_a: np.ndarray, hist_b: np.ndarray, normalise: bool = True) -> float:
+def emd_1d(hist_a: np.ndarray, hist_b: np.ndarray) -> float:
     """EMD between two 1-D histograms: the one-pair :func:`emd_rows`."""
     a = np.asarray(hist_a, dtype=float)
     b = np.asarray(hist_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ConfigurationError("expect two equal-length 1-D histograms")
-    return float(emd_rows(a, b[None], normalise)[0])
+    return float(emd_rows(a, b[None])[0])
 
 
 def emd_signal(

@@ -290,25 +290,15 @@ class StorageController:
         electrode: int,
         window_index: int,
         samples: np.ndarray,
-        signature: Sequence[int] | None = None,
     ) -> None:
         """Persist one electrode-window (int16 samples) in chunked layout.
 
-        The one-row :meth:`store_channel_windows`.
-
-        Args:
-            signature: the LSH signature of ``samples``, reused for the
-                signature cache when the samples are int16-exact; see
-                :meth:`store_channel_windows`.
+        The one-row :meth:`store_channel_windows`, without a signature.
         """
         samples = np.asarray(samples)
         if samples.ndim != 1:
             raise StorageError("expected a 1-D sample window")
-        self._store_windows(
-            [(electrode, window_index)],
-            samples[None, :],
-            None if signature is None else [signature],
-        )
+        self._store_windows([(electrode, window_index)], samples[None, :], None)
 
     def store_channel_windows(
         self,
@@ -697,9 +687,7 @@ class StorageController:
         self._hash_meta = {}
         self._templates = {}
         self.last_written_page = None
-        self.table = PartitionTable(
-            self.device.capacity_bytes, fractions=dict(self.table.fractions)
-        )
+        self.table = PartitionTable(self.device.capacity_bytes)
 
     def recover(self) -> StorageRecovery:
         """Rebuild the SRAM metadata from checkpoint + journal replay."""

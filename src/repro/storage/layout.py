@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from repro.errors import StorageError
 
-#: Default chunk size (samples of one electrode stored contiguously).
-DEFAULT_CHUNK_SAMPLES = 120  # one 4 ms window
+#: Chunk size (samples of one electrode stored contiguously).
+CHUNK_SAMPLES = 120  # one 4 ms window
 
 #: Calibrated per-window costs from the paper (§3.3): with the chunked
 #: layout, retrieving one electrode's 4 ms window costs 0.035 ms; in the
@@ -32,7 +32,6 @@ def read_cost_ms(
     window_samples: int,
     n_channels: int,
     chunked: bool,
-    chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
 ) -> float:
     """NVM time to retrieve one electrode's contiguous window.
 
@@ -45,20 +44,16 @@ def read_cost_ms(
     """
     if window_samples <= 0 or n_channels <= 0:
         raise StorageError("window and channel counts must be positive")
-    n_windows = -(-window_samples // chunk_samples)
+    n_windows = -(-window_samples // CHUNK_SAMPLES)
     if chunked:
         return n_windows * CHUNKED_READ_MS_PER_WINDOW
     return n_windows * INTERLEAVED_READ_MS_PER_WINDOW
 
 
-def write_cost_ms(
-    window_samples: int,
-    chunked: bool,
-    chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
-) -> float:
+def write_cost_ms(window_samples: int, chunked: bool) -> float:
     """NVM time to persist one electrode-window of streamed samples."""
     if window_samples <= 0:
         raise StorageError("window length must be positive")
-    n_windows = -(-window_samples // chunk_samples)
+    n_windows = -(-window_samples // CHUNK_SAMPLES)
     per_window = CHUNKED_WRITE_MS_PER_WINDOW if chunked else RAW_WRITE_MS_PER_WINDOW
     return n_windows * per_window

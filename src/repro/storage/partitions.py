@@ -71,18 +71,18 @@ class Partition:
 
 @dataclass
 class PartitionTable:
-    """The four-partition layout of one node's NVM."""
+    """The four-partition layout of one node's NVM, split by
+    :data:`DEFAULT_FRACTIONS`."""
 
     capacity_bytes: int
-    fractions: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_FRACTIONS))
     partitions: dict[str, Partition] = field(init=False)
 
     def __post_init__(self) -> None:
-        if set(self.fractions) != set(PARTITION_NAMES):
+        if set(DEFAULT_FRACTIONS) != set(PARTITION_NAMES):
             raise StorageError(
                 f"fractions must cover exactly {PARTITION_NAMES}"
             )
-        total = sum(self.fractions.values())
+        total = sum(DEFAULT_FRACTIONS.values())
         if abs(total - 1.0) > 1e-9:
             raise StorageError(f"fractions must sum to 1 (got {total})")
         if self.capacity_bytes < len(PARTITION_NAMES) * BLOCK_BYTES:
@@ -93,7 +93,7 @@ class PartitionTable:
         cursor = 0
         for name in PARTITION_NAMES:
             # align partitions to block boundaries, at least one block each
-            size = int(self.capacity_bytes * self.fractions[name])
+            size = int(self.capacity_bytes * DEFAULT_FRACTIONS[name])
             size = max(BLOCK_BYTES, size - size % BLOCK_BYTES)
             self.partitions[name] = Partition(name, cursor, size)
             cursor += size

@@ -112,8 +112,8 @@ class Telemetry:
     advance_us: Callable[[float], None]
     advance_ms: Callable[[float], None]
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=self.clock)
         self.inc = self.registry.inc

@@ -39,16 +39,10 @@ def _traced_system(
     )
 
 
-def seizure_scenario(
-    telemetry: Telemetry,
-    n_nodes: int = 4,
-    electrodes: int = 4,
-    n_windows: int = 4,
-    seed: int = 0,
-) -> Telemetry:
+def seizure_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
     """Seizure-propagation session: ingest, hash exchange, traced query.
 
-    Every node ingests ``n_windows`` windows (storage + hashing metered),
+    Each of four nodes ingests four windows (storage + hashing metered),
     broadcasts its hash batches over the reliable link (ARQ retries show
     up as spans), checks its neighbours' hashes against its own recent
     store, and finally the fleet answers one distributed Q1 query —
@@ -57,6 +51,7 @@ def seizure_scenario(
     from repro.apps.queries import QuerySpec
     from repro.units import WINDOW_SAMPLES
 
+    n_nodes, electrodes, n_windows = 4, 4, 4
     system = _traced_system(telemetry, n_nodes, electrodes, seed)
     rng = np.random.default_rng(seed)
     signatures_by_round = []
@@ -95,17 +90,12 @@ def seizure_scenario(
     return telemetry
 
 
-def queries_scenario(
-    telemetry: Telemetry,
-    n_nodes: int = 3,
-    electrodes: int = 4,
-    n_windows: int = 5,
-    seed: int = 0,
-) -> Telemetry:
+def queries_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
     """Interactive-query session: one distributed query per kind."""
     from repro.apps.queries import QuerySpec
     from repro.units import WINDOW_SAMPLES
 
+    n_nodes, electrodes, n_windows = 3, 4, 5
     system = _traced_system(telemetry, n_nodes, electrodes, seed)
     rng = np.random.default_rng(seed)
     windows = None
@@ -127,11 +117,7 @@ def queries_scenario(
     return telemetry
 
 
-def fig9a_scenario(
-    telemetry: Telemetry,
-    node_counts: tuple[int, ...] = (1, 2, 4, 8, 11, 16, 32, 64),
-    seed: int = 0,
-) -> Telemetry:
+def fig9a_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
     """The Fig. 9a workload under telemetry: 24 ILP solves.
 
     Simulated time stands still here (the scheduler is analytical); the
@@ -143,13 +129,14 @@ def fig9a_scenario(
     """
     del seed
     from repro.eval.application import (
+        FIG9_NODE_COUNTS,
         FIG9A_WEIGHTS,
         seizure_propagation_schedule,
     )
 
     for weights in FIG9A_WEIGHTS:
         label = ":".join(str(int(w)) for w in weights)
-        for n in node_counts:
+        for n in FIG9_NODE_COUNTS:
             with telemetry.span("schedule", weights=label, nodes=n):
                 schedule = seizure_propagation_schedule(
                     n, weights, telemetry=telemetry
@@ -161,16 +148,11 @@ def fig9a_scenario(
     return telemetry
 
 
-def recovery_session(
-    telemetry: Telemetry,
-    n_nodes: int = 4,
-    electrodes: int = 4,
-    seed: int = 0,
-    faults: bool = True,
-):
+def recovery_session(telemetry: Telemetry, seed: int = 0, faults: bool = True):
     """One crash → reboot → resync cycle; returns ``(system, query result)``.
 
-    The seeded :class:`~repro.faults.plan.FaultPlan` crashes node 1
+    The seeded :class:`~repro.faults.plan.FaultPlan` on a four-node
+    fleet crashes node 1
     *mid-cycle* — after it has stored a window but before that window's
     hash exchange — and rots one NVM bit each on node 0 (corrected by
     the background scrubber while alive) and on the crashed node
@@ -188,6 +170,7 @@ def recovery_session(
     from repro.recovery.scrub import FleetScrubber
     from repro.units import WINDOW_SAMPLES
 
+    n_nodes, electrodes = 4, 4
     system = _traced_system(telemetry, n_nodes, electrodes, seed)
     n_rounds = 5
     events = (
@@ -246,12 +229,7 @@ def recovery_session(
     return system, result
 
 
-def serving_scenario(
-    telemetry: Telemetry,
-    n_nodes: int = 4,
-    electrodes: int = 8,
-    seed: int = 0,
-) -> Telemetry:
+def serving_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
     """Fleet-scale serving under overload and a mid-run node crash.
 
     A seeded open-loop load generator offers ~40 QPS of mixed Q1/Q2/Q3
@@ -264,6 +242,7 @@ def serving_scenario(
     from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
     from repro.serving.loadgen import LoadGenConfig, serve_session
 
+    n_nodes = 4
     plan = FaultPlan(
         n_nodes=n_nodes,
         n_rounds=64,
@@ -272,7 +251,7 @@ def serving_scenario(
     )
     _, report = serve_session(
         n_nodes=n_nodes,
-        electrodes=electrodes,
+        electrodes=8,
         seed=seed,
         load=LoadGenConfig(n_requests=48, offered_qps=40.0, seed=seed),
         telemetry=telemetry,
@@ -287,10 +266,7 @@ def serving_scenario(
     return telemetry
 
 
-def chaos_scenario(
-    telemetry: Telemetry,
-    seed: int = 0,
-) -> Telemetry:
+def chaos_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
     """The three-level fault-storm sweep with the reliability stack armed.
 
     Runs :func:`~repro.eval.chaos.chaos_sweep` — mild / moderate /
@@ -320,14 +296,9 @@ def chaos_scenario(
     return telemetry
 
 
-def recover_scenario(
-    telemetry: Telemetry,
-    n_nodes: int = 4,
-    electrodes: int = 4,
-    seed: int = 0,
-) -> Telemetry:
+def recover_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
     """Crash-consistent recovery session (see :func:`recovery_session`)."""
-    recovery_session(telemetry, n_nodes, electrodes, seed, faults=True)
+    recovery_session(telemetry, seed, faults=True)
     return telemetry
 
 
@@ -344,32 +315,32 @@ SCENARIOS: dict[str, Scenario] = {
     "seizure": Scenario(
         "seizure",
         "ingest + reliable hash exchange + one traced distributed query",
-        lambda tel, seed: seizure_scenario(tel, seed=seed),
+        seizure_scenario,
     ),
     "queries": Scenario(
         "queries",
         "distributed Q1/Q2/Q3 round-trips over a noisy link",
-        lambda tel, seed: queries_scenario(tel, seed=seed),
+        queries_scenario,
     ),
     "fig9a": Scenario(
         "fig9a",
         "the Fig. 9a scheduler sweep with per-solve spans and gauges",
-        lambda tel, seed: fig9a_scenario(tel, seed=seed),
+        fig9a_scenario,
     ),
     "recover": Scenario(
         "recover",
         "crash + bit-rot, then reboot: replay, scrub, resync, full-coverage Q3",
-        lambda tel, seed: recover_scenario(tel, seed=seed),
+        recover_scenario,
     ),
     "serve": Scenario(
         "serve",
         "open-loop query serving under overload with a mid-run node crash",
-        lambda tel, seed: serving_scenario(tel, seed=seed),
+        serving_scenario,
     ),
     "chaos": Scenario(
         "chaos",
         "three-level fault-storm sweep: retries, breakers, brownouts",
-        lambda tel, seed: chaos_scenario(tel, seed=seed),
+        chaos_scenario,
     ),
 }
 

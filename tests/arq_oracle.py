@@ -10,7 +10,6 @@ only by the tests.
 
 from __future__ import annotations
 
-from repro.errors import RetryExhausted
 from repro.network import arq
 from repro.network.arq import (
     ACK_PAYLOAD_BYTES,
@@ -21,9 +20,7 @@ from repro.network.arq import (
 from repro.network.packet import BROADCAST, Packet, PayloadKind
 
 
-def send(
-    link: ReliableLink, packet: Packet, raise_on_failure: bool = False
-) -> ARQResult:
+def send(link: ReliableLink, packet: Packet) -> ARQResult:
     """Send one packet reliably; retransmit until ACKed or exhausted."""
     network = link.network
     if packet.header.dst == BROADCAST:
@@ -75,12 +72,7 @@ def send(
     else:
         tel.inc("arq.delivered_first_try")
     tel.observe("arq.attempts", attempts_used)
-    result = ARQResult(packet.header.seq, delivered, sorted(pending))
-    if pending and raise_on_failure:
-        raise RetryExhausted(
-            packet.header.seq, arq.MAX_RETRIES + 1, sorted(pending)
-        )
-    return result
+    return ARQResult(packet.header.seq, delivered, sorted(pending))
 
 
 def _attempt(

@@ -42,7 +42,7 @@ from test_src_reachability import UNNAMED_ALLOWED  # noqa: E402
 
 _TWIN = (
     "scalar twin of a batch path: bench/layer_tracer.py ENTRY_POINTS wraps "
-    "it, so it waits for the benchmark-only ROADMAP item 7"
+    "it, so it waits for the benchmark-only ROADMAP item 20 (item 23)"
 )
 _SNAPSHOT = (
     "determinism observable: the registry snapshot the determinism tests "
@@ -65,10 +65,9 @@ KEEP: dict[str, str] = {
     "repro.storage.nvm.NVMDevice.rewrite_range": _TWIN,
     "repro.storage.nvm.NVMDevice.erase_block": _TWIN,
     "repro.storage.nvm.NVMDevice.n_blocks":
-        "read by erase_block, a scalar twin (ROADMAP item 7)",
+        "read by erase_block, a scalar twin (ROADMAP items 20 and 23)",
     "repro.storage.controller.StorageController.store_window": _TWIN,
     "repro.storage.controller.StorageController.read_window": _TWIN,
-    "repro.core.node.ScaloNode.read_window": _TWIN,
     "repro.hashing.lsh.LSHFamily.hash_channels": _TWIN,
     "repro.core.system.ScaloSystem.reschedule": _TWIN,
     # the paper

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps import movement
 from repro.apps.movement import MovementSession, generate_movement_session
 from repro.datasets.spikes import SpikeDataset, generate_spikes
 from repro.datasets.synthetic_ieeg import SyntheticIEEG, generate_ieeg
@@ -33,10 +34,11 @@ def spike_dataset() -> SpikeDataset:
 @pytest.fixture(scope="session")
 def movement_session() -> MovementSession:
     """A small movement session for decoder tests."""
-    return generate_movement_session(
-        n_nodes=3, electrodes_per_node=8, n_steps=300,
-        window_samples=80, seed=0,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(movement, "STEP_WINDOW_SAMPLES", 80)
+        return generate_movement_session(
+            n_nodes=3, electrodes_per_node=8, n_steps=300, seed=0
+        )
 
 
 @pytest.fixture()

@@ -247,11 +247,6 @@ runpy.run_module("repro", run_name="__main__", alter_sys=True)
 
 
 @pytest.fixture(scope="module")
-def fabric():
-    return api.build_fabric(n_fleets=2, nodes_per_fleet=2, seed=0)
-
-
-@pytest.fixture(scope="module")
 def system():
     system = api.build_system(n_nodes=2, electrodes_per_node=2, seed=0)
     rng = np.random.default_rng(0)
@@ -260,36 +255,19 @@ def system():
     return system
 
 
-def _query(entry, system, fabric, window_range):
-    if entry == "run_query":
-        return api.run_query(system, "q3", window_range).rows
-    if entry == "run_fleet_query":
-        return api.run_fleet_query(fabric, "t00", "q3", window_range).n_rows
-    return api.run_population_query(fabric, "q3", window_range).n_rows
-
-
-@pytest.mark.parametrize("entry", [
-    "run_query", "run_fleet_query", "run_population_query",
-])
+# the facade entry points that take a window range
+@pytest.mark.parametrize("entry", ["run_query"])
 @pytest.mark.parametrize("window_range", [
     pytest.param((0, 1), id="valid"),
     pytest.param((2, 1), id="reversed"),
     pytest.param((1, 1), id="empty"),
     pytest.param((-5, 2), id="negative"),
 ])
-def test_facade_checks_window_range(entry, window_range, system, fabric):
+def test_facade_checks_window_range(entry, window_range, system):
+    query = getattr(api, entry)
     start, stop = window_range
     if 0 <= start < stop:
-        assert _query(entry, system, fabric, window_range)
+        assert query(system, "q3", window_range).rows
         return
     with pytest.raises(ConfigurationError, match="empty or negative"):
-        _query(entry, system, fabric, window_range)
-
-
-def test_population_query_honours_window_range(fabric):
-    per_fleet = api.run_fleet_query(fabric, "t00", "q3", (0, 1)).n_rows
-    assert per_fleet == 16  # 2 nodes x 8 electrodes x 1 window
-    population = api.run_population_query(fabric, "q3", (0, 1))
-    assert population.n_fleets == 2
-    assert population.n_rows == 2 * per_fleet == 32
-    assert api.run_population_query(fabric, "q3").n_rows == 128
+        query(system, "q3", window_range)

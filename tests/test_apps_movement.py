@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps import movement
 from repro.apps.movement import (
     MovementClassifierApp,
     MovementKalmanApp,
@@ -14,10 +15,11 @@ from repro.errors import ConfigurationError
 
 @pytest.fixture(scope="module")
 def session():
-    return generate_movement_session(
-        n_nodes=3, electrodes_per_node=8, n_steps=300,
-        window_samples=80, seed=0,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(movement, "STEP_WINDOW_SAMPLES", 80)
+        return generate_movement_session(
+            n_nodes=3, electrodes_per_node=8, n_steps=300, seed=0
+        )
 
 
 @pytest.fixture(scope="module")

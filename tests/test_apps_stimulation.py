@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import stimulation
 from repro.apps.seizure import PropagationEvent
 from repro.apps.stimulation import (
     REFRACTORY_MS,
@@ -29,9 +30,12 @@ class TestProtocol:
         assert not check_safety(protocol)
         assert protocol.shannon_k() > SHANNON_K_LIMIT
 
-    def test_larger_electrode_relaxes_limit(self):
+    def test_larger_electrode_relaxes_limit(self, monkeypatch):
         protocol = StimulationProtocol(amplitude_ua=1000.0, phase_us=400.0)
-        assert protocol.shannon_k(1e-2) < protocol.shannon_k(1e-4)
+        monkeypatch.setattr(stimulation, "ELECTRODE_AREA_CM2", 1e-2)
+        large = protocol.shannon_k()
+        monkeypatch.setattr(stimulation, "ELECTRODE_AREA_CM2", 1e-4)
+        assert large < protocol.shannon_k()
 
     def test_duty_overflow_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetworkError, RetryExhausted
+from repro.errors import NetworkError
 from repro.network import arq
 from repro.network.arq import ACK_PAYLOAD_BYTES, ReliableLink
 from repro.network.channel import BitErrorChannel, flip_bits
@@ -100,7 +100,6 @@ def scenarios(draw):
             st.tuples(
                 changes(n_nodes),
                 st.lists(packets(n_nodes), max_size=40),
-                st.booleans(),
             ),
             min_size=1, max_size=5,
         )),
@@ -136,11 +135,9 @@ class World:
         else:
             self.link.forget(*args)
 
-    def send(self, send_many, batch, raise_on_failure):
+    def send(self, send_many, batch):
         try:
-            return send_many(self.link, batch, raise_on_failure)
-        except RetryExhausted as exc:
-            return ("exhausted", exc.seq, exc.attempts, exc.targets)
+            return send_many(self.link, batch)
         except NetworkError as exc:
             # a damaged header can name an unknown destination
             return ("unroutable", str(exc))
@@ -166,12 +163,12 @@ class World:
         return state
 
 
-def _batched(link, batch, raise_on_failure):
-    return link.send_many(batch, raise_on_failure)
+def _batched(link, batch):
+    return link.send_many(batch)
 
 
-def _per_packet(link, batch, raise_on_failure):
-    return [arq_oracle.send(link, p, raise_on_failure) for p in batch]
+def _per_packet(link, batch):
+    return [arq_oracle.send(link, p) for p in batch]
 
 
 @settings(max_examples=150, deadline=None,
@@ -186,11 +183,11 @@ def test_send_many_matches_per_packet_oracle(scenario):
                   scenario["live"])
             for _ in range(2)
         ]
-        for change, batch, raise_on_failure in scenario["steps"]:
+        for change, batch in scenario["steps"]:
             for world in worlds:
                 world.change(change)
-            batched = worlds[0].send(_batched, batch, raise_on_failure)
-            oracle = worlds[1].send(_per_packet, batch, raise_on_failure)
+            batched = worlds[0].send(_batched, batch)
+            oracle = worlds[1].send(_per_packet, batch)
             assert batched == oracle
             assert worlds[0].state() == worlds[1].state()
 
@@ -206,7 +203,7 @@ def test_sweep_point_matches_oracle(ber):
     ]
     worlds = [World(2, ber, 3, True) for _ in range(2)]
     assert worlds[0].link.send_many(batch) == _per_packet(
-        worlds[1].link, batch, False
+        worlds[1].link, batch
     )
     assert worlds[0].state() == worlds[1].state()
 

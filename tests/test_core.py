@@ -56,7 +56,7 @@ class TestThermal:
 class TestClockSync:
     def test_converges_within_rounds(self):
         clocks = [NodeClock(offset_us=o) for o in (-400.0, 0.0, 250.0, 90.0)]
-        report = SNTPSynchroniser(seed=0).synchronise(clocks, server_index=1)
+        report = SNTPSynchroniser(seed=0).synchronise(clocks)
         assert report.worst_offset_us <= TARGET_PRECISION_US
         assert report.airtime_ms > 0
 
@@ -79,7 +79,7 @@ class TestScaloNode:
         signatures = node.ingest_window(windows, hashes)
         assert signatures == hashes
         assert (0, 0) in node.storage.stored_windows()
-        assert node.read_window(2, 0).shape == (120,)
+        assert node.storage.read_window(2, 0).shape == (120,)
         assert node.storage.read_hash_batch(0) == hashes
         assert [r.signature for r in node.hash_store.recent(node.now_ms)] == hashes
 

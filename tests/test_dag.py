@@ -82,7 +82,7 @@ def test_fabric_matches_networkx(ops):
     ids: dict[int, str] = {}
 
     def add_node(a):
-        ids[a] = fabric.add_pe("ADD", instance_id=f"ADD.{a}")
+        ids[a] = fabric.add_pe("ADD")
 
     def connect(a, b):
         try:

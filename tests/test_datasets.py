@@ -9,6 +9,7 @@ from repro.datasets.spikes import (
     SpikeDatasetProfile,
     generate_spikes,
 )
+from repro.datasets import synthetic_ieeg
 from repro.datasets.synthetic_ieeg import generate_ieeg, pink_noise
 from repro.errors import ConfigurationError
 
@@ -62,11 +63,11 @@ class TestSyntheticIEEG:
         onset_window = rec.seizures[0].onset_sample // 120
         assert labels[onset_window : onset_window + 3].any()
 
-    def test_partial_propagation(self):
+    def test_partial_propagation(self, monkeypatch):
+        monkeypatch.setattr(synthetic_ieeg, "PROPAGATION_FRACTION", 0.5)
         rec = generate_ieeg(
             n_nodes=5, n_electrodes=2, duration_s=1.0, fs_hz=4000,
-            n_seizures=1, seizure_duration_s=0.2,
-            propagation_fraction=0.5, seed=3,
+            n_seizures=1, seizure_duration_s=0.2, seed=3,
         )
         arrivals = rec.seizures[0].arrivals
         assert len(arrivals) == 1 + 2  # onset + half of the other 4
@@ -82,9 +83,10 @@ class TestSyntheticIEEG:
         with pytest.raises(ConfigurationError):
             generate_ieeg(duration_s=0.5, fs_hz=4000, n_seizures=10)
 
-    def test_bad_fraction_rejected(self):
+    def test_bad_fraction_rejected(self, monkeypatch):
+        monkeypatch.setattr(synthetic_ieeg, "PROPAGATION_FRACTION", 1.5)
         with pytest.raises(ConfigurationError):
-            generate_ieeg(propagation_fraction=1.5)
+            generate_ieeg()
 
 
 class TestSpikeDatasets:

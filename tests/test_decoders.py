@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.decoders import nn as nn_module
 from repro.decoders.kalman import KalmanFilter, KalmanModel, fit_kalman
 from repro.decoders.nn import (
     ShallowNN,
@@ -109,10 +110,11 @@ class TestShallowNN:
         local = rng.normal(size=4)
         assert 4 * partial.partial_preactivation(local).size == 1024
 
-    def test_training_learns_linear_map(self, rng):
+    def test_training_learns_linear_map(self, rng, monkeypatch):
+        monkeypatch.setattr(nn_module, "LEARNING_RATE", 5e-3)
         x = rng.normal(size=(300, 6))
         y = (x[:, :2] @ np.array([[1.0], [2.0]]))
-        nn = train_shallow_nn(x, y, n_hidden=16, epochs=300, lr=5e-3)
+        nn = train_shallow_nn(x, y, n_hidden=16, epochs=300)
         pred = np.stack([nn.forward(row) for row in x[:50]])
         corr = np.corrcoef(pred[:, 0], y[:50, 0])[0, 1]
         assert corr > 0.9

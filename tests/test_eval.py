@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.eval import application
 from repro.eval.application import fig9a, fig9b, sec63_scalars
 from repro.eval.delay import build_trace, encoding_delay, network_delay
 from repro.eval.hash_accuracy import hash_accuracy, make_pairs, pick_threshold
 from repro.eval.hash_params import sweep_measure
+from repro.eval import network_errors as network_errors_module
 from repro.eval.network_errors import network_errors
 from repro.eval.queries import data_sizes_mb, fig10, q2_hash_vs_dtw
 from repro.eval.radio_dse import fig13
@@ -53,8 +55,9 @@ class TestApplicationDrivers:
         series = out["11:1:1"]
         assert series[8] > series[2]
 
-    def test_fig9b_kf_fixed_20(self):
-        out = fig9b(node_counts=(2, 8))
+    def test_fig9b_kf_fixed_20(self, monkeypatch):
+        monkeypatch.setattr(application, "FIG9_NODE_COUNTS", (2, 8))
+        out = fig9b()
         assert out["KF"][2] == 20.0 and out["KF"][8] == 20.0
         assert out["SVM"][2] > 100  # much faster than the 50 ms cadence
 
@@ -93,7 +96,7 @@ class TestRadioDSE:
 class TestHashAccuracyDriver:
     @pytest.fixture(scope="class")
     def result(self):
-        return hash_accuracy("dtw", n_pairs=160, seed=0)
+        return hash_accuracy("dtw", n_pairs=160)
 
     def test_total_error_bounded(self, result):
         assert result.total_error_pct < 30.0
@@ -124,27 +127,28 @@ class TestHashAccuracyDriver:
 
 
 class TestNetworkErrorDriver:
-    def test_monotone_in_ber(self):
-        low = network_errors(1e-6, n_packets=150, seed=1)
-        high = network_errors(1e-4, n_packets=150, seed=1)
+    def test_monotone_in_ber(self, monkeypatch):
+        monkeypatch.setattr(network_errors_module, "SEED", 1)
+        low = network_errors(1e-6, n_packets=150)
+        high = network_errors(1e-4, n_packets=150)
         assert high.hash_packet_error_pct >= low.hash_packet_error_pct
         assert high.signal_packet_error_pct >= low.signal_packet_error_pct
 
     def test_design_point_has_few_errors(self):
         """Paper: at the radio's 1e-5 BER, <1-2 % of hash packets fail and
         DTW decisions never flip."""
-        result = network_errors(1e-5, n_packets=300, seed=0)
+        result = network_errors(1e-5, n_packets=300)
         assert result.hash_packet_error_pct < 3.0
         assert result.dtw_failure_pct <= 0.5
 
     def test_signals_more_exposed_than_hashes(self):
-        result = network_errors(1e-4, n_packets=300, seed=0)
+        result = network_errors(1e-4, n_packets=300)
         assert result.signal_packet_error_pct > result.hash_packet_error_pct
 
 
 class TestParamSweepDriver:
     def test_sweep_produces_landscape(self):
-        result = sweep_measure("dtw", n_pairs=60, seed=0)
+        result = sweep_measure("dtw", n_pairs=60)
         assert result.best in result.tpr
         assert result.best_tpr > 0.5
         assert result.best in result.near_best

@@ -310,10 +310,6 @@ def test_population_query_validates_inputs():
     spec = QuerySpec(kind="q1", time_range_ms=50.0)
     with pytest.raises(ConfigurationError):
         fabric.population_query(spec, min_coverage=1.5)
-    with pytest.raises(ConfigurationError):
-        fabric.population_query(spec, fleets=(99,))
-    with pytest.raises(ConfigurationError):
-        fabric.population_query(spec, fleets=())
 
 
 # -- per-tenant accounting and SLOs ----------------------------------------------
@@ -353,20 +349,20 @@ def test_fabric_session_books_per_tenant_counters_and_slos():
 def test_api_facade_fleet_and_population_queries():
     from repro import api
 
-    fabric = api.build_fabric(
-        n_fleets=2, nodes_per_fleet=2, seed=0, electrodes=2, n_windows=3
-    )
+    fabric = api.build_fabric(n_fleets=2, nodes_per_fleet=2, seed=0)
     response = api.run_fleet_query(fabric, "t00", "q1")
     assert response.client == "t00"
     assert response.coverage == pytest.approx(1.0)
 
     template = fabric.shards[fabric.fleet_ids[0]].templates[0]
-    matched = api.run_fleet_query(fabric, "t01", "q2", template=template)
-    assert matched.client == "t01"
+    matched = api.run_population_query(fabric, "q2", template=template)
+    assert matched.n_fleets == 2
 
     population = api.run_population_query(fabric, "q3")
     assert population.n_fleets == 2
     assert population.coverage == pytest.approx(1.0)
+    # 2 fleets x 2 nodes x 8 electrodes x 4 windows: each fleet's full range
+    assert population.n_rows == 128
 
 
 def test_api_legacy_entry_points_warn_nothing():

@@ -16,12 +16,6 @@ class TestPipeline:
             pipe.add(ProcessingElement(get_pe(name)))
         assert pipe.latency_ms == pytest.approx(4.0 + 4.0 + 1.67)
 
-    def test_latency_override_for_data_dependent_pe(self):
-        pipe = Pipeline("z").add(
-            ProcessingElement(get_pe("LZ")), latency_override_ms=1.25
-        )
-        assert pipe.latency_ms == 1.25
-
 
 class TestFabric:
     def test_wire_chain_builds_pipeline(self):

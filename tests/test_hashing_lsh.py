@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.hashing import collision
 from repro.hashing.collision import CollisionChecker, HashRecord, RecentHashStore
 from repro.hashing.emd_hash import EMDHash
 from repro.hashing.lsh import LSHConfig, LSHFamily, MEASURE_PRESETS
@@ -129,8 +130,9 @@ class TestEMDHash:
 
 
 class TestRecentHashStore:
-    def test_recent_respects_horizon(self):
-        store = RecentHashStore(horizon_ms=10.0)
+    def test_recent_respects_horizon(self, monkeypatch):
+        monkeypatch.setattr(collision, "HASH_HORIZON_MS", 10.0)
+        store = RecentHashStore()
         store.add_batch(0.0, [(1,)])
         store.add_batch(5.0, [(2,)])
         store.add_batch(20.0, [(3,)])

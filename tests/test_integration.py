@@ -109,7 +109,7 @@ class TestClosedLoop:
 
     def test_windows_retrievable_from_nvm(self, run):
         ((recording, _, system), _) = run
-        stored = system.nodes[0].read_window(0, 0)
+        stored = system.nodes[0].storage.read_window(0, 0)
         original = recording.data[0, 0, :120]
         # int16 storage truncates fractions; shape must survive intact
         assert stored.shape == (120,)
@@ -133,7 +133,7 @@ class TestClosedLoop:
 
     def test_telemetry_offload_of_stored_window(self, run):
         ((_, _, system), _) = run
-        window = system.nodes[1].read_window(2, 3)
+        window = system.nodes[1].storage.read_window(2, 3)
         offloader = TelemetryOffloader(bytes(range(16)), Codec.LIC)
         receiver = TelemetryReceiver(bytes(range(16)))
         chunk = offloader.offload(window)

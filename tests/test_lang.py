@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import CompilationError, QuerySyntaxError
-from repro.hardware.fabric import Fabric
 from repro.lang.compiler import compile_query, compile_text
 from repro.lang.parser import parse_query
 
@@ -79,8 +78,7 @@ class TestCompiler:
 
     def test_pipeline_buildable(self):
         compiled = compile_text("stream.window(wsize=4ms).fft().svm()")
-        fabric = Fabric()
-        pipeline = compiled.build_pipeline(fabric)
+        pipeline = compiled.build_pipeline()
         assert pipeline.latency_ms > 0
 
     def test_unknown_method_rejected(self):

@@ -774,12 +774,12 @@ class TestRecoverySessionEndToEnd:
 
 
 class TestEvalVariant:
-    def test_crash_recovery_coverage(self):
-        from repro.eval.resilience import crash_recovery_coverage
+    def test_crash_recovery_coverage(self, monkeypatch):
+        from repro.eval import resilience
 
-        result = crash_recovery_coverage(
-            n_nodes=4, n_windows=5, crash_after=3, seed=1
-        )
+        monkeypatch.setattr(resilience, "CRASH_WINDOWS", 5)
+        monkeypatch.setattr(resilience, "CRASH_SEED", 1)
+        result = resilience.crash_recovery_coverage(n_nodes=4)
         assert result.before.degraded
         assert result.coverage_before == pytest.approx(0.75)
         assert not result.after.degraded
@@ -793,8 +793,10 @@ class TestEvalVariant:
         }
         assert recovered_rows == set(range(5))
 
-    def test_crash_after_validated(self):
-        from repro.eval.resilience import crash_recovery_coverage
+    def test_crash_after_validated(self, monkeypatch):
+        from repro.eval import resilience
 
+        monkeypatch.setattr(resilience, "CRASH_WINDOWS", 3)
+        monkeypatch.setattr(resilience, "CRASH_AFTER", 4)
         with pytest.raises(ConfigurationError):
-            crash_recovery_coverage(n_windows=3, crash_after=4)
+            resilience.crash_recovery_coverage()

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.eval import network_errors as network_errors_module
 from repro.eval.network_errors import network_errors
+from repro.eval import resilience
 from repro.eval.resilience import (
     arq_recovery,
     crash_query_degradation,
@@ -18,14 +20,17 @@ from repro.network.packet import Packet, PayloadKind
 class TestNetworkErrorsDeterminism:
     """Same seed => identical Fig. 12 result, bit for bit."""
 
-    def test_same_seed_same_result(self):
-        a = network_errors(1e-4, n_packets=60, seed=11)
-        b = network_errors(1e-4, n_packets=60, seed=11)
+    def test_same_seed_same_result(self, monkeypatch):
+        monkeypatch.setattr(network_errors_module, "SEED", 11)
+        a = network_errors(1e-4, n_packets=60)
+        b = network_errors(1e-4, n_packets=60)
         assert a == b
 
-    def test_different_seed_can_differ(self):
-        a = network_errors(1e-4, n_packets=120, seed=1)
-        b = network_errors(1e-4, n_packets=120, seed=2)
+    def test_different_seed_can_differ(self, monkeypatch):
+        monkeypatch.setattr(network_errors_module, "SEED", 1)
+        a = network_errors(1e-4, n_packets=120)
+        monkeypatch.setattr(network_errors_module, "SEED", 2)
+        b = network_errors(1e-4, n_packets=120)
         assert (a.hash_packet_error_pct, a.signal_packet_error_pct) != (
             b.hash_packet_error_pct,
             b.signal_packet_error_pct,
@@ -80,8 +85,9 @@ class TestResilienceSweep:
         assert result.retransmissions > 0
         assert result.ack_airtime_ms > 0
 
-    def test_sweep_covers_requested_points_and_is_monotonic(self):
-        sweep = resilience_sweep(bers=(1e-3, 1e-4, 1e-6), n_packets=150)
+    def test_sweep_covers_requested_points_and_is_monotonic(self, monkeypatch):
+        monkeypatch.setattr(resilience, "SWEEP_BERS", (1e-3, 1e-4, 1e-6))
+        sweep = resilience_sweep(n_packets=150)
         assert set(sweep) == {1e-3, 1e-4, 1e-6}
         # initial loss grows with BER; the clean end loses ~nothing
         assert (
@@ -101,8 +107,9 @@ class TestResilienceSweep:
 
 
 class TestCrashQueryDegradation:
-    def test_four_node_crash_scenario(self):
-        result = crash_query_degradation(n_nodes=4, crash_node=2)
+    def test_four_node_crash_scenario(self, monkeypatch):
+        monkeypatch.setattr(resilience, "CRASH_NODE", 2)
+        result = crash_query_degradation(n_nodes=4)
         assert result.degraded
         assert result.failed_nodes == [2]
         assert result.coverage == pytest.approx(0.75)

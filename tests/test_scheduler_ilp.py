@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.errors import SchedulingError
+from repro.eval import application
 from repro.eval.application import (
     FIG9_NODE_COUNTS,
     FIG9A_WEIGHTS,
@@ -69,14 +70,15 @@ class TestAgreementWithClosedForm:
             analytic_throughput_mbps(task, 1, power), rel=0.02
         )
 
-    def test_spike_sorting_rate_is_the_lp_allocation(self):
+    def test_spike_sorting_rate_is_the_lp_allocation(self, monkeypatch):
         """§6.3's sorting rate reads the one-node LP, not a closed form."""
         task = spike_sorting_task()
         for power in np.arange(6.0, 20.0 + 1e-9, 0.5):
             allocation = SchedulerProblem(
                 n_nodes=1, flows=[Flow(task)], power_budget_mw=float(power)
             ).solve().allocations[0]
-            rate = spike_sorting_rate_per_node(float(power))
+            monkeypatch.setattr(application, "NODE_POWER_CAP_MW", float(power))
+            rate = spike_sorting_rate_per_node()
             assert rate == pytest.approx(
                 allocation.electrodes_per_node * SPIKES_PER_ELECTRODE_HZ,
                 rel=1e-12,
@@ -260,18 +262,28 @@ class TestSolutionNonNegativity:
 class TestSchedulerTelemetry:
     def test_max_throughput_books_solve_metrics(self):
         tel = Telemetry()
-        max_throughput_mbps(seizure_detection_task(), 4, 15.0, telemetry=tel)
+        SchedulerProblem(
+            n_nodes=4, flows=[Flow(seizure_detection_task())],
+            power_budget_mw=15.0, telemetry=tel,
+        ).solve()
         assert tel.registry.counter("scheduler.solves") == 1.0
         (span,) = [s for s in tel.tracer.spans if s.name == "ilp-solve"]
         assert span.attrs == {"n_nodes": 4, "n_flows": 1}
 
-    def test_sweep_books_one_solve_per_cell(self):
-        from repro.eval.throughput import fig8b
+    def test_sweep_books_one_solve_per_cell(self, monkeypatch):
+        from repro.eval import throughput
 
-        tel = Telemetry()
-        fig8b(node_counts=(1, 2), power_limits=(15.0,), telemetry=tel)
+        solves = []
+        solve = throughput.max_throughput_mbps
+        monkeypatch.setattr(throughput, "NODE_COUNTS", (1, 2))
+        monkeypatch.setattr(throughput, "POWER_LIMITS_MW", (15.0,))
+        monkeypatch.setattr(
+            throughput, "max_throughput_mbps",
+            lambda *args: solves.append(args) or solve(*args),
+        )
+        throughput.fig8b()
         # 4 similarity surfaces x 1 power x 2 node counts
-        assert tel.registry.counter("scheduler.solves") == 8.0
+        assert len(solves) == 8
 
     def test_default_is_silent(self):
         # no telemetry argument: nothing to assert beyond "doesn't blow up",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.signal import features
 from repro.signal.features import (
     adaptive_threshold,
     nonlinear_energy,
@@ -42,19 +43,22 @@ class TestNEO:
 
 
 class TestThreshold:
-    def test_simple_crossing(self):
+    def test_simple_crossing(self, monkeypatch):
+        monkeypatch.setattr(features, "REFRACTORY_SAMPLES", 0)
         x = np.array([0.0, 0.0, 5.0, 5.0, 0.0, 5.0])
-        crossings = threshold_crossings(x, 1.0, refractory=0)
+        crossings = threshold_crossings(x, 1.0)
         assert list(crossings) == [2, 5]
 
-    def test_refractory_suppresses(self):
+    def test_refractory_suppresses(self, monkeypatch):
+        monkeypatch.setattr(features, "REFRACTORY_SAMPLES", 2)
         x = np.array([0.0, 5.0, 0.0, 5.0, 0.0, 5.0])
-        crossings = threshold_crossings(x, 1.0, refractory=2)
+        crossings = threshold_crossings(x, 1.0)
         assert list(crossings) == [1, 5]
 
-    def test_initially_above(self):
+    def test_initially_above(self, monkeypatch):
+        monkeypatch.setattr(features, "REFRACTORY_SAMPLES", 0)
         x = np.array([5.0, 0.0, 5.0])
-        crossings = threshold_crossings(x, 1.0, refractory=0)
+        crossings = threshold_crossings(x, 1.0)
         assert list(crossings) == [0, 2]
 
     def test_adaptive_threshold_scales_with_noise(self):
@@ -63,6 +67,7 @@ class TestThreshold:
         high = adaptive_threshold(rng.normal(scale=1.0, size=5000))
         assert high > 5 * low
 
-    def test_negative_refractory_rejected(self):
+    def test_negative_refractory_rejected(self, monkeypatch):
+        monkeypatch.setattr(features, "REFRACTORY_SAMPLES", -1)
         with pytest.raises(ConfigurationError):
-            threshold_crossings(np.zeros(4), 1.0, refractory=-1)
+            threshold_crossings(np.zeros(4), 1.0)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.similarity import emd
 from repro.similarity.dtw import dtw_rows
 from repro.similarity.emd import emd_1d, emd_signal, signal_to_histogram
 from repro.similarity.measures import euclidean_distance, get_measure
@@ -185,9 +186,10 @@ class TestEMD:
         b = np.array([0.0, 1.0])
         assert emd_1d(a, b) == pytest.approx(1.0)
 
-    def test_unnormalised_unequal_mass_rejected(self):
+    def test_unnormalised_unequal_mass_rejected(self, monkeypatch):
+        monkeypatch.setattr(emd, "NORMALISE", False)
         with pytest.raises(ConfigurationError):
-            emd_1d(np.array([2.0, 0.0]), np.array([1.0, 0.0]), normalise=False)
+            emd_1d(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -36,6 +36,23 @@ set, and is skipped.  :data:`CONFIG_FIELDS_ALLOWED` lists the few kept
 settable anyway.  :func:`test_static_fields_match_runtime` checks the
 static view of each class against ``dataclasses.fields``.
 
+Parameters: every parameter with a default, on every function and
+method under ``src/repro`` (nested ones included), is *passed* in
+``src/``, ``examples/``, ``bench/`` or ``benchmarks/``: by keyword or
+position in a call of the function's bare name (its class's for an
+``__init__``), by a ``*`` spread from its position on, or by a ``**``
+spread of a mapping whose keys are not literal.  A default no real run
+changes is a module constant that code reads at call time, or the
+parameter goes.  :data:`PARAMS_ALLOWED` lists the few kept: safety
+inputs, format or algorithm boundaries, and ``__main__.main(argv)``.
+:func:`test_static_params_match_runtime` checks the static view against
+``inspect.signature``.
+
+One constant: a field or parameter with a default that every call
+outside ``tests/`` gives the same module-level constant (by name, bare
+or as an attribute), none leaving it at its default, is that constant,
+not an option.
+
 Augmented attributes: every attribute ``src/repro`` augments (``x.attr
 += ...``) is *read* in ``src/``, ``examples/``, ``bench/`` or
 ``benchmarks/`` (an ``ast.Attribute`` load, bare-name match).  A counter
@@ -49,6 +66,7 @@ import ast
 import dataclasses
 import functools
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -120,6 +138,40 @@ CONFIG_FIELDS_ALLOWED = {
     "repro.apps.stimulation.StimulationProtocol.train_ms":
         "safety input: the positivity check, and the DAC energy a logged "
         "train costs",
+}
+
+#: Parameters with a default that no file outside ``tests/`` passes, or
+#: that every such file gives the same constant, each with why it stays
+#: a parameter.  The list only shrinks: an entry that is no longer a
+#: defaulted parameter, or that files outside ``tests/`` now pass with
+#: varying values, fails :func:`test_params_allow_list_is_current`.
+PARAMS_ALLOWED = {
+    "repro.__main__.main.argv":
+        "the command line; tests and the audit drive the CLI in process",
+    "repro.similarity.dtw.dtw_rows.band":
+        "algorithm boundary: the DTW kernel's Sakoe-Chiba band, which the "
+        "oracle tests sweep (unconstrained included); callers pass DTW_BAND",
+    "repro.similarity.xcor.max_cross_correlation.max_lag":
+        "algorithm boundary: the XCOR kernel's lag range; callers pass "
+        "DTW_BAND, the lockstep case is lag 0",
+    "repro.hashing.sketch.sign_sketch_batch.stride":
+        "algorithm boundary: SSH's sliding hop (delta), which the oracle "
+        "tests sweep; the hash path uses hop 1",
+    "repro.network.packet.Packet.build.flow":
+        "format boundary: the header's 8-bit flow field, which the "
+        "pack/parse round-trip tests fill",
+    "repro.compression.lic.lic_compress.order":
+        "format boundary: the predictor order the LIC stream header "
+        "carries; the decoder reads either order",
+    "repro.apps.stimulation.Stimulator.stimulate.protocol":
+        "safety input: the door a non-default protocol enters by, which "
+        "check_safety holds to the Shannon limit (§2.1)",
+    "repro.core.thermal.check_placement.per_node_power_mw":
+        "safety input: the per-implant power the thermal check holds "
+        "to the 1 °C limit",
+    "repro.core.thermal.check_placement.spacing_mm":
+        "safety input: the spacing the thermal check and the packing "
+        "bound judge a placement at",
 }
 
 #: Augmented attributes that no file outside ``tests/`` reads, each with
@@ -317,11 +369,12 @@ def _is_dataclass(node: ast.stmt) -> bool:
 
 
 @functools.cache
-def config_fields() -> dict[str, tuple[str, list[str], list[str]]]:
+def config_fields() -> dict[str, tuple[str, list[str], list[str], list[str]]]:
     """Class name -> (module, constructor fields, inherited constructor
-    fields) of every dataclass under ``src/repro``.  Fields come in the
-    order ``dataclasses.fields`` gives: a base class's first, an
-    overridden one in its base's place."""
+    fields, constructor fields with a default) of every dataclass under
+    ``src/repro``.  Fields come in the order ``dataclasses.fields``
+    gives: a base class's first, an overridden one in its base's
+    place."""
     classes: dict[str, tuple[str, ast.ClassDef]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         for node in _tree(path).body:
@@ -339,23 +392,27 @@ def config_fields() -> dict[str, tuple[str, list[str], list[str]]]:
         ]
 
     @functools.cache
-    def init_flags(name: str) -> dict[str, bool]:
+    def defaults(name: str) -> dict[str, ast.expr | None]:
+        """Field -> its default (``None`` for none) of one class."""
         node = classes[name][1]
-        flags: dict[str, bool] = {}
+        found: dict[str, ast.expr | None] = {}
         for base in bases(node):
-            flags.update(init_flags(base))
+            found.update(defaults(base))
         for sub in node.body:
             if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
-                flags[sub.target.id] = not _init_false(sub.value)
-        return flags
+                found[sub.target.id] = sub.value
+        return found
 
     found = {}
     for name, (module, node) in classes.items():
-        flags = init_flags(name)
-        inherited = {field for base in bases(node) for field in init_flags(base)}
-        fields = [field for field, init in flags.items() if init]
+        values = defaults(name)
+        inherited = {field for base in bases(node) for field in defaults(base)}
+        fields = [field for field, value in values.items() if not _init_false(value)]
         found[name] = (
-            module, fields, [field for field in fields if field in inherited]
+            module,
+            fields,
+            [field for field in fields if field in inherited],
+            [field for field in fields if values[field] is not None],
         )
     return found
 
@@ -365,31 +422,36 @@ def config_field_names() -> set[str]:
     under ``src/repro``."""
     return {
         f"{module}.{cls}.{field}"
-        for cls, (module, fields, _) in config_fields().items()
+        for cls, (module, fields, *_) in config_fields().items()
         for field in fields
     }
 
 
-def _keywords(call: ast.Call, dicts: dict[str, ast.Dict]) -> tuple[list[str], bool]:
-    """The names a call passes by keyword, including the keys of a
-    literal dict passed as ``**``, inline or bound to a name; and
-    whether it also spreads a mapping whose keys are not literal."""
-    names = []
+def _keywords(
+    call: ast.Call, dicts: dict[str, ast.Dict]
+) -> tuple[dict[str, ast.expr], bool]:
+    """The names a call passes by keyword, with their values, including
+    the keys of a literal dict passed as ``**``, inline or bound to a
+    name; and whether it also spreads a mapping whose keys are not
+    literal."""
+    values: dict[str, ast.expr] = {}
     opaque = False
     for keyword in call.keywords:
         if keyword.arg is not None:
-            names.append(keyword.arg)
+            values[keyword.arg] = keyword.value
             continue
         spread = keyword.value
         if isinstance(spread, ast.Name):
             spread = dicts.get(spread.id)
         if isinstance(spread, ast.Dict):
-            names.extend(
-                key.value for key in spread.keys if isinstance(key, ast.Constant)
+            values.update(
+                (key.value, value)
+                for key, value in zip(spread.keys, spread.values)
+                if isinstance(key, ast.Constant)
             )
         else:
             opaque = True
-    return names, opaque
+    return values, opaque
 
 
 def _calls(tree: ast.AST, owner: str | None = None):
@@ -404,29 +466,48 @@ def _calls(tree: ast.AST, owner: str | None = None):
         )
 
 
-def fields_set_outside_tests() -> set[str]:
-    """``module.Class.field`` of every dataclass field a file outside
-    ``tests/`` sets: by keyword or position in a call of the class
-    (``cls(...)`` in the class's own body included), or through
-    ``dataclasses.replace``.  A ``**`` spread of a mapping whose keys
-    are not literal sets the fields the class inherits, the one shape
-    such a spread takes (``FleetShard(**vars(fleet), ...)``).  A
-    ``replace`` call counts for each dataclass the file names whose
-    fields include every keyword the call passes (``replace`` raises on
-    any other class)."""
+def _local_dicts(nodes: list[ast.AST]) -> dict[str, ast.Dict]:
+    """Names bound to a literal dict in one file (``**`` spreads)."""
+    return {
+        target.id: node.value
+        for node in nodes
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+#: What :func:`field_values` and :func:`parameter_values` record for a
+#: call that leaves a field or parameter at its default.
+LEFT_DEFAULT = ast.Name(id="<default>")
+
+
+def _passed(values: dict[str, list[ast.expr | None]]) -> set[str]:
+    """The keys of ``values`` that some call gives a value."""
+    return {
+        key for key, given in values.items()
+        if any(value is not LEFT_DEFAULT for value in given)
+    }
+
+
+def field_values() -> dict[str, list[ast.expr | None]]:
+    """``module.Class.field`` -> what each call outside ``tests/`` gives
+    a dataclass field: the value it passes by keyword or position in a
+    call of the class (``cls(...)`` in the class's own body included),
+    :data:`LEFT_DEFAULT`, or a keyword of ``dataclasses.replace``.  A
+    ``**`` spread of a mapping whose keys are not literal sets the
+    fields the class inherits, the one shape such a spread takes
+    (``FleetShard(**vars(fleet), ...)``), to ``None`` (a value the guard
+    cannot read).  A ``replace`` call counts for each dataclass the file
+    names whose fields include every keyword the call passes
+    (``replace`` raises on any other class)."""
     classes = config_fields()
-    found: set[str] = set()
+    found: dict[str, list[ast.expr | None]] = {}
     for folder in NAMING_ROOTS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             tree = _tree(path)
             nodes = list(ast.walk(tree))
-            dicts = {
-                target.id: node.value
-                for node in nodes
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
-                for target in node.targets
-                if isinstance(target, ast.Name)
-            }
+            dicts = _local_dicts(nodes)
             named = {
                 node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute)
@@ -437,20 +518,31 @@ def fields_set_outside_tests() -> set[str]:
             for name, call in _calls(tree):
                 keywords, opaque = _keywords(call, dicts)
                 if name in classes:
-                    module, fields, inherited = classes[name]
-                    spread = inherited if opaque else []
-                    found.update(
-                        f"{module}.{name}.{field}"
-                        for field in fields[: len(call.args)] + keywords + spread
+                    module, fields, inherited, _ = classes[name]
+                    values: dict[str, ast.expr | None] = dict(
+                        zip(fields, call.args)
                     )
+                    values.update(keywords)
+                    if opaque:
+                        values.update(dict.fromkeys(inherited))
+                    for field in fields:
+                        found.setdefault(f"{module}.{name}.{field}", []).append(
+                            values.get(field, LEFT_DEFAULT)
+                        )
                 elif name == "replace" and keywords:
-                    found.update(
-                        f"{module}.{cls}.{field}"
-                        for cls, (module, fields, _) in classes.items()
-                        if cls in named and set(keywords) <= set(fields)
-                        for field in keywords
-                    )
+                    for cls, (module, fields, *_) in classes.items():
+                        if cls in named and set(keywords) <= set(fields):
+                            for field, value in keywords.items():
+                                found.setdefault(
+                                    f"{module}.{cls}.{field}", []
+                                ).append(value)
     return found
+
+
+def fields_set_outside_tests() -> set[str]:
+    """``module.Class.field`` of every dataclass field a file outside
+    ``tests/`` sets (see :func:`field_values`)."""
+    return _passed(field_values())
 
 
 def test_every_config_field_is_set_outside_tests():
@@ -478,7 +570,7 @@ def test_static_fields_match_runtime():
                 )
     static = {
         name: (module, fields)
-        for name, (module, fields, _) in config_fields().items()
+        for name, (module, fields, *_) in config_fields().items()
         if module != "repro.__main__"
     }
     assert runtime == static
@@ -488,6 +580,209 @@ def test_config_allow_list_is_current():
     assert all(reason for reason in CONFIG_FIELDS_ALLOWED.values())
     assert sorted(set(CONFIG_FIELDS_ALLOWED) - config_field_names()) == []
     assert sorted(set(CONFIG_FIELDS_ALLOWED) & fields_set_outside_tests()) == []
+
+
+@functools.cache
+def parameter_defaults() -> dict[str, tuple[str, list[str], list[str]]]:
+    """``module.qualname`` -> (the name a call uses, the parameters a
+    call fills by position, the parameters with a default) of every
+    function and method under ``src/repro`` that has a default, nested
+    ones included (``outer.<locals>.inner``).  A method's first
+    parameter is skipped unless it is a ``staticmethod``; an
+    ``__init__`` is called by its class's name."""
+    found = {}
+
+    def visit(body: list[ast.stmt], prefix: str, owner: str | None) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [arg.arg for arg in args.posonlyargs + args.args]
+                static = any(
+                    ast.unparse(d) == "staticmethod" for d in node.decorator_list
+                )
+                if owner is not None and not static:
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted = defaulted if args.defaults else []
+                defaulted += [
+                    arg.arg
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                ]
+                name = owner if node.name == "__init__" else node.name
+                if defaulted:
+                    found[f"{prefix}{node.name}"] = (name, positional, defaulted)
+                visit(node.body, f"{prefix}{node.name}.<locals>.", None)
+
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path).removesuffix(".__init__")
+        visit(_tree(path).body, f"{module}.", None)
+    return found
+
+
+def parameter_names() -> set[str]:
+    """``module.qualname.parameter`` of every parameter with a default
+    under ``src/repro``."""
+    return {
+        f"{qualname}.{param}"
+        for qualname, (_, _, defaulted) in parameter_defaults().items()
+        for param in defaulted
+    }
+
+
+def parameter_values() -> dict[str, list[ast.expr | None]]:
+    """``module.qualname.parameter`` -> what each call outside ``tests/``
+    gives a defaulted parameter: the value it passes by keyword or
+    position, or :data:`LEFT_DEFAULT`.  A call matches by the callee's
+    bare name (its class's for an ``__init__``).  A ``*`` spread passes
+    every positional parameter from its place on, and a ``**`` spread of
+    a mapping whose keys are not literal passes every defaulted one,
+    each as ``None`` (a value the guard cannot read)."""
+    by_name: dict[str, list[str]] = {}
+    for qualname, (name, _, _) in parameter_defaults().items():
+        by_name.setdefault(name, []).append(qualname)
+    found: dict[str, list[ast.expr | None]] = {}
+    for folder in NAMING_ROOTS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = _tree(path)
+            dicts = _local_dicts(list(ast.walk(tree)))
+            for name, call in _calls(tree):
+                keywords, opaque = _keywords(call, dicts)
+                for qualname in by_name.get(name, []):
+                    _, positional, defaulted = parameter_defaults()[qualname]
+                    values: dict[str, ast.expr | None] = {}
+                    for index, arg in enumerate(call.args[: len(positional)]):
+                        if isinstance(arg, ast.Starred):
+                            values.update(dict.fromkeys(positional[index:]))
+                            break
+                        values[positional[index]] = arg
+                    values.update(keywords)
+                    if opaque:
+                        values.update(
+                            dict.fromkeys(set(defaulted) - set(values))
+                        )
+                    for param in defaulted:
+                        found.setdefault(f"{qualname}.{param}", []).append(
+                            values.get(param, LEFT_DEFAULT)
+                        )
+    return found
+
+
+def parameters_passed_outside_tests() -> set[str]:
+    """``module.qualname.parameter`` of every defaulted parameter a file
+    outside ``tests/`` passes (see :func:`parameter_values`)."""
+    return _passed(parameter_values())
+
+
+def test_every_parameter_default_is_passed_outside_tests():
+    unpassed = parameter_names() - parameters_passed_outside_tests()
+    assert sorted(unpassed - set(PARAMS_ALLOWED)) == []
+
+
+def test_static_params_match_runtime():
+    """The static view of every module-level function and method (the
+    parameters a call fills by position, and those with a default) is
+    what ``inspect.signature`` reports once its module is imported
+    (``repro.__main__`` is not imported: it parses ``sys.argv``).  A
+    method's first parameter is the instance's unless it is a
+    ``staticmethod``.  Nested functions have no runtime handle and are
+    left out."""
+    runtime = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        members = [
+            (name, value)
+            for name, value in vars(module).items()
+            if getattr(value, "__module__", None) == info.name
+        ]
+        members += [
+            (f"{cls}.{name}", value)
+            for cls, owner in list(members)
+            if isinstance(owner, type)
+            for name, value in vars(owner).items()
+        ]
+        for name, value in members:
+            function = inspect.unwrap(getattr(value, "__func__", value))
+            if not inspect.isfunction(function) or (
+                function.__code__.co_filename != module.__file__
+            ):
+                continue
+            params = list(inspect.signature(function).parameters.values())
+            defaulted = [
+                param.name for param in params
+                if param.default is not inspect.Parameter.empty
+            ]
+            positional = [
+                param.name for param in params
+                if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+            ]
+            if "." in name and not isinstance(value, staticmethod):
+                positional = positional[1:]
+            if defaulted:
+                runtime[f"{info.name}.{name}"] = (positional, defaulted)
+    static = {
+        qualname: (positional, defaulted)
+        for qualname, (_, positional, defaulted) in parameter_defaults().items()
+        if "<locals>" not in qualname
+        and not qualname.startswith("repro.__main__.")
+    }
+    assert runtime == static
+
+
+def _one_constant(values: list[ast.expr | None]) -> str | None:
+    """The module-level constant every value names, if they all name
+    the same one (``HORIZON_MS`` or ``node.HORIZON_MS``)."""
+    names = {
+        value.id if isinstance(value, ast.Name)
+        else value.attr if isinstance(value, ast.Attribute)
+        else None
+        for value in values
+    }
+    if len(names) == 1:
+        (name,) = names
+        if name is not None and CONSTANT.fullmatch(name):
+            return name
+    return None
+
+
+def constant_options() -> dict[str, str]:
+    """``module.Class.field`` or ``module.qualname.parameter`` of a
+    field or parameter with a default -> the one module-level constant
+    every call outside ``tests/`` gives it, none leaving it at its
+    default."""
+    options = {
+        f"{module}.{cls}.{field}"
+        for cls, (module, _, _, defaulted) in config_fields().items()
+        for field in defaulted
+    }
+    values = {
+        **{key: given for key, given in field_values().items() if key in options},
+        **parameter_values(),
+    }
+    return {
+        key: name
+        for key, given in values.items()
+        if (name := _one_constant(given)) is not None
+    }
+
+
+def test_no_option_is_always_one_constant():
+    """A field or parameter with a default that every call outside
+    ``tests/`` sets to the same module-level constant is that constant,
+    not an option; the code that reads it reads the constant instead."""
+    allowed = set(CONFIG_FIELDS_ALLOWED) | set(PARAMS_ALLOWED)
+    assert sorted(set(constant_options()) - allowed) == []
+
+
+def test_params_allow_list_is_current():
+    flagged = parameter_names() - parameters_passed_outside_tests()
+    flagged |= parameter_names() & set(constant_options())
+    assert all(reason for reason in PARAMS_ALLOWED.values())
+    assert sorted(set(PARAMS_ALLOWED) - flagged) == []
 
 
 def augmented_attributes() -> dict[str, str]:
