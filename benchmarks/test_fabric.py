@@ -81,7 +81,6 @@ def test_fabric_population_scaling(report):
             "latency_scale_64_over_4_max": MAX_SCALE_FACTOR,
             "coverage_min": 1.0,
             "isolation_p99_degradation_max": isolation.p99_tolerance,
-            "isolation_victim_evictions_max": 0,
         },
         "fleets": rows,
         "latency_scale_64_over_4": scale,
@@ -107,7 +106,6 @@ def test_fabric_population_scaling(report):
     lines.append(
         "isolation gate: "
         f"p99 degradation {isolation.p99_degradation:+.1%}, "
-        f"victim evictions {isolation.victim_evictions}, "
         f"byte-identical {isolation.byte_identical}"
     )
     lines.append(f"written to {BENCH_PATH.name}")

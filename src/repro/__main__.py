@@ -7,7 +7,7 @@ Usage::
     python -m repro fig8a               # architecture comparison
     python -m repro fig15a --reps 500   # Monte-Carlo sweeps
     python -m repro trace seizure       # run a scenario under telemetry
-    python -m repro recover             # crash + reboot + resync smoke run
+    python -m repro trace recover       # crash + reboot + resync smoke run
     python -m repro query --nodes 4     # Q1/Q2/Q3 over a live fleet
     python -m repro serve --qps 40      # open-loop load against the server
     python -m repro serve --fault-plan moderate   # serving under a storm
@@ -198,44 +198,6 @@ def _resilience(args) -> None:
           f"{rec.coverage_after:.2f} replayed={rec.records_replayed} "
           f"pulled={rec.batches_pulled} pushed={rec.batches_pushed} "
           f"scrubbed={rec.scrub_bits_corrected}")
-
-
-def _recover(args) -> None:
-    from repro.eval.reporting import span_summary, telemetry_summary
-    from repro.telemetry.exporters import write_chrome_trace, write_metrics_csv
-    from repro.telemetry.scenarios import run_scenario
-
-    telemetry = run_scenario("recover", seed=args.seed)
-    reg = telemetry.registry
-    print(f"-- crash + reboot + resync (seed {args.seed}), "
-          f"simulated time {telemetry.clock.now_ms:.2f} ms\n")
-    print("recovery counters:")
-    for key in (
-        "recovery.replays",
-        "recovery.records_replayed",
-        "recovery.checkpoints",
-        "recovery.scrub_pages",
-        "recovery.scrub_corrected",
-        "recovery.scrub_uncorrectable",
-        "recovery.resync_requests",
-        "recovery.resync_batches_pulled",
-        "recovery.resync_batches_pushed",
-        "recovery.failovers",
-        "recovery.nodes_recovered",
-    ):
-        print(f"  {key:34s} {reg.counter(key):8.0f}")
-    print(f"  {'query coverage after recovery':34s} "
-          f"{reg.gauge('scenario.coverage'):8.2f}")
-    print()
-    print(telemetry_summary(reg))
-    print()
-    print(span_summary(telemetry.tracer))
-    if args.export:
-        path = write_chrome_trace(telemetry.tracer, args.export)
-        print(f"\nChrome trace written to {path}")
-    if args.csv:
-        path = write_metrics_csv(reg, args.csv)
-        print(f"metrics CSV written to {path}")
 
 
 def _query(args) -> None:
@@ -551,13 +513,12 @@ def _fabric(args) -> None:
     print(f"  latency    mean {report.mean_latency_ms:7.1f} ms   "
           f"p99 {report.p99_latency_ms:7.1f} ms\n")
     print(f"  {'tenant':8s} {'fleet':>5s} {'offered':>8s} {'done':>6s} "
-          f"{'shed':>6s} {'miss':>6s} {'p50 ms':>8s} {'p99 ms':>8s} "
-          f"{'evicted':>8s}")
+          f"{'shed':>6s} {'miss':>6s} {'p50 ms':>8s} {'p99 ms':>8s}")
     for tenant, stats in sorted(report.tenants.items()):
         print(f"  {tenant:8s} {stats.fleet_id:5d} {stats.offered:8d} "
               f"{stats.completed:6d} {stats.shed:6d} "
               f"{stats.deadline_misses:6d} {stats.p50_latency_ms:8.1f} "
-              f"{stats.p99_latency_ms:8.1f} {stats.results_evicted:8d}")
+              f"{stats.p99_latency_ms:8.1f}")
     from repro.apps.queries import QuerySpec
     from repro.serving.loadgen import TIME_RANGE_MS
 
@@ -833,8 +794,6 @@ _COMMANDS: dict[str, _Command] = {
     "trace": _Command(_trace, "run a scenario under telemetry",
                       (_opt_seed, _opt_export, _opt_csv),
                       scenario_help="scenario name (default: seizure)"),
-    "recover": _Command(_recover, "crash + reboot + resync smoke run",
-                        (_opt_seed, _opt_export, _opt_csv)),
     "query": _Command(_query, "Q1/Q2/Q3 over a live fleet",
                       (_opt_query, _opt_seed)),
     "serve": _Command(_serve, "open-loop load against the query server",
@@ -853,8 +812,8 @@ _COMMANDS: dict[str, _Command] = {
 
 #: commands `all` runs (the quick, print-only figure/table family)
 _ALL_EXCLUDES = frozenset({
-    "fig15a", "fig15b", "export", "trace", "recover", "query", "serve",
-    "chaos", "health", "fabric",
+    "fig15a", "fig15b", "export", "trace", "query", "serve", "chaos",
+    "health", "fabric",
 })
 
 

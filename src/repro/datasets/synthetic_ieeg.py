@@ -131,8 +131,6 @@ def generate_ieeg(
     """Generate a multi-node recording with propagating seizures."""
     if n_nodes < 1 or n_electrodes < 1:
         raise ConfigurationError("need positive node and electrode counts")
-    if not 0 <= PROPAGATION_FRACTION <= 1:
-        raise ConfigurationError("propagation fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     n_samples = int(round(duration_s * fs_hz))
     seizure_samples = int(round(seizure_duration_s * fs_hz))

@@ -197,11 +197,8 @@ def crash_recovery_coverage(n_nodes: int = 4) -> RecoveryCoverageResult:
     was dark — after which ingest resumes fleet-wide and the same query
     over *all* windows answers at coverage 1.0.
     """
-    from repro.errors import ConfigurationError
     from repro.units import WINDOW_SAMPLES
 
-    if not 0 < CRASH_AFTER <= CRASH_WINDOWS:
-        raise ConfigurationError("CRASH_AFTER must be in (0, CRASH_WINDOWS]")
     system = ScaloSystem(
         n_nodes=n_nodes, electrodes_per_node=CRASH_ELECTRODES,
         seed=CRASH_SEED, arq=True,

@@ -7,14 +7,12 @@ things a multi-site deployment needs (the Hull follow-on's framing):
 
 * **routing** — every tenant is owned by exactly one fleet, assigned by
   the consistent-hash :class:`~repro.fabric.shardmap.ShardMap`; a
-  tenant's queries always hit its own fleet's server, cache, and
-  retained results;
+  tenant's queries always hit its own fleet's server and cache;
 * **isolation** — each fleet's
   :class:`~repro.serving.server.QueryServer` runs with per-client token
-  buckets, a per-client pending-queue quota (shed reason
-  ``tenant_quota``), and a client-partitioned result LRU,
-  so a tenant flooding at 10× its share is clamped at admission and its
-  churn can never evict a neighbour's retained answers;
+  buckets and a per-client pending-queue quota (shed reason
+  ``tenant_quota``), so a tenant flooding at 10× its share is clamped
+  at admission, before it can queue ahead of a neighbour;
 * **population queries** — a cross-fleet question ("run Q2 everywhere")
   scatters one request per fleet through the serving layer, gathers
   with the PR-6 partial-coverage merge semantics (a shed or degraded
@@ -63,8 +61,7 @@ class FabricConfig:
     n_windows: int = 4
     seed: int = 0
     #: per-fleet server tunables; ``None`` builds a tenant-isolated
-    #: default (:data:`TENANT_QUEUE_QUOTA` + client-partitioned result
-    #: retention)
+    #: default (:data:`TENANT_QUEUE_QUOTA`)
     server_config: ServerConfig | None = None
 
     def __post_init__(self) -> None:
@@ -79,10 +76,7 @@ class FabricConfig:
         """The per-fleet server config (tenant-isolated unless overridden)."""
         if self.server_config is not None:
             return self.server_config
-        return ServerConfig(
-            per_client_queue_quota=TENANT_QUEUE_QUOTA,
-            partition_results_by_client=True,
-        )
+        return ServerConfig(per_client_queue_quota=TENANT_QUEUE_QUOTA)
 
     def shard_map(self) -> ShardMap:
         """The initial tenant → fleet ring over fleets ``0..n_fleets-1``."""
@@ -196,8 +190,6 @@ class FleetFabric:
             fleet_id: build_fleet_shard(fleet_id, self.config, self.telemetry)
             for fleet_id in range(self.config.n_fleets)
         }
-        self.population_log: list[str] = []
-        self.population_results: list[PopulationResult] = []
 
     # -- topology ----------------------------------------------------------------
 
@@ -401,8 +393,6 @@ class FleetFabric:
             min_coverage=min_coverage,
             answers=tuple(answers),
         )
-        self.population_results.append(result)
-        self.population_log.append(result.log_line())
         if tel.enabled:
             tel.inc("fabric.population.completed", kind=spec.kind)
             tel.observe("fabric.population.latency_ms", result.latency_ms)

@@ -109,9 +109,6 @@ class TenantStats:
     mean_latency_ms: float
     p50_latency_ms: float
     p99_latency_ms: float
-    #: retained results this tenant's own churn evicted (partitioned
-    #: LRU: a neighbour's churn can never show up here)
-    results_evicted: int
 
 
 @dataclass
@@ -199,9 +196,6 @@ def fabric_session(
             mean_latency_ms=float(np.mean(latencies)) if latencies else 0.0,
             p50_latency_ms=percentile(latencies, 50.0),
             p99_latency_ms=percentile(latencies, 99.0),
-            results_evicted=shard.server.results_evicted_by_client.get(
-                tenant, 0
-            ),
         )
     return fabric, FabricReport(
         n_fleets=len(fabric.fleet_ids),

@@ -55,7 +55,6 @@ class ResyncReport:
     window_lo: int
     window_hi: int
     peers: list[int] = field(init=False, default_factory=list)
-    failed_peers: list[int] = field(init=False, default_factory=list)
     batches_pulled: int = field(init=False, default=0)
     batches_pushed: int = field(init=False, default=0)
 
@@ -104,7 +103,6 @@ def resync_node(
             )
             tel.inc("recovery.resync_requests")
             if not _deliver(system, request):
-                report.failed_peers.append(peer)
                 tel.inc("recovery.resync_failed_peers")
                 continue
             # the peer's MC services the request it just received

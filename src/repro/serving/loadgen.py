@@ -169,7 +169,6 @@ class ServeReport:
     brownout_waves: dict[int, int] = field(default_factory=dict)
     brownout_rejections: int = 0
     timeouts_charged: int = 0
-    results_evicted: int = 0
 
     @property
     def shed_rate(self) -> float:
@@ -259,7 +258,6 @@ def summarise(
         },
         brownout_rejections=total("serving.shed", reason="brownout"),
         timeouts_charged=total("serving.timeouts"),
-        results_evicted=total("serving.results.evicted"),
     )
 
 

@@ -257,9 +257,6 @@ class BrownoutController:
     """Maps (queue pressure, recent deadline misses) to a service tier."""
 
     _recent_misses: list[bool] = field(init=False, default_factory=list)
-    #: tier transition log, ``(t_ms, old_tier, new_tier)`` — appended by
-    #: the server at wave dispatch, consumed by health/export tooling
-    transitions: list[tuple[float, int, int]] = field(init=False, default_factory=list)
 
     def record_completion(self, missed: bool) -> None:
         self._recent_misses.append(missed)

@@ -68,7 +68,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.apps.queries import (
-    DistributedQueryResult,
     QueryCostModel,
     QueryEngine,
     QuerySpec,
@@ -100,10 +99,6 @@ FAILED_NODE_TIMEOUT_MS = 25.0
 CACHE_ONLY_SERVICE_MS = 10.0
 #: fraction of the window range a tier-1 (reduced) wave still scans
 REDUCED_RANGE_FRACTION = 0.5
-#: completed :class:`~repro.apps.queries.DistributedQueryResult`\ s
-#: retained for :meth:`QueryServer.result_for` (LRU eviction), per
-#: client when results are partitioned by client
-RESULT_RETENTION = 512
 #: response/shed log lines retained (oldest dropped first)
 LOG_RETENTION = 4096
 
@@ -127,10 +122,6 @@ class ServerConfig:
     #: quota) — the fabric's tenant-isolation gate: a flooding tenant
     #: fills at most this share of the shared admission queue
     per_client_queue_quota: int | None = None
-    #: partition the result-retention LRU by client: each client gets
-    #: its own ``RESULT_RETENTION``-bounded LRU, so one tenant's churn
-    #: can never evict another tenant's retained answers
-    partition_results_by_client: bool = False
     #: per-node circuit breakers
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     #: graded-degradation tiers (off = always serve tier 0)
@@ -262,9 +253,6 @@ class QueryServer:
         #: every ``serving.*`` counter cell, whatever the handle
         self.counts: dict[tuple[str, LabelKey], float] = {}
         self.telemetry.collect(self.counts)
-        #: retained results evicted per client, when retention is
-        #: partitioned by client (the isolation gate's evidence)
-        self.results_evicted_by_client: dict[str, int] = {}
         self._admission = AdmissionController(
             max_queue=self.config.max_queue,
             bucket_capacity=self.config.bucket_capacity,
@@ -275,12 +263,6 @@ class QueryServer:
         self.brownout = BrownoutController() if self.config.brownout else None
         self._pending: list[QueryRequest] = []
         self._parked: list[QueryRequest] = []
-        self._results: dict[int, DistributedQueryResult] = {}
-        #: client-partitioned retention (used instead of ``_results``
-        #: when ``partition_results_by_client`` is set)
-        self._results_by_client: dict[str, dict[int, DistributedQueryResult]] = {}
-        self._client_of: dict[int, str] = {}
-        self._evicted: set[int] = set()
         self._log: deque[str] = deque(maxlen=LOG_RETENTION)
         self._dead: set[int] = set()
         self._next_id = 0
@@ -506,8 +488,6 @@ class QueryServer:
 
     def _note_tier_change(self, src: int, dst: int, at: float) -> None:
         """Book one brownout tier transition (observational only)."""
-        if self.brownout is not None:
-            self.brownout.transitions.append((at, src, dst))
         if self.recorder is not None:
             self.recorder.record(
                 "brownout", at, src=TIER_NAMES[src], dst=TIER_NAMES[dst],
@@ -615,7 +595,6 @@ class QueryServer:
                 attempt=request.attempt,
                 min_coverage=request.min_coverage,
             )
-            self._store_result(request.request_id, result, request.client)
             self.responses.append(response)
             self._log.append(response.log_line())
             responses.append(response)
@@ -669,66 +648,6 @@ class QueryServer:
         """Dispatch every pending wave."""
         while self.step():
             pass
-
-    # -- results -----------------------------------------------------------------
-
-    def _store_result(
-        self, request_id: int, result: DistributedQueryResult,
-        client: str = "",
-    ) -> None:
-        """Retain one result, evicting least-recently-used past the bound.
-
-        With ``partition_results_by_client`` each client owns its own
-        LRU of ``RESULT_RETENTION`` entries, so eviction pressure never
-        crosses a tenant boundary — one tenant churning through answers
-        evicts only its own.
-        """
-        if self.config.partition_results_by_client:
-            store = self._results_by_client.setdefault(client, {})
-            self._client_of[request_id] = client
-        else:
-            store = self._results
-        store.pop(request_id, None)
-        store[request_id] = result
-        self._evicted.discard(request_id)
-        while len(store) > RESULT_RETENTION:
-            evicted_id = next(iter(store))
-            del store[evicted_id]
-            self._evicted.add(evicted_id)
-            self._count("serving.results.evicted")
-            if self.config.partition_results_by_client:
-                self._client_of.pop(evicted_id, None)
-                by_client = self.results_evicted_by_client
-                by_client[client] = by_client.get(client, 0) + 1
-
-    def result_for(self, request_id: int) -> DistributedQueryResult:
-        """The full query answer backing one response.
-
-        Raises:
-            KeyError: the id was never completed, or its result aged out
-                of the ``RESULT_RETENTION`` LRU bound.
-        """
-        if self.config.partition_results_by_client:
-            client = self._client_of.get(request_id)
-            store = (
-                self._results_by_client.get(client, {})
-                if client is not None
-                else {}
-            )
-        else:
-            store = self._results
-        result = store.get(request_id)
-        if result is None:
-            if request_id in self._evicted:
-                raise KeyError(
-                    f"result for request {request_id} was evicted "
-                    f"(result_retention={RESULT_RETENTION})"
-                )
-            raise KeyError(f"no completed request with id {request_id}")
-        # LRU refresh: re-insert at the most-recently-used position.
-        del store[request_id]
-        store[request_id] = result
-        return result
 
     def response_log(self) -> str:
         """The canonical response/shed/retry log, in event order.

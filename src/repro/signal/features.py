@@ -52,8 +52,6 @@ def threshold_crossings(samples: np.ndarray, threshold: float) -> np.ndarray:
     event — one detection per spike.
     """
     samples = np.asarray(samples, dtype=float)
-    if REFRACTORY_SAMPLES < 0:
-        raise ConfigurationError("refractory period cannot be negative")
     above = samples > threshold
     crossings = np.flatnonzero(above[1:] & ~above[:-1]) + 1
     if samples.size and above[0]:

@@ -78,13 +78,6 @@ class PartitionTable:
     partitions: dict[str, Partition] = field(init=False)
 
     def __post_init__(self) -> None:
-        if set(DEFAULT_FRACTIONS) != set(PARTITION_NAMES):
-            raise StorageError(
-                f"fractions must cover exactly {PARTITION_NAMES}"
-            )
-        total = sum(DEFAULT_FRACTIONS.values())
-        if abs(total - 1.0) > 1e-9:
-            raise StorageError(f"fractions must sum to 1 (got {total})")
         if self.capacity_bytes < len(PARTITION_NAMES) * BLOCK_BYTES:
             raise StorageError(
                 "device too small for one block per partition"

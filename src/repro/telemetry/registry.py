@@ -145,9 +145,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: object) -> float:
         return self._counter_cells().get((name, label_key(labels)), 0.0)
 
-    def gauge(self, name: str, **labels: object) -> float:
-        return self._gauges.get((name, label_key(labels)), 0.0)
-
     def counters(self) -> Iterator[tuple[str, LabelKey, float]]:
         for (name, labels), value in sorted(self._counter_cells().items()):
             yield name, labels, value

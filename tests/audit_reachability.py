@@ -97,7 +97,6 @@ KEEP: dict[str, str] = {
     "repro.fabric.isolation.IsolationResult.as_dict": _ISOLATION,
     "repro.fabric.isolation.IsolationResult.p99_degradation": _ISOLATION,
     "repro.fabric.isolation.IsolationResult.p99_ok": _ISOLATION,
-    "repro.fabric.isolation.IsolationResult.evictions_ok": _ISOLATION,
     "repro.fabric.isolation.IsolationResult.passed": _ISOLATION,
     "repro.serving.admission.TokenBucket.retry_after_ms":
         "AdmissionController.admit's rate-limited shed; the isolation "
@@ -160,7 +159,6 @@ def _cli_runs(out: Path) -> list[list[str]]:
     """Every CLI command line the probe runs, report paths under ``out``."""
     flags = {
         "trace": ["--export", str(out / "t.json"), "--csv", str(out / "t.csv")],
-        "recover": ["--export", str(out / "r.json"), "--csv", str(out / "r.csv")],
         "serve": ["--csv", str(out / "s.csv"),
                   "--health-report", str(out / "s.json")],
         "chaos": ["--csv", str(out / "c.csv"),
@@ -174,7 +172,6 @@ def _cli_runs(out: Path) -> list[list[str]]:
         ["list"],
         ["all", "--packets", "20", "--pairs", "10", "--reps", "1"],
         ["health", *flags["health"]],
-        ["recover", *flags["recover"]],
         ["export", "--out", str(out / "results")],
         ["fig15a", "--reps", "1"],
         ["fig15b", "--reps", "1"],

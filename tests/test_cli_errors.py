@@ -60,7 +60,8 @@ BAD_INVOCATIONS = [
                  id="serve-health-report-missing-parent"),
     pytest.param(("chaos", "--health-report", "reports/"),
                  id="chaos-health-report-trailing-slash"),
-    pytest.param(("recover", "--seed", "x"), id="recover-seed-not-an-int"),
+    pytest.param(("trace", "recover", "--seed", "x"),
+                 id="recover-seed-not-an-int"),
     pytest.param(("fabric", "--tenants", "0"), id="fabric-zero-tenants"),
     pytest.param(("fabric", "--tenants", "-3"),
                  id="fabric-negative-tenants"),

@@ -83,11 +83,6 @@ class TestSyntheticIEEG:
         with pytest.raises(ConfigurationError):
             generate_ieeg(duration_s=0.5, fs_hz=4000, n_seizures=10)
 
-    def test_bad_fraction_rejected(self, monkeypatch):
-        monkeypatch.setattr(synthetic_ieeg, "PROPAGATION_FRACTION", 1.5)
-        with pytest.raises(ConfigurationError):
-            generate_ieeg()
-
 
 class TestSpikeDatasets:
     def test_profiles_exist(self):

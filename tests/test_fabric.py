@@ -8,9 +8,8 @@ The load-bearing properties:
   ``ScaloSystem`` through a ``QueryServer`` directly at the same seed —
   the fabric layer adds routing and accounting, never perturbation;
 * tenant isolation holds mechanically (pending-queue quota sheds with
-  reason ``tenant_quota``; the partitioned result LRU never lets one
-  client's churn evict another's) and end-to-end (the noisy-neighbour
-  gate in :mod:`repro.fabric.isolation` passes at its defaults);
+  reason ``tenant_quota``) and end-to-end (the noisy-neighbour gate in
+  :mod:`repro.fabric.isolation` passes at its defaults);
 * population queries merge partial coverage node-weighted: a dead node
   or a shed fleet lowers coverage instead of failing the query.
 """
@@ -33,7 +32,6 @@ from repro.fabric.loadgen import (
 )
 from repro.fabric.shardmap import ShardMap
 from repro.fabric.slos import tenant_slos
-from repro.serving import server as serving_server
 from repro.serving.server import ServerConfig
 
 TENANTS = st.text(
@@ -193,32 +191,6 @@ def test_tenant_queue_quota_sheds_with_tenant_quota_reason(monkeypatch):
     fabric.submit(other, spec, arrival_ms=0.0)
 
 
-def test_partitioned_result_lru_never_crosses_tenants(monkeypatch):
-    monkeypatch.setattr(serving_server, "RESULT_RETENTION", 2)
-    config = _small_config(
-        n_fleets=1,
-        server_config=ServerConfig(
-            partition_results_by_client=True,
-            per_client_queue_quota=16,
-        ),
-    )
-    shard = build_fleet_shard(0, config)
-    spec = QuerySpec(kind="q3", time_range_ms=50.0)
-    quiet_id = shard.server.submit("quiet", spec, shard.window_range,
-                                   arrival_ms=0.0)
-    shard.server.drain()
-    for i in range(6):  # churn far past the retention bound
-        t = 1000.0 * (i + 1)
-        shard.server.run_until(t)
-        shard.server.submit("churner", spec, shard.window_range, arrival_ms=t)
-    shard.server.drain()
-
-    evicted = shard.server.results_evicted_by_client
-    assert evicted.get("churner", 0) >= 1
-    assert evicted.get("quiet", 0) == 0
-    shard.server.result_for(quiet_id)  # the quiet tenant's answer survived
-
-
 def test_isolation_noisy_run_keeps_base_rate_multipliers(monkeypatch):
     """Only the noisy tenant's timeline may change between the runs."""
     load = FabricLoadConfig(
@@ -242,7 +214,6 @@ def test_isolation_noisy_run_keeps_base_rate_multipliers(monkeypatch):
 def test_isolation_gate_passes_at_defaults():
     result = run_isolation_gate()
     assert result.byte_identical, "noisy runs must be deterministic per seed"
-    assert result.victim_evictions == 0
     assert result.p99_degradation <= 0.10
     assert result.passed
     summary = result.as_dict()
@@ -267,7 +238,6 @@ def test_population_query_full_coverage():
     assert result.shed_fleets == ()
     assert result.gather_ms == pytest.approx(5.0 + 0.05 * 2)
     assert result.latency_ms >= result.gather_ms
-    assert fabric.population_log == [result.log_line()]
 
 
 def test_population_query_dead_node_lowers_coverage_node_weighted():
@@ -288,8 +258,7 @@ def test_population_query_dead_node_lowers_coverage_node_weighted():
 
 def test_population_query_shed_fleet_counts_as_zero_coverage():
     config = _small_config(
-        server_config=ServerConfig(max_queue=1,
-                                   partition_results_by_client=True),
+        server_config=ServerConfig(max_queue=1),
     )
     fabric = FleetFabric(config=config)
     # jam fleet 0's admission queue so the scatter to it sheds

@@ -69,7 +69,6 @@ EXPORTS: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = (
     (("chaos", "partition", "--seed", "0"), ("--csv", "--health-report")),
     (("fabric", "--seed", "0"), ("--csv", "--health-report")),
     (("health", "moderate", "--seed", "0"), ("--health-report",)),
-    (("recover", "--seed", "0"), ("--export", "--csv")),
     *(
         (("trace", scenario, "--seed", "0"), ("--export", "--csv"))
         for scenario in ("seizure", "queries", "fig9a", "recover", "serve",

@@ -25,6 +25,7 @@ from repro.serving.reliability import (
 )
 from repro.serving.server import QueryServer, ServerConfig
 from repro.telemetry import Telemetry
+from tests.serving_waves import record_waves
 
 N_NODES = 3
 ELECTRODES = 4
@@ -284,23 +285,25 @@ class TestServerBrownout:
 
     def test_reduced_tier_shrinks_the_scanned_range(self):
         server, _ = _server(self._config())
+        waves = record_waves(server)
         server.submit("a", QuerySpec("q3", 16.0), (0, N_WINDOWS))
         server.submit("a", QuerySpec("q3", 16.0), (0, 2))
         (response, *_rest) = server.step()
         assert response.tier == TIER_REDUCED
-        result = server.result_for(response.request_id)
+        result = waves[response.wave_id - 1]
         # only the most recent half of [0, 4) was scanned
         windows = {row.window_index for row in result.rows}
         assert windows and windows <= {2, 3}
 
     def test_cache_only_answers_without_samples(self):
         server, template = _server(self._config())
+        waves = record_waves(server)
         for i in range(4):
             server.submit("a", QuerySpec("q3", 16.0), (0, i + 1))
         (response, *_rest) = server.step()
         assert response.tier == TIER_CACHE_ONLY
         assert response.finish_ms - response.start_ms == pytest.approx(10.0)
-        result = server.result_for(response.request_id)
+        result = waves[response.wave_id - 1]
         assert result.rows and all(row.samples.size == 0 for row in result.rows)
 
     def test_reject_tier_sheds_with_brownout_reason(self, monkeypatch):
@@ -340,45 +343,6 @@ class TestServerBrownout:
 
 
 class TestResultRetention:
-    def test_lru_bound_evicts_oldest(self, monkeypatch):
-        tel = Telemetry()
-        monkeypatch.setattr(serving_server, "RESULT_RETENTION", 2)
-        config = ServerConfig(bucket_capacity=64.0)
-        server, _ = _server(config, telemetry=tel)
-        ids = []
-        for i in range(3):
-            ids.append(
-                server.submit("a", QuerySpec("q3", 16.0), (0, i + 1),
-                              arrival_ms=float(i))
-            )
-        server.drain()
-        assert _total(server, "serving.results.evicted") == 1
-        assert tel.registry.counter("serving.results.evicted") == 1.0
-        server.result_for(ids[1])
-        server.result_for(ids[2])
-        with pytest.raises(KeyError, match="evicted.*result_retention=2"):
-            server.result_for(ids[0])
-
-    def test_access_refreshes_recency(self, monkeypatch):
-        monkeypatch.setattr(serving_server, "RESULT_RETENTION", 2)
-        config = ServerConfig(bucket_capacity=64.0)
-        server, _ = _server(config)
-        a = server.submit("a", QuerySpec("q3", 16.0), (0, 1), arrival_ms=0.0)
-        b = server.submit("a", QuerySpec("q3", 16.0), (0, 2), arrival_ms=1.0)
-        server.drain()
-        server.result_for(a)  # touch a: now b is least-recently-used
-        c = server.submit("a", QuerySpec("q3", 16.0), (0, 3))
-        server.drain()
-        server.result_for(a)
-        server.result_for(c)
-        with pytest.raises(KeyError, match="evicted"):
-            server.result_for(b)
-
-    def test_unknown_id_gets_a_plain_keyerror(self):
-        server, _ = _server()
-        with pytest.raises(KeyError, match="no completed request"):
-            server.result_for(999)
-
     def test_log_retention_bounds_the_response_log(self, monkeypatch):
         monkeypatch.setattr(serving_server, "LOG_RETENTION", 2)
         config = ServerConfig(bucket_capacity=64.0)

@@ -19,6 +19,7 @@ from repro.serving.loadgen import (
 )
 from repro.serving.server import QueryServer, ServerConfig
 from repro.telemetry import Telemetry
+from tests.serving_waves import record_waves
 
 N_NODES = 3
 ELECTRODES = 4
@@ -186,12 +187,15 @@ class TestCoalescing:
 
     def test_coalesced_answer_matches_direct_run(self):
         server, template = _server()
+        waves = record_waves(server)
         spec = QuerySpec("q2", 16.0)
-        rid = server.submit("a", spec, (0, N_WINDOWS), template=template)
+        server.submit("a", spec, (0, N_WINDOWS), template=template)
         server.submit("b", spec, (0, N_WINDOWS), template=template)
         server.drain()
+        (coalesced,) = waves
+        assert {r.wave_id for r in server.responses} == {1}
         direct = server.engine.run(spec, (0, N_WINDOWS), template=template)
-        assert server.result_for(rid).row_keys() == direct.row_keys()
+        assert coalesced.row_keys() == direct.row_keys()
 
     def test_incompatible_queries_do_not_merge(self):
         server, template = _server()
@@ -267,12 +271,13 @@ class TestEDFDispatch:
 class TestDegradedAnswers:
     def test_dead_nodes_produce_degraded_coverage(self):
         server, _ = _server()
+        waves = record_waves(server)
         server.set_dead_nodes({1})
         server.submit("a", QuerySpec("q3", 16.0), (0, N_WINDOWS))
         (response,) = server.step()
         assert response.degraded
         assert response.coverage == pytest.approx(2 / 3)
-        result = server.result_for(response.request_id)
+        result = waves[response.wave_id - 1]
         assert result.failed_nodes == [1]
         assert all(row.node != 1 for row in result.rows)
 

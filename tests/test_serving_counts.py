@@ -4,18 +4,18 @@ A server keeps every ``serving.*`` counter in one table
 (:attr:`~repro.serving.server.QueryServer.counts`), and a live handle
 reads that table in place.  Random operation sequences (submits that
 shed for every reason, waves, dead-set changes that drive breakers and
-coverage retries, quorum loss, brownout tiers and retention evictions)
-run through two servers on one live handle.  After every operation each
-server's table must equal the counts this test derives from what it saw:
-the responses, the raised :class:`~repro.errors.QueryRejected` reasons,
-the retry lines of the response log, the recorder's breaker and quorum
-entries, the breakers' recorded failures and an LRU model of result
-retention; the registry must read the sum of both tables.  The same
-sequence on ``NULL_TELEMETRY`` must end with the same tables and the
-same :class:`~repro.serving.loadgen.ServeReport`.
+coverage retries, quorum loss and brownout tiers) run through two
+servers on one live handle.  After every operation each server's table
+must equal the counts this test derives from what it saw: the
+responses, the raised :class:`~repro.errors.QueryRejected` reasons, the
+retry lines of the response log, the recorder's breaker and quorum
+entries and the breakers' recorded failures; the registry must read the
+sum of both tables.  The same sequence on ``NULL_TELEMETRY`` must end
+with the same tables and the same
+:class:`~repro.serving.loadgen.ServeReport`.
 """
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from functools import cache
 from unittest import mock
 
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.errors import QueryRejected
 from repro.serving import reliability
-from repro.serving import server as serving_server
 from repro.serving.loadgen import summarise
 from repro.serving.reliability import (
     TIER_NAMES,
@@ -41,7 +40,6 @@ from repro.telemetry.registry import label_key
 N_NODES = 3
 ELECTRODES = 4
 N_WINDOWS = 4
-RETENTION = 3
 KINDS = ("q1", "q2", "q3")
 
 
@@ -102,10 +100,6 @@ class _Observer:
         self.shed = 0
         self.seen_responses = 0
         self.failures = 0
-        #: the retention model: request id -> None, least recent first,
-        #: per client when retention is partitioned
-        self.retained: dict[str, OrderedDict] = {}
-        self.evicted_by_client: Counter = Counter()
 
     def add(self, name: str, value: float = 1.0, **labels: object) -> None:
         self.counted[(name, label_key(labels))] += value
@@ -138,24 +132,12 @@ class _Observer:
                 self.add("serving.degraded_responses")
             if not response.sla_met:
                 self.add("serving.sla_violation", kind=response.kind)
-            self._retain(response.request_id, response.client)
         for lead in waves.values():
             self.add("serving.waves", kind=lead.kind)
             self.add("serving.brownout.waves", tier=TIER_NAMES[lead.tier])
             if lead.wave_size > 1:
                 self.add("serving.coalesced_batches")
                 self.add("serving.coalesced_requests", lead.wave_size)
-
-    def _retain(self, request_id: int, client: str) -> None:
-        partitioned = self.server.config.partition_results_by_client
-        store = self.retained.setdefault(client if partitioned else "", OrderedDict())
-        store.pop(request_id, None)
-        store[request_id] = None
-        while len(store) > RETENTION:
-            store.popitem(last=False)
-            self.add("serving.results.evicted")
-            if partitioned:
-                self.evicted_by_client[client] += 1
 
     def expected(self) -> dict:
         """Every count this observer derived, as ``counts`` cells."""
@@ -178,9 +160,6 @@ class _Observer:
     def check(self) -> None:
         assert self.server.counts == self.expected()
         assert all(type(v) is float for v in self.server.counts.values())
-        assert self.server.results_evicted_by_client == dict(
-            self.evicted_by_client
-        )
 
     def report(self):
         return summarise(self.server, 0.0, self.n_offered, self.shed)
@@ -239,7 +218,6 @@ _CONFIGS = st.builds(
     bucket_capacity=st.sampled_from((2.0, 64.0)),
     bucket_refill_per_s=st.sampled_from((10.0, 100.0)),
     per_client_queue_quota=st.sampled_from((None, 2)),
-    partition_results_by_client=st.booleans(),
     breaker=st.builds(
         BreakerConfig,
         failure_threshold=st.integers(1, 2),
@@ -261,7 +239,6 @@ def _run(configs, ops, telemetry):
         original(self, now_ms)
 
     with (
-        mock.patch.object(serving_server, "RESULT_RETENTION", RETENTION),
         mock.patch.object(
             reliability, "BROWNOUT_QUEUE_TIERS", (0.25, 0.5, 0.75)
         ),
@@ -351,7 +328,6 @@ class TestServingCounts:
             "serving.retries", "serving.breaker.opened",
             "serving.breaker.half_open", "serving.breaker.closed",
             "serving.quorum.lost", "serving.quorum.regained",
-            "serving.results.evicted",
         }
         assert reasons == {"queue_full", "tenant_quota", "rate_limited",
                            "brownout"}

@@ -66,8 +66,3 @@ class TestThreshold:
         low = adaptive_threshold(rng.normal(scale=0.1, size=5000))
         high = adaptive_threshold(rng.normal(scale=1.0, size=5000))
         assert high > 5 * low
-
-    def test_negative_refractory_rejected(self, monkeypatch):
-        monkeypatch.setattr(features, "REFRACTORY_SAMPLES", -1)
-        with pytest.raises(ConfigurationError):
-            threshold_crossings(np.zeros(4), 1.0)

@@ -17,7 +17,6 @@ from repro.storage.nvm import (
     PAGE_BYTES,
     PAGES_PER_BLOCK,
 )
-from repro.storage import partitions
 from repro.storage.partitions import PartitionTable
 
 
@@ -99,11 +98,6 @@ class TestPartitions:
         table = PartitionTable(capacity_bytes=64 * 1024 * 1024)
         with pytest.raises(StorageError):
             table["mc"].reserve(table["mc"].size_bytes + 1, 1)
-
-    def test_bad_fractions_rejected(self, monkeypatch):
-        monkeypatch.setattr(partitions, "DEFAULT_FRACTIONS", {"signals": 1.0})
-        with pytest.raises(StorageError):
-            PartitionTable(64 * 1024 * 1024)
 
 
 class TestStorageController:

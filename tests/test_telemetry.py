@@ -48,7 +48,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.set_gauge("g", 1.0)
         reg.set_gauge("g", 2.0)
-        assert reg.gauge("g") == 2.0
+        assert reg.series("g") == {(): 2.0}
 
     def test_snapshot_is_deterministically_ordered(self):
         reg = MetricsRegistry()
