@@ -11,7 +11,7 @@ from repro.eval.hash_accuracy import fig11
 
 
 def test_fig11_hash_accuracy(benchmark, report):
-    results = run_once(benchmark, fig11, n_pairs=400, seed=0)
+    results = run_once(benchmark, fig11, n_pairs=400)
 
     lines = []
     sample = next(iter(results.values()))

@@ -12,7 +12,7 @@ from repro.eval.network_errors import BER_POINTS, fig12
 
 
 def test_fig12_network_errors(benchmark, report):
-    results = run_once(benchmark, fig12, n_packets=600, seed=0)
+    results = run_once(benchmark, fig12, n_packets=600)
 
     lines = [f"{'BER':>8s}{'hash err %':>12s}{'signal err %':>14s}"
              f"{'DTW fail %':>12s}"]

@@ -11,7 +11,7 @@ from repro.eval.hash_params import fig14, shared_configs
 
 
 def test_fig14_hash_params(benchmark, report):
-    results = run_once(benchmark, fig14, n_pairs=240, seed=0)
+    results = run_once(benchmark, fig14, n_pairs=240)
 
     lines = []
     for name, result in results.items():

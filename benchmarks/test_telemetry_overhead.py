@@ -30,7 +30,7 @@ def _min_wall_s(make_telemetry) -> float:
     for _ in range(ROUNDS):
         telemetry = make_telemetry()
         start = time.perf_counter()
-        fig9a_scenario(telemetry)
+        fig9a_scenario(telemetry, 0)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -38,7 +38,7 @@ def _min_wall_s(make_telemetry) -> float:
 def test_telemetry_overhead_within_budget(report):
     # warm-up: the first sweep pays module imports and first-call
     # caches for both sides
-    fig9a_scenario(NULL_TELEMETRY)
+    fig9a_scenario(NULL_TELEMETRY, 0)
 
     null_s = _min_wall_s(lambda: NULL_TELEMETRY)
     instrumented_s = _min_wall_s(Telemetry)

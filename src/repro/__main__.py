@@ -5,14 +5,13 @@ Usage::
     python -m repro list                # what can be regenerated
     python -m repro table1              # PE catalog
     python -m repro fig8a               # architecture comparison
-    python -m repro fig15a --reps 500   # Monte-Carlo sweeps
+    python -m repro fig15 --reps 500    # Monte-Carlo sweeps
     python -m repro trace seizure       # run a scenario under telemetry
     python -m repro trace recover       # crash + reboot + resync smoke run
     python -m repro query --nodes 4     # Q1/Q2/Q3 over a live fleet
     python -m repro serve --qps 40      # open-loop load against the server
-    python -m repro serve --fault-plan moderate   # serving under a storm
     python -m repro chaos --csv out.csv # three-level fault-storm sweep
-    python -m repro health moderate     # SLO verdicts + incident bundles
+    python -m repro chaos moderate      # one storm: SLO verdicts + incidents
     python -m repro fabric --tenants 8  # multi-tenant fleet fabric run
     python -m repro all                 # everything (slow)
 
@@ -27,11 +26,12 @@ the metrics/span summary tables, and with ``--export out.trace.json``
 writes a Chrome trace-event file loadable in Perfetto or
 ``chrome://tracing``.
 
-``health`` replays one fault storm with a
-:class:`~repro.telemetry.health.engine.HealthEngine` attached and prints the
-SLO scoreboard, fired burn-rate alerts, anomalies, and incident
-bundles; ``--health-report out.json`` (also accepted by ``serve``,
-``chaos``, and ``fabric``) writes the full verdict as JSON.
+``chaos`` is the one entry to a fault storm.  With no argument it runs
+the three-level sweep, with ``partition`` the split-brain storm; with
+``mild``, ``moderate`` or ``severe`` it replays that one storm and
+prints its SLO scoreboard, fired burn-rate alerts, anomalies, and
+incident bundles.  ``--health-report out.json`` (also accepted by
+``serve`` and ``fabric``) writes the full verdict as JSON.
 
 ``fabric`` runs a seeded multi-tenant load over a
 :class:`~repro.fabric.fabric.FleetFabric` — consistent-hash tenant routing,
@@ -244,21 +244,36 @@ def _query(args) -> None:
     print(f"\n  batched windows scanned: {scanned:.0f}")
 
 
-def _write_health_report(path: str, doc: dict):
-    """Write one health-verdict JSON document (ScaloError on failure)."""
+def _write_files(args, telemetry, health_doc: dict | None) -> None:
+    """Write each file the command's flags name, and say where.
+
+    ``--export`` takes the Chrome trace, ``--csv`` the metrics registry
+    and ``--health-report`` ``health_doc``; a flag the command does not
+    accept is absent from ``args``.  A health report that cannot be
+    written raises :class:`~repro.errors.ConfigurationError`.
+    """
     import json
     import pathlib
 
     from repro.errors import ConfigurationError
+    from repro.telemetry.exporters import write_chrome_trace, write_metrics_csv
 
-    target = pathlib.Path(path)
-    try:
-        target.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot write health report to {path!r}: {exc}"
-        ) from None
-    return target
+    if getattr(args, "export", None):
+        path = write_chrome_trace(telemetry.tracer, args.export)
+        print(f"\nChrome trace written to {path} "
+              "(open in Perfetto / chrome://tracing)")
+    if getattr(args, "csv", None):
+        path = write_metrics_csv(telemetry.registry, args.csv)
+        print(f"\nmetrics CSV written to {path}")
+    if getattr(args, "health_report", None):
+        path = pathlib.Path(args.health_report)
+        try:
+            path.write_text(json.dumps(health_doc, indent=2, sort_keys=True))
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot write health report to {str(path)!r}: {exc}"
+            ) from None
+        print(f"\nhealth report written to {path}")
 
 
 def _print_health_summary(report: dict) -> None:
@@ -283,105 +298,38 @@ def _print_health_summary(report: dict) -> None:
               f"{len(bundle['spans'])} spans")
 
 
-def _health(args) -> None:
-    from repro.errors import ConfigurationError
-    from repro.eval.chaos import FAULT_PRESETS, ChaosConfig, run_storm
-    from repro.telemetry import Telemetry
-    from repro.telemetry.health.engine import HealthEngine
-
-    name = args.scenario or "moderate"
-    level = FAULT_PRESETS.get(name)
-    if level is None:
-        raise ConfigurationError(
-            f"unknown storm {name!r}; available: mild, moderate, severe"
-        )
-    telemetry = Telemetry()
-    health = HealthEngine(telemetry)
-    config = ChaosConfig(seed=args.seed)
-    result = run_storm(level, config, telemetry, health=health)
-    report = result.health
-    r = result.report
-    print(f"-- fleet health under the {name} storm "
-          f"(seed {args.seed}, {report['rounds_observed']} TDMA rounds)\n")
-    print(f"  availability {r.availability:7.2%}   "
-          f"SLA {r.sla_violations_initial} initial -> "
-          f"{r.sla_violations_final} final violations   "
-          f"p99 {r.p99_latency_ms:.1f} ms\n")
-    _print_health_summary(report)
-    verdict = "healthy" if report["healthy"] else "NOT healthy"
-    print(f"\n  verdict: {verdict} "
-          f"({len(report['alerts'])} alerts, "
-          f"{len(report['incidents'])} incidents)")
-    if args.health_report:
-        path = _write_health_report(
-            args.health_report, {"storm": name, **report, "row": result.row()}
-        )
-        print(f"\nhealth report written to {path}")
-
-
 def _serve(args) -> None:
     from repro.api import Telemetry, serve_session
     from repro.eval.reporting import span_summary, telemetry_summary
     from repro.serving.loadgen import LoadGenConfig
-    from repro.serving.reliability import RetryPolicy
     from repro.serving.server import ServerConfig
-    from repro.telemetry.exporters import write_metrics_csv
     from repro.telemetry.health.engine import HealthEngine
 
     telemetry = Telemetry()
     health = HealthEngine(telemetry)
-    fault_plan = None
-    client_retry = None
-    min_coverage = 0.0
-    retry = None
-    brownout = False
-    n_nodes = 4
-    if args.fault_plan not in (None, "none"):
-        from repro.eval.chaos import FAULT_PRESETS
-
-        # A storm implies the chaos-hardened posture: retries on both
-        # sides, brownout tiers armed, and a coverage SLA one dead node
-        # out of four violates.
-        level = FAULT_PRESETS[args.fault_plan]
-        fault_plan = level.plan(n_nodes, 64, args.seed)
-        retry = RetryPolicy(seed=args.seed)
-        client_retry = RetryPolicy(seed=args.seed + 1)
-        brownout = True
-        min_coverage = 0.9
     load = LoadGenConfig(
         n_requests=args.requests,
         offered_qps=args.qps,
         seed=args.seed,
         deadline_ms=args.deadline_ms,
-        min_coverage=min_coverage,
     )
     config = ServerConfig(
         max_queue=args.queue,
         coalesce=not args.serial,
         default_deadline_ms=args.deadline_ms,
-        brownout=brownout,
-        retry=retry,
-        default_min_coverage=min_coverage,
     )
     _, report = serve_session(
-        n_nodes=n_nodes,
+        n_nodes=4,
         electrodes=8,
         seed=args.seed,
         load=load,
         server_config=config,
         telemetry=telemetry,
-        fault_plan=fault_plan,
-        client_retry=client_retry,
         health=health,
     )
     mode = "serial" if args.serial else "coalesced"
-    storm = (
-        f", {args.fault_plan} fault storm"
-        if fault_plan is not None
-        else ""
-    )
     print(f"-- open-loop serving, {report.offered_qps:.0f} QPS offered, "
-          f"{mode} dispatch (seed {args.seed}{storm})\n")
+          f"{mode} dispatch (seed {args.seed})\n")
     print(f"  offered    {report.n_offered:6d}")
     print(f"  completed  {report.completed:6d}")
     print(f"  shed       {report.shed:6d}  ({report.shed_rate:.1%})")
@@ -394,38 +342,48 @@ def _serve(args) -> None:
           f"p99 {report.p99_latency_ms:7.1f} ms")
     print(f"  max queue  {report.max_queue_depth:6d}")
     print(f"  degraded   {report.degraded_responses:6d}")
-    if fault_plan is not None:
-        print(f"  available  {report.availability:7.1%}")
-        print(f"  retries    client {report.client_retries:d}  "
-              f"server {report.server_retries:d}")
-        print(f"  SLA        {report.sla_violations_initial:d} initial -> "
-              f"{report.sla_violations_final:d} final violations")
-        print(f"  breakers   opened {report.breaker_opened:d}  "
-              f"half-open {report.breaker_half_open:d}  "
-              f"closed {report.breaker_closed:d}")
-        tiers = ", ".join(
-            f"tier{t}={n}" for t, n in sorted(report.brownout_waves.items())
-        )
-        print(f"  brownout   {tiers}  (rejections: "
-              f"{report.brownout_rejections})")
     print()
-    _print_health_summary(health.report())
+    verdict = health.report()
+    _print_health_summary(verdict)
     print()
     print(telemetry_summary(telemetry.registry))
     print()
     print(span_summary(telemetry.tracer))
-    if args.csv:
-        path = write_metrics_csv(telemetry.registry, args.csv)
-        print(f"\nmetrics CSV written to {path}")
-    if args.health_report:
-        path = _write_health_report(args.health_report, health.report())
-        print(f"\nhealth report written to {path}")
+    _write_files(args, telemetry, verdict)
+
+
+def _storm(args, level) -> None:
+    """One storm level with its health verdict: the scoreboard, fired
+    alerts, anomalies and incident bundles."""
+    from repro.eval.chaos import ChaosConfig, run_storm
+    from repro.telemetry import Telemetry
+
+    telemetry = Telemetry()
+    result = run_storm(level, ChaosConfig(seed=args.seed), telemetry)
+    report = result.health
+    r = result.report
+    print(f"-- fleet health under the {level.name} storm "
+          f"(seed {args.seed}, {report['rounds_observed']} TDMA rounds)\n")
+    print(f"  availability {r.availability:7.2%}   "
+          f"SLA {r.sla_violations_initial} initial -> "
+          f"{r.sla_violations_final} final violations   "
+          f"p99 {r.p99_latency_ms:.1f} ms\n")
+    _print_health_summary(report)
+    verdict = "healthy" if report["healthy"] else "NOT healthy"
+    print(f"\n  verdict: {verdict} "
+          f"({len(report['alerts'])} alerts, "
+          f"{len(report['incidents'])} incidents)")
+    _write_files(
+        args, telemetry, {"storm": level.name, **report, "row": result.row()}
+    )
 
 
 def _chaos(args) -> None:
+    from repro.errors import ConfigurationError
     from repro.eval.chaos import (
         MIN_COVERAGE,
         OFFERED_QPS,
+        STORM_LEVELS,
         ChaosConfig,
         chaos_sweep,
         partition_config,
@@ -433,15 +391,15 @@ def _chaos(args) -> None:
     )
     from repro.eval.reporting import span_summary, telemetry_summary
     from repro.telemetry import Telemetry
-    from repro.telemetry.exporters import write_metrics_csv
 
-    from repro.errors import ConfigurationError
-
+    levels = {level.name: level for level in STORM_LEVELS}
+    if args.scenario in levels:
+        _storm(args, levels[args.scenario])
+        return
     if args.scenario not in (None, "partition"):
         raise ConfigurationError(
-            f"unknown chaos scenario {args.scenario!r}; "
-            "'partition' runs the split-brain storm, no argument runs "
-            "the three-level sweep"
+            f"unknown storm {args.scenario!r}; available: "
+            f"{', '.join(levels)}, partition"
         )
     telemetry = Telemetry()
     if args.scenario == "partition":
@@ -462,12 +420,7 @@ def _chaos(args) -> None:
     print(telemetry_summary(telemetry.registry))
     print()
     print(span_summary(telemetry.tracer))
-    if args.csv:
-        path = write_metrics_csv(telemetry.registry, args.csv)
-        print(f"\nmetrics CSV written to {path}")
-    if args.health_report:
-        path = _write_health_report(args.health_report, sweep.health_report())
-        print(f"\nhealth report written to {path}")
+    _write_files(args, telemetry, sweep.health_report())
 
 
 def _fabric(args) -> None:
@@ -476,7 +429,6 @@ def _fabric(args) -> None:
     from repro.fabric.loadgen import FabricLoadConfig, fabric_session
     from repro.fabric.slos import tenant_slos
     from repro.telemetry import Telemetry
-    from repro.telemetry.exporters import write_metrics_csv
     from repro.telemetry.health.engine import (
         DEFAULT_SERVING_SLOS,
         HealthEngine,
@@ -531,15 +483,11 @@ def _fabric(args) -> None:
           f"coverage {pop.coverage:.2f}, rows {pop.n_rows}, "
           f"shed fleets {len(pop.shed_fleets)}")
     print()
-    _print_health_summary(health.report())
+    verdict = health.report()
+    _print_health_summary(verdict)
     print()
     print(telemetry_summary(telemetry.registry))
-    if args.csv:
-        path = write_metrics_csv(telemetry.registry, args.csv)
-        print(f"\nmetrics CSV written to {path}")
-    if args.health_report:
-        path = _write_health_report(args.health_report, health.report())
-        print(f"\nhealth report written to {path}")
+    _write_files(args, telemetry, verdict)
 
 
 def _export(args) -> None:
@@ -552,7 +500,6 @@ def _export(args) -> None:
 
 def _trace(args) -> None:
     from repro.eval.reporting import span_summary, telemetry_summary
-    from repro.telemetry.exporters import write_chrome_trace, write_metrics_csv
     from repro.telemetry.scenarios import SCENARIOS, run_scenario
 
     from repro.errors import ConfigurationError
@@ -571,13 +518,7 @@ def _trace(args) -> None:
     print(telemetry_summary(telemetry.registry))
     print()
     print(span_summary(telemetry.tracer))
-    if args.export:
-        path = write_chrome_trace(telemetry.tracer, args.export)
-        print(f"\nChrome trace written to {path} "
-              "(open in Perfetto / chrome://tracing)")
-    if args.csv:
-        path = write_metrics_csv(telemetry.registry, args.csv)
-        print(f"metrics CSV written to {path}")
+    _write_files(args, telemetry, None)
 
 
 # -- shared argparse building ------------------------------------------------------
@@ -727,12 +668,6 @@ def _opt_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--deadline-ms", type=_positive_float,
                         default=DEFAULT_DEADLINE_MS,
                         help="relative request deadline (simulated ms)")
-    parser.add_argument("--fault-plan", default=None,
-                        choices=("none", "mild", "moderate", "severe",
-                                 "partition"),
-                        help="replay a fault-storm preset under the load "
-                             "(enables retries/brownout; 'partition' also "
-                             "attaches the quorum/epoch stack)")
 
 
 def _opt_fabric(parser: argparse.ArgumentParser) -> None:
@@ -783,8 +718,6 @@ _COMMANDS: dict[str, _Command] = {
                       (_opt_nodes,)),
     "fig14": _Command(_fig14, "hash parameter sweeps", (_opt_pairs,)),
     "fig15": _Command(_fig15, "delay Monte-Carlo", (_opt_reps,)),
-    "fig15a": _Command(_fig15, "delay Monte-Carlo", (_opt_reps,)),
-    "fig15b": _Command(_fig15, "delay Monte-Carlo", (_opt_reps,)),
     "resilience": _Command(_resilience, "ARQ/crash resilience sweeps",
                            (_opt_packets, _opt_nodes)),
     "sec62": _Command(_sec62, "local task throughput"),
@@ -798,13 +731,13 @@ _COMMANDS: dict[str, _Command] = {
                       (_opt_query, _opt_seed)),
     "serve": _Command(_serve, "open-loop load against the query server",
                       (_opt_serve, _opt_seed, _opt_csv, _opt_health_report)),
-    "chaos": _Command(_chaos, "fault-storm sweep (or partition storm)",
-                      (_opt_seed, _opt_csv, _opt_health_report),
-                      scenario_help="'partition' runs the split-brain storm; "
-                                    "no argument runs the three-level sweep"),
-    "health": _Command(_health, "SLO verdicts + incident bundles",
-                       (_opt_seed, _opt_health_report),
-                       scenario_help="storm level (default: moderate)"),
+    "chaos": _Command(_chaos, "fault-storm sweep, one storm, or the "
+                              "partition storm",
+                      (_opt_seed, _opt_export, _opt_csv, _opt_health_report),
+                      scenario_help="mild, moderate or severe runs one storm "
+                                    "with its health verdict; 'partition' "
+                                    "runs the split-brain storm; no argument "
+                                    "runs the three-level sweep"),
     "fabric": _Command(_fabric, "multi-tenant fleet fabric run",
                        (_opt_fabric, _opt_seed, _opt_csv,
                         _opt_health_report)),
@@ -812,8 +745,7 @@ _COMMANDS: dict[str, _Command] = {
 
 #: commands `all` runs (the quick, print-only figure/table family)
 _ALL_EXCLUDES = frozenset({
-    "fig15a", "fig15b", "export", "trace", "query", "serve", "chaos",
-    "health", "fabric",
+    "export", "trace", "query", "serve", "chaos", "fabric",
 })
 
 

@@ -123,7 +123,6 @@ class PropagationEvent:
 class SimulationResult:
     """Everything a propagation run produced."""
 
-    detections: dict[int, list[int]] = field(default_factory=dict)
     confirmations: list[PropagationEvent] = field(init=False, default_factory=list)
     hash_broadcasts: int = field(init=False, default=0)
     signal_exchanges: int = field(init=False, default=0)
@@ -165,9 +164,7 @@ class SeizurePropagationSimulator:
 
         stores = [RecentHashStore() for _ in range(rec.n_nodes)]
         checker = CollisionChecker(self.lsh.config.min_matching)
-        result = SimulationResult(
-            detections={node: [] for node in range(rec.n_nodes)}
-        )
+        result = SimulationResult()
         # colliding pairs, (w, src, dst, n_collisions) and their two
         # windows, scored in one DTW call after the loop: nothing in the
         # loop reads a cost
@@ -211,7 +208,6 @@ class SeizurePropagationSimulator:
                 mean_channel = windows[node].mean(axis=0)
                 if self.detector.detect_window(mean_channel):
                     detecting.append(node)
-                    result.detections[node].append(w)
 
             # 3. detecting nodes broadcast hashes; receivers collision-check
             for src in detecting:

@@ -136,15 +136,6 @@ PARTITION = StormLevel(
 
 STORM_LEVELS: tuple[StormLevel, ...] = (MILD, MODERATE, SEVERE)
 
-#: Presets accepted by ``python -m repro serve --fault-plan``.
-FAULT_PRESETS: dict[str, StormLevel | None] = {
-    "none": None,
-    "mild": MILD,
-    "moderate": MODERATE,
-    "severe": SEVERE,
-    "partition": PARTITION,
-}
-
 # -- gates ---------------------------------------------------------------------
 
 #: mild storm: unique requests answered / offered
@@ -348,21 +339,18 @@ def run_storm(
     level: StormLevel,
     config: ChaosConfig | None = None,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    health: HealthEngine | None = None,
 ) -> StormResult:
     """Serve one seeded load through one storm level's fault plan.
 
-    With live telemetry a :class:`HealthEngine` (a fresh one per storm
-    unless the caller passes its own) watches the run: its SLO burn
-    rates, anomalies, and incident bundles land in the result's
-    ``health`` report, and its flight recorder collects the storm's
-    breaker/brownout/shed evidence.  The engine is observational, so
-    the response log stays byte-identical either way.
+    With live telemetry a fresh :class:`HealthEngine` watches the run:
+    its SLO burn rates, anomalies, and incident bundles land in the
+    result's ``health`` report, and its flight recorder collects the
+    storm's breaker/brownout/shed evidence.  The engine is
+    observational, so the response log stays byte-identical either way.
     """
     config = config if config is not None else ChaosConfig()
     plan = level.plan(config.n_nodes, N_ROUNDS, config.seed)
-    if health is None and telemetry.enabled:
-        health = HealthEngine(telemetry)
+    health = HealthEngine(telemetry) if telemetry.enabled else None
     server, report = serve_session(
         n_nodes=config.n_nodes,
         electrodes=ELECTRODES,

@@ -266,36 +266,6 @@ def serving_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
     return telemetry
 
 
-def chaos_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
-    """The three-level fault-storm sweep with the reliability stack armed.
-
-    Runs :func:`~repro.eval.chaos.chaos_sweep` — mild / moderate /
-    severe :class:`~repro.faults.plan.FaultPlan` storms against a
-    6-node fleet with client retries, server-side coverage-SLA
-    re-execution, circuit breakers, and brownout tiers all enabled —
-    on one telemetry handle, so the ``serving.retries``,
-    ``serving.breaker.*``, and ``serving.brownout.*`` counters
-    accumulate across the whole sweep.
-    """
-    from repro.eval.chaos import ChaosConfig, chaos_sweep
-
-    sweep = chaos_sweep(ChaosConfig(seed=seed), telemetry)
-    for result in sweep.results:
-        r = result.report
-        telemetry.set_gauge(
-            f"scenario.{result.level.name}.availability", r.availability
-        )
-        telemetry.set_gauge(
-            f"scenario.{result.level.name}.sla_violations_final",
-            r.sla_violations_final,
-        )
-        telemetry.set_gauge(
-            f"scenario.{result.level.name}.p99_latency_ms", r.p99_latency_ms
-        )
-    telemetry.set_gauge("scenario.gates_passed", float(sweep.passed))
-    return telemetry
-
-
 def recover_scenario(telemetry: Telemetry, seed: int) -> Telemetry:
     """Crash-consistent recovery session (see :func:`recovery_session`)."""
     recovery_session(telemetry, seed, faults=True)
@@ -336,11 +306,6 @@ SCENARIOS: dict[str, Scenario] = {
         "serve",
         "open-loop query serving under overload with a mid-run node crash",
         serving_scenario,
-    ),
-    "chaos": Scenario(
-        "chaos",
-        "three-level fault-storm sweep: retries, breakers, brownouts",
-        chaos_scenario,
     ),
 }
 

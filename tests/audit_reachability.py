@@ -8,9 +8,9 @@ A dynamic companion to ``tests/test_src_reachability.py``, which matches
 names statically.  Under :func:`sys.setprofile` it runs the roots: every
 CLI target (the golden ones, with the ``--export``, ``--csv`` and
 ``--health-report`` flags where a target takes them, plus ``all``,
-``list``, ``health``, ``recover``, ``export``, every ``trace`` scenario
-and the ``fig15`` aliases), every ``examples/*.py``, and one session of
-each ``bench/workloads.py`` workload.  Then it prints every public
+``list``, ``export`` and the ``mild`` and ``severe`` chaos storms),
+every ``examples/*.py``, and one session of each ``bench/workloads.py``
+workload.  Then it prints every public
 module-level function and public method or property of a public class
 under ``src/repro`` whose code object no root entered, each with the
 reason :data:`KEEP` (or ``UNNAMED_ALLOWED`` of the static guard) keeps
@@ -161,24 +161,19 @@ def _cli_runs(out: Path) -> list[list[str]]:
         "trace": ["--export", str(out / "t.json"), "--csv", str(out / "t.csv")],
         "serve": ["--csv", str(out / "s.csv"),
                   "--health-report", str(out / "s.json")],
-        "chaos": ["--csv", str(out / "c.csv"),
+        "chaos": ["--export", str(out / "c.trace.json"),
+                  "--csv", str(out / "c.csv"),
                   "--health-report", str(out / "c.json")],
         "fabric": ["--csv", str(out / "f.csv"),
                    "--health-report", str(out / "f.json")],
-        "health": ["--health-report", str(out / "h.json")],
     }
     runs = [[*target, *flags.get(target[0], [])] for target in TARGETS]
     runs += [
         ["list"],
         ["all", "--packets", "20", "--pairs", "10", "--reps", "1"],
-        ["health", *flags["health"]],
+        ["chaos", "mild", *flags["chaos"]],
+        ["chaos", "severe", *flags["chaos"]],
         ["export", "--out", str(out / "results")],
-        ["fig15a", "--reps", "1"],
-        ["fig15b", "--reps", "1"],
-    ]
-    runs += [
-        ["trace", scenario, *flags["trace"]]
-        for scenario in ("queries", "fig9a", "recover", "serve", "chaos")
     ]
     return runs
 

@@ -417,19 +417,6 @@ class TestServeCLI:
         assert "open-loop serving" in proc.stdout
         assert csv.exists()
 
-    def test_serve_fault_plan_preset_runs_clean(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "serve",
-             "--qps", "40", "--requests", "24", "--seed", "2",
-             "--deadline-ms", "300", "--fault-plan", "mild"],
-            capture_output=True, text=True, timeout=300,
-            env=_repro_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "mild fault storm" in proc.stdout
-        assert "breakers" in proc.stdout
-        assert "SLA" in proc.stdout
-
     def test_chaos_subcommand_runs_clean(self, tmp_path):
         csv = tmp_path / "chaos.csv"
         proc = subprocess.run(

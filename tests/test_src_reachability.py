@@ -41,12 +41,19 @@ method under ``src/repro`` (nested ones included), is *passed* in
 ``src/``, ``examples/``, ``bench/`` or ``benchmarks/``: by keyword or
 position in a call of the function's bare name (its class's for an
 ``__init__``), by a ``*`` spread from its position on, or by a ``**``
-spread of a mapping whose keys are not literal.  A default no real run
+spread of a mapping whose keys are not literal.  The benchmark harness
+``run_once(benchmark, f, *args, **kwargs)`` counts as a call of ``f``.  A default no real run
 changes is a module constant that code reads at call time, or the
 parameter goes.  :data:`PARAMS_ALLOWED` lists the few kept: safety
 inputs, format or algorithm boundaries, and ``__main__.main(argv)``.
 :func:`test_static_params_match_runtime` checks the static view against
 ``inspect.signature``.
+
+Keywords: every keyword a call in ``src/``, ``examples/``, ``bench/``
+or ``benchmarks/`` passes names a parameter (or a dataclass field) of
+some same-named definition under ``src/repro``, or that definition
+takes ``**kwargs``.  A keyword a parameter's removal left behind fails
+here, not when the call first runs.
 
 One constant: a field or parameter with a default that every call
 outside ``tests/`` gives the same module-level constant (by name, bare
@@ -179,11 +186,10 @@ PARAMS_ALLOWED = {
 #: why it stays.  The list only shrinks: an entry that is no longer
 #: written, or that a file outside ``tests/`` now reads, fails
 #: :func:`test_write_only_allow_list_is_current`.
-WRITE_ONLY_ALLOWED: dict[str, str] = {
-    "repro.apps.seizure.SimulationResult.detections":
-        "the local detector's per-node output beside the confirmations "
-        "it triggers; the detector test checks it clusters in the seizure",
-}
+WRITE_ONLY_ALLOWED: dict[str, str] = {}
+#: harness functions that call their second argument with the rest of
+#: their arguments (``benchmarks/conftest.py``)
+FORWARDING = frozenset({"run_once"})
 #: methods that fill the container they are called on
 FILLING_METHODS = frozenset({
     "append", "extend", "add", "appendleft", "insert", "update", "setdefault",
@@ -463,13 +469,24 @@ def _keywords(
     return values, opaque
 
 
+def _callee(func: ast.expr) -> str | None:
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
 def _calls(tree: ast.AST, owner: str | None = None):
     """``(class name, call)`` for every call in ``tree``: the callee's
-    bare name, or the enclosing class's for a ``cls(...)`` call."""
+    bare name, or the enclosing class's for a ``cls(...)`` call.  A
+    :data:`FORWARDING` call ``run_once(benchmark, f, *args, **kwargs)``
+    is also read as the call ``f(*args, **kwargs)``."""
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, ast.Call):
-            name = getattr(child.func, "id", getattr(child.func, "attr", None))
+            name = _callee(child.func)
             yield (owner if name == "cls" else name), child
+            if name in FORWARDING and len(child.args) > 1:
+                target = child.args[1]
+                yield _callee(target), ast.copy_location(
+                    ast.Call(target, child.args[2:], child.keywords), child
+                )
         yield from _calls(
             child, child.name if isinstance(child, ast.ClassDef) else owner
         )
@@ -792,6 +809,94 @@ def test_params_allow_list_is_current():
     flagged |= parameter_names() & set(constant_options())
     assert all(reason for reason in PARAMS_ALLOWED.values())
     assert sorted(set(PARAMS_ALLOWED) - flagged) == []
+
+
+@functools.cache
+def keyword_signatures() -> dict[str, list[frozenset[str] | None]]:
+    """The name a call uses -> the keywords each same-named definition
+    under ``src/repro`` accepts: a function's or method's parameters (an
+    ``__init__``'s under its class's name), a dataclass's constructor
+    fields, or ``None`` for a definition that takes ``**kwargs``."""
+    found: dict[str, list[frozenset[str] | None]] = {}
+    for name, (_, fields, _, _) in config_fields().items():
+        found.setdefault(name, []).append(frozenset(fields))
+
+    def visit(body: list[ast.stmt], owner: str | None) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                found.setdefault(
+                    owner if node.name == "__init__" else node.name, []
+                ).append(
+                    None if args.kwarg
+                    else frozenset(arg.arg for arg in args.args + args.kwonlyargs)
+                )
+                visit(node.body, None)
+
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        visit(_tree(path).body, None)
+    return found
+
+
+def _foreign_names(tree: ast.Module) -> set[str]:
+    """The names one file binds by importing from outside ``repro``
+    (``np``, ``subprocess``): a call through one is not a ``repro``
+    call, whatever its name."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(
+                alias.asname or alias.name.partition(".")[0]
+                for alias in node.names
+                if alias.name.partition(".")[0] != "repro"
+            )
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module.partition(".")[0] != "repro"
+        ):
+            found.update(alias.asname or alias.name for alias in node.names)
+    return found
+
+
+def keyword_drift() -> list[str]:
+    """``path:line name(keyword=)`` for every keyword a call outside
+    ``tests/`` passes that no same-named definition under ``src/repro``
+    accepts (see :func:`keyword_signatures`).  A call of a name nothing
+    under ``src/repro`` defines, or through a name imported from outside
+    ``repro``, is not checked."""
+    signatures = keyword_signatures()
+    drift = []
+    for folder in NAMING_ROOTS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = _tree(path)
+            foreign = _foreign_names(tree)
+            dicts = _local_dicts(list(ast.walk(tree)))
+            for name, call in _calls(tree):
+                accepted = signatures.get(name)
+                receiver = getattr(call.func, "value", call.func)
+                if (
+                    accepted is None
+                    or None in accepted
+                    or getattr(receiver, "id", None) in foreign
+                ):
+                    continue
+                keywords, _ = _keywords(call, dicts)
+                drift += [
+                    f"{path.relative_to(ROOT)}:{call.lineno} {name}({keyword}=)"
+                    for keyword in keywords
+                    if not any(keyword in given for given in accepted)
+                ]
+    return drift
+
+
+def test_every_keyword_names_a_parameter():
+    """A keyword that no definition of the callee accepts is a
+    ``TypeError`` waiting for the call to run; a benchmark or an option
+    path that no test runs would ship it."""
+    assert keyword_drift() == []
 
 
 def _filled(receiver: ast.expr) -> ast.Attribute | None:
